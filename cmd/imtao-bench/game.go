@@ -28,8 +28,9 @@ import (
 // outputs are identical (route fingerprint, assigned count, U_ρ, iteration
 // count), verifies the final state is a Nash equilibrium, and records the
 // speedup plus the engine's per-iteration latency percentiles and prune /
-// resume rates. The optimized engine runs FIRST, so the frozen loop inherits
-// a warm travel-time cache — the reported speedup is a lower bound.
+// resume rates. The optimized engine runs FIRST, so the frozen loop runs on
+// a warm heap and warm scratch pools — the reported speedup is a lower
+// bound.
 
 // gameRecord is the schema of BENCH_game.json.
 type gameRecord struct {
@@ -110,9 +111,10 @@ type gamePreset struct {
 	EquilibriumOK bool `json:"equilibrium_ok"`
 
 	// Provenance-enabled leg: the same uncapped game re-run with a decision
-	// ledger attached (caches warm, so the comparison isolates the recording
-	// cost). ProvOverheadPct is the wall-clock overhead vs the bare engine in
-	// percent (perfgate holds it loosely ≤ the acceptance bound);
+	// ledger attached (scratch and memo arenas warm, so the comparison
+	// isolates the recording cost). ProvOverheadPct is the wall-clock
+	// overhead vs the bare engine in percent (perfgate holds it loosely ≤
+	// the acceptance bound);
 	// ProvReplayOK asserts the ledger replays to the engine's exact
 	// fingerprint, ProvCertOK that the equilibrium certificate re-validates.
 	ProvPhase2Ms     float64 `json:"prov_phase2_ms"`
@@ -173,7 +175,6 @@ func runGameSweep(sizes []int, cfg gameConfig) error {
 		if err != nil {
 			return err
 		}
-		net.SetCacheCapacity(net.Nodes())
 		raw.Metric = net
 		in, _, err := core.Partition(raw)
 		if err != nil {
@@ -292,7 +293,7 @@ func runGameSweep(sizes []int, cfg gameConfig) error {
 		verify := time.Since(t0)
 
 		// Provenance leg: identical game, ledger attached. Runs after the
-		// timed engine so the travel caches are warm on both sides. The
+		// timed engine so both sides run warm. The
 		// overhead compares minima of alternating warm plain / ledgered
 		// runs rather than a single pair: co-tenant contention on a
 		// shared box only ever inflates a wall time, so min-of-N is the

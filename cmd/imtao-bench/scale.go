@@ -15,12 +15,13 @@ import (
 	"imtao/internal/workload"
 )
 
-// The -scale sweep is the acceptance benchmark of the distance-oracle
-// engine (DESIGN.md §10): it runs the full Seq-BDC pipeline on a road
-// network at 10k/50k/100k tasks, records per-phase latency and the oracle's
-// cache behaviour, asserts the no-duplicate-search invariant
-// (dijkstra_runs == unique sources), and measures the raw TravelTime
-// hit/miss paths against the frozen pre-oracle LegacyNetwork.
+// The -scale sweep is the acceptance benchmark of the distance oracle
+// (DESIGN.md §10): it runs the full Seq-BDC pipeline on a road network at
+// 10k/50k/100k tasks on the shipped oracle defaults, records per-phase
+// latency and the oracle's search traffic, and asserts its two invariants:
+// full tables are built for pinned sources only (full_searches == pinned),
+// and sampled point-search answers equal fresh full tables bit for bit
+// (exact_ok).
 
 // scaleRecord is the schema of BENCH_oracle.json.
 type scaleRecord struct {
@@ -51,28 +52,20 @@ type scalePreset struct {
 	Iterations int     `json:"iterations"`
 	GameCapped bool    `json:"game_capped"`
 
-	TravelQueries int64   `json:"travel_queries"`
-	CacheHits     int64   `json:"cache_hits"`
-	CacheMisses   int64   `json:"cache_misses"`
-	HitRate       float64 `json:"hit_rate"`
-	QueriesPerSec float64 `json:"queries_per_sec"`
-	DijkstraRuns  int64   `json:"dijkstra_runs"`
-	UniqueSources int64   `json:"unique_sources"`
-	// DedupOK is the acceptance invariant: with the cache sized to the node
-	// count, every search corresponds to exactly one unique source — no
-	// duplicated work across concurrent same-source misses, no refaults.
-	DedupOK bool `json:"dedup_ok"`
-
-	// HitPath/MissPath compare the oracle query paths against the frozen
-	// pre-oracle implementation on this preset's entity locations.
-	HitPath  scalePath `json:"hit_path"`
-	MissPath scalePath `json:"miss_path"`
-}
-
-type scalePath struct {
-	LegacyQPS float64 `json:"legacy_qps"`
-	OracleQPS float64 `json:"oracle_qps"`
-	Speedup   float64 `json:"speedup"`
+	// TravelQueries counts road queries between distinct nodes: pinned
+	// table reads plus point searches.
+	TravelQueries    int64   `json:"travel_queries"`
+	PinnedReads      int64   `json:"pinned_reads"`
+	PointSearches    int64   `json:"point_searches"`
+	SettledPerSearch float64 `json:"settled_per_search"`
+	QueriesPerSec    float64 `json:"queries_per_sec"`
+	// FullSearches counts full distance tables built; Pinned the center
+	// tables core.Run pins. Every other query must be a point search.
+	FullSearches int64 `json:"full_searches"`
+	Pinned       int   `json:"pinned"`
+	// ExactOK: every sampled unpinned pair's point-search answer equals the
+	// entry of a fresh full table from the same source, bit for bit.
+	ExactOK bool `json:"exact_ok"`
 }
 
 type scaleConfig struct {
@@ -124,8 +117,7 @@ func runScaleSweep(sizes []int, cfg scaleConfig) error {
 		Generated:         time.Now().UTC().Format(time.RFC3339),
 		MaxGameIterations: cfg.gameCap,
 	}
-	hits := obs.Default.Counter("imtao_roadnet_cache_hits_total", "")
-	misses := obs.Default.Counter("imtao_roadnet_cache_misses_total", "")
+	pinnedReads := obs.Default.Counter("imtao_roadnet_cache_hits_total", "")
 
 	for _, size := range sizes {
 		p := workload.ScaleParams(cfg.dataset, size)
@@ -137,16 +129,13 @@ func runScaleSweep(sizes []int, cfg scaleConfig) error {
 		if err != nil {
 			return err
 		}
-		// Size the cache to the node count: every source stays resident, so
-		// the dedup invariant below is exact (no refaults).
-		net.SetCacheCapacity(net.Nodes())
 		raw.Metric = net
 		in, _, err := core.Partition(raw)
 		if err != nil {
 			return err
 		}
 
-		h0, m0 := hits.Value(), misses.Value()
+		r0 := pinnedReads.Value()
 		t0 := time.Now()
 		rep, err := core.Run(in, core.Config{
 			Method:            core.Method{Assigner: core.Seq, Collab: core.BDC},
@@ -171,27 +160,24 @@ func runScaleSweep(sizes []int, cfg scaleConfig) error {
 			Iterations: rep.Iterations,
 			GameCapped: cfg.gameCap > 0 && rep.Iterations >= cfg.gameCap,
 
-			CacheHits:     hits.Value() - h0,
-			CacheMisses:   misses.Value() - m0,
-			DijkstraRuns:  st.DijkstraRuns,
-			UniqueSources: st.UniqueSources,
-			DedupOK:       st.DijkstraRuns == st.UniqueSources,
+			PinnedReads:   pinnedReads.Value() - r0,
+			PointSearches: st.PointSearches,
+			FullSearches:  st.DijkstraRuns - st.PointSearches,
+			Pinned:        st.Pinned,
 		}
 		if size%1000 != 0 {
 			pr.Name = fmt.Sprintf("%d", size)
 		}
-		pr.TravelQueries = pr.CacheHits + pr.CacheMisses
-		if pr.TravelQueries > 0 {
-			pr.HitRate = float64(pr.CacheHits) / float64(pr.TravelQueries)
+		pr.TravelQueries = pr.PinnedReads + pr.PointSearches
+		if st.PointSearches > 0 {
+			pr.SettledPerSearch = float64(st.Settled) / float64(st.PointSearches)
 		}
 		if s := wall.Seconds(); s > 0 {
 			pr.QueriesPerSec = float64(pr.TravelQueries) / s
 		}
-
-		// Query-path microbenchmarks on fresh networks (the pipeline stats
-		// above stay unpolluted) over this preset's entity locations.
-		pts := samplePoints(in, 128)
-		pr.HitPath, pr.MissPath, err = measurePaths(raw.Bounds, cfg.grid, p.Speed, pts)
+		// After the pipeline, so the sampled searches reuse well-worn scratch
+		// and stay out of the traffic counted above.
+		pr.ExactOK, err = pointSearchesExact(net, in, raw.Bounds, cfg.grid, p.Speed)
 		if err != nil {
 			return err
 		}
@@ -201,18 +187,17 @@ func runScaleSweep(sizes []int, cfg scaleConfig) error {
 			pr.Name, pr.Tasks, pr.Workers, pr.Centers, cfg.grid)
 		fmt.Printf("  wall %.0f ms (ph1 %.0f, ph2 %.0f), assigned %d, %d game iters%s\n",
 			pr.WallMs, pr.Phase1Ms, pr.Phase2Ms, pr.Assigned, pr.Iterations, capTag(pr.GameCapped))
-		fmt.Printf("  %d travel queries, hit rate %.4f, %.2fM queries/s\n",
-			pr.TravelQueries, pr.HitRate, pr.QueriesPerSec/1e6)
-		fmt.Printf("  dijkstra runs %d, unique sources %d, dedup_ok=%v\n",
-			pr.DijkstraRuns, pr.UniqueSources, pr.DedupOK)
-		fmt.Printf("  hit path: oracle %.2fM q/s vs legacy %.2fM q/s (%.1fx)\n",
-			pr.HitPath.OracleQPS/1e6, pr.HitPath.LegacyQPS/1e6, pr.HitPath.Speedup)
-		fmt.Printf("  miss path: oracle %.0f q/s vs legacy %.0f q/s (%.1fx)\n\n",
-			pr.MissPath.OracleQPS, pr.MissPath.LegacyQPS, pr.MissPath.Speedup)
+		fmt.Printf("  %d travel queries (%d pinned reads, %d point searches), %.2fM queries/s\n",
+			pr.TravelQueries, pr.PinnedReads, pr.PointSearches, pr.QueriesPerSec/1e6)
+		fmt.Printf("  %.1f nodes settled per point search, %d full searches for %d pinned, exact_ok=%v\n\n",
+			pr.SettledPerSearch, pr.FullSearches, pr.Pinned, pr.ExactOK)
 
-		if !pr.DedupOK {
-			return fmt.Errorf("scale %s: duplicated searches (runs=%d unique=%d)",
-				pr.Name, pr.DijkstraRuns, pr.UniqueSources)
+		if pr.FullSearches != int64(pr.Pinned) {
+			return fmt.Errorf("scale %s: %d full searches for %d pinned sources",
+				pr.Name, pr.FullSearches, pr.Pinned)
+		}
+		if !pr.ExactOK {
+			return fmt.Errorf("scale %s: a point search differs from its full table", pr.Name)
 		}
 	}
 
@@ -240,10 +225,8 @@ func capTag(capped bool) string {
 }
 
 // samplePoints draws up to n entity locations round-robin from centers,
-// workers and tasks, so the microbenchmark queries the distribution the
-// pipeline actually queries. The count is kept small enough that the legacy
-// cache (512 tables, full-wipe eviction) holds every source — the hit-path
-// comparison must measure hits on both sides.
+// workers and tasks, so the check samples the distribution the pipeline
+// actually queries.
 func samplePoints(in *model.Instance, n int) []geo.Point {
 	var pts []geo.Point
 	for i := 0; len(pts) < n; i++ {
@@ -267,89 +250,42 @@ func samplePoints(in *model.Instance, n int) []geo.Point {
 	return pts
 }
 
-// measurePaths times the cache-hit and cache-miss query paths of the oracle
-// against the legacy implementation on the same point pairs.
-func measurePaths(bounds geo.Rect, grid int, speed float64, pts []geo.Point) (hit, miss scalePath, err error) {
-	if len(pts) < 2 {
-		return hit, miss, fmt.Errorf("not enough sample points")
+// pointSearchesExact checks point searches of the pipeline network against
+// full tables. It samples consecutive entity pairs that touch no center node,
+// so net answers each with a point search from the lower node id, then pins
+// exactly those sources on a fresh network and compares the two answers bit
+// for bit.
+func pointSearchesExact(net *roadnet.Network, in *model.Instance, bounds geo.Rect, grid int, speed float64) (bool, error) {
+	centers := make(map[int32]bool, len(in.Centers))
+	for _, c := range in.Centers {
+		node, _ := net.SnapNode(c.Loc)
+		centers[node] = true
 	}
-	oracle, err := roadnet.New(bounds, grid, grid, speed)
+	pts := samplePoints(in, 257)
+	type pair struct{ src, dst int32 }
+	var pairs []pair
+	var srcs []geo.Point
+	for i := 1; i < len(pts); i++ {
+		a, _ := net.SnapNode(pts[i-1])
+		b, _ := net.SnapNode(pts[i])
+		if a == b || centers[a] || centers[b] {
+			continue
+		}
+		pairs = append(pairs, pair{min(a, b), max(a, b)})
+		srcs = append(srcs, net.NodeLoc(int(min(a, b))))
+	}
+	if len(pairs) == 0 {
+		return false, fmt.Errorf("no unpinned pairs to check")
+	}
+	fresh, err := roadnet.New(bounds, grid, grid, speed)
 	if err != nil {
-		return hit, miss, err
+		return false, err
 	}
-	oracle.SetCacheCapacity(oracle.Nodes())
-	legacy, err := roadnet.NewLegacy(bounds, grid, grid, speed)
-	if err != nil {
-		return hit, miss, err
-	}
-
-	// Pre-snap the oracle refs — the post-PR pipeline queries through
-	// model.PrepareMetric's memoized snaps, so the hit path under test is
-	// TravelTimeNodes. The legacy pipeline had no such path; it always paid
-	// the snap plus the global mutex.
-	type ref struct {
-		node int32
-		leg  float64
-	}
-	refs := make([]ref, len(pts))
-	for i, p := range pts {
-		refs[i].node, refs[i].leg = oracle.SnapNode(p)
-	}
-	// Warm both caches.
-	for i := range pts {
-		j := (i + 1) % len(pts)
-		oracle.TravelTimeNodes(refs[i].node, refs[i].leg, refs[j].node, refs[j].leg)
-		legacy.TravelTime(pts[i], pts[j])
-	}
-
-	// timeLoop repeats a full round over the sample pairs until the run is
-	// long enough to time; the per-query overhead is one loop increment, so
-	// the measured cost is the query path itself.
-	const minDuration = 100 * time.Millisecond
-	timeLoop := func(round func()) float64 {
-		queries := 0
-		t0 := time.Now()
-		for time.Since(t0) < minDuration {
-			round()
-			queries += len(pts)
+	fresh.PrecomputeSources(srcs)
+	for _, p := range pairs {
+		if net.TravelTimeNodes(p.src, 0, p.dst, 0) != fresh.TravelTimeNodes(p.src, 0, p.dst, 0) {
+			return false, nil
 		}
-		return float64(queries) / time.Since(t0).Seconds()
 	}
-	var sink float64
-	hit.OracleQPS = timeLoop(func() {
-		for i := 1; i < len(refs); i++ {
-			a, b := refs[i-1], refs[i]
-			sink += oracle.TravelTimeNodes(a.node, a.leg, b.node, b.leg)
-		}
-		a, b := refs[len(refs)-1], refs[0]
-		sink += oracle.TravelTimeNodes(a.node, a.leg, b.node, b.leg)
-	})
-	hit.LegacyQPS = timeLoop(func() {
-		for i := 1; i < len(pts); i++ {
-			sink += legacy.TravelTime(pts[i-1], pts[i])
-		}
-		sink += legacy.TravelTime(pts[len(pts)-1], pts[0])
-	})
-	hit.Speedup = hit.OracleQPS / hit.LegacyQPS
-
-	// Miss path: flush before every query so each one pays a full search.
-	miss.OracleQPS = timeLoop(func() {
-		for i := 1; i < len(pts); i++ {
-			oracle.FlushCache()
-			sink += oracle.TravelTime(pts[i-1], pts[i])
-		}
-		oracle.FlushCache()
-		sink += oracle.TravelTime(pts[len(pts)-1], pts[0])
-	})
-	miss.LegacyQPS = timeLoop(func() {
-		for i := 1; i < len(pts); i++ {
-			legacy.FlushCache()
-			sink += legacy.TravelTime(pts[i-1], pts[i])
-		}
-		legacy.FlushCache()
-		sink += legacy.TravelTime(pts[len(pts)-1], pts[0])
-	})
-	miss.Speedup = miss.OracleQPS / miss.LegacyQPS
-	_ = sink
-	return hit, miss, nil
+	return true, nil
 }

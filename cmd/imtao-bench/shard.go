@@ -171,7 +171,6 @@ func runShardSweep(sizes []int, counts []int, cfg shardConfig) error {
 		if err != nil {
 			return err
 		}
-		net.SetCacheCapacity(net.Nodes())
 		raw.Metric = net
 		in, _, err := core.Partition(raw)
 		if err != nil {
@@ -201,9 +200,9 @@ func runShardSweep(sizes []int, counts []int, cfg shardConfig) error {
 
 		ccfg := collab.Config{Scope: collab.FullReassign, Assigner: assign.Sequential}
 
-		// Untimed warm-up run: fills the travel-time cache so every timed
-		// point below — one-shard baseline included — competes on a warm
-		// oracle, keeping the speedup column honest. A single-point sweep
+		// Untimed warm-up run: grows the heap and scratch pools so every
+		// timed point below — one-shard baseline included — competes warm,
+		// keeping the speedup column honest. A single-point sweep
 		// (the 1M record) has no intra-sweep comparison to keep honest, so
 		// it skips the warm-up rather than double its multi-minute game.
 		if len(counts) > 1 {

@@ -109,7 +109,9 @@ var counterRows = []struct {
 	{"imtao_collab_trials_total", "trials"},
 	{"imtao_collab_memo_hits_total", "memo hits"},
 	{"imtao_collab_candidates_pruned_total", "pruned"},
-	{"imtao_roadnet_dijkstra_runs_total", "dijkstra runs"},
+	{"imtao_roadnet_dijkstra_runs_total", "full searches"},
+	{"imtao_roadnet_point_searches_total", "point searches"},
+	{"imtao_roadnet_settled_nodes_total", "settled nodes"},
 	{"imtao_shard_games_total", "shard games"},
 	{"imtao_shard_exchange_iterations_total", "exchange iters"},
 }

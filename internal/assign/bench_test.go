@@ -17,6 +17,7 @@ func benchScene(n int) (*model.Instance, []model.TaskID, []geo.Point) {
 		locs[i] = geo.Pt(rng.Float64()*2000-1000, rng.Float64()*2000-1000)
 	}
 	in := centerScene(nil, locs, 1e9, n)
+	in.EnsureHot() // the pools read task locations from the hot slab
 	_, ts := allIDs(in)
 	queries := make([]geo.Point, 256)
 	for i := range queries {

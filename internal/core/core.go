@@ -357,12 +357,12 @@ func Run(in *model.Instance, cfg Config) (*Report, error) {
 			obs.F("parallelism", cfg.Parallelism))
 	}
 
-	// Distance-oracle warm-up: memoize entity→node snaps and precompute the
-	// center source tables once per run. Every route starts at a center, so
-	// the center tables answer the first leg of every trial the game plays;
-	// the remaining sources fill in lazily through the oracle's cache. With
-	// a tracer attached, the oracle records one span per Dijkstra table
-	// build (pinned warm-up here, cache misses later) under the run span.
+	// Distance-oracle warm-up: memoize entity→node snaps and pin the center
+	// source tables once per run. Every route starts at a center, so the
+	// center tables answer the first leg of every trial the game plays; the
+	// other legs are point searches. With a tracer attached, the oracle
+	// records one span per full table build (the pinning here) under the run
+	// span.
 	if tr != nil {
 		if st, ok := in.Metric.(interface {
 			SetTrace(*obs.Tracer, obs.SpanID)
@@ -373,6 +373,9 @@ func Run(in *model.Instance, cfg Config) (*Report, error) {
 	}
 	prepTS := tr.Start(runTS.ID(), "prepare_metric")
 	in.PrepareMetric()
+	// Build the hot slab here, once: the phase-1 assigners call EnsureHot,
+	// which is not safe concurrently with itself on a fresh instance.
+	in.EnsureHot()
 	if pc, ok := in.Metric.(interface{ PrecomputeSources([]geo.Point) }); ok {
 		locs := make([]geo.Point, len(in.Centers))
 		for i := range in.Centers {

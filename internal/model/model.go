@@ -246,7 +246,11 @@ func (in *Instance) TravelTime(a, b geo.Point) float64 {
 func (in *Instance) PrepareMetric() {
 	nm, ok := in.Metric.(NodeMetric)
 	if !ok {
-		in.prep = nil
+		// Write only on change: shard games call this concurrently on one
+		// shared, already prepared instance.
+		if in.prep != nil {
+			in.prep = nil
+		}
 		return
 	}
 	if p := in.prep; p != nil && p.nm == nm &&

@@ -10,9 +10,9 @@ import (
 
 // LegacyNetwork is the pre-oracle road network implementation — a global
 // mutex in front of a map cache, full-cache eviction on overflow, and boxed
-// container/heap Dijkstra per miss — frozen verbatim as the baseline the
-// oracle microbenchmarks and BENCH_oracle.json measure against. It is not
-// wired into the pipeline; use Network.
+// container/heap Dijkstra per miss — frozen verbatim as the independent
+// reference the oracle property tests and microbenchmarks compare against.
+// It is not wired into the pipeline; use Network.
 type LegacyNetwork struct {
 	bounds       geo.Rect
 	nx, ny       int
@@ -57,14 +57,6 @@ func (n *LegacyNetwork) SetCongestionDisk(p geo.Point, radius, factor float64) {
 			n.congestion[id] = factor
 		}
 	}
-	n.mu.Lock()
-	n.cache = make(map[int][]float64)
-	n.mu.Unlock()
-}
-
-// FlushCache drops every cached distance table (benchmark support, so the
-// miss path can be measured repeatedly).
-func (n *LegacyNetwork) FlushCache() {
 	n.mu.Lock()
 	n.cache = make(map[int][]float64)
 	n.mu.Unlock()

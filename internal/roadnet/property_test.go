@@ -1,6 +1,7 @@
 package roadnet
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -105,110 +106,125 @@ func TestPropertyOracleMatchesLegacy(t *testing.T) {
 	}
 }
 
-// Concurrent misses on one source must share a single search — the
-// singleflight acceptance criterion: dijkstra_runs == unique sources.
-func TestSingleflightConcurrentMiss(t *testing.T) {
-	n := grid(t, 31, 31, 10)
-	const goroutines = 32
-	var start, done sync.WaitGroup
-	start.Add(1)
-	done.Add(goroutines)
-	vals := make([]float64, goroutines)
-	for g := 0; g < goroutines; g++ {
-		go func(g int) {
-			defer done.Done()
-			start.Wait()
-			// All queries orient onto source node 5 (min id, unpinned).
-			vals[g] = n.TravelTimeNodes(5, 0, int32(600+g), 0)
-		}(g)
-	}
-	start.Done()
-	done.Wait()
-	s := n.Stats()
-	if s.DijkstraRuns != 1 || s.UniqueSources != 1 {
-		t.Fatalf("concurrent same-source misses duplicated work: runs=%d unique=%d",
-			s.DijkstraRuns, s.UniqueSources)
-	}
-	for g, v := range vals {
-		if v <= 0 || math.IsInf(v, 1) {
-			t.Fatalf("goroutine %d read a bogus distance %v", g, v)
+// The central invariant of the oracle: a point search returns exactly the
+// entry the full table from the same source holds — bit for bit, because a
+// point search is a prefix of the full search and settled labels never
+// change. Covered on random-congestion grids (square and not), on the Dial
+// path and the forced heap fallback, for pinned and unpinned orientations,
+// in both query directions.
+func TestPointSearchMatchesFullTable(t *testing.T) {
+	for seed := int64(0); seed < 4; seed++ {
+		for _, heap := range []bool{false, true} {
+			rng := rand.New(rand.NewSource(500 + seed))
+			n := grid(t, 9+rng.Intn(15), 9+rng.Intn(15), 10)
+			randomCongestion(n, rng)
+			if heap {
+				n.buckets = 0
+			}
+			n.PrecomputeSources([]geo.Point{
+				n.NodeLoc(rng.Intn(n.Nodes())), n.NodeLoc(rng.Intn(n.Nodes())),
+			})
+			tables := map[int32][]float64{}
+			for i := 0; i < 400; i++ {
+				a, b := int32(rng.Intn(n.Nodes())), int32(rng.Intn(n.Nodes()))
+				if a == b {
+					continue
+				}
+				src, dst := n.orient(a, b)
+				if tables[src] == nil {
+					tables[src] = n.fullTable(src)
+				}
+				want := tables[src][dst]
+				ab, ba := n.TravelTimeNodes(a, 0, b, 0), n.TravelTimeNodes(b, 0, a, 0)
+				if ab != want || ba != want {
+					t.Fatalf("seed %d heap=%v: %d<->%d answered %v / %v, full table from %d holds %v",
+						seed, heap, a, b, ab, ba, src, want)
+				}
+			}
 		}
 	}
 }
 
-// With capacity at the node count no table is ever refaulted, so every
-// search corresponds to exactly one unique source — the zero-duplicate-work
-// invariant the scale benchmark asserts.
-func TestUniqueSourceAccounting(t *testing.T) {
-	n := grid(t, 21, 21, 10)
-	n.SetCacheCapacity(n.Nodes())
-	rng := rand.New(rand.NewSource(304))
-	for i := 0; i < 2000; i++ {
-		a := geo.Pt(rng.Float64()*100, rng.Float64()*100)
-		b := geo.Pt(rng.Float64()*100, rng.Float64()*100)
-		n.TravelTime(a, b)
-	}
-	s := n.Stats()
-	if s.DijkstraRuns != s.UniqueSources {
-		t.Fatalf("duplicate searches: runs=%d unique=%d", s.DijkstraRuns, s.UniqueSources)
-	}
-	if s.Evictions != 0 {
-		t.Fatalf("evictions with capacity == node count: %d", s.Evictions)
+// Scratch stamps wrap after 2^31 searches; a search across the wrap must
+// not read labels left over from earlier epochs.
+func TestSearchEpochWrap(t *testing.T) {
+	n := grid(t, 13, 13, 10)
+	randomCongestion(n, rand.New(rand.NewSource(506)))
+	s := &searchScratch{}
+	n.search(0, -1, s) // size the scratch
+	s.epoch = math.MaxInt32 - 3
+	full := n.fullTable(0)
+	for dst := int32(1); dst < 12; dst++ {
+		if got, _ := n.search(0, dst, s); got != full[dst] {
+			t.Fatalf("epoch %d: search to %d = %v, full table %v", s.epoch, dst, got, full[dst])
+		}
 	}
 }
 
-// Clock eviction gives re-referenced tables a second chance: a source
-// touched between misses survives a stream of cold sources through its
-// shard, where the old implementation wiped the whole cache.
-func TestClockEvictionKeepsHotSources(t *testing.T) {
+// Queries from many goroutines at once must give exactly the serial
+// answers, and the counters must account for every search: one full search
+// per pinned source, one point search per unpinned query.
+func TestConcurrentQueriesMatchSerial(t *testing.T) {
 	n := grid(t, 31, 31, 10)
-	n.SetCacheCapacity(2 * cacheShardCount) // two tables per shard
-	const hot = int32(0)
-	dst := int32(n.Nodes() - 1)
-	n.TravelTimeNodes(hot, 0, dst, 0)
-	n.TravelTimeNodes(hot, 0, dst, 0) // second touch sets the clock bit
-	// Stream cold sources through shard 0 (ids ≡ 0 mod shard count), touching
-	// the hot source between each miss.
-	for s := int32(cacheShardCount); s < 40*cacheShardCount; s += cacheShardCount {
-		n.TravelTimeNodes(s, 0, dst, 0)
-		n.TravelTimeNodes(hot, 0, dst, 0)
+	rng := rand.New(rand.NewSource(507))
+	randomCongestion(n, rng)
+	n.PrecomputeSources([]geo.Point{geo.Pt(50, 50), geo.Pt(10, 90)})
+	type pair struct{ a, b int32 }
+	pairs := make([]pair, 300)
+	want := make([]float64, len(pairs))
+	unpinned := 0
+	for i := range pairs {
+		a, b := int32(rng.Intn(n.Nodes())), int32(rng.Intn(n.Nodes()))
+		if a == b {
+			b = (a + 1) % int32(n.Nodes())
+		}
+		pairs[i] = pair{a, b}
+		want[i] = n.TravelTimeNodes(a, 0, b, 0)
+		if src, _ := n.orient(a, b); n.pinnedIdx[src] < 0 {
+			unpinned++
+		}
+	}
+	const goroutines = 16
+	var wg sync.WaitGroup
+	errs := make(chan string, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range pairs {
+				i := (k*7 + g*13) % len(pairs) // a different order per goroutine
+				p := pairs[i]
+				a, b := p.a, p.b
+				if g%2 == 1 {
+					a, b = b, a
+				}
+				if got := n.TravelTimeNodes(a, 0, b, 0); got != want[i] {
+					errs <- fmt.Sprintf("goroutine %d: %d<->%d = %v, serial %v", g, a, b, got, want[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
 	}
 	st := n.Stats()
-	if st.Evictions == 0 {
-		t.Fatal("no eviction pressure; test is vacuous")
+	if wantPoints := int64(unpinned * (goroutines + 1)); st.PointSearches != wantPoints {
+		t.Fatalf("point searches %d, want %d", st.PointSearches, wantPoints)
 	}
-	// A refault of the hot source would make runs exceed unique sources
-	// (cold sources are never re-queried).
-	if st.DijkstraRuns != st.UniqueSources {
-		t.Fatalf("hot source was evicted and refaulted: runs=%d unique=%d",
-			st.DijkstraRuns, st.UniqueSources)
+	if full := st.DijkstraRuns - st.PointSearches; full != int64(st.Pinned) || st.Pinned != 2 {
+		t.Fatalf("full searches %d for %d pinned sources", full, st.Pinned)
 	}
-}
-
-// SetCongestion on an empty cache must not count evictions (satellite fix:
-// the old code bumped the eviction counter even when there was nothing to
-// evict).
-func TestCongestionNoSpuriousEvictions(t *testing.T) {
-	n := grid(t, 11, 11, 10)
-	before := mCacheEvictions.Value()
-	n.SetCongestion(geo.Pt(50, 50), 3)       // cache is empty
-	n.SetCongestionDisk(geo.Pt(0, 0), 20, 2) // still empty
-	if got := mCacheEvictions.Value(); got != before {
-		t.Fatalf("evictions counted on an empty cache: %d -> %d", before, got)
-	}
-	if s := n.Stats(); s.Evictions != 0 {
-		t.Fatalf("per-network evictions on an empty cache: %d", s.Evictions)
-	}
-	// With a resident table the reshape must count it.
-	n.TravelTime(geo.Pt(5, 5), geo.Pt(95, 95))
-	n.SetCongestion(geo.Pt(50, 50), 2)
-	if s := n.Stats(); s.Evictions == 0 {
-		t.Fatal("congestion reshape dropped a table without counting it")
+	if st.Settled < st.PointSearches || st.Evictions != 0 {
+		t.Fatalf("settled %d for %d point searches, evictions %d",
+			st.Settled, st.PointSearches, st.Evictions)
 	}
 }
 
-// Pinned tables answer without cache traffic, are idempotent to re-pin, and
-// are recomputed — not dropped — by congestion reshapes.
+// Pinned tables answer without a search, are idempotent to re-pin, and are
+// recomputed — not dropped — by congestion reshapes.
 func TestPrecomputeSources(t *testing.T) {
 	n := grid(t, 21, 21, 10)
 	ctr := geo.Pt(50, 50)
@@ -219,8 +235,8 @@ func TestPrecomputeSources(t *testing.T) {
 	}
 	far := geo.Pt(95, 95)
 	before := n.TravelTime(ctr, far)
-	if s := n.Stats(); s.Entries != 0 {
-		t.Fatalf("pinned query went through the cache: %d entries", s.Entries)
+	if s := n.Stats(); s.PointSearches != 0 {
+		t.Fatalf("pinned query ran %d point searches", s.PointSearches)
 	}
 	// Congestion reshape recomputes the pinned table in place. Congest the
 	// whole grid so no free detour can hide a stale table.

@@ -12,22 +12,25 @@
 //
 // # Distance oracle
 //
-// Queries are served by a per-source distance-table oracle (DESIGN.md §10):
+// Queries are served by a distance oracle (DESIGN.md §10):
 //
 //   - The adjacency is a flat CSR array built once at New/SetCongestion
 //     time, so the search touches no maps and no interface values.
-//   - Cache misses run a monotone bucket-queue search (Dial's algorithm)
-//     that exploits the lattice's bounded edge-weight ratio; a typed binary
-//     heap covers pathological congestion ratios.
-//   - Distance tables live in a sharded clock-LRU cache; concurrent misses
-//     on the same source are deduplicated (singleflight), and hot sources
-//     survive overflow instead of being wiped with the whole cache.
-//   - The metric is symmetric, so one table answers both query directions.
-//     The serving table is chosen by a pure function of the two endpoint
-//     nodes (pinned sources first, then the smaller node id) — never by
-//     cache state — keeping results bit-identical at any parallelism.
-//   - PrecomputeSources pins hot sources (center locations, typically) so
-//     runs start with their tables resident and exempt from eviction.
+//   - Searches run a monotone bucket queue (Dial's algorithm) that exploits
+//     the lattice's bounded edge-weight ratio; a typed binary heap covers
+//     pathological congestion ratios.
+//   - PrecomputeSources pins full distance tables for hot sources (center
+//     locations, typically); a pinned pair is one table read.
+//   - Every other pair is a point search: the same search from the same
+//     source, stopped the moment the destination settles. Settled labels
+//     never change, so the answer is bit-for-bit the full table's entry.
+//     Working memory is epoch-stamped pooled scratch, so a point search
+//     allocates nothing and no table is ever cached or evicted.
+//   - The metric is symmetric, so either endpoint can be the source. The
+//     source is a pure function of the two endpoint nodes and the pinned
+//     set (pinned endpoint first, then the smaller node id), so a query and
+//     its reverse read the same labels and results stay bit-identical at
+//     any parallelism.
 package roadnet
 
 import (
@@ -47,33 +50,32 @@ type traceHook struct {
 	parent obs.SpanID
 }
 
-// Cache and search counters, shared by every Network in the process (the
-// pipeline normally runs one). Per-network numbers are available via Stats.
+// Oracle counters, shared by every Network in the process (the pipeline
+// normally runs one). Per-network numbers are available via Stats.
 var (
 	mCacheHits = obs.Default.Counter("imtao_roadnet_cache_hits_total",
-		"distance-table cache hits (pinned tables included)")
-	mCacheMisses = obs.Default.Counter("imtao_roadnet_cache_misses_total",
-		"distance-table cache misses")
+		"queries answered by a pinned distance-table read")
 	mDijkstraRuns = obs.Default.Counter("imtao_roadnet_dijkstra_runs_total",
-		"full shortest-path searches executed (concurrent same-source misses share one)")
-	mCacheEvictions = obs.Default.Counter("imtao_roadnet_cache_evictions_total",
-		"distance tables evicted (capacity pressure or congestion reshape)")
-	mSingleflight = obs.Default.Counter("imtao_roadnet_singleflight_waits_total",
-		"queries that waited on another goroutine's in-flight search instead of duplicating it")
+		"full shortest-path searches executed (pinned tables and their "+
+			"recomputation on congestion reshapes)")
+	mPointSearches = obs.Default.Counter("imtao_roadnet_point_searches_total",
+		"early-exit searches answering an unpinned node pair")
+	mSettledNodes = obs.Default.Counter("imtao_roadnet_settled_nodes_total",
+		"nodes settled by point searches; divided by point searches, the "+
+			"mean search size")
 	mPinnedSources = obs.Default.Gauge("imtao_roadnet_pinned_sources",
-		"sources pinned by PrecomputeSources (eviction-exempt distance tables)")
+		"sources pinned by PrecomputeSources (resident distance tables)")
 	mDijkstraSeconds = obs.Default.Quantile("imtao_roadnet_dijkstra_seconds",
-		"wall time of one full shortest-path search — the oracle's miss "+
-			"path; a rising p99 means the cache is thrashing or congestion "+
-			"reshapes are forcing rebuilds")
+		"wall time of one full shortest-path search; point searches are "+
+			"not sampled")
 )
 
-// Network is an immutable-after-build grid road network with a cached
-// distance oracle. Build one with New, optionally shape congestion with
-// SetCongestion and warm hot sources with PrecomputeSources, then hand it to
+// Network is an immutable-after-build grid road network with a distance
+// oracle. Build one with New, optionally shape congestion with
+// SetCongestion and pin hot sources with PrecomputeSources, then hand it to
 // model.Instance.Metric. TravelTime and TravelTimeNodes are safe for
-// concurrent use; the mutators (SetCongestion*, PrecomputeSources,
-// SetCacheCapacity, FlushCache) are not — reshape only between runs.
+// concurrent use; the mutators (SetCongestion*, PrecomputeSources) are not —
+// reshape only between runs.
 type Network struct {
 	bounds       geo.Rect
 	nx, ny       int // nodes per axis
@@ -93,12 +95,11 @@ type Network struct {
 	minEdge  float64 // smallest edge time — the Dial bucket width
 	buckets  int     // Dial ring size; 0 selects the binary-heap fallback
 
-	cache   *sourceCache
 	scratch sync.Pool // *searchScratch
 
 	// trace, when non-nil, parents a "dijkstra" span on every full
-	// shortest-path search (cache misses and pinned-table builds). Stored
-	// atomically so SetTrace is safe against concurrent queries.
+	// shortest-path search (pinned-table builds). Stored atomically so
+	// SetTrace is safe against concurrent queries.
 	trace atomic.Pointer[traceHook]
 
 	// Pinned sources (PrecomputeSources): always-resident distance tables,
@@ -107,16 +108,19 @@ type Network struct {
 	pinnedIdx  []int32
 	pinnedDist [][]float64
 	pinnedSrcs []int32 // pinned nodes in first-registration order
+
+	// Search counters behind Stats.
+	fullSearches  atomic.Int64
+	pointSearches atomic.Int64
+	settledNodes  atomic.Int64
+	uniqueSources atomic.Int64
+	searched      []atomic.Bool // node → ever a search source
 }
 
 // maxDialBuckets caps the Dial ring. A ring needs maxEdge/minEdge buckets;
 // beyond this the congestion ratio is pathological and the typed binary heap
 // is the better search.
 const maxDialBuckets = 1 << 14
-
-// defaultCacheCap is the default number of cached distance tables (pinned
-// tables are exempt and uncounted).
-const defaultCacheCap = 1024
 
 // New builds a grid network with nx × ny nodes over bounds, travelling at
 // the given base speed (distance units per hour).
@@ -146,7 +150,7 @@ func New(bounds geo.Rect, nx, ny int, speed float64) (*Network, error) {
 	for i := range n.pinnedIdx {
 		n.pinnedIdx[i] = -1
 	}
-	n.cache = newSourceCache(nx*ny, defaultCacheCap)
+	n.searched = make([]atomic.Bool, nx*ny)
 	n.scratch.New = func() any { return &searchScratch{} }
 	n.rebuild()
 	return n, nil
@@ -222,26 +226,24 @@ func (n *Network) addEdge(e int32, u, v int, step, cu float64) int32 {
 	return e + 1
 }
 
-// invalidate drops every cached distance table (counting only tables that
-// actually existed as evictions) and recomputes the pinned tables against
+// reshape rebuilds the adjacency and recomputes the pinned tables against
 // the new congestion field.
-func (n *Network) invalidate() {
+func (n *Network) reshape() {
 	n.rebuild()
-	n.cache.purge()
 	for i, src := range n.pinnedSrcs {
-		n.pinnedDist[i] = n.runSearch(src)
+		n.pinnedDist[i] = n.fullTable(src)
 	}
 }
 
 // SetCongestion sets the slowdown factor (≥ 1) of the node nearest to p;
 // edges touching the node take factor× longer. Setting congestion rebuilds
-// the adjacency and resets the query cache.
+// the adjacency and recomputes the pinned tables.
 func (n *Network) SetCongestion(p geo.Point, factor float64) {
 	if factor < 1 {
 		factor = 1
 	}
 	n.congestion[n.nearestNode(p)] = factor
-	n.invalidate()
+	n.reshape()
 }
 
 // SetCongestionDisk applies the factor to every node within radius of p.
@@ -254,21 +256,7 @@ func (n *Network) SetCongestionDisk(p geo.Point, radius, factor float64) {
 			n.congestion[id] = factor
 		}
 	}
-	n.invalidate()
-}
-
-// SetCacheCapacity bounds the number of resident unpinned distance tables.
-// Not safe concurrently with queries.
-func (n *Network) SetCacheCapacity(tables int) {
-	if tables < 1 {
-		tables = 1
-	}
-	n.cache.setCapacity(tables)
-}
-
-// FlushCache drops every cached unpinned distance table. Pinned tables stay.
-func (n *Network) FlushCache() {
-	n.cache.purge()
+	n.reshape()
 }
 
 // SetTrace attaches a tracer: every full shortest-path search records a
@@ -284,13 +272,12 @@ func (n *Network) SetTrace(tr *obs.Tracer, parent obs.SpanID) {
 	n.trace.Store(&traceHook{tr: tr, parent: parent})
 }
 
-// PrecomputeSources computes and pins the distance tables of the nodes
-// nearest to the given points. Pinned tables are exempt from eviction, are
-// read without locks, and win the which-endpoint-serves tie against unpinned
-// nodes, so warming the hot sources of a run (center locations, typically)
-// removes both the cold-start searches and the cache traffic they would
-// otherwise cause under contention. Idempotent; not safe concurrently with
-// queries. Pins survive SetCongestion (tables are recomputed).
+// PrecomputeSources computes and pins the full distance tables of the nodes
+// nearest to the given points. Pinned tables are read without locks and win
+// the which-endpoint-serves tie against unpinned nodes, so every query
+// touching a hot source (a center location, typically) is one table read
+// instead of a search. Idempotent; not safe concurrently with queries. Pins
+// survive SetCongestion (tables are recomputed).
 func (n *Network) PrecomputeSources(pts []geo.Point) {
 	for _, p := range pts {
 		src := int32(n.nearestNode(p))
@@ -298,9 +285,8 @@ func (n *Network) PrecomputeSources(pts []geo.Point) {
 			continue
 		}
 		n.pinnedIdx[src] = int32(len(n.pinnedDist))
-		n.pinnedDist = append(n.pinnedDist, n.runSearch(src))
+		n.pinnedDist = append(n.pinnedDist, n.fullTable(src))
 		n.pinnedSrcs = append(n.pinnedSrcs, src)
-		n.cache.markSearched(src)
 	}
 	mPinnedSources.Set(float64(len(n.pinnedSrcs)))
 }
@@ -348,37 +334,29 @@ func (n *Network) TravelTime(a, b geo.Point) float64 {
 
 // TravelTimeNodes implements model.NodeMetric: the travel time between two
 // pre-snapped points, each given as (node, snap-leg distance). This is the
-// hot-loop entry — with memoized snaps it costs one addition and one
-// distance-table read on the cache-hit path.
+// hot-loop entry: one table read when an endpoint is pinned, else one point
+// search, and never an allocation.
 //
-// The serving table is picked by a pure function of the node pair and the
-// pinned set — pinned endpoint first, then the smaller id — so the answer
-// never depends on cache state and stays bit-identical across parallelism
-// levels (DESIGN.md §10). Symmetry of the metric makes either table correct;
-// picking one canonically also means a query and its reverse share a single
-// table and a single search.
+// The source is picked by a pure function of the node pair and the pinned
+// set — pinned endpoint first, then the smaller id — so the answer never
+// depends on scratch state and stays bit-identical across parallelism levels
+// (DESIGN.md §10). Symmetry of the metric makes either endpoint correct;
+// picking one canonically means a query and its reverse read the same
+// labels.
 func (n *Network) TravelTimeNodes(aNode int32, aLeg float64, bNode int32, bLeg float64) float64 {
 	snap := (aLeg + bLeg) * n.invSpeed
 	if aNode == bNode {
 		return snap
 	}
-	src, dst, pi := aNode, bNode, n.pinnedIdx[aNode]
-	if pb := n.pinnedIdx[bNode]; (pi >= 0) != (pb >= 0) {
-		if pb >= 0 {
-			src, dst, pi = bNode, aNode, pb
-		}
-	} else if bNode < aNode {
-		src, dst, pi = bNode, aNode, pb
-	}
-	if pi >= 0 {
+	src, dst := n.orient(aNode, bNode)
+	if pi := n.pinnedIdx[src]; pi >= 0 {
 		mCacheHits.Inc()
 		return snap + n.pinnedDist[pi][dst]
 	}
-	return snap + n.table(src)[dst]
+	return snap + n.pointSearch(src, dst)
 }
 
-// orient exposes the canonical table-selection rule of TravelTimeNodes for
-// tests and documentation.
+// orient is the canonical source-selection rule of TravelTimeNodes.
 func (n *Network) orient(a, b int32) (src, dst int32) {
 	pa, pb := n.pinnedIdx[a] >= 0, n.pinnedIdx[b] >= 0
 	if pa != pb {
@@ -393,45 +371,31 @@ func (n *Network) orient(a, b int32) (src, dst int32) {
 	return b, a
 }
 
-// table returns the distance table of src, computing it on a miss. Misses
-// for the same source are shared: the first goroutine runs the search, the
-// rest wait on its result (singleflight).
-func (n *Network) table(src int32) []float64 {
-	e, owner := n.cache.acquire(src)
-	if owner {
-		mCacheMisses.Inc()
-		e.dist = n.runSearch(src)
-		e.publish()
-		return e.dist
-	}
-	mCacheHits.Inc()
-	if !e.done.Load() {
-		mSingleflight.Inc()
-		<-e.ready
-	}
-	return e.dist
-}
-
 // Stats is a point-in-time snapshot of one network's oracle counters.
 type Stats struct {
-	// DijkstraRuns counts full shortest-path searches executed, pinned
-	// precomputation included.
+	// DijkstraRuns counts every search executed: full tables (pinned
+	// sources and their recomputation) plus point searches.
 	DijkstraRuns int64
-	// UniqueSources counts distinct source nodes ever searched. With a
-	// capacity that avoids refaults this equals DijkstraRuns — the
-	// no-duplicate-work invariant of the singleflight cache.
+	// PointSearches counts the early-exit searches of unpinned pairs.
+	PointSearches int64
+	// Settled counts the nodes those point searches settled.
+	Settled int64
+	// UniqueSources counts distinct source nodes ever searched.
 	UniqueSources int64
-	// Entries is the number of resident unpinned distance tables.
-	Entries int
 	// Pinned is the number of pinned distance tables.
 	Pinned int
-	// Evictions counts tables dropped for capacity or congestion reshape.
+	// Evictions is always 0: the oracle keeps no tables it could evict.
 	Evictions int64
 }
 
 // Stats returns this network's oracle counters.
 func (n *Network) Stats() Stats {
-	s := n.cache.stats()
-	s.Pinned = len(n.pinnedSrcs)
-	return s
+	points := n.pointSearches.Load()
+	return Stats{
+		DijkstraRuns:  n.fullSearches.Load() + points,
+		PointSearches: points,
+		Settled:       n.settledNodes.Load(),
+		UniqueSources: n.uniqueSources.Load(),
+		Pinned:        len(n.pinnedSrcs),
+	}
 }

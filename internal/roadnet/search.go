@@ -7,27 +7,72 @@ import (
 	"imtao/internal/obs"
 )
 
-// searchScratch is the reusable per-search working set: the Dial bucket
-// ring, the settled-epoch marks, and the typed heap of the fallback. One
-// scratch serves many searches without reallocating; the Network keeps a
-// sync.Pool of them so concurrent searches never contend on scratch.
+// searchScratch is the reusable working set of one search: the Dial bucket
+// ring, the typed heap of the fallback, and one epoch-stamped state per
+// node. A node's label and settled mark count only while their stamps equal
+// the current epoch, so starting a search costs one increment — no table
+// allocation and no +Inf fill. The Network keeps a sync.Pool of scratches so
+// concurrent searches never contend on scratch.
 type searchScratch struct {
 	ring  [][]int32
-	mark  []int32 // mark[v] == epoch ⇒ v settled in the current search
-	epoch int32
 	heap  []heapItem
+	node  []nodeState
+	epoch int32
 }
 
-// runSearch computes the exact shortest-path distance table from src over
-// the CSR adjacency. The result array is freshly allocated (it outlives the
-// call inside the cache); all other working memory comes from the scratch
-// pool. Every search is fully deterministic: fixed neighbour order, a
-// monotone bucket queue (or a typed heap ordered by (distance, id)), and
-// settled nodes are never relaxed again.
-func (n *Network) runSearch(src int32) []float64 {
-	// A full search is the oracle's expensive path (a cache miss or a
-	// pinned-table build), so a span per search — and a quantile sample —
-	// is cheap relative to the work it times.
+// nodeState is one node's part in the current search.
+type nodeState struct {
+	dist    float64 // tentative label, valid when labeled == epoch
+	labeled int32
+	settled int32 // == epoch ⇒ dist is final
+}
+
+// search runs Dijkstra from src until dst is settled — or, with dst < 0,
+// until every reachable node is — and returns dst's label and the number of
+// nodes settled. Every search is fully deterministic: fixed neighbour order,
+// a monotone bucket queue (or a typed heap ordered by (distance, id)), and
+// settled nodes are never relaxed again. The last point makes early exit
+// exact: a point search is a prefix of the full search from the same
+// source, and the label it returns is the one the full search keeps, bit for
+// bit.
+func (n *Network) search(src, dst int32, s *searchScratch) (float64, int) {
+	if len(s.node) < n.Nodes() {
+		s.node = make([]nodeState, n.Nodes())
+		s.epoch = 0
+	}
+	s.epoch++
+	if s.epoch == math.MaxInt32 { // epoch wrap: reset stamps once per 2^31 searches
+		clear(s.node)
+		s.epoch = 1
+	}
+	s.node[src] = nodeState{dist: 0, labeled: s.epoch}
+	if n.buckets > 0 {
+		return n.dial(src, dst, s)
+	}
+	return n.heapSearch(src, dst, s)
+}
+
+// relax offers label nd to st. It reports whether the label improved,
+// which is exactly when a search writing into a fresh +Inf table would have
+// written it: a node first seen in this search compares against +Inf.
+func relax(st *nodeState, epoch int32, nd float64) bool {
+	if st.labeled != epoch {
+		st.dist, st.labeled = math.Inf(1), epoch
+	}
+	if nd < st.dist {
+		st.dist = nd
+		return true
+	}
+	return false
+}
+
+// fullTable computes the exact shortest-path distance table of src: pinned
+// sources and their recomputation on congestion reshapes. The table is
+// freshly allocated (it outlives the call); the working memory comes from
+// the scratch pool.
+func (n *Network) fullTable(src int32) []float64 {
+	// A full search is the oracle's expensive path, so a span per search —
+	// and a quantile sample — is cheap relative to the work it times.
 	t0 := time.Now()
 	defer func() { mDijkstraSeconds.ObserveDuration(time.Since(t0)) }()
 	if h := n.trace.Load(); h != nil {
@@ -36,35 +81,43 @@ func (n *Network) runSearch(src int32) []float64 {
 			ts.End(obs.F("pinned", n.pinnedIdx[src] >= 0))
 		}()
 	}
-	total := n.Nodes()
-	dist := make([]float64, total)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-	}
-	dist[src] = 0
-
 	s := n.scratch.Get().(*searchScratch)
-	if len(s.mark) < total {
-		s.mark = make([]int32, total)
-		s.epoch = 0
-	}
-	s.epoch++
-	if s.epoch == math.MaxInt32 { // epoch wrap: reset marks once per 2^31 searches
-		for i := range s.mark {
-			s.mark[i] = 0
+	n.search(src, -1, s)
+	dist := make([]float64, n.Nodes())
+	for v := range dist {
+		if st := &s.node[v]; st.settled == s.epoch {
+			dist[v] = st.dist
+		} else {
+			dist[v] = math.Inf(1)
 		}
-		s.epoch = 1
-	}
-
-	if n.buckets > 0 {
-		n.dial(src, dist, s)
-	} else {
-		n.heapSearch(src, dist, s)
 	}
 	n.scratch.Put(s)
-	n.cache.runs.Add(1)
+	n.fullSearches.Add(1)
 	mDijkstraRuns.Inc()
+	n.markSource(src)
 	return dist
+}
+
+// pointSearch answers one unpinned node pair: the search from src stops the
+// moment dst settles. It allocates nothing and records no clock read and no
+// span — the game runs hundreds of thousands of these per solve.
+func (n *Network) pointSearch(src, dst int32) float64 {
+	s := n.scratch.Get().(*searchScratch)
+	d, settled := n.search(src, dst, s)
+	n.pointSearches.Add(1)
+	n.settledNodes.Add(int64(settled))
+	mPointSearches.Inc()
+	mSettledNodes.Add(int64(settled))
+	n.scratch.Put(s)
+	n.markSource(src)
+	return d
+}
+
+// markSource records src in the distinct-source count.
+func (n *Network) markSource(src int32) {
+	if !n.searched[src].Load() && !n.searched[src].Swap(true) {
+		n.uniqueSources.Add(1)
+	}
 }
 
 // dial is Dijkstra with a monotone bucket queue (Dial's algorithm). The
@@ -74,36 +127,48 @@ func (n *Network) runSearch(src int32) []float64 {
 // slots — enough that a tentative label (≤ active + maxEdge) never collides
 // with the active bucket from behind. No heap, no interface boxing, and
 // relaxation is one compare + append.
-func (n *Network) dial(src int32, dist []float64, s *searchScratch) {
+func (n *Network) dial(src, dst int32, s *searchScratch) (float64, int) {
 	ringSize := n.buckets
 	if cap(s.ring) < ringSize {
 		s.ring = make([][]int32, ringSize)
 	}
 	ring := s.ring[:ringSize]
-	delta := n.minEdge
+	node, epoch, delta := s.node, s.epoch, n.minEdge
 
 	ring[0] = append(ring[0][:0], src)
-	pending := 1
-	for abs := 0; pending > 0; abs++ {
-		slot := abs % ringSize
+	pending, settled, top := 1, 0, 0 // top: highest bucket used
+	for abs, slot := 0, 0; pending > 0; abs, slot = abs+1, slot+1 {
+		if slot == ringSize {
+			slot = 0 // slot == abs % ringSize, without a division
+		}
 		// Index loop: relaxations may append to the active bucket (labels
 		// that round down onto it), so len is re-read every iteration.
 		for i := 0; i < len(ring[slot]); i++ {
 			u := ring[slot][i]
 			pending--
-			if s.mark[u] == s.epoch {
+			if node[u].settled == epoch {
 				continue // stale entry: settled from an earlier bucket
 			}
-			s.mark[u] = s.epoch
-			du := dist[u]
+			node[u].settled = epoch
+			settled++
+			du := node[u].dist
+			if u == dst {
+				// Leave the ring empty for the next search.
+				for b, j := abs, slot; b <= max(top, abs); b, j = b+1, j+1 {
+					if j == ringSize {
+						j = 0
+					}
+					ring[j] = ring[j][:0]
+				}
+				return du, settled
+			}
 			for e := n.rowStart[u]; e < n.rowStart[u+1]; e++ {
 				v := n.adjNode[e]
-				if s.mark[v] == s.epoch {
+				if node[v].settled == epoch {
 					continue
 				}
 				nd := du + n.adjTime[e]
-				if nd < dist[v] {
-					dist[v] = nd
+				if relax(&node[v], epoch, nd) {
 					b := int(nd / delta)
 					// Float-rounding guards: a label belongs to
 					// [abs, abs+ringSize-1] by construction; clamp the
@@ -113,13 +178,20 @@ func (n *Network) dial(src int32, dist []float64, s *searchScratch) {
 					} else if b > abs+ringSize-1 {
 						b = abs + ringSize - 1
 					}
-					ring[b%ringSize] = append(ring[b%ringSize], v)
+					top = max(top, b)
+					// b%ringSize without a division: b-abs < ringSize.
+					j := slot + b - abs
+					if j >= ringSize {
+						j -= ringSize
+					}
+					ring[j] = append(ring[j], v)
 					pending++
 				}
 			}
 		}
 		ring[slot] = ring[slot][:0]
 	}
+	return math.Inf(1), settled
 }
 
 // heapItem is one typed binary-heap element — no interface{} boxing, no
@@ -132,31 +204,37 @@ type heapItem struct {
 // heapSearch is the Dijkstra fallback for pathological congestion ratios
 // where the Dial ring would be enormous. Ordering is (distance, id) so the
 // settle order — and with it the result — is deterministic.
-func (n *Network) heapSearch(src int32, dist []float64, s *searchScratch) {
-	h := s.heap[:0]
-	h = heapPush(h, heapItem{0, src})
+func (n *Network) heapSearch(src, dst int32, s *searchScratch) (float64, int) {
+	node, epoch := s.node, s.epoch
+	h := append(s.heap[:0], heapItem{0, src})
+	settled := 0
 	for len(h) > 0 {
 		var it heapItem
 		it, h = heapPop(h)
 		u := it.id
-		if s.mark[u] == s.epoch {
+		if node[u].settled == epoch {
 			continue
 		}
-		s.mark[u] = s.epoch
-		du := dist[u]
+		node[u].settled = epoch
+		settled++
+		du := node[u].dist
+		if u == dst {
+			s.heap = h[:0]
+			return du, settled
+		}
 		for e := n.rowStart[u]; e < n.rowStart[u+1]; e++ {
 			v := n.adjNode[e]
-			if s.mark[v] == s.epoch {
+			if node[v].settled == epoch {
 				continue
 			}
 			nd := du + n.adjTime[e]
-			if nd < dist[v] {
-				dist[v] = nd
+			if relax(&node[v], epoch, nd) {
 				h = heapPush(h, heapItem{nd, v})
 			}
 		}
 	}
 	s.heap = h
+	return math.Inf(1), settled
 }
 
 func heapLess(a, b heapItem) bool {

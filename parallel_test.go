@@ -133,3 +133,33 @@ func TestParallelDefaultMatchesSerial(t *testing.T) {
 		assertReportsIdentical(t, serial, def)
 	}
 }
+
+// The first Run on a fresh instance fans phase 1 out before anything else
+// has touched the instance's lazily built hot slab, so the fan-out must find
+// the slab already built. Under -race (as CI runs it) this catches the
+// phase-1 assigners building it concurrently; it also checks the parallel
+// first run against a serial first run on an identical fresh instance.
+func TestParallelFirstRunOnFreshInstance(t *testing.T) {
+	fresh := func() *Instance {
+		raw, err := Generate(DefaultParams(SYN))
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, err := Partition(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return in
+	}
+	for _, m := range []Method{SeqWoC, SeqBDC} {
+		parallel, err := Run(fresh(), m, WithSeed(1), WithParallelism(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial, err := Run(fresh(), m, WithSeed(1), WithParallelism(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertReportsIdentical(t, serial, parallel)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -27,8 +28,8 @@ import (
 // the wall-clock, the partition/interference profile (boundary workers,
 // conflict edges, exchange rounds) and the speedup over the one-shard run.
 // Every point is Nash-verified, and whenever the interference cut is empty
-// the route/transfer fingerprint must be bit-identical to the unsharded
-// engine's; either failing is a hard error (nonzero exit).
+// every center's routes must equal the unsharded engine's with no transfer
+// accepted by the exchange; either failing is a hard error (nonzero exit).
 
 // shardRecord is the schema of BENCH_shard.json.
 type shardRecord struct {
@@ -88,9 +89,9 @@ type shardPreset struct {
 	Auto *shardAutoRecord `json:"auto,omitempty"`
 
 	// EquilibriumOK is the global Nash check on the sharded outcome;
-	// IdenticalToS1 reports the fingerprint match against the one-shard run
-	// (asserted whenever EmptyCut holds). Speedup is this point's phase-2
-	// wall over the one-shard point's of the same size.
+	// IdenticalToS1 reports the fingerprint match against the one-shard run.
+	// Speedup is this point's phase-2 wall over the one-shard point's of the
+	// same size.
 	EquilibriumOK bool    `json:"equilibrium_ok"`
 	IdenticalToS1 bool    `json:"identical_to_s1"`
 	Speedup       float64 `json:"speedup"`
@@ -146,8 +147,9 @@ func parseShardCounts(s string) ([]int, error) {
 
 // runShardSweep executes the sharded-engine benchmark and writes
 // BENCH_shard.json. It returns an error when any point fails verification
-// (non-equilibrium) or diverges from the one-shard engine under an empty
-// interference cut.
+// (non-equilibrium), or when a point with an empty interference cut routes
+// some center differently from the one-shard engine or lets the exchange
+// accept a transfer.
 func runShardSweep(sizes []int, counts []int, cfg shardConfig) error {
 	rec := shardRecord{
 		Benchmark:  "shard-engine",
@@ -210,6 +212,7 @@ func runShardSweep(sizes []int, counts []int, cfg shardConfig) error {
 		}
 
 		var s1Fingerprint uint64
+		var s1Routes []model.Assignment
 		var s1Wall time.Duration
 		for _, k := range counts {
 			t0 = time.Now()
@@ -222,7 +225,7 @@ func runShardSweep(sizes []int, counts []int, cfg shardConfig) error {
 
 			fp := solutionFingerprint(res.Solution)
 			if k == counts[0] {
-				s1Fingerprint, s1Wall = fp, wall
+				s1Fingerprint, s1Routes, s1Wall = fp, res.Solution.PerCenter, wall
 			}
 
 			var wallMax time.Duration
@@ -320,9 +323,13 @@ func runShardSweep(sizes []int, counts []int, cfg shardConfig) error {
 			if !pr.EquilibriumOK {
 				return fmt.Errorf("shard %s: final state is not a Nash equilibrium", pr.Name)
 			}
-			if pr.EmptyCut && !pr.IdenticalToS1 {
-				return fmt.Errorf("shard %s: empty interference cut but output diverged from "+
-					"the one-shard engine (fingerprint %s vs %016x)", pr.Name, pr.Fingerprint, s1Fingerprint)
+			if pr.EmptyCut && !reflect.DeepEqual(res.Solution.PerCenter, s1Routes) {
+				return fmt.Errorf("shard %s: empty interference cut but the routes diverged from "+
+					"the one-shard engine's", pr.Name)
+			}
+			if pr.EmptyCut && pr.ExchangeTransfers != 0 {
+				return fmt.Errorf("shard %s: empty interference cut but the exchange accepted %d transfers",
+					pr.Name, pr.ExchangeTransfers)
 			}
 		}
 	}

@@ -15,7 +15,7 @@ import (
 )
 
 // stageLabel renders a step's origin: the global game, one shard's game, or
-// one exchange component.
+// the exchange game.
 func stageLabel(stage string, shard int) string {
 	switch {
 	case stage == provenance.StageGame && shard < 0:
@@ -23,7 +23,7 @@ func stageLabel(stage string, shard int) string {
 	case stage == provenance.StageGame:
 		return fmt.Sprintf("shard %d game", shard)
 	default:
-		return fmt.Sprintf("exchange component %d", shard)
+		return "exchange game"
 	}
 }
 
@@ -67,7 +67,7 @@ func summary(w io.Writer, l *provenance.Ledger) error {
 		if s.EmptyCut {
 			cut = "empty"
 		}
-		fmt.Fprintf(w, "sharding: %d shards, %d boundary / %d exclusive workers, %s cut, %d exchange component(s)\n",
+		fmt.Fprintf(w, "sharding: %d shards, %d boundary / %d exclusive workers, %s cut, %d conflict-graph component(s)\n",
 			s.Shards, s.BoundaryWorkers, s.ExclusiveWorkers, cut, s.Components)
 	}
 	if f := l.Final; f != nil {

@@ -1,0 +1,262 @@
+// Regression tests for the game's stop rule (DESIGN.md §5): a center that
+// left the game plays again when a later re-plan hands the pool a worker
+// that would improve it, so every uncapped run ends at a verified pure Nash
+// equilibrium. Each instance below ended in a state VerifyEquilibrium
+// rejects under the literal Algorithm 3 (a departed center never returns).
+package imtao
+
+import (
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"imtao/internal/assign"
+	"imtao/internal/collab"
+	"imtao/internal/model"
+	"imtao/internal/provenance"
+)
+
+// paperInstance generates and partitions one Table I instance and runs the
+// Sequential phase 1 on it.
+func paperInstance(t *testing.T, d Dataset, seed int64) (*Instance, []assign.Result) {
+	t.Helper()
+	p := DefaultParams(d)
+	p.Seed = seed
+	raw, err := Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := Partition(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	phase1 := make([]assign.Result, len(in.Centers))
+	for ci := range in.Centers {
+		c := in.Center(model.CenterID(ci))
+		phase1[ci] = assign.Sequential(in, c, c.Workers, c.Tasks)
+	}
+	return in, phase1
+}
+
+// TestGMSeed296EndsAtNash: at the Table I defaults, GM seed 296 used to end
+// with center 6 able to go from ρ 0.7273 to 0.9091 by borrowing worker 11.
+func TestGMSeed296EndsAtNash(t *testing.T) {
+	in, _ := paperInstance(t, GM, 296)
+	rep, err := Run(in, SeqBDC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := collab.VerifyEquilibrium(in, rep.Solution, assign.Sequential); err != nil {
+		t.Fatalf("Seq-BDC end state: %v", err)
+	}
+}
+
+// TestReadmittedRunsMatchReference: on instances where the end check
+// re-admits a departed center under each recipient and candidate policy,
+// the optimized engine and the reference loop make the same moves. The
+// best-response runs also end at a verified equilibrium.
+func TestReadmittedRunsMatchReference(t *testing.T) {
+	cases := []struct {
+		name string
+		d    Dataset
+		seed int64
+		cfg  collab.Config
+		rng  int64 // RandomRecipient stream seed; 0 for the other policies
+	}{
+		{"GM296/Seq-BDC", GM, 296, collab.Config{}, 0},
+		{"GM296/Seq-RBDC", GM, 296, collab.Config{Recipient: collab.RandomRecipient}, 51},
+		{"SYN167/NearestWorker", SYN, 167, collab.Config{Candidate: collab.NearestWorker}, 0},
+		{"GM1081/NearestWorker", GM, 1081, collab.Config{Candidate: collab.NearestWorker}, 0},
+	}
+	for _, tc := range cases {
+		in, phase1 := paperInstance(t, tc.d, tc.seed)
+		cfg := tc.cfg
+		cfg.Assigner = assign.Sequential
+		ref := cfg
+		if tc.rng != 0 {
+			cfg.Rng = rand.New(rand.NewSource(tc.rng))
+			ref.Rng = rand.New(rand.NewSource(tc.rng))
+		}
+		got := collab.Run(in, phase1, cfg)
+		want := collab.RunReference(in, phase1, ref)
+		if !reflect.DeepEqual(got.Solution, want.Solution) {
+			t.Fatalf("%s: Run and RunReference end in different solutions", tc.name)
+		}
+		if !reflect.DeepEqual(gameTrace(got.Trace), gameTrace(want.Trace)) {
+			t.Fatalf("%s: Run and RunReference traces differ", tc.name)
+		}
+		if cfg.Candidate == collab.BestResponse {
+			if err := got.VerifyEquilibrium(in, assign.Sequential); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+		}
+	}
+}
+
+// TestShardedReadmissionEndsAtNash: SYN seed 448 at three shards re-admits
+// a center inside a phase-A shard game. The sharded run must still end at a
+// verified global equilibrium, deterministically at every shard
+// parallelism, with a ledger that replays to the same solution and a
+// certificate that holds.
+func TestShardedReadmissionEndsAtNash(t *testing.T) {
+	in, _ := paperInstance(t, SYN, 448)
+	var first *Report
+	for _, par := range []int{1, 4} {
+		led := NewLedger()
+		rep, err := Run(in, SeqBDC, WithShards(3), WithSeed(7), WithShardParallelism(par),
+			WithProvenance(led))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Shard == nil || rep.Shard.Shards < 2 {
+			t.Fatalf("par=%d: run was not sharded", par)
+		}
+		if err := collab.VerifyEquilibrium(in, rep.Solution, assign.Sequential); err != nil {
+			t.Fatalf("par=%d: %v", par, err)
+		}
+		rr, err := provenance.Replay(led)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if provenance.SolutionFingerprint(rr.Solution) != provenance.SolutionFingerprint(rep.Solution) {
+			t.Fatalf("par=%d: ledger replays to a different solution", par)
+		}
+		if led.Cert == nil || !led.Cert.Equilibrium {
+			t.Fatalf("par=%d: certificate does not claim an equilibrium", par)
+		}
+		if first == nil {
+			first = rep
+		} else if !reflect.DeepEqual(rep.Solution, first.Solution) {
+			t.Fatal("shard parallelism changed the solution")
+		}
+	}
+}
+
+// gameTrace drops the TraceStep fields outside the cross-engine contract:
+// the wall clock and the work counters.
+func gameTrace(trace []collab.TraceStep) []collab.TraceStep {
+	out := append([]collab.TraceStep(nil), trace...)
+	for i := range out {
+		out[i].Duration = 0
+		out[i].Trials, out[i].MemoHits, out[i].Pruned, out[i].Resumed = 0, 0, 0, 0
+	}
+	return out
+}
+
+// perfbenchInstance rebuilds one set-up of the benchmark's syn10k-game
+// workload: the SYN 10k base layout (seed 1), every task and worker moved by
+// Gaussian jitter of σ = 4 drawn from stream seed·1,000,003 + k, solved on a
+// 64² road grid.
+func perfbenchInstance(t *testing.T, seed int64, k int) *Instance {
+	t.Helper()
+	p := DefaultParams(SYN)
+	p.NumTasks, p.NumWorkers, p.NumCenters = 10_000, 2_500, 50
+	p.Seed = 1
+	base, err := Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(seed*1_000_003 + int64(k)))
+	b := base.Bounds
+	move := func(q Point) Point {
+		q.X = min(max(q.X+rng.NormFloat64()*4, b.Min.X), b.Max.X)
+		q.Y = min(max(q.Y+rng.NormFloat64()*4, b.Min.Y), b.Max.Y)
+		return q
+	}
+	raw := &Instance{
+		Centers: append([]Center(nil), base.Centers...),
+		Tasks:   append([]Task(nil), base.Tasks...),
+		Workers: append([]Worker(nil), base.Workers...),
+		Speed:   base.Speed,
+		Bounds:  base.Bounds,
+	}
+	for i := range raw.Tasks {
+		raw.Tasks[i].Loc = move(raw.Tasks[i].Loc)
+	}
+	for i := range raw.Workers {
+		raw.Workers[i].Loc = move(raw.Workers[i].Loc)
+	}
+	net, err := NewRoadNetwork(raw.Bounds, 64, 64, raw.Speed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw.Metric = net
+	in, err := Partition(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return in
+}
+
+// TestPerfbenchNonNashInstancesEndAtNash: the four syn10k-game set-ups whose
+// cold solve used to fail the benchmark's equilibrium check. Each must now
+// verify, keeping at least the assigned count it had before.
+func TestPerfbenchNonNashInstancesEndAtNash(t *testing.T) {
+	if testing.Short() {
+		t.Skip("four 10k road solves")
+	}
+	cases := []struct {
+		seed     int64
+		setup    int
+		assigned int // the count the non-Nash end state had
+	}{
+		{12, 0, 9915},
+		{26, 5, 9918},
+		{35, 1, 9905},
+		{39, 3, 9907},
+	}
+	for _, tc := range cases {
+		in := perfbenchInstance(t, tc.seed, tc.setup)
+		rep, err := Run(in, SeqBDC)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := collab.VerifyEquilibrium(in, rep.Solution, assign.Sequential); err != nil {
+			t.Errorf("seed %d set-up %d: %v", tc.seed, tc.setup, err)
+		}
+		if rep.Assigned < tc.assigned {
+			t.Errorf("seed %d set-up %d: assigned %d, below the %d of the non-Nash end state",
+				tc.seed, tc.setup, rep.Assigned, tc.assigned)
+		}
+	}
+}
+
+// TestPaperScaleRunsEndAtNash is the stop rule's property test over 1,000
+// generated Table I instances (GM and SYN, 500 seeds each). Every uncapped
+// Seq-BDC and Seq-RBDC run must pass VerifyEquilibrium and equal the
+// reference loop bit for bit (work counters and wall clock aside); every
+// Seq-DC run must hold under its own leftover deviation class.
+func TestPaperScaleRunsEndAtNash(t *testing.T) {
+	seeds := int64(500)
+	if testing.Short() {
+		seeds = 50
+	}
+	for _, d := range []Dataset{GM, SYN} {
+		for seed := int64(1); seed <= seeds; seed++ {
+			in, phase1 := paperInstance(t, d, seed)
+			for _, random := range []bool{false, true} {
+				cfg := collab.Config{Assigner: assign.Sequential, Parallelism: 1}
+				ref := cfg
+				if random {
+					cfg.Recipient, ref.Recipient = collab.RandomRecipient, collab.RandomRecipient
+					cfg.Rng = rand.New(rand.NewSource(seed))
+					ref.Rng = rand.New(rand.NewSource(seed))
+				}
+				got := collab.Run(in, phase1, cfg)
+				want := collab.RunReference(in, phase1, ref)
+				if !reflect.DeepEqual(got.Solution, want.Solution) ||
+					!reflect.DeepEqual(gameTrace(got.Trace), gameTrace(want.Trace)) {
+					t.Fatalf("%s seed %d random=%v: Run differs from RunReference", d, seed, random)
+				}
+				if err := got.VerifyEquilibrium(in, assign.Sequential); err != nil {
+					t.Fatalf("%s seed %d random=%v: %v", d, seed, random, err)
+				}
+			}
+			dc := collab.Run(in, phase1, collab.Config{Assigner: assign.Sequential,
+				Scope: collab.LeftoverOnly, Parallelism: 1})
+			if cert := provenance.BuildCertificate(in, dc.Solution, provenance.ScopeLeftover); !cert.Equilibrium {
+				t.Fatalf("%s seed %d: Seq-DC end state has an improving leftover deviation", d, seed)
+			}
+		}
+	}
+}

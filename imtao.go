@@ -207,10 +207,10 @@ func WithParallelism(n int) RunOption {
 // region-sharded engine (DESIGN.md §15–16): centers are partitioned into n
 // geographic shards with seeded task-weighted k-means, best-response
 // dynamics run concurrently per shard over disjoint home-shard worker
-// pools, and a component-parallel exchange game settles the boundary
-// workers and drives the merged state to a global Nash equilibrium. When
-// the worker-overlap interference cut between shards is empty, the result
-// is bit-identical to the unsharded engine; methods the sharded engine
+// pools, and one exchange game settles the boundary workers and drives the
+// merged state to a global Nash equilibrium. When the worker-overlap
+// interference cut between shards is empty, every center's routes equal
+// the unsharded engine's; methods the sharded engine
 // cannot prove safe for (RBDC, budgeted Opt) fall back to the ordinary
 // game. WithShards(0) turns on auto-tuning: the engine probes a shard-count
 // ladder against the instance's interference profile and picks the count

@@ -44,8 +44,8 @@ const (
 	// workers re-contested by an exchange whose step count grows roughly
 	// linearly with the shard count k (each extra shard fragments the
 	// boundary routes further and adds another round of re-contesting),
-	// while the merge replay is inherently serial. Charging the full
-	// serialized cost — no per-component discount — is what stops the model
+	// and the exchange is one serial game. Charging the full serialized
+	// cost — no per-component discount — is what stops the model
 	// from over-sharding; the measured 10k/100k ladders admit any β in
 	// [0.26, 0.48], and 0.36 sits mid-range.
 	autotuneExchangeWeight = 0.36
@@ -160,10 +160,10 @@ func probeShardCount(in *model.Instance, phase1 []assign.Result, cfg ShardConfig
 	// Phase B: the measured sweeps show the exchange does NOT parallelize
 	// away — its step count grows roughly linearly with the shard count
 	// (each extra shard fragments boundary routes into one more round of
-	// re-contesting), every step rescans the boundary pool, and the trace
-	// merge replays serially. So the model charges the full serialized cost
-	// β·B·k with no per-component discount; that pessimism is exactly what
-	// keeps the argmin off the over-sharded end of the ladder.
+	// re-contesting), every step rescans the boundary pool, and the
+	// exchange is one serial game. So the model charges the full serialized
+	// cost β·B·k with no per-component discount; that pessimism is exactly
+	// what keeps the argmin off the over-sharded end of the ladder.
 	exch := autotuneExchangeWeight * float64(inf.boundary) * float64(nShards)
 
 	pr.Cost = phaseA + exch

@@ -7,7 +7,9 @@
 // center with the lowest assignment ratio extends its BWS by the single
 // available worker that maximises its post-reassignment ratio, keeps the
 // move iff the ratio strictly improves, and drops out of the game otherwise.
-// The loop reaches a state where no center can unilaterally improve — a pure
+// Where the game would end, one check re-admits every departed center that a
+// later re-plan has given an improving deviation (DESIGN.md §5), so the loop
+// ends only at a state where no center can unilaterally improve — a pure
 // Nash equilibrium of the collaboration game.
 //
 // The reassignment step is pluggable, giving the paper's baselines:
@@ -172,7 +174,8 @@ type Config struct {
 	// Recipient == RandomRecipient.
 	Rng *rand.Rand
 	// MaxIterations caps the game loop as a safety net; 0 means the natural
-	// bound (every worker transferred once plus every center dropped once).
+	// bound (|S|+1)·(|C|+1), which no uncapped game reaches — see
+	// naturalMaxIterations. A capped game may end short of an equilibrium.
 	MaxIterations int
 	// Parallelism bounds the goroutines evaluating best-response trials
 	// within one game iteration. 0 means GOMAXPROCS; 1 forces the legacy
@@ -560,25 +563,18 @@ func NewGame(in *model.Instance, phase1 []assign.Result, cfg Config) *Game {
 
 	g.maxIter = cfg.MaxIterations
 	if g.maxIter <= 0 {
-		// Every accepted iteration raises the recipient's assigned count by
-		// at least one task and every rejection permanently removes a
-		// center, so |S| + |C| bounds the game length.
-		g.maxIter = len(in.Tasks) + n + 1
+		g.maxIter = naturalMaxIterations(len(in.Tasks), n)
 	}
 
 	// memo caches trial re-assignment results per (recipient, worker). A
 	// trial depends only on the recipient's state (worker set, routes,
 	// leftover tasks) and the candidate, so an entry stays valid until the
-	// recipient's state changes: entries are stored only when a center
-	// leaves the game (its state is final from then on) and the per-center
-	// map is dropped when the center later lends one of its own workers out
-	// (its worker set shrinks). In the paper-exact dynamics every turn ends
-	// by either mutating the recipient (accept — nothing worth caching) or
-	// removing it from the game (reject — its final-state trials), so the
-	// cache cannot re-hit during Run itself with the built-in policies; it
-	// exists to carry each center's final-state trials out of the game,
-	// where Result.VerifyEquilibrium reuses them instead of re-running the
-	// assigner over the whole pool.
+	// recipient's state changes: entries are stored when a center leaves
+	// the game and when the end check sweeps it, and the per-center map is
+	// dropped when the center accepts a dispatch or lends one of its own
+	// workers out. The end check answers a departed center's sweep from it
+	// (only workers pooled since the center left cost trials), and
+	// Result.VerifyEquilibrium reuses the entries that survive the game.
 	g.memo = make([]map[model.WorkerID]assign.Result, n)
 
 	if cfg.resume != nil {
@@ -610,6 +606,18 @@ func NewGame(in *model.Instance, phase1 []assign.Result, cfg Config) *Game {
 		}
 	}
 	return g
+}
+
+// naturalMaxIterations bounds an uncapped game over |S| = tasks and
+// |C| = centers. Every accepted move raises the total assigned count by at
+// least one, so there are at most |S| of them. A center rejects at most once
+// between two end checks, since only a check re-admits it; a check that
+// re-admits a center is followed by an accepted move (the re-admitted
+// recipient's sweep is served from the memo the check filled), so there are
+// at most |S|+1 such stretches and at most |C|·(|S|+1) rejects. The game
+// therefore ends within (|S|+1)·(|C|+1) − 1 steps.
+func naturalMaxIterations(tasks, centers int) int {
+	return (tasks + 1) * (centers + 1)
 }
 
 // Iterations returns the number of iterations executed so far.
@@ -645,7 +653,9 @@ func (g *Game) Reserve(n int) {
 
 // Step executes one game iteration (Algorithm 3 lines 13–21) and reports
 // whether it ran; false means the game was already over and no state
-// changed. After the first false, Finish assembles the Result.
+// changed. A step that leaves no recipient runs the end check (readmit)
+// before it returns, so Over stays a pure query. After the first false,
+// Finish assembles the Result.
 func (g *Game) Step() bool {
 	if g.Over() {
 		return false
@@ -654,7 +664,6 @@ func (g *Game) Step() bool {
 	iter := g.iter
 	iterStart := time.Now()
 	cfg := &g.cfg
-	in := g.in
 	g.res.Iterations = iter
 	mIterations.Inc()
 	var iterTS obs.TraceSpan
@@ -679,169 +688,38 @@ func (g *Game) Step() bool {
 		ci = metrics.MinRatioCenter(g.rhoVec, g.recipients)
 	}
 	st := &g.states[ci]
-	center := in.Center(ci)
 
-	// Candidate workers: available pool minus the recipient's own (its own
-	// unused workers are already in its worker set). With pruning,
-	// candidates that cannot feasibly deliver any first task are dropped
-	// here — their trials provably return the baseline and can never win
-	// the strict-improvement scan below. The candidate list is pool
-	// scratch, valid for this iteration only.
-	var cands []model.WorkerID
-	pruned := 0
-	var prunedList []model.WorkerID
-	switch {
-	case cfg.Candidate == NearestWorker:
-		cands = g.pool.candidates(ci)
-		if len(cands) > 1 {
-			// Heuristic ablation: only evaluate the nearest available
-			// worker. Ties break by ID via the pre-sorted order.
-			best := cands[0]
-			bd := in.Worker(best).Loc.Dist2(center.Loc)
-			for _, w := range cands[1:] {
-				if d := in.Worker(w).Loc.Dist2(center.Loc); d < bd {
-					best, bd = w, d
-				}
-			}
-			cands[0] = best
-			cands = cands[:1]
-		}
-	case g.pruneOn:
-		if !st.slackOK {
-			if cfg.Scope == LeftoverOnly {
-				st.slack = assign.AdmissionSlack(in, center, st.leftTasks)
-			} else {
-				st.slack = assign.AdmissionSlack(in, center, center.Tasks)
-			}
-			st.slackOK = true
-		}
-		var onPruned func(model.WorkerID)
-		if cfg.prunedHook != nil {
-			onPruned = func(w model.WorkerID) { prunedList = append(prunedList, w) }
-		}
-		cands, pruned = g.pool.admissible(center, ci, st.slack, onPruned)
-	default:
-		cands = g.pool.candidates(ci)
-	}
-	mPruned.Add(int64(pruned))
-	// Provenance captures the admission slack that did the cutting while it
-	// is still live (DC invalidates the cache on accept, below).
-	provSlack := -1.0
-	if g.pruneOn && cfg.Candidate != NearestWorker {
-		provSlack = st.slack
-	}
-
-	// Line 14: best response — the candidate maximising the
-	// post-reassignment ratio. Line 15: evaluated via re-assignment.
-	// Trials are independent of each other, so cache misses are evaluated
-	// concurrently into fixed slots; the winner is then picked by the same
-	// serial scan as the reference loop, keeping the output bit-identical.
-	var baseWS []model.WorkerID
-	if cfg.Scope != LeftoverOnly {
-		baseWS = st.workers
-	}
-	for _, w := range prunedList {
-		cfg.prunedHook(ci, w, baseWS, st.leftTasks, st.assigned)
-	}
-
-	// The prefix-resume trial base: for the Sequential engine, trials
-	// resume from the candidate's serve-order position against the center's
-	// baseline assignment instead of re-running every worker. The base and
-	// its runners are long-lived — Reset/Rebind recycle their arrays.
-	var base *assign.TrialBase
-	if g.seqEngine && len(cands) > 0 {
-		if cfg.Scope == LeftoverOnly {
-			// DC trials serve one worker over the leftover tasks: the
-			// baseline is the empty assignment over those tasks.
-			if g.base.Reset(in, center, nil, nil, st.leftTasks) {
-				base = &g.base
-			}
-		} else {
-			if !st.baselineOK {
-				// seqEngine holds here, so the scratch run IS the configured
-				// assigner; its result lives in recycled buffers, so promote
-				// it into the center's spare buffer and flip, exactly like an
-				// accepted trial. The flip matters: trial results alias the
-				// baseline's route storage (the preserved-suffix fast path),
-				// so the baseline must occupy the buffer the next accepted
-				// promotion does NOT write. st.routes/st.leftTasks keep the
-				// center's current assignment — the baseline is a trial-
-				// resume aid, not the state (they coincide only when phase 1
-				// used the same assigner).
-				fresh := g.seqScratch.Run(in, center, baseWS, center.Tasks)
-				pb := &st.promo[1-st.flip]
-				pb.promote(&fresh)
-				st.flip = 1 - st.flip
-				st.baseline = assign.Result{Routes: pb.routes,
-					LeftTasks: pb.left, LeftWorkers: pb.lws, Stats: fresh.Stats}
-				st.baselineOK = true
-			}
-			if g.base.Reset(in, center, baseWS, st.baseline.Routes, st.baseline.LeftTasks) {
-				base = &g.base
-			}
-		}
-		if base != nil {
-			mSnapshotBytes.Set(float64(base.FootprintBytes()))
-		}
-	}
-	trials, evaluated := g.evalTrials(center, cands, baseWS, st.leftTasks, g.memo[ci], base, iterTS.ID())
+	// Lines 14–15: the recipient's best-response sweep over the pool.
+	sw := g.sweep(ci, iterTS.ID())
+	cands, trials := sw.cands, sw.trials
 	resumed := 0
-	if base != nil {
-		resumed = evaluated
+	if sw.resumed {
+		resumed = sw.evaluated
 	}
-	hits := len(cands) - evaluated
-	mTrials.Add(int64(evaluated))
-	mResumed.Add(int64(resumed))
-	if !cfg.noMemo {
-		mMemoMisses.Add(int64(evaluated))
-		mMemoHits.Add(int64(hits))
-	}
-
-	bestRho := st.rho
-	bestIdx := -1
-	bestAssigned := st.assigned
-	for i := range cands {
-		newAssigned := trials[i].AssignedCount()
-		if cfg.Scope == LeftoverOnly {
-			newAssigned += st.assigned
-		}
-		newRho := metrics.Ratio(newAssigned, len(center.Tasks))
-		if newRho > bestRho+rhoEps {
-			bestRho = newRho
-			bestIdx = i
-			bestAssigned = newAssigned
-		}
-	}
+	hits := len(cands) - sw.evaluated
 
 	step := TraceStep{
 		Iteration: iter, Recipient: ci, RhoBefore: st.rho,
-		Trials: evaluated, MemoHits: hits, Pruned: pruned, Resumed: resumed,
+		Trials: sw.evaluated, MemoHits: hits, Pruned: sw.pruned, Resumed: resumed,
 	}
 	// provDelta/provReplace carry the accepted route delta to the ledger
 	// hook below; locals so the disabled path costs nothing.
 	var provDelta []model.Route
 	provReplace := false
-	if bestIdx < 0 {
+	if sw.best < 0 {
 		// Lines 20–21: no improving dispatch — the center leaves C'. Its
-		// state is final, so its trials are promoted into the
-		// cross-iteration cache here (the only point an entry can outlive
-		// the iteration — trial slices live in recycled arenas otherwise).
-		if !cfg.noMemo {
-			if g.memo[ci] == nil {
-				g.memo[ci] = make(map[model.WorkerID]assign.Result, len(cands))
-			}
-			for i, w := range cands {
-				g.memo[ci][w] = cloneResult(&trials[i])
-			}
-		}
+		// state stays fixed until it lends or plays again, so its trials
+		// are kept in the cross-iteration cache for the end-of-game check.
+		g.memoize(ci, &sw)
 		step.Accepted = false
 		step.RhoAfter = st.rho
 		g.recipients = removeCenter(g.recipients, ci)
 		mRejections.Inc()
 	} else {
 		// Lines 16–19: accept the dispatch and update the assignment.
-		bestRes := &trials[bestIdx]
-		w := cands[bestIdx]
+		bestRes := &trials[sw.best]
+		bestRho, bestAssigned := sw.bestRho, sw.bestAssigned
+		w := cands[sw.best]
 		src := g.pool.homeOf(w)
 		g.pool.remove(w)
 		step.Worker = w
@@ -859,10 +737,8 @@ func (g *Game) Step() bool {
 		// Both centers' states changed: the recipient's routes, borrowed
 		// set and leftover tasks, and the lender's own-worker set. Both
 		// centers' cached trials are stale; every other center's remain
-		// valid. (Within one game the recipient never has cached trials —
-		// only rejected centers do, and they never return as recipients —
-		// but a resumed game carries drop-time memos for centers that play
-		// again, so the recipient's entry is cleared explicitly.)
+		// valid. (The recipient has cached trials when it plays again after
+		// the end check re-admitted it, or in a resumed game.)
 		g.memo[src] = nil
 		g.memo[ci] = nil
 		// The lender's trial baseline usually survives the lend: a worker
@@ -970,30 +846,232 @@ func (g *Game) Step() bool {
 	step.Unfairness = metrics.Unfairness(rv)
 	step.Phi = metrics.Phi(rv)
 	step.Rhos = rv
-	step.Duration = time.Since(iterStart)
-	mIterSeconds.ObserveDuration(step.Duration)
-	mGamePhi.Set(step.Phi)
-	g.res.Trace = append(g.res.Trace, step)
 	if cfg.Prov != nil {
 		cfg.Prov.RecordIter(provenance.IterInfo{
 			Iter: iter, Recipient: ci, Accepted: step.Accepted,
 			Worker: step.Worker, Source: step.Source,
 			RhoBefore: step.RhoBefore, RhoAfter: step.RhoAfter,
-			Phi: step.Phi, Pruned: pruned, Slack: provSlack,
-		}, cands, trials, g.missIdx, base != nil, provDelta, provReplace)
+			Phi: step.Phi, Pruned: sw.pruned, Slack: sw.slack,
+		}, cands, trials, g.missIdx, sw.resumed, provDelta, provReplace)
 	}
+	// The end check runs after the ledger consumed this step's sweep: its
+	// own sweeps reuse the same scratch.
+	if len(g.recipients) == 0 && g.pool.len() > 0 && g.iter < g.maxIter {
+		g.readmit(iterTS.ID())
+	}
+	step.Duration = time.Since(iterStart)
+	mIterSeconds.ObserveDuration(step.Duration)
+	mGamePhi.Set(step.Phi)
+	g.res.Trace = append(g.res.Trace, step)
 	emitGameIter(cfg.Obs, &step)
 	if cfg.Tracer != nil {
 		iterTS.End(
 			obs.F("recipient", int(ci)),
 			obs.F("accepted", step.Accepted),
-			obs.F("trials", evaluated),
+			obs.F("trials", sw.evaluated),
 			obs.F("memo_hits", hits),
-			obs.F("pruned", pruned),
+			obs.F("pruned", sw.pruned),
 			obs.F("resumed", resumed),
 			obs.F("rho_after", step.RhoAfter))
 	}
 	return true
+}
+
+// sweepResult is one center's best-response sweep over the current pool.
+// cands and trials are pool and trial-runner scratch, valid until the next
+// sweep.
+type sweepResult struct {
+	cands     []model.WorkerID
+	trials    []assign.Result
+	evaluated int  // trials run this sweep; the rest were memo hits
+	pruned    int  // pool candidates cut by admissibility pruning
+	resumed   bool // evaluated trials ran on the prefix-resume engine
+	// slack is the admission slack that did the pruning, -1 when the sweep
+	// ran unpruned (the ledger records it).
+	slack float64
+	// best indexes the improving candidate (max ρ, ties to the lowest
+	// worker ID), -1 when no candidate strictly improves the center.
+	best         int
+	bestRho      float64
+	bestAssigned int
+}
+
+// sweep evaluates center ci's deviation class against the current pool:
+// Algorithm 3 lines 14–15 for a recipient, and the same question for a
+// departed center at the end check. BestResponse candidates are the pool
+// minus ci's own workers — admissibility-pruned when pruning is on, since
+// a pruned candidate's trial provably returns the baseline and can never
+// win the strict-improvement scan. NearestWorker evaluates only the nearest
+// such worker. Trials for candidates cached in g.memo[ci] are served from
+// it; the misses are evaluated concurrently into fixed slots and the winner
+// is picked by the same serial scan as the reference loop, keeping the
+// output bit-identical.
+func (g *Game) sweep(ci model.CenterID, traceParent obs.SpanID) sweepResult {
+	cfg := &g.cfg
+	in := g.in
+	st := &g.states[ci]
+	center := in.Center(ci)
+	sw := sweepResult{slack: -1, best: -1, bestRho: st.rho, bestAssigned: st.assigned}
+
+	var prunedList []model.WorkerID
+	switch {
+	case cfg.Candidate == NearestWorker:
+		sw.cands = g.pool.candidates(ci)
+		if len(sw.cands) > 1 {
+			// Heuristic ablation: only evaluate the nearest available
+			// worker. Ties break by ID via the pre-sorted order.
+			best := sw.cands[0]
+			bd := in.Worker(best).Loc.Dist2(center.Loc)
+			for _, w := range sw.cands[1:] {
+				if d := in.Worker(w).Loc.Dist2(center.Loc); d < bd {
+					best, bd = w, d
+				}
+			}
+			sw.cands[0] = best
+			sw.cands = sw.cands[:1]
+		}
+	case g.pruneOn:
+		if !st.slackOK {
+			if cfg.Scope == LeftoverOnly {
+				st.slack = assign.AdmissionSlack(in, center, st.leftTasks)
+			} else {
+				st.slack = assign.AdmissionSlack(in, center, center.Tasks)
+			}
+			st.slackOK = true
+		}
+		var onPruned func(model.WorkerID)
+		if cfg.prunedHook != nil {
+			onPruned = func(w model.WorkerID) { prunedList = append(prunedList, w) }
+		}
+		sw.cands, sw.pruned = g.pool.admissible(center, ci, st.slack, onPruned)
+		sw.slack = st.slack
+	default:
+		sw.cands = g.pool.candidates(ci)
+	}
+	mPruned.Add(int64(sw.pruned))
+
+	var baseWS []model.WorkerID
+	if cfg.Scope != LeftoverOnly {
+		baseWS = st.workers
+	}
+	for _, w := range prunedList {
+		cfg.prunedHook(ci, w, baseWS, st.leftTasks, st.assigned)
+	}
+
+	// The prefix-resume trial base: for the Sequential engine, trials
+	// resume from the candidate's serve-order position against the center's
+	// baseline assignment instead of re-running every worker. The base and
+	// its runners are long-lived — Reset/Rebind recycle their arrays.
+	var base *assign.TrialBase
+	if g.seqEngine && len(sw.cands) > 0 {
+		if cfg.Scope == LeftoverOnly {
+			// DC trials serve one worker over the leftover tasks: the
+			// baseline is the empty assignment over those tasks.
+			if g.base.Reset(in, center, nil, nil, st.leftTasks) {
+				base = &g.base
+			}
+		} else {
+			if !st.baselineOK {
+				// seqEngine holds here, so the scratch run IS the configured
+				// assigner; its result lives in recycled buffers, so promote
+				// it into the center's spare buffer and flip, exactly like an
+				// accepted trial. The flip matters: trial results alias the
+				// baseline's route storage (the preserved-suffix fast path),
+				// so the baseline must occupy the buffer the next accepted
+				// promotion does NOT write. st.routes/st.leftTasks keep the
+				// center's current assignment — the baseline is a trial-
+				// resume aid, not the state (they coincide only when phase 1
+				// used the same assigner).
+				fresh := g.seqScratch.Run(in, center, baseWS, center.Tasks)
+				pb := &st.promo[1-st.flip]
+				pb.promote(&fresh)
+				st.flip = 1 - st.flip
+				st.baseline = assign.Result{Routes: pb.routes,
+					LeftTasks: pb.left, LeftWorkers: pb.lws, Stats: fresh.Stats}
+				st.baselineOK = true
+			}
+			if g.base.Reset(in, center, baseWS, st.baseline.Routes, st.baseline.LeftTasks) {
+				base = &g.base
+			}
+		}
+		if base != nil {
+			mSnapshotBytes.Set(float64(base.FootprintBytes()))
+		}
+	}
+	sw.trials, sw.evaluated = g.evalTrials(center, sw.cands, baseWS, st.leftTasks, g.memo[ci], base, traceParent)
+	sw.resumed = base != nil
+	mTrials.Add(int64(sw.evaluated))
+	if sw.resumed {
+		mResumed.Add(int64(sw.evaluated))
+	}
+	if !cfg.noMemo {
+		mMemoMisses.Add(int64(sw.evaluated))
+		mMemoHits.Add(int64(len(sw.cands) - sw.evaluated))
+	}
+
+	for i := range sw.cands {
+		newAssigned := sw.trials[i].AssignedCount()
+		if cfg.Scope == LeftoverOnly {
+			newAssigned += st.assigned
+		}
+		newRho := metrics.Ratio(newAssigned, len(center.Tasks))
+		if newRho > sw.bestRho+rhoEps {
+			sw.bestRho = newRho
+			sw.best = i
+			sw.bestAssigned = newAssigned
+		}
+	}
+	return sw
+}
+
+// memoize copies the sweep's freshly evaluated trials into ci's
+// cross-iteration cache (memo hits are already there). The copies outlive
+// the trial runner's recycled arenas; each entry stays valid until ci's
+// state changes — it accepts a dispatch or lends a worker — and is dropped
+// then.
+func (g *Game) memoize(ci model.CenterID, sw *sweepResult) {
+	if g.cfg.noMemo || sw.evaluated == 0 {
+		return
+	}
+	if g.memo[ci] == nil {
+		g.memo[ci] = make(map[model.WorkerID]assign.Result, len(sw.cands))
+	}
+	for _, i := range g.missIdx {
+		g.memo[ci][sw.cands[i]] = cloneResult(&sw.trials[i])
+	}
+}
+
+// readmit is the end check of the stop rule (DESIGN.md §5). It runs when a
+// step leaves no recipient while the pool is non-empty and the cap is not
+// reached: every departed center with ρ < 1 re-runs its deviation sweep
+// against the current pool — the sweep VerifyEquilibrium runs — and the
+// centers with an improving deviation rejoin the recipient set, so the game
+// ends only at a pure Nash equilibrium. A later re-plan can return a worker
+// to the pool after a center departed (Algorithm 3 lines 20–21 drop it for
+// good), which is what this catches. The drop-time memo answers every
+// candidate that was pooled when the center left; only workers pooled since
+// then, or a center whose memo a lend dropped, cost fresh trials, and those
+// are memoized in turn.
+func (g *Game) readmit(traceParent obs.SpanID) {
+	n := len(g.states)
+	if g.members != nil {
+		n = len(g.members)
+	}
+	for i := 0; i < n; i++ {
+		ci := model.CenterID(i)
+		if g.members != nil {
+			ci = g.members[i]
+		}
+		if g.states[ci].rho >= 1 {
+			continue
+		}
+		sw := g.sweep(ci, traceParent)
+		g.memoize(ci, &sw)
+		if sw.best >= 0 {
+			g.recipients = append(g.recipients, ci)
+		}
+	}
+	slices.Sort(g.recipients)
 }
 
 // Finish releases the engine's pooled scratch and assembles the final

@@ -15,11 +15,12 @@ import (
 // RunReference is the frozen pre-engine collaboration loop: every iteration
 // rebuilds the candidate list from the pool map, re-derives the ρ vector and
 // total assigned count from scratch, and evaluates one full assigner run per
-// candidate — no admissibility pruning, no prefix-resume. It is kept
-// verbatim as the behavioral reference for the optimized Run (DESIGN.md
-// §11): the equivalence tests assert bit-identical routes, transfers and
-// trace against it, and the `imtao-bench -game` speedup is measured against
-// it. Do not optimize this function.
+// candidate — no admissibility pruning, no prefix-resume. Its end check is
+// the same plain sweep over every departed center (DESIGN.md §5). It is the
+// behavioral reference for the optimized Run (DESIGN.md §11): the
+// equivalence tests assert bit-identical routes, transfers and trace against
+// it, and the `imtao-bench -game` speedup is measured against it. Do not
+// optimize this function.
 func RunReference(in *model.Instance, phase1 []assign.Result, cfg Config) Result {
 	if cfg.Assigner == nil {
 		cfg.Assigner = assign.Sequential
@@ -64,7 +65,7 @@ func RunReference(in *model.Instance, phase1 []assign.Result, cfg Config) Result
 
 	maxIter := cfg.MaxIterations
 	if maxIter <= 0 {
-		maxIter = len(in.Tasks) + n + 1
+		maxIter = naturalMaxIterations(len(in.Tasks), n)
 	}
 
 	res := Result{}
@@ -97,31 +98,17 @@ func RunReference(in *model.Instance, phase1 []assign.Result, cfg Config) Result
 
 	memo := make([]map[model.WorkerID]assign.Result, n)
 
-	for iter := 1; iter <= maxIter && len(recipients) > 0 && len(pool) > 0; iter++ {
-		iterStart := time.Now()
-		res.Iterations = iter
-		mIterations.Inc()
-		// Line 13: recipient selection.
-		var ci model.CenterID
-		switch cfg.Recipient {
-		case RandomRecipient:
-			ci = recipients[cfg.Rng.Intn(len(recipients))]
-		case MaxLeftover:
-			ci = recipients[0]
-			for _, c := range recipients[1:] {
-				if len(states[c].leftTasks) > len(states[ci].leftTasks) ||
-					(len(states[c].leftTasks) == len(states[ci].leftTasks) && c < ci) {
-					ci = c
-				}
-			}
-		default:
-			ci = metrics.MinRatioCenter(rhos(), recipients)
-		}
+	// sweep is center ci's deviation sweep against the current pool: the
+	// sorted candidate list, one trial per candidate (memo hits served from
+	// memo[ci], every trial stored back), and the improving candidate's
+	// index — -1 when none strictly raises ρ.
+	sweep := func(ci model.CenterID) (cands []model.WorkerID, trials []assign.Result,
+		evaluated, bestIdx int, bestRho float64) {
 		st := &states[ci]
 		center := in.Center(ci)
 
 		// Candidate workers: available pool minus the recipient's own.
-		cands := make([]model.WorkerID, 0, len(pool))
+		cands = make([]model.WorkerID, 0, len(pool))
 		for w := range pool {
 			if !st.own[w] {
 				cands = append(cands, w)
@@ -144,12 +131,11 @@ func RunReference(in *model.Instance, phase1 []assign.Result, cfg Config) Result
 		if cfg.Scope != LeftoverOnly {
 			baseWS = workerSetOf(ci)
 		}
-		trials, evaluated := evalTrialsRef(in, center, cands, baseWS, st.leftTasks, cfg, memo[ci])
-		hits := len(cands) - evaluated
+		trials, evaluated = evalTrialsRef(in, center, cands, baseWS, st.leftTasks, cfg, memo[ci])
 		mTrials.Add(int64(evaluated))
 		if !cfg.noMemo {
 			mMemoMisses.Add(int64(evaluated))
-			mMemoHits.Add(int64(hits))
+			mMemoHits.Add(int64(len(cands) - evaluated))
 			if memo[ci] == nil {
 				memo[ci] = make(map[model.WorkerID]assign.Result, len(cands))
 			}
@@ -159,12 +145,10 @@ func RunReference(in *model.Instance, phase1 []assign.Result, cfg Config) Result
 		}
 
 		curAssigned := countTasks(st.routes)
-		bestRho := st.rho
-		bestIdx := -1
-		var bestRes assign.Result
+		bestRho = st.rho
+		bestIdx = -1
 		for i := range cands {
-			trial := trials[i]
-			newAssigned := trial.AssignedCount()
+			newAssigned := trials[i].AssignedCount()
 			if cfg.Scope == LeftoverOnly {
 				newAssigned += curAssigned
 			}
@@ -172,9 +156,34 @@ func RunReference(in *model.Instance, phase1 []assign.Result, cfg Config) Result
 			if newRho > bestRho+rhoEps {
 				bestRho = newRho
 				bestIdx = i
-				bestRes = trial
 			}
 		}
+		return cands, trials, evaluated, bestIdx, bestRho
+	}
+
+	for iter := 1; iter <= maxIter && len(recipients) > 0 && len(pool) > 0; iter++ {
+		iterStart := time.Now()
+		res.Iterations = iter
+		mIterations.Inc()
+		// Line 13: recipient selection.
+		var ci model.CenterID
+		switch cfg.Recipient {
+		case RandomRecipient:
+			ci = recipients[cfg.Rng.Intn(len(recipients))]
+		case MaxLeftover:
+			ci = recipients[0]
+			for _, c := range recipients[1:] {
+				if len(states[c].leftTasks) > len(states[ci].leftTasks) ||
+					(len(states[c].leftTasks) == len(states[ci].leftTasks) && c < ci) {
+					ci = c
+				}
+			}
+		default:
+			ci = metrics.MinRatioCenter(rhos(), recipients)
+		}
+		st := &states[ci]
+		cands, trials, evaluated, bestIdx, bestRho := sweep(ci)
+		hits := len(cands) - evaluated
 
 		step := TraceStep{
 			Iteration: iter, Recipient: ci, RhoBefore: st.rho,
@@ -186,6 +195,7 @@ func RunReference(in *model.Instance, phase1 []assign.Result, cfg Config) Result
 			recipients = removeCenter(recipients, ci)
 			mRejections.Inc()
 		} else {
+			bestRes := trials[bestIdx]
 			w := cands[bestIdx]
 			src := pool[w]
 			delete(pool, w)
@@ -222,6 +232,18 @@ func RunReference(in *model.Instance, phase1 []assign.Result, cfg Config) Result
 			st.rho = bestRho
 			if st.rho >= 1-rhoEps {
 				recipients = removeCenter(recipients, ci)
+			}
+		}
+		// End check: every departed center with ρ < 1 re-runs its sweep;
+		// those with an improving deviation play again.
+		if len(recipients) == 0 && len(pool) > 0 && iter < maxIter {
+			for c := range in.Centers {
+				if states[c].rho >= 1 {
+					continue
+				}
+				if _, _, _, best, _ := sweep(model.CenterID(c)); best >= 0 {
+					recipients = append(recipients, model.CenterID(c))
+				}
 			}
 		}
 		rv := rhos()

@@ -5,21 +5,17 @@ package collab
 // machinery (or picks the count itself under ShardAuto — autotune.go),
 // proves which workers can interact with which shards (the worker-overlap
 // interference graph), plays one best-response game per shard concurrently
-// over the home-shard workers, and reconciles the boundary workers with an
-// exchange game resumed from the merged shard states — run per conflict
-// component concurrently and replayed into the serialized order when the
-// conflict graph is disconnected (reconcile.go), as one serialized game
-// otherwise. The reconcile game runs the ordinary best-response dynamics to
-// a fixed point, so the final state is a global pure Nash equilibrium
-// (Result.VerifyEquilibrium); when the interference cut is empty the shard
-// games ARE the global game and RunSharded reconstructs the exact
-// reference sequence — routes, transfers and trace bit-identical to
-// Run/RunReference.
+// over the home-shard workers, and settles the boundary workers with one
+// serialized exchange game resumed from the merged shard states. The
+// exchange game runs the ordinary best-response dynamics under the game's
+// stop rule, so the final state is a global pure Nash equilibrium
+// (Result.VerifyEquilibrium). When the interference cut is empty the shard
+// games already end at that equilibrium: every center's routes equal the
+// unsharded run's and the exchange accepts nothing.
 
 import (
 	"math/bits"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,7 +27,6 @@ import (
 	"imtao/internal/model"
 	"imtao/internal/obs"
 	"imtao/internal/provenance"
-	"imtao/internal/slab"
 	"imtao/internal/voronoi"
 )
 
@@ -61,8 +56,7 @@ var (
 		"workforce dispatches accepted during boundary reconciliation")
 	mShardColors = obs.Default.Gauge("imtao_shard_colors",
 		"greedy chromatic number of the shard conflict graph in the most "+
-			"recent sharded run — low colors mean a sparse cut whose boundary "+
-			"reconcile parallelizes well")
+			"recent sharded run — low colors mean a sparse cut")
 	mShardLoadSkew = obs.Default.Gauge("imtao_shard_load_skew",
 		"max/mean per-shard task load of the most recent sharded partition — "+
 			"the static counterpart of the wall-time imtao_shard_skew gauge; "+
@@ -92,23 +86,13 @@ type ShardConfig struct {
 	// output is bit-identical at every setting: each shard game is
 	// deterministic and the results are merged in shard order. When shard
 	// games run concurrently their inner trial parallelism is forced to 1.
-	// The same bound drives the component-parallel boundary reconcile
-	// (reconcile.go).
+	// The exchange game is serial and uses Parallelism for its trials.
 	ShardParallelism int
 	// Ledger, when non-nil, receives the sharded run's full decision record:
-	// one game log per phase-A shard (in shard order), then one exchange log
-	// per reconcile component (in component order; a single serialized one
-	// under serialReconcile or a caller iteration cap). The deterministic
-	// log-creation order is what lets provenance.Replay re-derive the merge
-	// interleave from the recorded per-step ρ values alone. The fallback
+	// one game log per phase-A shard (in shard order), then the exchange
+	// game's log. provenance.Replay applies them in that order. The fallback
 	// paths that run the unsharded engine record one global game log.
 	Ledger *provenance.Ledger
-	// serialReconcile forces the single serialized exchange game of
-	// DESIGN.md §15 instead of the component-parallel reconcile. Test hook:
-	// the reconcile_test property suite pins the two paths bit-identical.
-	// MaxIterations > 0 implies it (per-component caps would diverge from
-	// the serialized game's single global cap).
-	serialReconcile bool
 }
 
 // ShardReport describes the partition and reconciliation work of one
@@ -135,11 +119,10 @@ type ShardReport struct {
 	ConflictEdges    int
 	EmptyCut         bool
 	// Components and Colors describe the shard conflict graph: its connected
-	// components (the unit of boundary-reconcile parallelism — non-adjacent
-	// shard groups reconcile concurrently) and its greedy chromatic number
-	// (the density diagnostic behind the autotune cost model; 1 when the cut
-	// is empty). LoadSkew is max/mean per-shard task load of the partition —
-	// the static skew the task-weighted partitioner minimizes.
+	// components and its greedy chromatic number (cut-density diagnostics
+	// the autotune probe records per rung; 1 color when the cut is empty).
+	// LoadSkew is max/mean per-shard task load of the partition — the
+	// static skew the task-weighted partitioner minimizes.
 	Components int
 	Colors     int
 	LoadSkew   float64
@@ -148,14 +131,14 @@ type ShardReport struct {
 	// the run was requested with Shards: ShardAuto.
 	Auto *ShardAutotune
 	// ShardIterations and ShardWall are the per-shard phase-A iteration
-	// counts and wall times, in shard order. With a non-empty cut the final
-	// trace is the shard traces concatenated in this order followed by the
-	// exchange-game steps, so these lengths segment it.
+	// counts and wall times, in shard order. The final trace of a
+	// multi-shard run is the shard traces concatenated in this order
+	// followed by the exchange-game steps, so these lengths segment it.
 	ShardIterations []int
 	ShardWall       []time.Duration
-	// ExchangeIterations and ExchangeTransfers are the serialized boundary
-	// reconcile game's iteration and accepted-dispatch counts (zero when the
-	// cut is empty — reconciliation is skipped entirely).
+	// ExchangeIterations and ExchangeTransfers are the exchange game's
+	// iteration and accepted-dispatch counts. With an empty cut the exchange
+	// only confirms the merged state: it accepts nothing.
 	ExchangeIterations int
 	ExchangeTransfers  int
 }
@@ -211,8 +194,7 @@ type interference struct {
 	conflicts int
 	// adj[s] is the conflict-graph adjacency bitset of shard s (its own bit
 	// included): the union of the masks of every boundary worker touching s.
-	// The component/coloring analysis of the parallel boundary reconcile
-	// (reconcile.go) and the autotune cost model both read it.
+	// The component/coloring diagnostics and the autotune probe read it.
 	adj [64]uint64
 }
 
@@ -337,10 +319,10 @@ func shardInterference(in *model.Instance, phase1 []assign.Result,
 //
 // Determinism: the outcome is bit-identical across ShardParallelism
 // settings and repeated runs (deterministic assigners). When the
-// interference cut is empty the result — routes, transfers and trace — is
-// additionally bit-identical to Run/RunReference (diagnostics and Duration
-// aside); otherwise the result is a different, but verified, equilibrium of
-// the same game.
+// interference cut is empty every center's routes equal Run's and the
+// exchange accepts nothing; the transfer log is in shard order and the
+// trace is shard segments followed by the exchange steps. Otherwise the
+// result is a different, but verified, equilibrium of the same game.
 //
 // The sharded path engages for MinRatio/BestResponse dynamics with an
 // assigner admitting the admissibility-pruning argument (the built-in
@@ -399,7 +381,7 @@ func RunSharded(in *model.Instance, phase1 []assign.Result, cfg ShardConfig) (Re
 	}
 	inf := shardInterference(in, phase1, shardOf, cfg.Scope)
 	_, loadSkew := shardTaskLoads(in, shardOf, nShards)
-	compOf, nComp := shardComponents(&inf.adj, nShards)
+	_, nComp := shardComponents(&inf.adj, nShards)
 	_, nColors := greedyColorShards(&inf.adj, nShards)
 	mShardBoundary.Set(float64(inf.boundary))
 	mShardConflicts.Set(float64(inf.conflicts))
@@ -523,29 +505,16 @@ func RunSharded(in *model.Instance, phase1 []assign.Result, cfg ShardConfig) (Re
 		mShardSkew.Set(float64(wallMax) * float64(nShards) / float64(wallSum))
 	}
 
-	if rep.EmptyCut {
-		// No worker can touch two shards: the shard games are exactly the
-		// global game's per-shard subsequences, and interleaving them by
-		// the global min-ρ rule reconstructs the reference run verbatim.
-		return mergeIndependent(in, phase1, shardOf, games, solus, cfg.noMemo), rep
-	}
-
-	// Phase B: boundary reconciliation. The exchange game is the ordinary
-	// best-response dynamics resumed from the merged shard states with the
-	// full worker pool — boundary workers included for the first time — so
-	// every center (including those that dropped out of a shard game)
-	// re-probes its improving deviations against the global pool. The
-	// carried trial memos answer the shard-local candidates instantly; only
-	// cross-shard candidates cost fresh trials. The dynamics terminates at a
-	// state with no improving transfer anywhere: a global Nash equilibrium.
-	//
-	// When the conflict graph splits into several components, the exchange
-	// decomposes: admissibility confines every worker's exchange-time moves
-	// to one component, so the per-component games run concurrently and a
-	// min-(ρ, id) replay reconstructs the serialized sequence bit-for-bit
-	// (reconcile.go, DESIGN.md §16). One component — or a caller-set
-	// MaxIterations, whose global cap has no per-component equivalent —
-	// keeps the single serialized game below.
+	// Phase B: the exchange game is the ordinary best-response dynamics
+	// resumed from the merged shard states with the full worker pool —
+	// boundary workers included for the first time — so every center
+	// (including those that dropped out of a shard game) re-probes its
+	// improving deviations against the global pool. The carried trial memos
+	// answer the shard-local candidates instantly; only cross-shard
+	// candidates cost fresh trials. The stop rule ends it at a state with no
+	// improving transfer anywhere: a global Nash equilibrium. With an empty
+	// cut every shard game already ended at one, since no worker is
+	// admissible outside its home shard, so the exchange accepts nothing.
 	merged := make([]assign.Result, len(in.Centers))
 	var priorTransfers []model.Transfer
 	for s := 0; s < nShards; s++ {
@@ -568,20 +537,15 @@ func RunSharded(in *model.Instance, phase1 []assign.Result, cfg ShardConfig) (Re
 		merged[ci] = assign.Result{Routes: st.routes, LeftTasks: st.leftTasks, LeftWorkers: lws}
 		memo[ci] = g.memo[ci]
 	}
-	var resB Result
-	if nComp > 1 && !cfg.serialReconcile && cfg.MaxIterations <= 0 {
-		resB = reconcileComponents(in, cfg, shardOf, compOf, nComp, merged, memo, priorTransfers)
-	} else {
-		bcfg := cfg.Config
-		bcfg.resume = &resumeState{transfers: priorTransfers, memo: memo}
-		if cfg.Ledger != nil {
-			bcfg.Prov = cfg.Ledger.NewGameLog(provenance.StageExchange, 0)
-		}
-		gB := NewGame(in, merged, bcfg)
-		for gB.Step() {
-		}
-		resB = gB.Finish()
+	bcfg := cfg.Config
+	bcfg.resume = &resumeState{transfers: priorTransfers, memo: memo}
+	if cfg.Ledger != nil {
+		bcfg.Prov = cfg.Ledger.NewGameLog(provenance.StageExchange, 0)
 	}
+	gB := NewGame(in, merged, bcfg)
+	for gB.Step() {
+	}
+	resB := gB.Finish()
 	rep.ExchangeIterations = resB.Iterations
 	rep.ExchangeTransfers = len(resB.Solution.Transfers) - len(priorTransfers)
 	mExchangeIters.Add(int64(rep.ExchangeIterations))
@@ -611,6 +575,64 @@ func RunSharded(in *model.Instance, phase1 []assign.Result, cfg ShardConfig) (Re
 	return resB, rep
 }
 
+// shardComponents labels each shard with its connected component in the
+// conflict graph. Components are numbered by first appearance in shard
+// order (shard 0's component is 0), so the labeling is canonical and
+// deterministic.
+func shardComponents(adj *[64]uint64, nShards int) ([]int, int) {
+	compOf := make([]int, nShards)
+	for s := range compOf {
+		compOf[s] = -1
+	}
+	nComp := 0
+	for s := 0; s < nShards; s++ {
+		if compOf[s] >= 0 {
+			continue
+		}
+		var seen uint64
+		frontier := uint64(1) << s
+		for frontier != 0 {
+			t := bits.TrailingZeros64(frontier)
+			frontier &^= uint64(1) << t
+			if seen&(uint64(1)<<t) != 0 {
+				continue
+			}
+			seen |= uint64(1) << t
+			compOf[t] = nComp
+			frontier |= adj[t] &^ seen
+		}
+		nComp++
+	}
+	return compOf, nComp
+}
+
+// greedyColorShards colors the shard conflict graph greedily in shard
+// order, each shard taking the lowest color unused by its already-colored
+// neighbors. Returns the per-shard colors and the color count (≤ max degree
+// + 1). Deterministic and purely diagnostic: a low count certifies a sparse
+// cut in the report, the imtao_shard_colors gauge and the autotune ladder.
+func greedyColorShards(adj *[64]uint64, nShards int) ([]int, int) {
+	colors := make([]int, nShards)
+	nColors := 0
+	for s := 0; s < nShards; s++ {
+		var used uint64
+		nb := adj[s] &^ (uint64(1) << s)
+		for nb != 0 {
+			t := bits.TrailingZeros64(nb)
+			nb &^= uint64(1) << t
+			if t < s {
+				used |= uint64(1) << colors[t]
+			}
+		}
+		c := bits.TrailingZeros64(^used)
+		colors[s] = c
+		if c+1 > nColors {
+			nColors = c + 1
+		}
+	}
+	return colors, nColors
+}
+
 // singleShardReport wraps an unsharded result as a one-shard report — the
 // fallback path of RunSharded.
 func singleShardReport(in *model.Instance, res Result) ShardReport {
@@ -624,145 +646,4 @@ func singleShardReport(in *model.Instance, res Result) ShardReport {
 		ShardIterations: []int{res.Iterations},
 		ShardWall:       []time.Duration{0},
 	}
-}
-
-// mergeIndependent reconstructs the global game from independent shard
-// games (empty interference cut). Every global iteration happens at the
-// min-ρ recipient; with an empty cut that recipient's candidates, trials
-// and state updates are exactly its shard game's next step, so a merge by
-// (ρ, center ID) — the MinRatioCenter rule — replays the global sequence
-// verbatim. Centers stranded by an exhausted shard pool (recipients whose
-// shard game ended with no step for them) reject with an empty candidate
-// list in the global game; those steps are synthesized here, and the merge
-// stops where the global game would — when the union pool is empty.
-func mergeIndependent(in *model.Instance, phase1 []assign.Result, shardOf []int,
-	games []*Game, solus []Result, noMemo bool) Result {
-
-	n := len(in.Centers)
-	nShards := len(games)
-
-	// Global state replay: the ρ vector and assigned total evolve exactly
-	// as in the reference loop, driven by the shard steps' deltas.
-	rho := make([]float64, n)
-	assignedTotal := 0
-	prevAssigned := make([]int, nShards)
-	for ci := range in.Centers {
-		a := countTasks(phase1[ci].Routes)
-		rho[ci] = metrics.Ratio(a, len(in.Centers[ci].Tasks))
-		assignedTotal += a
-		prevAssigned[shardOf[ci]] += a
-	}
-
-	// Stranded recipients: still in their shard game's recipient set at its
-	// end (the shard pool ran dry first). The global game rejects each in
-	// (ρ, ID) order interleaved with the remaining real steps — their ρ is
-	// final, so the order within a shard is fixed now. Sort by the shard
-	// game's FINAL ρ (games[s].rhoVec), not the phase-1 value: a stranded
-	// recipient that accepted dispatches before its pool died carries its
-	// raised ratio into the remaining global order.
-	stranded := make([][]model.CenterID, nShards)
-	for s := 0; s < nShards; s++ {
-		stranded[s] = append(stranded[s], games[s].recipients...)
-		fin := games[s].rhoVec
-		sort.Slice(stranded[s], func(i, j int) bool {
-			a, b := stranded[s][i], stranded[s][j]
-			if fin[a] != fin[b] {
-				return fin[a] < fin[b]
-			}
-			return a < b
-		})
-	}
-
-	// poolLive reports whether the union pool still has a worker: some shard
-	// either has real steps pending (its pool was live at that local time)
-	// or finished with a non-empty pool. Once false, the global game is
-	// over — stranded recipients past that point never reject.
-	pos := make([]int, nShards)
-	spos := make([]int, nShards)
-	poolLive := func() bool {
-		for s := 0; s < nShards; s++ {
-			if pos[s] < len(solus[s].Trace) || games[s].pool.len() > 0 {
-				return true
-			}
-		}
-		return false
-	}
-
-	totalSteps := 0
-	for s := 0; s < nShards; s++ {
-		totalSteps += len(solus[s].Trace) + len(stranded[s])
-	}
-	trace := make([]TraceStep, 0, totalSteps)
-	var transfers []model.Transfer
-	var rhos slab.Arena[float64]
-	rhos.Reserve(totalSteps * n)
-	for {
-		best, bestSynth := -1, false
-		var bestR model.CenterID
-		for s := 0; s < nShards; s++ {
-			var r model.CenterID
-			var synth bool
-			switch {
-			case pos[s] < len(solus[s].Trace):
-				r = solus[s].Trace[pos[s]].Recipient
-			case spos[s] < len(stranded[s]):
-				r, synth = stranded[s][spos[s]], true
-			default:
-				continue
-			}
-			if best < 0 || rho[r] < rho[bestR] || (rho[r] == rho[bestR] && r < bestR) {
-				best, bestR, bestSynth = s, r, synth
-			}
-		}
-		if best < 0 {
-			break
-		}
-		var step TraceStep
-		if bestSynth {
-			if !poolLive() {
-				break
-			}
-			spos[best]++
-			step = TraceStep{Recipient: bestR, Accepted: false,
-				RhoBefore: rho[bestR], RhoAfter: rho[bestR]}
-		} else {
-			step = solus[best].Trace[pos[best]]
-			pos[best]++
-			assignedTotal += step.Assigned - prevAssigned[best]
-			prevAssigned[best] = step.Assigned
-			rho[step.Recipient] = step.RhoAfter
-			if step.Accepted {
-				transfers = append(transfers,
-					model.Transfer{Src: step.Source, Dst: step.Recipient, Worker: step.Worker})
-			}
-		}
-		rv := rhos.Copy(rho)
-		step.Iteration = len(trace) + 1
-		step.Assigned = assignedTotal
-		step.Rhos = rv
-		step.Unfairness = metrics.Unfairness(rv)
-		step.Phi = metrics.Phi(rv)
-		trace = append(trace, step)
-	}
-
-	sol := model.NewSolution(in)
-	for ci := range in.Centers {
-		sol.PerCenter[ci].Routes = solus[shardOf[ci]].Solution.PerCenter[ci].Routes
-	}
-	sol.Transfers = transfers
-	res := Result{Solution: sol, Trace: trace, Iterations: len(trace)}
-	if !noMemo {
-		anyMemo := false
-		memo := make([]map[model.WorkerID]assign.Result, n)
-		for ci := range in.Centers {
-			if m := games[shardOf[ci]].memo[ci]; m != nil {
-				memo[ci] = m
-				anyMemo = true
-			}
-		}
-		if anyMemo {
-			res.trialMemo = memo
-		}
-	}
-	return res
 }

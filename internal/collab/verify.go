@@ -27,12 +27,12 @@ func VerifyEquilibrium(in *model.Instance, sol *model.Solution, assigner Assigne
 }
 
 // VerifyEquilibrium checks the run's own solution, reusing the trial cache
-// that survived the game: a center that dropped out evaluated every pool
-// candidate against its final state in its last turn, which is exactly the
-// deviation the verifier probes, so most trials come from the cache instead
-// of re-running the assigner. Cache misses (e.g. workers returned to the
-// pool after the center's last turn) fall back to fresh evaluation; the
-// verdict is identical to the package-level VerifyEquilibrium.
+// that survived the game: the game's end check evaluated every departed
+// center against the final pool, which is exactly the deviation the
+// verifier probes, so the trials come from the cache instead of re-running
+// the assigner. Cache misses (a capped run stops before the check) fall
+// back to fresh evaluation; the verdict is identical to the package-level
+// VerifyEquilibrium.
 func (r *Result) VerifyEquilibrium(in *model.Instance, assigner Assigner) error {
 	return verifyEquilibrium(in, r.Solution, assigner, r.trialMemo)
 }

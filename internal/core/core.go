@@ -181,7 +181,7 @@ type Config struct {
 	// (collab.RunSharded, DESIGN.md §15–16): centers are partitioned into
 	// that many geographic shards by task-weighted k-means (seeded by Seed),
 	// shard-local best-response games run concurrently, and boundary workers
-	// are settled by the component-parallel exchange. ShardAuto asks the
+	// are settled by one serialized exchange game. ShardAuto asks the
 	// engine to pick the count itself from the instance's interference
 	// profile (the decision lands in Report.Shard.Auto). Methods the sharded
 	// engine cannot prove equivalent or convergent for (RBDC's random

@@ -7,6 +7,7 @@ package model
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"imtao/internal/geo"
 )
@@ -177,6 +178,7 @@ var (
 	ErrNoSpeed      = errors.New("model: speed must be positive")
 	ErrBadID        = errors.New("model: entity ID does not match its index")
 	ErrBadReference = errors.New("model: dangling center reference")
+	ErrBadLocation  = errors.New("model: location is not finite")
 )
 
 // Validate checks the structural invariants the algorithms rely on:
@@ -190,6 +192,9 @@ func (in *Instance) Validate() error {
 		if c.ID != CenterID(i) {
 			return fmt.Errorf("%w: center %d has ID %d", ErrBadID, i, c.ID)
 		}
+		if !finitePoint(c.Loc) {
+			return fmt.Errorf("%w: center %d at %v", ErrBadLocation, i, c.Loc)
+		}
 	}
 	for i, s := range in.Tasks {
 		if s.ID != TaskID(i) {
@@ -198,10 +203,19 @@ func (in *Instance) Validate() error {
 		if s.Center != NoCenter && (int(s.Center) < 0 || int(s.Center) >= len(in.Centers)) {
 			return fmt.Errorf("%w: task %d -> center %d", ErrBadReference, i, s.Center)
 		}
+		if !finitePoint(s.Loc) {
+			return fmt.Errorf("%w: task %d at %v", ErrBadLocation, i, s.Loc)
+		}
+		if !(s.Expiry >= 0) || math.IsInf(s.Expiry, 1) {
+			return fmt.Errorf("model: task %d has expiry %v, want finite and non-negative", i, s.Expiry)
+		}
 	}
 	for i, w := range in.Workers {
 		if w.ID != WorkerID(i) {
 			return fmt.Errorf("%w: worker %d has ID %d", ErrBadID, i, w.ID)
+		}
+		if !finitePoint(w.Loc) {
+			return fmt.Errorf("%w: worker %d at %v", ErrBadLocation, i, w.Loc)
 		}
 		if w.Home != NoCenter && (int(w.Home) < 0 || int(w.Home) >= len(in.Centers)) {
 			return fmt.Errorf("%w: worker %d -> center %d", ErrBadReference, i, w.Home)
@@ -223,6 +237,11 @@ func (in *Instance) Validate() error {
 		}
 	}
 	return nil
+}
+
+// finitePoint reports whether both coordinates are finite (no NaN, no ±Inf).
+func finitePoint(p geo.Point) bool {
+	return !math.IsNaN(p.X) && !math.IsInf(p.X, 0) && !math.IsNaN(p.Y) && !math.IsInf(p.Y, 0)
 }
 
 // TravelTime returns the travel time in hours between two locations — the

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -51,6 +52,15 @@ func TestValidateErrors(t *testing.T) {
 		{"negative maxT", func(in *Instance) { in.Workers[0].MaxT = -1 }, "MaxT"},
 		{"center lists foreign task", func(in *Instance) { in.Centers[0].Tasks = []TaskID{2} }, "lists task"},
 		{"center lists foreign worker", func(in *Instance) { in.Centers[0].Workers = []WorkerID{1} }, "lists worker"},
+		{"NaN center x", func(in *Instance) { in.Centers[1].Loc.X = math.NaN() }, "not finite"},
+		{"+Inf center y", func(in *Instance) { in.Centers[0].Loc.Y = math.Inf(1) }, "not finite"},
+		{"NaN task y", func(in *Instance) { in.Tasks[2].Loc.Y = math.NaN() }, "not finite"},
+		{"-Inf task x", func(in *Instance) { in.Tasks[0].Loc.X = math.Inf(-1) }, "not finite"},
+		{"NaN worker x", func(in *Instance) { in.Workers[1].Loc.X = math.NaN() }, "not finite"},
+		{"-Inf worker y", func(in *Instance) { in.Workers[0].Loc.Y = math.Inf(-1) }, "not finite"},
+		{"NaN expiry", func(in *Instance) { in.Tasks[1].Expiry = math.NaN() }, "expiry"},
+		{"+Inf expiry", func(in *Instance) { in.Tasks[1].Expiry = math.Inf(1) }, "expiry"},
+		{"negative expiry", func(in *Instance) { in.Tasks[0].Expiry = -0.5 }, "expiry"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -20,8 +20,8 @@ import (
 //	prov_phase1    one center's phase-1 summary (per center, center order)
 //	prov_p1route   one phase-1 route (grouped after its prov_phase1)
 //	prov_scan      one phase-1 deadline-rejection scan event
-//	prov_log       game-log header (shards ascending, then exchange
-//	               components ascending — the order Replay depends on)
+//	prov_log       game-log header (shards ascending, then the exchange
+//	               — the order Replay applies them in)
 //	prov_iter      one game iteration, trials and route delta inlined
 //	prov_shard     sharded-engine partition summary (at most one)
 //	prov_final     final outcome incl. transfer log (one)

@@ -41,8 +41,8 @@ import (
 const (
 	// StageGame marks a phase-A (or unsharded) best-response game log.
 	StageGame = "game"
-	// StageExchange marks a boundary-reconcile exchange game log (one per
-	// conflict component, or a single serialized one).
+	// StageExchange marks the sharded engine's exchange game log: the one
+	// serialized game that settles the boundary workers after phase A.
 	StageExchange = "exchange"
 )
 
@@ -140,12 +140,12 @@ type TrialRec struct {
 }
 
 // GameLog records one best-response game: the unsharded engine's single
-// game, one phase-A shard game, or one boundary-exchange (component) game.
-// Logs are created in deterministic order (shards ascending, then exchange
-// components ascending) — Replay relies on that order.
+// game, one phase-A shard game, or the sharded engine's exchange game. Logs
+// are created in deterministic order (shards ascending, then the exchange)
+// — Replay applies them in that order.
 type GameLog struct {
 	Stage string
-	Shard int // shard / component index; -1 for a global game
+	Shard int // shard index; 0 for the exchange log, -1 for a global game
 	Iters []IterRec
 
 	trials  []TrialRec
@@ -270,9 +270,9 @@ type Ledger struct {
 	// (Sequential assigner only; Optimal's search has no single rejection
 	// point worth recording).
 	Scans [][]ScanEvent
-	// Logs in creation order: phase-A game logs in shard order, then
-	// exchange logs in component order. An unsharded run has one StageGame
-	// log with Shard -1; a w/o-C run has none.
+	// Logs in creation order: phase-A game logs in shard order, then the
+	// exchange log. An unsharded run has one StageGame log with Shard -1; a
+	// w/o-C run has none.
 	Logs  []*GameLog
 	Shard *ShardInfo
 	Final *Final

@@ -14,6 +14,7 @@ import (
 	"imtao/internal/collab"
 	"imtao/internal/model"
 	"imtao/internal/provenance"
+	"imtao/internal/workload"
 )
 
 // paperInstance generates and partitions one Table I instance and runs the
@@ -256,6 +257,95 @@ func TestPaperScaleRunsEndAtNash(t *testing.T) {
 				Scope: collab.LeftoverOnly, Parallelism: 1})
 			if cert := provenance.BuildCertificate(in, dc.Solution, provenance.ScopeLeftover); !cert.Equilibrium {
 				t.Fatalf("%s seed %d: Seq-DC end state has an improving leftover deviation", d, seed)
+			}
+		}
+	}
+}
+
+// midScaleInstance generates one 2k-task instance at the scale benchmark's
+// density (workload.ScaleParams) on a 32² road grid, pins the center tables
+// as core.Run does, and runs the Sequential phase 1 on it.
+func midScaleInstance(t *testing.T, d Dataset, seed int64) (*Instance, []assign.Result) {
+	t.Helper()
+	p := workload.ScaleParams(d, 2000)
+	p.Seed = seed
+	raw, err := Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := NewRoadNetwork(raw.Bounds, 32, 32, raw.Speed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw.Metric = net
+	in, err := Partition(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.PrecomputeSources(centerLocs(in))
+	in.PrepareMetric()
+	phase1 := make([]assign.Result, len(in.Centers))
+	for ci := range in.Centers {
+		c := in.Center(model.CenterID(ci))
+		phase1[ci] = assign.Sequential(in, c, c.Workers, c.Tasks)
+	}
+	return in, phase1
+}
+
+func centerLocs(in *Instance) []Point {
+	locs := make([]Point, len(in.Centers))
+	for i, c := range in.Centers {
+		locs[i] = c.Loc
+	}
+	return locs
+}
+
+// TestMidScaleRunsMatchReference is the paper-scale property test above at
+// 2k tasks on a road network, where centers hold a hundred tasks and more,
+// so trials walk deep into the nearest-task orders and past the end of the
+// neighbour lists. Over ten GM and ten SYN instances, every uncapped Seq-BDC
+// and Seq-RBDC run must equal the reference loop bit for bit and pass
+// VerifyEquilibrium, and a four-shard run must give the same solution at
+// shard parallelism 1 and 4.
+func TestMidScaleRunsMatchReference(t *testing.T) {
+	if testing.Short() {
+		t.Skip("twenty 2k-task road instances against the reference loop")
+	}
+	for _, d := range []Dataset{GM, SYN} {
+		for seed := int64(1); seed <= 10; seed++ {
+			in, phase1 := midScaleInstance(t, d, seed)
+			for _, random := range []bool{false, true} {
+				cfg := collab.Config{Assigner: assign.Sequential}
+				ref := cfg
+				if random {
+					cfg.Recipient, ref.Recipient = collab.RandomRecipient, collab.RandomRecipient
+					cfg.Rng = rand.New(rand.NewSource(seed))
+					ref.Rng = rand.New(rand.NewSource(seed))
+				}
+				got := collab.Run(in, phase1, cfg)
+				want := collab.RunReference(in, phase1, ref)
+				if !reflect.DeepEqual(got.Solution, want.Solution) ||
+					!reflect.DeepEqual(gameTrace(got.Trace), gameTrace(want.Trace)) {
+					t.Fatalf("%s seed %d random=%v: Run differs from RunReference", d, seed, random)
+				}
+				if err := got.VerifyEquilibrium(in, assign.Sequential); err != nil {
+					t.Fatalf("%s seed %d random=%v: %v", d, seed, random, err)
+				}
+			}
+			var fp [2]uint64
+			for i, par := range []int{1, 4} {
+				res, rep := collab.RunSharded(in, phase1, collab.ShardConfig{
+					Config: collab.Config{Assigner: assign.Sequential},
+					Shards: 4, Seed: 7, ShardParallelism: par,
+				})
+				if rep.Shards < 2 {
+					t.Fatalf("%s seed %d: run was not sharded", d, seed)
+				}
+				fp[i] = provenance.SolutionFingerprint(res.Solution)
+			}
+			if fp[0] != fp[1] {
+				t.Fatalf("%s seed %d: four-shard fingerprint %016x at parallelism 1, %016x at 4",
+					d, seed, fp[0], fp[1])
 			}
 		}
 	}

@@ -175,7 +175,10 @@ func SequentialOpt(in *model.Instance, c *model.Center, workers []model.WorkerID
 	}
 
 	// Unassigned-task pool with nearest queries.
-	var pool taskPool
+	var pool interface {
+		taskPool
+		remaining() []model.TaskID
+	}
 	if opt.LinearScan {
 		pool = newLinearPool(in, tasks)
 	} else {
@@ -224,26 +227,27 @@ func serveWorker(in *model.Instance, c *model.Center, cref model.NodeRef, wid mo
 	}
 	// Algorithm 2 lines 7–8: travel to the center first (Eq. 1).
 	t := in.TravelTimeRef(w.Loc, w.Ref, c.Loc, cref)
-	extendServe(in, &route, t, c.Loc, cref, int(w.MaxT), pool, stats, scan)
+	extendServe(in, &route, t, c.Loc, cref, -1, int(w.MaxT), pool, stats, scan)
 	return route
 }
 
 // extendServe runs Algorithm 2's inner greedy loop (lines 9–18) from an
 // explicit resume state: the route so far, the time accumulator t and the
-// worker's current position. serveWorker starts it at the center; the trial
-// engine (trial.go) resumes it at the end of a preserved baseline route to
-// check whether the trial pool extends the sequence.
-func extendServe(in *model.Instance, route *model.Route, t float64, cur geo.Point, curRef model.NodeRef, maxT int, pool taskPool, stats *Stats, scan ScanObserver) {
+// worker's current position cur — the location of task from, or of the
+// center when from < 0. serveWorker starts it at the center; the trial
+// engine (trial.go) resumes it mid-route or at the end of a preserved
+// baseline route to check whether the trial pool extends the sequence.
+func extendServe(in *model.Instance, route *model.Route, t float64, cur geo.Point, curRef model.NodeRef, from model.TaskID, maxT int, pool taskPool, stats *Stats, scan ScanObserver) {
 	th := in.HotTasks()
 	for len(route.Tasks) < maxT && pool.len() > 0 {
 		// Line 10: nearest unassigned task to the worker's position.
-		sid, ok := pool.nearest(cur)
+		sid, tt, ok := pool.nearest(cur, curRef, from)
 		if !ok {
 			break
 		}
 		stats.TasksScanned++
 		task := &th[sid]
-		arrive := t + in.TravelTimeRef(cur, curRef, task.Loc, task.Ref)
+		arrive := t + tt
 		// Line 11: deadline check. Under the paper's uniform expiry a
 		// failing nearest task means every remaining task fails too, so
 		// the sequence ends here.
@@ -258,32 +262,45 @@ func extendServe(in *model.Instance, route *model.Route, t float64, cur geo.Poin
 		route.Tasks = append(route.Tasks, sid)
 		stats.RouteExtensions++
 		t = arrive
-		cur, curRef = task.Loc, task.Ref
+		cur, curRef, from = task.Loc, task.Ref, sid
 	}
 }
 
 const timeEps = 1e-9
 
 // taskPool abstracts the unassigned-task set with nearest queries and
-// removal, so the index choice can be ablated.
+// removal, so the index choice can be ablated and the trial engine can
+// answer queries from its order table (orders.go).
 type taskPool interface {
-	nearest(q geo.Point) (model.TaskID, bool)
+	// nearest returns the pooled task nearest to q, ties to the smaller ID,
+	// and the travel time from q to it. q is the location of task from, or
+	// of the center when from < 0; qRef is q's memoized snap.
+	nearest(q geo.Point, qRef model.NodeRef, from model.TaskID) (model.TaskID, float64, bool)
 	remove(model.TaskID)
 	len() int
-	remaining() []model.TaskID
 }
 
-type gridPool struct{ g *index.Grid }
+// travelTo is tt(q, sid) for the index-backed pools.
+func travelTo(in *model.Instance, q geo.Point, qRef model.NodeRef, sid model.TaskID) float64 {
+	t := &in.HotTasks()[sid]
+	return in.TravelTimeRef(q, qRef, t.Loc, t.Ref)
+}
+
+type gridPool struct {
+	in *model.Instance
+	g  *index.Grid
+}
 
 // gridFree recycles gridPool instances (and their Grid backing arrays)
-// across assignment calls. Phase 2 runs one full assignment per candidate
-// trial, so without reuse every trial pays a fresh cells-array allocation;
-// sync.Pool keeps the scratch per-P, which also suits the per-goroutine
-// trial evaluation.
+// across assignment calls: phase 1 runs one per center, and phase 2 one per
+// re-baseline and per full trial (custom assigners), so without reuse every
+// call pays a fresh cells-array allocation. sync.Pool keeps the scratch
+// per-P, which also suits concurrent callers.
 var gridFree = sync.Pool{New: func() any { return &gridPool{g: &index.Grid{}} }}
 
 func newGridPool(in *model.Instance, tasks []model.TaskID) *gridPool {
 	p := gridFree.Get().(*gridPool)
+	p.in = in
 	p.g.Reset(in.Bounds, max(len(tasks), 1), 4)
 	th := in.HotTasks()
 	for _, id := range tasks {
@@ -294,11 +311,18 @@ func newGridPool(in *model.Instance, tasks []model.TaskID) *gridPool {
 
 // release returns the pool's scratch to the free list. The caller must not
 // touch the gridPool afterwards.
-func (p *gridPool) release() { gridFree.Put(p) }
+func (p *gridPool) release() {
+	p.in = nil
+	gridFree.Put(p)
+}
 
-func (p *gridPool) nearest(q geo.Point) (model.TaskID, bool) {
+func (p *gridPool) nearest(q geo.Point, qRef model.NodeRef, _ model.TaskID) (model.TaskID, float64, bool) {
 	it, ok := p.g.Nearest(q)
-	return model.TaskID(it.ID), ok
+	if !ok {
+		return -1, 0, false
+	}
+	sid := model.TaskID(it.ID)
+	return sid, travelTo(p.in, q, qRef, sid), true
 }
 func (p *gridPool) remove(id model.TaskID) { p.g.Remove(int(id)) }
 func (p *gridPool) len() int               { return p.g.Len() }
@@ -312,6 +336,7 @@ func (p *gridPool) remaining() []model.TaskID {
 }
 
 type linearPool struct {
+	in    *model.Instance
 	items []index.Item
 	// slot maps item ID → index in items, turning remove into an O(1)
 	// swap-delete instead of a scan. nearest already costs O(n), so before
@@ -321,6 +346,7 @@ type linearPool struct {
 
 func newLinearPool(in *model.Instance, tasks []model.TaskID) *linearPool {
 	p := &linearPool{
+		in:    in,
 		items: make([]index.Item, len(tasks)),
 		slot:  make(map[int]int, len(tasks)),
 	}
@@ -331,9 +357,13 @@ func newLinearPool(in *model.Instance, tasks []model.TaskID) *linearPool {
 	return p
 }
 
-func (p *linearPool) nearest(q geo.Point) (model.TaskID, bool) {
+func (p *linearPool) nearest(q geo.Point, qRef model.NodeRef, _ model.TaskID) (model.TaskID, float64, bool) {
 	it, ok := index.LinearNearest(p.items, q, nil)
-	return model.TaskID(it.ID), ok
+	if !ok {
+		return -1, 0, false
+	}
+	sid := model.TaskID(it.ID)
+	return sid, travelTo(p.in, q, qRef, sid), true
 }
 
 func (p *linearPool) remove(id model.TaskID) {

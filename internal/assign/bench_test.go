@@ -26,13 +26,16 @@ func benchScene(n int) (*model.Instance, []model.TaskID, []geo.Point) {
 	return in, ts, queries
 }
 
+// noRef is the snap of a point without a node metric.
+var noRef = model.NodeRef{Node: -1}
+
 func BenchmarkGridPoolNearest(b *testing.B) {
 	in, ts, queries := benchScene(4096)
 	p := newGridPool(in, ts)
 	defer p.release()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.nearest(queries[i%len(queries)])
+		p.nearest(queries[i%len(queries)], noRef, -1)
 	}
 }
 
@@ -44,7 +47,7 @@ func BenchmarkGridPoolNearestRemove(b *testing.B) {
 	p := newGridPool(in, ts)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		id, ok := p.nearest(queries[i%len(queries)])
+		id, _, ok := p.nearest(queries[i%len(queries)], noRef, -1)
 		if !ok {
 			b.StopTimer()
 			p.release()
@@ -63,7 +66,7 @@ func BenchmarkLinearPoolNearest(b *testing.B) {
 	p := newLinearPool(in, ts)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.nearest(queries[i%len(queries)])
+		p.nearest(queries[i%len(queries)], noRef, -1)
 	}
 }
 
@@ -84,5 +87,15 @@ func BenchmarkLinearPoolRemove(b *testing.B) {
 		}
 		p.remove(ts[order[j]])
 		j++
+	}
+}
+
+// BenchmarkTaskOrdersBuild measures one center's order-table build over
+// 4096 tasks: the center order, the neighbour lists and the memo slots.
+func BenchmarkTaskOrdersBuild(b *testing.B) {
+	in, _, _ := benchScene(4096)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		NewTaskOrders(in).center(0)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"imtao/internal/geo"
-	"imtao/internal/index"
 	"imtao/internal/model"
 	"imtao/internal/obs"
 	"imtao/internal/slab"
@@ -33,8 +32,9 @@ var (
 // leaves positions 0..k-1 bit-identical to the baseline run. A trial
 // therefore only needs to (a) restore the pool to its state after position
 // k-1, (b) serve the candidate, and (c) replay the baseline suffix. The pool
-// restore is O(tasks consumed by the suffix) via the index.Grid op journal
-// (Mark/Rewind) instead of O(|S|) pool rebuilds per trial.
+// is an orderPool over the per-solve TaskOrders table: restoring it for the
+// next trial is one epoch bump, and its nearest-task queries walk
+// precomputed orders instead of searching an index.
 //
 // Memory discipline (DESIGN.md §13): TrialBase and TrialRunner are reusable.
 // The game resets one base per iteration (Reset) and rebinds long-lived
@@ -128,28 +128,27 @@ type TrialBase struct {
 	// every runner.
 	baseLeft  []model.WorkerID
 	leftTasks []model.TaskID
-	// poolBounds/poolSize size the runners' trial grids for the worst-case
-	// pool population — every task the baseline touches, not just the
-	// leftovers the grid starts from. A position-0 trial re-inserts every
-	// route's tasks, so sizing by len(leftTasks) (near zero at equilibrium)
-	// would collapse the grid to a handful of giant cells and turn every
-	// Nearest into a linear scan. The tight bounding rect matters for the
-	// same reason: one center's tasks cover a sliver of the map, and
-	// whole-map cells sized for a uniform spread dump the entire cluster
-	// into one cell.
-	poolBounds geo.Rect
-	poolSize   int
+	// orders is the solve's nearest-task table and co the center's part of
+	// it. stamp is the runners' starting liveness over co's ranks — 0 for
+	// the start state S_0 (leftovers plus every route's tasks), MaxUint32
+	// for the center's other tasks — and poolN counts S_0.
+	orders *TaskOrders
+	co     *centerOrders
+	stamp  []uint32
+	poolN  int
 }
 
 // NewTrialBase snapshots the baseline assignment (workers, their routes, and
-// the leftover tasks) for center c. routes must be the Sequential result for
-// exactly this worker set — the constructor validates that they line up with
-// the serve order and returns ok=false otherwise, signalling the caller to
-// fall back to full re-assignment. The snapshot aliases the caller's routes
-// and leftTasks; both are treated as immutable.
-func NewTrialBase(in *model.Instance, c *model.Center, workers []model.WorkerID, routes []model.Route, leftTasks []model.TaskID) (*TrialBase, bool) {
+// the leftover tasks) for center c, answering nearest-task queries from the
+// solve's table o. routes must be the Sequential result for exactly this
+// worker set — the constructor validates that they line up with the serve
+// order and returns ok=false otherwise, signalling the caller to fall back
+// to full re-assignment. It also returns ok=false when the task pool is not
+// a subset of c's own tasks, which the table does not cover. The snapshot
+// aliases the caller's routes and leftTasks; both are treated as immutable.
+func NewTrialBase(o *TaskOrders, c *model.Center, workers []model.WorkerID, routes []model.Route, leftTasks []model.TaskID) (*TrialBase, bool) {
 	b := &TrialBase{}
-	if !b.Reset(in, c, workers, routes, leftTasks) {
+	if !b.Reset(o, c, workers, routes, leftTasks) {
 		return nil, false
 	}
 	return b, true
@@ -159,7 +158,8 @@ func NewTrialBase(in *model.Instance, c *model.Center, workers []model.WorkerID,
 // per-iteration entry point of the game engine. Same contract and validation
 // as NewTrialBase; on ok=false the base must not be used until a successful
 // Reset.
-func (b *TrialBase) Reset(in *model.Instance, c *model.Center, workers []model.WorkerID, routes []model.Route, leftTasks []model.TaskID) bool {
+func (b *TrialBase) Reset(o *TaskOrders, c *model.Center, workers []model.WorkerID, routes []model.Route, leftTasks []model.TaskID) bool {
+	in := o.in
 	in.EnsureHot()
 	b.in = in
 	b.c = c
@@ -215,47 +215,80 @@ func (b *TrialBase) Reset(in *model.Instance, c *model.Center, workers []model.W
 		return false
 	}
 	slices.Sort(b.baseLeft)
-	lo, hi := c.Loc, c.Loc
-	grow := func(p geo.Point) {
-		if p.X < lo.X {
-			lo.X = p.X
-		}
-		if p.X > hi.X {
-			hi.X = p.X
-		}
-		if p.Y < lo.Y {
-			lo.Y = p.Y
-		}
-		if p.Y > hi.Y {
-			hi.Y = p.Y
-		}
+	if !b.markPool(o, c) {
+		return false
 	}
-	b.poolSize = len(leftTasks)
-	for _, sid := range leftTasks {
-		grow(b.th[sid].Loc)
-	}
-	for ri := range routes {
-		b.poolSize += len(routes[ri].Tasks)
-		for _, sid := range routes[ri].Tasks {
-			grow(b.th[sid].Loc)
-		}
-	}
-	b.poolBounds = geo.Rect{Min: lo, Max: hi}
 	b.stepT = b.stepT[:0]
 	b.stepOff = append(b.stepOff[:0], 0)
+	var hits, misses int64
 	for ri := range routes {
 		rt := &routes[ri]
 		w := &b.wh[rt.Worker]
 		t := in.TravelTimeRef(w.Loc, w.Ref, c.Loc, b.cref)
 		b.stepT = append(b.stepT, t)
-		cur, curRef := c.Loc, b.cref
+		from := model.TaskID(-1)
 		for _, sid := range rt.Tasks {
-			task := &b.th[sid]
-			t += in.TravelTimeRef(cur, curRef, task.Loc, task.Ref)
+			// Consecutive route tasks are almost always in each other's
+			// lists, so this snapshot and the trials share one metric
+			// query per leg.
+			tt, hit := o.leg(b.co, from, sid)
+			if hit {
+				hits++
+			} else {
+				misses++
+			}
+			t += tt
 			b.stepT = append(b.stepT, t)
-			cur, curRef = task.Loc, task.Ref
+			from = sid
 		}
 		b.stepOff = append(b.stepOff, int32(len(b.stepT)))
+	}
+	mTravelMemoHits.Add(hits)
+	mTravelMemoMisses.Add(misses)
+	return true
+}
+
+// markPool binds the base to c's part of the table and stamps the start
+// state S_0, reporting false when a pooled task is not one of c's own.
+func (b *TrialBase) markPool(o *TaskOrders, c *model.Center) bool {
+	if int(c.ID) < 0 || int(c.ID) >= len(o.centers) {
+		return false
+	}
+	co := o.center(c.ID)
+	if co.loc != c.Loc {
+		return false
+	}
+	b.orders, b.co = o, co
+	b.stamp = b.stamp[:0]
+	for range co.tasks {
+		b.stamp = append(b.stamp, math.MaxUint32)
+	}
+	b.poolN = 0
+	mark := func(sid model.TaskID) bool {
+		if sid < 0 || int(sid) >= len(o.rank) || b.in.Tasks[sid].Center != c.ID {
+			return false
+		}
+		r := o.rank[sid]
+		if int(r) >= len(co.tasks) || co.tasks[r] != sid {
+			return false
+		}
+		if b.stamp[r] != 0 {
+			b.stamp[r] = 0
+			b.poolN++
+		}
+		return true
+	}
+	for _, sid := range b.leftTasks {
+		if !mark(sid) {
+			return false
+		}
+	}
+	for ri := range b.routes {
+		for _, sid := range b.routes[ri].Tasks {
+			if !mark(sid) {
+				return false
+			}
+		}
 	}
 	return true
 }
@@ -266,26 +299,26 @@ func (b *TrialBase) stepsOf(ri int32) []float64 {
 }
 
 // FootprintBytes estimates the snapshot's memory footprint (order, route
-// tables and leftover-task pool), feeding the snapshot-bytes gauge.
+// tables, leftover-task pool and pool stamps), feeding the snapshot-bytes
+// gauge.
 func (b *TrialBase) FootprintBytes() int64 {
-	n := int64(len(b.order))*(8+8+8) + int64(len(b.leftTasks))*8
+	n := int64(len(b.order))*(8+8+8) + int64(len(b.leftTasks))*8 + int64(len(b.stamp))*4
 	for _, rt := range b.routes {
 		n += int64(len(rt.Tasks))*16 + 88
 	}
 	return n
 }
 
-// TrialRunner answers trials against one TrialBase. It owns a pooled grid
-// holding the trial task pool plus the slab arenas every result slice is
-// carved from; Rebind rebuilds the grid for a freshly Reset base and recycles
-// the arenas, so a runner serves a whole game with a one-time high-water
-// allocation. Results are valid until the runner's next Rebind — promote
-// (deep-copy) anything that must live longer. Runners are NOT safe for
-// concurrent use — create one per goroutine and Release when done.
+// TrialRunner answers trials against one TrialBase. It owns the trial task
+// pool plus the slab arenas every result slice is carved from; Rebind
+// restamps the pool for a freshly Reset base and recycles the arenas, so a
+// runner serves a whole game with a one-time high-water allocation. Results
+// are valid until the runner's next Rebind — promote (deep-copy) anything
+// that must live longer. Runners are NOT safe for concurrent use — create
+// one per goroutine.
 type TrialRunner struct {
-	b       *TrialBase
-	pool    *gridPool
-	peakOps int
+	b    *TrialBase
+	pool orderPool
 	// lastCopied/lastReplayed profile the most recent Trial call for the
 	// tracing layer: suffix routes taken verbatim vs re-served.
 	lastCopied, lastReplayed int
@@ -359,7 +392,7 @@ func (r *TrialRunner) updateDiff(base, trial []model.TaskID) {
 // replaying bit-identically against the current trial pool, or -1 when the
 // whole route is preserved. Only two things can change a greedy
 // nearest-first query: the chosen task is gone (stolen), or a freed task
-// wins the Grid.Nearest comparison — smaller squared distance, ties to the
+// wins the nearest-task comparison — smaller squared distance, ties to the
 // smaller ID. Removing never-chosen tasks cannot promote a different
 // winner, and an identical prefix fixes the arrival times, so deadline
 // checks repeat verbatim up to the divergence point.
@@ -393,13 +426,13 @@ func (r *TrialRunner) divergeStep(rt *model.Route) int {
 // (whereas restoring from the end state would re-insert nearly the whole
 // suffix on every trial).
 func (b *TrialBase) NewRunner() *TrialRunner {
-	r := &TrialRunner{pool: gridFree.Get().(*gridPool)}
+	r := &TrialRunner{}
 	r.Rebind(b)
 	return r
 }
 
 // Rebind points the runner at a (typically freshly Reset) base: the trial
-// grid is rebuilt to the base's start state and the result arenas are
+// pool is restamped to the base's start state and the result arenas are
 // recycled, invalidating every Result this runner produced since the last
 // Rebind. Call once per game iteration instead of creating a new runner.
 func (r *TrialRunner) Rebind(b *TrialBase) {
@@ -407,28 +440,8 @@ func (r *TrialRunner) Rebind(b *TrialBase) {
 	r.tids.Reset()
 	r.wids.Reset()
 	r.rts.Reset()
-	g := r.pool.g
-	g.Reset(b.poolBounds, max(b.poolSize, 1), 4)
-	for _, id := range b.leftTasks {
-		g.Insert(index.Item{ID: int(id), Point: b.th[id].Loc})
-	}
-	for ri := range b.routes {
-		for _, tid := range b.routes[ri].Tasks {
-			g.Insert(index.Item{ID: int(tid), Point: b.th[tid].Loc})
-		}
-	}
+	r.pool.bind(b)
 }
-
-// Release returns the runner's grid scratch to the shared free list. The
-// runner must not be used afterwards.
-func (r *TrialRunner) Release() {
-	r.pool.release()
-	r.pool = nil
-}
-
-// PeakJournalOps reports the largest per-trial journal this runner has seen
-// — the copy-on-write cost ceiling of its trials.
-func (r *TrialRunner) PeakJournalOps() int { return r.peakOps }
 
 // LastReplay profiles the most recent Trial call: how many suffix routes
 // were copied verbatim (preservation check held, zero pool queries) vs
@@ -456,8 +469,8 @@ func (r *TrialRunner) Trial(cand model.WorkerID) Result {
 		return b.order[j] > cand
 	})
 
-	g := r.pool.g
-	g.Mark()
+	pool := &r.pool
+	pool.start()
 	// Advance the pool from start state S_0 to the full run's state at
 	// position k by consuming the prefix exactly as the baseline did: the
 	// prefix 0..k-1 is bit-identical to the baseline, so S_k = S_0 minus
@@ -465,21 +478,18 @@ func (r *TrialRunner) Trial(cand model.WorkerID) Result {
 	for j := 0; j < k; j++ {
 		if ri := b.routeAt[j]; ri >= 0 {
 			for _, tid := range b.routes[ri].Tasks {
-				g.Remove(int(tid))
+				pool.remove(tid)
 			}
 		}
 	}
 
-	candRoute := serveWorker(b.in, b.c, b.cref, cand, r.pool, &res.Stats, &r.tids, nil)
+	candRoute := serveWorker(b.in, b.c, b.cref, cand, pool, &res.Stats, &r.tids, nil)
 	if len(candRoute.Tasks) == 0 {
 		// The candidate takes nothing, so the suffix replays identically:
 		// the trial IS the baseline plus one more unused worker.
 		mEmptyCand.Add(1)
 		r.lastCopied, r.lastReplayed = len(b.routes), 0
-		if n := g.JournalLen(); n > r.peakOps {
-			r.peakOps = n
-		}
-		g.Rewind()
+		pool.flush()
 		res.Routes = b.routes
 		res.LeftTasks = b.leftTasks
 		res.LeftWorkers = insertSortedWorker(&r.wids, b.baseLeft, cand)
@@ -532,7 +542,7 @@ func (r *TrialRunner) Trial(cand model.WorkerID) Result {
 			// Baseline-unused worker: its single ending query must run
 			// against the real trial pool (a stolen blocker or a freed task
 			// can hand it a route).
-			rt := serveWorker(b.in, b.c, b.cref, wid, r.pool, &res.Stats, &r.tids, nil)
+			rt := serveWorker(b.in, b.c, b.cref, wid, pool, &res.Stats, &r.tids, nil)
 			if len(rt.Tasks) == 0 {
 				res.LeftWorkers = append(res.LeftWorkers, wid)
 			} else {
@@ -549,19 +559,19 @@ func (r *TrialRunner) Trial(cand model.WorkerID) Result {
 			// resume Algorithm 2's loop from the stored step-d state instead
 			// of re-serving the whole route.
 			for _, tid := range rt.Tasks[:d] {
-				g.Remove(int(tid))
+				pool.remove(tid)
 			}
-			cur, curRef := b.c.Loc, b.cref
+			cur, curRef, from := b.c.Loc, b.cref, model.TaskID(-1)
 			if d > 0 {
-				prev := rt.Tasks[d-1]
-				cur, curRef = b.th[prev].Loc, b.th[prev].Ref
+				from = rt.Tasks[d-1]
+				cur, curRef = b.th[from].Loc, b.th[from].Ref
 			}
 			// min(wcap, d + pool.len()) bounds the resumed route's final
 			// length, so the arena reservation never overflows.
 			rt2 := model.Route{Worker: wid, Center: b.c.ID,
-				Tasks: r.tids.Grab(min(wcap, d+r.pool.len()))}
+				Tasks: r.tids.Grab(min(wcap, d+pool.len()))}
 			rt2.Tasks = append(rt2.Tasks, rt.Tasks[:d]...)
-			extendServe(b.in, &rt2, b.stepsOf(ri)[d], cur, curRef, wcap, r.pool, &res.Stats, nil)
+			extendServe(b.in, &rt2, b.stepsOf(ri)[d], cur, curRef, from, wcap, pool, &res.Stats, nil)
 			if len(rt2.Tasks) == 0 {
 				res.LeftWorkers = append(res.LeftWorkers, wid)
 			} else {
@@ -573,7 +583,7 @@ func (r *TrialRunner) Trial(cand model.WorkerID) Result {
 		}
 		// The route replays verbatim — consume its tasks from the trial pool.
 		for _, tid := range rt.Tasks {
-			g.Remove(int(tid))
+			pool.remove(tid)
 		}
 		if len(rt.Tasks) < wcap {
 			// The baseline sequence ended early (deadline or empty pool); the
@@ -581,10 +591,10 @@ func (r *TrialRunner) Trial(cand model.WorkerID) Result {
 			// route's end state instead of replaying it.
 			last := rt.Tasks[len(rt.Tasks)-1]
 			trialRt := model.Route{Worker: wid, Center: b.c.ID,
-				Tasks: r.tids.Grab(min(wcap, len(rt.Tasks)+r.pool.len()))}
+				Tasks: r.tids.Grab(min(wcap, len(rt.Tasks)+pool.len()))}
 			trialRt.Tasks = append(trialRt.Tasks, rt.Tasks...)
 			extendServe(b.in, &trialRt, b.stepsOf(ri)[len(rt.Tasks)], b.th[last].Loc,
-				b.th[last].Ref, wcap, r.pool, &res.Stats, nil)
+				b.th[last].Ref, last, wcap, pool, &res.Stats, nil)
 			if len(trialRt.Tasks) > len(rt.Tasks) {
 				res.Routes = append(res.Routes, trialRt)
 				r.updateDiff(nil, trialRt.Tasks[len(rt.Tasks):])
@@ -617,10 +627,7 @@ func (r *TrialRunner) Trial(cand model.WorkerID) Result {
 		slices.Sort(lt)
 		res.LeftTasks = lt
 	}
-	if n := g.JournalLen(); n > r.peakOps {
-		r.peakOps = n
-	}
-	g.Rewind()
+	pool.flush()
 	slices.Sort(res.LeftWorkers)
 	recordStats(res.Stats)
 	return res

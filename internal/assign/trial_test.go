@@ -56,12 +56,11 @@ func checkTrialMatchesFull(t *testing.T, in *model.Instance, trial int, base []m
 	c := in.Center(0)
 	tasks := in.Centers[0].Tasks
 	baseline := Sequential(in, c, base, tasks)
-	tb, ok := NewTrialBase(in, c, base, baseline.Routes, baseline.LeftTasks)
+	tb, ok := NewTrialBase(NewTaskOrders(in), c, base, baseline.Routes, baseline.LeftTasks)
 	if !ok {
 		t.Fatalf("trial %d: NewTrialBase rejected a genuine Sequential baseline", trial)
 	}
 	runner := tb.NewRunner()
-	defer runner.Release()
 
 	inBase := make(map[model.WorkerID]bool, len(base))
 	for _, w := range base {
@@ -142,7 +141,7 @@ func TestNewTrialBaseRejectsForeignRoutes(t *testing.T) {
 	// Routes referencing a worker outside the set cannot line up.
 	bad := cloneResultRoutes(res.Routes)
 	bad[0].Worker = 99
-	if _, ok := NewTrialBase(in, in.Center(0), ws, bad, res.LeftTasks); ok {
+	if _, ok := NewTrialBase(NewTaskOrders(in), in.Center(0), ws, bad, res.LeftTasks); ok {
 		t.Fatal("NewTrialBase accepted routes for a foreign worker")
 	}
 }

@@ -107,7 +107,7 @@ func TestTrialRunnerRebindTrialZeroAlloc(t *testing.T) {
 	in.PrepareMetric()
 	center := in.Center(0)
 	baseline := assign.Sequential(in, center, center.Workers, center.Tasks)
-	base, ok := assign.NewTrialBase(in, center, center.Workers, baseline.Routes, baseline.LeftTasks)
+	base, ok := assign.NewTrialBase(assign.NewTaskOrders(in), center, center.Workers, baseline.Routes, baseline.LeftTasks)
 	if !ok {
 		t.Fatal("baseline does not line up with the serve order")
 	}
@@ -121,8 +121,7 @@ func TestTrialRunnerRebindTrialZeroAlloc(t *testing.T) {
 		t.Fatal("no foreign candidate available")
 	}
 	runner := base.NewRunner()
-	defer runner.Release()
-	for i := 0; i < 3; i++ { // grow arenas and the trial grid to high water
+	for i := 0; i < 3; i++ { // grow arenas and the pool stamps to high water
 		runner.Rebind(base)
 		runner.Trial(cand)
 	}

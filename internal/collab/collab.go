@@ -244,6 +244,10 @@ type Config struct {
 	// the sharded engine's phase-B reconcile game satisfies both by
 	// construction (shard.go).
 	resume *resumeState
+	// orders is the solve's nearest-task table the trial bases share
+	// (assign.TaskOrders). Nil makes NewGame create one; RunSharded passes
+	// one table to every shard game and to the exchange game.
+	orders *assign.TaskOrders
 }
 
 // resumeState carries a prior game's outcome into a resumed Game — see
@@ -450,9 +454,12 @@ type Game struct {
 
 	// base is the per-iteration trial-base snapshot, reset in place;
 	// runners are the long-lived trial evaluators rebound to it (slot 0
-	// serves the serial path, slots 0..P-1 the parallel path).
+	// serves the serial path, slots 0..P-1 the parallel path). orders is
+	// the table the base answers nearest-task queries from, nil unless the
+	// Sequential engine plays.
 	base    assign.TrialBase
 	runners []*assign.TrialRunner
+	orders  *assign.TaskOrders
 	// seqScratch serves the Sequential engine's re-baseline runs (a
 	// recipient that lent a worker since its last visit) from recycled
 	// buffers; the result is promoted into the center's buffers like an
@@ -503,6 +510,12 @@ func NewGame(in *model.Instance, phase1 []assign.Result, cfg Config) *Game {
 	in.PrepareMetric()
 	in.EnsureHot()
 	n := len(in.Centers)
+	if g.seqEngine {
+		g.orders = cfg.orders
+		if g.orders == nil {
+			g.orders = assign.NewTaskOrders(in)
+		}
+	}
 
 	g.pruneOn = cfg.Prune == PruneOn || (cfg.Prune == PruneAuto && g.seqEngine)
 	if cfg.Candidate == NearestWorker {
@@ -967,7 +980,7 @@ func (g *Game) sweep(ci model.CenterID, traceParent obs.SpanID) sweepResult {
 		if cfg.Scope == LeftoverOnly {
 			// DC trials serve one worker over the leftover tasks: the
 			// baseline is the empty assignment over those tasks.
-			if g.base.Reset(in, center, nil, nil, st.leftTasks) {
+			if g.base.Reset(g.orders, center, nil, nil, st.leftTasks) {
 				base = &g.base
 			}
 		} else {
@@ -990,7 +1003,7 @@ func (g *Game) sweep(ci model.CenterID, traceParent obs.SpanID) sweepResult {
 					LeftTasks: pb.left, LeftWorkers: pb.lws, Stats: fresh.Stats}
 				st.baselineOK = true
 			}
-			if g.base.Reset(in, center, baseWS, st.baseline.Routes, st.baseline.LeftTasks) {
+			if g.base.Reset(g.orders, center, baseWS, st.baseline.Routes, st.baseline.LeftTasks) {
 				base = &g.base
 			}
 		}
@@ -1074,17 +1087,13 @@ func (g *Game) readmit(traceParent obs.SpanID) {
 	slices.Sort(g.recipients)
 }
 
-// Finish releases the engine's pooled scratch and assembles the final
-// Result. Idempotent; Step returns false afterwards.
+// Finish drops the engine's trial scratch and order table and assembles
+// the final Result. Idempotent; Step returns false afterwards.
 func (g *Game) Finish() Result {
 	if !g.done {
 		g.done = true
-		for _, r := range g.runners {
-			if r != nil {
-				r.Release()
-			}
-		}
 		g.runners = nil
+		g.orders = nil
 		sol := model.NewSolution(g.in)
 		for ci := range g.states {
 			sol.PerCenter[ci].Routes = cloneRoutes(g.states[ci].routes)

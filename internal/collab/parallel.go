@@ -35,7 +35,7 @@ func parallelism(n int) int {
 }
 
 // runner returns the long-lived trial evaluator for the given slot, rebound
-// to base (recycling its arenas and rebuilding its pooled grid). Slot 0
+// to base (recycling its arenas and restamping its trial pool). Slot 0
 // serves the serial path; the parallel path binds one slot per goroutine.
 // Runners survive across iterations — the per-iteration Rebind is what lets
 // every trial slice come from recycled arena memory instead of the heap.

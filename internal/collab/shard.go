@@ -388,6 +388,12 @@ func RunSharded(in *model.Instance, phase1 []assign.Result, cfg ShardConfig) (Re
 	mShardLoadSkew.Set(loadSkew)
 	mShardColors.Set(float64(nColors))
 
+	// One nearest-task table serves every game of the run: shard games
+	// build their disjoint centers concurrently, and the exchange game
+	// reuses those builds and their travel-time memos.
+	if isSequentialAssigner(cfg.Assigner) {
+		cfg.orders = assign.NewTaskOrders(in)
+	}
 	members := make([][]model.CenterID, nShards)
 	for ci := range in.Centers {
 		s := shardOf[ci]

@@ -60,6 +60,8 @@ func verifyEquilibrium(in *model.Instance, sol *model.Solution, assigner Assigne
 			pool = append(pool, w.ID)
 		}
 	}
+	// One nearest-task table serves every center's trial base.
+	var orders *assign.TaskOrders
 
 	for ci := range in.Centers {
 		center := in.Center(model.CenterID(ci))
@@ -108,10 +110,12 @@ func verifyEquilibrium(in *model.Instance, sol *model.Solution, assigner Assigne
 			if !cached {
 				if seq {
 					if runner == nil {
+						if orders == nil {
+							orders = assign.NewTaskOrders(in)
+						}
 						baseline := assigner(in, center, workers, center.Tasks)
-						if base, ok := assign.NewTrialBase(in, center, workers, baseline.Routes, baseline.LeftTasks); ok {
+						if base, ok := assign.NewTrialBase(orders, center, workers, baseline.Routes, baseline.LeftTasks); ok {
 							runner = base.NewRunner()
-							defer runner.Release()
 						}
 					}
 					if runner != nil {

@@ -29,20 +29,6 @@ type Grid struct {
 	slotPt    []geo.Point
 	slotEpoch []uint32
 	epoch     uint32
-
-	// journal records every mutation applied between Mark and Rewind so the
-	// grid can be restored to the marked state — the copy-on-write snapshot
-	// mechanism of the phase-2 trial engine: one shared pool serves many
-	// what-if trials, each rewound instead of rebuilt.
-	journal    []journalOp
-	journaling bool
-}
-
-// journalOp is one recorded mutation; insert reports what was DONE, so
-// Rewind applies the inverse.
-type journalOp struct {
-	insert bool
-	it     Item
 }
 
 // NewGrid creates a grid covering bounds with roughly targetPerCell items per
@@ -101,8 +87,6 @@ func (g *Grid) Reset(bounds geo.Rect, n, targetPerCell int) {
 		g.epoch = 1
 	}
 	g.count = 0
-	g.journal = g.journal[:0]
-	g.journaling = false
 }
 
 // ensureSlot grows the slot arrays to cover id.
@@ -125,33 +109,6 @@ func (g *Grid) ensureSlot(id int) {
 func (g *Grid) has(id int) bool {
 	return id >= 0 && id < len(g.slotEpoch) && g.slotEpoch[id] == g.epoch
 }
-
-// Mark starts (or restarts) journaling: every Insert/Remove from here on is
-// recorded so Rewind can undo it. Only one mark is held at a time; a second
-// Mark discards the first. Journaling costs one slice append per mutation.
-func (g *Grid) Mark() {
-	g.journal = g.journal[:0]
-	g.journaling = true
-}
-
-// Rewind undoes every mutation recorded since Mark, restoring the grid to
-// the marked state, and stops journaling. Without a prior Mark it is a no-op.
-func (g *Grid) Rewind() {
-	g.journaling = false
-	for i := len(g.journal) - 1; i >= 0; i-- {
-		op := g.journal[i]
-		if op.insert {
-			g.Remove(op.it.ID)
-		} else {
-			g.Insert(op.it)
-		}
-	}
-	g.journal = g.journal[:0]
-}
-
-// JournalLen returns the number of mutations recorded since Mark — the
-// copy-on-write footprint of the current trial.
-func (g *Grid) JournalLen() int { return len(g.journal) }
 
 // Len returns the number of items currently stored.
 func (g *Grid) Len() int { return g.count }
@@ -179,12 +136,8 @@ func (g *Grid) cellIndex(p geo.Point) (int, int) {
 func (g *Grid) Insert(it Item) {
 	g.ensureSlot(it.ID)
 	if g.slotEpoch[it.ID] == g.epoch {
-		old := g.slotPt[it.ID]
-		g.removeAt(it.ID, old)
+		g.removeAt(it.ID, g.slotPt[it.ID])
 		g.count--
-		if g.journaling {
-			g.journal = append(g.journal, journalOp{insert: false, it: Item{ID: it.ID, Point: old}})
-		}
 	}
 	cx, cy := g.cellIndex(it.Point)
 	i := cy*g.nx + cx
@@ -192,9 +145,6 @@ func (g *Grid) Insert(it Item) {
 	g.slotPt[it.ID] = it.Point
 	g.slotEpoch[it.ID] = g.epoch
 	g.count++
-	if g.journaling {
-		g.journal = append(g.journal, journalOp{insert: true, it: it})
-	}
 }
 
 // Remove deletes the item with the given id, reporting whether it was present.
@@ -202,13 +152,9 @@ func (g *Grid) Remove(id int) bool {
 	if !g.has(id) {
 		return false
 	}
-	p := g.slotPt[id]
-	g.removeAt(id, p)
+	g.removeAt(id, g.slotPt[id])
 	g.slotEpoch[id] = 0
 	g.count--
-	if g.journaling {
-		g.journal = append(g.journal, journalOp{insert: false, it: Item{ID: id, Point: p}})
-	}
 	return true
 }
 

@@ -91,6 +91,8 @@ func BuildCertificate(in *model.Instance, sol *model.Solution, scope string) *Ce
 			pool = append(pool, w.ID)
 		}
 	}
+	// One nearest-task table serves every center's trial base.
+	orders := assign.NewTaskOrders(in)
 
 	for ci := range in.Centers {
 		center := in.Center(model.CenterID(ci))
@@ -123,7 +125,7 @@ func BuildCertificate(in *model.Instance, sol *model.Solution, scope string) *Ce
 			}
 		}
 
-		wit := sweepCenter(in, center, workers, pool, leftTasks, assigned, rho)
+		wit := sweepCenter(in, orders, center, workers, pool, leftTasks, assigned, rho)
 		if wit.BestRho > rho+rhoEps {
 			cert.Equilibrium = false
 		}
@@ -136,8 +138,9 @@ func BuildCertificate(in *model.Instance, sol *model.Solution, scope string) *Ce
 // it into a witness. workers is the center's current worker set (own minus
 // lent, plus borrowed); pool is the globally available candidates. A
 // non-nil leftTasks switches to the DC deviation class: the candidate alone
-// serves the leftover tasks, prior routes frozen.
-func sweepCenter(in *model.Instance, center *model.Center, workers, pool []model.WorkerID,
+// serves the leftover tasks, prior routes frozen. orders is the table the
+// prefix-resume trials query.
+func sweepCenter(in *model.Instance, orders *assign.TaskOrders, center *model.Center, workers, pool []model.WorkerID,
 	leftTasks []model.TaskID, assigned int, rho float64) Witness {
 
 	wit := Witness{
@@ -181,9 +184,8 @@ func sweepCenter(in *model.Instance, center *model.Center, workers, pool []model
 			var trial assign.Result
 			if runner == nil {
 				baseline := assign.Sequential(in, center, workers, center.Tasks)
-				if base, ok := assign.NewTrialBase(in, center, workers, baseline.Routes, baseline.LeftTasks); ok {
+				if base, ok := assign.NewTrialBase(orders, center, workers, baseline.Routes, baseline.LeftTasks); ok {
 					runner = base.NewRunner()
-					defer runner.Release()
 				}
 			}
 			if runner != nil {

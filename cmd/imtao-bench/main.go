@@ -58,7 +58,7 @@ func main() {
 		scaleGrid    = flag.Int("scale-grid", 64, "road-network grid side for -scale (grid² nodes)")
 		scaleGame    = flag.Int("scale-game-iters", 20, "phase-2 game iteration cap for -scale (0 = uncapped)")
 
-		shard        = flag.String("shard", "", `sharded game-engine sweep over shard counts, e.g. "1,2,4,8,auto": per -shard-scale size, run the collaboration game uncapped to equilibrium through the region-sharded engine at each count (1 = the unsharded baseline, "auto" = the self-tuned ShardAuto point), verify the global Nash equilibrium, and write a JSON record`)
+		shard        = flag.String("shard", "", `sharded game-engine sweep over shard counts, e.g. "1,2,4,8,auto": per -shard-scale size, run the collaboration game uncapped to equilibrium through the region-sharded engine at each count (1 = the unsharded baseline, "auto" = the engine-picked ShardAuto point), verify the global Nash equilibrium, and write a JSON record`)
 		shardScale   = flag.String("shard-scale", "10k,100k", "comma-separated task sizes for -shard")
 		shardOut     = flag.String("shard-json", "BENCH_shard.json", "output path of the -shard record")
 		shardDataset = flag.String("shard-dataset", "syn", "dataset generator for -shard: gm or syn")
@@ -74,8 +74,8 @@ func main() {
 		tracePath     = flag.String("trace", "", "stream run telemetry (game_iter events with phi and the rho vector) to this JSONL file; honored by fig11")
 		metricsOut    = flag.String("metrics-out", "", "write a Prometheus-text metrics snapshot to this file on exit")
 		runtimeSample = flag.Duration("runtime-sample", 0, "runtime-vitals sampling period (GC pauses, heap, goroutines); 0 enables the default period when -metrics-out is set, negative disables")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
-		memProfile = flag.String("memprofile", "", "write an allocation (heap) profile to this file on exit; pair with -cpuprofile when hunting allocation sites (docs/MEMPROFILE.md)")
+		cpuProfile    = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
+		memProfile    = flag.String("memprofile", "", "write an allocation (heap) profile to this file on exit; pair with -cpuprofile when hunting allocation sites (docs/MEMPROFILE.md)")
 	)
 	flag.Parse()
 

@@ -97,19 +97,9 @@ type shardPreset struct {
 	Speedup       float64 `json:"speedup"`
 }
 
-// shardAutoRecord mirrors collab.ShardAutotune for the JSON record.
+// shardAutoRecord mirrors collab.ShardAutoPick for the JSON record.
 type shardAutoRecord struct {
-	Parallelism int              `json:"parallelism"`
-	Picked      int              `json:"picked"`
-	Ladder      []shardAutoProbe `json:"ladder"`
-}
-
-type shardAutoProbe struct {
-	Shards          int     `json:"shards"`
-	BoundaryWorkers int     `json:"boundary_workers"`
-	Components      int     `json:"components"`
-	LoadSkew        float64 `json:"load_skew"`
-	Cost            float64 `json:"cost"`
+	Picked int `json:"picked"`
 }
 
 type shardConfig struct {
@@ -269,20 +259,7 @@ func runShardSweep(sizes []int, counts []int, cfg shardConfig) error {
 				IdenticalToS1: fp == s1Fingerprint,
 			}
 			if srep.Auto != nil {
-				ar := &shardAutoRecord{
-					Parallelism: srep.Auto.Parallelism,
-					Picked:      srep.Auto.Picked,
-				}
-				for _, probe := range srep.Auto.Ladder {
-					ar.Ladder = append(ar.Ladder, shardAutoProbe{
-						Shards:          probe.Shards,
-						BoundaryWorkers: probe.BoundaryWorkers,
-						Components:      probe.Components,
-						LoadSkew:        probe.LoadSkew,
-						Cost:            probe.Cost,
-					})
-				}
-				pr.Auto = ar
+				pr.Auto = &shardAutoRecord{Picked: srep.Auto.Picked}
 			}
 			iterQ := obs.NewQuantile()
 			for _, step := range res.Trace {

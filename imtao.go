@@ -212,11 +212,10 @@ func WithParallelism(n int) RunOption {
 // interference cut between shards is empty, every center's routes equal
 // the unsharded engine's; methods the sharded engine
 // cannot prove safe for (RBDC, budgeted Opt) fall back to the ordinary
-// game. WithShards(0) turns on auto-tuning: the engine probes a shard-count
-// ladder against the instance's interference profile and picks the count
-// with the smallest modeled critical path (the decision is recorded in
-// Report.Shard.Auto). 1 — and not calling WithShards at all — keeps the
-// single-game engine.
+// game. WithShards(0) lets the engine pick the count: about 16 centers per
+// shard, 2^round(log2(centers/16)) clamped to [1, 64], a pure function of
+// the center count (the pick is recorded in Report.Shard.Auto). 1 — and
+// not calling WithShards at all — keeps the single-game engine.
 func WithShards(n int) RunOption {
 	return func(c *core.Config) {
 		if n == 0 {

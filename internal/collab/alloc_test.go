@@ -98,6 +98,28 @@ func TestGameStepSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestGameStepParallelZeroAlloc extends the gate to the parallel trial
+// path: at Parallelism 2 the game's two pool helpers start during warm-up
+// and park between steps, so a steady-state step starts no goroutine and
+// allocates nothing.
+func TestGameStepParallelZeroAlloc(t *testing.T) {
+	g := steadyGame(t, Config{Scope: FullReassign, Assigner: assign.Sequential, Parallelism: 2})
+	defer g.Finish()
+	if len(g.helpers.wake) != 2 {
+		t.Fatalf("%d trial helpers after warm-up, want 2", len(g.helpers.wake))
+	}
+	const runs = 30
+	g.Reserve(runs + 2)
+	allocs := testing.AllocsPerRun(runs, func() {
+		if !g.Step() {
+			t.Fatalf("game ended mid-measurement")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state parallel game iteration allocates: %.2f allocs/iter (want 0)", allocs)
+	}
+}
+
 // TestTrialRunnerRebindTrialZeroAlloc pins the per-iteration trial cycle of
 // the resume engine: Reset the base on the center's current assignment,
 // Rebind the persistent runner, run a trial. After warm-up the whole cycle

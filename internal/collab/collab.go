@@ -433,7 +433,9 @@ type centerState struct {
 // allocation benchmarks) drive Step directly.
 //
 // A Game is single-use and not safe for concurrent use; within one Step,
-// trial evaluation fans out per Config.Parallelism.
+// trial evaluation fans out per Config.Parallelism over helper goroutines
+// that live until Finish, so a Game that may run parallel trials must be
+// finished.
 type Game struct {
 	in        *model.Instance
 	cfg       Config
@@ -454,11 +456,13 @@ type Game struct {
 
 	// base is the per-iteration trial-base snapshot, reset in place;
 	// runners are the long-lived trial evaluators rebound to it (slot 0
-	// serves the serial path, slots 0..P-1 the parallel path). orders is
-	// the table the base answers nearest-task queries from, nil unless the
+	// serves the serial path, slots 0..P-1 the parallel path), and helpers
+	// the goroutines that drive them on the parallel path. orders is the
+	// table the base answers nearest-task queries from, nil unless the
 	// Sequential engine plays.
 	base    assign.TrialBase
 	runners []*assign.TrialRunner
+	helpers trialPool
 	orders  *assign.TaskOrders
 	// seqScratch serves the Sequential engine's re-baseline runs (a
 	// recipient that lent a worker since its last visit) from recycled
@@ -470,8 +474,10 @@ type Game struct {
 	missIdx []int
 	// rhos carves the per-step ρ-vector snapshots (TraceStep.Rhos) from one
 	// growing slab instead of one allocation per iteration. Never reset:
-	// the snapshots are part of the returned trace.
-	rhos slab.Arena[float64]
+	// the snapshots are part of the returned trace. rhoSort is the sort
+	// buffer of the per-step U_ρ (metrics.UnfairnessScratch).
+	rhos    slab.Arena[float64]
+	rhoSort []float64
 
 	maxIter   int
 	iter      int
@@ -843,7 +849,8 @@ func (g *Game) Step() bool {
 	}
 	// Unfairness and Φ are recomputed from the maintained ρ vector each
 	// step: incremental float updates would drift from the reference bit
-	// pattern, while the vector itself is maintained exactly. A
+	// pattern, while the vector itself is maintained exactly. U_ρ costs one
+	// sort of the vector into the kept rhoSort buffer (DESIGN.md §13). A
 	// shard-restricted game snapshots the member-ordered vector instead —
 	// its trace carries shard-local Φ/U_ρ (DESIGN.md §15).
 	var rv []float64
@@ -856,7 +863,7 @@ func (g *Game) Step() bool {
 		rv = g.rhos.Copy(g.memberRhos)
 	}
 	step.Assigned = g.totalAssigned
-	step.Unfairness = metrics.Unfairness(rv)
+	step.Unfairness, g.rhoSort = metrics.UnfairnessScratch(rv, g.rhoSort)
 	step.Phi = metrics.Phi(rv)
 	step.Rhos = rv
 	if cfg.Prov != nil {
@@ -1087,11 +1094,13 @@ func (g *Game) readmit(traceParent obs.SpanID) {
 	slices.Sort(g.recipients)
 }
 
-// Finish drops the engine's trial scratch and order table and assembles
-// the final Result. Idempotent; Step returns false afterwards.
+// Finish stops the trial helpers, drops the engine's trial scratch and
+// order table and assembles the final Result. Idempotent; Step returns
+// false afterwards.
 func (g *Game) Finish() Result {
 	if !g.done {
 		g.done = true
+		g.stopTrialPool()
 		g.runners = nil
 		g.orders = nil
 		sol := model.NewSolution(g.in)

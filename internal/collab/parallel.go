@@ -11,13 +11,13 @@ import (
 	"imtao/internal/obs"
 )
 
-// Trial-pool health metrics. Occupancy tracks live evaluation goroutines;
+// Trial-pool health metrics. Occupancy tracks live helper goroutines;
 // queue wait (time between dispatch and a goroutine picking a trial up)
 // needs a clock read per trial, so it only records when obs.EnableTiming is
 // on.
 var (
 	mPoolWorkers = obs.Default.Gauge("imtao_collab_pool_workers",
-		"live trial-evaluation goroutines")
+		"live trial-helper goroutines of running games, parked ones included")
 	mPoolDispatched = obs.Default.Counter("imtao_collab_pool_trials_total",
 		"trial evaluations dispatched to the parallel pool")
 	mPoolQueueWait = obs.Default.Histogram("imtao_collab_pool_queue_wait_seconds",
@@ -137,90 +137,112 @@ func (g *Game) evalTrials(center *model.Center, cands []model.WorkerID,
 	if len(misses) == 0 {
 		return trials, 0
 	}
-	tr := g.cfg.Tracer
 
-	workers := parallelism(g.cfg.Parallelism)
-	if workers > len(misses) {
-		workers = len(misses)
-	}
-	if workers <= 1 {
-		var runner *assign.TrialRunner
-		if base != nil {
-			runner = g.runner(0, base)
-		}
-		for _, i := range misses {
-			switch {
-			case tr != nil:
-				trials[i] = g.tracedTrial(runner, center, cands[i], baseWS, leftTasks, traceParent)
-			case runner != nil:
-				trials[i] = runner.Trial(cands[i])
-			default:
-				trials[i] = g.fullTrial(center, cands[i], baseWS, leftTasks)
-			}
-		}
-		return trials, len(misses)
-	}
-
-	g.evalParallel(center, cands, baseWS, leftTasks, cache, base, traceParent,
-		trials, misses, workers)
-	return trials, len(misses)
-}
-
-// evalParallel runs the concurrent miss-evaluation pool. It lives in its own
-// frame so the goroutine closure does not capture evalTrials' locals — a
-// captured-and-reassigned variable is forced onto the heap at declaration,
-// which would charge the serial path one allocation per iteration for a
-// branch it never takes.
-//
-// One persistent runner per slot; goroutines pull miss indices from a shared
-// atomic queue and write to fixed slots. The goroutine spawns themselves
-// allocate — parallel games trade a little per-iteration garbage for
-// wall-clock; the zero-allocation guarantee targets the serial engine.
-func (g *Game) evalParallel(center *model.Center, cands []model.WorkerID,
-	baseWS []model.WorkerID, leftTasks []model.TaskID,
-	cache map[model.WorkerID]assign.Result, base *assign.TrialBase,
-	traceParent obs.SpanID, trials []assign.Result, misses []int, workers int) {
-
-	tr := g.cfg.Tracer
+	workers := min(parallelism(g.cfg.Parallelism), len(misses))
 	if base != nil {
 		for s := 0; s < workers; s++ {
 			g.runner(s, base)
 		}
 	}
-	mPoolDispatched.Add(int64(len(misses)))
-	dispatched := time.Now()
-	timed := obs.TimingOn()
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for s := 0; s < workers; s++ {
-		go func(slot int) {
-			defer wg.Done()
-			mPoolWorkers.Add(1)
-			defer mPoolWorkers.Add(-1)
-			var runner *assign.TrialRunner
-			if base != nil {
-				runner = g.runners[slot]
-			}
-			for {
-				k := next.Add(1) - 1
-				if int(k) >= len(misses) {
-					return
-				}
-				if timed {
-					mPoolQueueWait.Observe(time.Since(dispatched).Seconds())
-				}
-				i := misses[k]
-				switch {
-				case tr != nil:
-					trials[i] = g.tracedTrial(runner, center, cands[i], baseWS, leftTasks, traceParent)
-				case runner != nil:
-					trials[i] = runner.Trial(cands[i])
-				default:
-					trials[i] = g.fullTrial(center, cands[i], baseWS, leftTasks)
-				}
-			}
-		}(s)
+	tp := &g.helpers
+	tp.center, tp.cands, tp.baseWS, tp.leftTasks = center, cands, baseWS, leftTasks
+	tp.resume, tp.traceParent, tp.trials, tp.misses = base != nil, traceParent, trials, misses
+	tp.next.Store(0)
+	if workers <= 1 {
+		tp.timed = false
+		g.drainTrials(0)
+		return trials, len(misses)
 	}
-	wg.Wait()
+	for len(tp.wake) < workers {
+		wake := make(chan struct{}, 1)
+		tp.wake = append(tp.wake, wake)
+		tp.live.Add(1)
+		go g.trialHelper(len(tp.wake)-1, wake)
+	}
+	mPoolDispatched.Add(int64(len(misses)))
+	tp.dispatched, tp.timed = time.Now(), obs.TimingOn()
+	tp.busy.Add(workers)
+	for s := 0; s < workers; s++ {
+		tp.wake[s] <- struct{}{}
+	}
+	tp.busy.Wait()
+	return trials, len(misses)
+}
+
+// trialPool is a game's set of helper goroutines for parallel trial
+// evaluation, and the batch of misses they work on. Helper s starts on the
+// first evaluation that needs it, parks on wake[s] between iterations and
+// evaluates misses through runner slot s; the stepping goroutine waits
+// meanwhile, and evaluates alone on the serial path. It does not take a
+// slot itself: a goroutine it wakes would sit in its processor's run-next
+// slot, which another processor steals only after a back-off (DESIGN.md
+// §13). The helpers live until Finish stops them, so a steady-state
+// parallel step starts no goroutine and allocates nothing.
+type trialPool struct {
+	wake []chan struct{}
+	busy sync.WaitGroup // helpers still working on the current batch
+	live sync.WaitGroup // helpers not yet exited
+
+	// The current batch, written before the helpers are woken and read-only
+	// until busy drains. next hands out positions in misses.
+	center      *model.Center
+	cands       []model.WorkerID
+	baseWS      []model.WorkerID
+	leftTasks   []model.TaskID
+	resume      bool
+	traceParent obs.SpanID
+	trials      []assign.Result
+	misses      []int
+	next        atomic.Int64
+	dispatched  time.Time
+	timed       bool
+}
+
+// trialHelper is the body of pool helper slot: one batch per wake-up,
+// until stopTrialPool closes its channel.
+func (g *Game) trialHelper(slot int, wake <-chan struct{}) {
+	defer g.helpers.live.Done()
+	mPoolWorkers.Add(1)
+	defer mPoolWorkers.Add(-1)
+	for range wake {
+		g.drainTrials(slot)
+		g.helpers.busy.Done()
+	}
+}
+
+// drainTrials evaluates the current batch's misses through runner slot
+// until the shared queue is empty.
+func (g *Game) drainTrials(slot int) {
+	tp := &g.helpers
+	var runner *assign.TrialRunner
+	if tp.resume {
+		runner = g.runners[slot]
+	}
+	for {
+		k := int(tp.next.Add(1) - 1)
+		if k >= len(tp.misses) {
+			return
+		}
+		if tp.timed {
+			mPoolQueueWait.Observe(time.Since(tp.dispatched).Seconds())
+		}
+		i := tp.misses[k]
+		switch {
+		case g.cfg.Tracer != nil:
+			tp.trials[i] = g.tracedTrial(runner, tp.center, tp.cands[i], tp.baseWS, tp.leftTasks, tp.traceParent)
+		case runner != nil:
+			tp.trials[i] = runner.Trial(tp.cands[i])
+		default:
+			tp.trials[i] = g.fullTrial(tp.center, tp.cands[i], tp.baseWS, tp.leftTasks)
+		}
+	}
+}
+
+// stopTrialPool ends the pool helpers and waits for them to exit.
+func (g *Game) stopTrialPool() {
+	for _, wake := range g.helpers.wake {
+		close(wake)
+	}
+	g.helpers.wake = nil
+	g.helpers.live.Wait()
 }

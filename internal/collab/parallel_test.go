@@ -3,7 +3,9 @@ package collab
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"imtao/internal/assign"
 	"imtao/internal/model"
@@ -136,6 +138,49 @@ func TestCachedVerifyReusesTrials(t *testing.T) {
 	t.Logf("verifier assigner calls: %d cached vs %d fresh", cachedCalls, freshCalls)
 }
 
+// TestNoGoroutineOutlivesGame: a game's trial helpers end with it. After
+// Finish, Run, RunSharded (shard games with and without inner parallelism)
+// and VerifyEquilibrium return, the goroutine count is back where it began.
+func TestNoGoroutineOutlivesGame(t *testing.T) {
+	in := seededInstance(11, 6, 60, 400)
+	p1 := phase1(in)
+	cfg := seqConfig()
+	cfg.Parallelism = 4
+	before := runtime.NumGoroutine()
+	settled := func(what string) {
+		t.Helper()
+		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; {
+			if time.Now().After(deadline) {
+				t.Fatalf("after %s: %d goroutines, %d before", what, runtime.NumGoroutine(), before)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	g := NewGame(in, p1, cfg)
+	for g.Step() && len(g.helpers.wake) == 0 {
+	}
+	if len(g.helpers.wake) == 0 {
+		t.Fatal("no step started a trial helper; the check below would be vacuous")
+	}
+	g.Finish()
+	settled("Finish")
+
+	res := Run(in, p1, cfg)
+	settled("Run")
+	for _, shardPar := range []int{1, 2} {
+		RunSharded(in, p1, ShardConfig{Config: cfg, Shards: 3, Seed: 1, ShardParallelism: shardPar})
+		settled("RunSharded")
+	}
+	if err := res.VerifyEquilibrium(in, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifyEquilibrium(in, res.Solution, nil); err != nil {
+		t.Fatal(err)
+	}
+	settled("VerifyEquilibrium")
+}
+
 // TestEvalTrialsSlots checks the fixed-slot contract directly: results land
 // at their candidate's index regardless of parallelism, and cached entries
 // are returned verbatim.
@@ -150,6 +195,7 @@ func TestEvalTrialsSlots(t *testing.T) {
 	for _, par := range []int{1, 2, 8} {
 		g := &Game{in: in, cfg: Config{Assigner: assign.Sequential, Parallelism: par}}
 		got, evaluated := g.evalTrials(center, cands, base, nil, nil, nil, 0)
+		g.stopTrialPool()
 		if len(got) != len(cands) {
 			t.Fatalf("par=%d: %d results for %d candidates", par, len(got), len(cands))
 		}
@@ -176,6 +222,7 @@ func TestEvalTrialsSlots(t *testing.T) {
 	}
 	g := &Game{in: in, cfg: Config{Assigner: poisoned, Parallelism: 4}}
 	got, evaluated := g.evalTrials(center, cands, base, nil, cache, nil, 0)
+	g.stopTrialPool()
 	if evaluated != 0 {
 		t.Fatalf("full cache but %d trials evaluated", evaluated)
 	}

@@ -2,20 +2,22 @@ package collab
 
 // Region-sharded phase-2 engine (DESIGN.md §15–16). RunSharded partitions
 // the centers into geographic shards with the voronoi task-weighted k-means
-// machinery (or picks the count itself under ShardAuto — autotune.go),
-// proves which workers can interact with which shards (the worker-overlap
-// interference graph), plays one best-response game per shard concurrently
-// over the home-shard workers, and settles the boundary workers with one
-// serialized exchange game resumed from the merged shard states. The
-// exchange game runs the ordinary best-response dynamics under the game's
-// stop rule, so the final state is a global pure Nash equilibrium
-// (Result.VerifyEquilibrium). When the interference cut is empty the shard
-// games already end at that equilibrium: every center's routes equal the
-// unsharded run's and the exchange accepts nothing.
+// machinery (under ShardAuto the count follows from the center count alone
+// — autoShardCount), proves which workers can interact with which shards
+// (the worker-overlap interference graph), plays one best-response game per
+// shard concurrently over the home-shard workers, and settles the boundary
+// workers with one serialized exchange game resumed from the merged shard
+// states. The exchange game runs the ordinary best-response dynamics under
+// the game's stop rule, so the final state is a global pure Nash
+// equilibrium (Result.VerifyEquilibrium). When the interference cut is
+// empty the shard games already end at that equilibrium: every center's
+// routes equal the unsharded run's and the exchange accepts nothing.
 
 import (
+	"math"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -62,10 +64,26 @@ var (
 			"the static counterpart of the wall-time imtao_shard_skew gauge; "+
 			"1.0 is a perfectly load-balanced partition")
 	mShardAutoShards = obs.Default.Gauge("imtao_shard_autotune_shards",
-		"shard count picked by the most recent ShardAuto probe")
-	mShardAutoProbes = obs.Default.Gauge("imtao_shard_autotune_probes",
-		"candidate ladder size of the most recent ShardAuto probe")
+		"shard count picked by the most recent ShardAuto run")
 )
+
+// ShardAuto, as ShardConfig.Shards (imtao.WithShards(0) at the public
+// surface), asks RunSharded to pick the shard count itself.
+const ShardAuto = -1
+
+// autoCentersPerShard is the center count per shard ShardAuto aims at; the
+// measured ladders behind it are in DESIGN.md §16.
+const autoCentersPerShard = 16
+
+// autoShardCount is ShardAuto's pick for an instance of the given center
+// count: 2^round(log2(centers/16)), clamped to [1, 64] — the power of two
+// nearest to 16 centers per shard. 50 centers give 4 shards, 250 give 16,
+// 500 give 32 and 1,000 or more give 64. It is a pure function of the
+// center count: no partition, interference graph or metric warm-up.
+func autoShardCount(centers int) int {
+	k := math.Exp2(math.Round(math.Log2(float64(centers) / autoCentersPerShard)))
+	return int(min(max(k, 1), 64))
+}
 
 // ShardConfig configures a sharded collaboration run.
 type ShardConfig struct {
@@ -74,9 +92,8 @@ type ShardConfig struct {
 	// clamped (the interference bitsets are one machine word — the clamp is
 	// surfaced in ShardReport.ShardsRequested and a shard_clamp obs event);
 	// duplicate center locations can reduce the effective count further.
-	// ≤ 1 runs the unsharded engine, except ShardAuto (-1), which probes a
-	// candidate ladder and picks the count minimizing the modeled critical
-	// path (autotune.go).
+	// ≤ 1 runs the unsharded engine, except ShardAuto (-1), which picks
+	// about 16 centers per shard (autoShardCount).
 	Shards int
 	// Seed drives the k-means shard partition (voronoi.PartitionPoints):
 	// the same seed always produces the same shard map.
@@ -99,7 +116,7 @@ type ShardConfig struct {
 // sharded run.
 type ShardReport struct {
 	// ShardsRequested is the caller's ShardConfig.Shards verbatim —
-	// ShardAuto (-1) for an autotuned run, and possibly above the effective
+	// ShardAuto (-1) for an auto-picked run, and possibly above the effective
 	// count when the 64-shard interference-word clamp or duplicate center
 	// locations reduced it.
 	ShardsRequested int
@@ -119,17 +136,18 @@ type ShardReport struct {
 	ConflictEdges    int
 	EmptyCut         bool
 	// Components and Colors describe the shard conflict graph: its connected
-	// components and its greedy chromatic number (cut-density diagnostics
-	// the autotune probe records per rung; 1 color when the cut is empty).
+	// components and its greedy chromatic number (cut-density diagnostics;
+	// 1 color when the cut is empty).
 	// LoadSkew is max/mean per-shard task load of the partition — the
 	// static skew the task-weighted partitioner minimizes.
 	Components int
 	Colors     int
 	LoadSkew   float64
-	// Auto carries the ShardAuto probe — the candidate ladder with per-count
-	// interference stats and modeled costs, and the picked count. Nil unless
-	// the run was requested with Shards: ShardAuto.
-	Auto *ShardAutotune
+	// Auto records the ShardAuto pick. Nil unless the run was requested
+	// with Shards: ShardAuto and the sharded engine is eligible for it (at
+	// least two centers, a method it supports); a pick of 1 then runs the
+	// unsharded game with Auto still set.
+	Auto *ShardAutoPick
 	// ShardIterations and ShardWall are the per-shard phase-A iteration
 	// counts and wall times, in shard order. The final trace of a
 	// multi-shard run is the shard traces concatenated in this order
@@ -141,6 +159,14 @@ type ShardReport struct {
 	// only confirms the merged state: it accepts nothing.
 	ExchangeIterations int
 	ExchangeTransfers  int
+}
+
+// ShardAutoPick is the record of one ShardAuto decision, attached to
+// ShardReport.Auto.
+type ShardAutoPick struct {
+	// Picked is the shard count autoShardCount chose; running RunSharded
+	// with Shards: Picked reproduces the auto run bit for bit.
+	Picked int
 }
 
 // PlanShards partitions the instance's centers into at most shards
@@ -160,9 +186,9 @@ func PlanShards(in *model.Instance, shards int, seed int64) ([]int, int) {
 	return voronoi.PartitionWeightedPoints(seed, pts, weights, shards)
 }
 
-// shardTaskLoads returns the per-shard task counts of a partition and their
-// max/mean skew (1.0 when perfectly balanced; 0 mean degenerates to 0).
-func shardTaskLoads(in *model.Instance, shardOf []int, nShards int) ([]float64, float64) {
+// shardLoadSkew returns the max/mean per-shard task load of a partition
+// (1.0 when perfectly balanced; 0 mean degenerates to 0).
+func shardLoadSkew(in *model.Instance, shardOf []int, nShards int) float64 {
 	loads := make([]float64, nShards)
 	var total float64
 	for ci := range in.Centers {
@@ -171,15 +197,9 @@ func shardTaskLoads(in *model.Instance, shardOf []int, nShards int) ([]float64, 
 		total += l
 	}
 	if total == 0 {
-		return loads, 0
+		return 0
 	}
-	var maxL float64
-	for _, l := range loads {
-		if l > maxL {
-			maxL = l
-		}
-	}
-	return loads, maxL * float64(nShards) / total
+	return slices.Max(loads) * float64(nShards) / total
 }
 
 // interference is the worker-overlap analysis of a shard partition.
@@ -194,7 +214,7 @@ type interference struct {
 	conflicts int
 	// adj[s] is the conflict-graph adjacency bitset of shard s (its own bit
 	// included): the union of the masks of every boundary worker touching s.
-	// The component/coloring diagnostics and the autotune probe read it.
+	// The component/coloring diagnostics read it.
 	adj [64]uint64
 }
 
@@ -337,14 +357,11 @@ func RunSharded(in *model.Instance, phase1 []assign.Result, cfg ShardConfig) (Re
 	k := requested
 	eligible := cfg.Recipient == MinRatio && cfg.Candidate == BestResponse &&
 		(isSequentialAssigner(cfg.Assigner) || cfg.Prune == PruneOn)
-	var auto *ShardAutotune
+	var auto *ShardAutoPick
 	if k == ShardAuto && eligible && len(in.Centers) >= 2 {
-		in.PrepareMetric()
-		in.EnsureHot()
-		auto = autotuneShards(in, phase1, cfg)
-		k = auto.Picked
+		k = autoShardCount(len(in.Centers))
+		auto = &ShardAutoPick{Picked: k}
 		mShardAutoShards.Set(float64(k))
-		mShardAutoProbes.Set(float64(len(auto.Ladder)))
 	}
 	if k > 64 {
 		// The interference bitsets are one machine word; surface the clamp
@@ -380,7 +397,7 @@ func RunSharded(in *model.Instance, phase1 []assign.Result, cfg ShardConfig) (Re
 		return res, rep
 	}
 	inf := shardInterference(in, phase1, shardOf, cfg.Scope)
-	_, loadSkew := shardTaskLoads(in, shardOf, nShards)
+	loadSkew := shardLoadSkew(in, shardOf, nShards)
 	_, nComp := shardComponents(&inf.adj, nShards)
 	_, nColors := greedyColorShards(&inf.adj, nShards)
 	mShardBoundary.Set(float64(inf.boundary))
@@ -616,7 +633,7 @@ func shardComponents(adj *[64]uint64, nShards int) ([]int, int) {
 // order, each shard taking the lowest color unused by its already-colored
 // neighbors. Returns the per-shard colors and the color count (≤ max degree
 // + 1). Deterministic and purely diagnostic: a low count certifies a sparse
-// cut in the report, the imtao_shard_colors gauge and the autotune ladder.
+// cut in the report and the imtao_shard_colors gauge.
 func greedyColorShards(adj *[64]uint64, nShards int) ([]int, int) {
 	colors := make([]int, nShards)
 	nColors := 0

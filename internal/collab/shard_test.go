@@ -4,11 +4,13 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"imtao/internal/assign"
 	"imtao/internal/geo"
 	"imtao/internal/model"
+	"imtao/internal/obs"
 	"imtao/internal/routing"
 	"imtao/internal/voronoi"
 )
@@ -505,10 +507,10 @@ func TestWeightedPlanReducesHotspotSkew(t *testing.T) {
 		}
 
 		shardOf, n := PlanShards(in, 6, 7)
-		_, skewW := shardTaskLoads(in, shardOf, n)
+		skewW := shardLoadSkew(in, shardOf, n)
 
 		labels, nu := voronoi.PartitionPoints(7, pts, 6)
-		_, skewU := shardTaskLoads(in, labels, nu)
+		skewU := shardLoadSkew(in, labels, nu)
 
 		sumW += skewW
 		sumU += skewU
@@ -516,5 +518,160 @@ func TestWeightedPlanReducesHotspotSkew(t *testing.T) {
 	if sumW >= sumU {
 		t.Fatalf("task-weighted partition does not reduce hotspot load skew: %.3f vs %.3f (mean over trials)",
 			sumW/6, sumU/6)
+	}
+}
+
+// eventCapture records obs events for assertion.
+type eventCapture struct {
+	mu     sync.Mutex
+	events []string
+	fields []map[string]any
+}
+
+func (c *eventCapture) Event(name string, fields ...obs.Field) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.events = append(c.events, name)
+	m := make(map[string]any, len(fields))
+	for _, f := range fields {
+		m[f.Key] = f.Value
+	}
+	c.fields = append(c.fields, m)
+}
+
+func (c *eventCapture) find(name string) (map[string]any, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i, e := range c.events {
+		if e == name {
+			return c.fields[i], true
+		}
+	}
+	return nil, false
+}
+
+// TestAutoShardCount pins ShardAuto's closed form: the power of two nearest
+// to 16 centers per shard, clamped to [1, 64].
+func TestAutoShardCount(t *testing.T) {
+	for _, tc := range []struct{ centers, want int }{
+		{0, 1}, {1, 1}, {2, 1}, {20, 1}, {23, 2}, {50, 4}, {250, 16},
+		{500, 32}, {1000, 64}, {1250, 64}, {5000, 64},
+	} {
+		if got := autoShardCount(tc.centers); got != tc.want {
+			t.Errorf("autoShardCount(%d) = %d, want %d", tc.centers, got, tc.want)
+		}
+	}
+}
+
+// TestShardAutoMatchesExplicitPick: a ShardAuto run records its pick, and
+// it IS the explicit run at that count — solution, trace and shard report
+// bit for bit. Callers that re-run the picked count to attribute its time
+// rely on this.
+func TestShardAutoMatchesExplicitPick(t *testing.T) {
+	rng := rand.New(rand.NewSource(93))
+	in := randomInstance(rng, 64, 500, 2000)
+	p1 := phase1(in)
+
+	got, rep := RunSharded(in, p1, ShardConfig{Config: seqConfig(), Shards: ShardAuto, Seed: 7})
+	if rep.ShardsRequested != ShardAuto {
+		t.Fatalf("ShardsRequested = %d, want ShardAuto (%d)", rep.ShardsRequested, ShardAuto)
+	}
+	if rep.Auto == nil || rep.Auto.Picked != 4 {
+		t.Fatalf("64 centers: Auto = %+v, want a pick of 4", rep.Auto)
+	}
+	if rep.Shards < 2 || rep.EmptyCut {
+		t.Fatalf("auto run has %d shards, empty cut %v; want a sharded run with an exchange to play",
+			rep.Shards, rep.EmptyCut)
+	}
+	if err := routing.SolutionFeasible(in, got.Solution); err != nil {
+		t.Fatal(err)
+	}
+	if err := got.VerifyEquilibrium(in, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	explicit, erep := RunSharded(in, p1, ShardConfig{Config: seqConfig(), Shards: rep.Auto.Picked, Seed: 7})
+	if !reflect.DeepEqual(got.Solution, explicit.Solution) ||
+		!reflect.DeepEqual(stripDurations(got.Trace), stripDurations(explicit.Trace)) {
+		t.Fatalf("auto (picked %d) diverged from the explicit run", rep.Auto.Picked)
+	}
+	if erep.Auto != nil {
+		t.Fatalf("explicit run carries an auto record: %+v", erep.Auto)
+	}
+	rep.ShardsRequested, rep.Auto = erep.ShardsRequested, nil
+	rep.ShardWall, erep.ShardWall = nil, nil
+	if !reflect.DeepEqual(rep, erep) {
+		t.Fatalf("shard reports differ:\nauto     %+v\nexplicit %+v", rep, erep)
+	}
+}
+
+// TestShardAutoIneligibleFallback: the pick is recorded whenever the
+// sharded engine is eligible, even when it picks one shard; configurations
+// that fall back to the unsharded game (here RBDC's random recipients, or a
+// single center) record none.
+func TestShardAutoIneligibleFallback(t *testing.T) {
+	rng := rand.New(rand.NewSource(94))
+	in := randomInstance(rng, 4, 16, 40)
+	p1 := phase1(in)
+
+	_, rep := RunSharded(in, p1, ShardConfig{Config: seqConfig(), Shards: ShardAuto, Seed: 1})
+	if rep.Auto == nil || rep.Auto.Picked != 1 || rep.Shards != 1 {
+		t.Fatalf("eligible 4-center auto run: Auto %+v, %d shards; want a pick of 1", rep.Auto, rep.Shards)
+	}
+
+	cfg := seqConfig()
+	cfg.Recipient = RandomRecipient
+	cfg.Rng = rand.New(rand.NewSource(9))
+	_, rep = RunSharded(in, p1, ShardConfig{Config: cfg, Shards: ShardAuto, Seed: 1})
+	if rep.Shards != 1 || rep.ShardsRequested != ShardAuto {
+		t.Fatalf("ineligible auto run: %+v", rep)
+	}
+	if rep.Auto != nil {
+		t.Fatalf("ineligible run recorded a pick: %+v", rep.Auto)
+	}
+
+	one := randomInstance(rng, 1, 4, 10)
+	if _, rep := RunSharded(one, phase1(one), ShardConfig{Config: seqConfig(), Shards: ShardAuto}); rep.Auto != nil {
+		t.Fatalf("single-center run recorded a pick: %+v", rep.Auto)
+	}
+}
+
+// TestShardClampSurfaced (satellite): requesting more than 64 shards clamps
+// to the interference-word width — surfaced in the report and as a
+// shard_clamp obs event, never silently.
+func TestShardClampSurfaced(t *testing.T) {
+	rng := rand.New(rand.NewSource(95))
+	in := separatedInstance(rng, 3)
+	p1 := phase1(in)
+
+	cap := &eventCapture{}
+	cfg := seqConfig()
+	cfg.Obs = cap
+	got, rep := RunSharded(in, p1, ShardConfig{Config: cfg, Shards: 100, Seed: 7})
+	if rep.ShardsRequested != 100 {
+		t.Fatalf("ShardsRequested = %d, want 100", rep.ShardsRequested)
+	}
+	if rep.Shards > 64 {
+		t.Fatalf("effective shards %d above the 64-shard mask width", rep.Shards)
+	}
+	fields, ok := cap.find("shard_clamp")
+	if !ok {
+		t.Fatalf("no shard_clamp event emitted; events: %v", cap.events)
+	}
+	if fields["requested"] != 100 || fields["clamped"] != 64 {
+		t.Fatalf("shard_clamp fields = %v", fields)
+	}
+	if err := got.VerifyEquilibrium(in, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	// Below the clamp no event fires.
+	cap2 := &eventCapture{}
+	cfg.Obs = cap2
+	if _, rep := RunSharded(in, p1, ShardConfig{Config: cfg, Shards: 8, Seed: 7}); rep.ShardsRequested != 8 {
+		t.Fatalf("ShardsRequested = %d, want 8", rep.ShardsRequested)
+	}
+	if _, ok := cap2.find("shard_clamp"); ok {
+		t.Fatal("shard_clamp fired without a clamp")
 	}
 }

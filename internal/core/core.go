@@ -182,11 +182,11 @@ type Config struct {
 	// that many geographic shards by task-weighted k-means (seeded by Seed),
 	// shard-local best-response games run concurrently, and boundary workers
 	// are settled by one serialized exchange game. ShardAuto asks the
-	// engine to pick the count itself from the instance's interference
-	// profile (the decision lands in Report.Shard.Auto). Methods the sharded
-	// engine cannot prove equivalent or convergent for (RBDC's random
-	// recipients, budgeted Opt) fall back to the unsharded game; Report.Shard
-	// records what actually ran. 0 or 1 is the ordinary single-game engine.
+	// engine to pick the count itself, about 16 centers per shard (the
+	// pick lands in Report.Shard.Auto). Methods the sharded engine cannot
+	// prove equivalent or convergent for (RBDC's random recipients,
+	// budgeted Opt) fall back to the unsharded game; Report.Shard records
+	// what actually ran. 0 or 1 is the ordinary single-game engine.
 	Shards int
 	// ShardParallelism bounds the goroutines playing shard games
 	// concurrently; 0 means GOMAXPROCS. Output is bit-identical at every
@@ -203,8 +203,8 @@ type Config struct {
 	Prov *provenance.Ledger
 }
 
-// ShardAuto as Config.Shards lets the sharded engine probe the instance and
-// pick the shard count itself (collab.ShardAuto; imtao.WithShards(0) at the
+// ShardAuto as Config.Shards lets the sharded engine pick the shard count
+// from the center count (collab.ShardAuto; imtao.WithShards(0) at the
 // public surface).
 const ShardAuto = collab.ShardAuto
 

@@ -5,7 +5,7 @@
 package metrics
 
 import (
-	"math"
+	"slices"
 
 	"imtao/internal/model"
 )
@@ -33,20 +33,40 @@ func Ratios(in *model.Instance, s *model.Solution) []float64 {
 // Unfairness computes the collaboration unfairness U_ρ of Eq. 3: the mean
 // absolute pairwise difference of assignment ratios. It is 0 for fewer than
 // two centers.
+//
+// The O(n²) pairwise sum is never formed. With ρ sorted ascending and k
+// counted from 0, Σ_{i≠j} |ρ_i − ρ_j| = 2·Σ_k (2k − n + 1)·ρ_(k); summed
+// by parts, that is 2·Σ_k (k+1)(n−1−k)·(ρ_(k+1) − ρ_(k)): every gap between
+// sorted neighbours, weighted by the number of pairs that straddle it. The
+// gap form is the one computed, because its terms are all non-negative:
+// nothing cancels, an all-equal vector gives exactly 0, and the result
+// stays within rounding of the pairwise sum. The cost is one sort,
+// O(n log n).
 func Unfairness(rhos []float64) float64 {
+	u, _ := UnfairnessScratch(rhos, nil)
+	return u
+}
+
+// UnfairnessScratch is Unfairness with a caller-owned sort buffer. The
+// ratios are copied into scratch, grown when it is short, and sorted there;
+// rhos is not modified. The buffer is returned for the next call, so a
+// caller that keeps it allocates nothing once it has grown.
+func UnfairnessScratch(rhos, scratch []float64) (float64, []float64) {
 	n := len(rhos)
 	if n < 2 {
-		return 0
+		return 0, scratch
 	}
+	if cap(scratch) < n {
+		scratch = make([]float64, n)
+	}
+	sorted := scratch[:n]
+	copy(sorted, rhos)
+	slices.Sort(sorted)
 	var sum float64
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j {
-				sum += math.Abs(rhos[i] - rhos[j])
-			}
-		}
+	for k := 0; k < n-1; k++ {
+		sum += float64((k+1)*(n-1-k)) * (sorted[k+1] - sorted[k])
 	}
-	return sum / float64(n*(n-1))
+	return 2 * sum / float64(n*(n-1)), scratch
 }
 
 // SolutionUnfairness is Unfairness over the ratios of a solution.

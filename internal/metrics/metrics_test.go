@@ -101,6 +101,84 @@ func TestUnfairnessProperties(t *testing.T) {
 	}
 }
 
+// pairwiseUnfairness is Eq. 3 as written: the sum of |ρ_i − ρ_j| over all
+// ordered pairs, divided by n(n − 1). It is the oracle for Unfairness's
+// sorted formula.
+func pairwiseUnfairness(rhos []float64) float64 {
+	n := len(rhos)
+	if n < 2 {
+		return 0
+	}
+	var sum float64
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i != j {
+				sum += math.Abs(rhos[i] - rhos[j])
+			}
+		}
+	}
+	return sum / float64(n*(n-1))
+}
+
+// TestUnfairnessMatchesPairwise holds the sorted formula to the pairwise
+// sum within 1e-10 relative, on the vectors the game produces — ratios
+// assigned/total with many ties — and on the degenerate ones: all equal,
+// only 0s and 1s.
+func TestUnfairnessMatchesPairwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	for _, n := range []int{0, 1, 2, 3, 50, 500, 5000} {
+		ratios := make([]float64, n)
+		for i := range ratios {
+			if i > 0 && rng.Intn(4) == 0 {
+				ratios[i] = ratios[rng.Intn(i)] // a tie
+				continue
+			}
+			total := 1 + rng.Intn(200)
+			ratios[i] = Ratio(rng.Intn(total+1), total)
+		}
+		equal := make([]float64, n)
+		binary := make([]float64, n)
+		for i := range equal {
+			equal[i] = 1.0 / 3
+			binary[i] = float64(rng.Intn(2))
+		}
+		for name, rhos := range map[string][]float64{
+			"ratios": ratios, "equal": equal, "binary": binary,
+		} {
+			orig := append([]float64(nil), rhos...)
+			got, want := Unfairness(rhos), pairwiseUnfairness(rhos)
+			if want == 0 && got != 0 || math.Abs(got-want) > 1e-10*want {
+				t.Errorf("n=%d %s: sorted %v, pairwise %v", n, name, got, want)
+			}
+			for i := range rhos {
+				if rhos[i] != orig[i] {
+					t.Fatalf("n=%d %s: Unfairness reordered its input", n, name)
+				}
+			}
+		}
+	}
+}
+
+// TestUnfairnessScratchZeroAlloc pins the game's per-step use: a kept
+// buffer is reused, and the call returns the same value as Unfairness.
+func TestUnfairnessScratchZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(72))
+	rhos := make([]float64, 500)
+	for i := range rhos {
+		rhos[i] = rng.Float64()
+	}
+	u, buf := UnfairnessScratch(rhos, nil)
+	if u != Unfairness(rhos) {
+		t.Fatalf("scratch variant %v, Unfairness %v", u, Unfairness(rhos))
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		u, buf = UnfairnessScratch(rhos, buf)
+	})
+	if allocs != 0 {
+		t.Fatalf("UnfairnessScratch with a grown buffer allocates %.1f times", allocs)
+	}
+}
+
 func TestUUP(t *testing.T) {
 	rhos := []float64{1.0, 0.5, 0.3}
 	// UUP_0 = 1 − (0.5+0.3)/2 = 0.6

@@ -193,8 +193,8 @@ func runWithWorkerOrder(in *Instance, kind int) int {
 }
 
 // BenchmarkIndexChoice compares the nearest-task index backing Algorithm 2
-// (DESIGN.md §6): the default uniform grid versus a linear scan, at the
-// Table I default scale.
+// (DESIGN.md §6): the default cell grid over each center's tasks versus a
+// linear scan, at the Table I default scale.
 func BenchmarkIndexChoice(b *testing.B) {
 	in := instanceFor(b, SYN, nil)
 	for _, variant := range []struct {

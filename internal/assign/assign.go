@@ -17,9 +17,10 @@
 package assign
 
 import (
+	"cmp"
+	"math"
 	"math/rand"
-	"sort"
-	"sync"
+	"slices"
 
 	"imtao/internal/geo"
 	"imtao/internal/index"
@@ -107,7 +108,7 @@ type Options struct {
 	Order WorkerOrder
 	// Rng is required only for RandomOrder.
 	Rng *rand.Rand
-	// LinearScan disables the grid index and finds nearest tasks by linear
+	// LinearScan disables the cell index and finds nearest tasks by linear
 	// scan — the index-choice ablation.
 	LinearScan bool
 	// Scan, when non-nil, observes per-worker scan decisions — currently the
@@ -144,28 +145,15 @@ func SequentialOpt(in *model.Instance, c *model.Center, workers []model.WorkerID
 	wh := in.HotWorkers()
 
 	// Algorithm 2 line 4: order workers. Ties break by ID for determinism.
-	order := append([]model.WorkerID(nil), workers...)
+	order := make([]orderEnt, len(workers))
+	for i, wid := range workers {
+		order[i].wid = wid
+	}
 	switch opt.Order {
-	case MarginalFirst:
-		sort.Slice(order, func(i, j int) bool {
-			di := wh[order[i]].Loc.Dist2(c.Loc)
-			dj := wh[order[j]].Loc.Dist2(c.Loc)
-			if di != dj {
-				return di > dj
-			}
-			return order[i] < order[j]
-		})
-	case NearestFirst:
-		sort.Slice(order, func(i, j int) bool {
-			di := wh[order[i]].Loc.Dist2(c.Loc)
-			dj := wh[order[j]].Loc.Dist2(c.Loc)
-			if di != dj {
-				return di < dj
-			}
-			return order[i] < order[j]
-		})
+	case MarginalFirst, NearestFirst:
+		order = serveOrder(order, wh, c.Loc, workers, opt.Order == NearestFirst)
 	case ByID:
-		sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
+		slices.SortFunc(order, func(a, b orderEnt) int { return cmp.Compare(a.wid, b.wid) })
 	case RandomOrder:
 		rng := opt.Rng
 		if rng == nil {
@@ -177,32 +165,62 @@ func SequentialOpt(in *model.Instance, c *model.Center, workers []model.WorkerID
 	// Unassigned-task pool with nearest queries.
 	var pool interface {
 		taskPool
-		remaining() []model.TaskID
+		appendLeft([]model.TaskID) []model.TaskID
 	}
 	if opt.LinearScan {
 		pool = newLinearPool(in, tasks)
 	} else {
-		pool = newGridPool(in, tasks)
+		cp := poolFree.Get().(*cellPool)
+		defer cp.release()
+		cp.reset(in, c.Loc, tasks)
+		pool = cp
 	}
 
 	cref := in.CenterRef(c.ID)
-	for _, wid := range order {
-		route := serveWorker(in, c, cref, wid, pool, &res.Stats, nil, opt.Scan)
+	for _, e := range order {
+		route := serveWorker(in, c, cref, e.wid, pool, &res.Stats, nil, opt.Scan)
 		if len(route.Tasks) == 0 {
 			// Line 19: unused worker — available for workforce transfer.
-			res.LeftWorkers = append(res.LeftWorkers, wid)
+			res.LeftWorkers = append(res.LeftWorkers, e.wid)
 		} else {
 			res.Routes = append(res.Routes, route)
 		}
 	}
-	res.LeftTasks = pool.remaining()
-	if gp, ok := pool.(*gridPool); ok {
-		gp.release()
-	}
-	sort.Slice(res.LeftTasks, func(i, j int) bool { return res.LeftTasks[i] < res.LeftTasks[j] })
-	sort.Slice(res.LeftWorkers, func(i, j int) bool { return res.LeftWorkers[i] < res.LeftWorkers[j] })
+	res.LeftTasks = pool.appendLeft(make([]model.TaskID, 0, pool.len()))
+	slices.Sort(res.LeftTasks)
+	slices.Sort(res.LeftWorkers)
 	recordStats(res.Stats)
 	return res
+}
+
+// orderEnt pairs a worker with its squared distance from the center, the
+// key of the serve order.
+type orderEnt struct {
+	d2  float64
+	wid model.WorkerID
+}
+
+// serveOrder fills ents with workers keyed by squared distance from c and
+// sorts them marginal-first — distance descending, ties to the smaller ID —
+// or, with nearestFirst, distance ascending with the same tie rule. Both
+// orders are strict and total over distinct IDs, so any sorting algorithm
+// lands on the same permutation. Sequential, SequentialScratch and
+// TrialBase all order their workers here.
+func serveOrder(ents []orderEnt, wh []model.WorkerHot, c geo.Point, workers []model.WorkerID, nearestFirst bool) []orderEnt {
+	ents = ents[:0]
+	for _, wid := range workers {
+		ents = append(ents, orderEnt{d2: wh[wid].Loc.Dist2(c), wid: wid})
+	}
+	slices.SortFunc(ents, func(x, y orderEnt) int {
+		if x.d2 != y.d2 {
+			if (x.d2 > y.d2) != nearestFirst {
+				return -1
+			}
+			return 1
+		}
+		return cmp.Compare(x.wid, y.wid)
+	})
+	return ents
 }
 
 // serveWorker runs the per-worker inner loop of Algorithm 2 (lines 7–18):
@@ -258,7 +276,7 @@ func extendServe(in *model.Instance, route *model.Route, t float64, cur geo.Poin
 			}
 			break
 		}
-		pool.remove(sid)
+		pool.take()
 		route.Tasks = append(route.Tasks, sid)
 		stats.RouteExtensions++
 		t = arrive
@@ -276,114 +294,57 @@ type taskPool interface {
 	// and the travel time from q to it. q is the location of task from, or
 	// of the center when from < 0; qRef is q's memoized snap.
 	nearest(q geo.Point, qRef model.NodeRef, from model.TaskID) (model.TaskID, float64, bool)
-	remove(model.TaskID)
+	// take removes the task the last nearest call returned.
+	take()
 	len() int
 }
 
-// travelTo is tt(q, sid) for the index-backed pools.
-func travelTo(in *model.Instance, q geo.Point, qRef model.NodeRef, sid model.TaskID) float64 {
-	t := &in.HotTasks()[sid]
-	return in.TravelTimeRef(q, qRef, t.Loc, t.Ref)
-}
-
-type gridPool struct {
-	in *model.Instance
-	g  *index.Grid
-}
-
-// gridFree recycles gridPool instances (and their Grid backing arrays)
-// across assignment calls: phase 1 runs one per center, and phase 2 one per
-// re-baseline and per full trial (custom assigners), so without reuse every
-// call pays a fresh cells-array allocation. sync.Pool keeps the scratch
-// per-P, which also suits concurrent callers.
-var gridFree = sync.Pool{New: func() any { return &gridPool{g: &index.Grid{}} }}
-
-func newGridPool(in *model.Instance, tasks []model.TaskID) *gridPool {
-	p := gridFree.Get().(*gridPool)
-	p.in = in
-	p.g.Reset(in.Bounds, max(len(tasks), 1), 4)
-	th := in.HotTasks()
-	for _, id := range tasks {
-		p.g.Insert(index.Item{ID: int(id), Point: th[id].Loc})
-	}
-	return p
-}
-
-// release returns the pool's scratch to the free list. The caller must not
-// touch the gridPool afterwards.
-func (p *gridPool) release() {
-	p.in = nil
-	gridFree.Put(p)
-}
-
-func (p *gridPool) nearest(q geo.Point, qRef model.NodeRef, _ model.TaskID) (model.TaskID, float64, bool) {
-	it, ok := p.g.Nearest(q)
-	if !ok {
-		return -1, 0, false
-	}
-	sid := model.TaskID(it.ID)
-	return sid, travelTo(p.in, q, qRef, sid), true
-}
-func (p *gridPool) remove(id model.TaskID) { p.g.Remove(int(id)) }
-func (p *gridPool) len() int               { return p.g.Len() }
-func (p *gridPool) remaining() []model.TaskID {
-	items := p.g.Items()
-	out := make([]model.TaskID, len(items))
-	for i, it := range items {
-		out[i] = model.TaskID(it.ID)
-	}
-	return out
-}
-
+// linearPool answers every query by a scan of the live tasks — the
+// index-choice ablation's reference.
 type linearPool struct {
 	in    *model.Instance
 	items []index.Item
-	// slot maps item ID → index in items, turning remove into an O(1)
-	// swap-delete instead of a scan. nearest already costs O(n), so before
-	// this map the pool was O(n) twice per accepted task.
-	slot map[int]int
+	last  int // the index in items of the last answer
 }
 
 func newLinearPool(in *model.Instance, tasks []model.TaskID) *linearPool {
-	p := &linearPool{
-		in:    in,
-		items: make([]index.Item, len(tasks)),
-		slot:  make(map[int]int, len(tasks)),
-	}
+	p := &linearPool{in: in, items: make([]index.Item, len(tasks))}
+	th := in.HotTasks()
 	for i, id := range tasks {
-		p.items[i] = index.Item{ID: int(id), Point: in.Task(id).Loc}
-		p.slot[int(id)] = i
+		p.items[i] = index.Item{ID: int(id), Point: th[id].Loc}
 	}
 	return p
 }
 
 func (p *linearPool) nearest(q geo.Point, qRef model.NodeRef, _ model.TaskID) (model.TaskID, float64, bool) {
-	it, ok := index.LinearNearest(p.items, q, nil)
-	if !ok {
+	p.last = -1
+	bestD := math.Inf(1)
+	for i, it := range p.items {
+		d := q.Dist2(it.Point)
+		if d < bestD || (d == bestD && p.last >= 0 && it.ID < p.items[p.last].ID) {
+			p.last, bestD = i, d
+		}
+	}
+	if p.last < 0 {
 		return -1, 0, false
 	}
-	sid := model.TaskID(it.ID)
-	return sid, travelTo(p.in, q, qRef, sid), true
+	sid := model.TaskID(p.items[p.last].ID)
+	t := &p.in.HotTasks()[sid]
+	return sid, p.in.TravelTimeRef(q, qRef, t.Loc, t.Ref), true
 }
 
-func (p *linearPool) remove(id model.TaskID) {
-	i, ok := p.slot[int(id)]
-	if !ok {
-		return
-	}
+// take swap-deletes the last answer.
+func (p *linearPool) take() {
 	last := len(p.items) - 1
-	if i != last {
-		p.items[i] = p.items[last]
-		p.slot[p.items[i].ID] = i
-	}
+	p.items[p.last] = p.items[last]
 	p.items = p.items[:last]
-	delete(p.slot, int(id))
 }
+
 func (p *linearPool) len() int { return len(p.items) }
-func (p *linearPool) remaining() []model.TaskID {
-	out := make([]model.TaskID, len(p.items))
-	for i, it := range p.items {
-		out[i] = model.TaskID(it.ID)
+
+func (p *linearPool) appendLeft(out []model.TaskID) []model.TaskID {
+	for _, it := range p.items {
+		out = append(out, model.TaskID(it.ID))
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package assign
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"imtao/internal/geo"
@@ -194,38 +195,20 @@ func TestSequentialRoutesAlwaysFeasible(t *testing.T) {
 	}
 }
 
-// Property: the linear-scan pool and the grid pool give identical results.
+// Property: the cell pool and the linear-scan pool give identical results —
+// routes, leftover workers and tasks, and the Stats work profile — under
+// all four worker orders, on 600 instances of up to ~600 tasks.
 func TestSequentialIndexAblationAgrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
-	for trial := 0; trial < 30; trial++ {
-		nw, nt := 1+rng.Intn(6), 1+rng.Intn(25)
-		wl := make([]geo.Point, nw)
-		tl := make([]geo.Point, nt)
-		for i := range wl {
-			wl[i] = geo.Pt(rng.Float64()*300, rng.Float64()*300)
-		}
-		for i := range tl {
-			tl[i] = geo.Pt(rng.Float64()*300, rng.Float64()*300)
-		}
-		in := centerScene(wl, tl, 100+rng.Float64()*400, 1+rng.Intn(4))
-		in.Centers[0].Loc = geo.Pt(150, 150)
-		ws, ts := allIDs(in)
-		a := SequentialOpt(in, in.Center(0), ws, ts, Options{})
-		b := SequentialOpt(in, in.Center(0), ws, ts, Options{LinearScan: true})
-		if a.AssignedCount() != b.AssignedCount() {
-			t.Fatalf("trial %d: grid=%d linear=%d", trial, a.AssignedCount(), b.AssignedCount())
-		}
-		if len(a.Routes) != len(b.Routes) {
-			t.Fatalf("trial %d: route count mismatch", trial)
-		}
-		for i := range a.Routes {
-			if a.Routes[i].Worker != b.Routes[i].Worker || len(a.Routes[i].Tasks) != len(b.Routes[i].Tasks) {
-				t.Fatalf("trial %d: route %d differs: %v vs %v", trial, i, a.Routes[i], b.Routes[i])
-			}
-			for j := range a.Routes[i].Tasks {
-				if a.Routes[i].Tasks[j] != b.Routes[i].Tasks[j] {
-					t.Fatalf("trial %d: route %d task %d differs", trial, i, j)
-				}
+	for trial := 0; trial < 600; trial++ {
+		in := poolScene(rng, trial)
+		c := in.Center(0)
+		ts := poolTasks(rng, in)
+		for _, order := range []WorkerOrder{MarginalFirst, NearestFirst, ByID, RandomOrder} {
+			a := SequentialOpt(in, c, c.Workers, ts, Options{Order: order, Rng: rand.New(rand.NewSource(int64(trial)))})
+			b := SequentialOpt(in, c, c.Workers, ts, Options{Order: order, Rng: rand.New(rand.NewSource(int64(trial))), LinearScan: true})
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("trial %d order %d:\n cells  %+v\n linear %+v", trial, order, a, b)
 			}
 		}
 	}

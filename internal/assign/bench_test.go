@@ -8,92 +8,103 @@ import (
 	"imtao/internal/model"
 )
 
-// benchScene builds an instance with n tasks scattered uniformly over the
-// bounds, matching the geometry the grid index sees in a real run.
-func benchScene(n int) (*model.Instance, []model.TaskID, []geo.Point) {
+// benchScene builds one center's share of a map the way phase 1 sees it:
+// centers sites and centers·perCenter tasks scattered uniformly over a
+// 2000×2000 map, of which the center at the origin keeps the tasks in its
+// Voronoi cell — a 1/centers patch of the map, not the whole map. Its
+// workers stand in the same cell with room for every task, so a serve
+// drains the pool.
+func benchScene(centers, perCenter int) *model.Instance {
 	rng := rand.New(rand.NewSource(7))
-	locs := make([]geo.Point, n)
-	for i := range locs {
-		locs[i] = geo.Pt(rng.Float64()*2000-1000, rng.Float64()*2000-1000)
+	sites := []geo.Point{geo.Pt(0, 0)}
+	for len(sites) < centers {
+		sites = append(sites, geo.Pt(rng.Float64()*2000-1000, rng.Float64()*2000-1000))
 	}
-	in := centerScene(nil, locs, 1e9, n)
-	in.EnsureHot() // the pools read task locations from the hot slab
-	_, ts := allIDs(in)
-	queries := make([]geo.Point, 256)
-	for i := range queries {
-		queries[i] = geo.Pt(rng.Float64()*2000-1000, rng.Float64()*2000-1000)
+	mine := func(p geo.Point) bool {
+		for _, s := range sites[1:] {
+			if p.Dist2(s) < p.Norm2() {
+				return false
+			}
+		}
+		return true
 	}
-	return in, ts, queries
+	var tl, wl []geo.Point
+	for i := 0; i < centers*perCenter; i++ {
+		if p := geo.Pt(rng.Float64()*2000-1000, rng.Float64()*2000-1000); mine(p) {
+			tl = append(tl, p)
+		}
+	}
+	for len(wl) < max(len(tl)/4, 1) {
+		if p := geo.Pt(rng.Float64()*2000-1000, rng.Float64()*2000-1000); mine(p) {
+			wl = append(wl, p)
+		}
+	}
+	in := centerScene(wl, tl, 1e9, 8)
+	in.EnsureHot()
+	return in
+}
+
+// drain serves every task of a fresh pool in Algorithm 2's query shape —
+// one query from the center, then one from each task just taken, eight per
+// route — and returns the number of queries.
+func drain(in *model.Instance, p taskPool) int {
+	c := in.Center(0)
+	th := in.HotTasks()
+	n := 0
+	for p.len() > 0 {
+		q, from := c.Loc, model.TaskID(-1)
+		for i := 0; i < 8 && p.len() > 0; i++ {
+			sid, _, _ := p.nearest(q, noRef, from)
+			p.take()
+			q, from = th[sid].Loc, sid
+			n++
+		}
+	}
+	return n
 }
 
 // noRef is the snap of a point without a node metric.
 var noRef = model.NodeRef{Node: -1}
 
-func BenchmarkGridPoolNearest(b *testing.B) {
-	in, ts, queries := benchScene(4096)
-	p := newGridPool(in, ts)
-	defer p.release()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.nearest(queries[i%len(queries)], noRef, -1)
-	}
-}
-
-// BenchmarkGridPoolNearestRemove measures the phase-1 inner loop shape: a
-// nearest query followed by removing the returned task, draining and
-// rebuilding the pool as it empties.
-func BenchmarkGridPoolNearestRemove(b *testing.B) {
-	in, ts, queries := benchScene(4096)
-	p := newGridPool(in, ts)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		id, _, ok := p.nearest(queries[i%len(queries)], noRef, -1)
-		if !ok {
-			b.StopTimer()
-			p.release()
-			p = newGridPool(in, ts)
-			b.StartTimer()
-			continue
+// BenchmarkPoolServe times one center's whole phase-1 pool life — build,
+// then a query and removal per task until it is empty — on a 1/|C| patch
+// of 200 tasks, the per-center size of the SYN 10k and GM 250k workloads.
+// The cell pool is the default; the linear pool is the index-choice
+// ablation's reference.
+func BenchmarkPoolServe(b *testing.B) {
+	in := benchScene(50, 200)
+	ts := in.Centers[0].Tasks
+	b.Run("cells", func(b *testing.B) {
+		var p cellPool
+		for i := 0; i < b.N; i++ {
+			p.reset(in, in.Centers[0].Loc, ts)
+			drain(in, &p)
 		}
-		p.remove(id)
-	}
-	b.StopTimer()
-	p.release()
-}
-
-func BenchmarkLinearPoolNearest(b *testing.B) {
-	in, ts, queries := benchScene(4096)
-	p := newLinearPool(in, ts)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.nearest(queries[i%len(queries)], noRef, -1)
-	}
-}
-
-// BenchmarkLinearPoolRemove exercises the O(1) swap-delete against a drained
-// and rebuilt pool.
-func BenchmarkLinearPoolRemove(b *testing.B) {
-	in, ts, _ := benchScene(4096)
-	p := newLinearPool(in, ts)
-	order := rand.New(rand.NewSource(11)).Perm(len(ts))
-	j := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if j == len(order) {
-			b.StopTimer()
-			p = newLinearPool(in, ts)
-			j = 0
-			b.StartTimer()
+		b.ReportMetric(float64(len(ts)), "tasks")
+	})
+	b.Run("linear", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			drain(in, newLinearPool(in, ts))
 		}
-		p.remove(ts[order[j]])
-		j++
+		b.ReportMetric(float64(len(ts)), "tasks")
+	})
+}
+
+// BenchmarkSequential times one center's full Algorithm 2 run, serve order
+// and leftover sets included, on the same patch.
+func BenchmarkSequential(b *testing.B) {
+	in := benchScene(50, 200)
+	c := in.Center(0)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Sequential(in, c, c.Workers, c.Tasks)
 	}
 }
 
-// BenchmarkTaskOrdersBuild measures one center's order-table build over
-// 4096 tasks: the center order, the neighbour lists and the memo slots.
+// BenchmarkTaskOrdersBuild measures one center's order-table build on the
+// same patch: the center order, the neighbour lists and the memo slots.
 func BenchmarkTaskOrdersBuild(b *testing.B) {
-	in, _, _ := benchScene(4096)
+	in := benchScene(50, 200)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		NewTaskOrders(in).center(0)

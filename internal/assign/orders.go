@@ -1,9 +1,7 @@
 package assign
 
 import (
-	"cmp"
 	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -130,27 +128,11 @@ func (o *TaskOrders) center(ci model.CenterID) *centerOrders {
 	return co
 }
 
-// distEnt is a center-order sort entry: squared distance from the center,
-// then task ID.
-type distEnt struct {
-	d2 float64
-	id model.TaskID
-}
-
 func (o *TaskOrders) build(ci model.CenterID, co *centerOrders) {
 	c := &o.in.Centers[ci]
 	th := o.th
 	co.loc, co.ref = c.Loc, o.in.CenterRef(ci)
-	ents := make([]distEnt, len(c.Tasks))
-	for i, sid := range c.Tasks {
-		ents[i] = distEnt{d2: c.Loc.Dist2(th[sid].Loc), id: sid}
-	}
-	slices.SortFunc(ents, func(a, b distEnt) int {
-		if d := cmp.Compare(a.d2, b.d2); d != 0 {
-			return d
-		}
-		return cmp.Compare(a.id, b.id)
-	})
+	ents := centerOrder(nil, th, c.Loc, c.Tasks)
 	n := len(ents)
 	co.tasks = make([]model.TaskID, n)
 	pts := make([]geo.Point, n)
@@ -164,58 +146,22 @@ func (o *TaskOrders) build(ci model.CenterID, co *centerOrders) {
 	co.ctt = make([]atomic.Uint64, n)
 	co.ntt = make([]atomic.Uint64, n*co.width)
 	co.fb = make([]fbSlot, n)
-	buildNeighbourLists(co.tasks, pts, co.width, co.nbr)
+	if co.width > 0 {
+		var g taskCells
+		g.build(pts)
+		buildNeighbourLists(&g, co.tasks, co.width, co.nbr)
+	}
 }
 
 // buildNeighbourLists fills nbr with every task's neighbour list: row r
 // holds, as ranks, the first width entries of the (squared distance, ID)
-// order from pts[r] over the other tasks. A bucket grid over the tasks'
-// bounding box, about two tasks per cell, keeps the build subquadratic:
-// each row scans square rings of cells outward from its own cell and stops
-// once the next ring's distance lower bound — shrunk by a relative 1e-9 so
-// cell-index rounding can never cut a true neighbour — exceeds the row's
-// current width-th distance. Tasks are stored in row-major cell order, so a
-// run of cells along one grid row is one contiguous scan.
-func buildNeighbourLists(tasks []model.TaskID, pts []geo.Point, width int, nbr []int32) {
-	n := len(tasks)
-	if width == 0 {
-		return
-	}
-	lo, hi := pts[0], pts[0]
-	for _, p := range pts[1:] {
-		lo.X, lo.Y = min(lo.X, p.X), min(lo.Y, p.Y)
-		hi.X, hi.Y = max(hi.X, p.X), max(hi.Y, p.Y)
-	}
-	w, h := hi.X-lo.X, hi.Y-lo.Y
-	// The second term caps each axis at about n cells when the tasks lie
-	// (nearly) on a line.
-	cell := max(math.Sqrt(w*h*2/float64(n)), max(w, h)/float64(n))
-	if !(cell > 0) {
-		cell = 1
-	}
-	nx, ny := int(w/cell)+1, int(h/cell)+1
-	// Counting sort of the tasks by cell: cell c holds entries
-	// start[c]:start[c+1] of cellRank and cellPts.
-	start := make([]int32, nx*ny+1)
-	at := make([]int32, n)
-	for r, p := range pts {
-		cx := min(int((p.X-lo.X)/cell), nx-1)
-		cy := min(int((p.Y-lo.Y)/cell), ny-1)
-		at[r] = int32(cy*nx + cx)
-		start[at[r]+1]++
-	}
-	for i := 1; i < len(start); i++ {
-		start[i] += start[i-1]
-	}
-	cellRank := make([]int32, n)
-	cellPts := make([]geo.Point, n)
-	fill := slices.Clone(start[:nx*ny])
-	for r, p := range pts {
-		cellRank[fill[at[r]]] = int32(r)
-		cellPts[fill[at[r]]] = p
-		fill[at[r]]++
-	}
-
+// order from task r over the other tasks. The cells keep the build
+// subquadratic: each row scans square rings of cells outward from its own
+// cell and stops once the next ring's lower bound exceeds the row's current
+// width-th distance. No task is removed yet, so a run of cells along one
+// grid row is one contiguous scan.
+func buildNeighbourLists(g *taskCells, tasks []model.TaskID, width int, nbr []int32) {
+	nx, ny := g.nx, g.ny
 	// The row under construction: keys[:cnt] ascending by (d², ID), with
 	// the ranks alongside. Ties are rare, so the ID is looked up only to
 	// break one.
@@ -224,8 +170,8 @@ func buildNeighbourLists(tasks []model.TaskID, pts []geo.Point, width int, nbr [
 	maxRing := max(nx, ny) - 1
 	for c := 0; c < nx*ny; c++ {
 		qx, qy := c%nx, c/nx
-		for qi := start[c]; qi < start[c+1]; qi++ {
-			q := cellPts[qi]
+		for qi := g.start[c]; qi < g.start[c+1]; qi++ {
+			q := g.pt[qi]
 			cnt := 0
 			kth := math.Inf(1) // the width-th distance once the row is full
 			// scan offers the tasks of cells x0…x1 of grid row y.
@@ -234,12 +180,12 @@ func buildNeighbourLists(tasks []model.TaskID, pts []geo.Point, width int, nbr [
 				if y < 0 || y >= ny || x0 > x1 {
 					return
 				}
-				for i := start[y*nx+x0]; i < start[y*nx+x1+1]; i++ {
-					d2 := q.Dist2(cellPts[i])
+				for i := g.start[y*nx+x0]; i < g.start[y*nx+x1+1]; i++ {
+					d2 := q.Dist2(g.pt[i])
 					if d2 > kth || i == qi {
 						continue
 					}
-					r := cellRank[i]
+					r := g.rank[i]
 					j := cnt
 					if cnt < width {
 						cnt++
@@ -260,13 +206,8 @@ func buildNeighbourLists(tasks []model.TaskID, pts []geo.Point, width int, nbr [
 				}
 			}
 			for ring := 0; ring <= maxRing; ring++ {
-				if ring > 1 {
-					// Every task in ring or beyond lies at least
-					// (ring−1)·cell from q.
-					lb := float64(ring-1) * cell * (1 - 1e-9)
-					if lb*lb > kth {
-						break
-					}
+				if ring > 1 && g.ringBound(ring) > kth {
+					break
 				}
 				// The ring's top and bottom rows, then its two cells on
 				// each grid row between them.
@@ -280,7 +221,7 @@ func buildNeighbourLists(tasks []model.TaskID, pts []geo.Point, width int, nbr [
 					scan(y, qx+ring, qx+ring)
 				}
 			}
-			copy(nbr[int(cellRank[qi])*width:], ranks[:width])
+			copy(nbr[int(g.rank[qi])*width:], ranks[:width])
 		}
 	}
 }
@@ -303,7 +244,8 @@ type orderPool struct {
 	epoch  uint32
 	baseN  int
 	n      int
-	cursor int
+	cursor int32
+	last   int32 // the rank the last nearest returned
 	// Per-trial tallies, added to the obs counters by flush.
 	fallbacks, hits, misses int64
 }
@@ -338,11 +280,39 @@ func (p *orderPool) flush() {
 
 func (p *orderPool) len() int { return p.n }
 
+// live reports whether rank r is in the trial pool.
+func (p *orderPool) live(r int32) bool { return p.stamp[r] < p.epoch }
+
+// first advances the cursor to the first live rank and returns it. The
+// pool must be non-empty.
+func (p *orderPool) first() int32 {
+	for !p.live(p.cursor) {
+		p.cursor++
+	}
+	return p.cursor
+}
+
 func (p *orderPool) remove(sid model.TaskID) {
-	if r := p.o.rank[sid]; p.stamp[r] < p.epoch {
+	if r := p.o.rank[sid]; p.live(r) {
 		p.stamp[r] = p.epoch
 		p.n--
 	}
+}
+
+// take removes the task the last nearest returned.
+func (p *orderPool) take() {
+	p.stamp[p.last] = p.epoch
+	p.n--
+}
+
+// appendLeft appends the live tasks to out, in center order.
+func (p *orderPool) appendLeft(out []model.TaskID) []model.TaskID {
+	for r := p.cursor; int(r) < len(p.co.tasks); r++ {
+		if p.live(r) {
+			out = append(out, p.co.tasks[r])
+		}
+	}
+	return out
 }
 
 // nearest answers Algorithm 2's query from the center (from < 0) by
@@ -359,17 +329,16 @@ func (p *orderPool) nearest(q geo.Point, qRef model.NodeRef, from model.TaskID) 
 	}
 	co := p.co
 	if from < 0 {
-		for p.stamp[p.cursor] >= p.epoch {
-			p.cursor++
-		}
-		r := p.cursor
+		r := p.first()
+		p.last = r
 		return co.tasks[r], p.travel(&co.ctt[r], q, qRef, co.tasks[r]), true
 	}
 	fr := p.o.rank[from]
-	if p.stamp[fr] >= p.epoch {
+	if !p.live(fr) {
 		row := int(fr) * co.width
 		for j, r := range co.nbr[row : row+co.width] {
-			if p.stamp[r] < p.epoch {
+			if p.live(r) {
+				p.last = r
 				return co.tasks[r], p.travel(&co.ntt[row+j], q, qRef, co.tasks[r]), true
 			}
 		}
@@ -377,15 +346,16 @@ func (p *orderPool) nearest(q geo.Point, qRef model.NodeRef, from model.TaskID) 
 	p.fallbacks++
 	th := p.o.th
 	best, bestR, bestD := model.TaskID(-1), int32(-1), math.Inf(1)
-	for r := p.cursor; r < len(co.tasks); r++ {
-		if p.stamp[r] >= p.epoch {
+	for r := p.cursor; int(r) < len(co.tasks); r++ {
+		if !p.live(r) {
 			continue
 		}
 		sid := co.tasks[r]
 		if d := q.Dist2(th[sid].Loc); d < bestD || (d == bestD && sid < best) {
-			best, bestR, bestD = sid, int32(r), d
+			best, bestR, bestD = sid, r, d
 		}
 	}
+	p.last = bestR
 	if tt, ok := co.fb[fr].load(bestR); ok {
 		p.hits++
 		return best, tt, true

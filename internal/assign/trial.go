@@ -79,13 +79,6 @@ func WorkerAdmissible(in *model.Instance, c *model.Center, wid model.WorkerID, s
 	return tt <= slack+PrunePad
 }
 
-// orderEnt pairs a worker with its cached squared center distance so the
-// serve order sorts without re-deriving distances or allocating a closure.
-type orderEnt struct {
-	d2  float64
-	wid model.WorkerID
-}
-
 // TrialBase is an immutable snapshot of one center's current assignment —
 // serve order, per-position routes, leftover tasks and unused workers — from
 // which many single-candidate trials can be answered incrementally. Reset it
@@ -101,12 +94,9 @@ type TrialBase struct {
 	wh []model.WorkerHot
 
 	// order is the baseline worker set in Sequential's marginal-first serve
-	// order (distance from the center descending, ties to the smaller ID);
-	// dist2 caches each worker's squared center distance for the insertion
-	// search. ord is the sort scratch combining both.
-	order []model.WorkerID
-	dist2 []float64
-	ord   []orderEnt
+	// order, each worker with its squared center distance for the insertion
+	// search.
+	order []orderEnt
 	// routes are the baseline routes, which Sequential emits in serve order;
 	// routeAt[j] indexes routes for position j (-1 when order[j] went
 	// unused) and cumRoutes[j] counts routes among positions < j.
@@ -131,11 +121,15 @@ type TrialBase struct {
 	// orders is the solve's nearest-task table and co the center's part of
 	// it. stamp is the runners' starting liveness over co's ranks — 0 for
 	// the start state S_0 (leftovers plus every route's tasks), MaxUint32
-	// for the center's other tasks — and poolN counts S_0.
-	orders *TaskOrders
-	co     *centerOrders
-	stamp  []uint32
-	poolN  int
+	// for the center's other tasks — and poolN counts S_0. servedAt is each
+	// rank's baseline serve position: the position j whose route took it,
+	// MaxInt32 for a leftover, -1 outside S_0. The baseline pool at the
+	// boundary before position j is exactly the ranks with servedAt ≥ j.
+	orders   *TaskOrders
+	co       *centerOrders
+	stamp    []uint32
+	servedAt []int32
+	poolN    int
 }
 
 // NewTrialBase snapshots the baseline assignment (workers, their routes, and
@@ -169,37 +163,12 @@ func (b *TrialBase) Reset(o *TaskOrders, c *model.Center, workers []model.Worker
 	b.routes = routes
 	b.leftTasks = leftTasks
 
-	b.ord = b.ord[:0]
-	for _, wid := range workers {
-		b.ord = append(b.ord, orderEnt{d2: b.wh[wid].Loc.Dist2(c.Loc), wid: wid})
-	}
-	// Marginal-first serve order: distance descending, ties to the smaller
-	// ID — a strict total order, so any sorting algorithm lands on the same
-	// permutation.
-	slices.SortFunc(b.ord, func(x, y orderEnt) int {
-		if x.d2 != y.d2 {
-			if x.d2 > y.d2 {
-				return -1
-			}
-			return 1
-		}
-		if x.wid != y.wid {
-			if x.wid < y.wid {
-				return -1
-			}
-			return 1
-		}
-		return 0
-	})
-	b.order = b.order[:0]
-	b.dist2 = b.dist2[:0]
+	b.order = serveOrder(b.order, b.wh, c.Loc, workers, false)
 	b.routeAt = b.routeAt[:0]
 	b.cumRoutes = append(b.cumRoutes[:0], 0)
 	b.baseLeft = b.baseLeft[:0]
 	r := 0
-	for _, e := range b.ord {
-		b.order = append(b.order, e.wid)
-		b.dist2 = append(b.dist2, e.d2)
+	for _, e := range b.order {
 		if r < len(routes) && routes[r].Worker == e.wid {
 			b.routeAt = append(b.routeAt, int32(r))
 			r++
@@ -249,7 +218,8 @@ func (b *TrialBase) Reset(o *TaskOrders, c *model.Center, workers []model.Worker
 }
 
 // markPool binds the base to c's part of the table and stamps the start
-// state S_0, reporting false when a pooled task is not one of c's own.
+// state S_0 with every rank's baseline serve position, reporting false when
+// a pooled task is not one of c's own or is listed twice.
 func (b *TrialBase) markPool(o *TaskOrders, c *model.Center) bool {
 	if int(c.ID) < 0 || int(c.ID) >= len(o.centers) {
 		return false
@@ -259,33 +229,35 @@ func (b *TrialBase) markPool(o *TaskOrders, c *model.Center) bool {
 		return false
 	}
 	b.orders, b.co = o, co
-	b.stamp = b.stamp[:0]
+	b.stamp, b.servedAt = b.stamp[:0], b.servedAt[:0]
 	for range co.tasks {
 		b.stamp = append(b.stamp, math.MaxUint32)
+		b.servedAt = append(b.servedAt, -1)
 	}
 	b.poolN = 0
-	mark := func(sid model.TaskID) bool {
+	mark := func(sid model.TaskID, at int32) bool {
 		if sid < 0 || int(sid) >= len(o.rank) || b.in.Tasks[sid].Center != c.ID {
 			return false
 		}
 		r := o.rank[sid]
-		if int(r) >= len(co.tasks) || co.tasks[r] != sid {
+		if int(r) >= len(co.tasks) || co.tasks[r] != sid || b.stamp[r] == 0 {
 			return false
 		}
-		if b.stamp[r] != 0 {
-			b.stamp[r] = 0
-			b.poolN++
-		}
+		b.stamp[r], b.servedAt[r] = 0, at
+		b.poolN++
 		return true
 	}
 	for _, sid := range b.leftTasks {
-		if !mark(sid) {
+		if !mark(sid, math.MaxInt32) {
 			return false
 		}
 	}
-	for ri := range b.routes {
+	for j, ri := range b.routeAt {
+		if ri < 0 {
+			continue
+		}
 		for _, sid := range b.routes[ri].Tasks {
-			if !mark(sid) {
+			if !mark(sid, int32(j)) {
 				return false
 			}
 		}
@@ -302,7 +274,7 @@ func (b *TrialBase) stepsOf(ri int32) []float64 {
 // tables, leftover-task pool and pool stamps), feeding the snapshot-bytes
 // gauge.
 func (b *TrialBase) FootprintBytes() int64 {
-	n := int64(len(b.order))*(8+8+8) + int64(len(b.leftTasks))*8 + int64(len(b.stamp))*4
+	n := int64(len(b.order))*(16+4+4) + int64(len(b.leftTasks))*8 + int64(len(b.stamp))*(4+4)
 	for _, rt := range b.routes {
 		n += int64(len(rt.Tasks))*16 + 88
 	}
@@ -322,100 +294,121 @@ type TrialRunner struct {
 	// lastCopied/lastReplayed profile the most recent Trial call for the
 	// tracing layer: suffix routes taken verbatim vs re-served.
 	lastCopied, lastReplayed int
-	// stolen and freed are the differential replay's symmetric difference
-	// between the trial pool and the baseline pool at the current worker
-	// boundary: stolen = consumed in the trial, still available in the
-	// baseline; freed = available in the trial, consumed in the baseline.
-	// Reset per trial; both stay tiny (bounded by the replayed workers'
-	// capacities), so linear scans beat maps.
-	stolen []diffTask
-	freed  []diffTask
+	// nStolen and nFreed size the differential replay's symmetric
+	// difference between the trial pool and the baseline pool at the
+	// current suffix boundary j: stolen = consumed in the trial, still
+	// available in the baseline; freed = available in the trial, consumed
+	// in the baseline. Membership needs no sets: a rank is stolen iff it is
+	// dead in the trial pool and its servedAt is ≥ j, and freed iff it is
+	// live and its servedAt is < j.
+	nStolen, nFreed int
 	// Result-slice arenas, recycled per Rebind (one game iteration).
 	tids slab.Arena[model.TaskID]
 	wids slab.Arena[model.WorkerID]
 	rts  slab.Arena[model.Route]
 }
 
-// diffTask is a pool-difference entry with its location cached for the
-// geometric preservation checks.
-type diffTask struct {
-	id model.TaskID
-	pt geo.Point
+// settle folds serve position j into the difference counts once the trial
+// pool has served it. base is the tail of the baseline route from the first
+// step the trial re-served (every task in it has servedAt = j), trial the
+// trial route's tail from the same step.
+func (r *TrialRunner) settle(j int, base, trial []model.TaskID) {
+	b, p := r.b, &r.pool
+	rank := b.orders.rank
+	common := 0
+	for _, x := range trial {
+		switch sb := b.servedAt[rank[x]]; {
+		case sb < int32(j):
+			r.nFreed-- // the trial takes a freed task
+		case sb > int32(j):
+			r.nStolen++ // the trial takes a task the baseline still holds
+		default:
+			common++ // both take it at j
+		}
+	}
+	// A base task the trial left live is freed from j+1 on. One that is
+	// dead but not common was stolen before j and stops counting now that
+	// the baseline has served it too.
+	live := 0
+	for _, x := range base {
+		if p.live(rank[x]) {
+			live++
+		}
+	}
+	r.nFreed += live
+	r.nStolen -= len(base) - live - common
 }
 
-func diffIndex(s []diffTask, id model.TaskID) int {
-	for i := range s {
-		if s[i].id == id {
+// divergeStep returns the first step at which the baseline route served at
+// position j stops replaying bit-identically against the current trial
+// pool, or -1 when the whole route is preserved. Only two things can
+// change a greedy nearest-first query: the chosen task is gone (stolen),
+// or a freed task wins the nearest-task comparison — smaller squared
+// distance, ties to the smaller ID. Removing never-chosen tasks cannot
+// promote a different winner, and an identical prefix fixes the arrival
+// times, so deadline checks repeat verbatim up to the divergence point.
+//
+// A route task is stolen iff it is dead in the trial pool. The freed test
+// looks only at tasks ahead of the pick in the query's order: a live one
+// there that the baseline still held would have been picked instead, so it
+// is freed unless it is one of the route's own earlier tasks (servedAt =
+// j), which the trial pool has not consumed yet. From the center that is
+// any live rank before the pick's, so the trial's center cursor decides;
+// from a task it is the neighbour list's prefix before the pick, or, when
+// the pick lies beyond the list, a scan of the live pool.
+func (r *TrialRunner) divergeStep(j int, rt *model.Route) int {
+	b, p, co := r.b, &r.pool, r.b.co
+	rank := b.orders.rank
+	for i, sid := range rt.Tasks {
+		sr := rank[sid]
+		if !p.live(sr) {
+			return i
+		}
+		if r.nFreed == 0 {
+			continue
+		}
+		if i == 0 {
+			if p.first() < sr {
+				return 0
+			}
+			continue
+		}
+		fr := int(rank[rt.Tasks[i-1]])
+		listed := false
+		for _, x := range co.nbr[fr*co.width : (fr+1)*co.width] {
+			if x == sr {
+				listed = true
+				break
+			}
+			if p.live(x) && b.servedAt[x] < int32(j) {
+				return i
+			}
+		}
+		if !listed && r.freedAhead(j, b.th[rt.Tasks[i-1]].Loc, sid) {
 			return i
 		}
 	}
 	return -1
 }
 
-func containsTask(s []model.TaskID, id model.TaskID) bool {
-	for _, x := range s {
-		if x == id {
+// freedAhead reports whether a freed task precedes sid in the (squared
+// distance, ID) order from q, scanning the live ranks until it has seen
+// every freed task.
+func (r *TrialRunner) freedAhead(j int, q geo.Point, sid model.TaskID) bool {
+	b, p := r.b, &r.pool
+	ds := q.Dist2(b.th[sid].Loc)
+	seen := 0
+	for x := p.cursor; int(x) < len(b.co.tasks) && seen < r.nFreed; x++ {
+		if !p.live(x) || b.servedAt[x] >= int32(j) {
+			continue
+		}
+		seen++
+		f := b.co.tasks[x]
+		if d := q.Dist2(b.th[f].Loc); d < ds || (d == ds && f < sid) {
 			return true
 		}
 	}
 	return false
-}
-
-// updateDiff folds one replayed worker's (baseline route, trial route) pair
-// into the pool difference: tasks the baseline consumed but the trial did
-// not become freed (or stop being stolen), tasks the trial consumed but the
-// baseline did not become stolen (or stop being freed).
-func (r *TrialRunner) updateDiff(base, trial []model.TaskID) {
-	for _, x := range base {
-		if containsTask(trial, x) {
-			continue
-		}
-		if i := diffIndex(r.stolen, x); i >= 0 {
-			r.stolen = append(r.stolen[:i], r.stolen[i+1:]...)
-		} else {
-			r.freed = append(r.freed, diffTask{x, r.b.th[x].Loc})
-		}
-	}
-	for _, x := range trial {
-		if containsTask(base, x) {
-			continue
-		}
-		if i := diffIndex(r.freed, x); i >= 0 {
-			r.freed = append(r.freed[:i], r.freed[i+1:]...)
-		} else {
-			r.stolen = append(r.stolen, diffTask{x, r.b.th[x].Loc})
-		}
-	}
-}
-
-// divergeStep returns the first step at which the baseline route stops
-// replaying bit-identically against the current trial pool, or -1 when the
-// whole route is preserved. Only two things can change a greedy
-// nearest-first query: the chosen task is gone (stolen), or a freed task
-// wins the nearest-task comparison — smaller squared distance, ties to the
-// smaller ID. Removing never-chosen tasks cannot promote a different
-// winner, and an identical prefix fixes the arrival times, so deadline
-// checks repeat verbatim up to the divergence point.
-func (r *TrialRunner) divergeStep(rt *model.Route) int {
-	b := r.b
-	cur := b.c.Loc
-	for i, sid := range rt.Tasks {
-		if diffIndex(r.stolen, sid) >= 0 {
-			return i
-		}
-		p := b.th[sid].Loc
-		if len(r.freed) > 0 {
-			ds := cur.Dist2(p)
-			for _, e := range r.freed {
-				de := cur.Dist2(e.pt)
-				if de < ds || (de == ds && e.id < sid) {
-					return i
-				}
-			}
-		}
-		cur = p
-	}
-	return -1
 }
 
 // NewRunner creates a runner whose task pool starts at the baseline start
@@ -463,10 +456,10 @@ func (r *TrialRunner) Trial(cand model.WorkerID) Result {
 	// cand's serve-order position: first index holding a worker served
 	// after cand. cand is not in order, so the ID tiebreak never ties.
 	k := sort.Search(len(b.order), func(j int) bool {
-		if b.dist2[j] != cd2 {
-			return b.dist2[j] < cd2
+		if e := b.order[j]; e.d2 != cd2 {
+			return e.d2 < cd2
 		}
-		return b.order[j] > cand
+		return b.order[j].wid > cand
 	})
 
 	pool := &r.pool
@@ -503,26 +496,22 @@ func (r *TrialRunner) Trial(cand model.WorkerID) Result {
 	res.LeftWorkers = r.wids.Grab(len(b.order) + 1)
 	for j := 0; j < k; j++ {
 		if b.routeAt[j] < 0 {
-			res.LeftWorkers = append(res.LeftWorkers, b.order[j])
+			res.LeftWorkers = append(res.LeftWorkers, b.order[j].wid)
 		}
 	}
 
 	// Differential suffix replay. The candidate consumed at most MaxT tasks;
 	// every suffix worker whose baseline route provably survives that
-	// perturbation (routePreserved) is copied without a single pool query,
-	// and the pool difference is threaded through the workers that do
-	// re-serve. Once both difference sets drain, the perturbation is
-	// absorbed: the rest of the suffix — and the leftover-task set — is the
-	// baseline verbatim.
-	r.stolen = r.stolen[:0]
-	r.freed = r.freed[:0]
-	for _, tid := range candRoute.Tasks {
-		r.stolen = append(r.stolen, diffTask{tid, b.th[tid].Loc})
-	}
+	// perturbation (divergeStep) is copied without a single pool query, and
+	// the pool difference is counted through the workers that do re-serve.
+	// Once both counts reach zero, the perturbation is absorbed: the rest
+	// of the suffix — and the leftover-task set — is the baseline verbatim.
+	// The candidate's tasks all sat in the baseline pool at k: they start
+	// out stolen.
+	r.nStolen, r.nFreed = len(candRoute.Tasks), 0
 	copied, replayed := 0, 0
-	absorbed := false
 	for j := k; j < len(b.order); j++ {
-		if len(r.stolen) == 0 && len(r.freed) == 0 {
+		if r.nStolen == 0 && r.nFreed == 0 {
 			// Trial pool == baseline pool at this boundary: every remaining
 			// query repeats verbatim, including route endings.
 			for ; j < len(b.order); j++ {
@@ -530,13 +519,12 @@ func (r *TrialRunner) Trial(cand model.WorkerID) Result {
 					res.Routes = append(res.Routes, b.routes[ri])
 					copied++
 				} else {
-					res.LeftWorkers = append(res.LeftWorkers, b.order[j])
+					res.LeftWorkers = append(res.LeftWorkers, b.order[j].wid)
 				}
 			}
-			absorbed = true
 			break
 		}
-		wid := b.order[j]
+		wid := b.order[j].wid
 		ri := b.routeAt[j]
 		if ri < 0 {
 			// Baseline-unused worker: its single ending query must run
@@ -547,13 +535,13 @@ func (r *TrialRunner) Trial(cand model.WorkerID) Result {
 				res.LeftWorkers = append(res.LeftWorkers, wid)
 			} else {
 				res.Routes = append(res.Routes, rt)
-				r.updateDiff(nil, rt.Tasks)
+				r.settle(j, nil, rt.Tasks)
 			}
 			continue
 		}
 		rt := &b.routes[ri]
 		wcap := int(b.wh[wid].MaxT)
-		if d := r.divergeStep(rt); d >= 0 {
+		if d := r.divergeStep(j, rt); d >= 0 {
 			// The prefix rt.Tasks[:d] replays verbatim (no stolen task and no
 			// freed winner before step d): consume it from the trial pool and
 			// resume Algorithm 2's loop from the stored step-d state instead
@@ -577,7 +565,7 @@ func (r *TrialRunner) Trial(cand model.WorkerID) Result {
 			} else {
 				res.Routes = append(res.Routes, rt2)
 			}
-			r.updateDiff(rt.Tasks, rt2.Tasks)
+			r.settle(j, rt.Tasks[d:], rt2.Tasks[d:])
 			replayed++
 			continue
 		}
@@ -597,7 +585,7 @@ func (r *TrialRunner) Trial(cand model.WorkerID) Result {
 				b.th[last].Ref, last, wcap, pool, &res.Stats, nil)
 			if len(trialRt.Tasks) > len(rt.Tasks) {
 				res.Routes = append(res.Routes, trialRt)
-				r.updateDiff(nil, trialRt.Tasks[len(rt.Tasks):])
+				r.settle(j, nil, trialRt.Tasks[len(rt.Tasks):])
 				replayed++
 				continue
 			}
@@ -609,21 +597,11 @@ func (r *TrialRunner) Trial(cand model.WorkerID) Result {
 	mRoutesReplayed.Add(int64(replayed))
 	r.lastCopied, r.lastReplayed = copied, replayed
 
-	if absorbed {
+	if r.nStolen == 0 && r.nFreed == 0 {
 		res.LeftTasks = b.leftTasks
 	} else {
-		// The drained loop's difference sets ARE the leftover delta: trial
-		// leftovers = (baseline leftovers − stolen) ∪ freed. Building from
-		// them skips a full pool iteration per trial.
-		lt := r.tids.Grab(len(b.leftTasks) + len(r.freed))
-		for _, id := range b.leftTasks {
-			if diffIndex(r.stolen, id) < 0 {
-				lt = append(lt, id)
-			}
-		}
-		for _, e := range r.freed {
-			lt = append(lt, e.id)
-		}
+		// The trial's leftover tasks are its live pool.
+		lt := pool.appendLeft(r.tids.Grab(pool.len()))
 		slices.Sort(lt)
 		res.LeftTasks = lt
 	}

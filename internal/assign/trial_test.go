@@ -1,8 +1,10 @@
 package assign
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"imtao/internal/geo"
@@ -121,6 +123,118 @@ func TestTrialEmptyBase(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		in := randomCenterScene(rng, 1+rng.Intn(6), 1+rng.Intn(20))
 		checkTrialMatchesFull(t, in, trial, nil)
+	}
+}
+
+// cascadeScene builds a center whose trials cascade: base workers on
+// distinct radii around the center and one candidate in every gap between
+// them (and beyond both ends), so candidates enter at every serve position.
+// Two task layouts alternate. One is a small integer lattice (duplicate
+// points and equal-distance ties) plus tight clusters of one neighbour
+// list's size, with deadlines tight enough that most routes end early. The
+// other is a dense blob around the center served by workers with room for
+// more than a list's worth of tasks, so routes outrun their neighbour lists
+// while earlier routes free tasks around them. Either way a candidate's
+// picks shift the later routes and free tasks the baseline had taken.
+func cascadeScene(rng *rand.Rand, road bool) (in *model.Instance, base, cands []model.WorkerID) {
+	m := 2 + rng.Intn(7)
+	radii := make([]float64, 2*m+1)
+	r := 0.5 + rng.Float64()
+	for i := range radii {
+		radii[i] = r
+		r += 0.5 + rng.Float64()*1.5
+	}
+	var wl, tl []geo.Point
+	for _, r := range radii {
+		a := rng.Float64() * 2 * math.Pi
+		wl = append(wl, geo.Pt(r*math.Cos(a), r*math.Sin(a)))
+	}
+	blob := rng.Intn(2) == 0
+	if blob {
+		for i := 0; i < 60+rng.Intn(200); i++ {
+			a, r := rng.Float64()*2*math.Pi, 3*math.Sqrt(rng.Float64())
+			tl = append(tl, geo.Pt(r*math.Cos(a), r*math.Sin(a)))
+		}
+	} else {
+		for i := 0; i < 30+rng.Intn(120); i++ {
+			tl = append(tl, geo.Pt(float64(rng.Intn(11)-5), float64(rng.Intn(11)-5)))
+		}
+		for k := 0; k < 1+rng.Intn(3); k++ {
+			cx, cy := rng.Float64()*16-8, rng.Float64()*16-8
+			for i := 0; i < neighbourListLen; i++ {
+				tl = append(tl, geo.Pt(cx+rng.Float64()*0.5, cy+rng.Float64()*0.5))
+			}
+		}
+	}
+	in = centerScene(wl, tl, 0, 1)
+	in.Bounds = geo.NewRect(geo.Pt(-30, -30), geo.Pt(30, 30))
+	for i := range in.Tasks {
+		in.Tasks[i].Expiry = 8 + rng.Float64()*40
+		if blob {
+			in.Tasks[i].Expiry = 20 + rng.Float64()*100
+		}
+	}
+	for i := range in.Workers {
+		in.Workers[i].MaxT = 2 + rng.Intn(6)
+		if blob {
+			in.Workers[i].MaxT = 10 + rng.Intn(30)
+		}
+	}
+	if road {
+		net, err := roadnet.New(in.Bounds, 12, 12, in.Speed)
+		if err != nil {
+			panic(err)
+		}
+		net.SetCongestion(geo.Pt(rng.Float64()*20-10, rng.Float64()*20-10), 1+rng.Float64()*3)
+		in.Metric = net
+		in.PrepareMetric()
+	}
+	// Radii ascend with the worker ID: odd IDs are the base, even IDs the
+	// candidates, one per serve position.
+	for i := range wl {
+		if i%2 == 1 {
+			base = append(base, model.WorkerID(i))
+		} else {
+			cands = append(cands, model.WorkerID(i))
+		}
+	}
+	return in, base, cands
+}
+
+// TestTrialCascadeEveryPosition checks Trial ≡ Sequential(base ∪ {cand})
+// with the candidate at every serve position of long-cascade scenes, on
+// straight-line and road metrics, and that the scenes do exercise the
+// differential replay: re-served routes, and trials that end with tasks the
+// baseline served still free.
+func TestTrialCascadeEveryPosition(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	replayed, freedAtEnd := 0, 0
+	for trial := 0; trial < 1000; trial++ {
+		in, base, cands := cascadeScene(rng, trial%4 == 3)
+		c := in.Center(0)
+		baseline := Sequential(in, c, base, c.Tasks)
+		tb, ok := NewTrialBase(NewTaskOrders(in), c, base, baseline.Routes, baseline.LeftTasks)
+		if !ok {
+			t.Fatalf("trial %d: NewTrialBase rejected a genuine Sequential baseline", trial)
+		}
+		runner := tb.NewRunner()
+		for pos, w := range cands {
+			got := runner.Trial(w)
+			_, n := runner.LastReplay()
+			replayed += n
+			if runner.nFreed > 0 {
+				freedAtEnd++
+			}
+			ws := append(slices.Clone(base), w)
+			want := Sequential(in, c, ws, c.Tasks)
+			if !reflect.DeepEqual(normalizeResult(got), normalizeResult(want)) {
+				t.Fatalf("trial %d cand %d (serve position %d):\n got  %+v\n want %+v",
+					trial, w, len(cands)-1-pos, got, want)
+			}
+		}
+	}
+	if replayed == 0 || freedAtEnd == 0 {
+		t.Fatalf("cascade scenes too tame: %d routes re-served, %d trials ended with freed tasks", replayed, freedAtEnd)
 	}
 }
 

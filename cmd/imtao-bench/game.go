@@ -250,7 +250,7 @@ func runGameSweep(sizes []int, cfg gameConfig) error {
 			Transfers:   len(res.Solution.Transfers),
 			Assigned:    res.Solution.AssignedCount(),
 			Unfairness:  metrics.SolutionUnfairness(in, res.Solution),
-			Fingerprint: fmt.Sprintf("%016x", solutionFingerprint(res.Solution)),
+			Fingerprint: fmt.Sprintf("%016x", provenance.SolutionFingerprint(res.Solution)),
 
 			SnapshotBytes: int64(snapshotGauge.Value()),
 		}
@@ -289,7 +289,7 @@ func runGameSweep(sizes []int, cfg gameConfig) error {
 			pr.HeapInuseBytes, pr.MemWindowIters = meterGameMemory(in, p1, ccfg, res.Iterations)
 
 		t0 = time.Now()
-		pr.EquilibriumOK = res.VerifyEquilibrium(in, nil) == nil
+		pr.EquilibriumOK = collab.VerifyEquilibrium(in, res.Solution, nil) == nil
 		verify := time.Since(t0)
 
 		// Provenance leg: identical game, ledger attached. Runs after the
@@ -336,7 +336,7 @@ func runGameSweep(sizes []int, cfg gameConfig) error {
 		pr.ProvTrialRecords = led.TrialCount()
 		if rr, err := provenance.Replay(led); err == nil {
 			pr.ProvReplayOK = provenance.SolutionFingerprint(rr.Solution) ==
-				solutionFingerprint(res.Solution)
+				provenance.SolutionFingerprint(res.Solution)
 		}
 		cert := provenance.BuildCertificate(in, pres.Solution, provenance.ScopeFull)
 		pr.ProvCertOK = cert.Equilibrium && cert.Verify(in, pres.Solution) == nil
@@ -351,7 +351,7 @@ func runGameSweep(sizes []int, cfg gameConfig) error {
 		if engineWall > 0 {
 			pr.Speedup = refWall.Seconds() / engineWall.Seconds()
 		}
-		pr.OutputIdentical = solutionFingerprint(res.Solution) == solutionFingerprint(ref.Solution) &&
+		pr.OutputIdentical = provenance.SolutionFingerprint(res.Solution) == provenance.SolutionFingerprint(ref.Solution) &&
 			res.Solution.AssignedCount() == ref.Solution.AssignedCount() &&
 			pr.Unfairness == metrics.SolutionUnfairness(in, ref.Solution) &&
 			res.Iterations == ref.Iterations
@@ -381,7 +381,7 @@ func runGameSweep(sizes []int, cfg gameConfig) error {
 
 		if !pr.OutputIdentical {
 			return fmt.Errorf("game %s: engine output diverged from the frozen reference "+
-				"(fingerprint %s vs %016x)", pr.Name, pr.Fingerprint, solutionFingerprint(ref.Solution))
+				"(fingerprint %s vs %016x)", pr.Name, pr.Fingerprint, provenance.SolutionFingerprint(ref.Solution))
 		}
 		if !pr.EquilibriumOK {
 			return fmt.Errorf("game %s: final state is not a Nash equilibrium", pr.Name)

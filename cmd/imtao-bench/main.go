@@ -48,10 +48,6 @@ func main() {
 		report   = flag.String("report", "", "run a fresh reproduction pass and write a markdown report to this file")
 		parallel = flag.Int("parallel", 1, "concurrent sweep cells per experiment")
 
-		parallelism  = flag.String("parallelism", "", `engine-parallelism sweep, e.g. "1,2,4,8": time Seq-BDC at Table I defaults per value and write a JSON timing record`)
-		parallelOut  = flag.String("parallelism-json", "BENCH_parallel.json", "output path of the -parallelism timing record")
-		parallelReps = flag.Int("parallelism-reps", 3, "runs per -parallelism point (best wall-clock is recorded)")
-
 		scale        = flag.String("scale", "", `distance-oracle scale sweep, e.g. "10k,50k,100k": run Seq-BDC on a road network per task count and write a JSON record`)
 		scaleOut     = flag.String("scale-json", "BENCH_oracle.json", "output path of the -scale record")
 		scaleDataset = flag.String("scale-dataset", "syn", "dataset generator for -scale: gm or syn")
@@ -141,17 +137,6 @@ func main() {
 			sampler.Stop()
 			sampler.Sample()
 		}()
-	}
-
-	if *parallelism != "" {
-		levels, err := parseParallelism(*parallelism)
-		if err != nil {
-			fatal(err)
-		}
-		if err := runParallelSweep(levels, *parallelReps, *parallelOut); err != nil {
-			fatal(err)
-		}
-		return
 	}
 
 	if *scale != "" {

@@ -17,6 +17,7 @@ import (
 	"imtao/internal/metrics"
 	"imtao/internal/model"
 	"imtao/internal/obs"
+	"imtao/internal/provenance"
 	"imtao/internal/roadnet"
 	"imtao/internal/workload"
 )
@@ -213,7 +214,7 @@ func runShardSweep(sizes []int, counts []int, cfg shardConfig) error {
 			})
 			wall := time.Since(t0)
 
-			fp := solutionFingerprint(res.Solution)
+			fp := provenance.SolutionFingerprint(res.Solution)
 			if k == counts[0] {
 				s1Fingerprint, s1Routes, s1Wall = fp, res.Solution.PerCenter, wall
 			}
@@ -273,7 +274,7 @@ func runShardSweep(sizes []int, counts []int, cfg shardConfig) error {
 			}
 
 			t0 = time.Now()
-			pr.EquilibriumOK = res.VerifyEquilibrium(in, nil) == nil
+			pr.EquilibriumOK = collab.VerifyEquilibrium(in, res.Solution, nil) == nil
 			verify := time.Since(t0)
 
 			rec.Presets = append(rec.Presets, pr)

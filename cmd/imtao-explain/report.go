@@ -28,14 +28,10 @@ func stageLabel(stage string, shard int) string {
 }
 
 func modeLabel(m uint8) string {
-	switch m {
-	case provenance.TrialMemo:
-		return "memoized"
-	case provenance.TrialResumed:
+	if m == provenance.TrialResumed {
 		return "prefix-resumed"
-	default:
-		return "full trial"
 	}
+	return "full trial"
 }
 
 func summary(w io.Writer, l *provenance.Ledger) error {
@@ -301,6 +297,9 @@ func verifyCmd(args []string) error {
 		if got := provenance.SolutionFingerprint(rr.Solution); got != l.Final.Fingerprint {
 			return fmt.Errorf("replay fingerprint %016x does not match recorded %016x", got, l.Final.Fingerprint)
 		}
+	}
+	if err := rr.Solution.CheckConsistency(in); err != nil {
+		return fmt.Errorf("ledger does not fit the scene: %w", err)
 	}
 	if err := l.Cert.Verify(in, rr.Solution); err != nil {
 		return fmt.Errorf("certificate INVALID: %w", err)

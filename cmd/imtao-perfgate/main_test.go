@@ -12,7 +12,6 @@ import (
 const repoRules = "../../perfgate.rules.json"
 
 var committed = []string{
-	"../../BENCH_parallel.json",
 	"../../BENCH_oracle.json",
 	"../../BENCH_game.json",
 	"../../BENCH_shard.json",

@@ -87,7 +87,7 @@ func TestReadmittedRunsMatchReference(t *testing.T) {
 			t.Fatalf("%s: Run and RunReference traces differ", tc.name)
 		}
 		if cfg.Candidate == collab.BestResponse {
-			if err := got.VerifyEquilibrium(in, assign.Sequential); err != nil {
+			if err := collab.VerifyEquilibrium(in, got.Solution, assign.Sequential); err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
 		}
@@ -96,15 +96,15 @@ func TestReadmittedRunsMatchReference(t *testing.T) {
 
 // TestShardedReadmissionEndsAtNash: SYN seed 448 at three shards re-admits
 // a center inside a phase-A shard game. The sharded run must still end at a
-// verified global equilibrium, deterministically at every shard
-// parallelism, with a ledger that replays to the same solution and a
+// verified global equilibrium, deterministically at every parallelism,
+// with a ledger that replays to the same solution and a
 // certificate that holds.
 func TestShardedReadmissionEndsAtNash(t *testing.T) {
 	in, _ := paperInstance(t, SYN, 448)
 	var first *Report
 	for _, par := range []int{1, 4} {
 		led := NewLedger()
-		rep, err := Run(in, SeqBDC, WithShards(3), WithSeed(7), WithShardParallelism(par),
+		rep, err := Run(in, SeqBDC, WithShards(3), WithSeed(7), WithParallelism(par),
 			WithProvenance(led))
 		if err != nil {
 			t.Fatal(err)
@@ -128,7 +128,7 @@ func TestShardedReadmissionEndsAtNash(t *testing.T) {
 		if first == nil {
 			first = rep
 		} else if !reflect.DeepEqual(rep.Solution, first.Solution) {
-			t.Fatal("shard parallelism changed the solution")
+			t.Fatal("parallelism changed the sharded solution")
 		}
 	}
 }
@@ -249,7 +249,7 @@ func TestPaperScaleRunsEndAtNash(t *testing.T) {
 					!reflect.DeepEqual(gameTrace(got.Trace), gameTrace(want.Trace)) {
 					t.Fatalf("%s seed %d random=%v: Run differs from RunReference", d, seed, random)
 				}
-				if err := got.VerifyEquilibrium(in, assign.Sequential); err != nil {
+				if err := collab.VerifyEquilibrium(in, got.Solution, assign.Sequential); err != nil {
 					t.Fatalf("%s seed %d random=%v: %v", d, seed, random, err)
 				}
 			}
@@ -305,11 +305,21 @@ func centerLocs(in *Instance) []Point {
 // so trials walk deep into the nearest-task orders and past the end of the
 // neighbour lists. Over ten GM and ten SYN instances, every uncapped Seq-BDC
 // and Seq-RBDC run must equal the reference loop bit for bit and pass
-// VerifyEquilibrium, and a four-shard run must give the same solution at
-// shard parallelism 1 and 4.
+// VerifyEquilibrium, and a four-shard run must give the pinned solution at
+// parallelism 1 and 4. Every four-shard run here has a non-empty
+// interference cut, so its exchange game re-contests boundary workers.
 func TestMidScaleRunsMatchReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("twenty 2k-task road instances against the reference loop")
+	}
+	// Four-shard fingerprints per dataset, seeds 1–10.
+	sharded := map[Dataset][10]uint64{
+		GM: {0xb9708b8d45f3aca3, 0x4d70a680be47a830, 0xa982538ae484c932, 0xdea25d4921eb5a6e,
+			0x11350e475f962b8b, 0xb8ed13fc0d5a5fa7, 0x438a4d970483258a, 0xb5196dc0df12058d,
+			0x680bd782eefbc6e8, 0xc272b79a46e181cb},
+		SYN: {0x5dcf0cd319ae4312, 0x396199fa2d077043, 0x8d6c8c973500b418, 0x10dc7e790fc717dd,
+			0x6387bfc398ffff6a, 0xcc138292dfec29b8, 0xf12bd658fa6b117f, 0x81c33cf531b00679,
+			0x2fb2a5ced27fb56f, 0x45a408fb2f4080c8},
 	}
 	for _, d := range []Dataset{GM, SYN} {
 		for seed := int64(1); seed <= 10; seed++ {
@@ -328,24 +338,22 @@ func TestMidScaleRunsMatchReference(t *testing.T) {
 					!reflect.DeepEqual(gameTrace(got.Trace), gameTrace(want.Trace)) {
 					t.Fatalf("%s seed %d random=%v: Run differs from RunReference", d, seed, random)
 				}
-				if err := got.VerifyEquilibrium(in, assign.Sequential); err != nil {
+				if err := collab.VerifyEquilibrium(in, got.Solution, assign.Sequential); err != nil {
 					t.Fatalf("%s seed %d random=%v: %v", d, seed, random, err)
 				}
 			}
-			var fp [2]uint64
-			for i, par := range []int{1, 4} {
+			for _, par := range []int{1, 4} {
 				res, rep := collab.RunSharded(in, phase1, collab.ShardConfig{
-					Config: collab.Config{Assigner: assign.Sequential},
-					Shards: 4, Seed: 7, ShardParallelism: par,
+					Config: collab.Config{Assigner: assign.Sequential, Parallelism: par},
+					Shards: 4, Seed: 7,
 				})
-				if rep.Shards < 2 {
-					t.Fatalf("%s seed %d: run was not sharded", d, seed)
+				if rep.Shards < 2 || rep.EmptyCut {
+					t.Fatalf("%s seed %d: run was not sharded with a non-empty cut", d, seed)
 				}
-				fp[i] = provenance.SolutionFingerprint(res.Solution)
-			}
-			if fp[0] != fp[1] {
-				t.Fatalf("%s seed %d: four-shard fingerprint %016x at parallelism 1, %016x at 4",
-					d, seed, fp[0], fp[1])
+				if fp, want := provenance.SolutionFingerprint(res.Solution), sharded[d][seed-1]; fp != want {
+					t.Fatalf("%s seed %d: four-shard fingerprint %016x at parallelism %d, want %016x",
+						d, seed, fp, par, want)
+				}
 			}
 		}
 	}

@@ -194,11 +194,12 @@ func WithOptBudget(d time.Duration) RunOption {
 
 // WithParallelism bounds the worker goroutines of the IMTAO pipeline:
 // phase-1 per-center assignment runs concurrently across centers, and
-// phase-2 best-response trials run concurrently within each game iteration
-// (with trial results memoized across iterations). The default, 0, uses
-// GOMAXPROCS; 1 forces the legacy serial pipeline. The output is
-// bit-identical at every setting — see DESIGN.md §8 for the determinism
-// contract.
+// phase-2 best-response trials run concurrently within each game
+// iteration. Under WithShards it bounds the shard games played
+// concurrently, each playing its trials serially, and the exchange game's
+// trials. The default, 0, uses GOMAXPROCS; 1 forces the serial pipeline.
+// The output is bit-identical at every setting — see DESIGN.md §8 for the
+// determinism contract.
 func WithParallelism(n int) RunOption {
 	return func(c *core.Config) { c.Parallelism = n }
 }
@@ -207,12 +208,12 @@ func WithParallelism(n int) RunOption {
 // region-sharded engine (DESIGN.md §15–16): centers are partitioned into n
 // geographic shards with seeded task-weighted k-means, best-response
 // dynamics run concurrently per shard over disjoint home-shard worker
-// pools, and one exchange game settles the boundary workers and drives the
-// merged state to a global Nash equilibrium. When the worker-overlap
-// interference cut between shards is empty, every center's routes equal
-// the unsharded engine's; methods the sharded engine
-// cannot prove safe for (RBDC, budgeted Opt) fall back to the ordinary
-// game. WithShards(0) lets the engine pick the count: about 16 centers per
+// pools (up to WithParallelism games at once), and one exchange game
+// continues the shard games' states, settles the boundary workers and
+// drives the whole state to a global Nash equilibrium. When the
+// worker-overlap interference cut between shards is empty, every center's
+// routes equal the unsharded engine's; methods the sharded engine cannot
+// prove safe for (RBDC, budgeted Opt) fall back to the ordinary game. WithShards(0) lets the engine pick the count: about 16 centers per
 // shard, 2^round(log2(centers/16)) clamped to [1, 64], a pure function of
 // the center count (the pick is recorded in Report.Shard.Auto). 1 — and
 // not calling WithShards at all — keeps the single-game engine.
@@ -224,13 +225,6 @@ func WithShards(n int) RunOption {
 			c.Shards = n
 		}
 	}
-}
-
-// WithShardParallelism bounds the goroutines playing shard games
-// concurrently under WithShards: 0 (the default) means GOMAXPROCS, 1 plays
-// the shards serially. The output is bit-identical at every setting.
-func WithShardParallelism(n int) RunOption {
-	return func(c *core.Config) { c.ShardParallelism = n }
 }
 
 // WithObserver streams structured telemetry events from the run — pipeline

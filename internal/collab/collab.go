@@ -32,7 +32,7 @@
 // every per-iteration slice comes from recycled scratch, slab arenas or the
 // double-buffered per-center promotion buffers. RunReference (frozen.go) is
 // the preserved pre-engine loop; both produce bit-identical solutions and
-// traces (modulo the trial/memo/prune counters and Duration).
+// traces (modulo the trial/prune/resume counters and Duration).
 package collab
 
 import (
@@ -60,15 +60,7 @@ var (
 	mRejections = obs.Default.Counter("imtao_collab_rejections_total",
 		"iterations ending with a center leaving the game")
 	mTrials = obs.Default.Counter("imtao_collab_trials_total",
-		"trial re-assignments evaluated (memo hits and pruned candidates excluded)")
-	mMemoHits = obs.Default.Counter("imtao_collab_memo_hits_total",
-		"trial results served from the cross-iteration cache; while the memo is "+
-			"enabled, memo_hits + memo_misses = candidate lookups, so the hit "+
-			"ratio is hits/(hits+misses)")
-	mMemoMisses = obs.Default.Counter("imtao_collab_memo_misses_total",
-		"trial lookups that missed the cache and were evaluated; complement of "+
-			"imtao_collab_memo_hits_total per lookup — neither counter moves "+
-			"when the memo is disabled")
+		"trial re-assignments evaluated (pruned candidates excluded)")
 	mPruned = obs.Default.Counter("imtao_collab_candidates_pruned_total",
 		"pool candidates skipped by admissibility pruning (their trials "+
 			"provably return the baseline assignment)")
@@ -178,19 +170,20 @@ type Config struct {
 	// naturalMaxIterations. A capped game may end short of an equilibrium.
 	MaxIterations int
 	// Parallelism bounds the goroutines evaluating best-response trials
-	// within one game iteration. 0 means GOMAXPROCS; 1 forces the legacy
-	// serial path. Results are bit-identical at every setting: trials are
-	// written to fixed slots and the winner is selected by a serial scan
-	// (max ρ, ties to the lowest worker ID). Custom Assigners must be safe
-	// for concurrent calls when Parallelism != 1.
+	// within one game iteration — and, under RunSharded, the shard games
+	// played concurrently. 0 means GOMAXPROCS; 1 forces the serial path.
+	// Results are bit-identical at every setting: trials are written to
+	// fixed slots and the winner is selected by a serial scan (max ρ, ties
+	// to the lowest worker ID). Custom Assigners must be safe for
+	// concurrent calls when Parallelism != 1.
 	Parallelism int
 	// Prune selects admissibility pruning (DESIGN.md §11). The zero value
 	// PruneAuto prunes for the built-in Sequential assigner only; pruning
-	// never changes the solution or trace beyond the Trials/MemoHits/Pruned
+	// never changes the solution or trace beyond the Trials/Pruned/Resumed
 	// counters.
 	Prune PruneMode
 	// Obs receives one "game_iter" event per iteration carrying the
-	// potential Φ, the full ρ vector, trial/memo/prune counts and the
+	// potential Φ, the full ρ vector, trial/prune/resume counts and the
 	// iteration latency. Nil (or obs.Nop) disables emission; the TraceStep
 	// record is filled either way.
 	Obs obs.Observer
@@ -204,15 +197,11 @@ type Config struct {
 	TraceParent obs.SpanID
 	// Prov, when non-nil, records every iteration of this game into the
 	// provenance ledger's game log: recipient, candidate trials with their
-	// memo/full/resumed provenance, prune counts and admission slack,
+	// full/resumed provenance, prune counts and admission slack,
 	// Δρ/ΔΦ, and the accepted route delta. Nil (the default) keeps the
 	// disabled path at a single pointer check per iteration — the
 	// zero-allocation steady state is unchanged (alloc_test.go).
 	Prov *provenance.GameLog
-	// noMemo disables the cross-iteration trial cache. Test hook only: the
-	// cache is semantics-preserving for deterministic assigners, so there is
-	// no reason to expose it.
-	noMemo bool
 	// prunedHook, when non-nil, forces the exact (index-free) admissibility
 	// scan and observes every pruned candidate together with the recipient
 	// state needed to replay its full trial. Test hook backing the
@@ -226,35 +215,10 @@ type Config struct {
 	// vector and the members' assigned total). Nil means every center plays
 	// (the unsharded engine, global semantics).
 	members []model.CenterID
-	// poolMask/poolBit gate pool admission per worker: with a non-nil mask a
-	// worker enters the pool only when poolMask[w] == poolBit — the sharded
-	// engine passes each worker's shard-membership bitset and the shard's own
-	// bit, so exactly the shard-exclusive workers circulate in phase A while
-	// boundary workers wait for the reconcile game. The gate covers both the
-	// initial LeftWorkers admission and own workers returning to the pool
-	// after an accepted reassignment.
-	poolMask []uint64
-	poolBit  uint64
-	// resume seeds the game from a mid-dynamics state instead of a fresh
-	// phase-1 one: prior transfers are replayed into the own/borrowed sets
-	// (and appended to the transfer log), and the per-center trial memos of
-	// the prior games are carried over. The caller asserts the input results
-	// describe each center's CURRENT routes/leftovers/unused-own-workers and
-	// that every memo entry was computed against that exact center state —
-	// the sharded engine's phase-B reconcile game satisfies both by
-	// construction (shard.go).
-	resume *resumeState
 	// orders is the solve's nearest-task table the trial bases share
 	// (assign.TaskOrders). Nil makes NewGame create one; RunSharded passes
 	// one table to every shard game and to the exchange game.
 	orders *assign.TaskOrders
-}
-
-// resumeState carries a prior game's outcome into a resumed Game — see
-// Config.resume.
-type resumeState struct {
-	transfers []model.Transfer
-	memo      []map[model.WorkerID]assign.Result
 }
 
 // sequentialPtr identifies the built-in Sequential assigner by code pointer,
@@ -286,17 +250,17 @@ type TraceStep struct {
 	Phi float64
 	// Rhos is the full per-center ratio vector after the step.
 	Rhos []float64
-	// Trials counts the trial re-assignments evaluated this iteration;
-	// MemoHits counts candidates served from the cross-iteration cache
-	// instead.
+	// Trials counts the trial re-assignments evaluated this iteration.
+	// MemoHits is always 0: the engine keeps no cross-iteration trial
+	// cache. The field stays for the readers of recorded traces.
 	Trials   int
 	MemoHits int
 	// Pruned counts pool candidates skipped this iteration by admissibility
 	// pruning — their trials provably return the baseline. Resumed counts
 	// evaluated trials served by the prefix-resume engine instead of a full
 	// re-assignment. Both are zero under RunReference; together with Trials
-	// and MemoHits they are diagnostics, not part of the cross-engine
-	// equivalence contract.
+	// they are diagnostics, not part of the cross-engine equivalence
+	// contract.
 	Pruned  int
 	Resumed int
 	// Duration is the iteration's wall-clock time. It is the one TraceStep
@@ -313,14 +277,6 @@ type Result struct {
 	// Iterations is the number of game iterations executed (accepted or
 	// rejected), matching η in Algorithm 3.
 	Iterations int
-	// trialMemo is the surviving (recipient, worker) → trial cache at game
-	// end. Every entry was computed against its center's final state (stale
-	// entries are dropped the moment a center's state changes), so the
-	// equilibrium check can reuse them verbatim — see
-	// Result.VerifyEquilibrium. Populated only for FullReassign runs; DC
-	// trials have different semantics than the verifier's. Pruned
-	// candidates have no entry; the verifier re-prunes them instead.
-	trialMemo []map[model.WorkerID]assign.Result
 }
 
 // NoCollaboration assembles the phase-1 results into a Solution without any
@@ -387,11 +343,11 @@ func (pb *promoBuf) promote(r *assign.Result) {
 	copy(pb.lws, r.LeftWorkers)
 }
 
-// centerState is one center's mutable game state. The former per-field maps
-// (own-worker set, trial memo keys) are ID-sorted slices maintained
-// incrementally, and accepted assignments live in the double-buffered
-// promotion slabs — one buffer holds the live state the current iteration's
-// trials alias, the other receives the accepted result, then they flip.
+// centerState is one center's mutable game state. The worker sets are
+// ID-sorted slices maintained incrementally, and accepted assignments live
+// in the double-buffered promotion slabs — one buffer holds the live state
+// the current iteration's trials alias, the other receives the accepted
+// result, then they flip.
 type centerState struct {
 	routes    []model.Route
 	leftTasks []model.TaskID
@@ -447,7 +403,6 @@ type Game struct {
 	totalAssigned int
 	rhoVec        []float64
 	recipients    []model.CenterID
-	memo          []map[model.WorkerID]assign.Result
 	// members mirrors cfg.members (nil for the global game); memberRhos is
 	// the preallocated member-ordered ρ scratch the shard-local trace path
 	// fills each step before snapshotting it into the rhos arena.
@@ -469,9 +424,8 @@ type Game struct {
 	// buffers; the result is promoted into the center's buffers like an
 	// accepted trial.
 	seqScratch assign.SequentialScratch
-	// trials/missIdx are the per-iteration evaluation scratch.
-	trials  []assign.Result
-	missIdx []int
+	// trials is the per-iteration evaluation scratch.
+	trials []assign.Result
 	// rhos carves the per-step ρ-vector snapshots (TraceStep.Rhos) from one
 	// growing slab instead of one allocation per iteration. Never reset:
 	// the snapshots are part of the returned trace. rhoSort is the sort
@@ -491,7 +445,7 @@ type Game struct {
 // its iteration trace. The instance is not mutated.
 //
 // This is the optimized engine: bit-identical to RunReference in solution,
-// transfers and trace (Trials/MemoHits/Pruned/Resumed and Duration aside),
+// transfers and trace (Trials/Pruned/Resumed and Duration aside),
 // but with admissibility pruning, prefix-resume trials, incremental
 // bookkeeping and recycled per-iteration memory — see DESIGN.md §11 and §13
 // for the architecture and the exactness arguments.
@@ -505,14 +459,78 @@ func Run(in *model.Instance, phase1 []assign.Result, cfg Config) Result {
 // NewGame captures the phase-1 state and prepares the stepwise engine. The
 // instance is treated as immutable for the game's lifetime.
 func NewGame(in *model.Instance, phase1 []assign.Result, cfg Config) *Game {
-	g := &Game{in: in, cfg: cfg}
+	g := newGame(in, cfg)
+	initCenter := func(ci model.CenterID) {
+		st := &g.states[ci]
+		st.promo[0].promote(&phase1[ci])
+		st.routes = st.promo[0].routes
+		st.leftTasks = st.promo[0].left
+		st.own = append([]model.WorkerID(nil), in.Centers[ci].Workers...)
+		slices.Sort(st.own)
+		st.workers = append(make([]model.WorkerID, 0, len(st.own)+8), st.own...)
+		st.assigned = countTasks(st.routes)
+		st.rho = metrics.Ratio(st.assigned, len(in.Centers[ci].Tasks))
+		for _, w := range phase1[ci].LeftWorkers {
+			g.pool.add(w, ci)
+		}
+		g.join(ci)
+	}
+	// Line 3–10: recipient set C' = centers with ρ < 1 (member centers only
+	// for a shard-restricted game — non-members keep zero states and never
+	// appear as recipients or lenders: only members' workers enter the
+	// pool, and candidate home centers are always pool members' homes).
+	if g.members == nil {
+		for ci := range in.Centers {
+			initCenter(model.CenterID(ci))
+		}
+	} else {
+		for _, ci := range g.members {
+			initCenter(ci)
+		}
+		slices.Sort(g.recipients)
+	}
+	return g
+}
+
+// newExchangeGame continues finished shard games as one global game — the
+// sharded engine's phase B (shard.go). Each member center's state moves
+// over unchanged (routes, worker sets, trial baseline, admission slack,
+// promotion buffers), the shard pools merge into one, and the transfer log
+// is the shard logs in shard order. Every center with ρ < 1 starts as a
+// recipient, so each re-probes its deviations against the global pool. The
+// shard games must have run serial trials (no helpers to stop); they are
+// spent afterwards.
+func newExchangeGame(in *model.Instance, cfg Config, shards []*Game) *Game {
+	g := newGame(in, cfg)
+	for _, sg := range shards {
+		for _, ci := range sg.members {
+			g.states[ci] = sg.states[ci]
+			g.join(ci)
+		}
+		for _, w := range sg.pool.sorted {
+			g.pool.add(w, sg.pool.homeOf(w))
+		}
+		g.transfers = append(g.transfers, sg.transfers...)
+	}
+	slices.Sort(g.recipients)
+	return g
+}
+
+// newGame prepares the engine shell shared by NewGame and newExchangeGame:
+// the resolved assigner, pruning mode, order table, member set, and empty
+// per-center states, pool and ρ vector for the constructor to fill.
+func newGame(in *model.Instance, cfg Config) *Game {
+	g := &Game{in: in, cfg: cfg, members: cfg.members}
+	if g.members != nil {
+		g.memberRhos = make([]float64, len(g.members))
+	}
 	g.seqEngine = isSequentialAssigner(cfg.Assigner)
 	if g.cfg.Assigner == nil {
 		g.cfg.Assigner = assign.Sequential
 	}
 	// Idempotent: a no-op when core.Run already prepared the instance, and
 	// a safety net for direct callers so the trial re-assignments below hit
-	// the memoized snap path of a node metric.
+	// the precomputed snap path of a node metric.
 	in.PrepareMetric()
 	in.EnsureHot()
 	n := len(in.Centers)
@@ -533,108 +551,34 @@ func NewGame(in *model.Instance, phase1 []assign.Result, cfg Config) *Game {
 
 	g.states = make([]centerState, n)
 	g.pool = newWorkerPool(in, g.pruneOn)
-	g.pool.mask, g.pool.maskBit = cfg.poolMask, cfg.poolBit
 	g.rhoVec = make([]float64, n)
-	g.members = cfg.members
-	if g.members != nil {
-		g.memberRhos = make([]float64, len(g.members))
-	}
-	initCenter := func(ci model.CenterID) {
-		st := &g.states[ci]
-		st.promo[0].promote(&phase1[ci])
-		st.routes = st.promo[0].routes
-		st.leftTasks = st.promo[0].left
-		st.own = append([]model.WorkerID(nil), in.Centers[ci].Workers...)
-		slices.Sort(st.own)
-		st.workers = append(make([]model.WorkerID, 0, len(st.own)+8), st.own...)
-		st.assigned = countTasks(st.routes)
-		g.totalAssigned += st.assigned
-		st.rho = metrics.Ratio(st.assigned, len(in.Centers[ci].Tasks))
-		g.rhoVec[ci] = st.rho
-		for _, w := range phase1[ci].LeftWorkers {
-			g.pool.add(w, ci)
-		}
-	}
-	// Line 3–10: recipient set C' = centers with ρ < 1 (member centers only
-	// for a shard-restricted game — non-members keep zero states and never
-	// appear as recipients or lenders: the pool gate keeps their workers out,
-	// and candidate home centers are always pool members' homes).
-	if g.members == nil {
-		for ci := range in.Centers {
-			initCenter(model.CenterID(ci))
-		}
-		for ci := range in.Centers {
-			if g.states[ci].rho < 1 {
-				g.recipients = append(g.recipients, model.CenterID(ci))
-			}
-		}
-	} else {
-		for _, ci := range g.members {
-			initCenter(ci)
-		}
-		for _, ci := range g.members {
-			if g.states[ci].rho < 1 {
-				g.recipients = append(g.recipients, ci)
-			}
-		}
-		slices.Sort(g.recipients)
-	}
-
 	g.maxIter = cfg.MaxIterations
 	if g.maxIter <= 0 {
 		g.maxIter = naturalMaxIterations(len(in.Tasks), n)
 	}
-
-	// memo caches trial re-assignment results per (recipient, worker). A
-	// trial depends only on the recipient's state (worker set, routes,
-	// leftover tasks) and the candidate, so an entry stays valid until the
-	// recipient's state changes: entries are stored when a center leaves
-	// the game and when the end check sweeps it, and the per-center map is
-	// dropped when the center accepts a dispatch or lends one of its own
-	// workers out. The end check answers a departed center's sweep from it
-	// (only workers pooled since the center left cost trials), and
-	// Result.VerifyEquilibrium reuses the entries that survive the game.
-	g.memo = make([]map[model.WorkerID]assign.Result, n)
-
-	if cfg.resume != nil {
-		// Replay the prior transfers into the worker-set bookkeeping: the
-		// input results already describe each center's current routes and
-		// unused own workers, so only the own/borrowed/workers sets (built
-		// above from the static center rosters) need the lends applied. The
-		// replayed transfers seed the transfer log so the final Solution
-		// carries the full history.
-		for _, tr := range cfg.resume.transfers {
-			src, dst := &g.states[tr.Src], &g.states[tr.Dst]
-			src.own = removeSortedID(src.own, tr.Worker)
-			src.workers = removeSortedID(src.workers, tr.Worker)
-			dst.borrowed = appendGrown(dst.borrowed, tr.Worker)
-			dst.workers = insertSortedID(dst.workers, tr.Worker)
-			g.pool.remove(tr.Worker)
-			g.transfers = append(g.transfers, tr)
-		}
-		// Carry the prior games' trial memos: every entry was computed
-		// against its center's current (resumed) state, so the usual
-		// invalidation rules — drop a center's map when it lends — keep
-		// working from here.
-		if cfg.resume.memo != nil && !cfg.noMemo {
-			for ci, m := range cfg.resume.memo {
-				if m != nil {
-					g.memo[ci] = m
-				}
-			}
-		}
-	}
 	return g
+}
+
+// join enters center ci's filled state into the game-wide bookkeeping: the
+// assigned total, the ρ vector and, while ρ < 1, the recipient set.
+func (g *Game) join(ci model.CenterID) {
+	st := &g.states[ci]
+	g.totalAssigned += st.assigned
+	g.rhoVec[ci] = st.rho
+	if st.rho < 1 {
+		g.recipients = append(g.recipients, ci)
+	}
 }
 
 // naturalMaxIterations bounds an uncapped game over |S| = tasks and
 // |C| = centers. Every accepted move raises the total assigned count by at
 // least one, so there are at most |S| of them. A center rejects at most once
 // between two end checks, since only a check re-admits it; a check that
-// re-admits a center is followed by an accepted move (the re-admitted
-// recipient's sweep is served from the memo the check filled), so there are
-// at most |S|+1 such stretches and at most |C|·(|S|+1) rejects. The game
-// therefore ends within (|S|+1)·(|C|+1) − 1 steps.
+// re-admits a center is followed by an accepted move (the check changes no
+// game state, so the re-admitted recipient's next sweep finds the same
+// improving move), so there are at most |S|+1 such stretches and at most
+// |C|·(|S|+1) rejects. The game therefore ends within (|S|+1)·(|C|+1) − 1
+// steps.
 func naturalMaxIterations(tasks, centers int) int {
 	return (tasks + 1) * (centers + 1)
 }
@@ -713,23 +657,19 @@ func (g *Game) Step() bool {
 	cands, trials := sw.cands, sw.trials
 	resumed := 0
 	if sw.resumed {
-		resumed = sw.evaluated
+		resumed = len(cands)
 	}
-	hits := len(cands) - sw.evaluated
 
 	step := TraceStep{
 		Iteration: iter, Recipient: ci, RhoBefore: st.rho,
-		Trials: sw.evaluated, MemoHits: hits, Pruned: sw.pruned, Resumed: resumed,
+		Trials: len(cands), Pruned: sw.pruned, Resumed: resumed,
 	}
 	// provDelta/provReplace carry the accepted route delta to the ledger
 	// hook below; locals so the disabled path costs nothing.
 	var provDelta []model.Route
 	provReplace := false
 	if sw.best < 0 {
-		// Lines 20–21: no improving dispatch — the center leaves C'. Its
-		// state stays fixed until it lends or plays again, so its trials
-		// are kept in the cross-iteration cache for the end-of-game check.
-		g.memoize(ci, &sw)
+		// Lines 20–21: no improving dispatch — the center leaves C'.
 		step.Accepted = false
 		step.RhoAfter = st.rho
 		g.recipients = removeCenter(g.recipients, ci)
@@ -753,13 +693,6 @@ func (g *Game) Step() bool {
 		st.workers = insertSortedID(st.workers, w)
 		g.transfers = append(g.transfers, model.Transfer{Src: src, Dst: ci, Worker: w})
 		mTransfers.Inc()
-		// Both centers' states changed: the recipient's routes, borrowed
-		// set and leftover tasks, and the lender's own-worker set. Both
-		// centers' cached trials are stale; every other center's remain
-		// valid. (The recipient has cached trials when it plays again after
-		// the end check re-admitted it, or in a resumed game.)
-		g.memo[src] = nil
-		g.memo[ci] = nil
 		// The lender's trial baseline usually survives the lend: a worker
 		// with an empty route consumes nothing from the task pool, so
 		// Sequential over the set minus that worker serves every other
@@ -872,7 +805,7 @@ func (g *Game) Step() bool {
 			Worker: step.Worker, Source: step.Source,
 			RhoBefore: step.RhoBefore, RhoAfter: step.RhoAfter,
 			Phi: step.Phi, Pruned: sw.pruned, Slack: sw.slack,
-		}, cands, trials, g.missIdx, sw.resumed, provDelta, provReplace)
+		}, cands, trials, sw.resumed, provDelta, provReplace)
 	}
 	// The end check runs after the ledger consumed this step's sweep: its
 	// own sweeps reuse the same scratch.
@@ -888,8 +821,7 @@ func (g *Game) Step() bool {
 		iterTS.End(
 			obs.F("recipient", int(ci)),
 			obs.F("accepted", step.Accepted),
-			obs.F("trials", sw.evaluated),
-			obs.F("memo_hits", hits),
+			obs.F("trials", len(cands)),
 			obs.F("pruned", sw.pruned),
 			obs.F("resumed", resumed),
 			obs.F("rho_after", step.RhoAfter))
@@ -901,11 +833,10 @@ func (g *Game) Step() bool {
 // cands and trials are pool and trial-runner scratch, valid until the next
 // sweep.
 type sweepResult struct {
-	cands     []model.WorkerID
-	trials    []assign.Result
-	evaluated int  // trials run this sweep; the rest were memo hits
-	pruned    int  // pool candidates cut by admissibility pruning
-	resumed   bool // evaluated trials ran on the prefix-resume engine
+	cands   []model.WorkerID
+	trials  []assign.Result // one per candidate
+	pruned  int             // pool candidates cut by admissibility pruning
+	resumed bool            // trials ran on the prefix-resume engine
 	// slack is the admission slack that did the pruning, -1 when the sweep
 	// ran unpruned (the ledger records it).
 	slack float64
@@ -922,10 +853,9 @@ type sweepResult struct {
 // minus ci's own workers — admissibility-pruned when pruning is on, since
 // a pruned candidate's trial provably returns the baseline and can never
 // win the strict-improvement scan. NearestWorker evaluates only the nearest
-// such worker. Trials for candidates cached in g.memo[ci] are served from
-// it; the misses are evaluated concurrently into fixed slots and the winner
-// is picked by the same serial scan as the reference loop, keeping the
-// output bit-identical.
+// such worker. The trials are evaluated concurrently into fixed slots and
+// the winner is picked by the same serial scan as the reference loop,
+// keeping the output bit-identical.
 func (g *Game) sweep(ci model.CenterID, traceParent obs.SpanID) sweepResult {
 	cfg := &g.cfg
 	in := g.in
@@ -1018,15 +948,11 @@ func (g *Game) sweep(ci model.CenterID, traceParent obs.SpanID) sweepResult {
 			mSnapshotBytes.Set(float64(base.FootprintBytes()))
 		}
 	}
-	sw.trials, sw.evaluated = g.evalTrials(center, sw.cands, baseWS, st.leftTasks, g.memo[ci], base, traceParent)
+	sw.trials = g.evalTrials(center, sw.cands, baseWS, st.leftTasks, base, traceParent)
 	sw.resumed = base != nil
-	mTrials.Add(int64(sw.evaluated))
+	mTrials.Add(int64(len(sw.cands)))
 	if sw.resumed {
-		mResumed.Add(int64(sw.evaluated))
-	}
-	if !cfg.noMemo {
-		mMemoMisses.Add(int64(sw.evaluated))
-		mMemoHits.Add(int64(len(sw.cands) - sw.evaluated))
+		mResumed.Add(int64(len(sw.cands)))
 	}
 
 	for i := range sw.cands {
@@ -1044,34 +970,14 @@ func (g *Game) sweep(ci model.CenterID, traceParent obs.SpanID) sweepResult {
 	return sw
 }
 
-// memoize copies the sweep's freshly evaluated trials into ci's
-// cross-iteration cache (memo hits are already there). The copies outlive
-// the trial runner's recycled arenas; each entry stays valid until ci's
-// state changes — it accepts a dispatch or lends a worker — and is dropped
-// then.
-func (g *Game) memoize(ci model.CenterID, sw *sweepResult) {
-	if g.cfg.noMemo || sw.evaluated == 0 {
-		return
-	}
-	if g.memo[ci] == nil {
-		g.memo[ci] = make(map[model.WorkerID]assign.Result, len(sw.cands))
-	}
-	for _, i := range g.missIdx {
-		g.memo[ci][sw.cands[i]] = cloneResult(&sw.trials[i])
-	}
-}
-
 // readmit is the end check of the stop rule (DESIGN.md §5). It runs when a
 // step leaves no recipient while the pool is non-empty and the cap is not
-// reached: every departed center with ρ < 1 re-runs its deviation sweep
-// against the current pool — the sweep VerifyEquilibrium runs — and the
-// centers with an improving deviation rejoin the recipient set, so the game
-// ends only at a pure Nash equilibrium. A later re-plan can return a worker
-// to the pool after a center departed (Algorithm 3 lines 20–21 drop it for
-// good), which is what this catches. The drop-time memo answers every
-// candidate that was pooled when the center left; only workers pooled since
-// then, or a center whose memo a lend dropped, cost fresh trials, and those
-// are memoized in turn.
+// reached: every center with ρ < 1 re-runs its deviation sweep against the
+// current pool — the sweep VerifyEquilibrium runs — and the centers with an
+// improving deviation rejoin the recipient set, so the game ends only at a
+// pure Nash equilibrium. A later re-plan can return a worker to the pool
+// after a center departed (Algorithm 3 lines 20–21 drop it for good), which
+// is what this catches. The check changes no game state.
 func (g *Game) readmit(traceParent obs.SpanID) {
 	n := len(g.states)
 	if g.members != nil {
@@ -1085,9 +991,7 @@ func (g *Game) readmit(traceParent obs.SpanID) {
 		if g.states[ci].rho >= 1 {
 			continue
 		}
-		sw := g.sweep(ci, traceParent)
-		g.memoize(ci, &sw)
-		if sw.best >= 0 {
+		if sw := g.sweep(ci, traceParent); sw.best >= 0 {
 			g.recipients = append(g.recipients, ci)
 		}
 	}
@@ -1109,9 +1013,6 @@ func (g *Game) Finish() Result {
 		}
 		sol.Transfers = g.transfers
 		g.res.Solution = sol
-		if g.cfg.Scope != LeftoverOnly && !g.cfg.noMemo {
-			g.res.trialMemo = g.memo
-		}
 	}
 	return g.res
 }
@@ -1141,7 +1042,6 @@ func emitGameIter(o obs.Observer, step *TraceStep) {
 		obs.F("assigned", step.Assigned),
 		obs.F("unfairness", step.Unfairness),
 		obs.F("trials", step.Trials),
-		obs.F("memo_hits", step.MemoHits),
 		obs.F("pruned", step.Pruned),
 		obs.F("resumed", step.Resumed),
 		obs.F("duration_ms", obs.DurationMs(step.Duration)))
@@ -1174,17 +1074,6 @@ func cloneRoutes(rs []model.Route) []model.Route {
 		out[i] = model.Route{Worker: r.Worker, Center: r.Center, Tasks: append([]model.TaskID(nil), r.Tasks...)}
 	}
 	return out
-}
-
-// cloneResult deep-copies a trial result out of its runner's arenas so it
-// can outlive the iteration (the memo promotion on reject).
-func cloneResult(r *assign.Result) assign.Result {
-	return assign.Result{
-		Routes:      cloneRoutes(r.Routes),
-		LeftTasks:   append([]model.TaskID(nil), r.LeftTasks...),
-		LeftWorkers: append([]model.WorkerID(nil), r.LeftWorkers...),
-		Stats:       r.Stats,
-	}
 }
 
 func removeCenter(cs []model.CenterID, c model.CenterID) []model.CenterID {

@@ -96,14 +96,11 @@ func RunReference(in *model.Instance, phase1 []assign.Result, cfg Config) Result
 		return out
 	}
 
-	memo := make([]map[model.WorkerID]assign.Result, n)
-
 	// sweep is center ci's deviation sweep against the current pool: the
-	// sorted candidate list, one trial per candidate (memo hits served from
-	// memo[ci], every trial stored back), and the improving candidate's
-	// index — -1 when none strictly raises ρ.
+	// sorted candidate list, one trial per candidate, and the improving
+	// candidate's index — -1 when none strictly raises ρ.
 	sweep := func(ci model.CenterID) (cands []model.WorkerID, trials []assign.Result,
-		evaluated, bestIdx int, bestRho float64) {
+		bestIdx int, bestRho float64) {
 		st := &states[ci]
 		center := in.Center(ci)
 
@@ -131,18 +128,8 @@ func RunReference(in *model.Instance, phase1 []assign.Result, cfg Config) Result
 		if cfg.Scope != LeftoverOnly {
 			baseWS = workerSetOf(ci)
 		}
-		trials, evaluated = evalTrialsRef(in, center, cands, baseWS, st.leftTasks, cfg, memo[ci])
-		mTrials.Add(int64(evaluated))
-		if !cfg.noMemo {
-			mMemoMisses.Add(int64(evaluated))
-			mMemoHits.Add(int64(len(cands) - evaluated))
-			if memo[ci] == nil {
-				memo[ci] = make(map[model.WorkerID]assign.Result, len(cands))
-			}
-			for i, w := range cands {
-				memo[ci][w] = trials[i]
-			}
-		}
+		trials = evalTrialsRef(in, center, cands, baseWS, st.leftTasks, cfg)
+		mTrials.Add(int64(len(cands)))
 
 		curAssigned := countTasks(st.routes)
 		bestRho = st.rho
@@ -158,7 +145,7 @@ func RunReference(in *model.Instance, phase1 []assign.Result, cfg Config) Result
 				bestIdx = i
 			}
 		}
-		return cands, trials, evaluated, bestIdx, bestRho
+		return cands, trials, bestIdx, bestRho
 	}
 
 	for iter := 1; iter <= maxIter && len(recipients) > 0 && len(pool) > 0; iter++ {
@@ -182,12 +169,11 @@ func RunReference(in *model.Instance, phase1 []assign.Result, cfg Config) Result
 			ci = metrics.MinRatioCenter(rhos(), recipients)
 		}
 		st := &states[ci]
-		cands, trials, evaluated, bestIdx, bestRho := sweep(ci)
-		hits := len(cands) - evaluated
+		cands, trials, bestIdx, bestRho := sweep(ci)
 
 		step := TraceStep{
 			Iteration: iter, Recipient: ci, RhoBefore: st.rho,
-			Trials: evaluated, MemoHits: hits,
+			Trials: len(cands),
 		}
 		if bestIdx < 0 {
 			step.Accepted = false
@@ -208,8 +194,6 @@ func RunReference(in *model.Instance, phase1 []assign.Result, cfg Config) Result
 			st.borrowed = append(st.borrowed, w)
 			transfers = append(transfers, model.Transfer{Src: src, Dst: ci, Worker: w})
 			mTransfers.Inc()
-			memo[ci] = nil
-			memo[src] = nil
 
 			if cfg.Scope == LeftoverOnly {
 				st.routes = append(st.routes, cloneRoutes(bestRes.Routes)...)
@@ -241,7 +225,7 @@ func RunReference(in *model.Instance, phase1 []assign.Result, cfg Config) Result
 				if states[c].rho >= 1 {
 					continue
 				}
-				if _, _, _, best, _ := sweep(model.CenterID(c)); best >= 0 {
+				if _, _, best, _ := sweep(model.CenterID(c)); best >= 0 {
 					recipients = append(recipients, model.CenterID(c))
 				}
 			}
@@ -264,31 +248,16 @@ func RunReference(in *model.Instance, phase1 []assign.Result, cfg Config) Result
 	}
 	sol.Transfers = transfers
 	res.Solution = sol
-	if cfg.Scope != LeftoverOnly && !cfg.noMemo {
-		res.trialMemo = memo
-	}
 	return res
 }
 
 // evalTrialsRef is the frozen full-trial evaluator backing RunReference:
-// every cache miss costs one complete assigner run over the recipient's
+// every candidate costs one complete assigner run over the recipient's
 // worker set plus the candidate.
 func evalTrialsRef(in *model.Instance, center *model.Center, cands []model.WorkerID,
-	baseWS []model.WorkerID, leftTasks []model.TaskID, cfg Config,
-	cache map[model.WorkerID]assign.Result) ([]assign.Result, int) {
+	baseWS []model.WorkerID, leftTasks []model.TaskID, cfg Config) []assign.Result {
 
 	trials := make([]assign.Result, len(cands))
-	misses := make([]int, 0, len(cands))
-	for i, w := range cands {
-		if r, ok := cache[w]; ok {
-			trials[i] = r
-		} else {
-			misses = append(misses, i)
-		}
-	}
-	if len(misses) == 0 {
-		return trials, 0
-	}
 
 	eval := func(i int) assign.Result {
 		w := cands[i]
@@ -301,18 +270,15 @@ func evalTrialsRef(in *model.Instance, center *model.Center, cands []model.Worke
 		return cfg.Assigner(in, center, ws, center.Tasks)
 	}
 
-	workers := parallelism(cfg.Parallelism)
-	if workers > len(misses) {
-		workers = len(misses)
-	}
+	workers := min(parallelism(cfg.Parallelism), len(cands))
 	if workers <= 1 {
-		for _, i := range misses {
+		for i := range cands {
 			trials[i] = eval(i)
 		}
-		return trials, len(misses)
+		return trials
 	}
 
-	mPoolDispatched.Add(int64(len(misses)))
+	mPoolDispatched.Add(int64(len(cands)))
 	dispatched := time.Now()
 	timed := obs.TimingOn()
 	var next atomic.Int64
@@ -324,18 +290,17 @@ func evalTrialsRef(in *model.Instance, center *model.Center, cands []model.Worke
 			mPoolWorkers.Add(1)
 			defer mPoolWorkers.Add(-1)
 			for {
-				k := next.Add(1) - 1
-				if int(k) >= len(misses) {
+				i := int(next.Add(1) - 1)
+				if i >= len(cands) {
 					return
 				}
 				if timed {
 					mPoolQueueWait.Observe(time.Since(dispatched).Seconds())
 				}
-				i := misses[k]
 				trials[i] = eval(i)
 			}
 		}()
 	}
 	wg.Wait()
-	return trials, len(misses)
+	return trials
 }

@@ -65,7 +65,7 @@ func (g *Game) fullTrial(center *model.Center, cand model.WorkerID,
 	return g.cfg.Assigner(g.in, center, ws, center.Tasks)
 }
 
-// tracedTrial wraps one miss evaluation in a "trial" span carrying the
+// tracedTrial wraps one trial evaluation in a "trial" span carrying the
 // candidate, the evaluation outcome, and — on the resume path — the replay
 // profile of the differential engine.
 func (g *Game) tracedTrial(runner *assign.TrialRunner, center *model.Center,
@@ -91,17 +91,15 @@ func (g *Game) tracedTrial(runner *assign.TrialRunner, center *model.Center,
 }
 
 // evalTrials returns one trial re-assignment result per candidate worker,
-// in candidate order, plus the number of trials actually evaluated (cache
-// hits excluded). Results already present in cache are reused verbatim; the
-// misses are evaluated — concurrently when cfg.Parallelism != 1 — each
-// writing its result to a fixed slot so the output is independent of
-// scheduling order.
+// in candidate order. The trials are evaluated — concurrently when
+// cfg.Parallelism != 1 — each writing its result to a fixed slot so the
+// output is independent of scheduling order.
 //
-// When base is non-nil, misses are served by the prefix-resume engine: each
+// When base is non-nil, trials are served by the prefix-resume engine: each
 // evaluation replays only the serve-order suffix the candidate perturbs
 // against base's snapshot (assign.TrialBase), through the game's persistent
 // per-slot runners (rebound here, so their arenas recycle instead of
-// allocating). A nil base falls back to one full assigner run per miss.
+// allocating). A nil base falls back to one full assigner run per trial.
 //
 // The returned slice is the game's per-iteration scratch: every result in
 // it — and every slice those results carry — is valid only until the next
@@ -110,35 +108,23 @@ func (g *Game) tracedTrial(runner *assign.TrialRunner, center *model.Center,
 // copy, so the shared slice is never mutated. leftTasks is read-only for
 // the assigners.
 //
-// With a tracer configured, every evaluated miss is wrapped in a "trial"
-// span parented to traceParent (the iteration span) carrying the candidate
+// With a tracer configured, every evaluation is wrapped in a "trial" span
+// parented to traceParent (the iteration span) carrying the candidate
 // worker and its evaluation outcome — "resumed" when the prefix-resume
-// engine served it, "full" for a complete assigner run. Memo hits record no
-// span (they cost no wall-clock worth a timeline row); their count rides on
-// the iteration span instead.
+// engine served it, "full" for a complete assigner run.
 func (g *Game) evalTrials(center *model.Center, cands []model.WorkerID,
-	baseWS []model.WorkerID, leftTasks []model.TaskID,
-	cache map[model.WorkerID]assign.Result, base *assign.TrialBase,
-	traceParent obs.SpanID) ([]assign.Result, int) {
+	baseWS []model.WorkerID, leftTasks []model.TaskID, base *assign.TrialBase,
+	traceParent obs.SpanID) []assign.Result {
 
 	if cap(g.trials) < len(cands) {
 		g.trials = make([]assign.Result, len(cands))
 	}
 	trials := g.trials[:len(cands)]
-	misses := g.missIdx[:0]
-	for i, w := range cands {
-		if r, ok := cache[w]; ok {
-			trials[i] = r
-		} else {
-			misses = append(misses, i)
-		}
-	}
-	g.missIdx = misses
-	if len(misses) == 0 {
-		return trials, 0
+	if len(cands) == 0 {
+		return trials
 	}
 
-	workers := min(parallelism(g.cfg.Parallelism), len(misses))
+	workers := min(parallelism(g.cfg.Parallelism), len(cands))
 	if base != nil {
 		for s := 0; s < workers; s++ {
 			g.runner(s, base)
@@ -146,12 +132,12 @@ func (g *Game) evalTrials(center *model.Center, cands []model.WorkerID,
 	}
 	tp := &g.helpers
 	tp.center, tp.cands, tp.baseWS, tp.leftTasks = center, cands, baseWS, leftTasks
-	tp.resume, tp.traceParent, tp.trials, tp.misses = base != nil, traceParent, trials, misses
+	tp.resume, tp.traceParent, tp.trials = base != nil, traceParent, trials
 	tp.next.Store(0)
 	if workers <= 1 {
 		tp.timed = false
 		g.drainTrials(0)
-		return trials, len(misses)
+		return trials
 	}
 	for len(tp.wake) < workers {
 		wake := make(chan struct{}, 1)
@@ -159,20 +145,20 @@ func (g *Game) evalTrials(center *model.Center, cands []model.WorkerID,
 		tp.live.Add(1)
 		go g.trialHelper(len(tp.wake)-1, wake)
 	}
-	mPoolDispatched.Add(int64(len(misses)))
+	mPoolDispatched.Add(int64(len(cands)))
 	tp.dispatched, tp.timed = time.Now(), obs.TimingOn()
 	tp.busy.Add(workers)
 	for s := 0; s < workers; s++ {
 		tp.wake[s] <- struct{}{}
 	}
 	tp.busy.Wait()
-	return trials, len(misses)
+	return trials
 }
 
 // trialPool is a game's set of helper goroutines for parallel trial
-// evaluation, and the batch of misses they work on. Helper s starts on the
+// evaluation, and the batch of candidates they work on. Helper s starts on the
 // first evaluation that needs it, parks on wake[s] between iterations and
-// evaluates misses through runner slot s; the stepping goroutine waits
+// evaluates trials through runner slot s; the stepping goroutine waits
 // meanwhile, and evaluates alone on the serial path. It does not take a
 // slot itself: a goroutine it wakes would sit in its processor's run-next
 // slot, which another processor steals only after a back-off (DESIGN.md
@@ -184,7 +170,7 @@ type trialPool struct {
 	live sync.WaitGroup // helpers not yet exited
 
 	// The current batch, written before the helpers are woken and read-only
-	// until busy drains. next hands out positions in misses.
+	// until busy drains. next hands out positions in cands.
 	center      *model.Center
 	cands       []model.WorkerID
 	baseWS      []model.WorkerID
@@ -192,7 +178,6 @@ type trialPool struct {
 	resume      bool
 	traceParent obs.SpanID
 	trials      []assign.Result
-	misses      []int
 	next        atomic.Int64
 	dispatched  time.Time
 	timed       bool
@@ -210,7 +195,7 @@ func (g *Game) trialHelper(slot int, wake <-chan struct{}) {
 	}
 }
 
-// drainTrials evaluates the current batch's misses through runner slot
+// drainTrials evaluates the current batch's candidates through runner slot
 // until the shared queue is empty.
 func (g *Game) drainTrials(slot int) {
 	tp := &g.helpers
@@ -219,14 +204,13 @@ func (g *Game) drainTrials(slot int) {
 		runner = g.runners[slot]
 	}
 	for {
-		k := int(tp.next.Add(1) - 1)
-		if k >= len(tp.misses) {
+		i := int(tp.next.Add(1) - 1)
+		if i >= len(tp.cands) {
 			return
 		}
 		if tp.timed {
 			mPoolQueueWait.Observe(time.Since(tp.dispatched).Seconds())
 		}
-		i := tp.misses[k]
 		switch {
 		case g.cfg.Tracer != nil:
 			tp.trials[i] = g.tracedTrial(runner, tp.center, tp.cands[i], tp.baseWS, tp.leftTasks, tp.traceParent)

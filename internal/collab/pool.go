@@ -37,13 +37,6 @@ type workerPool struct {
 	// items/cands are the recycled range-query and candidate-list scratch.
 	items []index.Item
 	cands []model.WorkerID
-	// mask/maskBit, when mask is non-nil, gate admission: add is a no-op
-	// unless mask[w] == maskBit. The sharded engine (shard.go) installs each
-	// worker's shard-membership bitset and the shard's own bit, so a phase-A
-	// pool only ever circulates its shard-exclusive workers — including own
-	// workers freed by an accepted reassignment, which route through add too.
-	mask    []uint64
-	maskBit uint64
 }
 
 // poolSpeedBound resolves the instance's admission-prefilter speed bound:
@@ -90,9 +83,6 @@ func (p *workerPool) homeOf(w model.WorkerID) model.CenterID {
 // untouched.
 func (p *workerPool) add(w model.WorkerID, home model.CenterID) {
 	if p.home[w] >= 0 {
-		return
-	}
-	if p.mask != nil && p.mask[w] != p.maskBit {
 		return
 	}
 	p.home[w] = int32(home)

@@ -6,17 +6,16 @@ package collab
 // — autoShardCount), proves which workers can interact with which shards
 // (the worker-overlap interference graph), plays one best-response game per
 // shard concurrently over the home-shard workers, and settles the boundary
-// workers with one serialized exchange game resumed from the merged shard
-// states. The exchange game runs the ordinary best-response dynamics under
-// the game's stop rule, so the final state is a global pure Nash
-// equilibrium (Result.VerifyEquilibrium). When the interference cut is
+// workers with one serialized exchange game that continues the finished
+// shard games' states. The exchange game runs the ordinary best-response
+// dynamics under the game's stop rule, so the final state is a global pure
+// Nash equilibrium (VerifyEquilibrium). When the interference cut is
 // empty the shard games already end at that equilibrium: every center's
 // routes equal the unsharded run's and the exchange accepts nothing.
 
 import (
 	"math"
 	"math/bits"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -98,13 +97,6 @@ type ShardConfig struct {
 	// Seed drives the k-means shard partition (voronoi.PartitionPoints):
 	// the same seed always produces the same shard map.
 	Seed int64
-	// ShardParallelism bounds the goroutines playing phase-A shard games
-	// concurrently. 0 means GOMAXPROCS; 1 plays the shards serially. The
-	// output is bit-identical at every setting: each shard game is
-	// deterministic and the results are merged in shard order. When shard
-	// games run concurrently their inner trial parallelism is forced to 1.
-	// The exchange game is serial and uses Parallelism for its trials.
-	ShardParallelism int
 	// Ledger, when non-nil, receives the sharded run's full decision record:
 	// one game log per phase-A shard (in shard order), then the exchange
 	// game's log. provenance.Replay applies them in that order. The fallback
@@ -332,17 +324,21 @@ func shardInterference(in *model.Instance, phase1 []assign.Result,
 }
 
 // RunSharded executes the collaboration game through the region-sharded
-// engine: concurrent per-shard best-response dynamics over the
-// shard-exclusive workers, then a serialized exchange game that settles the
-// boundary workers and drives the merged state to a global Nash equilibrium.
-// The instance is not mutated.
+// engine: concurrent per-shard best-response dynamics over the home-shard
+// workers, then a serialized exchange game that continues the shard games'
+// states, settles the boundary workers and drives the whole state to a
+// global Nash equilibrium. The instance is not mutated.
 //
-// Determinism: the outcome is bit-identical across ShardParallelism
-// settings and repeated runs (deterministic assigners). When the
-// interference cut is empty every center's routes equal Run's and the
-// exchange accepts nothing; the transfer log is in shard order and the
-// trace is shard segments followed by the exchange steps. Otherwise the
-// result is a different, but verified, equilibrium of the same game.
+// Determinism: the outcome is bit-identical across Parallelism settings
+// and repeated runs (deterministic assigners). When the interference cut
+// is empty every center's routes equal Run's and the exchange accepts
+// nothing; the transfer log is in shard order and the trace is shard
+// segments followed by the exchange steps. Otherwise the result is a
+// different, but verified, equilibrium of the same game.
+//
+// Parallelism bounds the shard games played concurrently; a shard game
+// plays its trials serially. The exchange game uses Parallelism for its
+// trials, and 1 makes the whole run serial.
 //
 // The sharded path engages for MinRatio/BestResponse dynamics with an
 // assigner admitting the admissibility-pruning argument (the built-in
@@ -372,7 +368,12 @@ func RunSharded(in *model.Instance, phase1 []assign.Result, cfg ShardConfig) (Re
 		}
 		k = 64
 	}
-	if k <= 1 || len(in.Centers) < 2 || !eligible {
+	var shardOf []int
+	nShards := 1
+	if k > 1 && len(in.Centers) >= 2 && eligible {
+		shardOf, nShards = PlanShards(in, k, cfg.Seed)
+	}
+	if nShards <= 1 {
 		if cfg.Ledger != nil {
 			cfg.Config.Prov = cfg.Ledger.NewGameLog(provenance.StageGame, -1)
 		}
@@ -385,17 +386,6 @@ func RunSharded(in *model.Instance, phase1 []assign.Result, cfg ShardConfig) (Re
 
 	in.PrepareMetric()
 	in.EnsureHot()
-	shardOf, nShards := PlanShards(in, k, cfg.Seed)
-	if nShards <= 1 {
-		if cfg.Ledger != nil {
-			cfg.Config.Prov = cfg.Ledger.NewGameLog(provenance.StageGame, -1)
-		}
-		res := Run(in, phase1, cfg.Config)
-		rep := singleShardReport(in, res)
-		rep.ShardsRequested = requested
-		rep.Auto = auto
-		return res, rep
-	}
 	inf := shardInterference(in, phase1, shardOf, cfg.Scope)
 	loadSkew := shardLoadSkew(in, shardOf, nShards)
 	_, nComp := shardComponents(&inf.adj, nShards)
@@ -416,66 +406,45 @@ func RunSharded(in *model.Instance, phase1 []assign.Result, cfg ShardConfig) (Re
 		s := shardOf[ci]
 		members[s] = append(members[s], model.CenterID(ci))
 	}
-	// Phase-A pools partition the poolable workers by HOME shard: every
-	// worker plays in exactly one shard's game, so the games' mutable state
-	// is disjoint and they run concurrently without coordination. When the
-	// interference cut is empty the home partition coincides with the
-	// interference masks (every poolable worker's mask is exactly its home
-	// bit), which is what makes the shard games provable restrictions of
-	// the global game; with a non-empty cut, boundary workers are settled
-	// tentatively in their home shard and re-contested by every admissible
-	// center in the exchange game.
-	homeMask := make([]uint64, len(in.Workers))
-	for w := range homeMask {
-		homeMask[w] = uint64(1) << shardOf[in.Workers[w].Home]
-	}
 
-	// Phase A: one restricted game per shard over its member centers and
-	// home-shard workers. Games are independent by construction — disjoint
-	// center sets, disjoint pools — so they run concurrently on a bounded
-	// pool, each with its own trial base, runners, scratch and arenas (the
-	// zero-alloc steady state holds per shard). Results land in fixed
-	// slots: the merge below is deterministic at every parallelism.
+	// Phase A: one restricted game per shard over its member centers. A
+	// center's pooled workers are its own, so each shard's pool holds
+	// exactly its home-shard workers: the games' mutable state is disjoint
+	// and they run concurrently without coordination, each with its own
+	// trial base, runners, scratch and arenas (the zero-alloc steady state
+	// holds per shard). When the interference cut is empty the home
+	// partition coincides with the interference masks, which is what makes
+	// the shard games provable restrictions of the global game; with a
+	// non-empty cut, boundary workers are settled tentatively in their home
+	// shard and re-contested by every admissible center in the exchange.
 	games := make([]*Game, nShards)
-	solus := make([]Result, nShards)
 	walls := make([]time.Duration, nShards)
 	// Per-shard provenance logs, created upfront in shard order so the
-	// ledger's log sequence is deterministic at every ShardParallelism.
+	// ledger's log sequence is deterministic at every Parallelism.
 	provLogs := make([]*provenance.GameLog, nShards)
 	if cfg.Ledger != nil {
 		for s := range provLogs {
 			provLogs[s] = cfg.Ledger.NewGameLog(provenance.StageGame, s)
 		}
 	}
-	innerPar := cfg.Parallelism
-	shardPar := cfg.ShardParallelism
-	if shardPar <= 0 {
-		shardPar = runtime.GOMAXPROCS(0)
-	}
-	if shardPar > nShards {
-		shardPar = nShards
-	}
-	if shardPar > 1 {
-		innerPar = 1
-	}
+	shardPar := min(parallelism(cfg.Parallelism), nShards)
 	runShard := func(s int) {
 		scfg := cfg.Config
 		scfg.members = members[s]
-		scfg.poolMask = homeMask
-		scfg.poolBit = uint64(1) << s
-		scfg.Parallelism = innerPar
+		// Serial trials: concurrency comes from the shard games themselves,
+		// and a serial game starts no helper goroutine to stop.
+		scfg.Parallelism = 1
 		scfg.Prov = provLogs[s]
 		t0 := time.Now()
 		g := NewGame(in, phase1, scfg)
 		for g.Step() {
 		}
-		solus[s] = g.Finish()
 		walls[s] = time.Since(t0)
 		games[s] = g
 		mShardGames.Inc()
 		mShardGameSeconds.ObserveDuration(walls[s])
-		for i := range solus[s].Trace {
-			mShardIterSeconds.ObserveDuration(solus[s].Trace[i].Duration)
+		for i := range g.res.Trace {
+			mShardIterSeconds.ObserveDuration(g.res.Trace[i].Duration)
 		}
 	}
 	if shardPar <= 1 {
@@ -518,7 +487,7 @@ func RunSharded(in *model.Instance, phase1 []assign.Result, cfg ShardConfig) (Re
 	}
 	var wallMax, wallSum time.Duration
 	for s := 0; s < nShards; s++ {
-		rep.ShardIterations[s] = solus[s].Iterations
+		rep.ShardIterations[s] = games[s].iter
 		wallSum += walls[s]
 		if walls[s] > wallMax {
 			wallMax = walls[s]
@@ -528,70 +497,39 @@ func RunSharded(in *model.Instance, phase1 []assign.Result, cfg ShardConfig) (Re
 		mShardSkew.Set(float64(wallMax) * float64(nShards) / float64(wallSum))
 	}
 
-	// Phase B: the exchange game is the ordinary best-response dynamics
-	// resumed from the merged shard states with the full worker pool —
-	// boundary workers included for the first time — so every center
-	// (including those that dropped out of a shard game) re-probes its
-	// improving deviations against the global pool. The carried trial memos
-	// answer the shard-local candidates instantly; only cross-shard
-	// candidates cost fresh trials. The stop rule ends it at a state with no
-	// improving transfer anywhere: a global Nash equilibrium. With an empty
-	// cut every shard game already ended at one, since no worker is
-	// admissible outside its home shard, so the exchange accepts nothing.
-	merged := make([]assign.Result, len(in.Centers))
-	var priorTransfers []model.Transfer
-	for s := 0; s < nShards; s++ {
-		priorTransfers = append(priorTransfers, solus[s].Solution.Transfers...)
-	}
-	memo := make([]map[model.WorkerID]assign.Result, len(in.Centers))
-	for ci := range in.Centers {
-		g := games[shardOf[ci]]
-		st := &g.states[ci]
-		used := make(map[model.WorkerID]bool, len(st.routes))
-		for i := range st.routes {
-			used[st.routes[i].Worker] = true
-		}
-		var lws []model.WorkerID
-		for _, w := range st.own {
-			if !used[w] {
-				lws = append(lws, w)
-			}
-		}
-		merged[ci] = assign.Result{Routes: st.routes, LeftTasks: st.leftTasks, LeftWorkers: lws}
-		memo[ci] = g.memo[ci]
-	}
+	// Phase B: the exchange game continues the shard games' states with the
+	// full worker pool — boundary workers included for the first time — so
+	// every center (including those that dropped out of a shard game)
+	// re-probes its improving deviations against the global pool. The stop
+	// rule ends it at a state with no improving transfer anywhere: a global
+	// Nash equilibrium. With an empty cut every shard game already ended at
+	// one, since no worker is admissible outside its home shard, so the
+	// exchange accepts nothing.
 	bcfg := cfg.Config
-	bcfg.resume = &resumeState{transfers: priorTransfers, memo: memo}
 	if cfg.Ledger != nil {
 		bcfg.Prov = cfg.Ledger.NewGameLog(provenance.StageExchange, 0)
 	}
-	gB := NewGame(in, merged, bcfg)
+	// The final trace is the shard traces in shard order (shard-local ρ/Φ
+	// semantics), then the exchange steps (global semantics), renumbered
+	// consecutively. The shard games are not used once the exchange game
+	// holds their states, so their trial scratch is not live beside it.
+	var trace []TraceStep
+	for _, g := range games {
+		trace = append(trace, g.res.Trace...)
+	}
+	gB := newExchangeGame(in, bcfg, games)
+	priorTransfers := len(gB.transfers)
 	for gB.Step() {
 	}
 	resB := gB.Finish()
 	rep.ExchangeIterations = resB.Iterations
-	rep.ExchangeTransfers = len(resB.Solution.Transfers) - len(priorTransfers)
+	rep.ExchangeTransfers = len(resB.Solution.Transfers) - priorTransfers
 	mExchangeIters.Add(int64(rep.ExchangeIterations))
 	mExchangeTransfers.Add(int64(rep.ExchangeTransfers))
 
-	// Final trace: shard traces in shard order (shard-local ρ/Φ semantics),
-	// then the exchange steps (global semantics), renumbered consecutively.
-	total := rep.ExchangeIterations
-	for s := 0; s < nShards; s++ {
-		total += solus[s].Iterations
-	}
-	trace := make([]TraceStep, 0, total)
-	for s := 0; s < nShards; s++ {
-		for i := range solus[s].Trace {
-			step := solus[s].Trace[i]
-			step.Iteration = len(trace) + 1
-			trace = append(trace, step)
-		}
-	}
-	for i := range resB.Trace {
-		step := resB.Trace[i]
-		step.Iteration = len(trace) + 1
-		trace = append(trace, step)
+	trace = append(trace, resB.Trace...)
+	for i := range trace {
+		trace[i].Iteration = i + 1
 	}
 	resB.Trace = trace
 	resB.Iterations = len(trace)

@@ -111,7 +111,7 @@ func TestShardedEmptyCutBitIdentical(t *testing.T) {
 					t.Fatalf("trial %d shards=%d: %v", trial, k, err)
 				}
 			}
-			if err := got.VerifyEquilibrium(in, nil); err != nil {
+			if err := VerifyEquilibrium(in, got.Solution, nil); err != nil {
 				t.Fatalf("trial %d shards=%d: %v", trial, k, err)
 			}
 		}
@@ -126,7 +126,7 @@ func TestShardedEmptyCutBitIdentical(t *testing.T) {
 // cut is never empty must still reach a verified global Nash equilibrium,
 // with the potential Φ monotone within every phase-A shard segment and
 // within the exchange segment, and the whole run deterministic — across
-// repeats and across ShardParallelism settings.
+// repeats and across Parallelism settings.
 func TestShardedConflictedEquilibrium(t *testing.T) {
 	rng := rand.New(rand.NewSource(82))
 	for trial := 0; trial < 6; trial++ {
@@ -137,7 +137,7 @@ func TestShardedConflictedEquilibrium(t *testing.T) {
 			if err := routing.SolutionFeasible(in, got.Solution); err != nil {
 				t.Fatalf("trial %d shards=%d: %v", trial, k, err)
 			}
-			if err := got.VerifyEquilibrium(in, nil); err != nil {
+			if err := VerifyEquilibrium(in, got.Solution, nil); err != nil {
 				t.Fatalf("trial %d shards=%d: %v", trial, k, err)
 			}
 			// Φ monotone per segment: the trace is the shard traces in shard
@@ -162,19 +162,21 @@ func TestShardedConflictedEquilibrium(t *testing.T) {
 					trial, k, start, len(got.Trace))
 			}
 
-			// Determinism: bit-identical on repeat and at forced shard
-			// concurrency.
+			// Determinism: bit-identical on repeat, fully serial, and at
+			// forced shard concurrency.
 			again, rep2 := RunSharded(in, p1, ShardConfig{Config: seqConfig(), Shards: k, Seed: 3})
 			rep.ShardWall, rep2.ShardWall = nil, nil // wall clocks differ by nature
 			if !reflect.DeepEqual(got.Solution, again.Solution) || !reflect.DeepEqual(rep, rep2) {
 				t.Fatalf("trial %d shards=%d: repeat run diverged", trial, k)
 			}
-			par, _ := RunSharded(in, p1, ShardConfig{
-				Config: seqConfig(), Shards: k, Seed: 3, ShardParallelism: 4,
-			})
-			if !reflect.DeepEqual(got.Solution, par.Solution) ||
-				!reflect.DeepEqual(stripEngineDiagnostics(got.Trace), stripEngineDiagnostics(par.Trace)) {
-				t.Fatalf("trial %d shards=%d: ShardParallelism changed the outcome", trial, k)
+			for _, p := range []int{1, 4} {
+				pcfg := seqConfig()
+				pcfg.Parallelism = p
+				par, _ := RunSharded(in, p1, ShardConfig{Config: pcfg, Shards: k, Seed: 3})
+				if !reflect.DeepEqual(got.Solution, par.Solution) ||
+					!reflect.DeepEqual(stripEngineDiagnostics(got.Trace), stripEngineDiagnostics(par.Trace)) {
+					t.Fatalf("trial %d shards=%d: Parallelism %d changed the outcome", trial, k, p)
+				}
 			}
 		}
 	}
@@ -252,8 +254,8 @@ func TestShardedFallback(t *testing.T) {
 }
 
 // TestShardMemberGameStepZeroAlloc extends the DESIGN.md §13 gate to the
-// sharded phase-A hot path: a warmed member-restricted, pool-masked game
-// iteration — exactly what each shard runs — must not touch the heap.
+// sharded phase-A hot path: a warmed member-restricted game iteration —
+// exactly what each shard runs — must not touch the heap.
 func TestShardMemberGameStepZeroAlloc(t *testing.T) {
 	in := skewedInstance(200)
 	p1 := phase1(in)
@@ -262,11 +264,7 @@ func TestShardMemberGameStepZeroAlloc(t *testing.T) {
 	for i := range members {
 		members[i] = model.CenterID(i)
 	}
-	mask := make([]uint64, len(in.Workers))
-	for i := range mask {
-		mask[i] = 1
-	}
-	cfg.members, cfg.poolMask, cfg.poolBit = members, mask, 1
+	cfg.members = members
 	g := NewGame(in, p1, cfg)
 	for i := 0; i < 120; i++ {
 		if !g.Step() {
@@ -286,20 +284,31 @@ func TestShardMemberGameStepZeroAlloc(t *testing.T) {
 }
 
 // TestReconcileResumedGameStepZeroAlloc extends the §13 zero-alloc gate to
-// the exchange game's shape: a global game resumed from a prior transfer
-// log. A warmed steady-state Step must not touch the heap.
+// the exchange game's shape: two member games (the rich center with one
+// starved corner, and the other three corners), each capped at 40 steps,
+// then the exchange game continuing their states. A warmed steady-state
+// Step must not touch the heap.
 func TestReconcileResumedGameStepZeroAlloc(t *testing.T) {
 	in := skewedInstance(200)
 	p1 := phase1(in)
 	cfg := Config{Scope: FullReassign, Assigner: assign.Sequential, Parallelism: 1}
 
-	// A prefix of the unsharded run's transfer log stands in for the
-	// phase-A transfers the exchange resumes from.
-	full := Run(in, p1, cfg)
-	prior := full.Solution.Transfers[:len(full.Solution.Transfers)/4]
-
-	cfg.resume = &resumeState{transfers: append([]model.Transfer(nil), prior...)}
-	g := NewGame(in, p1, cfg)
+	var shards []*Game
+	for _, members := range [][]model.CenterID{{0, 1}, {2, 3, 4}} {
+		scfg := cfg
+		scfg.members, scfg.MaxIterations = members, 40
+		sg := NewGame(in, p1, scfg)
+		for sg.Step() {
+		}
+		shards = append(shards, sg)
+	}
+	if n := len(shards[0].transfers); n != 40 {
+		t.Fatalf("first member game moved %d workers, want 40", n)
+	}
+	g := newExchangeGame(in, cfg, shards)
+	if len(g.transfers) != 40 {
+		t.Fatalf("exchange game starts with %d transfers, want the member games' 40", len(g.transfers))
+	}
 	for i := 0; i < 60; i++ {
 		if !g.Step() {
 			t.Fatalf("game over after %d iterations — instance too small to meter", i)
@@ -313,7 +322,7 @@ func TestReconcileResumedGameStepZeroAlloc(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("resumed exchange-shape iteration allocates: %.2f allocs/iter (want 0)", allocs)
+		t.Fatalf("exchange-game iteration allocates: %.2f allocs/iter (want 0)", allocs)
 	}
 }
 
@@ -393,7 +402,7 @@ func TestPlanShardsEdgeCases(t *testing.T) {
 			}
 		}
 		got, rep := RunSharded(in, p1, ShardConfig{Config: seqConfig(), Shards: k, Seed: 7})
-		if err := got.VerifyEquilibrium(in, nil); err != nil {
+		if err := VerifyEquilibrium(in, got.Solution, nil); err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
 		if rep.Shards != len(rep.ShardIterations) {
@@ -421,7 +430,7 @@ func TestPlanShardsEdgeCases(t *testing.T) {
 }
 
 // TestShardMapStableAcrossParallelism (satellite): the shard map is a pure
-// function of (instance, shards, seed) — ShardParallelism must never leak
+// function of (instance, shards, seed) — Parallelism must never leak
 // into the partition or the canonical labeling.
 func TestShardMapStableAcrossParallelism(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
@@ -430,15 +439,15 @@ func TestShardMapStableAcrossParallelism(t *testing.T) {
 		p1 := phase1(in)
 		var base []int
 		for _, par := range []int{0, 1, 2, 4, 8} {
-			_, rep := RunSharded(in, p1, ShardConfig{
-				Config: seqConfig(), Shards: 4, Seed: 11, ShardParallelism: par,
-			})
+			cfg := seqConfig()
+			cfg.Parallelism = par
+			_, rep := RunSharded(in, p1, ShardConfig{Config: cfg, Shards: 4, Seed: 11})
 			if base == nil {
 				base = rep.ShardOf
 				continue
 			}
 			if !reflect.DeepEqual(base, rep.ShardOf) {
-				t.Fatalf("trial %d: ShardOf changed under ShardParallelism=%d: %v vs %v",
+				t.Fatalf("trial %d: ShardOf changed under Parallelism=%d: %v vs %v",
 					trial, par, rep.ShardOf, base)
 			}
 		}
@@ -586,7 +595,7 @@ func TestShardAutoMatchesExplicitPick(t *testing.T) {
 	if err := routing.SolutionFeasible(in, got.Solution); err != nil {
 		t.Fatal(err)
 	}
-	if err := got.VerifyEquilibrium(in, nil); err != nil {
+	if err := VerifyEquilibrium(in, got.Solution, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -661,7 +670,7 @@ func TestShardClampSurfaced(t *testing.T) {
 	if fields["requested"] != 100 || fields["clamped"] != 64 {
 		t.Fatalf("shard_clamp fields = %v", fields)
 	}
-	if err := got.VerifyEquilibrium(in, nil); err != nil {
+	if err := VerifyEquilibrium(in, got.Solution, nil); err != nil {
 		t.Fatal(err)
 	}
 

@@ -154,10 +154,12 @@ type Config struct {
 	OptBudget time.Duration
 	// Parallelism bounds the worker goroutines of both phases: phase-1
 	// per-center assignment runs concurrently across centers, and phase-2
-	// best-response trials run concurrently within each game iteration.
-	// 0 means GOMAXPROCS; 1 forces the legacy serial pipeline. Output is
-	// bit-identical at every setting on deterministic assigners (Seq
-	// always; Opt with a zero time budget).
+	// best-response trials run concurrently within each game iteration
+	// (under Shards it bounds the concurrent shard games and the exchange
+	// game's trials — see collab.RunSharded). 0 means GOMAXPROCS; 1
+	// forces the serial pipeline. Output is bit-identical at every setting
+	// on deterministic assigners (Seq always; Opt with a zero time
+	// budget).
 	Parallelism int
 	// MaxGameIterations caps the phase-2 collaboration game. 0 means the
 	// natural bound (every worker transferred once plus every center
@@ -188,10 +190,6 @@ type Config struct {
 	// budgeted Opt) fall back to the unsharded game; Report.Shard records
 	// what actually ran. 0 or 1 is the ordinary single-game engine.
 	Shards int
-	// ShardParallelism bounds the goroutines playing shard games
-	// concurrently; 0 means GOMAXPROCS. Output is bit-identical at every
-	// setting.
-	ShardParallelism int
 	// Prov, when non-nil, records the run's full decision provenance into
 	// the given ledger — phase-1 routes and deadline-rejection scan events,
 	// every phase-2 iteration with its trials and prune decisions, shard and
@@ -357,7 +355,7 @@ func Run(in *model.Instance, cfg Config) (*Report, error) {
 			obs.F("parallelism", cfg.Parallelism))
 	}
 
-	// Distance-oracle warm-up: memoize entity→node snaps and pin the center
+	// Distance-oracle warm-up: resolve entity→node snaps and pin the center
 	// source tables once per run. Every route starts at a center, so the
 	// center tables answer the first leg of every trial the game plays; the
 	// other legs are point searches. With a tracer attached, the oracle
@@ -516,11 +514,10 @@ func Run(in *model.Instance, cfg Config) (*Report, error) {
 		}
 		if cfg.Shards > 1 || cfg.Shards == ShardAuto {
 			out, srep := collab.RunSharded(in, phase1, collab.ShardConfig{
-				Config:           ccfg,
-				Shards:           cfg.Shards,
-				Seed:             cfg.Seed,
-				ShardParallelism: cfg.ShardParallelism,
-				Ledger:           prov,
+				Config: ccfg,
+				Shards: cfg.Shards,
+				Seed:   cfg.Seed,
+				Ledger: prov,
 			})
 			rep.Solution = out.Solution
 			rep.Trace = out.Trace

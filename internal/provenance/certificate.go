@@ -68,29 +68,7 @@ func BuildCertificate(in *model.Instance, sol *model.Solution, scope string) *Ce
 		Equilibrium: true,
 	}
 
-	used := make(map[model.WorkerID]bool)
-	borrowed := make(map[model.WorkerID]bool)
-	borrowedBy := make(map[model.CenterID][]model.WorkerID)
-	lentFrom := make(map[model.CenterID]map[model.WorkerID]bool)
-	for ci := range sol.PerCenter {
-		for _, r := range sol.PerCenter[ci].Routes {
-			used[r.Worker] = true
-		}
-	}
-	for _, tr := range sol.Transfers {
-		borrowed[tr.Worker] = true
-		borrowedBy[tr.Dst] = append(borrowedBy[tr.Dst], tr.Worker)
-		if lentFrom[tr.Src] == nil {
-			lentFrom[tr.Src] = make(map[model.WorkerID]bool)
-		}
-		lentFrom[tr.Src][tr.Worker] = true
-	}
-	var pool []model.WorkerID
-	for _, w := range in.Workers {
-		if !used[w.ID] && !borrowed[w.ID] {
-			pool = append(pool, w.ID)
-		}
-	}
+	pool, workers := WorkerSets(in, sol)
 	// One nearest-task table serves every center's trial base.
 	orders := assign.NewTaskOrders(in)
 
@@ -102,13 +80,6 @@ func BuildCertificate(in *model.Instance, sol *model.Solution, scope string) *Ce
 		if rho >= 1 {
 			continue
 		}
-		var workers []model.WorkerID
-		for _, w := range center.Workers {
-			if !lentFrom[model.CenterID(ci)][w] {
-				workers = append(workers, w)
-			}
-		}
-		workers = append(workers, borrowedBy[model.CenterID(ci)]...)
 
 		var leftTasks []model.TaskID
 		if scope == ScopeLeftover {
@@ -125,13 +96,48 @@ func BuildCertificate(in *model.Instance, sol *model.Solution, scope string) *Ce
 			}
 		}
 
-		wit := sweepCenter(in, orders, center, workers, pool, leftTasks, assigned, rho)
+		wit := sweepCenter(in, orders, center, workers[ci], pool, leftTasks, assigned, rho)
 		if wit.BestRho > rho+rhoEps {
 			cert.Equilibrium = false
 		}
 		cert.Centers = append(cert.Centers, wit)
 	}
 	return cert
+}
+
+// WorkerSets reconstructs from a solution what every center's deviation
+// sweep runs against: the available pool (the workers on no route and in
+// no transfer, in ID order) and each center's current worker set (its own
+// workers not lent out, then the workers it borrowed, in transfer order).
+// Every worker moves at most once, from its home center.
+func WorkerSets(in *model.Instance, sol *model.Solution) (pool []model.WorkerID, workers [][]model.WorkerID) {
+	moved := make([]bool, len(in.Workers))
+	for _, tr := range sol.Transfers {
+		moved[tr.Worker] = true
+	}
+	used := make([]bool, len(in.Workers))
+	for ci := range sol.PerCenter {
+		for _, r := range sol.PerCenter[ci].Routes {
+			used[r.Worker] = true
+		}
+	}
+	for _, w := range in.Workers {
+		if !used[w.ID] && !moved[w.ID] {
+			pool = append(pool, w.ID)
+		}
+	}
+	workers = make([][]model.WorkerID, len(in.Centers))
+	for ci := range in.Centers {
+		for _, w := range in.Centers[ci].Workers {
+			if !moved[w] {
+				workers[ci] = append(workers[ci], w)
+			}
+		}
+	}
+	for _, tr := range sol.Transfers {
+		workers[tr.Dst] = append(workers[tr.Dst], tr.Worker)
+	}
+	return pool, workers
 }
 
 // sweepCenter runs one center's best-response candidate sweep and condenses

@@ -137,7 +137,7 @@ type WorkerTrial struct {
 	Iter      int
 	Recipient model.CenterID
 	Assigned  int32 // tasks the trial would serve
-	Mode      uint8 // TrialMemo / TrialFull / TrialResumed
+	Mode      uint8 // TrialFull / TrialResumed
 	Chosen    bool  // this step accepted this worker
 }
 

@@ -101,7 +101,7 @@ func (l *Ledger) WriteTo(w io.Writer) (int64, error) {
 				obs.F("source", it.Source), obs.F("rho_before", it.RhoBefore),
 				obs.F("rho_after", it.RhoAfter), obs.F("phi", it.Phi),
 				obs.F("pruned", it.Pruned), obs.F("slack", it.Slack),
-				obs.F("memo_hits", it.MemoHits), obs.F("replace", it.Replace),
+				obs.F("replace", it.Replace),
 				obs.F("trials", trials), obs.F("routes", routes))
 		}
 	}
@@ -303,7 +303,6 @@ func (l *Ledger) readRecord(event string, raw []byte, cur **GameLog) error {
 			Phi       float64        `json:"phi"`
 			Pruned    int            `json:"pruned"`
 			Slack     float64        `json:"slack"`
-			MemoHits  int            `json:"memo_hits"`
 			Replace   bool           `json:"replace"`
 			Trials    []trialWire    `json:"trials"`
 			Routes    []routeWire    `json:"routes"`
@@ -316,7 +315,7 @@ func (l *Ledger) readRecord(event string, raw []byte, cur **GameLog) error {
 			Iter: it.Iter, Recipient: it.Recipient, Accepted: it.Accepted,
 			Worker: it.W, Source: it.Source,
 			RhoBefore: it.RhoBefore, RhoAfter: it.RhoAfter, Phi: it.Phi,
-			Pruned: it.Pruned, Slack: it.Slack, MemoHits: it.MemoHits,
+			Pruned: it.Pruned, Slack: it.Slack,
 			TrialOff: len(g.trials), TrialN: len(it.Trials),
 			RouteOff: len(g.routes), RouteN: len(it.Routes), Replace: it.Replace,
 		}

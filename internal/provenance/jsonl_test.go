@@ -29,7 +29,7 @@ func testLedger() *Ledger {
 		Source: 0, RhoBefore: 0, RhoAfter: 1, Phi: 5.0 / 3, Pruned: 1, Slack: 1.5},
 		[]model.WorkerID{2},
 		[]assign.Result{{Routes: []model.Route{{Worker: 2, Center: 1, Tasks: []model.TaskID{3}}}}},
-		[]int{0}, false,
+		false,
 		[]model.Route{{Worker: 2, Center: 1, Tasks: []model.TaskID{3}}}, true)
 	l.RecordShard(ShardInfo{Shards: 2, ShardOf: []int{0, 1},
 		BoundaryWorkers: 1, ExclusiveWorkers: 2, EmptyCut: false,

@@ -77,11 +77,8 @@ func obsMux(rec *imtao.FlightRecorder, sampler *imtao.RuntimeSampler) *http.Serv
 }
 
 // serveObs starts the diagnostics listener in the background and returns
-// the bound address. Fine-grained latency histograms are enabled for the
-// lifetime of the process: anyone running with -listen has opted into
-// observation, so the clock reads are wanted.
+// the bound address.
 func serveObs(addr string, rec *imtao.FlightRecorder, sampler *imtao.RuntimeSampler) (string, error) {
-	imtao.EnableTiming(true)
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", err

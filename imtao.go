@@ -302,11 +302,6 @@ func WriteMetrics(w io.Writer) error {
 	return err
 }
 
-// EnableTiming turns on the fine-grained latency histograms (road-network
-// lock wait, trial-pool queue wait) that need a clock read on hot paths.
-// They are off by default so a no-op-observed run stays at zero overhead.
-func EnableTiming(on bool) { obs.EnableTiming(on) }
-
 // NewRuntimeSampler builds a runtime-vitals sampler publishing on the
 // process-wide metrics registry every interval (≤ 0 selects the default,
 // obs.DefaultSampleInterval). o, when non-nil, additionally receives one

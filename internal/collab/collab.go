@@ -110,20 +110,6 @@ const (
 // the assign package (or any custom policy with the same contract).
 type Assigner func(in *model.Instance, c *model.Center, workers []model.WorkerID, tasks []model.TaskID) assign.Result
 
-// CandidatePolicy selects how the dispatched worker is chosen among the
-// available pool each iteration (Algorithm 3 line 14).
-type CandidatePolicy int
-
-const (
-	// BestResponse evaluates every available worker by re-assignment and
-	// picks the ratio-maximising one — the paper's best-response step.
-	BestResponse CandidatePolicy = iota
-	// NearestWorker picks the available worker closest to the recipient
-	// center — a cheap heuristic ablation that skips the trial
-	// re-assignments (one evaluation per iteration instead of |pool|).
-	NearestWorker
-)
-
 // PruneMode selects whether admissibility pruning filters trial candidates.
 type PruneMode int
 
@@ -159,7 +145,6 @@ const (
 // Config configures a collaboration run.
 type Config struct {
 	Recipient RecipientPolicy
-	Candidate CandidatePolicy
 	Scope     Scope
 	Assigner  Assigner
 	// Rng drives RandomRecipient; ignored otherwise. Required when
@@ -175,7 +160,7 @@ type Config struct {
 	// Results are bit-identical at every setting: trials are written to
 	// fixed slots and the winner is selected by a serial scan (max ρ, ties
 	// to the lowest worker ID). Custom Assigners must be safe for
-	// concurrent calls when Parallelism != 1.
+	// concurrent calls when Parallelism != 1. RunReference ignores it.
 	Parallelism int
 	// Prune selects admissibility pruning (DESIGN.md §11). The zero value
 	// PruneAuto prunes for the built-in Sequential assigner only; pruning
@@ -201,6 +186,7 @@ type Config struct {
 	// Δρ/ΔΦ, and the accepted route delta. Nil (the default) keeps the
 	// disabled path at a single pointer check per iteration — the
 	// zero-allocation steady state is unchanged (alloc_test.go).
+	// RunSharded ignores it and records through ShardConfig.Ledger.
 	Prov *provenance.GameLog
 	// prunedHook, when non-nil, forces the exact (index-free) admissibility
 	// scan and observes every pruned candidate together with the recipient
@@ -542,12 +528,6 @@ func newGame(in *model.Instance, cfg Config) *Game {
 	}
 
 	g.pruneOn = cfg.Prune == PruneOn || (cfg.Prune == PruneAuto && g.seqEngine)
-	if cfg.Candidate == NearestWorker {
-		// NearestWorker picks its single candidate over the FULL pool;
-		// pre-filtering would change which worker is chosen, so pruning is
-		// disabled rather than applied unsoundly.
-		g.pruneOn = false
-	}
 
 	g.states = make([]centerState, n)
 	g.pool = newWorkerPool(in, g.pruneOn)
@@ -582,9 +562,6 @@ func (g *Game) join(ci model.CenterID) {
 func naturalMaxIterations(tasks, centers int) int {
 	return (tasks + 1) * (centers + 1)
 }
-
-// Iterations returns the number of iterations executed so far.
-func (g *Game) Iterations() int { return g.iter }
 
 // Over reports whether the game has terminated (a subsequent Step would
 // return false).
@@ -849,13 +826,12 @@ type sweepResult struct {
 
 // sweep evaluates center ci's deviation class against the current pool:
 // Algorithm 3 lines 14–15 for a recipient, and the same question for a
-// departed center at the end check. BestResponse candidates are the pool
-// minus ci's own workers — admissibility-pruned when pruning is on, since
-// a pruned candidate's trial provably returns the baseline and can never
-// win the strict-improvement scan. NearestWorker evaluates only the nearest
-// such worker. The trials are evaluated concurrently into fixed slots and
-// the winner is picked by the same serial scan as the reference loop,
-// keeping the output bit-identical.
+// departed center at the end check. The candidates are the pool minus ci's
+// own workers — admissibility-pruned when pruning is on, since a pruned
+// candidate's trial provably returns the baseline and can never win the
+// strict-improvement scan. The trials are evaluated concurrently into fixed
+// slots and the winner is picked by the same serial scan as the reference
+// loop, keeping the output bit-identical.
 func (g *Game) sweep(ci model.CenterID, traceParent obs.SpanID) sweepResult {
 	cfg := &g.cfg
 	in := g.in
@@ -864,23 +840,7 @@ func (g *Game) sweep(ci model.CenterID, traceParent obs.SpanID) sweepResult {
 	sw := sweepResult{slack: -1, best: -1, bestRho: st.rho, bestAssigned: st.assigned}
 
 	var prunedList []model.WorkerID
-	switch {
-	case cfg.Candidate == NearestWorker:
-		sw.cands = g.pool.candidates(ci)
-		if len(sw.cands) > 1 {
-			// Heuristic ablation: only evaluate the nearest available
-			// worker. Ties break by ID via the pre-sorted order.
-			best := sw.cands[0]
-			bd := in.Worker(best).Loc.Dist2(center.Loc)
-			for _, w := range sw.cands[1:] {
-				if d := in.Worker(w).Loc.Dist2(center.Loc); d < bd {
-					best, bd = w, d
-				}
-			}
-			sw.cands[0] = best
-			sw.cands = sw.cands[:1]
-		}
-	case g.pruneOn:
+	if g.pruneOn {
 		if !st.slackOK {
 			if cfg.Scope == LeftoverOnly {
 				st.slack = assign.AdmissionSlack(in, center, st.leftTasks)
@@ -895,7 +855,7 @@ func (g *Game) sweep(ci model.CenterID, traceParent obs.SpanID) sweepResult {
 		}
 		sw.cands, sw.pruned = g.pool.admissible(center, ci, st.slack, onPruned)
 		sw.slack = st.slack
-	default:
+	} else {
 		sw.cands = g.pool.candidates(ci)
 	}
 	mPruned.Add(int64(sw.pruned))
@@ -1018,8 +978,8 @@ func (g *Game) Finish() Result {
 }
 
 // emitGameIter publishes one game_iter telemetry event for a completed
-// iteration; shared by Run and RunReference so the stream schema stays
-// identical across engines.
+// iteration of the engine (Game.Step, and through it Run and RunSharded);
+// RunReference emits none.
 func emitGameIter(o obs.Observer, step *TraceStep) {
 	if !obs.Enabled(o) {
 		return

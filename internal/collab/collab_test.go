@@ -345,46 +345,6 @@ func randomInstance(rng *rand.Rand, nc, nw, nt int) *model.Instance {
 	return in
 }
 
-func TestNearestWorkerPolicyStillImproves(t *testing.T) {
-	rng := rand.New(rand.NewSource(151))
-	for trial := 0; trial < 15; trial++ {
-		in := randomInstance(rng, 2+rng.Intn(4), 4+rng.Intn(10), 8+rng.Intn(30))
-		p1 := phase1(in)
-		base := NoCollaboration(in, p1).AssignedCount()
-		cfg := seqConfig()
-		cfg.Candidate = NearestWorker
-		out := Run(in, p1, cfg)
-		if err := routing.SolutionFeasible(in, out.Solution); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if out.Solution.AssignedCount() < base {
-			t.Fatalf("trial %d: nearest-worker collaboration lost tasks", trial)
-		}
-	}
-}
-
-func TestNearestWorkerNeverBeatsBestResponse(t *testing.T) {
-	// The best-response step evaluates a superset of candidates each
-	// iteration, so on the recipient it picks it can only do better or
-	// equal per step. Globally the orderings can differ; we assert the
-	// common-case dominance on a batch of random instances in aggregate.
-	rng := rand.New(rand.NewSource(152))
-	var brTotal, nwTotal int
-	for trial := 0; trial < 15; trial++ {
-		in := randomInstance(rng, 3, 8, 24)
-		p1 := phase1(in)
-		br := Run(in, p1, seqConfig())
-		cfg := seqConfig()
-		cfg.Candidate = NearestWorker
-		nw := Run(in, p1, cfg)
-		brTotal += br.Solution.AssignedCount()
-		nwTotal += nw.Solution.AssignedCount()
-	}
-	if nwTotal > brTotal {
-		t.Fatalf("nearest-worker aggregate %d beats best-response %d", nwTotal, brTotal)
-	}
-}
-
 func TestMaxLeftoverPolicy(t *testing.T) {
 	rng := rand.New(rand.NewSource(153))
 	for trial := 0; trial < 10; trial++ {

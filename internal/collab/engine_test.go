@@ -60,8 +60,8 @@ func optAssigner(in *model.Instance, c *model.Center, ws []model.WorkerID, ts []
 }
 
 // engineCases enumerates the paper's method grid for both per-center
-// assigners: BDC/DC/RBDC × {Sequential, Optimal}, plus the recipient- and
-// candidate-policy ablations under Sequential. Optimal runs with PruneOn
+// assigners: BDC/DC/RBDC × {Sequential, Optimal}, plus the recipient-policy
+// ablation under Sequential. Optimal runs with PruneOn
 // (exact for the unbudgeted enumeration, see PruneMode docs). opt marks the
 // cases whose phase 1 must also run Optimal — pruning assumes the initial
 // state is a fixed point of the game's own assigner, as core.Run guarantees
@@ -80,7 +80,6 @@ func engineCases() []struct {
 		{"Seq-DC", false, Config{Scope: LeftoverOnly, Assigner: assign.Sequential}},
 		{"Seq-RBDC", false, Config{Recipient: RandomRecipient, Assigner: assign.Sequential}},
 		{"Seq-MaxLeftover", false, Config{Recipient: MaxLeftover, Assigner: assign.Sequential}},
-		{"Seq-NearestWorker", false, Config{Candidate: NearestWorker, Assigner: assign.Sequential}},
 		{"Seq-BDC-par", false, Config{Scope: FullReassign, Assigner: assign.Sequential, Parallelism: 4}},
 		{"Opt-BDC", true, Config{Scope: FullReassign, Assigner: optAssigner, Prune: PruneOn}},
 		{"Opt-DC", true, Config{Scope: LeftoverOnly, Assigner: optAssigner, Prune: PruneOn}},

@@ -2,25 +2,25 @@ package collab
 
 import (
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"imtao/internal/assign"
 	"imtao/internal/metrics"
 	"imtao/internal/model"
-	"imtao/internal/obs"
 )
 
 // RunReference is the frozen pre-engine collaboration loop: every iteration
 // rebuilds the candidate list from the pool map, re-derives the ρ vector and
 // total assigned count from scratch, and evaluates one full assigner run per
-// candidate — no admissibility pruning, no prefix-resume. Its end check is
-// the same plain sweep over every departed center (DESIGN.md §5). It is the
-// behavioral reference for the optimized Run (DESIGN.md §11): the
-// equivalence tests assert bit-identical routes, transfers and trace against
-// it, and the `imtao-bench -game` speedup is measured against it. Do not
-// optimize this function.
+// candidate, one after another — no admissibility pruning, no prefix-resume,
+// no goroutines. Its end check is the same plain sweep over every departed
+// center (DESIGN.md §5). It is the behavioral reference for the optimized
+// Run (DESIGN.md §11): the equivalence tests assert bit-identical routes,
+// transfers and trace against it, and the `imtao-bench -game` speedup is
+// measured against it. It reads only the game's rules from cfg (Recipient,
+// Scope, Assigner, Rng, MaxIterations) and ignores Parallelism, Prune and
+// the instrumentation fields: it updates no metric and emits no event. Do
+// not optimize this function.
 func RunReference(in *model.Instance, phase1 []assign.Result, cfg Config) Result {
 	if cfg.Assigner == nil {
 		cfg.Assigner = assign.Sequential
@@ -112,16 +112,6 @@ func RunReference(in *model.Instance, phase1 []assign.Result, cfg Config) Result
 			}
 		}
 		sort.Slice(cands, func(i, j int) bool { return cands[i] < cands[j] })
-		if cfg.Candidate == NearestWorker && len(cands) > 1 {
-			best := cands[0]
-			bd := in.Worker(best).Loc.Dist2(center.Loc)
-			for _, w := range cands[1:] {
-				if d := in.Worker(w).Loc.Dist2(center.Loc); d < bd {
-					best, bd = w, d
-				}
-			}
-			cands = []model.WorkerID{best}
-		}
 
 		// Line 14–15: best response via one full re-assignment per candidate.
 		var baseWS []model.WorkerID
@@ -129,7 +119,6 @@ func RunReference(in *model.Instance, phase1 []assign.Result, cfg Config) Result
 			baseWS = workerSetOf(ci)
 		}
 		trials = evalTrialsRef(in, center, cands, baseWS, st.leftTasks, cfg)
-		mTrials.Add(int64(len(cands)))
 
 		curAssigned := countTasks(st.routes)
 		bestRho = st.rho
@@ -151,7 +140,6 @@ func RunReference(in *model.Instance, phase1 []assign.Result, cfg Config) Result
 	for iter := 1; iter <= maxIter && len(recipients) > 0 && len(pool) > 0; iter++ {
 		iterStart := time.Now()
 		res.Iterations = iter
-		mIterations.Inc()
 		// Line 13: recipient selection.
 		var ci model.CenterID
 		switch cfg.Recipient {
@@ -179,7 +167,6 @@ func RunReference(in *model.Instance, phase1 []assign.Result, cfg Config) Result
 			step.Accepted = false
 			step.RhoAfter = st.rho
 			recipients = removeCenter(recipients, ci)
-			mRejections.Inc()
 		} else {
 			bestRes := trials[bestIdx]
 			w := cands[bestIdx]
@@ -193,7 +180,6 @@ func RunReference(in *model.Instance, phase1 []assign.Result, cfg Config) Result
 			delete(states[src].own, w)
 			st.borrowed = append(st.borrowed, w)
 			transfers = append(transfers, model.Transfer{Src: src, Dst: ci, Worker: w})
-			mTransfers.Inc()
 
 			if cfg.Scope == LeftoverOnly {
 				st.routes = append(st.routes, cloneRoutes(bestRes.Routes)...)
@@ -236,10 +222,7 @@ func RunReference(in *model.Instance, phase1 []assign.Result, cfg Config) Result
 		step.Phi = metrics.Phi(rv)
 		step.Rhos = rv
 		step.Duration = time.Since(iterStart)
-		mIterSeconds.ObserveDuration(step.Duration)
-		mGamePhi.Set(step.Phi)
 		res.Trace = append(res.Trace, step)
-		emitGameIter(cfg.Obs, &step)
 	}
 
 	sol := model.NewSolution(in)
@@ -253,54 +236,20 @@ func RunReference(in *model.Instance, phase1 []assign.Result, cfg Config) Result
 
 // evalTrialsRef is the frozen full-trial evaluator backing RunReference:
 // every candidate costs one complete assigner run over the recipient's
-// worker set plus the candidate.
+// worker set plus the candidate, evaluated serially in candidate order.
 func evalTrialsRef(in *model.Instance, center *model.Center, cands []model.WorkerID,
 	baseWS []model.WorkerID, leftTasks []model.TaskID, cfg Config) []assign.Result {
 
 	trials := make([]assign.Result, len(cands))
-
-	eval := func(i int) assign.Result {
-		w := cands[i]
+	for i, w := range cands {
 		if cfg.Scope == LeftoverOnly {
-			return cfg.Assigner(in, center, []model.WorkerID{w}, leftTasks)
+			trials[i] = cfg.Assigner(in, center, []model.WorkerID{w}, leftTasks)
+			continue
 		}
 		ws := make([]model.WorkerID, len(baseWS)+1)
 		copy(ws, baseWS)
 		ws[len(baseWS)] = w
-		return cfg.Assigner(in, center, ws, center.Tasks)
+		trials[i] = cfg.Assigner(in, center, ws, center.Tasks)
 	}
-
-	workers := min(parallelism(cfg.Parallelism), len(cands))
-	if workers <= 1 {
-		for i := range cands {
-			trials[i] = eval(i)
-		}
-		return trials
-	}
-
-	mPoolDispatched.Add(int64(len(cands)))
-	dispatched := time.Now()
-	timed := obs.TimingOn()
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for g := 0; g < workers; g++ {
-		go func() {
-			defer wg.Done()
-			mPoolWorkers.Add(1)
-			defer mPoolWorkers.Add(-1)
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= len(cands) {
-					return
-				}
-				if timed {
-					mPoolQueueWait.Observe(time.Since(dispatched).Seconds())
-				}
-				trials[i] = eval(i)
-			}
-		}()
-	}
-	wg.Wait()
 	return trials
 }

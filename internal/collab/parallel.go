@@ -4,25 +4,18 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"imtao/internal/assign"
 	"imtao/internal/model"
 	"imtao/internal/obs"
 )
 
-// Trial-pool health metrics. Occupancy tracks live helper goroutines;
-// queue wait (time between dispatch and a goroutine picking a trial up)
-// needs a clock read per trial, so it only records when obs.EnableTiming is
-// on.
+// Trial-pool health metrics: occupancy tracks live helper goroutines.
 var (
 	mPoolWorkers = obs.Default.Gauge("imtao_collab_pool_workers",
 		"live trial-helper goroutines of running games, parked ones included")
 	mPoolDispatched = obs.Default.Counter("imtao_collab_pool_trials_total",
 		"trial evaluations dispatched to the parallel pool")
-	mPoolQueueWait = obs.Default.Histogram("imtao_collab_pool_queue_wait_seconds",
-		"time a dispatched trial waited before evaluation started (only with timing enabled)",
-		obs.TimeBuckets)
 )
 
 // parallelism resolves a Config.Parallelism value: 0 (and negatives) mean
@@ -135,7 +128,6 @@ func (g *Game) evalTrials(center *model.Center, cands []model.WorkerID,
 	tp.resume, tp.traceParent, tp.trials = base != nil, traceParent, trials
 	tp.next.Store(0)
 	if workers <= 1 {
-		tp.timed = false
 		g.drainTrials(0)
 		return trials
 	}
@@ -146,7 +138,6 @@ func (g *Game) evalTrials(center *model.Center, cands []model.WorkerID,
 		go g.trialHelper(len(tp.wake)-1, wake)
 	}
 	mPoolDispatched.Add(int64(len(cands)))
-	tp.dispatched, tp.timed = time.Now(), obs.TimingOn()
 	tp.busy.Add(workers)
 	for s := 0; s < workers; s++ {
 		tp.wake[s] <- struct{}{}
@@ -179,8 +170,6 @@ type trialPool struct {
 	traceParent obs.SpanID
 	trials      []assign.Result
 	next        atomic.Int64
-	dispatched  time.Time
-	timed       bool
 }
 
 // trialHelper is the body of pool helper slot: one batch per wake-up,
@@ -207,9 +196,6 @@ func (g *Game) drainTrials(slot int) {
 		i := int(tp.next.Add(1) - 1)
 		if i >= len(tp.cands) {
 			return
-		}
-		if tp.timed {
-			mPoolQueueWait.Observe(time.Since(tp.dispatched).Seconds())
 		}
 		switch {
 		case g.cfg.Tracer != nil:

@@ -27,7 +27,7 @@ func stripDurations(trace []TraceStep) []TraceStep {
 	return out
 }
 
-// TestRunParallelismDeterminism checks that every recipient/candidate/scope
+// TestRunParallelismDeterminism checks that every recipient/scope
 // combination produces bit-identical results at Parallelism 1 and 8,
 // including the full iteration trace.
 func TestRunParallelismDeterminism(t *testing.T) {
@@ -40,7 +40,6 @@ func TestRunParallelismDeterminism(t *testing.T) {
 		{"BDC", Config{Scope: FullReassign, Assigner: assign.Sequential}},
 		{"DC", Config{Scope: LeftoverOnly, Assigner: assign.Sequential}},
 		{"MaxLeftover", Config{Recipient: MaxLeftover, Assigner: assign.Sequential}},
-		{"NearestWorker", Config{Candidate: NearestWorker, Assigner: assign.Sequential}},
 		{"RBDC", Config{Recipient: RandomRecipient, Assigner: assign.Sequential}},
 	}
 	for _, tc := range cases {

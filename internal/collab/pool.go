@@ -73,8 +73,6 @@ func newWorkerPool(in *model.Instance, spatial bool) *workerPool {
 
 func (p *workerPool) len() int { return p.size }
 
-func (p *workerPool) has(w model.WorkerID) bool { return p.home[w] >= 0 }
-
 func (p *workerPool) homeOf(w model.WorkerID) model.CenterID {
 	return model.CenterID(p.home[w])
 }

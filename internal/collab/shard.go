@@ -100,7 +100,9 @@ type ShardConfig struct {
 	// Ledger, when non-nil, receives the sharded run's full decision record:
 	// one game log per phase-A shard (in shard order), then the exchange
 	// game's log. provenance.Replay applies them in that order. The fallback
-	// paths that run the unsharded engine record one global game log.
+	// paths that run the unsharded engine record one global game log. Ledger
+	// is the only recording channel: RunSharded ignores Config.Prov, since a
+	// single game log cannot hold a run of several games.
 	Ledger *provenance.Ledger
 }
 
@@ -340,18 +342,20 @@ func shardInterference(in *model.Instance, phase1 []assign.Result,
 // plays its trials serially. The exchange game uses Parallelism for its
 // trials, and 1 makes the whole run serial.
 //
-// The sharded path engages for MinRatio/BestResponse dynamics with an
-// assigner admitting the admissibility-pruning argument (the built-in
-// Sequential, or any assigner the caller vouches for via PruneOn — the
-// interference graph is built from the same admission-slack bound).
-// Everything else — RandomRecipient, NearestWorker, budgeted assigners
-// under PruneOff — falls back to the unsharded Run, reported as one shard.
+// The sharded path engages for MinRatio dynamics with an assigner admitting
+// the admissibility-pruning argument (the built-in Sequential, or any
+// assigner the caller vouches for via PruneOn — the interference graph is
+// built from the same admission-slack bound). Everything else —
+// RandomRecipient, MaxLeftover, budgeted assigners under PruneOff — falls
+// back to the unsharded Run, reported as one shard.
 // Config.MaxIterations, when set, caps each shard game and the exchange
 // game individually.
 func RunSharded(in *model.Instance, phase1 []assign.Result, cfg ShardConfig) (Result, ShardReport) {
 	requested := cfg.Shards
 	k := requested
-	eligible := cfg.Recipient == MinRatio && cfg.Candidate == BestResponse &&
+	// Every game of the run records through Ledger alone.
+	cfg.Prov = nil
+	eligible := cfg.Recipient == MinRatio &&
 		(isSequentialAssigner(cfg.Assigner) || cfg.Prune == PruneOn)
 	var auto *ShardAutoPick
 	if k == ShardAuto && eligible && len(in.Centers) >= 2 {

@@ -11,6 +11,7 @@ import (
 	"imtao/internal/geo"
 	"imtao/internal/model"
 	"imtao/internal/obs"
+	"imtao/internal/provenance"
 	"imtao/internal/routing"
 	"imtao/internal/voronoi"
 )
@@ -126,17 +127,28 @@ func TestShardedEmptyCutBitIdentical(t *testing.T) {
 // cut is never empty must still reach a verified global Nash equilibrium,
 // with the potential Φ monotone within every phase-A shard segment and
 // within the exchange segment, and the whole run deterministic — across
-// repeats and across Parallelism settings.
+// repeats and across Parallelism settings. A game log set on Config.Prov
+// stays empty: ShardConfig.Ledger is the sharded engine's only recording
+// channel, so no game of the run, the exchange included, writes into it.
 func TestShardedConflictedEquilibrium(t *testing.T) {
 	rng := rand.New(rand.NewSource(82))
+	exchanged := false
 	for trial := 0; trial < 6; trial++ {
 		in := randomInstance(rng, 4+rng.Intn(4), 20+rng.Intn(20), 40+rng.Intn(60))
 		p1 := phase1(in)
 		for _, k := range []int{2, 4} {
-			got, rep := RunSharded(in, p1, ShardConfig{Config: seqConfig(), Shards: k, Seed: 3})
+			stray := &provenance.GameLog{}
+			cfg := seqConfig()
+			cfg.Prov = stray
+			got, rep := RunSharded(in, p1, ShardConfig{Config: cfg, Shards: k, Seed: 3})
 			if err := routing.SolutionFeasible(in, got.Solution); err != nil {
 				t.Fatalf("trial %d shards=%d: %v", trial, k, err)
 			}
+			if len(stray.Iters) != 0 {
+				t.Fatalf("trial %d shards=%d: %d iterations recorded into Config.Prov",
+					trial, k, len(stray.Iters))
+			}
+			exchanged = exchanged || rep.ExchangeIterations > 0
 			if err := VerifyEquilibrium(in, got.Solution, nil); err != nil {
 				t.Fatalf("trial %d shards=%d: %v", trial, k, err)
 			}
@@ -180,6 +192,9 @@ func TestShardedConflictedEquilibrium(t *testing.T) {
 			}
 		}
 	}
+	if !exchanged {
+		t.Fatal("no exchange game played an iteration; the Config.Prov check is vacuous")
+	}
 }
 
 // TestShardedDCScope: the leftover-only (DC) scope runs through the sharded
@@ -208,31 +223,33 @@ func TestShardedDCScope(t *testing.T) {
 }
 
 // TestShardedFallback: configurations the sharded engine cannot prove safe
-// — random recipients, non-best-response candidates, budget-style assigners
-// without PruneOn — fall back to the unsharded engine bit-identically, and
-// report a single shard.
+// — random recipients, budget-style assigners without PruneOn — fall back
+// to the unsharded engine bit-identically, and report a single shard. The
+// fallback records through ShardConfig.Ledger only: a game log set on
+// Config.Prov stays empty.
 func TestShardedFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(84))
 	in := randomInstance(rng, 4, 16, 40)
 	p1 := phase1(in)
 
+	stray := &provenance.GameLog{}
 	rbdc := seqConfig()
 	rbdc.Recipient = RandomRecipient
 	rbdc.Rng = rand.New(rand.NewSource(9))
+	rbdc.Prov = stray
 	got, rep := RunSharded(in, p1, ShardConfig{Config: rbdc, Shards: 4, Seed: 1})
 	if rep.Shards != 1 || !rep.EmptyCut {
 		t.Fatalf("RBDC did not fall back: %+v", rep)
 	}
+	if got.Iterations == 0 || len(stray.Iters) != 0 {
+		t.Fatalf("fallback played %d iterations and recorded %d into Config.Prov, want some and none",
+			got.Iterations, len(stray.Iters))
+	}
 	rbdc.Rng = rand.New(rand.NewSource(9))
+	rbdc.Prov = nil
 	want := Run(in, p1, rbdc)
 	if !reflect.DeepEqual(got.Solution, want.Solution) {
 		t.Fatal("RBDC fallback diverged from Run")
-	}
-
-	nw := seqConfig()
-	nw.Candidate = NearestWorker
-	if _, rep := RunSharded(in, p1, ShardConfig{Config: nw, Shards: 4, Seed: 1}); rep.Shards != 1 {
-		t.Fatalf("NearestWorker did not fall back: %+v", rep)
 	}
 
 	custom := seqConfig()

@@ -27,20 +27,20 @@ import (
 	"imtao/internal/voronoi"
 )
 
-// Pipeline-level metrics: run and phase latencies land in histograms so a
-// /metrics scrape sees the latency distribution across runs, not just the
-// last Report.
+// Pipeline-level metrics: partition and phase latencies land in quantile
+// summaries so a /metrics scrape sees the latency distribution across runs,
+// not just the last Report.
 var (
 	mRuns = obs.Default.Counter("imtao_runs_total",
 		"IMTAO pipeline runs executed")
 	mPartitions = obs.Default.Counter("imtao_partitions_total",
 		"Voronoi service-area partitions computed")
-	mPartitionSeconds = obs.Default.Histogram("imtao_partition_seconds",
-		"wall-clock latency of the Voronoi partition", obs.TimeBuckets)
-	mPhase1Seconds = obs.Default.Histogram("imtao_phase1_seconds",
-		"wall-clock latency of phase 1 (center-independent assignment)", obs.TimeBuckets)
-	mPhase2Seconds = obs.Default.Histogram("imtao_phase2_seconds",
-		"wall-clock latency of phase 2 (collaboration game)", obs.TimeBuckets)
+	mPartitionSeconds = obs.Default.Quantile("imtao_partition_seconds",
+		"wall-clock latency of the Voronoi partition")
+	mPhase1Seconds = obs.Default.Quantile("imtao_phase1_seconds",
+		"wall-clock latency of phase 1 (center-independent assignment)")
+	mPhase2Seconds = obs.Default.Quantile("imtao_phase2_seconds",
+		"wall-clock latency of phase 2 (collaboration game)")
 	mCenterSeconds = obs.Default.Quantile("imtao_phase1_center_seconds",
 		"wall time of one center's phase-1 assignment; the p99/p50 spread "+
 			"exposes straggler centers that cap phase-1 parallel speedup")
@@ -272,7 +272,7 @@ func Partition(in *model.Instance) (*model.Instance, *voronoi.Diagram, error) {
 		out.Centers[c].Workers = append(out.Centers[c].Workers, model.WorkerID(wi))
 	}
 	mPartitions.Inc()
-	mPartitionSeconds.Observe(time.Since(t0).Seconds())
+	mPartitionSeconds.ObserveDuration(time.Since(t0))
 	return out, diagram, nil
 }
 
@@ -337,7 +337,7 @@ func Run(in *model.Instance, cfg Config) (*Report, error) {
 	}
 	tr := cfg.Tracer
 	mRuns.Inc()
-	runSpan := obs.StartSpan(o, "run_end", obs.F("method", cfg.Method.String()))
+	runStart := time.Now()
 	var runTS obs.TraceSpan
 	if tr != nil {
 		runTS = tr.Start(0, "run",
@@ -453,7 +453,7 @@ func Run(in *model.Instance, cfg Config) (*Report, error) {
 		wg.Wait()
 	}
 	phase1Time := time.Since(t0)
-	mPhase1Seconds.Observe(phase1Time.Seconds())
+	mPhase1Seconds.ObserveDuration(phase1Time)
 	if tr != nil {
 		p1TS.End(obs.F("centers", len(in.Centers)))
 	}
@@ -534,7 +534,7 @@ func Run(in *model.Instance, cfg Config) (*Report, error) {
 		}
 	}
 	rep.Phase2Time = time.Since(t1)
-	mPhase2Seconds.Observe(rep.Phase2Time.Seconds())
+	mPhase2Seconds.ObserveDuration(rep.Phase2Time)
 	if tr != nil {
 		p2TS.End(
 			obs.F("iterations", rep.Iterations),
@@ -580,11 +580,15 @@ func Run(in *model.Instance, cfg Config) (*Report, error) {
 			obs.F("phi", metrics.Phi(rep.Ratios)),
 			obs.F("duration_ms", obs.DurationMs(rep.Phase2Time)))
 	}
-	runSpan.End(
-		obs.F("assigned", rep.Assigned),
-		obs.F("unfairness", rep.Unfairness),
-		obs.F("transfers", rep.Transfers),
-		obs.F("iterations", rep.Iterations))
+	if obs.Enabled(o) {
+		o.Event("run_end",
+			obs.F("method", cfg.Method.String()),
+			obs.F("assigned", rep.Assigned),
+			obs.F("unfairness", rep.Unfairness),
+			obs.F("transfers", rep.Transfers),
+			obs.F("iterations", rep.Iterations),
+			obs.F("duration_ms", obs.DurationMs(time.Since(runStart))))
+	}
 	if tr != nil {
 		runTS.End(
 			obs.F("assigned", rep.Assigned),

@@ -49,76 +49,11 @@ func (g *Gauge) Add(d float64) {
 // Value returns the current gauge value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// Histogram is a fixed-bucket distribution with a running sum and count,
-// exported in Prometheus histogram exposition (cumulative le buckets).
-//
-// Observe runs under a shared (read) lock so concurrent observers never
-// serialize on each other — the per-bucket counters stay atomic — while the
-// exporter takes the write lock for its snapshot. That snapshot is therefore
-// consistent: the cumulative +Inf bucket always equals _count and _sum has
-// no torn half-observation, which independent atomic loads could not
-// guarantee while Observe runs concurrently.
-type Histogram struct {
-	mu      sync.RWMutex
-	bounds  []float64 // ascending upper bounds; an implicit +Inf follows
-	counts  []atomic.Int64
-	sumBits atomic.Uint64
-	count   atomic.Int64
-}
-
-// TimeBuckets is the default latency bucket layout in seconds: 1µs … 10s,
-// decade steps with a 1-3 split — wide enough for both lock waits and whole
-// pipeline phases.
-var TimeBuckets = []float64{
-	1e-6, 3e-6, 1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3, 1, 3, 10,
-}
-
-// Observe records one sample. Non-finite samples are rejected: NaN compares
-// false against every bound, so sort.SearchFloat64s would land it in the
-// +Inf bucket while poisoning _sum forever (NaN + x = NaN) — one bad sample
-// would corrupt every scrape after it.
-func (h *Histogram) Observe(v float64) {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return
-	}
-	h.mu.RLock()
-	i := sort.SearchFloat64s(h.bounds, v) // first bound ≥ v, len(bounds) = +Inf
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	for {
-		old := h.sumBits.Load()
-		if h.sumBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
-			break
-		}
-	}
-	h.mu.RUnlock()
-}
-
-// snapshot returns a mutually consistent (buckets, sum, count) triple by
-// excluding in-flight Observes for the duration of the reads.
-func (h *Histogram) snapshot() (counts []int64, sum float64, count int64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	counts = make([]int64, len(h.counts))
-	for i := range h.counts {
-		counts[i] = h.counts[i].Load()
-	}
-	return counts, math.Float64frombits(h.sumBits.Load()), h.count.Load()
-}
-
-// Count returns the total number of samples observed. As a point read it
-// may be mid-update relative to Sum; Registry.WriteTo snapshots instead.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// Sum returns the sum of all observed samples (point read, see Count).
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
-
 type metricKind int
 
 const (
 	kindCounter metricKind = iota
 	kindGauge
-	kindHistogram
 	kindInfo
 	kindQuantile
 )
@@ -128,7 +63,6 @@ type metric struct {
 	kind       metricKind
 	counter    *Counter
 	gauge      *Gauge
-	hist       *Histogram
 	quant      *Quantile
 	labels     string // pre-rendered {k="v",...} for info metrics
 }
@@ -184,19 +118,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 		m.gauge = &Gauge{}
 	}
 	return m.gauge
-}
-
-// Histogram returns the histogram registered under name, creating it with
-// the given ascending upper bucket bounds if needed (a +Inf bucket is
-// implicit). The bounds of an existing histogram are kept.
-func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
-	m := r.lookup(name, help, kindHistogram)
-	if m.hist == nil {
-		b := append([]float64(nil), bounds...)
-		sort.Float64s(b)
-		m.hist = &Histogram{bounds: b, counts: make([]atomic.Int64, len(b)+1)}
-	}
-	return m.hist
 }
 
 // Quantile returns the quantile recorder registered under name, creating it
@@ -281,27 +202,6 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 			}
 			_, err = fmt.Fprintf(cw, "%s_sum %s\n%s_count %d\n",
 				m.name, formatFloat(snap.Sum), m.name, snap.Count)
-		case kindHistogram:
-			h := m.hist
-			if _, err = fmt.Fprintf(cw, "# HELP %s %s\n# TYPE %s histogram\n",
-				m.name, m.help, m.name); err != nil {
-				break
-			}
-			counts, sum, count := h.snapshot()
-			var cum int64
-			for i, b := range h.bounds {
-				cum += counts[i]
-				if _, err = fmt.Fprintf(cw, "%s_bucket{le=%q} %d\n",
-					m.name, formatFloat(b), cum); err != nil {
-					break
-				}
-			}
-			if err != nil {
-				break
-			}
-			cum += counts[len(h.bounds)]
-			_, err = fmt.Fprintf(cw, "%s_bucket{le=\"+Inf\"} %d\n%s_sum %s\n%s_count %d\n",
-				m.name, cum, m.name, formatFloat(sum), m.name, count)
 		}
 		if err != nil {
 			return cw.n, err

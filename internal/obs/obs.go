@@ -1,11 +1,11 @@
 // Package obs is the zero-dependency observability layer of the IMTAO
 // pipeline. It provides two complementary views of a running system:
 //
-//   - Process-wide metrics — counters, gauges and histograms collected in a
-//     Registry and exported as a Prometheus text-format snapshot
-//     (Registry.WriteTo). Instrumented packages register their metrics on
-//     the package-level Default registry, exactly like promauto, so the
-//     /metrics endpoint of cmd/imtao-sim and the -metrics-out flag of
+//   - Process-wide metrics — counters, gauges and quantile summaries
+//     collected in a Registry and exported as a Prometheus text-format
+//     snapshot (Registry.WriteTo). Instrumented packages register their
+//     metrics on the package-level Default registry, exactly like promauto,
+//     so the /metrics endpoint of cmd/imtao-sim and the -metrics-out flag of
 //     cmd/imtao-bench see every subsystem without any plumbing.
 //
 //   - Per-run event streams — an Observer receives named structured events
@@ -13,16 +13,9 @@
 //     from one pipeline run. The JSONL implementation serializes them one
 //     JSON object per line; Nop discards them with zero allocation, so an
 //     uninstrumented run pays nothing.
-//
-// Fine-grained latency histograms (lock wait, queue wait) additionally sit
-// behind the process-wide EnableTiming gate: they need a time.Now pair on a
-// hot path, so they stay off unless something is actually scraping them.
 package obs
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // Field is one key/value pair of a structured event. Values must be
 // JSON-serializable (numbers, strings, bools, slices of those).
@@ -83,54 +76,8 @@ func (m multiObserver) Event(name string, fields ...Field) {
 	}
 }
 
-// Span is a timed region. StartSpan captures the start time; End emits one
-// event named after the span carrying a "duration_ms" field plus any fields
-// given at either end. The zero Span (from a disabled observer) is inert.
-type Span struct {
-	o      Observer
-	name   string
-	start  time.Time
-	fields []Field
-}
-
-// StartSpan opens a span on o. With a disabled observer it returns the inert
-// zero Span without reading the clock.
-func StartSpan(o Observer, name string, fields ...Field) Span {
-	if !Enabled(o) {
-		return Span{}
-	}
-	return Span{o: o, name: name, start: time.Now(), fields: fields}
-}
-
-// End closes the span, emitting its event. It returns the measured duration
-// (zero for the inert span).
-func (s Span) End(fields ...Field) time.Duration {
-	if s.o == nil {
-		return 0
-	}
-	d := time.Since(s.start)
-	all := make([]Field, 0, len(s.fields)+len(fields)+1)
-	all = append(all, s.fields...)
-	all = append(all, fields...)
-	all = append(all, F("duration_ms", DurationMs(d)))
-	s.o.Event(s.name, all...)
-	return d
-}
-
 // DurationMs converts a duration to fractional milliseconds, the unit every
 // emitted latency field uses.
 func DurationMs(d time.Duration) float64 {
 	return float64(d.Nanoseconds()) / 1e6
 }
-
-// timing gates the fine-grained latency histograms (lock wait, queue wait):
-// they cost a time.Now pair on hot paths, so they are off by default.
-var timing atomic.Bool
-
-// EnableTiming switches the fine-grained latency histograms on or off
-// process-wide. cmd/imtao-sim enables it when serving /metrics and
-// cmd/imtao-bench when -metrics-out is set.
-func EnableTiming(on bool) { timing.Store(on) }
-
-// TimingOn reports whether fine-grained latency histograms are collected.
-func TimingOn() bool { return timing.Load() }

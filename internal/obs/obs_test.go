@@ -15,7 +15,7 @@ func TestCountersConcurrent(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c_total", "counter")
 	g := r.Gauge("g", "gauge")
-	h := r.Histogram("h_seconds", "histogram", []float64{1, 10, 100})
+	q := r.Quantile("q_seconds", "quantile")
 
 	const goroutines, per = 8, 1000
 	var wg sync.WaitGroup
@@ -27,7 +27,7 @@ func TestCountersConcurrent(t *testing.T) {
 				c.Inc()
 				c.Add(2)
 				g.Add(0.5)
-				h.Observe(float64(k % 200))
+				q.Observe(float64(k % 200))
 			}
 		}()
 	}
@@ -39,37 +39,16 @@ func TestCountersConcurrent(t *testing.T) {
 	if got, want := g.Value(), float64(goroutines*per)*0.5; got != want {
 		t.Errorf("gauge %g, want %g", got, want)
 	}
-	if got, want := h.Count(), int64(goroutines*per); got != want {
-		t.Errorf("histogram count %d, want %d", got, want)
+	if got, want := q.Count(), int64(goroutines*per); got != want {
+		t.Errorf("quantile count %d, want %d", got, want)
 	}
 	// Σ (k%200) for k in [0,1000) = 5 full cycles of 0..199.
 	wantSum := float64(goroutines) * 5 * (199 * 200 / 2)
-	if got := h.Sum(); got != wantSum {
-		t.Errorf("histogram sum %g, want %g", got, wantSum)
+	if got := q.Sum(); got != wantSum {
+		t.Errorf("quantile sum %g, want %g", got, wantSum)
 	}
-}
-
-func TestHistogramBuckets(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("lat_seconds", "latencies", []float64{0.01, 0.1, 1})
-	for _, v := range []float64{0.001, 0.01, 0.05, 0.5, 2, 100} {
-		h.Observe(v)
-	}
-	var buf bytes.Buffer
-	if _, err := r.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	want := `# HELP lat_seconds latencies
-# TYPE lat_seconds histogram
-lat_seconds_bucket{le="0.01"} 2
-lat_seconds_bucket{le="0.1"} 3
-lat_seconds_bucket{le="1"} 4
-lat_seconds_bucket{le="+Inf"} 6
-lat_seconds_sum 102.561
-lat_seconds_count 6
-`
-	if buf.String() != want {
-		t.Errorf("exposition mismatch:\ngot:\n%s\nwant:\n%s", buf.String(), want)
+	if q.Min() != 0 || q.Max() != 199 {
+		t.Errorf("quantile min/max %g/%g, want 0/199", q.Min(), q.Max())
 	}
 }
 
@@ -171,35 +150,6 @@ func TestJSONLConcurrent(t *testing.T) {
 	}
 }
 
-func TestSpan(t *testing.T) {
-	var buf bytes.Buffer
-	j := NewJSONL(&buf)
-	sp := StartSpan(j, "phase1", F("centers", 4))
-	d := sp.End(F("assigned", 10))
-	if d < 0 {
-		t.Errorf("negative duration %v", d)
-	}
-	var ev map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &ev); err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{"centers", "assigned", "duration_ms"} {
-		if _, ok := ev[key]; !ok {
-			t.Errorf("span event missing %q: %v", key, ev)
-		}
-	}
-	// Inert span from a disabled observer.
-	if d := StartSpan(Nop, "x").End(); d != 0 {
-		t.Errorf("nop span measured %v", d)
-	}
-	if Enabled(Nop) || Enabled(nil) {
-		t.Error("Nop and nil must report disabled")
-	}
-	if !Enabled(j) {
-		t.Error("real observer must report enabled")
-	}
-}
-
 func TestEnvMeta(t *testing.T) {
 	meta := EnvMeta()
 	for _, key := range []string{"go_version", "gomaxprocs", "num_cpu", "goos", "goarch"} {
@@ -216,17 +166,6 @@ func TestEnvMeta(t *testing.T) {
 	if !strings.Contains(buf.String(), "imtao_env_info{") {
 		t.Errorf("env info metric missing:\n%s", buf.String())
 	}
-}
-
-func TestTimingGate(t *testing.T) {
-	if TimingOn() {
-		t.Error("timing must default off")
-	}
-	EnableTiming(true)
-	if !TimingOn() {
-		t.Error("EnableTiming(true) not visible")
-	}
-	EnableTiming(false)
 }
 
 // TestSchemaVersionStampedAndChecked: every emitted record carries the

@@ -18,9 +18,8 @@ import (
 // zero-allocation steady-state paths of the game engine (the AllocsPerRun
 // gates in collab cover an Observe per iteration).
 //
-// Unlike the fixed-bucket Histogram (whose resolution collapses to "somewhere
-// between 3ms and 10ms" at the decade boundaries), a Quantile answers "what
-// is p999" directly, which is what the perf gate and imtao-top need.
+// A Quantile answers "what is p999" directly, which is what the perf gate
+// and imtao-top need.
 //
 // The zero value is NOT ready to use; construct with NewQuantile or
 // Registry.Quantile (min/max tracking needs a sentinel).

@@ -118,4 +118,10 @@ func TestMultiObserver(t *testing.T) {
 	if Multi(ja) != Observer(ja) {
 		t.Error("single Multi must unwrap")
 	}
+	if Enabled(Nop) || Enabled(nil) {
+		t.Error("Nop and nil must report disabled")
+	}
+	if !Enabled(ja) {
+		t.Error("real observer must report enabled")
+	}
 }

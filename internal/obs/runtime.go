@@ -15,15 +15,15 @@ import (
 // right view for "is this service healthy", with RuntimeHistogram.Sub
 // available when a harness wants the distribution of one bounded window.
 type RuntimeVitals struct {
-	Goroutines     int64
-	GoMaxProcs     int64
-	HeapLiveBytes  int64 // /gc/heap/live — bytes of live objects after the last GC
-	HeapGoalBytes  int64 // /gc/heap/goal — the pacer's current target
-	MemTotalBytes  int64 // /memory/classes/total — all memory mapped by the runtime
-	GCCycles       int64
-	CgoCalls       int64
-	GCPauseP50     float64 // seconds, /sched/pauses/total/gc
-	GCPauseP99     float64
+	Goroutines      int64
+	GoMaxProcs      int64
+	HeapLiveBytes   int64 // /gc/heap/live — bytes of live objects after the last GC
+	HeapGoalBytes   int64 // /gc/heap/goal — the pacer's current target
+	MemTotalBytes   int64 // /memory/classes/total — all memory mapped by the runtime
+	GCCycles        int64
+	CgoCalls        int64
+	GCPauseP50      float64 // seconds, /sched/pauses/total/gc
+	GCPauseP99      float64
 	SchedLatencyP50 float64 // seconds, /sched/latencies (run-queue wait)
 	SchedLatencyP99 float64
 }
@@ -159,12 +159,12 @@ type RuntimeSampler struct {
 	cSamples    *Counter
 	qSampleCost *Quantile
 
-	mu      sync.Mutex
-	samples []metrics.Sample // reused batch buffer, guarded by mu
-	last    RuntimeVitals
+	mu       sync.Mutex
+	samples  []metrics.Sample // reused batch buffer, guarded by mu
+	last     RuntimeVitals
 	haveLast bool
-	stop    chan struct{}
-	done    chan struct{}
+	stop     chan struct{}
+	done     chan struct{}
 }
 
 // DefaultSampleInterval is the RuntimeSampler period used when the caller

@@ -85,10 +85,13 @@ type gamePreset struct {
 	// Engine work profile, summed over the trace. PruneRate is the fraction
 	// of candidate lookups eliminated before evaluation; ResumeRate the
 	// fraction of evaluated trials served by prefix-resume (1.0 for the
-	// Sequential engine).
+	// Sequential engine). TrialReplays counts the suffix replays behind the
+	// evaluated trials (TraceStep.Replays): one per distinct non-empty trial
+	// key, so fewer than the trials, and a pure function of the game's states.
 	CandidatesPruned int64   `json:"candidates_pruned"`
 	TrialsEvaluated  int64   `json:"trials_evaluated"`
 	TrialsResumed    int64   `json:"trials_resumed"`
+	TrialReplays     int64   `json:"trial_replays"`
 	MemoHits         int64   `json:"memo_hits"`
 	PruneRate        float64 `json:"prune_rate"`
 	ResumeRate       float64 `json:"resume_rate"`
@@ -259,6 +262,7 @@ func runGameSweep(sizes []int, cfg gameConfig) error {
 			pr.CandidatesPruned += int64(step.Pruned)
 			pr.TrialsEvaluated += int64(step.Trials)
 			pr.TrialsResumed += int64(step.Resumed)
+			pr.TrialReplays += int64(step.Replays)
 			pr.MemoHits += int64(step.MemoHits)
 			iterQ.ObserveDuration(step.Duration)
 		}
@@ -368,8 +372,8 @@ func runGameSweep(sizes []int, cfg gameConfig) error {
 			"sampler %d samples, p99 cost %.3f ms\n",
 			pr.GCPauseP50Ms, pr.GCPauseP99Ms, pr.GCCycles,
 			pr.SamplerSamples, pr.SamplerSampleP99Ms)
-		fmt.Printf("  pruned %d (rate %.4f), trials %d (resume rate %.4f), snapshot %d B\n",
-			pr.CandidatesPruned, pr.PruneRate, pr.TrialsEvaluated, pr.ResumeRate, pr.SnapshotBytes)
+		fmt.Printf("  pruned %d (rate %.4f), trials %d (resume rate %.4f, %d replays), snapshot %d B\n",
+			pr.CandidatesPruned, pr.PruneRate, pr.TrialsEvaluated, pr.ResumeRate, pr.TrialReplays, pr.SnapshotBytes)
 		fmt.Printf("  memory/iter over %d steady iters: allocs p50 %.0f (mean %.2f), %.0f B, heap in use %d B\n",
 			pr.MemWindowIters, pr.AllocsPerIter, pr.AllocsPerIterMean, pr.BytesPerIter, pr.HeapInuseBytes)
 		fmt.Printf("  equilibrium_ok=%v (verified in %.0f ms)\n", pr.EquilibriumOK, ms(verify))
@@ -391,6 +395,10 @@ func runGameSweep(sizes []int, cfg gameConfig) error {
 		}
 		if pr.TrialsResumed == 0 {
 			return fmt.Errorf("game %s: prefix-resume never engaged", pr.Name)
+		}
+		if pr.TrialReplays >= pr.TrialsEvaluated {
+			return fmt.Errorf("game %s: %d suffix replays for %d trials — trial grouping never engaged",
+				pr.Name, pr.TrialReplays, pr.TrialsEvaluated)
 		}
 		if !pr.ProvReplayOK {
 			return fmt.Errorf("game %s: provenance ledger does not replay to the engine's fingerprint", pr.Name)

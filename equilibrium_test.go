@@ -138,7 +138,7 @@ func gameTrace(trace []collab.TraceStep) []collab.TraceStep {
 	out := append([]collab.TraceStep(nil), trace...)
 	for i := range out {
 		out[i].Duration = 0
-		out[i].Trials, out[i].MemoHits, out[i].Pruned, out[i].Resumed = 0, 0, 0, 0
+		out[i].Trials, out[i].MemoHits, out[i].Pruned, out[i].Resumed, out[i].Replays = 0, 0, 0, 0, 0
 	}
 	return out
 }

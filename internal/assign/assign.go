@@ -71,6 +71,12 @@ var (
 
 func recordStats(s Stats) {
 	mCalls.Inc()
+	recordWork(s)
+}
+
+// recordWork adds s to the work counters without counting a call — the
+// trial heads' share.
+func recordWork(s Stats) {
 	mTasksScanned.Add(int64(s.TasksScanned))
 	mDeadlineRej.Add(int64(s.DeadlineRejections))
 	mRouteExt.Add(int64(s.RouteExtensions))

@@ -42,7 +42,8 @@ const neighbourListLen = 16
 //
 // A center's part is built on first use under its own sync.Once, so shard
 // games build disjoint centers concurrently and centers that never play
-// cost nothing. The memo assumes travel time is a pure function of the two
+// cost nothing; Build builds a known set of parts up front, concurrently.
+// The memo assumes travel time is a pure function of the two
 // endpoints while the table lives — true within one solve, since core.Run
 // pins the center tables before the game starts — so a table must not
 // outlive the solve that made it. Safe for concurrent use.
@@ -119,6 +120,31 @@ func NewTaskOrders(in *model.Instance) *TaskOrders {
 		rank:    make([]int32, len(in.Tasks)),
 		centers: make([]centerOrders, len(in.Centers)),
 	}
+}
+
+// Build builds the parts of the given centers on up to par goroutines and
+// returns once all are built. A part's build is deterministic and touches
+// only its own center's slots, so the build order changes nothing.
+func (o *TaskOrders) Build(centers []model.CenterID, par int) {
+	par = min(par, len(centers))
+	if par <= 1 {
+		for _, ci := range centers {
+			o.center(ci)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(par)
+	for w := 0; w < par; w++ {
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < len(centers); i = int(next.Add(1) - 1) {
+				o.center(centers[i])
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // center returns ci's part of the table, building it on first use.

@@ -103,6 +103,39 @@ func TestTaskOrdersMatchBruteForce(t *testing.T) {
 	}
 }
 
+// TestTaskOrdersBuildMatchesLazy builds every center's part at once on
+// several goroutines and checks each against a part built on first use:
+// the same center order, neighbour lists and ranks. Under -race it also
+// checks that concurrent builds share nothing unsynchronized.
+func TestTaskOrdersBuildMatchesLazy(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	in := &model.Instance{Speed: 1, Bounds: geo.NewRect(geo.Pt(-120, -120), geo.Pt(120, 120))}
+	var centers []model.CenterID
+	for ci := 0; ci < 9; ci++ {
+		c := model.Center{ID: model.CenterID(ci), Loc: geo.Pt(rng.Float64()*200-100, rng.Float64()*200-100)}
+		for i := 0; i < 1+rng.Intn(120); i++ {
+			id := model.TaskID(len(in.Tasks))
+			in.Tasks = append(in.Tasks, model.Task{ID: id, Center: c.ID, Expiry: 100, Reward: 1,
+				Loc: geo.Pt(c.Loc.X+rng.Float64()*20-10, c.Loc.Y+rng.Float64()*20-10)})
+			c.Tasks = append(c.Tasks, id)
+		}
+		in.Centers = append(in.Centers, c)
+		centers = append(centers, c.ID)
+	}
+	in.EnsureHot()
+	built, lazy := NewTaskOrders(in), NewTaskOrders(in)
+	built.Build(centers, 4)
+	for _, ci := range centers {
+		b, l := &built.centers[ci], lazy.center(ci)
+		if !slices.Equal(b.tasks, l.tasks) || b.width != l.width || !slices.Equal(b.nbr, l.nbr) {
+			t.Fatalf("center %d: built part differs from the lazily built one", ci)
+		}
+	}
+	if !slices.Equal(built.rank, lazy.rank) {
+		t.Fatal("built ranks differ from the lazily built ones")
+	}
+}
+
 // TestOrderPoolNearestMatchesLinear drives the trial pool through random
 // start states and removal sequences and checks every query against a
 // linear scan of the live tasks — same task, ties to the smaller ID — and

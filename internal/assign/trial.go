@@ -302,10 +302,12 @@ type TrialRunner struct {
 	// dead in the trial pool and its servedAt is ≥ j, and freed iff it is
 	// live and its servedAt is < j.
 	nStolen, nFreed int
-	// Result-slice arenas, recycled per Rebind (one game iteration).
+	// Result-slice arenas, recycled per Rebind (one game iteration). head
+	// holds the route of the latest Head call only.
 	tids slab.Arena[model.TaskID]
 	wids slab.Arena[model.WorkerID]
 	rts  slab.Arena[model.Route]
+	head slab.Arena[model.TaskID]
 }
 
 // settle folds serve position j into the difference counts once the trial
@@ -444,14 +446,41 @@ func (r *TrialRunner) LastReplay() (copied, replayed int) {
 	return r.lastCopied, r.lastReplayed
 }
 
-// Trial returns exactly what Sequential(in, c, baseWorkers∪{cand}, tasks)
-// would return (up to nil-vs-empty slice spelling), by resuming from cand's
-// position in the serve order. cand must not be in the baseline worker set.
-// The result's slices live in the runner's arenas: valid until the next
-// Rebind, shared with no other trial.
-func (r *TrialRunner) Trial(cand model.WorkerID) Result {
+// TrialKey is all a trial depends on besides its base: Pos, the
+// candidate's serve-order position k, and Len, the length L of the route
+// the candidate takes (DESIGN.md §11). Two candidates with equal keys get
+// trials that differ only in the candidate's worker ID, so their assigned
+// counts are equal. Every empty-route key is the zero key: such a trial is
+// the baseline plus one more unused worker, wherever the candidate sits.
+type TrialKey struct {
+	Pos, Len int32
+}
+
+// Head returns cand's TrialKey by running only the head of Trial(cand):
+// the prefix removal and the candidate's own route, at most MaxT queries.
+// The route is discarded. Head shares the runner's pool with Trial, so the
+// two must not interleave on one runner, but a Trial may follow any number
+// of Heads.
+func (r *TrialRunner) Head(cand model.WorkerID) TrialKey {
+	r.head.Reset()
+	var st Stats
+	k, rt := r.serveCandidate(cand, &r.head, &st)
+	r.pool.flush()
+	recordWork(st)
+	if len(rt.Tasks) == 0 {
+		return TrialKey{}
+	}
+	return TrialKey{Pos: int32(k), Len: int32(len(rt.Tasks))}
+}
+
+// serveCandidate restores the trial pool to S_k, the full run's state at
+// cand's serve position k, and serves cand from the center over it. This is
+// the head of every trial. From S_k on, Algorithm 2's queries from the
+// center and from each task just taken form one chain, whoever walks it;
+// cand takes the chain's first L tasks, where L is fixed by cand's own
+// capacity and deadlines. Everything after that depends on (k, L) alone.
+func (r *TrialRunner) serveCandidate(cand model.WorkerID, arena *slab.Arena[model.TaskID], stats *Stats) (int, model.Route) {
 	b := r.b
-	var res Result
 	cd2 := b.wh[cand].Loc.Dist2(b.c.Loc)
 	// cand's serve-order position: first index holding a worker served
 	// after cand. cand is not in order, so the ID tiebreak never ties.
@@ -475,8 +504,19 @@ func (r *TrialRunner) Trial(cand model.WorkerID) Result {
 			}
 		}
 	}
+	return k, serveWorker(b.in, b.c, b.cref, cand, pool, stats, arena, nil)
+}
 
-	candRoute := serveWorker(b.in, b.c, b.cref, cand, pool, &res.Stats, &r.tids, nil)
+// Trial returns exactly what Sequential(in, c, baseWorkers∪{cand}, tasks)
+// would return (up to nil-vs-empty slice spelling), by resuming from cand's
+// position in the serve order. cand must not be in the baseline worker set.
+// The result's slices live in the runner's arenas: valid until the next
+// Rebind, shared with no other trial.
+func (r *TrialRunner) Trial(cand model.WorkerID) Result {
+	b := r.b
+	var res Result
+	k, candRoute := r.serveCandidate(cand, &r.tids, &res.Stats)
+	pool := &r.pool
 	if len(candRoute.Tasks) == 0 {
 		// The candidate takes nothing, so the suffix replays identically:
 		// the trial IS the baseline plus one more unused worker.

@@ -238,6 +238,78 @@ func TestTrialCascadeEveryPosition(t *testing.T) {
 	}
 }
 
+// TestTrialKeyGroupsExactly checks the grouping the game builds on Head.
+// The heads of every candidate run first, and one Trial per key runs after
+// them on the same runner, for the key's first candidate. Every candidate's
+// own Trial must assign as many tasks as its key's, and each key's first
+// candidate must get exactly its own Trial's Result. The scenes are the
+// cascade scenes, with one candidate per serve position, and random scenes,
+// where candidates share positions but reach the center at different times,
+// each on straight-line and road metrics.
+func TestTrialKeyGroupsExactly(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	shared := 0
+	for trial := 0; trial < 600; trial++ {
+		road := trial%2 == 1
+		var in *model.Instance
+		var base, cands []model.WorkerID
+		if trial%4 < 2 {
+			in, base, cands = cascadeScene(rng, road)
+		} else {
+			in = randomCenterScene(rng, 2+rng.Intn(16), 1+rng.Intn(40))
+			if road {
+				net, err := roadnet.New(in.Bounds, 12, 12, in.Speed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				net.SetCongestion(geo.Pt(rng.Float64()*200-100, rng.Float64()*200-100), 1+rng.Float64()*3)
+				in.Metric = net
+				in.PrepareMetric()
+			}
+			all := in.Centers[0].Workers
+			k := rng.Intn(len(all))
+			base, cands = all[:k], all[k:]
+		}
+		c := in.Center(0)
+		baseline := Sequential(in, c, base, c.Tasks)
+		tb, ok := NewTrialBase(NewTaskOrders(in), c, base, baseline.Routes, baseline.LeftTasks)
+		if !ok {
+			t.Fatalf("trial %d: NewTrialBase rejected a genuine Sequential baseline", trial)
+		}
+		runner, check := tb.NewRunner(), tb.NewRunner()
+		keys := make([]TrialKey, len(cands))
+		first := make(map[TrialKey]int)
+		for i, w := range cands {
+			keys[i] = runner.Head(w)
+			if _, ok := first[keys[i]]; !ok {
+				first[keys[i]] = i
+			}
+		}
+		grouped := make(map[TrialKey]Result)
+		for i, w := range cands {
+			if first[keys[i]] == i {
+				grouped[keys[i]] = runner.Trial(w)
+			}
+		}
+		for i, w := range cands {
+			got, own := grouped[keys[i]], check.Trial(w)
+			if got.AssignedCount() != own.AssignedCount() {
+				t.Fatalf("trial %d cand %d (key %+v): grouped count %d, own trial %d",
+					trial, w, keys[i], got.AssignedCount(), own.AssignedCount())
+			}
+			if first[keys[i]] != i {
+				shared++
+			} else if !reflect.DeepEqual(got, own) {
+				t.Fatalf("trial %d cand %d (key %+v): first candidate's trial after the heads:\n got  %+v\n want %+v",
+					trial, w, keys[i], got, own)
+			}
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no two candidates shared a key; the grouping was never exercised")
+	}
+}
+
 // TestNewTrialBaseRejectsForeignRoutes asserts the constructor detects routes
 // that cannot be a Sequential outcome for the given worker set and signals
 // the caller to fall back to full evaluation.

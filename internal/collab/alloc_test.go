@@ -122,8 +122,9 @@ func TestGameStepParallelZeroAlloc(t *testing.T) {
 
 // TestTrialRunnerRebindTrialZeroAlloc pins the per-iteration trial cycle of
 // the resume engine: Reset the base on the center's current assignment,
-// Rebind the persistent runner, run a trial. After warm-up the whole cycle
-// is allocation-free — every result slice comes from the runner's arenas.
+// Rebind the persistent runner, run a head and a trial. After warm-up the
+// whole cycle is allocation-free — every result slice comes from the
+// runner's arenas.
 func TestTrialRunnerRebindTrialZeroAlloc(t *testing.T) {
 	in := seededInstance(9, 4, 120, 1200)
 	in.PrepareMetric()
@@ -145,13 +146,15 @@ func TestTrialRunnerRebindTrialZeroAlloc(t *testing.T) {
 	runner := base.NewRunner()
 	for i := 0; i < 3; i++ { // grow arenas and the pool stamps to high water
 		runner.Rebind(base)
+		runner.Head(cand)
 		runner.Trial(cand)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
 		runner.Rebind(base)
+		key := runner.Head(cand)
 		r := runner.Trial(cand)
-		if r.AssignedCount() < 0 {
-			t.Fatal("impossible")
+		if r.AssignedCount() < int(key.Len) {
+			t.Fatal("the trial assigns fewer tasks than the candidate's own route")
 		}
 	})
 	if allocs != 0 {

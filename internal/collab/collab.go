@@ -32,7 +32,7 @@
 // every per-iteration slice comes from recycled scratch, slab arenas or the
 // double-buffered per-center promotion buffers. RunReference (frozen.go) is
 // the preserved pre-engine loop; both produce bit-identical solutions and
-// traces (modulo the trial/prune/resume counters and Duration).
+// traces (modulo the trial/prune/resume/replay counters and Duration).
 package collab
 
 import (
@@ -164,8 +164,8 @@ type Config struct {
 	Parallelism int
 	// Prune selects admissibility pruning (DESIGN.md §11). The zero value
 	// PruneAuto prunes for the built-in Sequential assigner only; pruning
-	// never changes the solution or trace beyond the Trials/Pruned/Resumed
-	// counters.
+	// never changes the solution or trace beyond the work counters (Trials,
+	// Pruned, Resumed, Replays).
 	Prune PruneMode
 	// Obs receives one "game_iter" event per iteration carrying the
 	// potential Φ, the full ρ vector, trial/prune/resume counts and the
@@ -244,11 +244,15 @@ type TraceStep struct {
 	// Pruned counts pool candidates skipped this iteration by admissibility
 	// pruning — their trials provably return the baseline. Resumed counts
 	// evaluated trials served by the prefix-resume engine instead of a full
-	// re-assignment. Both are zero under RunReference; together with Trials
-	// they are diagnostics, not part of the cross-engine equivalence
+	// re-assignment. Replays counts the trials the iteration ran beyond the
+	// heads: one suffix replay per distinct non-empty assign.TrialKey on
+	// the prefix-resume engine, one full assigner run per candidate
+	// otherwise. All three are zero under RunReference; together with
+	// Trials they are diagnostics, not part of the cross-engine equivalence
 	// contract.
 	Pruned  int
 	Resumed int
+	Replays int
 	// Duration is the iteration's wall-clock time. It is the one TraceStep
 	// field outside the determinism contract — everything else (minus the
 	// counter diagnostics above) is bit-identical across parallelism levels
@@ -410,8 +414,14 @@ type Game struct {
 	// buffers; the result is promoted into the center's buffers like an
 	// accepted trial.
 	seqScratch assign.SequentialScratch
-	// trials is the per-iteration evaluation scratch.
-	trials []assign.Result
+	// The per-sweep evaluation scratch of evalTrials: each candidate's
+	// group, each group's first candidate and trial, each candidate's
+	// assigned count, and the trial key → group map.
+	group   []int32
+	reps    []model.WorkerID
+	results []assign.Result
+	counts  []int
+	groupOf map[assign.TrialKey]int32
 	// rhos carves the per-step ρ-vector snapshots (TraceStep.Rhos) from one
 	// growing slab instead of one allocation per iteration. Never reset:
 	// the snapshots are part of the returned trace. rhoSort is the sort
@@ -431,7 +441,7 @@ type Game struct {
 // its iteration trace. The instance is not mutated.
 //
 // This is the optimized engine: bit-identical to RunReference in solution,
-// transfers and trace (Trials/Pruned/Resumed and Duration aside),
+// transfers and trace (Trials/Pruned/Resumed/Replays and Duration aside),
 // but with admissibility pruning, prefix-resume trials, incremental
 // bookkeeping and recycled per-iteration memory — see DESIGN.md §11 and §13
 // for the architecture and the exactness arguments.
@@ -468,6 +478,12 @@ func NewGame(in *model.Instance, phase1 []assign.Result, cfg Config) *Game {
 	if g.members == nil {
 		for ci := range in.Centers {
 			initCenter(model.CenterID(ci))
+		}
+		// The initial recipients' order-table parts are built concurrently
+		// here instead of one by one in their first sweeps. A shard game
+		// skips this: the shard games already build concurrently.
+		if g.orders != nil && !g.Over() {
+			g.orders.Build(g.recipients, parallelism(cfg.Parallelism))
 		}
 	} else {
 		for _, ci := range g.members {
@@ -631,7 +647,7 @@ func (g *Game) Step() bool {
 
 	// Lines 14–15: the recipient's best-response sweep over the pool.
 	sw := g.sweep(ci, iterTS.ID())
-	cands, trials := sw.cands, sw.trials
+	cands := sw.cands
 	resumed := 0
 	if sw.resumed {
 		resumed = len(cands)
@@ -639,7 +655,7 @@ func (g *Game) Step() bool {
 
 	step := TraceStep{
 		Iteration: iter, Recipient: ci, RhoBefore: st.rho,
-		Trials: len(cands), Pruned: sw.pruned, Resumed: resumed,
+		Trials: len(cands), Pruned: sw.pruned, Resumed: resumed, Replays: sw.replays,
 	}
 	// provDelta/provReplace carry the accepted route delta to the ledger
 	// hook below; locals so the disabled path costs nothing.
@@ -653,7 +669,7 @@ func (g *Game) Step() bool {
 		mRejections.Inc()
 	} else {
 		// Lines 16–19: accept the dispatch and update the assignment.
-		bestRes := &trials[sw.best]
+		bestRes := g.trialOf(sw.best)
 		bestRho, bestAssigned := sw.bestRho, sw.bestAssigned
 		w := cands[sw.best]
 		src := g.pool.homeOf(w)
@@ -782,7 +798,7 @@ func (g *Game) Step() bool {
 			Worker: step.Worker, Source: step.Source,
 			RhoBefore: step.RhoBefore, RhoAfter: step.RhoAfter,
 			Phi: step.Phi, Pruned: sw.pruned, Slack: sw.slack,
-		}, cands, trials, sw.resumed, provDelta, provReplace)
+		}, cands, sw.counts, sw.resumed, provDelta, provReplace)
 	}
 	// The end check runs after the ledger consumed this step's sweep: its
 	// own sweeps reuse the same scratch.
@@ -801,19 +817,21 @@ func (g *Game) Step() bool {
 			obs.F("trials", len(cands)),
 			obs.F("pruned", sw.pruned),
 			obs.F("resumed", resumed),
+			obs.F("replays", step.Replays),
 			obs.F("rho_after", step.RhoAfter))
 	}
 	return true
 }
 
 // sweepResult is one center's best-response sweep over the current pool.
-// cands and trials are pool and trial-runner scratch, valid until the next
-// sweep.
+// cands and counts are pool and evaluation scratch, valid until the next
+// sweep; the winner's trial is trialOf(best).
 type sweepResult struct {
 	cands   []model.WorkerID
-	trials  []assign.Result // one per candidate
-	pruned  int             // pool candidates cut by admissibility pruning
-	resumed bool            // trials ran on the prefix-resume engine
+	counts  []int // each candidate's trial assigned count
+	pruned  int   // pool candidates cut by admissibility pruning
+	replays int   // trials evaluated beyond the heads (TraceStep.Replays)
+	resumed bool  // trials ran on the prefix-resume engine
 	// slack is the admission slack that did the pruning, -1 when the sweep
 	// ran unpruned (the ledger records it).
 	slack float64
@@ -908,15 +926,14 @@ func (g *Game) sweep(ci model.CenterID, traceParent obs.SpanID) sweepResult {
 			mSnapshotBytes.Set(float64(base.FootprintBytes()))
 		}
 	}
-	sw.trials = g.evalTrials(center, sw.cands, baseWS, st.leftTasks, base, traceParent)
+	sw.counts, sw.replays = g.evalTrials(center, sw.cands, baseWS, st.leftTasks, base, traceParent)
 	sw.resumed = base != nil
 	mTrials.Add(int64(len(sw.cands)))
 	if sw.resumed {
 		mResumed.Add(int64(len(sw.cands)))
 	}
 
-	for i := range sw.cands {
-		newAssigned := sw.trials[i].AssignedCount()
+	for i, newAssigned := range sw.counts {
 		if cfg.Scope == LeftoverOnly {
 			newAssigned += st.assigned
 		}
@@ -1004,6 +1021,7 @@ func emitGameIter(o obs.Observer, step *TraceStep) {
 		obs.F("trials", step.Trials),
 		obs.F("pruned", step.Pruned),
 		obs.F("resumed", step.Resumed),
+		obs.F("replays", step.Replays),
 		obs.F("duration_ms", obs.DurationMs(step.Duration)))
 	o.Event("game_iter", fields...)
 }

@@ -40,8 +40,8 @@ func fingerprintSolution(sol *model.Solution) uint64 {
 }
 
 // stripEngineDiagnostics zeroes the TraceStep fields outside the cross-engine
-// equivalence contract: the wall clock and the trial/prune/resume counters
-// (the optimized engine does strictly less work).
+// equivalence contract: the wall clock and the trial/prune/resume/replay
+// counters (the optimized engine does strictly less work).
 func stripEngineDiagnostics(trace []TraceStep) []TraceStep {
 	out := append([]TraceStep(nil), trace...)
 	for i := range out {
@@ -49,6 +49,7 @@ func stripEngineDiagnostics(trace []TraceStep) []TraceStep {
 		out[i].Trials = 0
 		out[i].Pruned = 0
 		out[i].Resumed = 0
+		out[i].Replays = 0
 	}
 	return out
 }

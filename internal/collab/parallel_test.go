@@ -73,9 +73,10 @@ func TestRunParallelismDeterminism(t *testing.T) {
 // TestNoGoroutineOutlivesGame: a game's trial helpers end with it. After
 // Finish, Run, RunSharded (serial, and concurrent shard games with a
 // parallel exchange) and VerifyEquilibrium return, the goroutine count is
-// back where it began.
+// back where it began. The instance's first sweep has candidates of several
+// trial keys, so it runs replays on the helpers.
 func TestNoGoroutineOutlivesGame(t *testing.T) {
-	in := seededInstance(11, 6, 60, 400)
+	in := seededInstance(7, 6, 60, 400)
 	p1 := phase1(in)
 	cfg := seqConfig()
 	cfg.Parallelism = 4
@@ -113,8 +114,9 @@ func TestNoGoroutineOutlivesGame(t *testing.T) {
 	settled("VerifyEquilibrium")
 }
 
-// TestEvalTrialsSlots checks the fixed-slot contract directly: results land
-// at their candidate's index regardless of parallelism.
+// TestEvalTrialsSlots checks the fixed-slot contract directly on the
+// full-trial path: results land at their candidate's index regardless of
+// parallelism, and every candidate is its own group.
 func TestEvalTrialsSlots(t *testing.T) {
 	in := seededInstance(3, 4, 24, 96)
 	center := in.Center(0)
@@ -125,15 +127,16 @@ func TestEvalTrialsSlots(t *testing.T) {
 	base := center.Workers
 	for _, par := range []int{1, 2, 8} {
 		g := &Game{in: in, cfg: Config{Assigner: assign.Sequential, Parallelism: par}}
-		got := g.evalTrials(center, cands, base, nil, nil, 0)
+		counts, replays := g.evalTrials(center, cands, base, nil, nil, 0)
 		g.stopTrialPool()
-		if len(got) != len(cands) {
-			t.Fatalf("par=%d: %d results for %d candidates", par, len(got), len(cands))
+		if len(counts) != len(cands) || replays != len(cands) {
+			t.Fatalf("par=%d: %d counts and %d replays for %d candidates",
+				par, len(counts), replays, len(cands))
 		}
 		for i, w := range cands {
 			ws := append(append([]model.WorkerID(nil), base...), w)
 			want := assign.Sequential(in, center, ws, center.Tasks)
-			if !reflect.DeepEqual(got[i], want) {
+			if !reflect.DeepEqual(*g.trialOf(i), want) || counts[i] != want.AssignedCount() {
 				t.Fatalf("par=%d: slot %d (worker %d) mismatch", par, i, w)
 			}
 		}

@@ -252,7 +252,9 @@ func shardInterference(in *model.Instance, phase1 []assign.Result,
 	// Candidate edges: recipient center → admissible poolable workers. With
 	// a speed bound the scan per center is a grid range query of the same
 	// conservatively inflated admission radius the game pool uses; otherwise
-	// every poolable worker gets the exact travel-time check.
+	// every poolable worker gets the exact travel-time check. A worker whose
+	// mask already holds the center's shard bit skips the check: OR-ing the
+	// bit again changes nothing.
 	var grid *index.Grid
 	vmax := poolSpeedBound(in)
 	var poolable []model.WorkerID
@@ -288,14 +290,14 @@ func shardInterference(in *model.Instance, phase1 []assign.Result,
 			items = grid.InRangeAppend(items[:0], c.Loc, r)
 			for _, it := range items {
 				w := model.WorkerID(it.ID)
-				if in.Worker(w).Home != model.CenterID(ci) &&
+				if inf.mask[w]&bit == 0 && in.Worker(w).Home != model.CenterID(ci) &&
 					assign.WorkerAdmissible(in, c, w, slack) {
 					inf.mask[w] |= bit
 				}
 			}
 		} else {
 			for _, w := range poolable {
-				if in.Worker(w).Home != model.CenterID(ci) &&
+				if inf.mask[w]&bit == 0 && in.Worker(w).Home != model.CenterID(ci) &&
 					assign.WorkerAdmissible(in, c, w, slack) {
 					inf.mask[w] |= bit
 				}

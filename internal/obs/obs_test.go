@@ -52,31 +52,6 @@ func TestCountersConcurrent(t *testing.T) {
 	}
 }
 
-func TestRegistryWriteToGolden(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("runs_total", "pipeline runs").Add(3)
-	r.Gauge("pool_workers", "live goroutines").Set(2.5)
-	r.Info("env_info", "environment", map[string]string{"goos": "linux", "arch": "amd64"})
-
-	var buf bytes.Buffer
-	if _, err := r.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	want := `# HELP runs_total pipeline runs
-# TYPE runs_total counter
-runs_total 3
-# HELP pool_workers live goroutines
-# TYPE pool_workers gauge
-pool_workers 2.5
-# HELP env_info environment
-# TYPE env_info gauge
-env_info{arch="amd64",goos="linux"} 1
-`
-	if buf.String() != want {
-		t.Errorf("exposition mismatch:\ngot:\n%s\nwant:\n%s", buf.String(), want)
-	}
-}
-
 func TestRegistryIdempotentAndKindClash(t *testing.T) {
 	r := NewRegistry()
 	a := r.Counter("x_total", "first")

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"imtao/internal/assign"
 	"imtao/internal/model"
 	"imtao/internal/obs"
 )
@@ -28,7 +27,7 @@ func testLedger() *Ledger {
 	g.RecordIter(IterInfo{Iter: 1, Recipient: 1, Accepted: true, Worker: 2,
 		Source: 0, RhoBefore: 0, RhoAfter: 1, Phi: 5.0 / 3, Pruned: 1, Slack: 1.5},
 		[]model.WorkerID{2},
-		[]assign.Result{{Routes: []model.Route{{Worker: 2, Center: 1, Tasks: []model.TaskID{3}}}}},
+		[]int{1},
 		false,
 		[]model.Route{{Worker: 2, Center: 1, Tasks: []model.TaskID{3}}}, true)
 	l.RecordShard(ShardInfo{Shards: 2, ShardOf: []int{0, 1},

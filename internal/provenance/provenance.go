@@ -178,15 +178,15 @@ type IterInfo struct {
 	Slack     float64 // pass -1 when pruning was off this iteration
 }
 
-// RecordIter appends one iteration to the log. trials[i] is the outcome for
-// cands[i], and resumed tells whether the trials went through the
-// prefix-resume engine.
+// RecordIter appends one iteration to the log. assigned[i] is the assigned
+// count of cands[i]'s trial, and resumed tells whether the trials went
+// through the prefix-resume engine.
 // newRoutes is the recipient's accepted route delta (nil on rejects):
 // its complete new route set when replace, the appended routes otherwise.
 // The route tasks are deep-copied into the log's arena — callers may
 // recycle them immediately.
 func (l *GameLog) RecordIter(info IterInfo, cands []model.WorkerID,
-	trials []assign.Result, resumed bool,
+	assigned []int, resumed bool,
 	newRoutes []model.Route, replace bool) {
 
 	rec := IterRec{
@@ -203,7 +203,7 @@ func (l *GameLog) RecordIter(info IterInfo, cands []model.WorkerID,
 	}
 	for i, w := range cands {
 		l.trials = appendGrown(l.trials, TrialRec{
-			Worker: w, Assigned: int32(trials[i].AssignedCount()), Mode: mode})
+			Worker: w, Assigned: int32(assigned[i]), Mode: mode})
 	}
 	for _, rt := range newRoutes {
 		l.routes = appendGrown(l.routes, RecordedRoute{

@@ -307,7 +307,9 @@ func TestTraceSeqUnderParallelism(t *testing.T) {
 // TestWithTracerTimeline records a parallel run through the public tracing
 // API and checks the span tree and its Chrome export: the hierarchy
 // run → phase1 → phase1_center and run → phase2 → game_iter → trial must be
-// present, and WriteChromeTrace must emit valid JSON carrying every span.
+// present, with one trial span per evaluated candidate and a replay span
+// under the iterations for each suffix replay, and WriteChromeTrace must
+// emit valid JSON carrying every span.
 func TestWithTracerTimeline(t *testing.T) {
 	p := DefaultParams(SYN)
 	p.NumTasks, p.NumWorkers, p.NumCenters = 300, 80, 10
@@ -349,6 +351,17 @@ func TestWithTracerTimeline(t *testing.T) {
 	}
 	if counts["game_iter"] != rep.Iterations {
 		t.Errorf("%d game_iter spans vs %d report iterations", counts["game_iter"], rep.Iterations)
+	}
+	trials, replays := 0, 0
+	for _, st := range rep.Trace {
+		trials += st.Trials
+		replays += st.Replays
+	}
+	if counts["trial"] != trials {
+		t.Errorf("%d trial spans for %d evaluated candidates", counts["trial"], trials)
+	}
+	if replays == 0 || counts["replay"] < replays || !chains["run→phase2→game_iter→replay"] {
+		t.Errorf("%d replay spans for %d suffix replays; chains: %v", counts["replay"], replays, chains)
 	}
 
 	var out bytes.Buffer

@@ -172,7 +172,8 @@ func Generate(p Params) (*Instance, error) { return workload.Generate(p) }
 
 // Partition attaches every task and worker to its nearest center via a
 // Voronoi diagram over center locations (paper Algorithm 1), returning a new
-// instance.
+// instance. A center, task or worker at a non-finite location, or two
+// coinciding centers, is an error.
 func Partition(in *Instance) (*Instance, error) {
 	out, _, err := core.Partition(in)
 	return out, err

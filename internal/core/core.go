@@ -241,39 +241,104 @@ type Report struct {
 var ErrUnpartitioned = errors.New("core: instance has unattached tasks or workers; call Partition first")
 
 // Partition attaches every task and worker of the instance to its nearest
-// center using a Voronoi diagram over the center locations — paper
-// Algorithm 1. It returns a new instance; the input is not modified.
+// center, ties going to the smaller center index — paper Algorithm 1. It
+// returns a new instance, whose centers list their tasks and workers in
+// ascending ID order, and the Voronoi diagram of the center sites; the input
+// is not modified. A center, task or worker at a non-finite location is
+// rejected with an error wrapping model.ErrBadLocation.
 func Partition(in *model.Instance) (*model.Instance, *voronoi.Diagram, error) {
 	if len(in.Centers) == 0 {
 		return nil, nil, voronoi.ErrTooFewSites
 	}
+	if err := in.CheckLocations(); err != nil {
+		return nil, nil, err
+	}
+	t0 := time.Now()
 	sites := make([]geo.Point, len(in.Centers))
 	for i, c := range in.Centers {
 		sites[i] = c.Loc
 	}
-	t0 := time.Now()
 	diagram, err := voronoi.NewDiagram(sites, in.Bounds)
 	if err != nil {
 		return nil, nil, err
 	}
 	out := in.Clone()
+	// Look the tasks, then the workers, up in blocks on every core; each
+	// lookup writes only its own entity's label.
+	nt, n := len(out.Tasks), len(out.Tasks)+len(out.Workers)
+	blocks := (n + partitionBlock - 1) / partitionBlock
+	forEach(runtime.GOMAXPROCS(0), blocks, func(b int) {
+		for i := b * partitionBlock; i < min(n, (b+1)*partitionBlock); i++ {
+			if i < nt {
+				t := &out.Tasks[i]
+				t.Center = model.CenterID(diagram.NearestSite(t.Loc))
+			} else {
+				w := &out.Workers[i-nt]
+				w.Home = model.CenterID(diagram.NearestSite(w.Loc))
+			}
+		}
+	})
+
+	// Fill every center's lists once, in ID order, at exact capacity; a
+	// center with no members keeps nil lists.
+	nTasks := make([]int, len(out.Centers))
+	for _, t := range out.Tasks {
+		nTasks[t.Center]++
+	}
+	nWorkers := make([]int, len(out.Centers))
+	for _, w := range out.Workers {
+		nWorkers[w.Home]++
+	}
 	for ci := range out.Centers {
-		out.Centers[ci].Tasks = nil
-		out.Centers[ci].Workers = nil
+		c := &out.Centers[ci]
+		c.Tasks, c.Workers = nil, nil
+		if k := nTasks[ci]; k > 0 {
+			c.Tasks = make([]model.TaskID, 0, k)
+		}
+		if k := nWorkers[ci]; k > 0 {
+			c.Workers = make([]model.WorkerID, 0, k)
+		}
 	}
-	for ti := range out.Tasks {
-		c := model.CenterID(diagram.NearestSite(out.Tasks[ti].Loc))
-		out.Tasks[ti].Center = c
-		out.Centers[c].Tasks = append(out.Centers[c].Tasks, model.TaskID(ti))
+	for ti, t := range out.Tasks {
+		c := &out.Centers[t.Center]
+		c.Tasks = append(c.Tasks, model.TaskID(ti))
 	}
-	for wi := range out.Workers {
-		c := model.CenterID(diagram.NearestSite(out.Workers[wi].Loc))
-		out.Workers[wi].Home = c
-		out.Centers[c].Workers = append(out.Centers[c].Workers, model.WorkerID(wi))
+	for wi, w := range out.Workers {
+		c := &out.Centers[w.Home]
+		c.Workers = append(c.Workers, model.WorkerID(wi))
 	}
 	mPartitions.Inc()
 	mPartitionSeconds.ObserveDuration(time.Since(t0))
 	return out, diagram, nil
+}
+
+// partitionBlock is the number of consecutive lookups one goroutine of
+// Partition takes at a time. Smaller partitions run on the caller alone.
+const partitionBlock = 4096
+
+// forEach calls f(i) for every i < n on up to par goroutines, each taking
+// the next index no other has taken; with par <= 1 the caller runs them in
+// order.
+func forEach(par, n int, f func(i int)) {
+	par = min(par, n)
+	if par <= 1 {
+		for i := 0; i < n; i++ {
+			f(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(par)
+	for g := 0; g < par; g++ {
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				f(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // Run executes the two-phase IMTAO pipeline on a partitioned instance.
@@ -430,28 +495,7 @@ func Run(in *model.Instance, cfg Config) (*Report, error) {
 			obs.F("left_tasks", len(r.LeftTasks)))
 		phase1[ci] = r
 	}
-	if par <= 1 {
-		for ci := range in.Centers {
-			runCenter(ci)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(par)
-		for g := 0; g < par; g++ {
-			go func() {
-				defer wg.Done()
-				for {
-					ci := int(next.Add(1) - 1)
-					if ci >= len(in.Centers) {
-						return
-					}
-					runCenter(ci)
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	forEach(par, len(in.Centers), runCenter)
 	phase1Time := time.Since(t0)
 	mPhase1Seconds.ObserveDuration(phase1Time)
 	if tr != nil {

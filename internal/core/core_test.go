@@ -66,7 +66,7 @@ func TestPartitionAttachesEverything(t *testing.T) {
 	if err := in.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if diagram == nil || len(diagram.Cells) != 7 {
+	if diagram == nil || len(diagram.Cells()) != 7 {
 		t.Fatal("diagram missing")
 	}
 	totalT, totalW := 0, 0

@@ -63,6 +63,11 @@ func (p Point) Dist2(q Point) float64 {
 	return dx*dx + dy*dy
 }
 
+// Finite reports whether both coordinates are finite (no NaN, no ±Inf).
+func (p Point) Finite() bool {
+	return !math.IsNaN(p.X) && !math.IsInf(p.X, 0) && !math.IsNaN(p.Y) && !math.IsInf(p.Y, 0)
+}
+
 // Eq reports whether p and q coincide within Eps in both coordinates.
 func (p Point) Eq(q Point) bool {
 	return math.Abs(p.X-q.X) <= Eps && math.Abs(p.Y-q.Y) <= Eps

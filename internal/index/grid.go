@@ -174,8 +174,15 @@ func (g *Grid) removeAt(id int, p geo.Point) {
 // Contains reports whether an item with the given id is stored.
 func (g *Grid) Contains(id int) bool { return g.has(id) }
 
+// ringSlack is the share of a cell by which Nearest shaves its ring bound.
+// Cell coordinates are computed in floating point, so an item can sit a few
+// ulps outside the cell it is filed under; without the slack, an item tied
+// with the best found could be pruned at a cell boundary.
+const ringSlack = 1e-6
+
 // Nearest returns the stored item closest to q. ok is false when the grid is
-// empty. Ties break toward the smaller ID.
+// empty. Ties break toward the smaller ID, including ties at a squared
+// distance that overflows to +Inf. q must not be NaN.
 func (g *Grid) Nearest(q geo.Point) (Item, bool) {
 	if g.count == 0 {
 		return Item{ID: -1}, false
@@ -185,51 +192,46 @@ func (g *Grid) Nearest(q geo.Point) (Item, bool) {
 	bestD := math.Inf(1)
 	// Expand rings of cells around q until the closest possible point of the
 	// next unexplored ring cannot beat the best found.
-	maxRing := g.nx + g.ny
-	for ring := 0; ring <= maxRing; ring++ {
+	for ring := 0; ring < max(g.nx, g.ny); ring++ {
 		if best.ID >= 0 {
 			// Minimum distance to any cell in this ring.
-			minDist := (float64(ring) - 1) * g.cell
+			minDist := (float64(ring) - 1 - ringSlack) * g.cell
 			if minDist > 0 && minDist*minDist > bestD {
 				break
 			}
 		}
-		g.scanRing(qx, qy, ring, func(it Item) {
-			d := q.Dist2(it.Point)
-			if d < bestD || (d == bestD && it.ID < best.ID) {
-				best, bestD = it, d
+		// The ring's top and bottom rows, then its two cells on each grid
+		// row between them.
+		x0, x1 := max(qx-ring, 0), min(qx+ring, g.nx-1)
+		if y := qy - ring; y >= 0 {
+			best, bestD = g.nearestIn(q, y*g.nx+x0, y*g.nx+x1, best, bestD)
+		}
+		if y := qy + ring; ring > 0 && y < g.ny {
+			best, bestD = g.nearestIn(q, y*g.nx+x0, y*g.nx+x1, best, bestD)
+		}
+		for y := max(qy-ring+1, 0); y <= min(qy+ring-1, g.ny-1); y++ {
+			if x := qx - ring; x >= 0 {
+				best, bestD = g.nearestIn(q, y*g.nx+x, y*g.nx+x, best, bestD)
 			}
-		})
+			if x := qx + ring; x < g.nx {
+				best, bestD = g.nearestIn(q, y*g.nx+x, y*g.nx+x, best, bestD)
+			}
+		}
 	}
 	return best, best.ID >= 0
 }
 
-// scanRing visits every item in the square ring of cells at L∞ cell-distance
-// ring from (qx, qy).
-func (g *Grid) scanRing(qx, qy, ring int, visit func(Item)) {
-	if ring == 0 {
-		g.scanCell(qx, qy, visit)
-		return
+// nearestIn offers the items of cells c0…c1 against the best so far.
+func (g *Grid) nearestIn(q geo.Point, c0, c1 int, best Item, bestD float64) (Item, float64) {
+	for _, cell := range g.cells[c0 : c1+1] {
+		for _, it := range cell {
+			d := q.Dist2(it.Point)
+			if best.ID < 0 || d < bestD || (d == bestD && it.ID < best.ID) {
+				best, bestD = it, d
+			}
+		}
 	}
-	x0, x1 := qx-ring, qx+ring
-	y0, y1 := qy-ring, qy+ring
-	for x := x0; x <= x1; x++ {
-		g.scanCell(x, y0, visit)
-		g.scanCell(x, y1, visit)
-	}
-	for y := y0 + 1; y <= y1-1; y++ {
-		g.scanCell(x0, y, visit)
-		g.scanCell(x1, y, visit)
-	}
-}
-
-func (g *Grid) scanCell(cx, cy int, visit func(Item)) {
-	if cx < 0 || cx >= g.nx || cy < 0 || cy >= g.ny {
-		return
-	}
-	for _, it := range g.cells[cy*g.nx+cx] {
-		visit(it)
-	}
+	return best, bestD
 }
 
 // InRange returns all items within radius r of q.
@@ -286,7 +288,7 @@ func LinearNearest(items []Item, q geo.Point, accept func(Item) bool) (Item, boo
 			continue
 		}
 		d := q.Dist2(it.Point)
-		if d < bestD || (d == bestD && it.ID < best.ID) {
+		if best.ID < 0 || d < bestD || (d == bestD && it.ID < best.ID) {
 			best, bestD = it, d
 		}
 	}

@@ -1,7 +1,8 @@
 // Package index provides the spatial indexes used by the IMTAO pipeline:
-// a static KD-tree for nearest-neighbour queries with predicate filtering
-// (the "nearest unassigned task" primitive of the sequential assignment
-// algorithm) and a dynamic uniform grid supporting removal.
+// a dynamic uniform grid supporting removal, which answers the partition's
+// nearest-center queries (paper Algorithm 1) and the game's range
+// queries, and a static KD-tree for nearest-neighbour queries with
+// predicate filtering, which the skill-constrained assigner queries.
 //
 // Both indexes answer queries over a set of identified points: callers
 // register (id, point) pairs and queries return ids. Distances are Euclidean.

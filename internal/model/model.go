@@ -182,18 +182,18 @@ var (
 )
 
 // Validate checks the structural invariants the algorithms rely on:
-// positive speed, IDs equal to indices, and center membership lists that
-// agree with the per-entity Center/Home fields.
+// positive speed, finite locations, IDs equal to indices, and center
+// membership lists that agree with the per-entity Center/Home fields.
 func (in *Instance) Validate() error {
 	if in.Speed <= 0 {
 		return ErrNoSpeed
 	}
+	if err := in.CheckLocations(); err != nil {
+		return err
+	}
 	for i, c := range in.Centers {
 		if c.ID != CenterID(i) {
 			return fmt.Errorf("%w: center %d has ID %d", ErrBadID, i, c.ID)
-		}
-		if !finitePoint(c.Loc) {
-			return fmt.Errorf("%w: center %d at %v", ErrBadLocation, i, c.Loc)
 		}
 	}
 	for i, s := range in.Tasks {
@@ -203,9 +203,6 @@ func (in *Instance) Validate() error {
 		if s.Center != NoCenter && (int(s.Center) < 0 || int(s.Center) >= len(in.Centers)) {
 			return fmt.Errorf("%w: task %d -> center %d", ErrBadReference, i, s.Center)
 		}
-		if !finitePoint(s.Loc) {
-			return fmt.Errorf("%w: task %d at %v", ErrBadLocation, i, s.Loc)
-		}
 		if !(s.Expiry >= 0) || math.IsInf(s.Expiry, 1) {
 			return fmt.Errorf("model: task %d has expiry %v, want finite and non-negative", i, s.Expiry)
 		}
@@ -213,9 +210,6 @@ func (in *Instance) Validate() error {
 	for i, w := range in.Workers {
 		if w.ID != WorkerID(i) {
 			return fmt.Errorf("%w: worker %d has ID %d", ErrBadID, i, w.ID)
-		}
-		if !finitePoint(w.Loc) {
-			return fmt.Errorf("%w: worker %d at %v", ErrBadLocation, i, w.Loc)
 		}
 		if w.Home != NoCenter && (int(w.Home) < 0 || int(w.Home) >= len(in.Centers)) {
 			return fmt.Errorf("%w: worker %d -> center %d", ErrBadReference, i, w.Home)
@@ -239,9 +233,25 @@ func (in *Instance) Validate() error {
 	return nil
 }
 
-// finitePoint reports whether both coordinates are finite (no NaN, no ±Inf).
-func finitePoint(p geo.Point) bool {
-	return !math.IsNaN(p.X) && !math.IsInf(p.X, 0) && !math.IsNaN(p.Y) && !math.IsInf(p.Y, 0)
+// CheckLocations returns an error wrapping ErrBadLocation that names the
+// first center, task or worker, in that order, whose location is not finite.
+func (in *Instance) CheckLocations() error {
+	for i, c := range in.Centers {
+		if !c.Loc.Finite() {
+			return fmt.Errorf("%w: center %d at %v", ErrBadLocation, i, c.Loc)
+		}
+	}
+	for i, s := range in.Tasks {
+		if !s.Loc.Finite() {
+			return fmt.Errorf("%w: task %d at %v", ErrBadLocation, i, s.Loc)
+		}
+	}
+	for i, w := range in.Workers {
+		if !w.Loc.Finite() {
+			return fmt.Errorf("%w: worker %d at %v", ErrBadLocation, i, w.Loc)
+		}
+	}
+	return nil
 }
 
 // TravelTime returns the travel time in hours between two locations — the

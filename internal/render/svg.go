@@ -10,9 +10,9 @@ import (
 	"io"
 	"strings"
 
-	"imtao/internal/core"
 	"imtao/internal/geo"
 	"imtao/internal/model"
+	"imtao/internal/voronoi"
 )
 
 // palette cycles route colors per center.
@@ -61,9 +61,9 @@ func Instance(w io.Writer, in *model.Instance, sol *model.Solution, opt Options)
 		for i, c := range in.Centers {
 			sites[i] = c.Loc
 		}
-		diagram, err := partitionDiagram(in)
+		diagram, err := voronoi.NewDiagram(sites, in.Bounds)
 		if err == nil {
-			for ci, cell := range diagram {
+			for ci, cell := range diagram.Cells() {
 				if len(cell) < 3 {
 					continue
 				}
@@ -135,14 +135,4 @@ func routePoints(in *model.Instance, w *model.Worker, c *model.Center, tasks []m
 		pts = append(pts, in.Task(tid).Loc)
 	}
 	return pts
-}
-
-// partitionDiagram computes the clipped Voronoi cell polygons of the
-// instance's centers.
-func partitionDiagram(in *model.Instance) ([]geo.Polygon, error) {
-	_, d, err := core.Partition(in)
-	if err != nil {
-		return nil, err
-	}
-	return d.Cells, nil
 }

@@ -7,7 +7,6 @@ package voronoi
 
 import (
 	"errors"
-	"fmt"
 	"math"
 
 	"imtao/internal/geo"
@@ -39,15 +38,8 @@ var ErrDuplicateSites = errors.New("voronoi: duplicate sites")
 // At least three non-collinear sites are needed for a non-empty
 // triangulation; with fewer, Triangles is empty but the locator still works.
 func NewDelaunay(sites []geo.Point) (*Delaunay, error) {
-	if len(sites) == 0 {
-		return nil, ErrTooFewSites
-	}
-	for i := 0; i < len(sites); i++ {
-		for j := i + 1; j < len(sites); j++ {
-			if sites[i].Eq(sites[j]) {
-				return nil, fmt.Errorf("%w: site %d and %d at %v", ErrDuplicateSites, i, j, sites[i])
-			}
-		}
+	if err := checkSites(sites); err != nil {
+		return nil, err
 	}
 	d := &Delaunay{Sites: append([]geo.Point(nil), sites...)}
 	if len(sites) < 3 {

@@ -15,7 +15,7 @@ func ExampleNewDiagram() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("cell areas: %.0f %.0f\n", d.Cells[0].Area(), d.Cells[1].Area())
+	fmt.Printf("cell areas: %.0f %.0f\n", d.Cells()[0].Area(), d.Cells()[1].Area())
 	fmt.Println("nearest site of (1,1):", d.NearestSite(geo.Pt(1, 1)))
 	fmt.Println("nearest site of (9,9):", d.NearestSite(geo.Pt(9, 9)))
 	// Output:

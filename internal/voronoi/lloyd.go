@@ -25,7 +25,7 @@ func Lloyd(sites []geo.Point, bounds geo.Rect, iterations int, tol float64) ([]g
 		}
 		moved := 0.0
 		next := make([]geo.Point, len(cur))
-		for i, cell := range d.Cells {
+		for i, cell := range d.Cells() {
 			if len(cell) < 3 {
 				next[i] = cur[i] // degenerate cell: keep the site in place
 				continue
@@ -50,8 +50,8 @@ func CellAreas(sites []geo.Point, bounds geo.Rect) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]float64, len(d.Cells))
-	for i, cell := range d.Cells {
+	out := make([]float64, len(d.Sites))
+	for i, cell := range d.Cells() {
 		out[i] = cell.Area()
 	}
 	return out, nil

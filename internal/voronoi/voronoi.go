@@ -1,6 +1,11 @@
 package voronoi
 
 import (
+	"cmp"
+	"fmt"
+	"slices"
+	"sync"
+
 	"imtao/internal/geo"
 	"imtao/internal/index"
 )
@@ -9,43 +14,84 @@ import (
 // rectangle. Cell i contains exactly the points of Bounds closer to site i
 // than to any other site, which is the delivery-region semantics of paper
 // Definition 1 / Algorithm 1.
+//
+// Algorithm 1 needs only the nearest-site relation, which NearestSite
+// answers from a uniform grid over the sites. The cell polygons cost
+// O(n²) clips and are built on the first call to Cells.
 type Diagram struct {
 	Sites  []geo.Point
 	Bounds geo.Rect
-	Cells  []geo.Polygon
 
-	tree *index.KDTree
+	grid *index.Grid
+
+	cellsOnce sync.Once
+	cells     []geo.Polygon
 }
 
-// NewDiagram computes the Voronoi diagram of sites clipped to bounds.
-// Cell geometry is built by half-plane intersection per site (O(n) half
-// planes per cell, O(n²) total) — exact, robust, and instantaneous at the
-// paper's scale of |C| ≤ 60 centers; the Delaunay dual is exposed separately
-// for neighbour queries.
+// NewDiagram checks the sites and indexes them for nearest-site queries.
+// Every site must be finite, and no two may coincide within geo.Eps in both
+// coordinates.
 func NewDiagram(sites []geo.Point, bounds geo.Rect) (*Diagram, error) {
-	if len(sites) == 0 {
-		return nil, ErrTooFewSites
+	if err := checkSites(sites); err != nil {
+		return nil, err
 	}
-	for i := 0; i < len(sites); i++ {
-		for j := i + 1; j < len(sites); j++ {
+	d := &Diagram{Sites: append([]geo.Point(nil), sites...), Bounds: bounds}
+	// About one site per cell of a square over the sites' bounding box: the
+	// square keeps collinear sites from asking for a degenerate grid.
+	box := geo.BoundingRect(d.Sites)
+	side := max(box.Width(), box.Height())
+	square := geo.Rect{Min: box.Min, Max: box.Min.Add(geo.Pt(side, side))}
+	d.grid = index.NewGrid(square, len(sites), 1)
+	for i, s := range d.Sites {
+		d.grid.Insert(index.Item{ID: i, Point: s})
+	}
+	return d, nil
+}
+
+// checkSites rejects an empty site list, a non-finite site and two sites
+// that geo.Point.Eq calls equal. Two such sites lie within Eps of each
+// other in X, so after sorting by X each site is compared only with the
+// sites that follow it within that window.
+func checkSites(sites []geo.Point) error {
+	if len(sites) == 0 {
+		return ErrTooFewSites
+	}
+	for i, s := range sites {
+		if !s.Finite() {
+			return fmt.Errorf("voronoi: site %d at %v is not finite", i, s)
+		}
+	}
+	order := make([]int, len(sites))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(sites[a].X, sites[b].X) })
+	for k, i := range order {
+		for _, j := range order[k+1:] {
+			if sites[j].X-sites[i].X > geo.Eps {
+				break
+			}
 			if sites[i].Eq(sites[j]) {
-				return nil, ErrDuplicateSites
+				i, j = min(i, j), max(i, j)
+				return fmt.Errorf("%w: site %d and %d at %v", ErrDuplicateSites, i, j, sites[i])
 			}
 		}
 	}
-	d := &Diagram{
-		Sites:  append([]geo.Point(nil), sites...),
-		Bounds: bounds,
-		Cells:  make([]geo.Polygon, len(sites)),
-	}
-	items := make([]index.Item, len(sites))
-	for i, s := range sites {
-		items[i] = index.Item{ID: i, Point: s}
-	}
-	d.tree = index.NewKDTree(items)
+	return nil
+}
 
+// Cells returns the clipped cell polygon of every site, building them on
+// first use: cell i is Bounds clipped by the bisectors of site i and every
+// other site.
+func (d *Diagram) Cells() []geo.Polygon {
+	d.cellsOnce.Do(d.buildCells)
+	return d.cells
+}
+
+func (d *Diagram) buildCells() {
+	d.cells = make([]geo.Polygon, len(d.Sites))
 	for i, si := range d.Sites {
-		cell := geo.RectPolygon(bounds)
+		cell := geo.RectPolygon(d.Bounds)
 		for j, sj := range d.Sites {
 			if i == j {
 				continue
@@ -67,15 +113,15 @@ func NewDiagram(sites []geo.Point, bounds geo.Rect) (*Diagram, error) {
 				break
 			}
 		}
-		d.Cells[i] = cell
+		d.cells[i] = cell
 	}
-	return d, nil
 }
 
 // NearestSite returns the index of the site closest to p, breaking distance
-// ties toward the smaller index (deterministic partitions).
+// ties toward the smaller index (deterministic partitions). p must be
+// finite. It is safe for concurrent use.
 func (d *Diagram) NearestSite(p geo.Point) int {
-	it, _ := d.tree.Nearest(p, nil) // non-empty by construction
+	it, _ := d.grid.Nearest(p) // non-empty by construction
 	return it.ID
 }
 
@@ -91,14 +137,11 @@ func (d *Diagram) Assign(points []geo.Point) [][]int {
 	return out
 }
 
-// CellOf returns the clipped cell polygon of site i.
-func (d *Diagram) CellOf(i int) geo.Polygon { return d.Cells[i] }
-
 // TotalArea returns the summed area of all cells; for sites inside Bounds it
 // equals the bounds area (used as a diagram sanity invariant in tests).
 func (d *Diagram) TotalArea() float64 {
 	var a float64
-	for _, c := range d.Cells {
+	for _, c := range d.Cells() {
 		a += c.Area()
 	}
 	return a

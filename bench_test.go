@@ -242,21 +242,3 @@ func BenchmarkParallelism(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkParallelismPhase2 isolates the concurrent best-response trials:
-// the collaboration game alone at SYN defaults across worker-pool bounds.
-func BenchmarkParallelismPhase2(b *testing.B) {
-	in := instanceFor(b, SYN, nil)
-	phase1 := make([]assign.Result, len(in.Centers))
-	for ci := range in.Centers {
-		c := &in.Centers[ci]
-		phase1[ci] = assign.Sequential(in, c, c.Workers, c.Tasks)
-	}
-	for _, p := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				collab.Run(in, phase1, collab.Config{Parallelism: p})
-			}
-		})
-	}
-}

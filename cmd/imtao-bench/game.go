@@ -88,11 +88,16 @@ type gamePreset struct {
 	// Sequential engine). TrialReplays counts the suffix replays behind the
 	// evaluated trials (TraceStep.Replays): one per distinct non-empty trial
 	// key, so fewer than the trials, and a pure function of the game's states.
+	// PointSearches counts the road point searches of the timed engine run
+	// alone (not the ledger, verification or reference legs): every travel
+	// time the game computed that neither the trial memo nor a pinned center
+	// table answered. Trials run on the stepping goroutine, so it is the
+	// same at every GOMAXPROCS.
 	CandidatesPruned int64   `json:"candidates_pruned"`
 	TrialsEvaluated  int64   `json:"trials_evaluated"`
 	TrialsResumed    int64   `json:"trials_resumed"`
 	TrialReplays     int64   `json:"trial_replays"`
-	MemoHits         int64   `json:"memo_hits"`
+	PointSearches    int64   `json:"point_searches"`
 	PruneRate        float64 `json:"prune_rate"`
 	ResumeRate       float64 `json:"resume_rate"`
 	SnapshotBytes    int64   `json:"snapshot_bytes"`
@@ -225,9 +230,11 @@ func runGameSweep(sizes []int, cfg gameConfig) error {
 		sampler := obs.NewRuntimeSampler(100*time.Millisecond, obs.NewRegistry(), nil)
 		sampler.Start()
 
+		searches := net.Stats().PointSearches
 		t0 = time.Now()
 		res := collab.Run(in, p1, ccfg)
 		engineWall := time.Since(t0)
+		searches = net.Stats().PointSearches - searches
 
 		sampler.Stop()
 		pauseAfter, _ := obs.ReadRuntimeHistogram(gcPauseMetric)
@@ -255,6 +262,7 @@ func runGameSweep(sizes []int, cfg gameConfig) error {
 			Unfairness:  metrics.SolutionUnfairness(in, res.Solution),
 			Fingerprint: fmt.Sprintf("%016x", provenance.SolutionFingerprint(res.Solution)),
 
+			PointSearches: searches,
 			SnapshotBytes: int64(snapshotGauge.Value()),
 		}
 		iterQ := obs.NewQuantile()
@@ -263,10 +271,9 @@ func runGameSweep(sizes []int, cfg gameConfig) error {
 			pr.TrialsEvaluated += int64(step.Trials)
 			pr.TrialsResumed += int64(step.Resumed)
 			pr.TrialReplays += int64(step.Replays)
-			pr.MemoHits += int64(step.MemoHits)
 			iterQ.ObserveDuration(step.Duration)
 		}
-		lookups := pr.CandidatesPruned + pr.TrialsEvaluated + pr.MemoHits
+		lookups := pr.CandidatesPruned + pr.TrialsEvaluated
 		if lookups > 0 {
 			pr.PruneRate = float64(pr.CandidatesPruned) / float64(lookups)
 		}
@@ -372,8 +379,9 @@ func runGameSweep(sizes []int, cfg gameConfig) error {
 			"sampler %d samples, p99 cost %.3f ms\n",
 			pr.GCPauseP50Ms, pr.GCPauseP99Ms, pr.GCCycles,
 			pr.SamplerSamples, pr.SamplerSampleP99Ms)
-		fmt.Printf("  pruned %d (rate %.4f), trials %d (resume rate %.4f, %d replays), snapshot %d B\n",
-			pr.CandidatesPruned, pr.PruneRate, pr.TrialsEvaluated, pr.ResumeRate, pr.TrialReplays, pr.SnapshotBytes)
+		fmt.Printf("  pruned %d (rate %.4f), trials %d (resume rate %.4f, %d replays), %d point searches, snapshot %d B\n",
+			pr.CandidatesPruned, pr.PruneRate, pr.TrialsEvaluated, pr.ResumeRate, pr.TrialReplays,
+			pr.PointSearches, pr.SnapshotBytes)
 		fmt.Printf("  memory/iter over %d steady iters: allocs p50 %.0f (mean %.2f), %.0f B, heap in use %d B\n",
 			pr.MemWindowIters, pr.AllocsPerIter, pr.AllocsPerIterMean, pr.BytesPerIter, pr.HeapInuseBytes)
 		fmt.Printf("  equilibrium_ok=%v (verified in %.0f ms)\n", pr.EquilibriumOK, ms(verify))

@@ -194,13 +194,13 @@ func WithOptBudget(d time.Duration) RunOption {
 }
 
 // WithParallelism bounds the worker goroutines of the IMTAO pipeline:
-// phase-1 per-center assignment runs concurrently across centers, and
-// phase-2 best-response trials run concurrently within each game
-// iteration. Under WithShards it bounds the shard games played
-// concurrently, each playing its trials serially, and the exchange game's
-// trials. The default, 0, uses GOMAXPROCS; 1 forces the serial pipeline.
-// The output is bit-identical at every setting — see DESIGN.md §8 for the
-// determinism contract.
+// phase-1 per-center assignment runs concurrently across centers, the
+// phase-2 game builds its nearest-task tables concurrently, and under
+// WithShards the shard games play concurrently. Every game plays its
+// best-response trials serially. The default, 0, uses GOMAXPROCS; 1
+// forces the serial pipeline. The output and the engine's work counters
+// are identical at every setting — see DESIGN.md §8 for the determinism
+// contract.
 func WithParallelism(n int) RunOption {
 	return func(c *core.Config) { c.Parallelism = n }
 }

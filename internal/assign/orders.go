@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"imtao/internal/fanout"
 	"imtao/internal/geo"
 	"imtao/internal/model"
 	"imtao/internal/obs"
@@ -122,29 +123,11 @@ func NewTaskOrders(in *model.Instance) *TaskOrders {
 	}
 }
 
-// Build builds the parts of the given centers on up to par goroutines and
-// returns once all are built. A part's build is deterministic and touches
+// Build builds the parts of the given centers on up to par goroutines (0
+// means GOMAXPROCS) and returns once all are built. A part's build is deterministic and touches
 // only its own center's slots, so the build order changes nothing.
 func (o *TaskOrders) Build(centers []model.CenterID, par int) {
-	par = min(par, len(centers))
-	if par <= 1 {
-		for _, ci := range centers {
-			o.center(ci)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(par)
-	for w := 0; w < par; w++ {
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1) - 1); i < len(centers); i = int(next.Add(1) - 1) {
-				o.center(centers[i])
-			}
-		}()
-	}
-	wg.Wait()
+	fanout.Each(par, len(centers), func(i int) { o.center(centers[i]) })
 }
 
 // center returns ci's part of the table, building it on first use.

@@ -154,13 +154,13 @@ type Config struct {
 	// bound (|S|+1)·(|C|+1), which no uncapped game reaches — see
 	// naturalMaxIterations. A capped game may end short of an equilibrium.
 	MaxIterations int
-	// Parallelism bounds the goroutines evaluating best-response trials
-	// within one game iteration — and, under RunSharded, the shard games
-	// played concurrently. 0 means GOMAXPROCS; 1 forces the serial path.
-	// Results are bit-identical at every setting: trials are written to
-	// fixed slots and the winner is selected by a serial scan (max ρ, ties
-	// to the lowest worker ID). Custom Assigners must be safe for
-	// concurrent calls when Parallelism != 1. RunReference ignores it.
+	// Parallelism bounds the goroutines of NewGame's order-table prebuild
+	// and, under RunSharded, the shard games played concurrently. 0 means
+	// GOMAXPROCS; 1 makes the run serial. Best-response trials always run
+	// on the goroutine that calls Step, so results and work counters are
+	// identical at every setting. Custom Assigners must be safe for
+	// concurrent calls when RunSharded plays shard games concurrently.
+	// RunReference ignores it.
 	Parallelism int
 	// Prune selects admissibility pruning (DESIGN.md §11). The zero value
 	// PruneAuto prunes for the built-in Sequential assigner only; pruning
@@ -378,10 +378,8 @@ type centerState struct {
 // the common case; harnesses that meter individual iterations (the
 // allocation benchmarks) drive Step directly.
 //
-// A Game is single-use and not safe for concurrent use; within one Step,
-// trial evaluation fans out per Config.Parallelism over helper goroutines
-// that live until Finish, so a Game that may run parallel trials must be
-// finished.
+// A Game is single-use and not safe for concurrent use. Step evaluates
+// every trial on the calling goroutine and starts none.
 type Game struct {
 	in        *model.Instance
 	cfg       Config
@@ -400,15 +398,12 @@ type Game struct {
 	memberRhos []float64
 
 	// base is the per-iteration trial-base snapshot, reset in place;
-	// runners are the long-lived trial evaluators rebound to it (slot 0
-	// serves the serial path, slots 0..P-1 the parallel path), and helpers
-	// the goroutines that drive them on the parallel path. orders is the
+	// runner is the long-lived trial evaluator rebound to it. orders is the
 	// table the base answers nearest-task queries from, nil unless the
 	// Sequential engine plays.
-	base    assign.TrialBase
-	runners []*assign.TrialRunner
-	helpers trialPool
-	orders  *assign.TaskOrders
+	base   assign.TrialBase
+	runner *assign.TrialRunner
+	orders *assign.TaskOrders
 	// seqScratch serves the Sequential engine's re-baseline runs (a
 	// recipient that lent a worker since its last visit) from recycled
 	// buffers; the result is promoted into the center's buffers like an
@@ -483,7 +478,7 @@ func NewGame(in *model.Instance, phase1 []assign.Result, cfg Config) *Game {
 		// here instead of one by one in their first sweeps. A shard game
 		// skips this: the shard games already build concurrently.
 		if g.orders != nil && !g.Over() {
-			g.orders.Build(g.recipients, parallelism(cfg.Parallelism))
+			g.orders.Build(g.recipients, cfg.Parallelism)
 		}
 	} else {
 		for _, ci := range g.members {
@@ -500,8 +495,7 @@ func NewGame(in *model.Instance, phase1 []assign.Result, cfg Config) *Game {
 // promotion buffers), the shard pools merge into one, and the transfer log
 // is the shard logs in shard order. Every center with ρ < 1 starts as a
 // recipient, so each re-probes its deviations against the global pool. The
-// shard games must have run serial trials (no helpers to stop); they are
-// spent afterwards.
+// shard games are spent afterwards.
 func newExchangeGame(in *model.Instance, cfg Config, shards []*Game) *Game {
 	g := newGame(in, cfg)
 	for _, sg := range shards {
@@ -847,9 +841,8 @@ type sweepResult struct {
 // departed center at the end check. The candidates are the pool minus ci's
 // own workers — admissibility-pruned when pruning is on, since a pruned
 // candidate's trial provably returns the baseline and can never win the
-// strict-improvement scan. The trials are evaluated concurrently into fixed
-// slots and the winner is picked by the same serial scan as the reference
-// loop, keeping the output bit-identical.
+// strict-improvement scan. The winner is picked by the same scan as the
+// reference loop, keeping the output bit-identical.
 func (g *Game) sweep(ci model.CenterID, traceParent obs.SpanID) sweepResult {
 	cfg := &g.cfg
 	in := g.in
@@ -975,14 +968,12 @@ func (g *Game) readmit(traceParent obs.SpanID) {
 	slices.Sort(g.recipients)
 }
 
-// Finish stops the trial helpers, drops the engine's trial scratch and
-// order table and assembles the final Result. Idempotent; Step returns
-// false afterwards.
+// Finish drops the engine's trial scratch and order table and assembles
+// the final Result. Idempotent; Step returns false afterwards.
 func (g *Game) Finish() Result {
 	if !g.done {
 		g.done = true
-		g.stopTrialPool()
-		g.runners = nil
+		g.runner = nil
 		g.orders = nil
 		sol := model.NewSolution(g.in)
 		for ci := range g.states {

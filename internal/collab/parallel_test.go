@@ -70,11 +70,10 @@ func TestRunParallelismDeterminism(t *testing.T) {
 	}
 }
 
-// TestNoGoroutineOutlivesGame: a game's trial helpers end with it. After
-// Finish, Run, RunSharded (serial, and concurrent shard games with a
-// parallel exchange) and VerifyEquilibrium return, the goroutine count is
-// back where it began. The instance's first sweep has candidates of several
-// trial keys, so it runs replays on the helpers.
+// TestNoGoroutineOutlivesGame: stepping a Parallelism-4 game starts no
+// goroutine, and after Run, RunSharded (serial, and concurrent shard games)
+// and VerifyEquilibrium return, the goroutine count is back where it began.
+// Some of the game's sweeps have candidates of several trial keys.
 func TestNoGoroutineOutlivesGame(t *testing.T) {
 	in := seededInstance(7, 6, 60, 400)
 	p1 := phase1(in)
@@ -92,13 +91,17 @@ func TestNoGoroutineOutlivesGame(t *testing.T) {
 	}
 
 	g := NewGame(in, p1, cfg)
-	for g.Step() && len(g.helpers.wake) == 0 {
+	settled("NewGame")
+	multiKey := false
+	for g.Step() {
+		multiKey = multiKey || len(g.reps) > 1
+		if n := runtime.NumGoroutine(); n > before {
+			t.Fatalf("after step %d: %d goroutines, %d before", g.iter, n, before)
+		}
 	}
-	if len(g.helpers.wake) == 0 {
-		t.Fatal("no step started a trial helper; the check below would be vacuous")
+	if !multiKey {
+		t.Fatal("no sweep had two trial keys; the check above would be vacuous")
 	}
-	g.Finish()
-	settled("Finish")
 
 	res := Run(in, p1, cfg)
 	settled("Run")
@@ -128,7 +131,6 @@ func TestEvalTrialsSlots(t *testing.T) {
 	for _, par := range []int{1, 2, 8} {
 		g := &Game{in: in, cfg: Config{Assigner: assign.Sequential, Parallelism: par}}
 		counts, replays := g.evalTrials(center, cands, base, nil, nil, 0)
-		g.stopTrialPool()
 		if len(counts) != len(cands) || replays != len(cands) {
 			t.Fatalf("par=%d: %d counts and %d replays for %d candidates",
 				par, len(counts), replays, len(cands))

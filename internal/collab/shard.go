@@ -17,11 +17,10 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"imtao/internal/assign"
+	"imtao/internal/fanout"
 	"imtao/internal/geo"
 	"imtao/internal/index"
 	"imtao/internal/metrics"
@@ -340,9 +339,9 @@ func shardInterference(in *model.Instance, phase1 []assign.Result,
 // segments followed by the exchange steps. Otherwise the result is a
 // different, but verified, equilibrium of the same game.
 //
-// Parallelism bounds the shard games played concurrently; a shard game
-// plays its trials serially. The exchange game uses Parallelism for its
-// trials, and 1 makes the whole run serial.
+// Parallelism bounds the shard games played concurrently; 1 makes the
+// whole run serial. Every game, the exchange game included, plays its
+// trials on the goroutine that steps it.
 //
 // The sharded path engages for MinRatio dynamics with an assigner admitting
 // the admissibility-pruning argument (the built-in Sequential, or any
@@ -417,7 +416,7 @@ func RunSharded(in *model.Instance, phase1 []assign.Result, cfg ShardConfig) (Re
 	// center's pooled workers are its own, so each shard's pool holds
 	// exactly its home-shard workers: the games' mutable state is disjoint
 	// and they run concurrently without coordination, each with its own
-	// trial base, runners, scratch and arenas (the zero-alloc steady state
+	// trial base, runner, scratch and arenas (the zero-alloc steady state
 	// holds per shard). When the interference cut is empty the home
 	// partition coincides with the interference masks, which is what makes
 	// the shard games provable restrictions of the global game; with a
@@ -433,13 +432,9 @@ func RunSharded(in *model.Instance, phase1 []assign.Result, cfg ShardConfig) (Re
 			provLogs[s] = cfg.Ledger.NewGameLog(provenance.StageGame, s)
 		}
 	}
-	shardPar := min(parallelism(cfg.Parallelism), nShards)
-	runShard := func(s int) {
+	fanout.Each(cfg.Parallelism, nShards, func(s int) {
 		scfg := cfg.Config
 		scfg.members = members[s]
-		// Serial trials: concurrency comes from the shard games themselves,
-		// and a serial game starts no helper goroutine to stop.
-		scfg.Parallelism = 1
 		scfg.Prov = provLogs[s]
 		t0 := time.Now()
 		g := NewGame(in, phase1, scfg)
@@ -452,29 +447,7 @@ func RunSharded(in *model.Instance, phase1 []assign.Result, cfg ShardConfig) (Re
 		for i := range g.res.Trace {
 			mShardIterSeconds.ObserveDuration(g.res.Trace[i].Duration)
 		}
-	}
-	if shardPar <= 1 {
-		for s := 0; s < nShards; s++ {
-			runShard(s)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(shardPar)
-		for g := 0; g < shardPar; g++ {
-			go func() {
-				defer wg.Done()
-				for {
-					s := int(next.Add(1) - 1)
-					if s >= nShards {
-						return
-					}
-					runShard(s)
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	})
 
 	rep := ShardReport{
 		ShardsRequested:  requested,

@@ -13,12 +13,11 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"imtao/internal/assign"
 	"imtao/internal/collab"
+	"imtao/internal/fanout"
 	"imtao/internal/geo"
 	"imtao/internal/metrics"
 	"imtao/internal/model"
@@ -153,13 +152,12 @@ type Config struct {
 	// assigner; zero means run to optimality.
 	OptBudget time.Duration
 	// Parallelism bounds the worker goroutines of both phases: phase-1
-	// per-center assignment runs concurrently across centers, and phase-2
-	// best-response trials run concurrently within each game iteration
-	// (under Shards it bounds the concurrent shard games and the exchange
-	// game's trials — see collab.RunSharded). 0 means GOMAXPROCS; 1
-	// forces the serial pipeline. Output is bit-identical at every setting
-	// on deterministic assigners (Seq always; Opt with a zero time
-	// budget).
+	// per-center assignment runs concurrently across centers, and phase 2
+	// passes it on as collab.Config.Parallelism (the game's table prebuild
+	// and, under Shards, the concurrent shard games); every game plays its
+	// trials serially. 0 means GOMAXPROCS; 1 forces the serial pipeline.
+	// Output is bit-identical at every setting on deterministic assigners
+	// (Seq always; Opt with a zero time budget).
 	Parallelism int
 	// MaxGameIterations caps the phase-2 collaboration game. 0 means the
 	// natural bound (every worker transferred once plus every center
@@ -267,7 +265,7 @@ func Partition(in *model.Instance) (*model.Instance, *voronoi.Diagram, error) {
 	// lookup writes only its own entity's label.
 	nt, n := len(out.Tasks), len(out.Tasks)+len(out.Workers)
 	blocks := (n + partitionBlock - 1) / partitionBlock
-	forEach(runtime.GOMAXPROCS(0), blocks, func(b int) {
+	fanout.Each(runtime.GOMAXPROCS(0), blocks, func(b int) {
 		for i := b * partitionBlock; i < min(n, (b+1)*partitionBlock); i++ {
 			if i < nt {
 				t := &out.Tasks[i]
@@ -315,31 +313,6 @@ func Partition(in *model.Instance) (*model.Instance, *voronoi.Diagram, error) {
 // partitionBlock is the number of consecutive lookups one goroutine of
 // Partition takes at a time. Smaller partitions run on the caller alone.
 const partitionBlock = 4096
-
-// forEach calls f(i) for every i < n on up to par goroutines, each taking
-// the next index no other has taken; with par <= 1 the caller runs them in
-// order.
-func forEach(par, n int, f func(i int)) {
-	par = min(par, n)
-	if par <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(par)
-	for g := 0; g < par; g++ {
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
-				f(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
 
 // Run executes the two-phase IMTAO pipeline on a partitioned instance.
 func Run(in *model.Instance, cfg Config) (*Report, error) {
@@ -495,7 +468,7 @@ func Run(in *model.Instance, cfg Config) (*Report, error) {
 			obs.F("left_tasks", len(r.LeftTasks)))
 		phase1[ci] = r
 	}
-	forEach(par, len(in.Centers), runCenter)
+	fanout.Each(par, len(in.Centers), runCenter)
 	phase1Time := time.Since(t0)
 	mPhase1Seconds.ObserveDuration(phase1Time)
 	if tr != nil {

@@ -28,7 +28,7 @@ type SpanInfo struct {
 }
 
 // Tracer records hierarchical spans into a bounded in-memory trace. It is
-// safe for concurrent use: phase-1 center workers and phase-2 trial runners
+// safe for concurrent use: phase-1 center workers and concurrent shard games
 // start and end spans from their own goroutines; ID allocation is one atomic
 // add and completion is a short mutex-guarded append.
 //
@@ -158,7 +158,7 @@ func (t *Tracer) Spans() []SpanInfo {
 // out onto synthetic tracks: a span lands on its parent's track when the
 // parent still encloses it, otherwise on the first track where it does not
 // partially overlap an open span (concurrent siblings — phase-1 centers,
-// parallel trials — fan out onto their own tracks). Every event additionally
+// shard games' iterations — fan out onto their own tracks). Every event additionally
 // carries span_id and parent_id args, so the exact span tree survives the
 // export independent of track layout.
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {

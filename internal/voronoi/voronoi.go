@@ -125,18 +125,6 @@ func (d *Diagram) NearestSite(p geo.Point) int {
 	return it.ID
 }
 
-// Assign partitions points among sites: result[i] lists the indices of points
-// whose nearest site is i. This is paper Algorithm 1 with both the task and
-// the worker stream expressed as one call each.
-func (d *Diagram) Assign(points []geo.Point) [][]int {
-	out := make([][]int, len(d.Sites))
-	for pi, p := range points {
-		s := d.NearestSite(p)
-		out[s] = append(out[s], pi)
-	}
-	return out
-}
-
 // TotalArea returns the summed area of all cells; for sites inside Bounds it
 // equals the bounds area (used as a diagram sanity invariant in tests).
 func (d *Diagram) TotalArea() float64 {

@@ -246,23 +246,6 @@ func bruteNearest(sites []geo.Point, p geo.Point) int {
 	return best
 }
 
-func TestDiagramAssign(t *testing.T) {
-	bounds := geo.NewRect(geo.Pt(0, 0), geo.Pt(10, 10))
-	sites := []geo.Point{geo.Pt(2, 5), geo.Pt(8, 5)}
-	d, err := NewDiagram(sites, bounds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	points := []geo.Point{geo.Pt(1, 1), geo.Pt(9, 9), geo.Pt(2.4, 5), geo.Pt(7, 5)}
-	got := d.Assign(points)
-	if len(got[0]) != 2 || got[0][0] != 0 || got[0][1] != 2 {
-		t.Errorf("site 0 points = %v", got[0])
-	}
-	if len(got[1]) != 2 || got[1][0] != 1 || got[1][1] != 3 {
-		t.Errorf("site 1 points = %v", got[1])
-	}
-}
-
 func TestDiagramCellsContainTheirSites(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	bounds := geo.NewRect(geo.Pt(0, 0), geo.Pt(1000, 1000))

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"imtao/internal/collab"
+	"imtao/internal/obs"
 )
 
 // reducedParams shrinks a dataset to a size where the exact Opt assigner
@@ -161,5 +162,35 @@ func TestParallelFirstRunOnFreshInstance(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertReportsIdentical(t, serial, parallel)
+	}
+}
+
+// TestParallelismEngineWorkIdentical: the engine's work on a road-network
+// solve does not depend on WithParallelism. Every game plays its trials on
+// the goroutine that steps it, and concurrent shard games fill the memo
+// slots of disjoint centers, so the road point searches and the trial
+// travel-memo hits and misses match at 1 and 4, unsharded and under
+// WithShards(3).
+func TestParallelismEngineWorkIdentical(t *testing.T) {
+	hits := obs.Default.Counter("imtao_trial_travel_memo_hits_total", "")
+	misses := obs.Default.Counter("imtao_trial_travel_memo_misses_total", "")
+	for _, shards := range []int{1, 3} {
+		var work [2][3]int64 // point searches, memo hits, memo misses
+		for i, par := range []int{1, 4} {
+			in := perfbenchInstance(t, 1, 0)
+			net := in.Metric.(*RoadNetwork)
+			s0, h0, m0 := net.Stats().PointSearches, hits.Value(), misses.Value()
+			if _, err := Run(in, SeqBDC, WithParallelism(par), WithShards(shards)); err != nil {
+				t.Fatal(err)
+			}
+			work[i] = [3]int64{net.Stats().PointSearches - s0, hits.Value() - h0, misses.Value() - m0}
+		}
+		if work[0] != work[1] {
+			t.Errorf("shards %d: (point searches, memo hits, memo misses) %v at parallelism 1, %v at 4",
+				shards, work[0], work[1])
+		}
+		if work[0][1] == 0 || work[0][2] == 0 {
+			t.Errorf("shards %d: work %v — the trial memo was never used", shards, work[0])
+		}
 	}
 }

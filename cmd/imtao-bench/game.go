@@ -102,6 +102,18 @@ type gamePreset struct {
 	ResumeRate       float64 `json:"resume_rate"`
 	SnapshotBytes    int64   `json:"snapshot_bytes"`
 
+	// Trial-engine work of the timed engine run alone, read as deltas of the
+	// obs counters around it: nearest-task queries whose neighbour list held
+	// no live task and fell back to a scan of the live pool, trial travel
+	// times the order table's memo answered and missed, and candidate-task
+	// evaluations across every assignment call of the run. Like the point
+	// searches, each is the same at every GOMAXPROCS, so the gate holds them
+	// exactly: a change that makes each trial do more work moves them.
+	NearestFallbacks int64 `json:"nearest_fallbacks"`
+	TravelMemoHits   int64 `json:"travel_memo_hits"`
+	TravelMemoMisses int64 `json:"travel_memo_misses"`
+	TasksScanned     int64 `json:"tasks_scanned"`
+
 	// Steady-state memory profile, sampled from a separate stepwise run of
 	// the same game (collab.NewGame/Step) after a warm-up prefix:
 	// AllocsPerIter is the MEDIAN heap allocations per game iteration over
@@ -231,10 +243,12 @@ func runGameSweep(sizes []int, cfg gameConfig) error {
 		sampler.Start()
 
 		searches := net.Stats().PointSearches
+		work := readEngineWork()
 		t0 = time.Now()
 		res := collab.Run(in, p1, ccfg)
 		engineWall := time.Since(t0)
 		searches = net.Stats().PointSearches - searches
+		work = readEngineWork().minus(work)
 
 		sampler.Stop()
 		pauseAfter, _ := obs.ReadRuntimeHistogram(gcPauseMetric)
@@ -264,6 +278,11 @@ func runGameSweep(sizes []int, cfg gameConfig) error {
 
 			PointSearches: searches,
 			SnapshotBytes: int64(snapshotGauge.Value()),
+
+			NearestFallbacks: work[0],
+			TravelMemoHits:   work[1],
+			TravelMemoMisses: work[2],
+			TasksScanned:     work[3],
 		}
 		iterQ := obs.NewQuantile()
 		for _, step := range res.Trace {
@@ -382,6 +401,8 @@ func runGameSweep(sizes []int, cfg gameConfig) error {
 		fmt.Printf("  pruned %d (rate %.4f), trials %d (resume rate %.4f, %d replays), %d point searches, snapshot %d B\n",
 			pr.CandidatesPruned, pr.PruneRate, pr.TrialsEvaluated, pr.ResumeRate, pr.TrialReplays,
 			pr.PointSearches, pr.SnapshotBytes)
+		fmt.Printf("  trial work: %d nearest fallbacks, travel memo %d hits / %d misses, %d tasks scanned\n",
+			pr.NearestFallbacks, pr.TravelMemoHits, pr.TravelMemoMisses, pr.TasksScanned)
 		fmt.Printf("  memory/iter over %d steady iters: allocs p50 %.0f (mean %.2f), %.0f B, heap in use %d B\n",
 			pr.MemWindowIters, pr.AllocsPerIter, pr.AllocsPerIterMean, pr.BytesPerIter, pr.HeapInuseBytes)
 		fmt.Printf("  equilibrium_ok=%v (verified in %.0f ms)\n", pr.EquilibriumOK, ms(verify))
@@ -499,6 +520,34 @@ func meterGameMemory(in *model.Instance, p1 []assign.Result, ccfg collab.Config,
 	}
 	n := float64(len(allocs))
 	return allocsMedian, sumA / n, sumB / n, heapInuse, len(allocs)
+}
+
+// engineWork is a reading of the trial-engine work counters, in gamePreset's
+// order: nearest fallbacks, travel-memo hits, travel-memo misses, tasks
+// scanned.
+type engineWork [4]int64
+
+// engineWorkCounters names the counters behind engineWork.
+var engineWorkCounters = [4]string{
+	"imtao_trial_nearest_fallbacks_total",
+	"imtao_trial_travel_memo_hits_total",
+	"imtao_trial_travel_memo_misses_total",
+	"imtao_assign_tasks_scanned_total",
+}
+
+func readEngineWork() engineWork {
+	var w engineWork
+	for i, name := range engineWorkCounters {
+		w[i] = obs.Default.Counter(name, "").Value()
+	}
+	return w
+}
+
+func (w engineWork) minus(o engineWork) engineWork {
+	for i := range w {
+		w[i] -= o[i]
+	}
+	return w
 }
 
 // gcPauseMetric is the runtime/metrics name of the cumulative GC

@@ -178,7 +178,7 @@ func SequentialOpt(in *model.Instance, c *model.Center, workers []model.WorkerID
 	} else {
 		cp := poolFree.Get().(*cellPool)
 		defer cp.release()
-		cp.reset(in, c.Loc, tasks)
+		cp.reset(in, c, tasks)
 		pool = cp
 	}
 

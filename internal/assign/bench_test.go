@@ -69,15 +69,16 @@ var noRef = model.NodeRef{Node: -1}
 // BenchmarkPoolServe times one center's whole phase-1 pool life — build,
 // then a query and removal per task until it is empty — on a 1/|C| patch
 // of 200 tasks, the per-center size of the SYN 10k and GM 250k workloads.
-// The cell pool is the default; the linear pool is the index-choice
-// ablation's reference.
+// The cell pool is the default, and its center order comes from the
+// instance's task geometry, sorted in the first iteration only; the linear
+// pool is the index-choice ablation's reference.
 func BenchmarkPoolServe(b *testing.B) {
 	in := benchScene(50, 200)
 	ts := in.Centers[0].Tasks
 	b.Run("cells", func(b *testing.B) {
 		var p cellPool
 		for i := 0; i < b.N; i++ {
-			p.reset(in, in.Centers[0].Loc, ts)
+			p.reset(in, in.Center(0), ts)
 			drain(in, &p)
 		}
 		b.ReportMetric(float64(len(ts)), "tasks")
@@ -101,12 +102,15 @@ func BenchmarkSequential(b *testing.B) {
 	}
 }
 
-// BenchmarkTaskOrdersBuild measures one center's order-table build on the
-// same patch: the center order, the neighbour lists and the memo slots.
+// BenchmarkTaskOrdersBuild measures one center's cold order-table build on
+// the same patch: the center order, the neighbour lists and the memo slots,
+// on a fresh task geometry each time.
 func BenchmarkTaskOrdersBuild(b *testing.B) {
 	in := benchScene(50, 200)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		NewTaskOrders(in).center(0)
+		o := NewTaskOrders(in)
+		o.geom = newTaskGeometry(in)
+		o.center(0)
 	}
 }

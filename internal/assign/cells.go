@@ -140,7 +140,9 @@ func (g *taskCells) remove(r int32) {
 
 // cellPool is the unassigned-task pool of phase 1 and of the game's
 // re-baselines (SequentialOpt, SequentialScratch): the given tasks in
-// center order over a taskCells grid. Algorithm 2 queries from the center
+// center order over a taskCells grid. A pool over a center's own task list
+// reads the center order from the instance's task geometry (orders.go);
+// any other task set is sorted here. Algorithm 2 queries from the center
 // or from the task just served. Queries from the center walk the center
 // order with a cursor — the pool only shrinks, so the first live rank only
 // moves forward — and queries from a task search the cells in square rings
@@ -148,10 +150,12 @@ func (g *taskCells) remove(r int32) {
 // exceeds the best squared distance. Both resolve ties to the smaller ID,
 // like every other pool.
 type cellPool struct {
-	in     *model.Instance
-	ents   []distEnt
-	ids    []model.TaskID // rank → task
-	pts    []geo.Point    // rank → location, the build input
+	in   *model.Instance
+	ents []distEnt
+	// ids maps rank → task: the geometry's center order, or buf.
+	ids    []int32
+	buf    []int32
+	pts    []geo.Point // rank → location, the build input
 	cells  taskCells
 	cursor int32
 	n      int
@@ -164,24 +168,55 @@ type cellPool struct {
 var poolFree = sync.Pool{New: func() any { return new(cellPool) }}
 
 // reset fills the pool with tasks for queries from c, recycling the
-// backing arrays.
-func (p *cellPool) reset(in *model.Instance, c geo.Point, tasks []model.TaskID) {
+// backing arrays. When tasks is c's own task list — the instance's center
+// c.ID at c's location, with tasks its Tasks slice itself — the center order
+// comes from the instance's task geometry, which sorts it once per
+// partitioned instance.
+func (p *cellPool) reset(in *model.Instance, c *model.Center, tasks []model.TaskID) {
 	th := in.HotTasks()
 	p.in = in
-	p.ents = centerOrder(p.ents, th, c, tasks)
-	p.ids, p.pts = p.ids[:0], p.pts[:0]
-	for _, e := range p.ents {
-		p.ids = append(p.ids, e.id)
-		p.pts = append(p.pts, th[e.id].Loc)
+	p.ids = nil
+	if ownTasks(in, c, tasks) {
+		if g := geometryOf(in).ordered(in, c.ID, p); g != nil {
+			p.ids = g.order
+		}
+	}
+	if p.ids == nil {
+		p.ents = centerOrder(p.ents, th, c.Loc, tasks)
+		p.buf = p.buf[:0]
+		for _, e := range p.ents {
+			p.buf = append(p.buf, int32(e.id))
+		}
+		p.ids = p.buf
+	}
+	p.gather(th, p.ids)
+	p.cursor, p.n, p.last = 0, len(tasks), -1
+}
+
+// ownTasks reports whether tasks is center c's own task list in in: c's ID
+// names an instance center at c's location whose Tasks is tasks itself.
+func ownTasks(in *model.Instance, c *model.Center, tasks []model.TaskID) bool {
+	if len(tasks) == 0 || int(c.ID) < 0 || int(c.ID) >= len(in.Centers) {
+		return false
+	}
+	ic := &in.Centers[c.ID]
+	return ic.Loc == c.Loc && sameTasks(ic.Tasks, tasks)
+}
+
+// gather lays the locations of ids (rank → task) out in rank order and
+// buckets them into the cells.
+func (p *cellPool) gather(th []model.TaskHot, ids []int32) {
+	p.pts = p.pts[:0]
+	for _, id := range ids {
+		p.pts = append(p.pts, th[id].Loc)
 	}
 	p.cells.build(p.pts)
-	p.cursor, p.n, p.last = 0, len(tasks), -1
 }
 
 // release returns the pool to poolFree. The caller must not touch it
 // afterwards.
 func (p *cellPool) release() {
-	p.in = nil
+	p.in, p.ids = nil, nil
 	poolFree.Put(p)
 }
 
@@ -206,7 +241,7 @@ func (p *cellPool) nearest(q geo.Point, qRef model.NodeRef, from model.TaskID) (
 		}
 		p.last = g.rank[s]
 	}
-	sid := p.ids[p.last]
+	sid := model.TaskID(p.ids[p.last])
 	t := &p.in.HotTasks()[sid]
 	return sid, p.in.TravelTimeRef(q, qRef, t.Loc, t.Ref), true
 }
@@ -268,7 +303,7 @@ func (p *cellPool) take() {
 func (p *cellPool) appendLeft(out []model.TaskID) []model.TaskID {
 	for r := p.cursor; int(r) < len(p.ids); r++ {
 		if p.cells.live(r) {
-			out = append(out, p.ids[r])
+			out = append(out, model.TaskID(p.ids[r]))
 		}
 	}
 	return out

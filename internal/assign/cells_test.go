@@ -53,7 +53,7 @@ func TestCellPoolNearestMatchesLinear(t *testing.T) {
 				}
 			}
 		}
-		p.reset(in, c.Loc, tasks)
+		p.reset(in, c, tasks)
 		live := make([]index.Item, len(tasks))
 		for i, sid := range tasks {
 			live[i] = index.Item{ID: int(sid), Point: th[sid].Loc}
@@ -89,7 +89,7 @@ func TestCellPoolNearestMatchesLinear(t *testing.T) {
 			victim := got
 			if rng.Intn(6) == 0 {
 				victim = model.TaskID(live[rng.Intn(len(live))].ID)
-				p.last = int32(slices.Index(p.ids, victim))
+				p.last = int32(slices.Index(p.ids, int32(victim)))
 			}
 			p.take()
 			i := slices.IndexFunc(live, func(it index.Item) bool { return it.ID == int(victim) })

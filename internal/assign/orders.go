@@ -3,7 +3,6 @@ package assign
 import (
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"imtao/internal/fanout"
 	"imtao/internal/geo"
@@ -29,137 +28,229 @@ var (
 // and 98.7% on the sharded 100k one; the rest take the exact fallback scan.
 const neighbourListLen = 16
 
-// TaskOrders is the per-solve nearest-task table of the phase-2 trial engine
-// (DESIGN.md §11). For every center that plays it holds, over the center's
-// own tasks:
+// taskGeometry is the solve-independent half of the nearest-task table
+// (DESIGN.md §11). For every center it holds, over the center's own tasks:
 //
 //   - the center order: the tasks sorted by (squared distance from the
 //     center, task ID), which answers queries from the center;
-//   - one neighbour list per task: the first neighbourListLen entries of the
-//     (squared distance, task ID) order from the task over the center's
-//     other tasks, which answer queries from a task just served;
-//   - a travel-time memo with one slot per center-order entry and one per
-//     list entry.
+//   - once a game needs the center, one neighbour list per task: the first
+//     neighbourListLen entries of the (squared distance, task ID) order from
+//     the task over the center's other tasks, which answer queries from a
+//     task just served, and the task → rank map the lists are read through.
 //
-// A center's part is built on first use under its own sync.Once, so shard
-// games build disjoint centers concurrently and centers that never play
-// cost nothing; Build builds a known set of parts up front, concurrently.
-// The memo assumes travel time is a pure function of the two
-// endpoints while the table lives — true within one solve, since core.Run
-// pins the center tables before the game starts — so a table must not
-// outlive the solve that made it. Safe for concurrent use.
-type TaskOrders struct {
-	in *model.Instance
-	th []model.TaskHot
+// All of it is read off the center's location, the center's task list and
+// the task locations — never the metric, pins or congestion — so it lives on
+// the partitioned instance (model.Instance.TaskGeometry), and every solve of
+// the instance shares what earlier ones built. Each center's order and lists
+// are built on first use, each under its own sync.Once, and never change
+// afterwards.
+type taskGeometry struct {
+	centers []centerGeometry
 	// rank maps a task ID to its position in its center's order. It is
-	// valid only for tasks listed by a built center; readers confirm it
-	// against that center's tasks.
-	rank    []int32
-	centers []centerOrders
+	// valid only for tasks of centers whose lists are built, and is
+	// allocated with the first list.
+	rankOnce sync.Once
+	rank     []int32
 }
 
-// centerOrders is one center's part of the table, immutable after its
-// build except for the memo slots.
-type centerOrders struct {
-	once sync.Once
-	loc  geo.Point
-	ref  model.NodeRef
-	// tasks is the center order: rank → task.
-	tasks []model.TaskID
-	// nbr holds the neighbour lists as ranks, width entries per row: row r
-	// is tasks[r]'s list. width is min(neighbourListLen, len(tasks)−1).
+// centerGeometry is one center's part of the geometry.
+type centerGeometry struct {
+	orderOnce, listOnce sync.Once
+	// src is the task list the part was built from; a center whose location
+	// or task list no longer matches the part does not get it.
+	src []model.TaskID
+	orderLists
+}
+
+// orderLists is what a center's part answers queries with.
+type orderLists struct {
+	// loc is the center location; order is the center order, rank → task
+	// ID.
+	loc   geo.Point
+	order []int32
+	// rank is the task → rank map of the lists: the geometry's, or a
+	// solve's private one. nbr holds the lists as ranks, width entries per
+	// row: row r is order[r]'s list. width is min(neighbourListLen,
+	// len(order)−1).
+	rank  []int32
 	nbr   []int32
 	width int
-	// ctt[r] memoizes tt(center, tasks[r]); ntt[i] memoizes the travel time
+}
+
+// geometryOf returns in's task geometry, attaching an empty one on first use.
+func geometryOf(in *model.Instance) *taskGeometry {
+	return in.TaskGeometry(func() any { return newTaskGeometry(in) }).(*taskGeometry)
+}
+
+// newTaskGeometry returns an empty task geometry for in's centers.
+func newTaskGeometry(in *model.Instance) *taskGeometry {
+	return &taskGeometry{centers: make([]centerGeometry, len(in.Centers))}
+}
+
+// ordered returns center ci's part with its center order built, sorting in
+// scratch's buffer on first use, or nil when the center no longer matches
+// the part.
+func (t *taskGeometry) ordered(in *model.Instance, ci model.CenterID, scratch *cellPool) *centerGeometry {
+	if int(ci) < 0 || int(ci) >= len(t.centers) || int(ci) >= len(in.Centers) {
+		return nil
+	}
+	c, g := &in.Centers[ci], &t.centers[ci]
+	g.orderOnce.Do(func() { g.sortFrom(c, in.HotTasks(), scratch) })
+	if !g.builtFrom(c) {
+		return nil
+	}
+	return g
+}
+
+// listed is ordered with the part's rank map and neighbour lists built too.
+func (t *taskGeometry) listed(in *model.Instance, ci model.CenterID, scratch *cellPool) *centerGeometry {
+	g := t.ordered(in, ci, scratch)
+	if g == nil {
+		return nil
+	}
+	g.listOnce.Do(func() {
+		t.rankOnce.Do(func() { t.rank = make([]int32, len(in.Tasks)) })
+		g.buildLists(in.HotTasks(), t.rank, scratch)
+	})
+	return g
+}
+
+// builtFrom reports whether the part was built from c as it stands: the
+// same location and the same Tasks slice (pointer and length). A task list
+// edited in place, keeping its slice, is not caught.
+func (g *centerGeometry) builtFrom(c *model.Center) bool {
+	return g.loc == c.Loc && sameTasks(g.src, c.Tasks)
+}
+
+// sameTasks reports whether a and b are one slice: the same length over the
+// same first element.
+func sameTasks(a, b []model.TaskID) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// sortFrom records c as the part's source and sorts its tasks into the
+// center order, in scratch's sort buffer, so only the order is allocated.
+func (g *centerGeometry) sortFrom(c *model.Center, th []model.TaskHot, scratch *cellPool) {
+	g.loc, g.src = c.Loc, c.Tasks
+	scratch.ents = centerOrder(scratch.ents, th, c.Loc, c.Tasks)
+	g.order = make([]int32, len(scratch.ents))
+	for r, e := range scratch.ents {
+		g.order[r] = int32(e.id)
+	}
+}
+
+// buildLists enters the part's tasks into rank and builds their neighbour
+// lists over scratch's cells.
+func (g *centerGeometry) buildLists(th []model.TaskHot, rank []int32, scratch *cellPool) {
+	n := len(g.order)
+	for r, id := range g.order {
+		rank[id] = int32(r)
+	}
+	g.rank = rank
+	g.width = max(min(neighbourListLen, n-1), 0)
+	g.nbr = make([]int32, n*g.width)
+	if g.width > 0 {
+		scratch.gather(th, g.order)
+		buildNeighbourLists(&scratch.cells, g.order, g.width, g.nbr)
+	}
+}
+
+// TaskOrders is the per-solve nearest-task table of the phase-2 trial engine
+// (DESIGN.md §11): for every center that plays, its part of the instance's
+// task geometry — the center order, neighbour lists and ranks — plus a
+// travel-time memo with one slot per center-order entry and one per list
+// entry.
+//
+// A center's part is bound on first use under its own sync.Once, so shard
+// games bind disjoint centers concurrently and centers that never play cost
+// nothing; Build binds a known set of parts up front, concurrently. A center
+// whose geometry part no longer matches it (DESIGN.md §11) gets a private
+// part for this table. The memo assumes travel time is a pure function of
+// the two endpoints while the table lives — true within one solve, since
+// core.Run pins the center tables before the game starts — so a table must
+// not outlive the solve that made it. Binding is safe for concurrent use;
+// a center's memo slots are filled only by the goroutine stepping the game
+// that holds the center.
+type TaskOrders struct {
+	in      *model.Instance
+	th      []model.TaskHot
+	geom    *taskGeometry
+	centers []centerOrders
+	// privRank is the rank map of the private parts, allocated with the
+	// first one.
+	privOnce sync.Once
+	privRank []int32
+}
+
+// centerOrders is one center's part of the table: its geometry's orders and
+// lists, immutable, and its memo slots.
+type centerOrders struct {
+	orderLists
+	once sync.Once
+	ref  model.NodeRef
+	// ctt[r] memoizes tt(center, order[r]); ntt[i] memoizes the travel time
 	// from row i/width's task to the task nbr[i] names. A slot holds the
 	// complemented float64 bits, so the zero value reads as empty. fb[r]
-	// memoizes the latest fallback answer from tasks[r].
-	ctt []atomic.Uint64
-	ntt []atomic.Uint64
+	// memoizes the latest fallback answer from order[r].
+	ctt []uint64
+	ntt []uint64
 	fb  []fbSlot
 }
 
 // fbSlot memoizes a row's latest fallback answer and its travel time.
-// Fallback answers vary with the live pool, so the slot is overwritten, and
-// it is read as a seqlock: tag packs a sequence number (high half, odd while
-// a writer holds the slot) with the answer's rank+1 (low half, 0 = empty),
-// and a reader takes tt only if the tag names its answer and is unchanged
-// after the read.
+// Fallback answers vary with the live pool, so the slot is overwritten; r
+// holds the answer's rank+1, 0 while empty.
 type fbSlot struct {
-	tag atomic.Uint64
-	tt  atomic.Uint64
+	r  int32
+	tt float64
 }
 
-func (s *fbSlot) load(r int32) (float64, bool) {
-	t := s.tag.Load()
-	if t>>32&1 != 0 || uint32(t) != uint32(r+1) {
-		return 0, false
-	}
-	v := s.tt.Load()
-	if s.tag.Load() != t {
-		return 0, false
-	}
-	return math.Float64frombits(v), true
-}
-
-// store publishes (r, tt) unless another writer holds the slot.
-func (s *fbSlot) store(r int32, tt float64) {
-	t := s.tag.Load()
-	if t>>32&1 != 0 || !s.tag.CompareAndSwap(t, t+1<<32) {
-		return
-	}
-	s.tt.Store(math.Float64bits(tt))
-	s.tag.Store((t>>32+2)<<32 | uint64(uint32(r+1)))
-}
-
-// NewTaskOrders makes an empty table for in. Centers are built lazily.
+// NewTaskOrders makes an empty table for in over in's task geometry.
+// Centers are bound lazily.
 func NewTaskOrders(in *model.Instance) *TaskOrders {
 	in.EnsureHot()
 	return &TaskOrders{
 		in:      in,
 		th:      in.HotTasks(),
-		rank:    make([]int32, len(in.Tasks)),
+		geom:    geometryOf(in),
 		centers: make([]centerOrders, len(in.Centers)),
 	}
 }
 
-// Build builds the parts of the given centers on up to par goroutines (0
-// means GOMAXPROCS) and returns once all are built. A part's build is deterministic and touches
-// only its own center's slots, so the build order changes nothing.
+// Build binds the parts of the given centers on up to par goroutines (0
+// means GOMAXPROCS) and returns once all are bound. A part's build is
+// deterministic and touches only its own center's slots, so the build order
+// changes nothing.
 func (o *TaskOrders) Build(centers []model.CenterID, par int) {
 	fanout.Each(par, len(centers), func(i int) { o.center(centers[i]) })
 }
 
-// center returns ci's part of the table, building it on first use.
+// center returns ci's part of the table, binding it on first use.
 func (o *TaskOrders) center(ci model.CenterID) *centerOrders {
 	co := &o.centers[ci]
-	co.once.Do(func() { o.build(ci, co) })
+	co.once.Do(func() { o.bind(ci, co) })
 	return co
 }
 
-func (o *TaskOrders) build(ci model.CenterID, co *centerOrders) {
-	c := &o.in.Centers[ci]
-	th := o.th
-	co.loc, co.ref = c.Loc, o.in.CenterRef(ci)
-	ents := centerOrder(nil, th, c.Loc, c.Tasks)
-	n := len(ents)
-	co.tasks = make([]model.TaskID, n)
-	pts := make([]geo.Point, n)
-	for r, e := range ents {
-		co.tasks[r] = e.id
-		pts[r] = th[e.id].Loc
-		o.rank[e.id] = int32(r)
+// bind gives co center ci's geometry part with its lists — the instance's,
+// or a private one when that no longer matches the center — and fresh memo
+// slots.
+func (o *TaskOrders) bind(ci model.CenterID, co *centerOrders) {
+	scratch := poolFree.Get().(*cellPool)
+	defer scratch.release()
+	g := o.geom.listed(o.in, ci, scratch)
+	if g == nil {
+		o.privOnce.Do(func() { o.privRank = make([]int32, len(o.in.Tasks)) })
+		g = &centerGeometry{}
+		g.sortFrom(&o.in.Centers[ci], o.th, scratch)
+		g.buildLists(o.th, o.privRank, scratch)
 	}
-	co.width = max(min(neighbourListLen, n-1), 0)
-	co.nbr = make([]int32, n*co.width)
-	co.ctt = make([]atomic.Uint64, n)
-	co.ntt = make([]atomic.Uint64, n*co.width)
+	co.orderLists = g.orderLists
+	co.ref = o.in.CenterRef(ci)
+	n := len(g.order)
+	co.ctt = make([]uint64, n)
+	co.ntt = make([]uint64, n*g.width)
 	co.fb = make([]fbSlot, n)
-	if co.width > 0 {
-		var g taskCells
-		g.build(pts)
-		buildNeighbourLists(&g, co.tasks, co.width, co.nbr)
-	}
 }
 
 // buildNeighbourLists fills nbr with every task's neighbour list: row r
@@ -169,7 +260,7 @@ func (o *TaskOrders) build(ci model.CenterID, co *centerOrders) {
 // cell and stops once the next ring's lower bound exceeds the row's current
 // width-th distance. No task is removed yet, so a run of cells along one
 // grid row is one contiguous scan.
-func buildNeighbourLists(g *taskCells, tasks []model.TaskID, width int, nbr []int32) {
+func buildNeighbourLists(g *taskCells, order []int32, width int, nbr []int32) {
 	nx, ny := g.nx, g.ny
 	// The row under construction: keys[:cnt] ascending by (d², ID), with
 	// the ranks alongside. Ties are rare, so the ID is looked up only to
@@ -199,12 +290,12 @@ func buildNeighbourLists(g *taskCells, tasks []model.TaskID, width int, nbr []in
 					if cnt < width {
 						cnt++
 					} else {
-						if d2 == kth && tasks[r] > tasks[ranks[width-1]] {
+						if d2 == kth && order[r] > order[ranks[width-1]] {
 							continue
 						}
 						j = width - 1
 					}
-					for j > 0 && (d2 < keys[j-1] || (d2 == keys[j-1] && tasks[r] < tasks[ranks[j-1]])) {
+					for j > 0 && (d2 < keys[j-1] || (d2 == keys[j-1] && order[r] < order[ranks[j-1]])) {
 						keys[j], ranks[j] = keys[j-1], ranks[j-1]
 						j--
 					}
@@ -246,7 +337,8 @@ func buildNeighbourLists(g *taskCells, tasks []model.TaskID, width int, nbr []in
 // first live entry of the center order only moves forward: cursor tracks it
 // for queries from the center, and every rank before it is dead.
 type orderPool struct {
-	o      *TaskOrders
+	in     *model.Instance
+	th     []model.TaskHot
 	co     *centerOrders
 	stamp  []uint32
 	base   []uint32
@@ -261,7 +353,7 @@ type orderPool struct {
 
 // bind points the pool at a freshly Reset base.
 func (p *orderPool) bind(b *TrialBase) {
-	p.o, p.co = b.orders, b.co
+	p.in, p.th, p.co = b.in, b.th, b.co
 	p.base = b.stamp
 	p.stamp = append(p.stamp[:0], b.stamp...)
 	p.baseN = b.poolN
@@ -302,7 +394,7 @@ func (p *orderPool) first() int32 {
 }
 
 func (p *orderPool) remove(sid model.TaskID) {
-	if r := p.o.rank[sid]; p.live(r) {
+	if r := p.co.rank[sid]; p.live(r) {
 		p.stamp[r] = p.epoch
 		p.n--
 	}
@@ -316,9 +408,9 @@ func (p *orderPool) take() {
 
 // appendLeft appends the live tasks to out, in center order.
 func (p *orderPool) appendLeft(out []model.TaskID) []model.TaskID {
-	for r := p.cursor; int(r) < len(p.co.tasks); r++ {
+	for r := p.cursor; int(r) < len(p.co.order); r++ {
 		if p.live(r) {
-			out = append(out, p.co.tasks[r])
+			out = append(out, model.TaskID(p.co.order[r]))
 		}
 	}
 	return out
@@ -340,45 +432,47 @@ func (p *orderPool) nearest(q geo.Point, qRef model.NodeRef, from model.TaskID) 
 	if from < 0 {
 		r := p.first()
 		p.last = r
-		return co.tasks[r], p.travel(&co.ctt[r], q, qRef, co.tasks[r]), true
+		sid := model.TaskID(co.order[r])
+		return sid, p.travel(&co.ctt[r], q, qRef, sid), true
 	}
-	fr := p.o.rank[from]
+	fr := co.rank[from]
 	if !p.live(fr) {
 		row := int(fr) * co.width
 		for j, r := range co.nbr[row : row+co.width] {
 			if p.live(r) {
 				p.last = r
-				return co.tasks[r], p.travel(&co.ntt[row+j], q, qRef, co.tasks[r]), true
+				sid := model.TaskID(co.order[r])
+				return sid, p.travel(&co.ntt[row+j], q, qRef, sid), true
 			}
 		}
 	}
 	p.fallbacks++
-	th := p.o.th
+	th := p.th
 	best, bestR, bestD := model.TaskID(-1), int32(-1), math.Inf(1)
-	for r := p.cursor; int(r) < len(co.tasks); r++ {
+	for r := p.cursor; int(r) < len(co.order); r++ {
 		if !p.live(r) {
 			continue
 		}
-		sid := co.tasks[r]
+		sid := model.TaskID(co.order[r])
 		if d := q.Dist2(th[sid].Loc); d < bestD || (d == bestD && sid < best) {
 			best, bestR, bestD = sid, r, d
 		}
 	}
 	p.last = bestR
-	if tt, ok := co.fb[fr].load(bestR); ok {
+	if fb := &co.fb[fr]; fb.r == bestR+1 {
 		p.hits++
-		return best, tt, true
+		return best, fb.tt, true
 	}
 	p.misses++
 	t := &th[best]
-	tt := p.o.in.TravelTimeRef(q, qRef, t.Loc, t.Ref)
-	co.fb[fr].store(bestR, tt)
+	tt := p.in.TravelTimeRef(q, qRef, t.Loc, t.Ref)
+	co.fb[fr] = fbSlot{r: bestR + 1, tt: tt}
 	return best, tt, true
 }
 
 // travel returns tt(q, sid) through a memo slot and tallies the lookup.
-func (p *orderPool) travel(slot *atomic.Uint64, q geo.Point, qRef model.NodeRef, sid model.TaskID) float64 {
-	tt, hit := p.o.slotTravel(slot, q, qRef, sid)
+func (p *orderPool) travel(slot *uint64, q geo.Point, qRef model.NodeRef, sid model.TaskID) float64 {
+	tt, hit := slotTravel(p.in, p.th, slot, q, qRef, sid)
 	if hit {
 		p.hits++
 	} else {
@@ -388,15 +482,14 @@ func (p *orderPool) travel(slot *atomic.Uint64, q geo.Point, qRef model.NodeRef,
 }
 
 // slotTravel returns tt(q, sid) from the memo slot, computing and storing it
-// on a miss, and reports whether it was a hit. Concurrent runners may race
-// to fill a slot; they store the same bits.
-func (o *TaskOrders) slotTravel(slot *atomic.Uint64, q geo.Point, qRef model.NodeRef, sid model.TaskID) (float64, bool) {
-	if v := slot.Load(); v != 0 {
+// on a miss, and reports whether it was a hit.
+func slotTravel(in *model.Instance, th []model.TaskHot, slot *uint64, q geo.Point, qRef model.NodeRef, sid model.TaskID) (float64, bool) {
+	if v := *slot; v != 0 {
 		return math.Float64frombits(^v), true
 	}
-	t := &o.th[sid]
-	tt := o.in.TravelTimeRef(q, qRef, t.Loc, t.Ref)
-	slot.Store(^math.Float64bits(tt))
+	t := &th[sid]
+	tt := in.TravelTimeRef(q, qRef, t.Loc, t.Ref)
+	*slot = ^math.Float64bits(tt)
 	return tt, false
 }
 
@@ -404,15 +497,15 @@ func (o *TaskOrders) slotTravel(slot *atomic.Uint64, q geo.Point, qRef model.Nod
 // task to, both of co's tasks, through the memo slot when to has one in
 // from's orders, and reports whether the memo answered.
 func (o *TaskOrders) leg(co *centerOrders, from, to model.TaskID) (float64, bool) {
-	tr := o.rank[to]
+	tr := co.rank[to]
 	if from < 0 {
-		return o.slotTravel(&co.ctt[tr], co.loc, co.ref, to)
+		return slotTravel(o.in, o.th, &co.ctt[tr], co.loc, co.ref, to)
 	}
 	f := &o.th[from]
-	row := int(o.rank[from]) * co.width
+	row := int(co.rank[from]) * co.width
 	for j, r := range co.nbr[row : row+co.width] {
 		if r == tr {
-			return o.slotTravel(&co.ntt[row+j], f.Loc, f.Ref, to)
+			return slotTravel(o.in, o.th, &co.ntt[row+j], f.Loc, f.Ref, to)
 		}
 	}
 	t := &o.th[to]

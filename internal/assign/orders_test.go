@@ -86,15 +86,19 @@ func TestTaskOrdersMatchBruteForce(t *testing.T) {
 		in := orderScene(rng, kind)
 		co := NewTaskOrders(in).center(0)
 		c := in.Center(0)
-		if want := byDist(in, c.Loc, c.Tasks); !slices.Equal(co.tasks, want) {
-			t.Fatalf("%s trial %d: center order %v, want %v", kind, trial, co.tasks, want)
+		order := taskIDs(co.order)
+		if want := byDist(in, c.Loc, c.Tasks); !slices.Equal(order, want) {
+			t.Fatalf("%s trial %d: center order %v, want %v", kind, trial, order, want)
 		}
-		for r, sid := range co.tasks {
+		for r, sid := range order {
+			if co.rank[sid] != int32(r) {
+				t.Fatalf("%s trial %d: task %d has rank %d, want %d", kind, trial, sid, co.rank[sid], r)
+			}
 			others := slices.DeleteFunc(slices.Clone(c.Tasks), func(t model.TaskID) bool { return t == sid })
 			want := byDist(in, in.Tasks[sid].Loc, others)[:co.width]
 			got := make([]model.TaskID, co.width)
 			for j, nr := range co.nbr[r*co.width : (r+1)*co.width] {
-				got[j] = co.tasks[nr]
+				got[j] = order[nr]
 			}
 			if !slices.Equal(got, want) {
 				t.Fatalf("%s trial %d: task %d list %v, want %v", kind, trial, sid, got, want)
@@ -103,36 +107,134 @@ func TestTaskOrdersMatchBruteForce(t *testing.T) {
 	}
 }
 
-// TestTaskOrdersBuildMatchesLazy builds every center's part at once on
-// several goroutines and checks each against a part built on first use:
-// the same center order, neighbour lists and ranks. Under -race it also
-// checks that concurrent builds share nothing unsynchronized.
-func TestTaskOrdersBuildMatchesLazy(t *testing.T) {
-	rng := rand.New(rand.NewSource(36))
+// taskIDs converts a center order to task IDs.
+func taskIDs(order []int32) []model.TaskID {
+	out := make([]model.TaskID, len(order))
+	for i, id := range order {
+		out[i] = model.TaskID(id)
+	}
+	return out
+}
+
+// multiCenterScene builds nc centers scattered over ±100, each with a few
+// workers and up to 120 tasks within ±10 of it, attached by construction
+// (not by nearest center, so the centers' task boxes overlap).
+func multiCenterScene(rng *rand.Rand, nc int) *model.Instance {
 	in := &model.Instance{Speed: 1, Bounds: geo.NewRect(geo.Pt(-120, -120), geo.Pt(120, 120))}
-	var centers []model.CenterID
-	for ci := 0; ci < 9; ci++ {
+	for ci := 0; ci < nc; ci++ {
 		c := model.Center{ID: model.CenterID(ci), Loc: geo.Pt(rng.Float64()*200-100, rng.Float64()*200-100)}
+		near := func() geo.Point { return geo.Pt(c.Loc.X+rng.Float64()*20-10, c.Loc.Y+rng.Float64()*20-10) }
 		for i := 0; i < 1+rng.Intn(120); i++ {
 			id := model.TaskID(len(in.Tasks))
-			in.Tasks = append(in.Tasks, model.Task{ID: id, Center: c.ID, Expiry: 100, Reward: 1,
-				Loc: geo.Pt(c.Loc.X+rng.Float64()*20-10, c.Loc.Y+rng.Float64()*20-10)})
+			in.Tasks = append(in.Tasks, model.Task{ID: id, Center: c.ID, Expiry: 100, Reward: 1, Loc: near()})
 			c.Tasks = append(c.Tasks, id)
 		}
+		for i := 0; i < 6+rng.Intn(10); i++ {
+			id := model.WorkerID(len(in.Workers))
+			in.Workers = append(in.Workers, model.Worker{ID: id, Home: c.ID, Loc: near(), MaxT: 3})
+			c.Workers = append(c.Workers, id)
+		}
 		in.Centers = append(in.Centers, c)
-		centers = append(centers, c.ID)
+	}
+	return in
+}
+
+// samePart reports whether two parts hold the same center order, neighbour
+// lists and ranks.
+func samePart(a, b orderLists) bool {
+	if !slices.Equal(a.order, b.order) || a.width != b.width || !slices.Equal(a.nbr, b.nbr) {
+		return false
+	}
+	for _, id := range a.order {
+		if a.rank[id] != b.rank[id] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestTaskOrdersBuildMatchesLazy builds every center's part at once on
+// several goroutines and checks each against a part built on first use on
+// a clone, whose task geometry is its own: the same center order,
+// neighbour lists and ranks. Under -race it also checks that concurrent
+// builds share nothing unsynchronized.
+func TestTaskOrdersBuildMatchesLazy(t *testing.T) {
+	in := multiCenterScene(rand.New(rand.NewSource(36)), 9)
+	var centers []model.CenterID
+	for ci := range in.Centers {
+		centers = append(centers, model.CenterID(ci))
 	}
 	in.EnsureHot()
-	built, lazy := NewTaskOrders(in), NewTaskOrders(in)
+	built, lazy := NewTaskOrders(in), NewTaskOrders(in.Clone())
 	built.Build(centers, 4)
 	for _, ci := range centers {
 		b, l := &built.centers[ci], lazy.center(ci)
-		if !slices.Equal(b.tasks, l.tasks) || b.width != l.width || !slices.Equal(b.nbr, l.nbr) {
+		if &b.order[0] == &l.order[0] {
+			t.Fatalf("center %d: the two tables share one part", ci)
+		}
+		if !samePart(b.orderLists, l.orderLists) {
 			t.Fatalf("center %d: built part differs from the lazily built one", ci)
 		}
 	}
-	if !slices.Equal(built.rank, lazy.rank) {
-		t.Fatal("built ranks differ from the lazily built ones")
+}
+
+// TestTaskGeometryConcurrentFirstUse builds one fresh instance's task
+// geometry from several goroutines at once — phase-1 runs, which sort the
+// center orders, racing tables, which also build the lists — and checks
+// that all of them got one geometry, equal part for part to one built
+// alone on a clone. Run under -race it checks the first use is
+// synchronized.
+func TestTaskGeometryConcurrentFirstUse(t *testing.T) {
+	in := multiCenterScene(rand.New(rand.NewSource(37)), 12)
+	in.EnsureHot()
+	want := make([]Result, len(in.Centers))
+	ref := in.Clone()
+	for ci := range ref.Centers {
+		c := ref.Center(model.CenterID(ci))
+		want[ci] = Sequential(ref, c, c.Workers, c.Tasks)
+	}
+	var centers []model.CenterID
+	for ci := range in.Centers {
+		centers = append(centers, model.CenterID(ci))
+	}
+	tables := make([]*TaskOrders, 4)
+	errs := make(chan string, 2*len(tables))
+	var wg sync.WaitGroup
+	for g := range tables {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			tables[g] = NewTaskOrders(in)
+			tables[g].Build(centers, 2)
+		}()
+		go func() {
+			defer wg.Done()
+			for k := range in.Centers {
+				ci := (k + 3*g) % len(in.Centers)
+				c := in.Center(model.CenterID(ci))
+				if got := Sequential(in, c, c.Workers, c.Tasks); !reflect.DeepEqual(got, want[ci]) {
+					errs <- "phase-1 result differs from the clone's"
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
+	}
+	alone := NewTaskOrders(ref)
+	for _, ci := range centers {
+		part := tables[0].center(ci).orderLists
+		for _, o := range tables[1:] {
+			if &o.center(ci).order[0] != &part.order[0] {
+				t.Fatalf("center %d: two tables got different parts of one geometry", ci)
+			}
+		}
+		if !samePart(part, alone.center(ci).orderLists) {
+			t.Fatalf("center %d: part differs from one built alone", ci)
+		}
 	}
 }
 
@@ -277,20 +379,22 @@ func TestTrialMatchesFullRunFallback(t *testing.T) {
 	}
 }
 
-// TestTravelMemoConcurrentRoadNetwork runs trials from several runners at
-// once over one shared table on a road network. Every trial must equal the
-// full Sequential run, and every memo slot the runners filled must hold
-// exactly the metric's travel time. Run under -race this also checks the
-// memo's concurrent fill.
+// TestTravelMemoConcurrentRoadNetwork runs trials on several centers at
+// once over one shared table on a road network, one goroutine per center —
+// the sharded engine's pattern, where concurrent shard games hold disjoint
+// centers. Every trial must equal the full Sequential run, and every memo
+// slot the runners filled must hold exactly the metric's travel time. Run
+// under -race it also checks that binding the centers and filling their
+// slots share nothing unsynchronized.
 func TestTravelMemoConcurrentRoadNetwork(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	for trial := 0; trial < 6; trial++ {
-		in := randomCenterScene(rng, 12+rng.Intn(8), 60+rng.Intn(60))
+		in := multiCenterScene(rng, 4)
 		for i := range in.Workers {
 			in.Workers[i].MaxT = 3 + rng.Intn(6)
 		}
 		for i := range in.Tasks {
-			in.Tasks[i].Expiry = 200 + rng.Float64()*400
+			in.Tasks[i].Expiry = 10 + rng.Float64()*40
 		}
 		net, err := roadnet.New(in.Bounds, 24, 24, in.Speed)
 		if err != nil {
@@ -299,42 +403,41 @@ func TestTravelMemoConcurrentRoadNetwork(t *testing.T) {
 		net.SetCongestion(geo.Pt(rng.Float64()*200-100, rng.Float64()*200-100), 1+rng.Float64()*3)
 		in.Metric = net
 		in.PrepareMetric()
-		c := in.Center(0)
-		all := c.Workers
-		base := all[:len(all)/3]
-		baseline := Sequential(in, c, base, c.Tasks)
+		in.EnsureHot()
 		o := NewTaskOrders(in)
-		tb, ok := NewTrialBase(o, c, base, baseline.Routes, baseline.LeftTasks)
-		if !ok {
-			t.Fatal("NewTrialBase rejected a genuine Sequential baseline")
-		}
-		cands := all[len(all)/3:]
-		want := make([]Result, len(cands))
-		for i, w := range cands {
-			want[i] = normalizeResult(Sequential(in, c, append(slices.Clone(base), w), c.Tasks))
-		}
 		var wg sync.WaitGroup
-		errs := make(chan string, 4)
-		for g := 0; g < 4; g++ {
+		errs := make(chan string, len(in.Centers))
+		for ci := range in.Centers {
+			c := in.Center(model.CenterID(ci))
+			all := c.Workers
+			base, cands := all[:len(all)/3], all[len(all)/3:]
+			baseline := Sequential(in, c, base, c.Tasks)
+			want := make([]Result, len(cands))
+			for i, w := range cands {
+				want[i] = normalizeResult(Sequential(in, c, append(slices.Clone(base), w), c.Tasks))
+			}
 			wg.Add(1)
-			go func(g int) {
+			go func() {
 				defer wg.Done()
+				tb, ok := NewTrialBase(o, c, base, baseline.Routes, baseline.LeftTasks)
+				if !ok {
+					errs <- "NewTrialBase rejected a genuine Sequential baseline"
+					return
+				}
 				r := tb.NewRunner()
-				for k := range cands {
-					i := (k + g*len(cands)/4) % len(cands)
-					if got := normalizeResult(r.Trial(cands[i])); !reflect.DeepEqual(got, want[i]) {
+				for i, w := range cands {
+					if got := normalizeResult(r.Trial(w)); !reflect.DeepEqual(got, want[i]) {
 						errs <- "trial differs from the full run"
 						return
 					}
 				}
-			}(g)
+			}()
 		}
 		wg.Wait()
 		close(errs)
 		for e := range errs {
 			t.Fatalf("trial %d: %s", trial, e)
 		}
-		co := o.center(0)
 		th := in.HotTasks()
 		check := func(slot uint64, from geo.Point, fromRef model.NodeRef, to model.TaskID) {
 			if slot == 0 {
@@ -346,14 +449,25 @@ func TestTravelMemoConcurrentRoadNetwork(t *testing.T) {
 			}
 		}
 		filled := 0
-		for r, sid := range co.tasks {
-			check(co.ctt[r].Load(), c.Loc, in.CenterRef(0), sid)
-			for j := 0; j < co.width; j++ {
-				slot := co.ntt[r*co.width+j].Load()
-				if slot != 0 {
-					filled++
+		for ci := range in.Centers {
+			c := in.Center(model.CenterID(ci))
+			co := o.center(c.ID)
+			for r, id := range co.order {
+				sid := model.TaskID(id)
+				check(co.ctt[r], c.Loc, in.CenterRef(c.ID), sid)
+				for j := 0; j < co.width; j++ {
+					slot := co.ntt[r*co.width+j]
+					if slot != 0 {
+						filled++
+					}
+					check(slot, th[sid].Loc, th[sid].Ref, model.TaskID(co.order[co.nbr[r*co.width+j]]))
 				}
-				check(slot, th[sid].Loc, th[sid].Ref, co.tasks[co.nbr[r*co.width+j]])
+				if fb := co.fb[r]; fb.r > 0 {
+					to := model.TaskID(co.order[fb.r-1])
+					if want := in.TravelTimeRef(th[sid].Loc, th[sid].Ref, th[to].Loc, th[to].Ref); fb.tt != want {
+						t.Fatalf("trial %d: fallback memo holds %v, metric says %v", trial, fb.tt, want)
+					}
+				}
 			}
 		}
 		if filled == 0 {

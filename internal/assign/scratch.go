@@ -45,7 +45,7 @@ func (s *SequentialScratch) Run(in *model.Instance, c *model.Center,
 	in.EnsureHot()
 	s.order = serveOrder(s.order, in.HotWorkers(), c.Loc, workers, false)
 	pool := &s.pool
-	pool.reset(in, c.Loc, tasks)
+	pool.reset(in, c, tasks)
 	s.tasks.Reset()
 
 	routes := s.routes[:0]

@@ -118,14 +118,13 @@ type TrialBase struct {
 	// every runner.
 	baseLeft  []model.WorkerID
 	leftTasks []model.TaskID
-	// orders is the solve's nearest-task table and co the center's part of
-	// it. stamp is the runners' starting liveness over co's ranks — 0 for
-	// the start state S_0 (leftovers plus every route's tasks), MaxUint32
-	// for the center's other tasks — and poolN counts S_0. servedAt is each
-	// rank's baseline serve position: the position j whose route took it,
+	// co is the center's part of the solve's nearest-task table. stamp is
+	// the runners' starting liveness over co's ranks — 0 for the start
+	// state S_0 (leftovers plus every route's tasks), MaxUint32 for the
+	// center's other tasks — and poolN counts S_0. servedAt is each rank's
+	// baseline serve position: the position j whose route took it,
 	// MaxInt32 for a leftover, -1 outside S_0. The baseline pool at the
 	// boundary before position j is exactly the ranks with servedAt ≥ j.
-	orders   *TaskOrders
 	co       *centerOrders
 	stamp    []uint32
 	servedAt []int32
@@ -228,19 +227,19 @@ func (b *TrialBase) markPool(o *TaskOrders, c *model.Center) bool {
 	if co.loc != c.Loc {
 		return false
 	}
-	b.orders, b.co = o, co
+	b.co = co
 	b.stamp, b.servedAt = b.stamp[:0], b.servedAt[:0]
-	for range co.tasks {
+	for range co.order {
 		b.stamp = append(b.stamp, math.MaxUint32)
 		b.servedAt = append(b.servedAt, -1)
 	}
 	b.poolN = 0
 	mark := func(sid model.TaskID, at int32) bool {
-		if sid < 0 || int(sid) >= len(o.rank) || b.in.Tasks[sid].Center != c.ID {
+		if sid < 0 || int(sid) >= len(co.rank) || b.in.Tasks[sid].Center != c.ID {
 			return false
 		}
-		r := o.rank[sid]
-		if int(r) >= len(co.tasks) || co.tasks[r] != sid || b.stamp[r] == 0 {
+		r := co.rank[sid]
+		if int(r) >= len(co.order) || model.TaskID(co.order[r]) != sid || b.stamp[r] == 0 {
 			return false
 		}
 		b.stamp[r], b.servedAt[r] = 0, at
@@ -316,7 +315,7 @@ type TrialRunner struct {
 // trial route's tail from the same step.
 func (r *TrialRunner) settle(j int, base, trial []model.TaskID) {
 	b, p := r.b, &r.pool
-	rank := b.orders.rank
+	rank := b.co.rank
 	common := 0
 	for _, x := range trial {
 		switch sb := b.servedAt[rank[x]]; {
@@ -360,7 +359,7 @@ func (r *TrialRunner) settle(j int, base, trial []model.TaskID) {
 // the pick lies beyond the list, a scan of the live pool.
 func (r *TrialRunner) divergeStep(j int, rt *model.Route) int {
 	b, p, co := r.b, &r.pool, r.b.co
-	rank := b.orders.rank
+	rank := co.rank
 	for i, sid := range rt.Tasks {
 		sr := rank[sid]
 		if !p.live(sr) {
@@ -400,12 +399,12 @@ func (r *TrialRunner) freedAhead(j int, q geo.Point, sid model.TaskID) bool {
 	b, p := r.b, &r.pool
 	ds := q.Dist2(b.th[sid].Loc)
 	seen := 0
-	for x := p.cursor; int(x) < len(b.co.tasks) && seen < r.nFreed; x++ {
+	for x := p.cursor; int(x) < len(b.co.order) && seen < r.nFreed; x++ {
 		if !p.live(x) || b.servedAt[x] >= int32(j) {
 			continue
 		}
 		seen++
-		f := b.co.tasks[x]
+		f := model.TaskID(b.co.order[x])
 		if d := q.Dist2(b.th[f].Loc); d < ds || (d == ds && f < sid) {
 			return true
 		}

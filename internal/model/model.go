@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"imtao/internal/geo"
 )
@@ -110,6 +111,8 @@ type metricPrep struct {
 	tasks   []NodeRef
 	workers []NodeRef
 	centers []NodeRef
+	// centerLocs are the center locations the center snaps were taken at.
+	centerLocs []geo.Point
 }
 
 // TaskHot packs the task fields read by the assignment hot loops — location,
@@ -171,6 +174,10 @@ type Instance struct {
 	// hot is the SoA slab built by EnsureHot and shared (immutably) across
 	// Clones; nil until an engine entry point asks for it.
 	hot *hotSlab
+
+	// geom holds the task-geometry cache (TaskGeometry). Clone never passes
+	// it on, and EnsureHot drops it whenever it rebuilds the slab.
+	geom atomic.Value
 }
 
 // Errors returned by Validate.
@@ -269,9 +276,12 @@ func (in *Instance) TravelTime(a, b geo.Point) float64 {
 // oracle), so the assignment hot loops stop re-deriving snaps on every
 // TravelTime call. A no-op for straight-line instances and non-node
 // metrics. Idempotent for an unchanged metric; call it again after swapping
-// Metric or appending entities. Not safe concurrently with itself, but the
-// memo is immutable once built and Clone shares it, so prepared instances
-// are safe for the parallel engine.
+// Metric or appending entities. A moved center is noticed and the memo
+// rebuilt, so an instance partitioned again after a center moved (Partition
+// clones the memo) gets fresh snaps; tasks and workers are assumed to stay
+// put. Not safe concurrently with itself, but the memo is immutable once
+// built and Clone shares it, so prepared instances are safe for the
+// parallel engine.
 func (in *Instance) PrepareMetric() {
 	nm, ok := in.Metric.(NodeMetric)
 	if !ok {
@@ -283,14 +293,15 @@ func (in *Instance) PrepareMetric() {
 		return
 	}
 	if p := in.prep; p != nil && p.nm == nm &&
-		len(p.tasks) == len(in.Tasks) && len(p.workers) == len(in.Workers) && len(p.centers) == len(in.Centers) {
+		len(p.tasks) == len(in.Tasks) && len(p.workers) == len(in.Workers) && !p.centersMoved(in) {
 		return
 	}
 	p := &metricPrep{
-		nm:      nm,
-		tasks:   make([]NodeRef, len(in.Tasks)),
-		workers: make([]NodeRef, len(in.Workers)),
-		centers: make([]NodeRef, len(in.Centers)),
+		nm:         nm,
+		tasks:      make([]NodeRef, len(in.Tasks)),
+		workers:    make([]NodeRef, len(in.Workers)),
+		centers:    make([]NodeRef, len(in.Centers)),
+		centerLocs: make([]geo.Point, len(in.Centers)),
 	}
 	for i := range in.Tasks {
 		p.tasks[i].Node, p.tasks[i].Leg = nm.SnapNode(in.Tasks[i].Loc)
@@ -299,9 +310,24 @@ func (in *Instance) PrepareMetric() {
 		p.workers[i].Node, p.workers[i].Leg = nm.SnapNode(in.Workers[i].Loc)
 	}
 	for i := range in.Centers {
+		p.centerLocs[i] = in.Centers[i].Loc
 		p.centers[i].Node, p.centers[i].Leg = nm.SnapNode(in.Centers[i].Loc)
 	}
 	in.prep = p
+}
+
+// centersMoved reports whether in's centers differ in number or place from
+// the ones the memo snapped.
+func (p *metricPrep) centersMoved(in *Instance) bool {
+	if len(p.centerLocs) != len(in.Centers) {
+		return true
+	}
+	for i := range in.Centers {
+		if in.Centers[i].Loc != p.centerLocs[i] {
+			return true
+		}
+	}
+	return false
 }
 
 // TaskRef returns the memoized snap of a task location, or an invalid ref
@@ -347,9 +373,11 @@ func (in *Instance) TravelTimeRef(a geo.Point, ar NodeRef, b geo.Point, br NodeR
 // the PrepareMetric snaps when present. O(1) when the slab is already fresh
 // (same metric, same snap memo, same entity counts), so engine entry points
 // call it unconditionally. Call PrepareMetric first when using a node metric,
-// or the slab memoizes the unprepared (fallback) refs. Not safe concurrently
-// with itself; the built slab is immutable and shared by Clone, so prepared
-// instances are safe for the parallel engine.
+// or the slab memoizes the unprepared (fallback) refs. A rebuild also drops
+// the task-geometry cache (TaskGeometry), which is read off the slab's task
+// locations. Not safe concurrently with itself; the built slab is immutable
+// and shared by Clone, so prepared instances are safe for the parallel
+// engine.
 func (in *Instance) EnsureHot() {
 	if h := in.hot; h != nil && h.metric == in.Metric && h.prep == in.prep &&
 		len(h.tasks) == len(in.Tasks) && len(h.workers) == len(in.Workers) && len(h.centers) == len(in.Centers) {
@@ -375,6 +403,25 @@ func (in *Instance) EnsureHot() {
 		h.centers[i] = CenterHot{Loc: c.Loc, Ref: in.CenterRef(c.ID)}
 	}
 	in.hot = h
+	in.geom = atomic.Value{}
+}
+
+// TaskGeometry returns the instance's task-geometry cache, making it with mk
+// on first use. The cache holds what package assign derives from center
+// locations, center task lists and task locations alone — per center, the
+// nearest-task order and neighbour lists (DESIGN.md §11) — so every solve of
+// one partitioned instance shares it; the model only stores it. Concurrent
+// first callers may each call mk, but all of them get the value stored
+// first. mk must always return the same concrete type.
+func (in *Instance) TaskGeometry(mk func() any) any {
+	if v := in.geom.Load(); v != nil {
+		return v
+	}
+	v := mk()
+	if in.geom.CompareAndSwap(nil, v) {
+		return v
+	}
+	return in.geom.Load()
 }
 
 // HotTasks returns the task slab (nil before EnsureHot). Index by TaskID.
@@ -412,6 +459,9 @@ func (in *Instance) Center(id CenterID) *Center { return &in.Centers[id] }
 
 // Clone returns a deep copy of the instance. The collaboration game mutates
 // center membership during what-if evaluation, so cheap cloning matters.
+// The clone shares the snap memo and the slab but starts without a
+// task-geometry cache: a clone's membership may be rewritten (Partition
+// does), and the cache describes the membership it was built from.
 func (in *Instance) Clone() *Instance {
 	out := &Instance{
 		Centers: make([]Center, len(in.Centers)),

@@ -3,6 +3,7 @@ package model
 import (
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"imtao/internal/geo"
@@ -93,6 +94,40 @@ func TestCloneIsDeep(t *testing.T) {
 	cp.Workers[0].MaxT = 0
 	if in.Centers[0].Tasks[0] == 99 || in.Tasks[0].Expiry == 42 || in.Workers[0].MaxT == 0 {
 		t.Fatal("Clone shares memory with the original")
+	}
+}
+
+// TestTaskGeometryCache: the cache is made once per instance, even by
+// concurrent first callers, and a clone or a slab rebuild starts it afresh.
+func TestTaskGeometryCache(t *testing.T) {
+	in := tinyInstance()
+	in.EnsureHot()
+	mk := func() any { return new(int) }
+	got := make([]any, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = in.TaskGeometry(mk)
+		}()
+	}
+	wg.Wait()
+	for _, g := range got[1:] {
+		if g != got[0] {
+			t.Fatal("concurrent first callers got different caches")
+		}
+	}
+	if in.TaskGeometry(mk) != got[0] {
+		t.Fatal("a second call made a new cache")
+	}
+	if in.Clone().TaskGeometry(mk) == got[0] {
+		t.Fatal("a clone got its original's cache")
+	}
+	in.Tasks = append(in.Tasks, Task{ID: 3, Center: NoCenter, Loc: geo.Pt(1, 1), Expiry: 1})
+	in.EnsureHot()
+	if in.TaskGeometry(mk) == got[0] {
+		t.Fatal("the cache survived a slab rebuild")
 	}
 }
 

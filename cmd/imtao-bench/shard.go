@@ -73,6 +73,13 @@ type shardPreset struct {
 	IterP50Ms float64 `json:"iter_p50_ms"`
 	IterP99Ms float64 `json:"iter_p99_ms"`
 
+	// Engine work, summed over the returned trace (phase-A shard games,
+	// then the exchange): trials evaluated and candidates admission
+	// pruning skipped. Trials run on the stepping goroutine, so both are
+	// the same at every GOMAXPROCS.
+	TrialsEvaluated  int64 `json:"trials_evaluated"`
+	CandidatesPruned int64 `json:"candidates_pruned"`
+
 	// Partition / interference profile (ShardReport).
 	ExclusiveWorkers   int     `json:"exclusive_workers"`
 	BoundaryWorkers    int     `json:"boundary_workers"`
@@ -265,6 +272,8 @@ func runShardSweep(sizes []int, counts []int, cfg shardConfig) error {
 			iterQ := obs.NewQuantile()
 			for _, step := range res.Trace {
 				iterQ.ObserveDuration(step.Duration)
+				pr.TrialsEvaluated += int64(step.Trials)
+				pr.CandidatesPruned += int64(step.Pruned)
 			}
 			iterSnap := iterQ.Snapshot()
 			pr.IterP50Ms = iterSnap.Quantile(0.50) * 1e3
@@ -294,7 +303,8 @@ func runShardSweep(sizes []int, counts []int, cfg shardConfig) error {
 			fmt.Printf("  ph2 %.0f ms (slowest shard %.0f ms), %d iters (%d transfers, %d exchange iters), assigned %d, U_ρ %.4f\n",
 				pr.Phase2Ms, pr.ShardWallMaxMs, pr.Iterations, pr.Transfers,
 				pr.ExchangeIterations, pr.Assigned, pr.Unfairness)
-			fmt.Printf("  iter latency ms: p50 %.3f p99 %.3f\n", pr.IterP50Ms, pr.IterP99Ms)
+			fmt.Printf("  iter latency ms: p50 %.3f p99 %.3f; trials %d, pruned %d\n",
+				pr.IterP50Ms, pr.IterP99Ms, pr.TrialsEvaluated, pr.CandidatesPruned)
 			fmt.Printf("  equilibrium_ok=%v (verified in %.0f ms), identical_to_s1=%v, speedup %.2fx\n\n",
 				pr.EquilibriumOK, ms(verify), pr.IdenticalToS1, pr.Speedup)
 

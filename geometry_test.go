@@ -78,8 +78,9 @@ func TestSharedGeometryBackToBack(t *testing.T) {
 // TestSharedGeometryStaleEdits solves an instance, edits it, and checks
 // that the next solve equals a solve of a freshly built instance with the
 // same edit: (i) a center moved and the instance partitioned again, (ii)
-// two centers' Tasks slices replaced by new ones of the same lengths that
-// trade one task, and (iii) a clone whose center handed its tasks to a
+// every 7th task moved 300 units right and the instance partitioned again,
+// (iii) two centers' Tasks slices replaced by new ones of the same lengths
+// that trade one task, and (iv) a clone whose center handed its tasks to a
 // neighbour, after which the original must still solve as before.
 func TestSharedGeometryStaleEdits(t *testing.T) {
 	edits := []struct {
@@ -94,6 +95,12 @@ func TestSharedGeometryStaleEdits(t *testing.T) {
 		{"moved center", func(in *Instance) *Instance {
 			in.Centers[0].Loc.X += 150
 			in.Centers[0].Loc.Y -= 80
+			return partitioned(t, in)
+		}, false},
+		{"moved tasks", func(in *Instance) *Instance {
+			for i := 0; i < len(in.Tasks); i += 7 {
+				in.Tasks[i].Loc.X += 300
+			}
 			return partitioned(t, in)
 		}, false},
 		{"replaced tasks", func(in *Instance) *Instance {

@@ -188,10 +188,9 @@ type Config struct {
 	// zero-allocation steady state is unchanged (alloc_test.go).
 	// RunSharded ignores it and records through ShardConfig.Ledger.
 	Prov *provenance.GameLog
-	// prunedHook, when non-nil, forces the exact (index-free) admissibility
-	// scan and observes every pruned candidate together with the recipient
-	// state needed to replay its full trial. Test hook backing the
-	// pruning-soundness property test.
+	// prunedHook, when non-nil, observes every pruned candidate together
+	// with the recipient state needed to replay its full trial. Test hook
+	// backing the pruning-soundness property test; it changes no decision.
 	prunedHook func(recipient model.CenterID, w model.WorkerID,
 		baseWS []model.WorkerID, leftTasks []model.TaskID, assigned int)
 	// members restricts the game to a subset of centers — the sharded
@@ -540,7 +539,7 @@ func newGame(in *model.Instance, cfg Config) *Game {
 	g.pruneOn = cfg.Prune == PruneOn || (cfg.Prune == PruneAuto && g.seqEngine)
 
 	g.states = make([]centerState, n)
-	g.pool = newWorkerPool(in, g.pruneOn)
+	g.pool = newWorkerPool(in)
 	g.rhoVec = make([]float64, n)
 	g.maxIter = cfg.MaxIterations
 	if g.maxIter <= 0 {

@@ -188,8 +188,10 @@ func TestRunEngineCountersFire(t *testing.T) {
 // TestPrunedCandidatesNeverImprove is the pruning-soundness property test:
 // via the test hook, every pruned candidate's FULL trial is replayed and must
 // yield exactly the recipient's current assigned count — i.e. pruning only
-// ever drops candidates whose best response is a no-op. Covered for both the
-// full-reassign (BDC) and leftover-only (DC) scopes.
+// ever drops candidates whose best response is a no-op. The hook only
+// observes, so the pool runs the same admission scan as every production
+// solve. Covered for both the full-reassign (BDC) and leftover-only (DC)
+// scopes.
 func TestPrunedCandidatesNeverImprove(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	for _, scope := range []Scope{FullReassign, LeftoverOnly} {

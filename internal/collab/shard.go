@@ -211,6 +211,19 @@ type interference struct {
 	adj [64]uint64
 }
 
+// poolSpeedBound resolves the instance's interference-scan speed bound:
+// the uniform Speed for straight-line instances, MaxSpeed for SpeedBounded
+// metrics, and 0 (no bound — exact scans only) otherwise.
+func poolSpeedBound(in *model.Instance) float64 {
+	if in.Metric == nil {
+		return in.Speed
+	}
+	if sb, ok := in.Metric.(model.SpeedBounded); ok {
+		return sb.MaxSpeed()
+	}
+	return 0
+}
+
 // shardInterference computes the interference graph: which shards each
 // potentially-poolable worker can interact with. A worker is poolable when
 // it starts in the phase-1 leftover pool or is owned by a recipient center
@@ -249,8 +262,9 @@ func shardInterference(in *model.Instance, phase1 []assign.Result,
 	}
 
 	// Candidate edges: recipient center → admissible poolable workers. With
-	// a speed bound the scan per center is a grid range query of the same
-	// conservatively inflated admission radius the game pool uses; otherwise
+	// a speed bound the scan per center is a grid range query of the
+	// admission radius, conservatively inflated so floating point can only
+	// over-admit, with an exact travel-time re-check per hit; otherwise
 	// every poolable worker gets the exact travel-time check. A worker whose
 	// mask already holds the center's shard bit skips the check: OR-ing the
 	// bit again changes nothing.

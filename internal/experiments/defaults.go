@@ -27,10 +27,6 @@ type DefaultsRow struct {
 	CPUSeconds     stats.Summary
 	Transfers      stats.Summary
 	GameIterations stats.Summary
-	// RawAssigned and RawUnfairness hold the per-seed observations in seed
-	// order, enabling paired significance tests between methods.
-	RawAssigned   []float64
-	RawUnfairness []float64
 }
 
 // RunDefaults executes the defaults comparison.
@@ -78,29 +74,9 @@ func RunDefaults(d workload.Dataset, methods []core.Method, seeds []int64, optBu
 			CPUSeconds:     stats.Summarize(aggs[mi].c),
 			Transfers:      stats.Summarize(aggs[mi].tr),
 			GameIterations: stats.Summarize(aggs[mi].it),
-			RawAssigned:    aggs[mi].a,
-			RawUnfairness:  aggs[mi].u,
 		})
 	}
 	return res, nil
-}
-
-// Significance runs a paired t-test on the per-seed assigned counts of two
-// methods (a − b). The runs share instances per seed, so pairing is exact.
-func (d *DefaultsComparison) Significance(a, b core.Method) (tStat, pValue float64, err error) {
-	var ra, rb []float64
-	for _, row := range d.Rows {
-		if row.Method == a {
-			ra = row.RawAssigned
-		}
-		if row.Method == b {
-			rb = row.RawAssigned
-		}
-	}
-	if ra == nil || rb == nil {
-		return 0, 0, fmt.Errorf("experiments: methods %v / %v not in the comparison", a, b)
-	}
-	return stats.PairedT(ra, rb)
 }
 
 // Table renders the comparison.

@@ -7,7 +7,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -465,23 +464,4 @@ func (r *Result) CPUSplit() (seqMean, optMean float64, haveOpt bool) {
 		}
 	}
 	return stats.Summarize(seqVals).Mean, stats.Summarize(optVals).Mean, len(optVals) > 0
-}
-
-// BestMethodByAssigned returns, per sweep point, the method achieving the
-// highest mean assigned count — a convenience for shape assertions in tests
-// and EXPERIMENTS.md generation.
-func (r *Result) BestMethodByAssigned() []string {
-	out := make([]string, len(r.Experiment.SweepValues))
-	names := r.methodNames()
-	sort.Strings(names)
-	for vi := range r.Experiment.SweepValues {
-		best, bestV := "", -1.0
-		for _, name := range names {
-			if v := r.Cells[name][vi].Assigned.Mean; v > bestV {
-				best, bestV = name, v
-			}
-		}
-		out[vi] = best
-	}
-	return out
 }

@@ -181,23 +181,6 @@ func TestCPUSplit(t *testing.T) {
 	}
 }
 
-func TestBestMethodByAssigned(t *testing.T) {
-	e := smallExperiment("fig4")
-	res, err := Run(e, Options{Seeds: []int64{1, 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	best := res.BestMethodByAssigned()
-	if len(best) != len(e.SweepValues) {
-		t.Fatalf("best = %v", best)
-	}
-	for _, name := range best {
-		if name == "Seq-w/o-C" {
-			t.Errorf("w/o-C should never be the strict best when collaboration helps; got %v", best)
-		}
-	}
-}
-
 func TestSeqAndAllMethods(t *testing.T) {
 	if got := SeqMethods(); len(got) != 4 {
 		t.Errorf("SeqMethods = %d", len(got))
@@ -365,28 +348,5 @@ func TestWriteReport(t *testing.T) {
 	}
 	if werr := WriteReport(&buf, ReportOptions{Figures: []string{"nope"}, Seeds: []int64{1}}); werr == nil {
 		t.Error("unknown figure must error")
-	}
-}
-
-func TestDefaultsSignificance(t *testing.T) {
-	res, err := RunDefaults(workload.SYN, SeqMethods(), []int64{1, 2, 3, 4, 5}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bdc := core.Method{Assigner: core.Seq, Collab: core.BDC}
-	woc := core.Method{Assigner: core.Seq, Collab: core.WoC}
-	tStat, p, err := res.Significance(bdc, woc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tStat <= 0 {
-		t.Fatalf("t = %v, BDC should dominate", tStat)
-	}
-	// BDC beats w/o-C on every seed by a wide margin: strongly significant.
-	if p > 0.05 {
-		t.Fatalf("p = %v, expected significance across 5 seeds", p)
-	}
-	if _, _, err := res.Significance(bdc, core.Method{Assigner: core.Opt, Collab: core.BDC}); err == nil {
-		t.Error("missing method must error")
 	}
 }

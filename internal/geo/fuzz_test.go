@@ -18,32 +18,6 @@ func sane(vs ...float64) bool {
 	return true
 }
 
-func FuzzSegmentIntersectSymmetry(f *testing.F) {
-	f.Add(0.0, 0.0, 4.0, 4.0, 0.0, 4.0, 4.0, 0.0)
-	f.Add(1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 4.0, 4.0)
-	f.Add(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0)
-	f.Fuzz(func(t *testing.T, ax, ay, bx, by, cx, cy, dx, dy float64) {
-		if !sane(ax, ay, bx, by, cx, cy, dx, dy) {
-			t.Skip()
-		}
-		s := Segment{Pt(ax, ay), Pt(bx, by)}
-		u := Segment{Pt(cx, cy), Pt(dx, dy)}
-		_, ok1 := s.Intersect(u)
-		_, ok2 := u.Intersect(s)
-		if ok1 != ok2 {
-			t.Fatalf("intersection not symmetric: %v vs %v for %v %v", ok1, ok2, s, u)
-		}
-		if ok1 {
-			p, _ := s.Intersect(u)
-			// The reported point must lie (approximately) on both segments.
-			scale := 1 + s.Len() + u.Len()
-			if s.Dist(p) > 1e-6*scale || u.Dist(p) > 1e-6*scale {
-				t.Fatalf("intersection point %v off the segments (%v, %v)", p, s.Dist(p), u.Dist(p))
-			}
-		}
-	})
-}
-
 func FuzzClosestPointIsClosest(f *testing.F) {
 	f.Add(0.0, 0.0, 10.0, 0.0, 5.0, 3.0)
 	f.Add(1.0, 1.0, 1.0, 1.0, 0.0, 0.0)
@@ -60,39 +34,6 @@ func FuzzClosestPointIsClosest(f *testing.F) {
 			q := s.A.Lerp(s.B, float64(i)/10)
 			if p.Dist(q) < d-1e-9*(1+d) {
 				t.Fatalf("sample %v closer than ClosestPoint %v", q, cp)
-			}
-		}
-	})
-}
-
-func FuzzConvexHullContainsInput(f *testing.F) {
-	f.Add(0.0, 0.0, 4.0, 0.0, 4.0, 4.0, 0.0, 4.0, 2.0, 2.0)
-	f.Add(1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 4.0, 4.0, 5.0, 5.0)
-	f.Fuzz(func(t *testing.T, x1, y1, x2, y2, x3, y3, x4, y4, x5, y5 float64) {
-		if !sane(x1, y1, x2, y2, x3, y3, x4, y4, x5, y5) {
-			t.Skip()
-		}
-		pts := []Point{Pt(x1, y1), Pt(x2, y2), Pt(x3, y3), Pt(x4, y4), Pt(x5, y5)}
-		h := ConvexHull(pts)
-		if len(h) < 3 {
-			return // degenerate input
-		}
-		if h.Area() <= 0 {
-			t.Fatalf("hull not CCW: area %v", h.Area())
-		}
-		// Containment with scale-aware slack.
-		scale := 1.0
-		for _, p := range pts {
-			scale = math.Max(scale, p.Norm())
-		}
-		grown := make(Polygon, len(h))
-		c := h.Centroid()
-		for i, p := range h {
-			grown[i] = c.Add(p.Sub(c).Scale(1 + 1e-6))
-		}
-		for _, p := range pts {
-			if !grown.Contains(p) {
-				t.Fatalf("hull (area %v) misses input point %v at scale %v", h.Area(), p, scale)
 			}
 		}
 	})

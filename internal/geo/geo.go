@@ -129,12 +129,6 @@ func (r Rect) Contains(p Point) bool {
 		p.Y >= r.Min.Y-Eps && p.Y <= r.Max.Y+Eps
 }
 
-// Intersects reports whether r and s overlap (boundary touching counts).
-func (r Rect) Intersects(s Rect) bool {
-	return r.Min.X <= s.Max.X+Eps && s.Min.X <= r.Max.X+Eps &&
-		r.Min.Y <= s.Max.Y+Eps && s.Min.Y <= r.Max.Y+Eps
-}
-
 // Expand returns r grown by d on every side. Negative d shrinks.
 func (r Rect) Expand(d float64) Rect {
 	return Rect{
@@ -149,14 +143,6 @@ func (r Rect) Dist2(p Point) float64 {
 	dx := math.Max(0, math.Max(r.Min.X-p.X, p.X-r.Max.X))
 	dy := math.Max(0, math.Max(r.Min.Y-p.Y, p.Y-r.Max.Y))
 	return dx*dx + dy*dy
-}
-
-// Union returns the smallest rectangle containing both r and s.
-func (r Rect) Union(s Rect) Rect {
-	return Rect{
-		Min: Point{math.Min(r.Min.X, s.Min.X), math.Min(r.Min.Y, s.Min.Y)},
-		Max: Point{math.Max(r.Max.X, s.Max.X), math.Max(r.Max.Y, s.Max.Y)},
-	}
 }
 
 // BoundingRect returns the axis-aligned bounding rectangle of pts.
@@ -183,9 +169,6 @@ type Segment struct {
 // Len returns the segment's length.
 func (s Segment) Len() float64 { return s.A.Dist(s.B) }
 
-// Midpoint returns the segment's midpoint.
-func (s Segment) Midpoint() Point { return Mid(s.A, s.B) }
-
 // ClosestPoint returns the point on s closest to p.
 func (s Segment) ClosestPoint(p Point) Point {
 	d := s.B.Sub(s.A)
@@ -200,70 +183,3 @@ func (s Segment) ClosestPoint(p Point) Point {
 
 // Dist returns the distance from p to segment s.
 func (s Segment) Dist(p Point) float64 { return p.Dist(s.ClosestPoint(p)) }
-
-// Intersect reports whether segments s and t properly intersect or touch,
-// and returns the intersection point when they cross at a single point.
-// For overlapping collinear segments it reports ok=true with the midpoint of
-// the overlap region's first shared endpoint — collaboration code only needs
-// the boolean.
-func (s Segment) Intersect(t Segment) (Point, bool) {
-	r := s.B.Sub(s.A)
-	d := t.B.Sub(t.A)
-	denom := r.Cross(d)
-	diff := t.A.Sub(s.A)
-	if math.Abs(denom) < Eps {
-		// Parallel. Collinear overlap check.
-		if math.Abs(diff.Cross(r)) > Eps {
-			return Point{}, false
-		}
-		// Collinear: project t endpoints onto s.
-		l2 := r.Norm2()
-		if l2 == 0 {
-			if s.A.Eq(t.A) || s.A.Eq(t.B) {
-				return s.A, true
-			}
-			return Point{}, false
-		}
-		t0 := diff.Dot(r) / l2
-		t1 := t.B.Sub(s.A).Dot(r) / l2
-		lo, hi := math.Min(t0, t1), math.Max(t0, t1)
-		if hi < -Eps || lo > 1+Eps {
-			return Point{}, false
-		}
-		tm := math.Max(0, lo)
-		return s.A.Lerp(s.B, math.Min(1, tm)), true
-	}
-	u := diff.Cross(d) / denom
-	v := diff.Cross(r) / denom
-	if u < -Eps || u > 1+Eps || v < -Eps || v > 1+Eps {
-		return Point{}, false
-	}
-	return s.A.Lerp(s.B, u), true
-}
-
-// Circumcenter returns the center of the circle through a, b and c, and
-// reports false if the points are (nearly) collinear.
-func Circumcenter(a, b, c Point) (Point, bool) {
-	d := 2 * (a.X*(b.Y-c.Y) + b.X*(c.Y-a.Y) + c.X*(a.Y-b.Y))
-	scale := math.Max(1, a.Norm()+b.Norm()+c.Norm())
-	if math.Abs(d) < Eps*scale {
-		return Point{}, false
-	}
-	a2, b2, c2 := a.Norm2(), b.Norm2(), c.Norm2()
-	ux := (a2*(b.Y-c.Y) + b2*(c.Y-a.Y) + c2*(a.Y-b.Y)) / d
-	uy := (a2*(c.X-b.X) + b2*(a.X-c.X) + c2*(b.X-a.X)) / d
-	return Point{ux, uy}, true
-}
-
-// InCircumcircle reports whether p lies strictly inside the circumcircle of
-// the counter-clockwise triangle (a, b, c). It is the incircle predicate at
-// the heart of Delaunay triangulation.
-func InCircumcircle(a, b, c, p Point) bool {
-	ax, ay := a.X-p.X, a.Y-p.Y
-	bx, by := b.X-p.X, b.Y-p.Y
-	cx, cy := c.X-p.X, c.Y-p.Y
-	det := (ax*ax+ay*ay)*(bx*cy-cx*by) -
-		(bx*bx+by*by)*(ax*cy-cx*ay) +
-		(cx*cx+cy*cy)*(ax*by-bx*ay)
-	return det > Eps
-}

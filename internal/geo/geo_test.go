@@ -2,7 +2,6 @@ package geo
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -110,22 +109,6 @@ func TestRectBasics(t *testing.T) {
 	}
 }
 
-func TestRectIntersects(t *testing.T) {
-	a := NewRect(Pt(0, 0), Pt(2, 2))
-	b := NewRect(Pt(1, 1), Pt(3, 3))
-	c := NewRect(Pt(5, 5), Pt(6, 6))
-	d := NewRect(Pt(2, 0), Pt(4, 2)) // touching edge
-	if !a.Intersects(b) || !b.Intersects(a) {
-		t.Error("overlapping rects must intersect")
-	}
-	if a.Intersects(c) {
-		t.Error("disjoint rects must not intersect")
-	}
-	if !a.Intersects(d) {
-		t.Error("touching rects count as intersecting")
-	}
-}
-
 func TestRectDist2(t *testing.T) {
 	r := NewRect(Pt(0, 0), Pt(2, 2))
 	if got := r.Dist2(Pt(1, 1)); got != 0 {
@@ -139,16 +122,14 @@ func TestRectDist2(t *testing.T) {
 	}
 }
 
-func TestRectUnionExpand(t *testing.T) {
+func TestRectExpand(t *testing.T) {
 	a := NewRect(Pt(0, 0), Pt(1, 1))
-	b := NewRect(Pt(2, 2), Pt(3, 3))
-	u := a.Union(b)
-	if u.Min != Pt(0, 0) || u.Max != Pt(3, 3) {
-		t.Errorf("union = %+v", u)
-	}
 	e := a.Expand(1)
 	if e.Min != Pt(-1, -1) || e.Max != Pt(2, 2) {
 		t.Errorf("expand = %+v", e)
+	}
+	if s := e.Expand(-1); s != a {
+		t.Errorf("shrink = %+v", s)
 	}
 }
 
@@ -195,70 +176,5 @@ func TestSegmentClosestPoint(t *testing.T) {
 	z := Segment{Pt(1, 1), Pt(1, 1)}
 	if got := z.ClosestPoint(Pt(5, 5)); !got.Eq(Pt(1, 1)) {
 		t.Errorf("degenerate closest = %v", got)
-	}
-}
-
-func TestSegmentIntersect(t *testing.T) {
-	s := Segment{Pt(0, 0), Pt(4, 4)}
-	u := Segment{Pt(0, 4), Pt(4, 0)}
-	p, ok := s.Intersect(u)
-	if !ok || !p.Eq(Pt(2, 2)) {
-		t.Errorf("crossing: got %v, %v", p, ok)
-	}
-	// Parallel, non-collinear.
-	if _, ok := s.Intersect(Segment{Pt(0, 1), Pt(4, 5)}); ok {
-		t.Error("parallel segments must not intersect")
-	}
-	// Disjoint on the same line.
-	if _, ok := s.Intersect(Segment{Pt(5, 5), Pt(6, 6)}); ok {
-		t.Error("disjoint collinear segments must not intersect")
-	}
-	// Touching at an endpoint.
-	if _, ok := s.Intersect(Segment{Pt(4, 4), Pt(8, 0)}); !ok {
-		t.Error("touching segments must intersect")
-	}
-	// Collinear overlap.
-	if _, ok := s.Intersect(Segment{Pt(2, 2), Pt(6, 6)}); !ok {
-		t.Error("overlapping collinear segments must intersect")
-	}
-}
-
-func TestCircumcenter(t *testing.T) {
-	c, ok := Circumcenter(Pt(0, 0), Pt(2, 0), Pt(0, 2))
-	if !ok || !c.Eq(Pt(1, 1)) {
-		t.Errorf("circumcenter = %v, ok=%v", c, ok)
-	}
-	if _, ok := Circumcenter(Pt(0, 0), Pt(1, 1), Pt(2, 2)); ok {
-		t.Error("collinear points have no circumcenter")
-	}
-}
-
-func TestCircumcenterEquidistant(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 200; i++ {
-		a := Pt(rng.Float64()*1000, rng.Float64()*1000)
-		b := Pt(rng.Float64()*1000, rng.Float64()*1000)
-		c := Pt(rng.Float64()*1000, rng.Float64()*1000)
-		ctr, ok := Circumcenter(a, b, c)
-		if !ok {
-			continue
-		}
-		da, db, dc := ctr.Dist(a), ctr.Dist(b), ctr.Dist(c)
-		if math.Abs(da-db) > 1e-6*da || math.Abs(da-dc) > 1e-6*da {
-			t.Fatalf("circumcenter not equidistant: %v %v %v", da, db, dc)
-		}
-	}
-}
-
-func TestInCircumcircle(t *testing.T) {
-	a, b, c := Pt(0, 0), Pt(4, 0), Pt(0, 4) // CCW, circumcircle centered (2,2) r=2√2
-	if !InCircumcircle(a, b, c, Pt(2, 2)) {
-		t.Error("center must be inside")
-	}
-	if InCircumcircle(a, b, c, Pt(10, 10)) {
-		t.Error("far point must be outside")
-	}
-	if InCircumcircle(a, b, c, Pt(4, 4)) {
-		t.Error("point on circle must not be strictly inside")
 	}
 }

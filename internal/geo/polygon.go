@@ -1,9 +1,6 @@
 package geo
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Polygon is a simple polygon given by its vertices in order. Voronoi cells
 // produced by the partitioner are convex counter-clockwise polygons, but the
@@ -74,19 +71,6 @@ func (pg Polygon) Contains(p Point) bool {
 	return inside
 }
 
-// Perimeter returns the total boundary length of the polygon.
-func (pg Polygon) Perimeter() float64 {
-	n := len(pg)
-	if n < 2 {
-		return 0
-	}
-	var s float64
-	for i := 0; i < n; i++ {
-		s += pg[i].Dist(pg[(i+1)%n])
-	}
-	return s
-}
-
 // ClipHalfPlane returns the part of the convex polygon on the side of the
 // line through a and b where Orientation(a, b, p) >= 0 (the left side of the
 // directed line a->b). This is the Sutherland–Hodgman step used to clip
@@ -113,16 +97,6 @@ func (pg Polygon) ClipHalfPlane(a, b Point) Polygon {
 	return out
 }
 
-// ClipRect returns the intersection of the convex polygon with rectangle r.
-func (pg Polygon) ClipRect(r Rect) Polygon {
-	out := pg
-	out = out.ClipHalfPlane(r.Min, Pt(r.Max.X, r.Min.Y)) // bottom
-	out = out.ClipHalfPlane(Pt(r.Max.X, r.Min.Y), r.Max) // right
-	out = out.ClipHalfPlane(r.Max, Pt(r.Min.X, r.Max.Y)) // top
-	out = out.ClipHalfPlane(Pt(r.Min.X, r.Max.Y), r.Min) // left
-	return out
-}
-
 // RectPolygon returns r as a counter-clockwise polygon.
 func RectPolygon(r Rect) Polygon {
 	return Polygon{
@@ -131,52 +105,4 @@ func RectPolygon(r Rect) Polygon {
 		r.Max,
 		Pt(r.Min.X, r.Max.Y),
 	}
-}
-
-// ConvexHull returns the convex hull of pts in counter-clockwise order using
-// Andrew's monotone chain. Collinear points on the hull boundary are dropped.
-// The input slice is not modified. Degenerate inputs (0, 1 or 2 points, or
-// all-collinear sets) return what remains after duplicate removal.
-func ConvexHull(pts []Point) Polygon {
-	n := len(pts)
-	if n == 0 {
-		return nil
-	}
-	sorted := make([]Point, n)
-	copy(sorted, pts)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].X != sorted[j].X {
-			return sorted[i].X < sorted[j].X
-		}
-		return sorted[i].Y < sorted[j].Y
-	})
-	// Deduplicate.
-	uniq := sorted[:1]
-	for _, p := range sorted[1:] {
-		if !p.Eq(uniq[len(uniq)-1]) {
-			uniq = append(uniq, p)
-		}
-	}
-	n = len(uniq)
-	if n < 3 {
-		return Polygon(uniq)
-	}
-	hull := make(Polygon, 0, 2*n)
-	// Lower hull.
-	for _, p := range uniq {
-		for len(hull) >= 2 && Orientation(hull[len(hull)-2], hull[len(hull)-1], p) <= 0 {
-			hull = hull[:len(hull)-1]
-		}
-		hull = append(hull, p)
-	}
-	// Upper hull.
-	lower := len(hull) + 1
-	for i := n - 2; i >= 0; i-- {
-		p := uniq[i]
-		for len(hull) >= lower && Orientation(hull[len(hull)-2], hull[len(hull)-1], p) <= 0 {
-			hull = hull[:len(hull)-1]
-		}
-		hull = append(hull, p)
-	}
-	return hull[:len(hull)-1]
 }

@@ -3,6 +3,7 @@ package geo
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -65,15 +66,6 @@ func TestPolygonContains(t *testing.T) {
 	}
 }
 
-func TestPolygonPerimeter(t *testing.T) {
-	if got := square(3).Perimeter(); math.Abs(got-12) > Eps {
-		t.Errorf("perimeter = %v", got)
-	}
-	if got := (Polygon{Pt(0, 0)}).Perimeter(); got != 0 {
-		t.Errorf("single point perimeter = %v", got)
-	}
-}
-
 func TestClipHalfPlane(t *testing.T) {
 	sq := square(4)
 	// Keep left of the upward vertical line x=2 (directed (2,0)->(2,4) keeps x<=2).
@@ -98,20 +90,6 @@ func TestClipHalfPlane(t *testing.T) {
 	}
 }
 
-func TestClipRect(t *testing.T) {
-	tri := Polygon{Pt(-2, -2), Pt(6, -2), Pt(2, 6)}
-	r := NewRect(Pt(0, 0), Pt(4, 4))
-	got := tri.ClipRect(r)
-	if got.Area() <= 0 || got.Area() > r.Area()+Eps {
-		t.Fatalf("clip area out of bounds: %v", got.Area())
-	}
-	for _, p := range got {
-		if !r.Expand(1e-6).Contains(p) {
-			t.Errorf("clipped vertex %v outside rect", p)
-		}
-	}
-}
-
 func TestRectPolygon(t *testing.T) {
 	r := NewRect(Pt(0, 0), Pt(2, 3))
 	pg := RectPolygon(r)
@@ -123,92 +101,21 @@ func TestRectPolygon(t *testing.T) {
 	}
 }
 
-func TestConvexHullSquarePlusInterior(t *testing.T) {
-	pts := []Point{
-		Pt(0, 0), Pt(4, 0), Pt(4, 4), Pt(0, 4), // hull
-		Pt(2, 2), Pt(1, 3), Pt(3, 1), // interior
-		Pt(2, 0), // on edge (collinear, dropped)
+// randConvex returns a counter-clockwise convex polygon of 3–11 vertices:
+// points at sorted random angles on a random circle inside [0,100]².
+func randConvex(rng *rand.Rand) Polygon {
+	c := Pt(20+rng.Float64()*60, 20+rng.Float64()*60)
+	r := 5 + rng.Float64()*15
+	angles := make([]float64, 3+rng.Intn(9))
+	for i := range angles {
+		angles[i] = rng.Float64() * 2 * math.Pi
 	}
-	h := ConvexHull(pts)
-	if len(h) != 4 {
-		t.Fatalf("hull size = %d (%v)", len(h), h)
+	slices.Sort(angles)
+	pg := make(Polygon, len(angles))
+	for i, a := range angles {
+		pg[i] = c.Add(Pt(math.Cos(a), math.Sin(a)).Scale(r))
 	}
-	if math.Abs(h.Area()-16) > Eps {
-		t.Errorf("hull area = %v", h.Area())
-	}
-}
-
-func TestConvexHullDegenerate(t *testing.T) {
-	if h := ConvexHull(nil); h != nil {
-		t.Errorf("nil input: %v", h)
-	}
-	if h := ConvexHull([]Point{Pt(1, 1)}); len(h) != 1 {
-		t.Errorf("single point: %v", h)
-	}
-	if h := ConvexHull([]Point{Pt(1, 1), Pt(1, 1), Pt(1, 1)}); len(h) != 1 {
-		t.Errorf("duplicates: %v", h)
-	}
-	h := ConvexHull([]Point{Pt(0, 0), Pt(1, 1), Pt(2, 2), Pt(3, 3)})
-	if len(h) != 2 {
-		t.Errorf("collinear input hull: %v", h)
-	}
-}
-
-// Property: every input point is inside (or on) the hull, and the hull is convex.
-func TestConvexHullProperties(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 50; trial++ {
-		n := 3 + rng.Intn(60)
-		pts := make([]Point, n)
-		for i := range pts {
-			pts[i] = Pt(rng.Float64()*1000, rng.Float64()*1000)
-		}
-		h := ConvexHull(pts)
-		if len(h) < 3 {
-			t.Fatalf("trial %d: degenerate hull from random points", trial)
-		}
-		if h.Area() <= 0 {
-			t.Fatalf("trial %d: hull not CCW (area %v)", trial, h.Area())
-		}
-		for i := range h {
-			a, b, c := h[i], h[(i+1)%len(h)], h[(i+2)%len(h)]
-			if Orientation(a, b, c) < 0 {
-				t.Fatalf("trial %d: hull has a clockwise turn at %d", trial, i)
-			}
-		}
-		for _, p := range pts {
-			if !h.Contains(p) {
-				t.Fatalf("trial %d: hull does not contain input point %v", trial, p)
-			}
-		}
-	}
-}
-
-// Property: Sutherland–Hodgman clipping never increases area and the result
-// stays inside the clip rect.
-func TestClipRectProperties(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	r := NewRect(Pt(200, 200), Pt(800, 800))
-	for trial := 0; trial < 50; trial++ {
-		n := 3 + rng.Intn(10)
-		pts := make([]Point, n)
-		for i := range pts {
-			pts[i] = Pt(rng.Float64()*1000, rng.Float64()*1000)
-		}
-		pg := ConvexHull(pts)
-		if len(pg) < 3 {
-			continue
-		}
-		clipped := pg.ClipRect(r)
-		if a := clipped.Area(); a < -Eps || a > pg.Area()+1e-6 || a > r.Area()+1e-6 {
-			t.Fatalf("trial %d: clip area %v vs poly %v rect %v", trial, a, pg.Area(), r.Area())
-		}
-		for _, p := range clipped {
-			if !r.Expand(1e-6).Contains(p) {
-				t.Fatalf("trial %d: clipped vertex %v escapes rect", trial, p)
-			}
-		}
-	}
+	return pg
 }
 
 // Property: ClipHalfPlane output lies on the kept side and inside the
@@ -216,14 +123,7 @@ func TestClipRectProperties(t *testing.T) {
 func TestClipHalfPlaneProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	for trial := 0; trial < 40; trial++ {
-		pts := make([]Point, 4+rng.Intn(8))
-		for i := range pts {
-			pts[i] = Pt(rng.Float64()*100, rng.Float64()*100)
-		}
-		pg := ConvexHull(pts)
-		if len(pg) < 3 {
-			continue
-		}
+		pg := randConvex(rng)
 		a := Pt(rng.Float64()*100, rng.Float64()*100)
 		b := Pt(rng.Float64()*100, rng.Float64()*100)
 		if a.Eq(b) {

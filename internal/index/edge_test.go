@@ -1,88 +1,26 @@
 package index
 
 import (
-	"math/rand"
 	"testing"
 
 	"imtao/internal/geo"
 )
 
-// Edge-case batteries for the spatial indexes: duplicate locations,
-// collinear layouts, single items, and adversarial query positions.
-
-func TestKDTreeDuplicateLocations(t *testing.T) {
-	items := []Item{
-		{0, geo.Pt(5, 5)},
-		{1, geo.Pt(5, 5)},
-		{2, geo.Pt(5, 5)},
-		{3, geo.Pt(9, 9)},
-	}
-	tr := NewKDTree(items)
-	got, ok := tr.Nearest(geo.Pt(5, 5), nil)
-	if !ok || got.ID != 0 {
-		t.Fatalf("tie must break to the smallest ID, got %v", got)
-	}
-	// Filtering the smallest exposes the next duplicate.
-	got, _ = tr.Nearest(geo.Pt(5, 5), func(it Item) bool { return it.ID != 0 })
-	if got.ID != 1 {
-		t.Fatalf("filtered tie = %v", got)
-	}
-	// KNearest over duplicates keeps deterministic ID order.
-	ks := tr.KNearest(geo.Pt(5, 5), 3, nil)
-	if len(ks) != 3 || ks[0].ID != 0 || ks[1].ID != 1 || ks[2].ID != 2 {
-		t.Fatalf("KNearest over duplicates = %v", ks)
-	}
-}
-
-func TestKDTreeCollinear(t *testing.T) {
-	var items []Item
-	for i := 0; i < 50; i++ {
-		items = append(items, Item{i, geo.Pt(float64(i), 0)})
-	}
-	tr := NewKDTree(items)
-	for q := 0; q < 50; q++ {
-		got, ok := tr.Nearest(geo.Pt(float64(q)+0.2, 10), nil)
-		if !ok || got.ID != q {
-			t.Fatalf("query %d: got %v", q, got)
-		}
-	}
-}
-
-func TestKDTreeSingleItem(t *testing.T) {
-	tr := NewKDTree([]Item{{7, geo.Pt(1, 2)}})
-	if tr.Len() != 1 {
-		t.Fatal("Len")
-	}
-	got, ok := tr.Nearest(geo.Pt(100, 100), nil)
-	if !ok || got.ID != 7 {
-		t.Fatalf("Nearest = %v", got)
-	}
-	if ks := tr.KNearest(geo.Pt(0, 0), 5, nil); len(ks) != 1 {
-		t.Fatalf("KNearest = %v", ks)
-	}
-}
-
-func TestKDTreeKNearestKExceedsN(t *testing.T) {
-	items := []Item{{0, geo.Pt(0, 0)}, {1, geo.Pt(1, 0)}}
-	tr := NewKDTree(items)
-	ks := tr.KNearest(geo.Pt(0, 0), 10, nil)
-	if len(ks) != 2 {
-		t.Fatalf("KNearest k>n = %v", ks)
-	}
-}
+// Edge cases for the grid: duplicate locations and degenerate bounds.
 
 func TestGridDuplicateLocations(t *testing.T) {
-	g := NewGrid(geo.NewRect(geo.Pt(0, 0), geo.Pt(10, 10)), 4, 2)
-	g.Insert(Item{2, geo.Pt(5, 5)})
-	g.Insert(Item{1, geo.Pt(5, 5)})
-	got, ok := g.Nearest(geo.Pt(5, 5))
-	if !ok || got.ID != 1 {
-		t.Fatalf("grid tie must break to the smallest ID, got %v", got)
-	}
-	g.Remove(1)
-	got, _ = g.Nearest(geo.Pt(5, 5))
-	if got.ID != 2 {
-		t.Fatalf("after removal = %v", got)
+	// Three items on one spot, inserted in every order: a query there, or
+	// anywhere else, gets the smallest ID.
+	for _, order := range [][]int{{1, 2, 3}, {3, 2, 1}, {2, 3, 1}} {
+		g := NewGrid(geo.NewRect(geo.Pt(0, 0), geo.Pt(10, 10)), 4, 2)
+		for _, id := range order {
+			g.Insert(Item{id, geo.Pt(5, 5)})
+		}
+		for _, q := range []geo.Point{geo.Pt(5, 5), geo.Pt(0, 0), geo.Pt(9.9, 2)} {
+			if got, ok := g.Nearest(q); !ok || got.ID != 1 {
+				t.Fatalf("insert order %v, query %v: grid tie must break to the smallest ID, got %v", order, q, got)
+			}
+		}
 	}
 }
 
@@ -94,47 +32,5 @@ func TestGridSingleCellDegenerate(t *testing.T) {
 	got, ok := g.Nearest(geo.Pt(3.4, 3.4))
 	if !ok || got.ID != 0 {
 		t.Fatalf("degenerate grid Nearest = %v", got)
-	}
-}
-
-func TestGridStressInsertRemove(t *testing.T) {
-	rng := rand.New(rand.NewSource(201))
-	bounds := geo.NewRect(geo.Pt(0, 0), geo.Pt(500, 500))
-	g := NewGrid(bounds, 100, 4)
-	live := map[int]geo.Point{}
-	for op := 0; op < 5000; op++ {
-		switch rng.Intn(3) {
-		case 0, 1: // insert (replace allowed)
-			id := rng.Intn(200)
-			p := geo.Pt(rng.Float64()*500, rng.Float64()*500)
-			g.Insert(Item{id, p})
-			live[id] = p
-		case 2: // remove
-			id := rng.Intn(200)
-			want := false
-			if _, ok := live[id]; ok {
-				want = true
-				delete(live, id)
-			}
-			if got := g.Remove(id); got != want {
-				t.Fatalf("op %d: Remove(%d) = %v, want %v", op, id, got, want)
-			}
-		}
-		if g.Len() != len(live) {
-			t.Fatalf("op %d: Len %d != %d", op, g.Len(), len(live))
-		}
-	}
-	// Final cross-check of nearest queries against the live map.
-	items := make([]Item, 0, len(live))
-	for id, p := range live {
-		items = append(items, Item{id, p})
-	}
-	for q := 0; q < 50; q++ {
-		p := geo.Pt(rng.Float64()*500, rng.Float64()*500)
-		want, wok := LinearNearest(items, p, nil)
-		got, gok := g.Nearest(p)
-		if wok != gok || (wok && want.ID != got.ID) {
-			t.Fatalf("query %v: grid %v/%v linear %v/%v", p, got, gok, want, wok)
-		}
 	}
 }

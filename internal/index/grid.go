@@ -1,3 +1,11 @@
+// Package index provides the uniform grid that answers the partition's
+// nearest-center queries (paper Algorithm 1) and the interference graph's
+// admission-radius range queries, plus LinearNearest, the brute-force scan
+// the skill-constrained assigner uses and the nearest-neighbour tests
+// compare against.
+//
+// Queries run over a set of identified points: callers register (id, point)
+// pairs and queries return ids. Distances are Euclidean.
 package index
 
 import (
@@ -6,46 +14,27 @@ import (
 	"imtao/internal/geo"
 )
 
-// Grid is a dynamic uniform-grid index supporting insertion and removal.
-// The sequential assignment loop removes each task the moment it is assigned,
-// so the dynamic structure is a natural fit; the KD-tree covers the static
-// filtered-query style instead. Both are benchmarked against each other and
-// against a linear scan in the ablation benches.
-//
-// Item IDs must be non-negative: presence is tracked in dense epoch-stamped
-// slot arrays indexed by ID, which turns the former map lookups in the
-// phase-2 trial loop into two array reads and makes Reset O(1).
+// Item is an identified point stored in an index.
+type Item struct {
+	ID    int
+	Point geo.Point
+}
+
+// Grid is a static uniform-grid index: every item is inserted once, then
+// queried. Item IDs must be non-negative and each inserted at most once.
 type Grid struct {
 	bounds geo.Rect
 	cell   float64
 	nx, ny int
 	cells  [][]Item
 	count  int
-
-	// slotPt/slotEpoch replace a byID map: id is present iff
-	// slotEpoch[id] == epoch, and slotPt[id] then holds its point.
-	// Reset bumps epoch instead of clearing, so a pooled Grid restarts
-	// without touching the (potentially large) slot arrays.
-	slotPt    []geo.Point
-	slotEpoch []uint32
-	epoch     uint32
 }
 
 // NewGrid creates a grid covering bounds with roughly targetPerCell items per
 // cell assuming n items uniformly spread. n and targetPerCell merely size the
-// cells; any number of items may be inserted.
+// cells; any number of items may be inserted, and items outside bounds are
+// filed in the nearest edge cell.
 func NewGrid(bounds geo.Rect, n, targetPerCell int) *Grid {
-	g := &Grid{}
-	g.Reset(bounds, n, targetPerCell)
-	return g
-}
-
-// Reset re-initialises the grid to cover bounds with the given sizing,
-// discarding all stored items. It reuses the cell and item backing arrays
-// when they are large enough, so a pooled Grid can serve many short-lived
-// index builds without re-allocating — the hot pattern of the trial
-// re-assignments in phase 2.
-func (g *Grid) Reset(bounds geo.Rect, n, targetPerCell int) {
 	if targetPerCell <= 0 {
 		targetPerCell = 4
 	}
@@ -60,58 +49,10 @@ func (g *Grid) Reset(bounds geo.Rect, n, targetPerCell int) {
 	if cell <= 0 || math.IsNaN(cell) {
 		cell = 1
 	}
-	nx := int(math.Ceil(bounds.Width()/cell)) + 1
-	ny := int(math.Ceil(bounds.Height()/cell)) + 1
-	if nx < 1 {
-		nx = 1
-	}
-	if ny < 1 {
-		ny = 1
-	}
-	g.bounds = bounds
-	g.cell = cell
-	g.nx, g.ny = nx, ny
-	if cap(g.cells) >= nx*ny {
-		g.cells = g.cells[:nx*ny]
-		for i := range g.cells {
-			g.cells[i] = g.cells[i][:0]
-		}
-	} else {
-		g.cells = make([][]Item, nx*ny)
-	}
-	g.epoch++
-	if g.epoch == 0 {
-		// Epoch wrapped: stale stamps from 2^32 resets ago could alias, so
-		// pay for one full clear and restart at 1 (0 stays "never present").
-		clear(g.slotEpoch)
-		g.epoch = 1
-	}
-	g.count = 0
+	nx := max(int(math.Ceil(bounds.Width()/cell))+1, 1)
+	ny := max(int(math.Ceil(bounds.Height()/cell))+1, 1)
+	return &Grid{bounds: bounds, cell: cell, nx: nx, ny: ny, cells: make([][]Item, nx*ny)}
 }
-
-// ensureSlot grows the slot arrays to cover id.
-func (g *Grid) ensureSlot(id int) {
-	if id < len(g.slotEpoch) {
-		return
-	}
-	n := len(g.slotEpoch) * 2
-	if n <= id {
-		n = id + 1
-	}
-	pt := make([]geo.Point, n)
-	copy(pt, g.slotPt)
-	ep := make([]uint32, n)
-	copy(ep, g.slotEpoch)
-	g.slotPt, g.slotEpoch = pt, ep
-}
-
-// has reports whether id is currently stored.
-func (g *Grid) has(id int) bool {
-	return id >= 0 && id < len(g.slotEpoch) && g.slotEpoch[id] == g.epoch
-}
-
-// Len returns the number of items currently stored.
-func (g *Grid) Len() int { return g.count }
 
 func (g *Grid) cellIndex(p geo.Point) (int, int) {
 	cx := int((p.X - g.bounds.Min.X) / g.cell)
@@ -131,48 +72,13 @@ func (g *Grid) cellIndex(p geo.Point) (int, int) {
 	return cx, cy
 }
 
-// Insert adds an item. Inserting an ID that is already present replaces its
-// location. IDs must be non-negative.
+// Insert adds an item.
 func (g *Grid) Insert(it Item) {
-	g.ensureSlot(it.ID)
-	if g.slotEpoch[it.ID] == g.epoch {
-		g.removeAt(it.ID, g.slotPt[it.ID])
-		g.count--
-	}
 	cx, cy := g.cellIndex(it.Point)
 	i := cy*g.nx + cx
 	g.cells[i] = append(g.cells[i], it)
-	g.slotPt[it.ID] = it.Point
-	g.slotEpoch[it.ID] = g.epoch
 	g.count++
 }
-
-// Remove deletes the item with the given id, reporting whether it was present.
-func (g *Grid) Remove(id int) bool {
-	if !g.has(id) {
-		return false
-	}
-	g.removeAt(id, g.slotPt[id])
-	g.slotEpoch[id] = 0
-	g.count--
-	return true
-}
-
-func (g *Grid) removeAt(id int, p geo.Point) {
-	cx, cy := g.cellIndex(p)
-	i := cy*g.nx + cx
-	cell := g.cells[i]
-	for j, it := range cell {
-		if it.ID == id {
-			cell[j] = cell[len(cell)-1]
-			g.cells[i] = cell[:len(cell)-1]
-			return
-		}
-	}
-}
-
-// Contains reports whether an item with the given id is stored.
-func (g *Grid) Contains(id int) bool { return g.has(id) }
 
 // ringSlack is the share of a cell by which Nearest shaves its ring bound.
 // Cell coordinates are computed in floating point, so an item can sit a few
@@ -234,15 +140,9 @@ func (g *Grid) nearestIn(q geo.Point, c0, c1 int, best Item, bestD float64) (Ite
 	return best, bestD
 }
 
-// InRange returns all items within radius r of q.
-func (g *Grid) InRange(q geo.Point, r float64) []Item {
-	return g.InRangeAppend(nil, q, r)
-}
-
 // InRangeAppend appends all items within radius r of q to out and returns
 // the extended slice. Passing a recycled out[:0] makes repeated range
-// queries allocation-free once the buffer has grown — the admissibility
-// prefilter in the phase-2 game calls this once per iteration.
+// queries allocation-free once the buffer has grown.
 func (g *Grid) InRangeAppend(out []Item, q geo.Point, r float64) []Item {
 	if r < 0 || g.count == 0 {
 		return out
@@ -264,22 +164,8 @@ func (g *Grid) InRangeAppend(out []Item, q geo.Point, r float64) []Item {
 	return out
 }
 
-// Items returns a snapshot of all stored items in unspecified order.
-func (g *Grid) Items() []Item {
-	return g.ItemsAppend(make([]Item, 0, g.count))
-}
-
-// ItemsAppend appends every stored item to out and returns the extended
-// slice — the allocation-free variant of Items for recycled buffers.
-func (g *Grid) ItemsAppend(out []Item) []Item {
-	for _, cell := range g.cells {
-		out = append(out, cell...)
-	}
-	return out
-}
-
-// LinearNearest is the reference brute-force nearest-neighbour used in tests
-// and the index-choice ablation. Ties break toward the smaller ID.
+// LinearNearest is the brute-force nearest neighbour over items accepted by
+// accept (nil accepts every item). Ties break toward the smaller ID.
 func LinearNearest(items []Item, q geo.Point, accept func(Item) bool) (Item, bool) {
 	best := Item{ID: -1}
 	bestD := math.Inf(1)

@@ -2,7 +2,7 @@ package index
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 
 	"imtao/internal/geo"
@@ -14,159 +14,6 @@ func randItems(rng *rand.Rand, n int, scale float64) []Item {
 		items[i] = Item{ID: i, Point: geo.Pt(rng.Float64()*scale, rng.Float64()*scale)}
 	}
 	return items
-}
-
-func TestKDTreeEmpty(t *testing.T) {
-	tr := NewKDTree(nil)
-	if tr.Len() != 0 {
-		t.Fatalf("Len = %d", tr.Len())
-	}
-	if _, ok := tr.Nearest(geo.Pt(0, 0), nil); ok {
-		t.Error("Nearest on empty tree must report !ok")
-	}
-	if got := tr.KNearest(geo.Pt(0, 0), 3, nil); got != nil {
-		t.Errorf("KNearest on empty tree = %v", got)
-	}
-	if got := tr.InRange(geo.Pt(0, 0), 10, nil); got != nil {
-		t.Errorf("InRange on empty tree = %v", got)
-	}
-}
-
-func TestKDTreeNearestSimple(t *testing.T) {
-	items := []Item{
-		{0, geo.Pt(0, 0)},
-		{1, geo.Pt(10, 0)},
-		{2, geo.Pt(5, 5)},
-	}
-	tr := NewKDTree(items)
-	got, ok := tr.Nearest(geo.Pt(9, 1), nil)
-	if !ok || got.ID != 1 {
-		t.Fatalf("Nearest = %+v, ok=%v", got, ok)
-	}
-	// Filter out the winner; next best must surface.
-	got, ok = tr.Nearest(geo.Pt(9, 1), func(it Item) bool { return it.ID != 1 })
-	if !ok || got.ID != 2 {
-		t.Fatalf("filtered Nearest = %+v, ok=%v", got, ok)
-	}
-	// Reject everything.
-	if _, ok := tr.Nearest(geo.Pt(9, 1), func(Item) bool { return false }); ok {
-		t.Error("all-rejecting filter must yield !ok")
-	}
-}
-
-func TestKDTreeNearestMatchesLinear(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 30; trial++ {
-		items := randItems(rng, 1+rng.Intn(300), 1000)
-		tr := NewKDTree(items)
-		for q := 0; q < 20; q++ {
-			p := geo.Pt(rng.Float64()*1200-100, rng.Float64()*1200-100)
-			// Random filter: exclude ids divisible by k.
-			k := 2 + rng.Intn(5)
-			accept := func(it Item) bool { return it.ID%k != 0 }
-			want, wok := LinearNearest(items, p, accept)
-			got, gok := tr.Nearest(p, accept)
-			if wok != gok || (wok && want.ID != got.ID) {
-				t.Fatalf("trial %d: kd=%v/%v linear=%v/%v query=%v", trial, got, gok, want, wok, p)
-			}
-		}
-	}
-}
-
-func TestKDTreeKNearestMatchesLinear(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 20; trial++ {
-		items := randItems(rng, 1+rng.Intn(200), 500)
-		tr := NewKDTree(items)
-		p := geo.Pt(rng.Float64()*500, rng.Float64()*500)
-		k := 1 + rng.Intn(12)
-		got := tr.KNearest(p, k, nil)
-		// Reference: sort by distance then ID.
-		ref := make([]Item, len(items))
-		copy(ref, items)
-		sort.Slice(ref, func(i, j int) bool {
-			di, dj := p.Dist2(ref[i].Point), p.Dist2(ref[j].Point)
-			if di != dj {
-				return di < dj
-			}
-			return ref[i].ID < ref[j].ID
-		})
-		if k > len(ref) {
-			k = len(ref)
-		}
-		if len(got) != k {
-			t.Fatalf("trial %d: got %d items, want %d", trial, len(got), k)
-		}
-		for i := range got {
-			if got[i].ID != ref[i].ID {
-				t.Fatalf("trial %d: rank %d got %v want %v", trial, i, got[i], ref[i])
-			}
-		}
-	}
-}
-
-func TestKDTreeKNearestFiltered(t *testing.T) {
-	items := []Item{
-		{0, geo.Pt(1, 0)}, {1, geo.Pt(2, 0)}, {2, geo.Pt(3, 0)}, {3, geo.Pt(4, 0)},
-	}
-	tr := NewKDTree(items)
-	got := tr.KNearest(geo.Pt(0, 0), 2, func(it Item) bool { return it.ID%2 == 1 })
-	if len(got) != 2 || got[0].ID != 1 || got[1].ID != 3 {
-		t.Fatalf("filtered KNearest = %v", got)
-	}
-	if got := tr.KNearest(geo.Pt(0, 0), 0, nil); got != nil {
-		t.Errorf("k=0 must return nil, got %v", got)
-	}
-}
-
-func TestKDTreeInRange(t *testing.T) {
-	items := []Item{
-		{0, geo.Pt(0, 0)}, {1, geo.Pt(3, 0)}, {2, geo.Pt(0, 4)}, {3, geo.Pt(10, 10)},
-	}
-	tr := NewKDTree(items)
-	got := tr.InRange(geo.Pt(0, 0), 4, nil)
-	ids := idSet(got)
-	if len(ids) != 3 || !ids[0] || !ids[1] || !ids[2] {
-		t.Fatalf("InRange = %v", got)
-	}
-	if got := tr.InRange(geo.Pt(0, 0), -1, nil); got != nil {
-		t.Errorf("negative radius = %v", got)
-	}
-}
-
-func idSet(items []Item) map[int]bool {
-	m := make(map[int]bool, len(items))
-	for _, it := range items {
-		m[it.ID] = true
-	}
-	return m
-}
-
-func TestGridInsertRemove(t *testing.T) {
-	g := NewGrid(geo.NewRect(geo.Pt(0, 0), geo.Pt(100, 100)), 10, 4)
-	g.Insert(Item{1, geo.Pt(10, 10)})
-	g.Insert(Item{2, geo.Pt(90, 90)})
-	if g.Len() != 2 || !g.Contains(1) || !g.Contains(2) {
-		t.Fatalf("after insert: len=%d", g.Len())
-	}
-	if !g.Remove(1) {
-		t.Fatal("Remove(1) should succeed")
-	}
-	if g.Remove(1) {
-		t.Fatal("double Remove(1) should fail")
-	}
-	if g.Len() != 1 || g.Contains(1) {
-		t.Fatalf("after remove: len=%d", g.Len())
-	}
-	// Re-insert with a new location replaces.
-	g.Insert(Item{2, geo.Pt(5, 5)})
-	if g.Len() != 1 {
-		t.Fatalf("replace should not grow: len=%d", g.Len())
-	}
-	got, ok := g.Nearest(geo.Pt(0, 0))
-	if !ok || got.ID != 2 || !got.Point.Eq(geo.Pt(5, 5)) {
-		t.Fatalf("Nearest after replace = %+v", got)
-	}
 }
 
 func TestGridNearestEmpty(t *testing.T) {
@@ -181,18 +28,17 @@ func TestGridNearestMatchesLinear(t *testing.T) {
 	bounds := geo.NewRect(geo.Pt(0, 0), geo.Pt(1000, 1000))
 	for trial := 0; trial < 20; trial++ {
 		items := randItems(rng, 1+rng.Intn(400), 1000)
-		g := NewGrid(bounds, len(items), 3)
+		// Index a random two thirds, sized for all items, in shuffled order.
+		var live []Item
 		for _, it := range items {
-			g.Insert(it)
-		}
-		// Remove a random third.
-		live := make([]Item, 0, len(items))
-		for _, it := range items {
-			if rng.Intn(3) == 0 {
-				g.Remove(it.ID)
-			} else {
+			if rng.Intn(3) != 0 {
 				live = append(live, it)
 			}
+		}
+		rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
+		g := NewGrid(bounds, len(items), 3)
+		for _, it := range live {
+			g.Insert(it)
 		}
 		for q := 0; q < 20; q++ {
 			p := geo.Pt(rng.Float64()*1400-200, rng.Float64()*1400-200)
@@ -206,31 +52,41 @@ func TestGridNearestMatchesLinear(t *testing.T) {
 }
 
 func TestGridInRange(t *testing.T) {
-	g := NewGrid(geo.NewRect(geo.Pt(0, 0), geo.Pt(100, 100)), 100, 4)
-	g.Insert(Item{0, geo.Pt(50, 50)})
-	g.Insert(Item{1, geo.Pt(53, 54)})
-	g.Insert(Item{2, geo.Pt(90, 90)})
-	got := g.InRange(geo.Pt(50, 50), 6)
-	ids := idSet(got)
-	if len(ids) != 2 || !ids[0] || !ids[1] {
-		t.Fatalf("InRange = %v", got)
+	rng := rand.New(rand.NewSource(7))
+	bounds := geo.NewRect(geo.Pt(0, 0), geo.Pt(100, 100))
+	items := randItems(rng, 300, 100)
+	g := NewGrid(bounds, len(items), 4)
+	for _, it := range items {
+		g.Insert(it)
 	}
-	if got := g.InRange(geo.Pt(50, 50), -1); got != nil {
+	ids := func(items []Item) []int {
+		out := make([]int, len(items))
+		for i, it := range items {
+			out[i] = it.ID
+		}
+		slices.Sort(out)
+		return out
+	}
+	sentinel := Item{ID: -7}
+	for q := 0; q < 50; q++ {
+		p := geo.Pt(rng.Float64()*140-20, rng.Float64()*140-20)
+		r := rng.Float64() * 40
+		var want []Item
+		for _, it := range items {
+			if p.Dist2(it.Point) <= r*r {
+				want = append(want, it)
+			}
+		}
+		got := g.InRangeAppend([]Item{sentinel}, p, r)
+		if got[0] != sentinel {
+			t.Fatalf("query %d: the prefix was overwritten: %v", q, got[0])
+		}
+		if !slices.Equal(ids(got[1:]), ids(want)) {
+			t.Fatalf("query %d at %v r=%g: grid %v, brute force %v", q, p, r, ids(got[1:]), ids(want))
+		}
+	}
+	if got := g.InRangeAppend(nil, geo.Pt(50, 50), -1); got != nil {
 		t.Errorf("negative radius = %v", got)
-	}
-}
-
-func TestGridItemsSnapshot(t *testing.T) {
-	g := NewGrid(geo.NewRect(geo.Pt(0, 0), geo.Pt(10, 10)), 4, 2)
-	g.Insert(Item{7, geo.Pt(1, 1)})
-	g.Insert(Item{9, geo.Pt(2, 2)})
-	items := g.Items()
-	if len(items) != 2 {
-		t.Fatalf("Items = %v", items)
-	}
-	ids := idSet(items)
-	if !ids[7] || !ids[9] {
-		t.Fatalf("Items = %v", items)
 	}
 }
 
@@ -246,20 +102,6 @@ func TestGridOutOfBoundsPoints(t *testing.T) {
 	got, ok = g.Nearest(geo.Pt(99, 99))
 	if !ok || got.ID != 2 {
 		t.Fatalf("Nearest = %+v, ok=%v", got, ok)
-	}
-}
-
-func BenchmarkKDTreeNearest(b *testing.B) {
-	rng := rand.New(rand.NewSource(4))
-	items := randItems(rng, 10000, 2000)
-	tr := NewKDTree(items)
-	qs := make([]geo.Point, 256)
-	for i := range qs {
-		qs[i] = geo.Pt(rng.Float64()*2000, rng.Float64()*2000)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Nearest(qs[i%len(qs)], nil)
 	}
 }
 

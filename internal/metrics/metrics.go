@@ -91,20 +91,6 @@ func UUP(rhos []float64, i int) float64 {
 	return rhos[i] - others/float64(n-1)
 }
 
-// Potential computes the potential function Φ of Eq. 7, the sum of all
-// centers' UUP utilities. Algebraically this sum telescopes to zero for any
-// ratio vector — the paper's potential argument holds the other players'
-// utilities fixed during a unilateral deviation (see the proof of Lemma 1),
-// which the game package models explicitly. Potential is kept for
-// completeness and as a numerical invariant exercised in tests.
-func Potential(rhos []float64) float64 {
-	var sum float64
-	for i := range rhos {
-		sum += UUP(rhos, i)
-	}
-	return sum
-}
-
 // Phi is the potential Φ of the collaboration game in the form the
 // convergence analysis observes: the sum of per-center assignment ratios.
 // With the other players' ratios held fixed — the unilateral-deviation

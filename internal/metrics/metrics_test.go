@@ -196,20 +196,6 @@ func TestUUP(t *testing.T) {
 
 // The potential Φ = Σ UUP telescopes to zero for any ratio vector — the
 // documented algebraic identity behind the paper's Lemma 1 discussion.
-func TestPotentialIdenticallyZero(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	for trial := 0; trial < 100; trial++ {
-		n := 2 + rng.Intn(20)
-		rhos := make([]float64, n)
-		for i := range rhos {
-			rhos[i] = rng.Float64()
-		}
-		if got := Potential(rhos); math.Abs(got) > 1e-9 {
-			t.Fatalf("trial %d: Φ = %v, want 0", trial, got)
-		}
-	}
-}
-
 func TestMinRatioCenter(t *testing.T) {
 	rhos := []float64{0.9, 0.2, 0.2, 0.5}
 	got := MinRatioCenter(rhos, []model.CenterID{0, 1, 2, 3})

@@ -97,15 +97,12 @@ type NodeRef struct {
 	Leg  float64
 }
 
-// Valid reports whether the ref carries a memoized snap.
-func (r NodeRef) Valid() bool { return r.Node >= 0 }
-
 // noRef marks an entity without a memoized snap.
 var noRef = NodeRef{Node: -1}
 
 // metricPrep is the per-instance snap memo built by PrepareMetric. It is
-// immutable after construction and shared by Clone, so concurrent
-// phase-2 trials read it without synchronisation.
+// immutable after construction, so concurrent shard games read it without
+// synchronisation.
 type metricPrep struct {
 	nm      NodeMetric
 	tasks   []NodeRef
@@ -134,20 +131,15 @@ type WorkerHot struct {
 	MaxT int32
 }
 
-// CenterHot is the center counterpart: pick-up location and snap.
-type CenterHot struct {
-	Loc geo.Point
-	Ref NodeRef
-}
-
 // hotSlab is the structure-of-arrays view of an instance, built by EnsureHot
-// and immutable afterwards, so Clone shares it exactly like the snap memo.
+// and immutable afterwards. centers is the center count it was built at: a
+// changed count rebuilds the slab and so drops the task geometry.
 type hotSlab struct {
 	metric  TravelMetric
 	prep    *metricPrep
 	tasks   []TaskHot
 	workers []WorkerHot
-	centers []CenterHot
+	centers int
 }
 
 // Instance is a complete CMCTA problem instance: the platform's centers,
@@ -168,11 +160,11 @@ type Instance struct {
 	Metric TravelMetric
 
 	// prep is the entity→node snap memo for NodeMetric metrics, built by
-	// PrepareMetric and shared (immutably) across Clones.
+	// PrepareMetric. Clone never passes it on.
 	prep *metricPrep
 
-	// hot is the SoA slab built by EnsureHot and shared (immutably) across
-	// Clones; nil until an engine entry point asks for it.
+	// hot is the SoA slab built by EnsureHot; nil until an engine entry
+	// point asks for it. Clone never passes it on.
 	hot *hotSlab
 
 	// geom holds the task-geometry cache (TaskGeometry). Clone never passes
@@ -276,12 +268,11 @@ func (in *Instance) TravelTime(a, b geo.Point) float64 {
 // oracle), so the assignment hot loops stop re-deriving snaps on every
 // TravelTime call. A no-op for straight-line instances and non-node
 // metrics. Idempotent for an unchanged metric; call it again after swapping
-// Metric or appending entities. A moved center is noticed and the memo
-// rebuilt, so an instance partitioned again after a center moved (Partition
-// clones the memo) gets fresh snaps; tasks and workers are assumed to stay
-// put. Not safe concurrently with itself, but the memo is immutable once
-// built and Clone shares it, so prepared instances are safe for the
-// parallel engine.
+// Metric or appending entities. A center moved in place is noticed and the
+// memo rebuilt; a task or worker moved in place is not, so partition again
+// after moving one (Partition's clone starts without a memo). Not safe
+// concurrently with itself, but the memo is immutable once built, so
+// prepared instances are safe for the parallel engine.
 func (in *Instance) PrepareMetric() {
 	nm, ok := in.Metric.(NodeMetric)
 	if !ok {
@@ -368,19 +359,18 @@ func (in *Instance) TravelTimeRef(a geo.Point, ar NodeRef, b geo.Point, br NodeR
 	return in.TravelTime(a, b)
 }
 
-// EnsureHot (re)builds the SoA slab: parallel []TaskHot / []WorkerHot /
-// []CenterHot arrays packing the hot-loop fields of every entity, including
+// EnsureHot (re)builds the SoA slab: parallel []TaskHot / []WorkerHot
+// arrays packing the hot-loop fields of every task and worker, including
 // the PrepareMetric snaps when present. O(1) when the slab is already fresh
 // (same metric, same snap memo, same entity counts), so engine entry points
 // call it unconditionally. Call PrepareMetric first when using a node metric,
 // or the slab memoizes the unprepared (fallback) refs. A rebuild also drops
 // the task-geometry cache (TaskGeometry), which is read off the slab's task
-// locations. Not safe concurrently with itself; the built slab is immutable
-// and shared by Clone, so prepared instances are safe for the parallel
-// engine.
+// locations. Not safe concurrently with itself; the built slab is immutable,
+// so prepared instances are safe for the parallel engine.
 func (in *Instance) EnsureHot() {
 	if h := in.hot; h != nil && h.metric == in.Metric && h.prep == in.prep &&
-		len(h.tasks) == len(in.Tasks) && len(h.workers) == len(in.Workers) && len(h.centers) == len(in.Centers) {
+		len(h.tasks) == len(in.Tasks) && len(h.workers) == len(in.Workers) && h.centers == len(in.Centers) {
 		return
 	}
 	h := &hotSlab{
@@ -388,7 +378,7 @@ func (in *Instance) EnsureHot() {
 		prep:    in.prep,
 		tasks:   make([]TaskHot, len(in.Tasks)),
 		workers: make([]WorkerHot, len(in.Workers)),
-		centers: make([]CenterHot, len(in.Centers)),
+		centers: len(in.Centers),
 	}
 	for i := range in.Tasks {
 		t := &in.Tasks[i]
@@ -397,10 +387,6 @@ func (in *Instance) EnsureHot() {
 	for i := range in.Workers {
 		w := &in.Workers[i]
 		h.workers[i] = WorkerHot{Loc: w.Loc, Ref: in.WorkerRef(w.ID), MaxT: int32(w.MaxT)}
-	}
-	for i := range in.Centers {
-		c := &in.Centers[i]
-		h.centers[i] = CenterHot{Loc: c.Loc, Ref: in.CenterRef(c.ID)}
 	}
 	in.hot = h
 	in.geom = atomic.Value{}
@@ -440,14 +426,6 @@ func (in *Instance) HotWorkers() []WorkerHot {
 	return in.hot.workers
 }
 
-// HotCenters returns the center slab (nil before EnsureHot). Index by CenterID.
-func (in *Instance) HotCenters() []CenterHot {
-	if in.hot == nil {
-		return nil
-	}
-	return in.hot.centers
-}
-
 // Task returns the task with the given ID.
 func (in *Instance) Task(id TaskID) *Task { return &in.Tasks[id] }
 
@@ -457,11 +435,12 @@ func (in *Instance) Worker(id WorkerID) *Worker { return &in.Workers[id] }
 // Center returns the center with the given ID.
 func (in *Instance) Center(id CenterID) *Center { return &in.Centers[id] }
 
-// Clone returns a deep copy of the instance. The collaboration game mutates
-// center membership during what-if evaluation, so cheap cloning matters.
-// The clone shares the snap memo and the slab but starts without a
-// task-geometry cache: a clone's membership may be rewritten (Partition
-// does), and the cache describes the membership it was built from.
+// Clone returns a deep copy of the instance; the clone shares only the
+// immutable Metric. It starts without the derived state — the snap memo,
+// the slab and the task-geometry cache — which the engine entry points
+// rebuild on first use: a clone is usually edited before it is solved
+// (Partition rewrites every entity's center, and a caller may move
+// entities), and each piece describes the entities it was built from.
 func (in *Instance) Clone() *Instance {
 	out := &Instance{
 		Centers: make([]Center, len(in.Centers)),
@@ -470,8 +449,6 @@ func (in *Instance) Clone() *Instance {
 		Speed:   in.Speed,
 		Bounds:  in.Bounds,
 		Metric:  in.Metric, // metrics are immutable; sharing is safe
-		prep:    in.prep,   // snap memo is immutable once built
-		hot:     in.hot,    // SoA slab is immutable once built
 	}
 	for i, c := range in.Centers {
 		out.Centers[i] = Center{

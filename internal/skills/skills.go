@@ -112,7 +112,6 @@ func Sequential(in *model.Instance, c *model.Center, workers []model.WorkerID, t
 	for i, id := range tasks {
 		items[i] = index.Item{ID: int(id), Point: in.Task(id).Loc}
 	}
-	tree := index.NewKDTree(items)
 	assigned := make(map[model.TaskID]bool, len(tasks))
 
 	for _, wid := range order {
@@ -121,7 +120,7 @@ func Sequential(in *model.Instance, c *model.Center, workers []model.WorkerID, t
 		t := in.TravelTime(w.Loc, c.Loc)
 		cur := c.Loc
 		for len(route.Tasks) < w.MaxT {
-			item, ok := tree.Nearest(cur, func(it index.Item) bool {
+			item, ok := index.LinearNearest(items, cur, func(it index.Item) bool {
 				tid := model.TaskID(it.ID)
 				return !assigned[tid] && prof.Compatible(wid, tid)
 			})

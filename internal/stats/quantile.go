@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"sort"
-	"time"
 )
 
 // Quantile returns the exact p-quantile (0 ≤ p ≤ 1) of xs by the
@@ -18,49 +17,6 @@ func Quantile(xs []float64, p float64) float64 {
 	}
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
-	return quantileSorted(sorted, p)
-}
-
-// QuantilesOf computes several quantiles of xs with one sort — use it over
-// repeated Quantile calls when reporting a p50/p99/p999 triple.
-func QuantilesOf(xs []float64, ps ...float64) []float64 {
-	out := make([]float64, len(ps))
-	if len(xs) == 0 {
-		return out
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	for i, p := range ps {
-		out[i] = quantileSorted(sorted, p)
-	}
-	return out
-}
-
-func quantileSorted(sorted []float64, p float64) float64 {
 	i := int(math.Ceil(p*float64(len(sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
-}
-
-// QuantileDur is Quantile over durations, for the latency sweeps in
-// cmd/imtao-bench.
-func QuantileDur(ds []time.Duration, p float64) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), ds...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	i := int(math.Ceil(p*float64(len(sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
+	return sorted[min(max(i, 0), len(sorted)-1)]
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 
 	"imtao/internal/obs"
 )
@@ -30,23 +29,6 @@ func TestQuantileNearestRank(t *testing.T) {
 	}
 	if got := Quantile(nil, 0.5); got != 0 {
 		t.Errorf("Quantile(nil) = %g, want 0", got)
-	}
-	if got := QuantilesOf(xs, 0.5, 1); got[0] != 30 || got[1] != 50 {
-		t.Errorf("QuantilesOf = %v, want [30 50]", got)
-	}
-}
-
-// TestQuantileDur mirrors the float64 path for durations.
-func TestQuantileDur(t *testing.T) {
-	ds := []time.Duration{3 * time.Millisecond, time.Millisecond, 2 * time.Millisecond}
-	if got := QuantileDur(ds, 0.5); got != 2*time.Millisecond {
-		t.Errorf("QuantileDur p50 = %v, want 2ms", got)
-	}
-	if got := QuantileDur(ds, 1); got != 3*time.Millisecond {
-		t.Errorf("QuantileDur p100 = %v, want 3ms", got)
-	}
-	if got := QuantileDur(nil, 0.5); got != 0 {
-		t.Errorf("QuantileDur(nil) = %v, want 0", got)
 	}
 }
 

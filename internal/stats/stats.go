@@ -1,6 +1,6 @@
 // Package stats provides the small statistical toolkit used by the
-// experiment harness: summary statistics and multi-seed aggregation for the
-// metric series reported in the paper's figures.
+// experiment harness and the benchmarks: summary statistics of multi-seed
+// samples and exact nearest-rank quantiles.
 package stats
 
 import (
@@ -52,30 +52,4 @@ func Summarize(xs []float64) Summary {
 		N: n, Mean: mean, Std: std, Min: mn, Max: mx, Median: med,
 		CI95Lo: mean - 1.96*se, CI95Hi: mean + 1.96*se,
 	}
-}
-
-// Series aggregates one metric across seeds for each point of a parameter
-// sweep: Points[i] summarizes all seed runs at sweep position i.
-type Series struct {
-	Name   string
-	Points []Summary
-}
-
-// NewSeries builds a Series from per-point samples: samples[i] holds the
-// seed observations at sweep position i.
-func NewSeries(name string, samples [][]float64) Series {
-	s := Series{Name: name, Points: make([]Summary, len(samples))}
-	for i, xs := range samples {
-		s.Points[i] = Summarize(xs)
-	}
-	return s
-}
-
-// Means returns the per-point means of the series.
-func (s Series) Means() []float64 {
-	out := make([]float64, len(s.Points))
-	for i, p := range s.Points {
-		out[i] = p.Mean
-	}
-	return out
 }

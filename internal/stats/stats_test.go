@@ -71,17 +71,3 @@ func TestSummarizeProperties(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestSeries(t *testing.T) {
-	se := NewSeries("assigned", [][]float64{{1, 3}, {5, 5}, {7}})
-	if se.Name != "assigned" || len(se.Points) != 3 {
-		t.Fatalf("series = %+v", se)
-	}
-	means := se.Means()
-	want := []float64{2, 5, 7}
-	for i := range want {
-		if means[i] != want[i] {
-			t.Errorf("means[%d] = %v, want %v", i, means[i], want[i])
-		}
-	}
-}

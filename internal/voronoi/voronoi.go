@@ -1,7 +1,14 @@
+// Package voronoi implements the service-area partition of the IMTAO paper
+// (§IV-A): the Voronoi diagram of the distribution centers, with a
+// nearest-site locator that assigns workers and tasks to their centers
+// (paper Algorithm 1) and explicit cell geometry clipped to a bounding
+// rectangle, plus the center-placement helpers (k-means, Lloyd relaxation
+// and the task-weighted partitioner).
 package voronoi
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -9,6 +16,13 @@ import (
 	"imtao/internal/geo"
 	"imtao/internal/index"
 )
+
+// ErrTooFewSites is returned when a diagram is requested over no sites.
+var ErrTooFewSites = errors.New("voronoi: need at least one site")
+
+// ErrDuplicateSites is returned when two sites coincide; Voronoi cells are
+// undefined for coincident sites.
+var ErrDuplicateSites = errors.New("voronoi: duplicate sites")
 
 // Diagram is a Voronoi diagram over a set of sites, clipped to a bounding
 // rectangle. Cell i contains exactly the points of Bounds closer to site i

@@ -17,116 +17,6 @@ func randSites(rng *rand.Rand, n int, scale float64) []geo.Point {
 	return pts
 }
 
-func TestNewDelaunayErrors(t *testing.T) {
-	if _, err := NewDelaunay(nil); err == nil {
-		t.Error("empty sites must error")
-	}
-	if _, err := NewDelaunay([]geo.Point{geo.Pt(1, 1), geo.Pt(1, 1)}); err == nil {
-		t.Error("duplicate sites must error")
-	}
-}
-
-func TestDelaunaySmall(t *testing.T) {
-	// One or two sites: valid, no triangles.
-	d, err := NewDelaunay([]geo.Point{geo.Pt(0, 0)})
-	if err != nil || len(d.Triangles) != 0 {
-		t.Fatalf("single site: %v, %d triangles", err, len(d.Triangles))
-	}
-	d, err = NewDelaunay([]geo.Point{geo.Pt(0, 0), geo.Pt(1, 0)})
-	if err != nil || len(d.Triangles) != 0 {
-		t.Fatalf("two sites: %v, %d triangles", err, len(d.Triangles))
-	}
-	// Three sites: exactly one triangle.
-	d, err = NewDelaunay([]geo.Point{geo.Pt(0, 0), geo.Pt(4, 0), geo.Pt(0, 4)})
-	if err != nil || len(d.Triangles) != 1 {
-		t.Fatalf("three sites: %v, %d triangles", err, len(d.Triangles))
-	}
-}
-
-func TestDelaunaySquare(t *testing.T) {
-	// A unit square triangulates into 2 triangles.
-	d, err := NewDelaunay([]geo.Point{geo.Pt(0, 0), geo.Pt(1, 0), geo.Pt(1, 1), geo.Pt(0, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(d.Triangles) != 2 {
-		t.Fatalf("square: %d triangles, want 2", len(d.Triangles))
-	}
-}
-
-// The empty-circumcircle property is THE Delaunay invariant: no site lies
-// strictly inside any triangle's circumcircle.
-func TestDelaunayEmptyCircumcircle(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 15; trial++ {
-		sites := randSites(rng, 4+rng.Intn(60), 1000)
-		d, err := NewDelaunay(sites)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, tri := range d.Triangles {
-			a, b, c := sites[tri.V[0]], sites[tri.V[1]], sites[tri.V[2]]
-			if geo.Orientation(a, b, c) <= 0 {
-				t.Fatalf("trial %d: triangle %v not CCW", trial, tri)
-			}
-			for si, s := range sites {
-				if si == tri.V[0] || si == tri.V[1] || si == tri.V[2] {
-					continue
-				}
-				if geo.InCircumcircle(a, b, c, s) {
-					t.Fatalf("trial %d: site %d violates empty circumcircle of %v", trial, si, tri)
-				}
-			}
-		}
-	}
-}
-
-// Triangle count of a Delaunay triangulation: 2n - 2 - h where h is the
-// number of hull vertices.
-func TestDelaunayTriangleCount(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for trial := 0; trial < 10; trial++ {
-		sites := randSites(rng, 5+rng.Intn(40), 1000)
-		d, err := NewDelaunay(sites)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hull := geo.ConvexHull(sites)
-		want := 2*len(sites) - 2 - len(hull)
-		if len(d.Triangles) != want {
-			t.Fatalf("trial %d: %d triangles, want %d (n=%d, hull=%d)",
-				trial, len(d.Triangles), want, len(sites), len(hull))
-		}
-	}
-}
-
-func TestDelaunayNeighborsSymmetric(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	sites := randSites(rng, 30, 500)
-	d, err := NewDelaunay(sites)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nb := d.Neighbors()
-	for i, ns := range nb {
-		if len(ns) == 0 {
-			t.Errorf("site %d has no neighbours", i)
-		}
-		for _, j := range ns {
-			found := false
-			for _, k := range nb[j] {
-				if k == i {
-					found = true
-					break
-				}
-			}
-			if !found {
-				t.Fatalf("adjacency not symmetric: %d->%d", i, j)
-			}
-		}
-	}
-}
-
 func TestNewDiagramErrors(t *testing.T) {
 	b := geo.NewRect(geo.Pt(0, 0), geo.Pt(10, 10))
 	if _, err := NewDiagram(nil, b); err == nil {
@@ -288,17 +178,6 @@ func TestDiagramCellsConcurrent(t *testing.T) {
 	for g := range cells {
 		if &cells[g][0] != &cells[0][0] {
 			t.Fatal("Cells built more than once")
-		}
-	}
-}
-
-func BenchmarkDelaunay50(b *testing.B) {
-	rng := rand.New(rand.NewSource(16))
-	sites := randSites(rng, 50, 2000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := NewDelaunay(sites); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

@@ -26,8 +26,10 @@ import (
 // engine (DESIGN.md §15): per task size it plays the phase-2 game uncapped
 // to equilibrium through collab.RunSharded at each requested shard count —
 // shard count 1 IS the unsharded engine, the sweep's baseline — and records
-// the wall-clock, the partition/interference profile (boundary workers,
-// conflict edges, exchange rounds) and the speedup over the one-shard run.
+// the wall-clock, the engine's work counters, the exchange rounds and the
+// speedup over the one-shard run. After the timed solve, ShardReport.Cut
+// adds the partition's interference profile (boundary workers, conflict
+// edges, components, colors), which the solve itself does not compute.
 // Every point is Nash-verified, and whenever the interference cut is empty
 // every center's routes must equal the unsharded engine's with no transfer
 // accepted by the exchange; either failing is a hard error (nonzero exit).
@@ -80,7 +82,17 @@ type shardPreset struct {
 	TrialsEvaluated  int64 `json:"trials_evaluated"`
 	CandidatesPruned int64 `json:"candidates_pruned"`
 
-	// Partition / interference profile (ShardReport).
+	// Engine work of the timed RunSharded call alone, as in the game record
+	// (gamePreset): road point searches, then the trial-engine counters read
+	// as deltas of the obs counters around the call. Each is the same at
+	// every GOMAXPROCS, so the gate holds them exactly.
+	PointSearches    int64 `json:"point_searches"`
+	NearestFallbacks int64 `json:"nearest_fallbacks"`
+	TravelMemoHits   int64 `json:"travel_memo_hits"`
+	TravelMemoMisses int64 `json:"travel_memo_misses"`
+	TasksScanned     int64 `json:"tasks_scanned"`
+
+	// Partition profile (ShardReport; the cut fields from ShardReport.Cut).
 	ExclusiveWorkers   int     `json:"exclusive_workers"`
 	BoundaryWorkers    int     `json:"boundary_workers"`
 	ConflictEdges      int     `json:"conflict_edges"`
@@ -213,6 +225,8 @@ func runShardSweep(sizes []int, counts []int, cfg shardConfig) error {
 		var s1Routes []model.Assignment
 		var s1Wall time.Duration
 		for _, k := range counts {
+			searches := net.Stats().PointSearches
+			work := readEngineWork()
 			t0 = time.Now()
 			res, srep := collab.RunSharded(in, p1, collab.ShardConfig{
 				Config: ccfg,
@@ -220,6 +234,9 @@ func runShardSweep(sizes []int, counts []int, cfg shardConfig) error {
 				Seed:   cfg.seed,
 			})
 			wall := time.Since(t0)
+			searches = net.Stats().PointSearches - searches
+			work = readEngineWork().minus(work)
+			srep.Cut(in, p1, ccfg.Scope)
 
 			fp := provenance.SolutionFingerprint(res.Solution)
 			if k == counts[0] {
@@ -252,6 +269,12 @@ func runShardSweep(sizes []int, counts []int, cfg shardConfig) error {
 				Assigned:    res.Solution.AssignedCount(),
 				Unfairness:  metrics.SolutionUnfairness(in, res.Solution),
 				Fingerprint: fmt.Sprintf("%016x", fp),
+
+				PointSearches:    searches,
+				NearestFallbacks: work[0],
+				TravelMemoHits:   work[1],
+				TravelMemoMisses: work[2],
+				TasksScanned:     work[3],
 
 				ExclusiveWorkers:   srep.ExclusiveWorkers,
 				BoundaryWorkers:    srep.BoundaryWorkers,
@@ -305,6 +328,8 @@ func runShardSweep(sizes []int, counts []int, cfg shardConfig) error {
 				pr.ExchangeIterations, pr.Assigned, pr.Unfairness)
 			fmt.Printf("  iter latency ms: p50 %.3f p99 %.3f; trials %d, pruned %d\n",
 				pr.IterP50Ms, pr.IterP99Ms, pr.TrialsEvaluated, pr.CandidatesPruned)
+			fmt.Printf("  work: point searches %d, nearest fallbacks %d, travel memo %d hits / %d misses, tasks scanned %d\n",
+				pr.PointSearches, pr.NearestFallbacks, pr.TravelMemoHits, pr.TravelMemoMisses, pr.TasksScanned)
 			fmt.Printf("  equilibrium_ok=%v (verified in %.0f ms), identical_to_s1=%v, speedup %.2fx\n\n",
 				pr.EquilibriumOK, ms(verify), pr.IdenticalToS1, pr.Speedup)
 

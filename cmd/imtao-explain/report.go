@@ -59,12 +59,8 @@ func summary(w io.Writer, l *provenance.Ledger) error {
 			stageLabel(g.Stage, g.Shard), len(g.Iters), acc)
 	}
 	if s := l.Shard; s != nil {
-		cut := "non-empty"
-		if s.EmptyCut {
-			cut = "empty"
-		}
-		fmt.Fprintf(w, "sharding: %d shards, %d boundary / %d exclusive workers, %s cut, %d conflict-graph component(s)\n",
-			s.Shards, s.BoundaryWorkers, s.ExclusiveWorkers, cut, s.Components)
+		fmt.Fprintf(w, "sharding: %d shards, %d exchange iterations, %d exchange transfers\n",
+			s.Shards, s.ExchangeIters, s.ExchangeTransfers)
 	}
 	if f := l.Final; f != nil {
 		fmt.Fprintf(w, "final: %d/%d tasks assigned, %d transfers, unfairness %.4f, fingerprint %016x\n",

@@ -90,7 +90,6 @@ var seriesRows = []struct {
 	{quantileKey("imtao_shard_iter_seconds", "0.99"), "shard iter p99", "seconds"},
 	{"imtao_shard_skew", "shard skew", "raw"},
 	{"imtao_shard_load_skew", "shard load skew", "raw"},
-	{"imtao_shard_colors", "shard colors", "raw"},
 	{"imtao_shard_autotune_shards", "autotuned shards", "raw"},
 	{quantileKey("imtao_phase1_center_seconds", "0.99"), "phase1 center p99", "seconds"},
 	{quantileKey("imtao_roadnet_dijkstra_seconds", "0.99"), "dijkstra p99", "seconds"},

@@ -27,7 +27,6 @@ imtao_shard_iter_seconds{quantile="0.5"} 0.0014
 imtao_shard_iter_seconds{quantile="0.99"} 0.0031
 imtao_shard_skew 1.8
 imtao_shard_load_skew 1.3
-imtao_shard_colors 3
 imtao_shard_autotune_shards 8
 imtao_shard_games_total 8
 imtao_shard_exchange_iterations_total 95
@@ -100,7 +99,6 @@ func TestDashboardPollRender(t *testing.T) {
 		"shard iter p99", "3.10ms",
 		"shard skew", "1.800",
 		"shard load skew", "1.300",
-		"shard colors",
 		"autotuned shards",
 		"exchange iters", "95",
 		"heap live", "12.0MiB",

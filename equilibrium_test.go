@@ -340,7 +340,8 @@ func centerLocs(in *Instance) []Point {
 // and Seq-RBDC run must equal the reference loop bit for bit and pass
 // VerifyEquilibrium, and a four-shard run must give the pinned solution at
 // parallelism 1 and 4. Every four-shard run here has a non-empty
-// interference cut, so its exchange game re-contests boundary workers.
+// interference cut (ShardReport.Cut), so its exchange game re-contests
+// boundary workers.
 func TestMidScaleRunsMatchReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("twenty 2k-task road instances against the reference loop")
@@ -380,6 +381,7 @@ func TestMidScaleRunsMatchReference(t *testing.T) {
 					Config: collab.Config{Assigner: assign.Sequential, Parallelism: par},
 					Shards: 4, Seed: 7,
 				})
+				rep.Cut(in, phase1, collab.FullReassign)
 				if rep.Shards < 2 || rep.EmptyCut {
 					t.Fatalf("%s seed %d: run was not sharded with a non-empty cut", d, seed)
 				}

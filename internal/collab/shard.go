@@ -3,15 +3,16 @@ package collab
 // Region-sharded phase-2 engine (DESIGN.md §15–16). RunSharded partitions
 // the centers into geographic shards with the voronoi task-weighted k-means
 // machinery (under ShardAuto the count follows from the center count alone
-// — autoShardCount), proves which workers can interact with which shards
-// (the worker-overlap interference graph), plays one best-response game per
-// shard concurrently over the home-shard workers, and settles the boundary
-// workers with one serialized exchange game that continues the finished
-// shard games' states. The exchange game runs the ordinary best-response
-// dynamics under the game's stop rule, so the final state is a global pure
-// Nash equilibrium (VerifyEquilibrium). When the interference cut is
-// empty the shard games already end at that equilibrium: every center's
-// routes equal the unsharded run's and the exchange accepts nothing.
+// — autoShardCount), plays one best-response game per shard concurrently
+// over the home-shard workers, and settles the boundary workers with one
+// serialized exchange game that continues the finished shard games' states.
+// The exchange game runs the ordinary best-response dynamics under the
+// game's stop rule, so the final state is a global pure Nash equilibrium
+// (VerifyEquilibrium). ShardReport.Cut, called outside the solve, proves
+// which workers can interact with which shards (the worker-overlap
+// interference graph). When that cut is empty the shard games already end
+// at the equilibrium: every center's routes equal the unsharded run's and
+// the exchange accepts nothing.
 
 import (
 	"math"
@@ -22,7 +23,6 @@ import (
 	"imtao/internal/assign"
 	"imtao/internal/fanout"
 	"imtao/internal/geo"
-	"imtao/internal/index"
 	"imtao/internal/metrics"
 	"imtao/internal/model"
 	"imtao/internal/obs"
@@ -40,13 +40,6 @@ var (
 	mShardIterSeconds = obs.Default.Quantile("imtao_shard_iter_seconds",
 		"wall time of one shard-game iteration across every shard of every "+
 			"sharded run — the per-shard counterpart of imtao_collab_iter_seconds")
-	mShardBoundary = obs.Default.Gauge("imtao_shard_boundary_workers",
-		"boundary workers of the most recent sharded run — workers admissible "+
-			"to recipient centers in more than one shard, settled by the "+
-			"exchange game instead of a phase-A pool")
-	mShardConflicts = obs.Default.Gauge("imtao_shard_conflict_edges",
-		"interference-graph edges of the most recent sharded run — shard "+
-			"pairs sharing at least one boundary worker")
 	mShardSkew = obs.Default.Gauge("imtao_shard_skew",
 		"max/mean phase-A shard game wall time of the most recent sharded "+
 			"run — 1.0 is perfectly balanced shards")
@@ -54,9 +47,6 @@ var (
 		"serialized exchange-round iterations of the boundary reconcile game")
 	mExchangeTransfers = obs.Default.Counter("imtao_shard_exchange_transfers_total",
 		"workforce dispatches accepted during boundary reconciliation")
-	mShardColors = obs.Default.Gauge("imtao_shard_colors",
-		"greedy chromatic number of the shard conflict graph in the most "+
-			"recent sharded run — low colors mean a sparse cut")
 	mShardLoadSkew = obs.Default.Gauge("imtao_shard_load_skew",
 		"max/mean per-shard task load of the most recent sharded partition — "+
 			"the static counterpart of the wall-time imtao_shard_skew gauge; "+
@@ -87,9 +77,10 @@ func autoShardCount(centers int) int {
 type ShardConfig struct {
 	Config
 	// Shards is the requested geographic shard count. Values above 64 are
-	// clamped (the interference bitsets are one machine word — the clamp is
-	// surfaced in ShardReport.ShardsRequested and a shard_clamp obs event);
-	// duplicate center locations can reduce the effective count further.
+	// clamped (ShardReport.Cut's shard masks are one machine word — the
+	// clamp is surfaced in ShardReport.ShardsRequested and a shard_clamp obs
+	// event); duplicate center locations can reduce the effective count
+	// further.
 	// ≤ 1 runs the unsharded engine, except ShardAuto (-1), which picks
 	// about 16 centers per shard (autoShardCount).
 	Shards int
@@ -106,12 +97,14 @@ type ShardConfig struct {
 }
 
 // ShardReport describes the partition and reconciliation work of one
-// sharded run.
+// sharded run. Its cut fields (ExclusiveWorkers through Colors) analyse the
+// partition and steer no game: RunSharded leaves them zero (EmptyCut false)
+// on a multi-shard run, and Cut fills them.
 type ShardReport struct {
 	// ShardsRequested is the caller's ShardConfig.Shards verbatim —
 	// ShardAuto (-1) for an auto-picked run, and possibly above the effective
-	// count when the 64-shard interference-word clamp or duplicate center
-	// locations reduced it.
+	// count when the 64-shard mask-word clamp or duplicate center locations
+	// reduced it.
 	ShardsRequested int
 	// Shards is the effective shard count; ShardOf maps each center to its
 	// shard label.
@@ -195,149 +188,95 @@ func shardLoadSkew(in *model.Instance, shardOf []int, nShards int) float64 {
 	return slices.Max(loads) * float64(nShards) / total
 }
 
-// interference is the worker-overlap analysis of a shard partition.
-type interference struct {
-	// mask[w] is the bitset of shards worker w can interact with: its home
-	// shard plus every shard holding a recipient center it is admissible to.
-	// Zero means w can never enter any pool (a used worker of a
-	// non-recipient center) — it never circulates.
-	mask      []uint64
-	exclusive int
-	boundary  int
-	conflicts int
-	// adj[s] is the conflict-graph adjacency bitset of shard s (its own bit
-	// included): the union of the masks of every boundary worker touching s.
-	// The component/coloring diagnostics read it.
-	adj [64]uint64
-}
-
-// poolSpeedBound resolves the instance's interference-scan speed bound:
-// the uniform Speed for straight-line instances, MaxSpeed for SpeedBounded
-// metrics, and 0 (no bound — exact scans only) otherwise.
-func poolSpeedBound(in *model.Instance) float64 {
-	if in.Metric == nil {
-		return in.Speed
+// Cut fills the report's cut fields (ExclusiveWorkers, BoundaryWorkers,
+// ConflictEdges, EmptyCut, Components and Colors) from ShardOf: the
+// worker-overlap analysis of the partition of the run that produced the
+// report, given the same instance, phase-1 results and deviation scope.
+// RunSharded does not call it; the shard bench and the tests do, outside
+// the timed solve. A one-shard report keeps the trivial cut RunSharded set.
+//
+// A worker is poolable when it starts in the phase-1 leftover pool or is
+// owned by a recipient center (ρ < 1; its own workers can be freed back into
+// the pool by an accepted reassignment). A poolable worker touches shard S
+// when its home center is in S or some recipient center of S admits it
+// under the admission-slack check — the same physics bound the pruning
+// engine uses, evaluated over the static FullReassign scope (or the
+// initial, maximal leftover set for LeftoverOnly, whose slack only
+// shrinks). Every recipient center checks every poolable worker exactly;
+// a worker touching two or more shards is a boundary worker, and two
+// shards conflict iff some worker touches both.
+func (r *ShardReport) Cut(in *model.Instance, phase1 []assign.Result, scope Scope) {
+	if r.Shards <= 1 {
+		return
 	}
-	if sb, ok := in.Metric.(model.SpeedBounded); ok {
-		return sb.MaxSpeed()
-	}
-	return 0
-}
+	in.PrepareMetric()
+	shardOf := r.ShardOf
 
-// shardInterference computes the interference graph: which shards each
-// potentially-poolable worker can interact with. A worker is poolable when
-// it starts in the phase-1 leftover pool or is owned by a recipient center
-// (whose own workers can be freed back into the pool by an accepted
-// reassignment); a poolable worker touches shard S when its home center is
-// in S or some recipient center of S admits it under the admission-slack
-// check — the same physics bound the pruning engine uses, evaluated over
-// the static FullReassign scope (or the initial, maximal leftover set for
-// DC, whose slack only shrinks). Two shards conflict iff some worker
-// touches both.
-func shardInterference(in *model.Instance, phase1 []assign.Result,
-	shardOf []int, scope Scope) interference {
-
-	nW := len(in.Workers)
-	inf := interference{mask: make([]uint64, nW)}
-
+	// mask[w] is the bitset of shards worker w touches; zero means w can
+	// never enter any pool (a used worker of a non-recipient center).
+	mask := make([]uint64, len(in.Workers))
 	recipient := make([]bool, len(in.Centers))
 	for ci := range in.Centers {
-		assigned := countTasks(phase1[ci].Routes)
-		if metrics.Ratio(assigned, len(in.Centers[ci].Tasks)) < 1 {
-			recipient[ci] = true
-		}
-	}
-
-	// Poolable workers get their home-shard bit.
-	for ci := range in.Centers {
+		recipient[ci] = metrics.Ratio(countTasks(phase1[ci].Routes), len(in.Centers[ci].Tasks)) < 1
 		bit := uint64(1) << shardOf[ci]
 		for _, w := range phase1[ci].LeftWorkers {
-			inf.mask[w] |= bit
+			mask[w] |= bit
 		}
 		if recipient[ci] {
 			for _, w := range in.Centers[ci].Workers {
-				inf.mask[w] |= bit
+				mask[w] |= bit
 			}
 		}
 	}
-
-	// Candidate edges: recipient center → admissible poolable workers. With
-	// a speed bound the scan per center is a grid range query of the
-	// admission radius, conservatively inflated so floating point can only
-	// over-admit, with an exact travel-time re-check per hit; otherwise
-	// every poolable worker gets the exact travel-time check. A worker whose
-	// mask already holds the center's shard bit skips the check: OR-ing the
-	// bit again changes nothing.
-	var grid *index.Grid
-	vmax := poolSpeedBound(in)
 	var poolable []model.WorkerID
-	for w, m := range inf.mask {
+	for w, m := range mask {
 		if m != 0 {
 			poolable = append(poolable, model.WorkerID(w))
 		}
 	}
-	if vmax > 0 {
-		grid = index.NewGrid(in.Bounds, max(len(poolable)/4, 1), 4)
-		for _, w := range poolable {
-			grid.Insert(index.Item{ID: int(w), Point: in.Worker(w).Loc})
-		}
-	}
-	var items []index.Item
+	// A worker whose mask already holds the center's shard bit skips the
+	// check, since OR-ing the bit again changes nothing; every poolable
+	// worker holds its home center's bit.
 	for ci := range in.Centers {
 		if !recipient[ci] {
 			continue
 		}
 		c := in.Center(model.CenterID(ci))
-		var slack float64
+		tasks := c.Tasks
 		if scope == LeftoverOnly {
-			slack = assign.AdmissionSlack(in, c, phase1[ci].LeftTasks)
-		} else {
-			slack = assign.AdmissionSlack(in, c, c.Tasks)
+			tasks = phase1[ci].LeftTasks
 		}
+		slack := assign.AdmissionSlack(in, c, tasks)
 		bit := uint64(1) << shardOf[ci]
-		if grid != nil {
-			r := (slack + assign.PrunePad) * vmax
-			if r > 0 {
-				r += r*1e-9 + 1e-12
-			}
-			items = grid.InRangeAppend(items[:0], c.Loc, r)
-			for _, it := range items {
-				w := model.WorkerID(it.ID)
-				if inf.mask[w]&bit == 0 && in.Worker(w).Home != model.CenterID(ci) &&
-					assign.WorkerAdmissible(in, c, w, slack) {
-					inf.mask[w] |= bit
-				}
-			}
-		} else {
-			for _, w := range poolable {
-				if inf.mask[w]&bit == 0 && in.Worker(w).Home != model.CenterID(ci) &&
-					assign.WorkerAdmissible(in, c, w, slack) {
-					inf.mask[w] |= bit
-				}
+		for _, w := range poolable {
+			if mask[w]&bit == 0 && assign.WorkerAdmissible(in, c, w, slack) {
+				mask[w] |= bit
 			}
 		}
 	}
 
-	// Boundary/conflict accounting: a worker whose bitset spans >1 shard is
-	// a boundary worker and adds its shard pairs to the conflict graph.
-	for _, m := range inf.mask {
+	// adj[s] is the conflict-graph adjacency bitset of shard s (its own bit
+	// included): the union of the masks of every boundary worker touching s.
+	var adj [64]uint64
+	r.ExclusiveWorkers, r.BoundaryWorkers, r.ConflictEdges = 0, 0, 0
+	for _, m := range mask {
 		switch bits.OnesCount64(m) {
 		case 0:
 		case 1:
-			inf.exclusive++
+			r.ExclusiveWorkers++
 		default:
-			inf.boundary++
-			for mm := m; mm != 0; {
-				s := bits.TrailingZeros64(mm)
-				mm &= mm - 1
-				inf.adj[s] |= m
+			r.BoundaryWorkers++
+			for mm := m; mm != 0; mm &= mm - 1 {
+				adj[bits.TrailingZeros64(mm)] |= m
 			}
 		}
 	}
-	for s := range inf.adj {
-		inf.conflicts += bits.OnesCount64(inf.adj[s] &^ (uint64(1)<<(s+1) - 1))
+	for s := range adj {
+		r.ConflictEdges += bits.OnesCount64(adj[s] &^ (uint64(1)<<(s+1) - 1))
 	}
-	return inf
+	r.EmptyCut = r.BoundaryWorkers == 0
+	_, r.Components = shardComponents(&adj, r.Shards)
+	_, r.Colors = greedyColorShards(&adj, r.Shards)
 }
 
 // RunSharded executes the collaboration game through the region-sharded
@@ -348,9 +287,9 @@ func shardInterference(in *model.Instance, phase1 []assign.Result,
 //
 // Determinism: the outcome is bit-identical across Parallelism settings
 // and repeated runs (deterministic assigners). When the interference cut
-// is empty every center's routes equal Run's and the exchange accepts
-// nothing; the transfer log is in shard order and the trace is shard
-// segments followed by the exchange steps. Otherwise the result is a
+// (Cut) is empty every center's routes equal Run's and the exchange
+// accepts nothing; the transfer log is in shard order and the trace is
+// shard segments followed by the exchange steps. Otherwise the result is a
 // different, but verified, equilibrium of the same game.
 //
 // Parallelism bounds the shard games played concurrently; 1 makes the
@@ -359,8 +298,8 @@ func shardInterference(in *model.Instance, phase1 []assign.Result,
 //
 // The sharded path engages for MinRatio dynamics with an assigner admitting
 // the admissibility-pruning argument (the built-in Sequential, or any
-// assigner the caller vouches for via PruneOn — the interference graph is
-// built from the same admission-slack bound). Everything else —
+// assigner the caller vouches for via PruneOn — Cut's empty-cut
+// certificate rests on the same admission-slack bound). Everything else —
 // RandomRecipient, MaxLeftover, budgeted assigners under PruneOff — falls
 // back to the unsharded Run, reported as one shard.
 // Config.MaxIterations, when set, caps each shard game and the exchange
@@ -379,8 +318,8 @@ func RunSharded(in *model.Instance, phase1 []assign.Result, cfg ShardConfig) (Re
 		mShardAutoShards.Set(float64(k))
 	}
 	if k > 64 {
-		// The interference bitsets are one machine word; surface the clamp
-		// instead of hiding it (ShardsRequested keeps the original ask).
+		// Cut's shard masks are one machine word; surface the clamp instead
+		// of hiding it (ShardsRequested keeps the original ask).
 		if obs.Enabled(cfg.Obs) {
 			cfg.Obs.Event("shard_clamp",
 				obs.F("requested", requested), obs.F("clamped", 64))
@@ -405,14 +344,8 @@ func RunSharded(in *model.Instance, phase1 []assign.Result, cfg ShardConfig) (Re
 
 	in.PrepareMetric()
 	in.EnsureHot()
-	inf := shardInterference(in, phase1, shardOf, cfg.Scope)
 	loadSkew := shardLoadSkew(in, shardOf, nShards)
-	_, nComp := shardComponents(&inf.adj, nShards)
-	_, nColors := greedyColorShards(&inf.adj, nShards)
-	mShardBoundary.Set(float64(inf.boundary))
-	mShardConflicts.Set(float64(inf.conflicts))
 	mShardLoadSkew.Set(loadSkew)
-	mShardColors.Set(float64(nColors))
 
 	// One nearest-task table serves every game of the run: shard games
 	// build their disjoint centers concurrently, and the exchange game
@@ -431,7 +364,7 @@ func RunSharded(in *model.Instance, phase1 []assign.Result, cfg ShardConfig) (Re
 	// exactly its home-shard workers: the games' mutable state is disjoint
 	// and they run concurrently without coordination, each with its own
 	// trial base, runner, scratch and arenas (the zero-alloc steady state
-	// holds per shard). When the interference cut is empty the home
+	// holds per shard). When the interference cut (Cut) is empty the home
 	// partition coincides with the interference masks, which is what makes
 	// the shard games provable restrictions of the global game; with a
 	// non-empty cut, boundary workers are settled tentatively in their home
@@ -464,19 +397,13 @@ func RunSharded(in *model.Instance, phase1 []assign.Result, cfg ShardConfig) (Re
 	})
 
 	rep := ShardReport{
-		ShardsRequested:  requested,
-		Shards:           nShards,
-		ShardOf:          shardOf,
-		ExclusiveWorkers: inf.exclusive,
-		BoundaryWorkers:  inf.boundary,
-		ConflictEdges:    inf.conflicts,
-		EmptyCut:         inf.boundary == 0,
-		Components:       nComp,
-		Colors:           nColors,
-		LoadSkew:         loadSkew,
-		Auto:             auto,
-		ShardIterations:  make([]int, nShards),
-		ShardWall:        walls,
+		ShardsRequested: requested,
+		Shards:          nShards,
+		ShardOf:         shardOf,
+		LoadSkew:        loadSkew,
+		Auto:            auto,
+		ShardIterations: make([]int, nShards),
+		ShardWall:       walls,
 	}
 	var wallMax, wallSum time.Duration
 	for s := 0; s < nShards; s++ {
@@ -564,7 +491,7 @@ func shardComponents(adj *[64]uint64, nShards int) ([]int, int) {
 // order, each shard taking the lowest color unused by its already-colored
 // neighbors. Returns the per-shard colors and the color count (≤ max degree
 // + 1). Deterministic and purely diagnostic: a low count certifies a sparse
-// cut in the report and the imtao_shard_colors gauge.
+// cut in the report.
 func greedyColorShards(adj *[64]uint64, nShards int) ([]int, int) {
 	colors := make([]int, nShards)
 	nColors := 0

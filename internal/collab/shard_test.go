@@ -64,15 +64,15 @@ func separatedInstance(rng *rand.Rand, groups int) *model.Instance {
 }
 
 // TestShardedEmptyCutBitIdentical is the property test of the empty-cut
-// guarantee: whenever the interference cut is empty, every shard game ends
-// at the global equilibrium the unsharded engine reaches, so RunSharded's
-// per-center routes are bit-identical to Run's and RunReference's, the
-// exchange game accepts nothing, and the transfer log is the unsharded one
-// regrouped by shard (shard order, each shard's transfers in their global
-// order). Separated metro instances make the cut provably empty for every
-// shard count that splits along blob lines; shard counts above the blob
-// count may split a blob (non-empty cut), in which case the run must still
-// reach a verified equilibrium.
+// guarantee: whenever the interference cut (ShardReport.Cut) is empty,
+// every shard game ends at the global equilibrium the unsharded engine
+// reaches, so RunSharded's per-center routes are bit-identical to Run's and
+// RunReference's, the exchange game accepts nothing, and the transfer log
+// is the unsharded one regrouped by shard (shard order, each shard's
+// transfers in their global order). Separated metro instances make the cut
+// provably empty for every shard count that splits along blob lines; shard
+// counts above the blob count may split a blob (non-empty cut), in which
+// case the run must still reach a verified equilibrium.
 func TestShardedEmptyCutBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	for trial := 0; trial < 6; trial++ {
@@ -87,6 +87,7 @@ func TestShardedEmptyCutBitIdentical(t *testing.T) {
 		emptyCuts := 0
 		for _, k := range []int{1, 2, 3, 4, 6, 8} {
 			got, rep := RunSharded(in, p1, ShardConfig{Config: seqConfig(), Shards: k, Seed: 7})
+			rep.Cut(in, p1, FullReassign)
 			if k <= groups && !rep.EmptyCut {
 				t.Fatalf("trial %d shards=%d: expected empty cut on %d separated blobs, got %d boundary workers",
 					trial, k, groups, rep.BoundaryWorkers)
@@ -219,6 +220,48 @@ func TestShardedDCScope(t *testing.T) {
 		if !reflect.DeepEqual(got.Solution, again.Solution) {
 			t.Fatalf("trial %d: DC sharded run not deterministic", trial)
 		}
+	}
+}
+
+// TestShardCutOffSolvePath: RunSharded leaves the cut fields of a
+// multi-shard report zero, and Cut fills them from ShardOf. The
+// leftover-only (DC) cut of a run sits inside its FullReassign cut: the
+// same workers are poolable under either scope, so exclusive plus boundary
+// is the same, and DC's admission slack is a maximum over a subset of each
+// recipient's tasks, so every DC mask is a subset of the full one — no more
+// boundary workers, no more conflict edges, no fewer components.
+func TestShardCutOffSolvePath(t *testing.T) {
+	rng := rand.New(rand.NewSource(85))
+	narrower := false
+	for trial := 0; trial < 6; trial++ {
+		in := randomInstance(rng, 6+rng.Intn(4), 20+rng.Intn(20), 60+rng.Intn(60))
+		p1 := phase1(in)
+		_, rep := RunSharded(in, p1, ShardConfig{Config: seqConfig(), Shards: 3, Seed: 5})
+		if rep.Shards < 2 {
+			t.Fatalf("trial %d: run fell back to %d shard", trial, rep.Shards)
+		}
+		if rep.ExclusiveWorkers != 0 || rep.BoundaryWorkers != 0 || rep.ConflictEdges != 0 ||
+			rep.EmptyCut || rep.Components != 0 || rep.Colors != 0 {
+			t.Fatalf("trial %d: RunSharded computed a cut: %+v", trial, rep)
+		}
+		full, dc := rep, rep
+		full.Cut(in, p1, FullReassign)
+		dc.Cut(in, p1, LeftoverOnly)
+		if full.Components < 1 || full.Colors < 1 || full.EmptyCut != (full.BoundaryWorkers == 0) {
+			t.Fatalf("trial %d: malformed full cut %+v", trial, full)
+		}
+		if dc.ExclusiveWorkers+dc.BoundaryWorkers != full.ExclusiveWorkers+full.BoundaryWorkers {
+			t.Fatalf("trial %d: DC touches %d poolable workers, full %d", trial,
+				dc.ExclusiveWorkers+dc.BoundaryWorkers, full.ExclusiveWorkers+full.BoundaryWorkers)
+		}
+		if dc.BoundaryWorkers > full.BoundaryWorkers || dc.ConflictEdges > full.ConflictEdges ||
+			dc.Components < full.Components {
+			t.Fatalf("trial %d: DC cut %+v is not inside the full cut %+v", trial, dc, full)
+		}
+		narrower = narrower || dc.BoundaryWorkers < full.BoundaryWorkers
+	}
+	if !narrower {
+		t.Fatal("no trial's DC cut was narrower than its full cut; the scope branch is untested")
 	}
 }
 
@@ -605,9 +648,11 @@ func TestShardAutoMatchesExplicitPick(t *testing.T) {
 	if rep.Auto == nil || rep.Auto.Picked != 4 {
 		t.Fatalf("64 centers: Auto = %+v, want a pick of 4", rep.Auto)
 	}
-	if rep.Shards < 2 || rep.EmptyCut {
+	cut := rep
+	cut.Cut(in, p1, FullReassign)
+	if rep.Shards < 2 || cut.EmptyCut {
 		t.Fatalf("auto run has %d shards, empty cut %v; want a sharded run with an exchange to play",
-			rep.Shards, rep.EmptyCut)
+			rep.Shards, cut.EmptyCut)
 	}
 	if err := routing.SolutionFeasible(in, got.Solution); err != nil {
 		t.Fatal(err)
@@ -663,7 +708,7 @@ func TestShardAutoIneligibleFallback(t *testing.T) {
 }
 
 // TestShardClampSurfaced (satellite): requesting more than 64 shards clamps
-// to the interference-word width — surfaced in the report and as a
+// to the width of Cut's shard-mask word — surfaced in the report and as a
 // shard_clamp obs event, never silently.
 func TestShardClampSurfaced(t *testing.T) {
 	rng := rand.New(rand.NewSource(95))

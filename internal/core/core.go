@@ -571,10 +571,6 @@ func Run(in *model.Instance, cfg Config) (*Report, error) {
 			prov.RecordShard(provenance.ShardInfo{
 				Shards:            s.Shards,
 				ShardOf:           s.ShardOf,
-				BoundaryWorkers:   s.BoundaryWorkers,
-				ExclusiveWorkers:  s.ExclusiveWorkers,
-				EmptyCut:          s.EmptyCut,
-				Components:        s.Components,
 				ExchangeIters:     s.ExchangeIterations,
 				ExchangeTransfers: s.ExchangeTransfers,
 			})

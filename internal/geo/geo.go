@@ -120,9 +120,6 @@ func (r Rect) Height() float64 { return r.Max.Y - r.Min.Y }
 // Area returns the area of r.
 func (r Rect) Area() float64 { return r.Width() * r.Height() }
 
-// Center returns the center point of r.
-func (r Rect) Center() Point { return Mid(r.Min, r.Max) }
-
 // Contains reports whether p lies inside r (boundary inclusive).
 func (r Rect) Contains(p Point) bool {
 	return p.X >= r.Min.X-Eps && p.X <= r.Max.X+Eps &&
@@ -135,14 +132,6 @@ func (r Rect) Expand(d float64) Rect {
 		Min: Point{r.Min.X - d, r.Min.Y - d},
 		Max: Point{r.Max.X + d, r.Max.Y + d},
 	}
-}
-
-// Dist2 returns the squared distance from p to the closest point of r
-// (zero when p is inside). Used for KD-tree pruning.
-func (r Rect) Dist2(p Point) float64 {
-	dx := math.Max(0, math.Max(r.Min.X-p.X, p.X-r.Max.X))
-	dy := math.Max(0, math.Max(r.Min.Y-p.Y, p.Y-r.Max.Y))
-	return dx*dx + dy*dy
 }
 
 // BoundingRect returns the axis-aligned bounding rectangle of pts.
@@ -165,9 +154,6 @@ func BoundingRect(pts []Point) Rect {
 type Segment struct {
 	A, B Point
 }
-
-// Len returns the segment's length.
-func (s Segment) Len() float64 { return s.A.Dist(s.B) }
 
 // ClosestPoint returns the point on s closest to p.
 func (s Segment) ClosestPoint(p Point) Point {

@@ -104,21 +104,8 @@ func TestRectBasics(t *testing.T) {
 	if !r.Contains(Pt(2, 3)) || !r.Contains(Pt(1, 2)) || r.Contains(Pt(0, 0)) {
 		t.Error("Contains misbehaves")
 	}
-	if !r.Contains(r.Center()) {
+	if !r.Contains(Mid(r.Min, r.Max)) {
 		t.Error("center must be inside")
-	}
-}
-
-func TestRectDist2(t *testing.T) {
-	r := NewRect(Pt(0, 0), Pt(2, 2))
-	if got := r.Dist2(Pt(1, 1)); got != 0 {
-		t.Errorf("inside dist2 = %v", got)
-	}
-	if got := r.Dist2(Pt(5, 2)); got != 9 {
-		t.Errorf("side dist2 = %v", got)
-	}
-	if got := r.Dist2(Pt(5, 6)); got != 9+16 {
-		t.Errorf("corner dist2 = %v", got)
 	}
 }
 

@@ -1,8 +1,7 @@
 // Package index provides the uniform grid that answers the partition's
-// nearest-center queries (paper Algorithm 1) and the interference graph's
-// admission-radius range queries, plus LinearNearest, the brute-force scan
-// the skill-constrained assigner uses and the nearest-neighbour tests
-// compare against.
+// nearest-center queries (paper Algorithm 1), plus LinearNearest, the
+// brute-force scan the skill-constrained assigner uses and the
+// nearest-neighbour tests compare against.
 //
 // Queries run over a set of identified points: callers register (id, point)
 // pairs and queries return ids. Distances are Euclidean.
@@ -138,30 +137,6 @@ func (g *Grid) nearestIn(q geo.Point, c0, c1 int, best Item, bestD float64) (Ite
 		}
 	}
 	return best, bestD
-}
-
-// InRangeAppend appends all items within radius r of q to out and returns
-// the extended slice. Passing a recycled out[:0] makes repeated range
-// queries allocation-free once the buffer has grown.
-func (g *Grid) InRangeAppend(out []Item, q geo.Point, r float64) []Item {
-	if r < 0 || g.count == 0 {
-		return out
-	}
-	r2 := r * r
-	lo := geo.Pt(q.X-r, q.Y-r)
-	hi := geo.Pt(q.X+r, q.Y+r)
-	x0, y0 := g.cellIndex(lo)
-	x1, y1 := g.cellIndex(hi)
-	for cy := y0; cy <= y1; cy++ {
-		for cx := x0; cx <= x1; cx++ {
-			for _, it := range g.cells[cy*g.nx+cx] {
-				if q.Dist2(it.Point) <= r2 {
-					out = append(out, it)
-				}
-			}
-		}
-	}
-	return out
 }
 
 // LinearNearest is the brute-force nearest neighbour over items accepted by

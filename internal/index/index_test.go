@@ -2,7 +2,6 @@ package index
 
 import (
 	"math/rand"
-	"slices"
 	"testing"
 
 	"imtao/internal/geo"
@@ -48,45 +47,6 @@ func TestGridNearestMatchesLinear(t *testing.T) {
 				t.Fatalf("trial %d: grid=%v/%v linear=%v/%v q=%v", trial, got, gok, want, wok, p)
 			}
 		}
-	}
-}
-
-func TestGridInRange(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	bounds := geo.NewRect(geo.Pt(0, 0), geo.Pt(100, 100))
-	items := randItems(rng, 300, 100)
-	g := NewGrid(bounds, len(items), 4)
-	for _, it := range items {
-		g.Insert(it)
-	}
-	ids := func(items []Item) []int {
-		out := make([]int, len(items))
-		for i, it := range items {
-			out[i] = it.ID
-		}
-		slices.Sort(out)
-		return out
-	}
-	sentinel := Item{ID: -7}
-	for q := 0; q < 50; q++ {
-		p := geo.Pt(rng.Float64()*140-20, rng.Float64()*140-20)
-		r := rng.Float64() * 40
-		var want []Item
-		for _, it := range items {
-			if p.Dist2(it.Point) <= r*r {
-				want = append(want, it)
-			}
-		}
-		got := g.InRangeAppend([]Item{sentinel}, p, r)
-		if got[0] != sentinel {
-			t.Fatalf("query %d: the prefix was overwritten: %v", q, got[0])
-		}
-		if !slices.Equal(ids(got[1:]), ids(want)) {
-			t.Fatalf("query %d at %v r=%g: grid %v, brute force %v", q, p, r, ids(got[1:]), ids(want))
-		}
-	}
-	if got := g.InRangeAppend(nil, geo.Pt(50, 50), -1); got != nil {
-		t.Errorf("negative radius = %v", got)
 	}
 }
 

@@ -60,17 +60,6 @@ type TravelMetric interface {
 	TravelTime(a, b geo.Point) float64
 }
 
-// SpeedBounded is an optional TravelMetric extension declaring a global
-// speed bound v such that TravelTime(a, b) ≥ a.Dist(b)/v for every pair of
-// points. It lets the phase-2 admissibility pruning translate a travel-time
-// admission radius into a Euclidean one servable by a spatial index; metrics
-// without the interface fall back to exact per-worker travel-time checks.
-type SpeedBounded interface {
-	// MaxSpeed returns the bound v in distance units per hour; it must be
-	// positive and may be conservative (larger than the true top speed).
-	MaxSpeed() float64
-}
-
 // NodeMetric is a TravelMetric backed by a network of nodes (e.g. the
 // roadnet distance oracle). Queries against such a metric decompose into
 // snapping each point to a node plus a node-to-node lookup; the snap is a
@@ -533,22 +522,6 @@ func (s *Solution) AssignedTasks() map[TaskID]bool {
 				out[t] = true
 			}
 		}
-	}
-	return out
-}
-
-// Clone returns a deep copy of the solution.
-func (s *Solution) Clone() *Solution {
-	out := &Solution{
-		PerCenter: make([]Assignment, len(s.PerCenter)),
-		Transfers: append([]Transfer(nil), s.Transfers...),
-	}
-	for i, a := range s.PerCenter {
-		routes := make([]Route, len(a.Routes))
-		for j, r := range a.Routes {
-			routes[j] = Route{Worker: r.Worker, Center: r.Center, Tasks: append([]TaskID(nil), r.Tasks...)}
-		}
-		out.PerCenter[i] = Assignment{Center: a.Center, Routes: routes}
 	}
 	return out
 }

@@ -148,19 +148,6 @@ func TestSolutionCounts(t *testing.T) {
 	}
 }
 
-func TestSolutionCloneIsDeep(t *testing.T) {
-	in := tinyInstance()
-	s := NewSolution(in)
-	s.PerCenter[0].Routes = []Route{{Worker: 0, Center: 0, Tasks: []TaskID{0}}}
-	s.Transfers = []Transfer{{Src: 0, Dst: 1, Worker: 0}}
-	cp := s.Clone()
-	cp.PerCenter[0].Routes[0].Tasks[0] = 1
-	cp.Transfers[0].Worker = 9
-	if s.PerCenter[0].Routes[0].Tasks[0] == 1 || s.Transfers[0].Worker == 9 {
-		t.Fatal("Clone shares memory with the original")
-	}
-}
-
 func TestCheckConsistencyOK(t *testing.T) {
 	in := tinyInstance()
 	s := NewSolution(in)

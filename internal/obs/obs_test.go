@@ -26,7 +26,7 @@ func TestCountersConcurrent(t *testing.T) {
 			for k := 0; k < per; k++ {
 				c.Inc()
 				c.Add(2)
-				g.Add(0.5)
+				g.Set(float64(k))
 				q.Observe(float64(k % 200))
 			}
 		}()
@@ -36,7 +36,8 @@ func TestCountersConcurrent(t *testing.T) {
 	if got, want := c.Value(), int64(goroutines*per*3); got != want {
 		t.Errorf("counter %d, want %d", got, want)
 	}
-	if got, want := g.Value(), float64(goroutines*per)*0.5; got != want {
+	// Every goroutine's last store is per-1, so the last store of all is.
+	if got, want := g.Value(), float64(per-1); got != want {
 		t.Errorf("gauge %g, want %g", got, want)
 	}
 	if got, want := q.Count(), int64(goroutines*per); got != want {

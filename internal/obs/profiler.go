@@ -86,9 +86,6 @@ func NewProfileRing(dir string, interval, cpuWindow time.Duration, keep int, r *
 	}, nil
 }
 
-// Dir returns the directory the ring writes into.
-func (p *ProfileRing) Dir() string { return p.dir }
-
 // CaptureNow runs one capture cycle synchronously: a CPU profile sampled
 // over the ring's window, a heap snapshot, and a prune of files beyond the
 // retention bound. It returns the paths written (the CPU path is empty when

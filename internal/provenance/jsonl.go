@@ -109,9 +109,6 @@ func (l *Ledger) WriteTo(w io.Writer) (int64, error) {
 	if s := l.Shard; s != nil {
 		j.Event("prov_shard",
 			obs.F("shards", s.Shards), obs.F("shard_of", s.ShardOf),
-			obs.F("boundary_workers", s.BoundaryWorkers),
-			obs.F("exclusive_workers", s.ExclusiveWorkers),
-			obs.F("empty_cut", s.EmptyCut), obs.F("components", s.Components),
 			obs.F("exchange_iters", s.ExchangeIters),
 			obs.F("exchange_transfers", s.ExchangeTransfers))
 	}
@@ -332,10 +329,6 @@ func (l *Ledger) readRecord(event string, raw []byte, cur **GameLog) error {
 		var s struct {
 			Shards            int   `json:"shards"`
 			ShardOf           []int `json:"shard_of"`
-			BoundaryWorkers   int   `json:"boundary_workers"`
-			ExclusiveWorkers  int   `json:"exclusive_workers"`
-			EmptyCut          bool  `json:"empty_cut"`
-			Components        int   `json:"components"`
 			ExchangeIters     int   `json:"exchange_iters"`
 			ExchangeTransfers int   `json:"exchange_transfers"`
 		}
@@ -343,8 +336,6 @@ func (l *Ledger) readRecord(event string, raw []byte, cur **GameLog) error {
 			return err
 		}
 		l.Shard = &ShardInfo{Shards: s.Shards, ShardOf: s.ShardOf,
-			BoundaryWorkers: s.BoundaryWorkers, ExclusiveWorkers: s.ExclusiveWorkers,
-			EmptyCut: s.EmptyCut, Components: s.Components,
 			ExchangeIters: s.ExchangeIters, ExchangeTransfers: s.ExchangeTransfers}
 
 	case "prov_final":

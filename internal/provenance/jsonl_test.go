@@ -31,8 +31,7 @@ func testLedger() *Ledger {
 		false,
 		[]model.Route{{Worker: 2, Center: 1, Tasks: []model.TaskID{3}}}, true)
 	l.RecordShard(ShardInfo{Shards: 2, ShardOf: []int{0, 1},
-		BoundaryWorkers: 1, ExclusiveWorkers: 2, EmptyCut: false,
-		Components: 1, ExchangeIters: 3, ExchangeTransfers: 1})
+		ExchangeIters: 3, ExchangeTransfers: 1})
 	l.Final = &Final{Assigned: 3, Unfairness: 0.25, Fingerprint: 0xdeadbeefcafef00d,
 		Transfers: []model.Transfer{{Src: 0, Dst: 1, Worker: 2}},
 		Routes: []FinalRoute{{Worker: 2, Center: 1, Tasks: []model.TaskID{3},
@@ -104,6 +103,23 @@ func TestReadLedgerRejectsSchemaMismatch(t *testing.T) {
 		} else if !strings.Contains(err.Error(), "schema_version") {
 			t.Errorf("%s stream: error %q does not mention schema_version", name, err)
 		}
+	}
+}
+
+// TestReadLedgerDecodesRetiredShardKeys: a prov_shard record written while
+// the ledger still carried the partition's cut (boundary_workers,
+// exclusive_workers, empty_cut, components) decodes under the same schema
+// version; the retired keys are skipped.
+func TestReadLedgerDecodesRetiredShardKeys(t *testing.T) {
+	line := fmt.Sprintf(`{"seq":1,"t_ms":0.0,"schema_version":%d,"event":"prov_shard","shards":2,"shard_of":[0,1],`+
+		`"boundary_workers":1,"exclusive_workers":2,"empty_cut":false,"components":1,"exchange_iters":3,"exchange_transfers":1}`,
+		obs.SchemaVersion)
+	l, err := ReadLedger(strings.NewReader(line + "\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := l.Shard; s == nil || s.Shards != 2 || len(s.ShardOf) != 2 || s.ExchangeIters != 3 || s.ExchangeTransfers != 1 {
+		t.Fatalf("shard section = %+v", l.Shard)
 	}
 }
 

@@ -217,10 +217,6 @@ func (l *GameLog) RecordIter(info IterInfo, cands []model.WorkerID,
 type ShardInfo struct {
 	Shards            int
 	ShardOf           []int
-	BoundaryWorkers   int
-	ExclusiveWorkers  int
-	EmptyCut          bool
-	Components        int
 	ExchangeIters     int
 	ExchangeTransfers int
 }

@@ -316,13 +316,6 @@ func (n *Network) SnapNode(p geo.Point) (int32, float64) {
 	return int32(id), p.Dist(n.NodeLoc(id))
 }
 
-// MaxSpeed implements model.SpeedBounded: the base speed bounds effective
-// travel speed because congestion factors are clamped ≥ 1 (each edge takes
-// at least its geometric length over base speed), the road path between two
-// nodes is at least as long as the straight line between them, and the snap
-// legs run at base speed — so TravelTime(a,b) ≥ a.Dist(b)/speed.
-func (n *Network) MaxSpeed() float64 { return n.speed }
-
 // TravelTime implements model.TravelMetric: snap both points to the grid,
 // take the shortest road path between the nodes, and add the snap legs at
 // base speed.

@@ -54,18 +54,13 @@ func main() {
 		scaleGrid    = flag.Int("scale-grid", 64, "road-network grid side for -scale (grid² nodes)")
 		scaleGame    = flag.Int("scale-game-iters", 20, "phase-2 game iteration cap for -scale (0 = uncapped)")
 
-		shard        = flag.String("shard", "", `sharded game-engine sweep over shard counts, e.g. "1,2,4,8,auto": per -shard-scale size, run the collaboration game uncapped to equilibrium through the region-sharded engine at each count (1 = the unsharded baseline, "auto" = the engine-picked ShardAuto point), verify the global Nash equilibrium, and write a JSON record`)
+		shard        = flag.String("shard", "", `sharded game-engine sweep over shard counts, e.g. "1,2,4,8,auto": per -shard-scale size, run the collaboration game uncapped to equilibrium through the region-sharded engine at each count (1 = the unsharded engine, whose point also carries the engine record: runtime vitals, steady-state allocations and a ledgered run; "auto" = the engine-picked ShardAuto point), verify the global Nash equilibrium, and write a JSON record`)
 		shardScale   = flag.String("shard-scale", "10k,100k", "comma-separated task sizes for -shard")
 		shardOut     = flag.String("shard-json", "BENCH_shard.json", "output path of the -shard record")
 		shardDataset = flag.String("shard-dataset", "syn", "dataset generator for -shard: gm or syn")
 		shardGrid    = flag.Int("shard-grid", 64, "road-network grid side for -shard (grid² nodes)")
 		shardSeed    = flag.Int64("shard-seed", 1, "k-means shard-partition seed for -shard")
-
-		game        = flag.String("game", "", `phase-2 game-engine sweep, e.g. "10k,50k,100k": run the collaboration game uncapped to equilibrium per task count, cross-check the optimized engine against the frozen reference, and write a JSON record`)
-		gameOut     = flag.String("game-json", "BENCH_game.json", "output path of the -game record")
-		gameDataset = flag.String("game-dataset", "syn", "dataset generator for -game: gm or syn")
-		gameGrid    = flag.Int("game-grid", 64, "road-network grid side for -game (grid² nodes)")
-		gameTrace   = flag.String("game-trace", "", "record a Chrome/Perfetto span timeline of the optimized engine runs (iterations, trials, Dijkstra searches) to this file; adds per-trial overhead, so leave off for baselines")
+		shardTrace   = flag.String("shard-trace", "", "record a Chrome/Perfetto span timeline of the -shard sweep's timed runs (iterations, trials, Dijkstra searches) to this file; adds per-trial overhead, so leave off for baselines")
 
 		tracePath     = flag.String("trace", "", "stream run telemetry (game_iter events with phi and the rho vector) to this JSONL file; honored by fig11")
 		metricsOut    = flag.String("metrics-out", "", "write a Prometheus-text metrics snapshot to this file on exit")
@@ -173,30 +168,11 @@ func main() {
 			fatal(err)
 		}
 		if err := runShardSweep(sizes, counts, shardConfig{
-			dataset:  d,
-			grid:     *shardGrid,
-			seed:     *shardSeed,
-			jsonPath: *shardOut,
-		}); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if *game != "" {
-		sizes, err := parseScaleSizes(*game)
-		if err != nil {
-			fatal(err)
-		}
-		d, err := workload.ParseDataset(*gameDataset)
-		if err != nil {
-			fatal(err)
-		}
-		if err := runGameSweep(sizes, gameConfig{
 			dataset:   d,
-			grid:      *gameGrid,
-			jsonPath:  *gameOut,
-			tracePath: *gameTrace,
+			grid:      *shardGrid,
+			seed:      *shardSeed,
+			jsonPath:  *shardOut,
+			tracePath: *shardTrace,
 		}); err != nil {
 			fatal(err)
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 	"time"
 
 	"imtao/internal/core"
@@ -45,6 +46,8 @@ type scalePreset struct {
 	Workers int    `json:"workers"`
 	Centers int    `json:"centers"`
 
+	// WallMs is the scene's metric warm-up (snaps and center tables, as
+	// core.Run would do them) plus the core.Run call.
 	WallMs     float64 `json:"wall_ms"`
 	Phase1Ms   float64 `json:"phase1_ms"`
 	Phase2Ms   float64 `json:"phase2_ms"`
@@ -77,7 +80,10 @@ type scaleConfig struct {
 
 func parseScaleSizes(s string) ([]int, error) {
 	var out []int
-	for _, part := range splitCSV(s) {
+	for _, part := range strings.Split(s, ",") {
+		if strings.TrimSpace(part) == "" {
+			continue
+		}
 		v, err := workload.ParseScaleSize(part)
 		if err != nil {
 			return nil, err
@@ -90,18 +96,53 @@ func parseScaleSizes(s string) ([]int, error) {
 	return out, nil
 }
 
-func splitCSV(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == ',' {
-			if p := s[start:i]; p != "" {
-				out = append(out, p)
-			}
-			start = i + 1
-		}
+// scene is one sweep size's instance, shared by the -scale and -shard
+// sweeps: generated, partitioned over a road network, with every entity
+// snapped to it and the center tables pinned. That is the metric warm-up
+// core.Run would otherwise do; warmup is its wall time.
+type scene struct {
+	p      workload.Params
+	in     *model.Instance
+	net    *roadnet.Network
+	label  string
+	warmup time.Duration
+}
+
+func buildScene(d workload.Dataset, size, grid int) (scene, error) {
+	p := workload.ScaleParams(d, size)
+	raw, err := workload.Generate(p)
+	if err != nil {
+		return scene{}, err
 	}
-	return out
+	net, err := roadnet.New(raw.Bounds, grid, grid, p.Speed)
+	if err != nil {
+		return scene{}, err
+	}
+	raw.Metric = net
+	in, _, err := core.Partition(raw)
+	if err != nil {
+		return scene{}, err
+	}
+	t0 := time.Now()
+	in.PrepareMetric()
+	locs := make([]geo.Point, len(in.Centers))
+	for i := range in.Centers {
+		locs[i] = in.Centers[i].Loc
+	}
+	net.PrecomputeSources(locs)
+	return scene{p: p, in: in, net: net, label: sizeLabel(size), warmup: time.Since(t0)}, nil
+}
+
+// sizeLabel names a task count in preset names: "10k", "1m", or the plain
+// count when it is not a round thousand.
+func sizeLabel(size int) string {
+	switch {
+	case size%1_000_000 == 0:
+		return fmt.Sprintf("%dm", size/1_000_000)
+	case size%1000 == 0:
+		return fmt.Sprintf("%dk", size/1000)
+	}
+	return fmt.Sprintf("%d", size)
 }
 
 // runScaleSweep executes the scale benchmark and writes BENCH_oracle.json.
@@ -120,35 +161,26 @@ func runScaleSweep(sizes []int, cfg scaleConfig) error {
 	pinnedReads := obs.Default.Counter("imtao_roadnet_cache_hits_total", "")
 
 	for _, size := range sizes {
-		p := workload.ScaleParams(cfg.dataset, size)
-		raw, err := workload.Generate(p)
+		sc, err := buildScene(cfg.dataset, size, cfg.grid)
 		if err != nil {
 			return err
 		}
-		net, err := roadnet.New(raw.Bounds, cfg.grid, cfg.grid, p.Speed)
-		if err != nil {
-			return err
-		}
-		raw.Metric = net
-		in, _, err := core.Partition(raw)
-		if err != nil {
-			return err
-		}
+		p, net := sc.p, sc.net
 
 		r0 := pinnedReads.Value()
 		t0 := time.Now()
-		rep, err := core.Run(in, core.Config{
+		rep, err := core.Run(sc.in, core.Config{
 			Method:            core.Method{Assigner: core.Seq, Collab: core.BDC},
 			MaxGameIterations: cfg.gameCap,
 		})
 		if err != nil {
 			return err
 		}
-		wall := time.Since(t0)
+		wall := sc.warmup + time.Since(t0)
 		st := net.Stats()
 
 		pr := scalePreset{
-			Name:    fmt.Sprintf("%dk", size/1000),
+			Name:    sc.label,
 			Tasks:   p.NumTasks,
 			Workers: p.NumWorkers,
 			Centers: p.NumCenters,
@@ -165,9 +197,6 @@ func runScaleSweep(sizes []int, cfg scaleConfig) error {
 			FullSearches:  st.DijkstraRuns - st.PointSearches,
 			Pinned:        st.Pinned,
 		}
-		if size%1000 != 0 {
-			pr.Name = fmt.Sprintf("%d", size)
-		}
 		pr.TravelQueries = pr.PinnedReads + pr.PointSearches
 		if st.PointSearches > 0 {
 			pr.SettledPerSearch = float64(st.Settled) / float64(st.PointSearches)
@@ -177,7 +206,7 @@ func runScaleSweep(sizes []int, cfg scaleConfig) error {
 		}
 		// After the pipeline, so the sampled searches reuse well-worn scratch
 		// and stay out of the traffic counted above.
-		pr.ExactOK, err = pointSearchesExact(net, in, raw.Bounds, cfg.grid, p.Speed)
+		pr.ExactOK, err = pointSearchesExact(net, sc.in, cfg.grid, p.Speed)
 		if err != nil {
 			return err
 		}
@@ -255,7 +284,7 @@ func samplePoints(in *model.Instance, n int) []geo.Point {
 // so net answers each with a point search from the lower node id, then pins
 // exactly those sources on a fresh network and compares the two answers bit
 // for bit.
-func pointSearchesExact(net *roadnet.Network, in *model.Instance, bounds geo.Rect, grid int, speed float64) (bool, error) {
+func pointSearchesExact(net *roadnet.Network, in *model.Instance, grid int, speed float64) (bool, error) {
 	centers := make(map[int32]bool, len(in.Centers))
 	for _, c := range in.Centers {
 		node, _ := net.SnapNode(c.Loc)
@@ -277,7 +306,7 @@ func pointSearchesExact(net *roadnet.Network, in *model.Instance, bounds geo.Rec
 	if len(pairs) == 0 {
 		return false, fmt.Errorf("no unpinned pairs to check")
 	}
-	fresh, err := roadnet.New(bounds, grid, grid, speed)
+	fresh, err := roadnet.New(in.Bounds, grid, grid, speed)
 	if err != nil {
 		return false, err
 	}

@@ -12,27 +12,30 @@ import (
 
 	"imtao/internal/assign"
 	"imtao/internal/collab"
-	"imtao/internal/core"
-	"imtao/internal/geo"
 	"imtao/internal/metrics"
 	"imtao/internal/model"
 	"imtao/internal/obs"
 	"imtao/internal/provenance"
-	"imtao/internal/roadnet"
+	"imtao/internal/stats"
 	"imtao/internal/workload"
 )
 
-// The -shard sweep is the acceptance benchmark of the region-sharded game
-// engine (DESIGN.md §15): per task size it plays the phase-2 game uncapped
-// to equilibrium through collab.RunSharded at each requested shard count —
-// shard count 1 IS the unsharded engine, the sweep's baseline — and records
-// the wall-clock, the engine's work counters, the exchange rounds and the
-// speedup over the one-shard run. After the timed solve, ShardReport.Cut
-// adds the partition's interference profile (boundary workers, conflict
-// edges, components, colors), which the solve itself does not compute.
-// Every point is Nash-verified, and whenever the interference cut is empty
-// every center's routes must equal the unsharded engine's with no transfer
-// accepted by the exchange; either failing is a hard error (nonzero exit).
+// The -shard sweep is the acceptance benchmark of the phase-2 game engine
+// (DESIGN.md §11) and of its region-sharded form (§15): per task size it
+// plays the game uncapped to equilibrium through collab.RunSharded at each
+// requested shard count and records the wall-clock, the engine's work
+// counters, the exchange rounds and the speedup over the first point. Shard
+// count 1 IS the unsharded engine, and its point (e.g. 10k-s1) carries the
+// engine record: the runtime vitals of its timed run, then, once the size's
+// last point is timed, a steady-state allocation meter and one ledgered run.
+// After each timed solve, ShardReport.Cut adds the partition's interference
+// profile, which the solve itself does not compute.
+//
+// Every point is Nash-verified; an empty-cut point must route every center
+// as the first point does, with no transfer accepted by the exchange; the
+// one-shard point must show pruning, prefix-resume and trial grouping
+// engaged, a ledger that replays to its fingerprint and a valid equilibrium
+// certificate. Any failure is a hard error (nonzero exit).
 
 // shardRecord is the schema of BENCH_shard.json.
 type shardRecord struct {
@@ -76,16 +79,24 @@ type shardPreset struct {
 	IterP99Ms float64 `json:"iter_p99_ms"`
 
 	// Engine work, summed over the returned trace (phase-A shard games,
-	// then the exchange): trials evaluated and candidates admission
-	// pruning skipped. Trials run on the stepping goroutine, so both are
-	// the same at every GOMAXPROCS.
+	// then the exchange): trials evaluated, candidates admission pruning
+	// skipped, trials served by prefix-resume, and the suffix replays
+	// behind the trials (TraceStep.Replays: one per distinct non-empty
+	// trial key, so fewer than the trials). Trials run on the stepping
+	// goroutine, so all four are the same at every GOMAXPROCS.
 	TrialsEvaluated  int64 `json:"trials_evaluated"`
 	CandidatesPruned int64 `json:"candidates_pruned"`
+	TrialsResumed    int64 `json:"trials_resumed"`
+	TrialReplays     int64 `json:"trial_replays"`
 
-	// Engine work of the timed RunSharded call alone, as in the game record
-	// (gamePreset): road point searches, then the trial-engine counters read
-	// as deltas of the obs counters around the call. Each is the same at
-	// every GOMAXPROCS, so the gate holds them exactly.
+	// Engine work of the timed RunSharded call alone, read as deltas around
+	// it: road point searches (travel times that neither the trial memo nor
+	// a pinned center table answered), nearest-task queries whose neighbour
+	// list held no live task and fell back to a scan of the live pool, trial
+	// travel times the order table's memo answered and missed, and
+	// candidate-task evaluations across every assignment call. Each is the
+	// same at every GOMAXPROCS, so the gate holds them exactly: a change
+	// that makes each trial do more work moves them.
 	PointSearches    int64 `json:"point_searches"`
 	NearestFallbacks int64 `json:"nearest_fallbacks"`
 	TravelMemoHits   int64 `json:"travel_memo_hits"`
@@ -115,6 +126,57 @@ type shardPreset struct {
 	EquilibriumOK bool    `json:"equilibrium_ok"`
 	IdenticalToS1 bool    `json:"identical_to_s1"`
 	Speedup       float64 `json:"speedup"`
+
+	// Only the one-shard point carries the engine record.
+	*engineRecord
+}
+
+// engineRecord is what the one-shard point records beyond the common
+// fields: latency tail, runtime health, memory profile and ledger cost.
+type engineRecord struct {
+	// The timed run's iteration-latency tail, and the shares of candidate
+	// lookups pruning eliminated and of trials prefix-resume served.
+	IterP999Ms float64 `json:"iter_p999_ms"`
+	PruneRate  float64 `json:"prune_rate"`
+	ResumeRate float64 `json:"resume_rate"`
+
+	// Runtime health over the timed run (vitals): GC stop-the-world pause
+	// quantiles and cycles, and the cost of the vitals sampler that ran
+	// concurrently at 100 ms — the gate holds the sampler's own p99 tight
+	// so the watchdog can never silently become the workload.
+	// SnapshotBytes is the footprint of the last recipient's trial-base
+	// snapshot (imtao_collab_snapshot_bytes) when the run ended.
+	GCPauseP50Ms       float64 `json:"gc_pause_p50_ms"`
+	GCPauseP99Ms       float64 `json:"gc_pause_p99_ms"`
+	GCCycles           int64   `json:"gc_cycles"`
+	SamplerSamples     int64   `json:"sampler_samples"`
+	SamplerSampleP99Ms float64 `json:"sampler_sample_p99_ms"`
+	SnapshotBytes      int64   `json:"snapshot_bytes"`
+
+	// Steady-state memory profile of a stepwise replay of the same game
+	// (meterGameMemory): the MEDIAN heap allocations per iteration over the
+	// sampled window (0 in the zero-allocation steady state — the
+	// occasional high-water growth of a recycled buffer shows up in the
+	// mean, not the median), the mean allocated bytes per iteration, and
+	// the live heap at the end of the window.
+	AllocsPerIter     float64 `json:"allocs_per_iter"`
+	AllocsPerIterMean float64 `json:"allocs_per_iter_mean"`
+	BytesPerIter      float64 `json:"bytes_per_iter"`
+	HeapInuseBytes    int64   `json:"heap_inuse_bytes"`
+	MemWindowIters    int     `json:"mem_window_iters"`
+
+	// Ledgered leg: the same game re-run once with a decision ledger
+	// attached. The record counts are exact: iterations, trials, and the
+	// route-delta records of the accepted iterations with their task IDs.
+	// ProvReplayOK asserts the ledger replays to the timed run's
+	// fingerprint, ProvCertOK that the equilibrium certificate verifies.
+	ProvPhase2Ms     float64 `json:"prov_phase2_ms"`
+	ProvIterRecords  int     `json:"prov_iter_records"`
+	ProvTrialRecords int     `json:"prov_trial_records"`
+	ProvRouteRecords int     `json:"prov_route_records"`
+	ProvRouteTasks   int     `json:"prov_route_tasks"`
+	ProvReplayOK     bool    `json:"prov_replay_ok"`
+	ProvCertOK       bool    `json:"prov_cert_ok"`
 }
 
 // shardAutoRecord mirrors collab.ShardAutoPick for the JSON record.
@@ -127,6 +189,9 @@ type shardConfig struct {
 	grid     int
 	seed     int64
 	jsonPath string
+	// tracePath, when set, records the timed runs as one Chrome/Perfetto
+	// span timeline; it costs a little per trial, so baselines leave it off.
+	tracePath string
 }
 
 // parseShardCounts parses the -shard sweep list: comma-separated positive
@@ -157,9 +222,9 @@ func parseShardCounts(s string) ([]int, error) {
 
 // runShardSweep executes the sharded-engine benchmark and writes
 // BENCH_shard.json. It returns an error when any point fails verification
-// (non-equilibrium), or when a point with an empty interference cut routes
-// some center differently from the one-shard engine or lets the exchange
-// accept a transfer.
+// (non-equilibrium), when a point with an empty interference cut routes
+// some center differently from the first point or lets the exchange accept
+// a transfer, or when an engine check of the one-shard point fails.
 func runShardSweep(sizes []int, counts []int, cfg shardConfig) error {
 	rec := shardRecord{
 		Benchmark:  "shard-engine",
@@ -172,28 +237,19 @@ func runShardSweep(sizes []int, counts []int, cfg shardConfig) error {
 		Env:        obs.EnvMeta(),
 		Generated:  time.Now().UTC().Format(time.RFC3339),
 	}
+	snapshotGauge := obs.Default.Gauge("imtao_collab_snapshot_bytes", "")
+
+	var tr *obs.Tracer
+	if cfg.tracePath != "" {
+		tr = obs.NewTracer(0)
+	}
 
 	for _, size := range sizes {
-		p := workload.ScaleParams(cfg.dataset, size)
-		raw, err := workload.Generate(p)
+		sc, err := buildScene(cfg.dataset, size, cfg.grid)
 		if err != nil {
 			return err
 		}
-		net, err := roadnet.New(raw.Bounds, cfg.grid, cfg.grid, p.Speed)
-		if err != nil {
-			return err
-		}
-		raw.Metric = net
-		in, _, err := core.Partition(raw)
-		if err != nil {
-			return err
-		}
-		in.PrepareMetric()
-		locs := make([]geo.Point, len(in.Centers))
-		for i := range in.Centers {
-			locs[i] = in.Centers[i].Loc
-		}
-		net.PrecomputeSources(locs)
+		in, net := sc.in, sc.net
 
 		t0 := time.Now()
 		p1 := make([]assign.Result, len(in.Centers))
@@ -202,13 +258,6 @@ func runShardSweep(sizes []int, counts []int, cfg shardConfig) error {
 			p1[ci] = assign.Sequential(in, c, c.Workers, c.Tasks)
 		}
 		phase1 := time.Since(t0)
-
-		sizeLabel := fmt.Sprintf("%dk", size/1000)
-		if size%1000 != 0 {
-			sizeLabel = fmt.Sprintf("%d", size)
-		} else if size%1_000_000 == 0 {
-			sizeLabel = fmt.Sprintf("%dm", size/1_000_000)
-		}
 
 		ccfg := collab.Config{Scope: collab.FullReassign, Assigner: assign.Sequential}
 
@@ -224,19 +273,55 @@ func runShardSweep(sizes []int, counts []int, cfg shardConfig) error {
 		var s1Fingerprint uint64
 		var s1Routes []model.Assignment
 		var s1Wall time.Duration
+		// engine is the index of the size's one-shard point in rec.Presets,
+		// and engineRes its timed result, for the untimed engine legs.
+		engine := -1
+		var engineRes collab.Result
 		for _, k := range counts {
+			name := fmt.Sprintf("%s-s%d", sc.label, k)
+			if k == collab.ShardAuto {
+				name = sc.label + "-sauto"
+			}
+			tcfg := ccfg
+			var rootTS obs.TraceSpan
+			if tr != nil {
+				rootTS = tr.Start(0, "shard_"+name,
+					obs.F("tasks", sc.p.NumTasks), obs.F("workers", sc.p.NumWorkers),
+					obs.F("centers", sc.p.NumCenters))
+				tcfg.Tracer, tcfg.TraceParent = tr, rootTS.ID()
+				net.SetTrace(tr, rootTS.ID())
+			}
+			var vit *vitals
+			if k == 1 {
+				vit = startVitals()
+			}
+
 			searches := net.Stats().PointSearches
 			work := readEngineWork()
 			t0 = time.Now()
 			res, srep := collab.RunSharded(in, p1, collab.ShardConfig{
-				Config: ccfg,
+				Config: tcfg,
 				Shards: k,
 				Seed:   cfg.seed,
 			})
 			wall := time.Since(t0)
 			searches = net.Stats().PointSearches - searches
 			work = readEngineWork().minus(work)
+
+			var eng *engineRecord
+			if vit != nil {
+				eng = vit.stop()
+				eng.SnapshotBytes = int64(snapshotGauge.Value())
+			}
+			if tr != nil {
+				rootTS.End(obs.F("iterations", res.Iterations),
+					obs.F("transfers", len(res.Solution.Transfers)))
+				net.SetTrace(nil, 0)
+			}
+
+			t0 = time.Now()
 			srep.Cut(in, p1, ccfg.Scope)
+			cutWall := time.Since(t0)
 
 			fp := provenance.SolutionFingerprint(res.Solution)
 			if k == counts[0] {
@@ -249,15 +334,11 @@ func runShardSweep(sizes []int, counts []int, cfg shardConfig) error {
 					wallMax = d
 				}
 			}
-			name := fmt.Sprintf("%s-s%d", sizeLabel, k)
-			if k == collab.ShardAuto {
-				name = sizeLabel + "-sauto"
-			}
 			pr := shardPreset{
 				Name:    name,
-				Tasks:   p.NumTasks,
-				Workers: p.NumWorkers,
-				Centers: p.NumCenters,
+				Tasks:   sc.p.NumTasks,
+				Workers: sc.p.NumWorkers,
+				Centers: sc.p.NumCenters,
 
 				ShardsRequested: k,
 				Shards:          srep.Shards,
@@ -288,6 +369,7 @@ func runShardSweep(sizes []int, counts []int, cfg shardConfig) error {
 				ShardWallMaxMs:     ms(wallMax),
 
 				IdenticalToS1: fp == s1Fingerprint,
+				engineRecord:  eng,
 			}
 			if srep.Auto != nil {
 				pr.Auto = &shardAutoRecord{Picked: srep.Auto.Picked}
@@ -297,6 +379,8 @@ func runShardSweep(sizes []int, counts []int, cfg shardConfig) error {
 				iterQ.ObserveDuration(step.Duration)
 				pr.TrialsEvaluated += int64(step.Trials)
 				pr.CandidatesPruned += int64(step.Pruned)
+				pr.TrialsResumed += int64(step.Resumed)
+				pr.TrialReplays += int64(step.Replays)
 			}
 			iterSnap := iterQ.Snapshot()
 			pr.IterP50Ms = iterSnap.Quantile(0.50) * 1e3
@@ -304,12 +388,24 @@ func runShardSweep(sizes []int, counts []int, cfg shardConfig) error {
 			if wall > 0 {
 				pr.Speedup = s1Wall.Seconds() / wall.Seconds()
 			}
+			if eng != nil {
+				eng.IterP999Ms = iterSnap.Quantile(0.999) * 1e3
+				if lookups := pr.CandidatesPruned + pr.TrialsEvaluated; lookups > 0 {
+					eng.PruneRate = float64(pr.CandidatesPruned) / float64(lookups)
+				}
+				if pr.TrialsEvaluated > 0 {
+					eng.ResumeRate = float64(pr.TrialsResumed) / float64(pr.TrialsEvaluated)
+				}
+			}
 
 			t0 = time.Now()
 			pr.EquilibriumOK = collab.VerifyEquilibrium(in, res.Solution, nil) == nil
 			verify := time.Since(t0)
 
 			rec.Presets = append(rec.Presets, pr)
+			if eng != nil {
+				engine, engineRes = len(rec.Presets)-1, res
+			}
 
 			req := fmt.Sprintf("%d", pr.ShardsRequested)
 			if pr.ShardsRequested == collab.ShardAuto {
@@ -320,14 +416,15 @@ func runShardSweep(sizes []int, counts []int, cfg shardConfig) error {
 			}
 			fmt.Printf("shard %s — |S|=%d |W|=%d |C|=%d grid=%d² (uncapped)\n",
 				pr.Name, pr.Tasks, pr.Workers, pr.Centers, cfg.grid)
-			fmt.Printf("  shards %d (requested %s): exclusive %d, boundary %d, conflict edges %d, empty_cut=%v, components %d, colors %d, load skew %.2f\n",
+			fmt.Printf("  shards %d (requested %s): exclusive %d, boundary %d, conflict edges %d, empty_cut=%v, components %d, colors %d, load skew %.2f (cut %.0f ms)\n",
 				pr.Shards, req, pr.ExclusiveWorkers, pr.BoundaryWorkers,
-				pr.ConflictEdges, pr.EmptyCut, pr.Components, pr.Colors, pr.LoadSkew)
+				pr.ConflictEdges, pr.EmptyCut, pr.Components, pr.Colors, pr.LoadSkew, ms(cutWall))
 			fmt.Printf("  ph2 %.0f ms (slowest shard %.0f ms), %d iters (%d transfers, %d exchange iters), assigned %d, U_ρ %.4f\n",
 				pr.Phase2Ms, pr.ShardWallMaxMs, pr.Iterations, pr.Transfers,
 				pr.ExchangeIterations, pr.Assigned, pr.Unfairness)
-			fmt.Printf("  iter latency ms: p50 %.3f p99 %.3f; trials %d, pruned %d\n",
-				pr.IterP50Ms, pr.IterP99Ms, pr.TrialsEvaluated, pr.CandidatesPruned)
+			fmt.Printf("  iter latency ms: p50 %.3f p99 %.3f; trials %d (%d resumed, %d replays), pruned %d\n",
+				pr.IterP50Ms, pr.IterP99Ms, pr.TrialsEvaluated, pr.TrialsResumed,
+				pr.TrialReplays, pr.CandidatesPruned)
 			fmt.Printf("  work: point searches %d, nearest fallbacks %d, travel memo %d hits / %d misses, tasks scanned %d\n",
 				pr.PointSearches, pr.NearestFallbacks, pr.TravelMemoHits, pr.TravelMemoMisses, pr.TasksScanned)
 			fmt.Printf("  equilibrium_ok=%v (verified in %.0f ms), identical_to_s1=%v, speedup %.2fx\n\n",
@@ -345,6 +442,27 @@ func runShardSweep(sizes []int, counts []int, cfg shardConfig) error {
 					pr.Name, pr.ExchangeTransfers)
 			}
 		}
+		if engine >= 0 {
+			if err := finishEngineRecord(&rec.Presets[engine], in, p1, ccfg, engineRes); err != nil {
+				return err
+			}
+		}
+	}
+
+	if tr != nil {
+		tf, err := os.Create(cfg.tracePath)
+		if err != nil {
+			return err
+		}
+		if err := tr.WriteChromeTrace(tf); err != nil {
+			tf.Close()
+			return err
+		}
+		if err := tf.Close(); err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "span timeline (%d spans) written to %s — open in ui.perfetto.dev\n",
+			tr.Len(), cfg.tracePath)
 	}
 
 	f, err := os.Create(cfg.jsonPath)
@@ -359,4 +477,179 @@ func runShardSweep(sizes []int, counts []int, cfg shardConfig) error {
 	}
 	fmt.Fprintf(os.Stderr, "shard record written to %s\n", cfg.jsonPath)
 	return nil
+}
+
+// finishEngineRecord runs the one-shard point's untimed legs after the
+// size's last timed point, so neither changes a timed run's heap: the
+// steady-state memory meter, then one ledgered run of the same game. It
+// prints the engine record and returns an error when an engine check fails.
+func finishEngineRecord(pr *shardPreset, in *model.Instance, p1 []assign.Result,
+	ccfg collab.Config, res collab.Result) error {
+
+	e := pr.engineRecord
+	meterGameMemory(e, in, p1, ccfg, res.Iterations)
+
+	rhos := make([]float64, len(in.Centers))
+	for ci := range p1 {
+		rhos[ci] = metrics.Ratio(p1[ci].AssignedCount(), len(in.Centers[ci].Tasks))
+	}
+	led := provenance.NewLedger()
+	led.Start(provenance.Meta{Method: "Seq-BDC", Engine: "game",
+		Scope: provenance.ScopeFull, Centers: len(in.Centers),
+		Workers: len(in.Workers), Tasks: len(in.Tasks)})
+	led.RecordPhase1(in, p1, rhos)
+	t0 := time.Now()
+	pres, _ := collab.RunSharded(in, p1, collab.ShardConfig{Config: ccfg, Shards: 1, Ledger: led})
+	e.ProvPhase2Ms = ms(time.Since(t0))
+	led.RecordFinal(in, pres.Solution, metrics.SolutionUnfairness(in, pres.Solution))
+	e.ProvIterRecords = led.IterCount()
+	e.ProvTrialRecords = led.TrialCount()
+	for _, g := range led.Logs {
+		for i := range g.Iters {
+			for _, rt := range g.RouteDelta(&g.Iters[i]) {
+				e.ProvRouteRecords++
+				e.ProvRouteTasks += len(rt.Tasks)
+			}
+		}
+	}
+	if rr, err := provenance.Replay(led); err == nil {
+		e.ProvReplayOK = provenance.SolutionFingerprint(rr.Solution) ==
+			provenance.SolutionFingerprint(res.Solution)
+	}
+	cert := provenance.BuildCertificate(in, pres.Solution, provenance.ScopeFull)
+	e.ProvCertOK = cert.Equilibrium && cert.Verify(in, pres.Solution) == nil
+
+	fmt.Printf("engine %s — iter p999 %.3f ms, prune rate %.4f, resume rate %.4f, snapshot %d B\n",
+		pr.Name, e.IterP999Ms, e.PruneRate, e.ResumeRate, e.SnapshotBytes)
+	fmt.Printf("  runtime: GC pause ms p50 %.3f p99 %.3f over %d cycles; sampler %d samples, p99 cost %.3f ms\n",
+		e.GCPauseP50Ms, e.GCPauseP99Ms, e.GCCycles, e.SamplerSamples, e.SamplerSampleP99Ms)
+	fmt.Printf("  memory/iter over %d steady iters: allocs p50 %.0f (mean %.2f), %.0f B, heap in use %d B\n",
+		e.MemWindowIters, e.AllocsPerIter, e.AllocsPerIterMean, e.BytesPerIter, e.HeapInuseBytes)
+	fmt.Printf("  provenance: ph2 %.0f ms, %d iter / %d trial / %d route records (%d route tasks), replay_ok=%v cert_ok=%v\n\n",
+		e.ProvPhase2Ms, e.ProvIterRecords, e.ProvTrialRecords, e.ProvRouteRecords,
+		e.ProvRouteTasks, e.ProvReplayOK, e.ProvCertOK)
+
+	switch {
+	case pr.CandidatesPruned == 0:
+		return fmt.Errorf("engine %s: admissibility pruning never engaged", pr.Name)
+	case pr.TrialsResumed == 0:
+		return fmt.Errorf("engine %s: prefix-resume never engaged", pr.Name)
+	case pr.TrialReplays >= pr.TrialsEvaluated:
+		return fmt.Errorf("engine %s: %d suffix replays for %d trials — trial grouping never engaged",
+			pr.Name, pr.TrialReplays, pr.TrialsEvaluated)
+	case !e.ProvReplayOK:
+		return fmt.Errorf("engine %s: provenance ledger does not replay to the engine's fingerprint", pr.Name)
+	case !e.ProvCertOK:
+		return fmt.Errorf("engine %s: equilibrium certificate failed verification", pr.Name)
+	}
+	return nil
+}
+
+// vitals brackets a timed run with runtime-health instrumentation: the
+// vitals sampler runs concurrently (its cost is part of what the record
+// gates), and the GC pauses of exactly this window come from differencing
+// the runtime's cumulative pause histogram.
+type vitals struct {
+	pause   obs.RuntimeHistogram
+	numGC   uint32
+	sampler *obs.RuntimeSampler
+}
+
+// gcPauseMetric is the runtime/metrics name of the cumulative GC
+// stop-the-world pause histogram the vitals window differences.
+const gcPauseMetric = "/sched/pauses/total/gc:seconds"
+
+func startVitals() *vitals {
+	v := &vitals{sampler: obs.NewRuntimeSampler(100*time.Millisecond, obs.NewRegistry(), nil)}
+	v.pause, _ = obs.ReadRuntimeHistogram(gcPauseMetric)
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	v.numGC = m.NumGC
+	v.sampler.Start()
+	return v
+}
+
+// stop ends the window and returns an engine record holding its readings.
+func (v *vitals) stop() *engineRecord {
+	v.sampler.Stop()
+	pause, _ := obs.ReadRuntimeHistogram(gcPauseMetric)
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	window := pause.Sub(v.pause)
+	return &engineRecord{
+		GCPauseP50Ms:       window.Quantile(0.50) * 1e3,
+		GCPauseP99Ms:       window.Quantile(0.99) * 1e3,
+		GCCycles:           int64(m.NumGC - v.numGC),
+		SamplerSamples:     v.sampler.Samples(),
+		SamplerSampleP99Ms: v.sampler.SampleCost().Quantile(0.99) * 1e3,
+	}
+}
+
+// meterGameMemory replays the game stepwise (collab.NewGame/Step) on the
+// same phase-1 state and samples per-iteration heap-allocation deltas over a
+// steady-state window into e: up to 200 warm-up iterations grow every
+// recycled buffer to its high-water capacity, then up to 256 iterations are
+// measured with runtime.ReadMemStats around each Step. The run is untimed,
+// so the sampling overhead never touches the reported wall-clocks.
+func meterGameMemory(e *engineRecord, in *model.Instance, p1 []assign.Result,
+	ccfg collab.Config, totalIters int) {
+
+	ccfg.Tracer, ccfg.TraceParent, ccfg.Obs = nil, 0, nil
+	g := collab.NewGame(in, p1, ccfg)
+	defer g.Finish()
+	// The game length is known from the timed run: warm over the first
+	// half (capped), measure the rest.
+	for i := 0; i < min(totalIters/2, 200) && g.Step(); i++ {
+	}
+	if g.Over() {
+		return
+	}
+	const windowIters = 256
+	g.Reserve(windowIters + 1)
+	allocs := make([]float64, 0, windowIters)
+	var sumAllocs, sumBytes float64
+	var m0, m1 runtime.MemStats
+	for len(allocs) < windowIters {
+		runtime.ReadMemStats(&m0)
+		if !g.Step() {
+			break
+		}
+		runtime.ReadMemStats(&m1)
+		allocs = append(allocs, float64(m1.Mallocs-m0.Mallocs))
+		sumAllocs += float64(m1.Mallocs - m0.Mallocs)
+		sumBytes += float64(m1.TotalAlloc - m0.TotalAlloc)
+	}
+	if n := float64(len(allocs)); n > 0 {
+		e.AllocsPerIter = stats.Quantile(allocs, 0.5)
+		e.AllocsPerIterMean, e.BytesPerIter = sumAllocs/n, sumBytes/n
+		e.HeapInuseBytes, e.MemWindowIters = int64(m1.HeapInuse), len(allocs)
+	}
+}
+
+// engineWork is a reading of the trial-engine work counters, in
+// shardPreset's order: nearest fallbacks, travel-memo hits, travel-memo
+// misses, tasks scanned.
+type engineWork [4]int64
+
+// engineWorkCounters names the counters behind engineWork.
+var engineWorkCounters = [4]string{
+	"imtao_trial_nearest_fallbacks_total",
+	"imtao_trial_travel_memo_hits_total",
+	"imtao_trial_travel_memo_misses_total",
+	"imtao_assign_tasks_scanned_total",
+}
+
+func readEngineWork() engineWork {
+	var w engineWork
+	for i, name := range engineWorkCounters {
+		w[i] = obs.Default.Counter(name, "").Value()
+	}
+	return w
+}
+
+func (w engineWork) minus(o engineWork) engineWork {
+	for i := range w {
+		w[i] -= o[i]
+	}
+	return w
 }

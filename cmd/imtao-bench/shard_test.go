@@ -1,0 +1,53 @@
+package main
+
+import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+
+	"imtao/internal/workload"
+)
+
+// TestShardSweepEngineRecord: the sweep passes its checks and writes the
+// engine record on the one-shard point alone, whose ledger holds one record
+// per iteration and per trial of the timed run. The gate compares only the
+// paths both records hold, so a point that lost these fields would pass it.
+func TestShardSweepEngineRecord(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "shard.json")
+	err := runShardSweep([]int{4000}, []int{1, 2}, shardConfig{
+		dataset: workload.SYN, grid: 32, seed: 1, jsonPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec struct {
+		Presets []map[string]any `json:"presets"`
+	}
+	if err := json.Unmarshal(raw, &rec); err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Presets) != 2 || rec.Presets[0]["name"] != "4k-s1" {
+		t.Fatalf("presets = %v", rec.Presets)
+	}
+	fields := reflect.TypeOf(engineRecord{})
+	for _, p := range rec.Presets {
+		s1 := p["name"] == "4k-s1"
+		for i := 0; i < fields.NumField(); i++ {
+			key, _, _ := strings.Cut(fields.Field(i).Tag.Get("json"), ",")
+			if _, ok := p[key]; ok != s1 {
+				t.Errorf("%s: has %s = %v, want %v", p["name"], key, ok, s1)
+			}
+		}
+	}
+	s1 := rec.Presets[0]
+	if s1["prov_iter_records"] != s1["iterations"] || s1["prov_trial_records"] != s1["trials_evaluated"] {
+		t.Errorf("ledger holds %v iterations / %v trials, the timed run %v / %v",
+			s1["prov_iter_records"], s1["prov_trial_records"], s1["iterations"], s1["trials_evaluated"])
+	}
+}

@@ -7,13 +7,14 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"imtao/internal/perfgate"
 )
 
 const repoRules = "../../perfgate.rules.json"
 
 var committed = []string{
 	"../../BENCH_oracle.json",
-	"../../BENCH_game.json",
 	"../../BENCH_shard.json",
 }
 
@@ -40,11 +41,11 @@ func TestGatePassesOnCommittedBaselines(t *testing.T) {
 	}
 }
 
-// TestGateCatchesDoctoredBench doctors a copy of the committed game bench —
-// a 10x phase-2 slowdown and a lost equilibrium — and requires a nonzero
-// exit naming both regressions.
+// TestGateCatchesDoctoredBench doctors a copy of the committed shard bench —
+// a 10x phase-2 slowdown of the 100k engine run and a lost equilibrium — and
+// requires a nonzero exit naming both regressions.
 func TestGateCatchesDoctoredBench(t *testing.T) {
-	raw, err := os.ReadFile("../../BENCH_game.json")
+	raw, err := os.ReadFile("../../BENCH_shard.json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,12 +53,19 @@ func TestGateCatchesDoctoredBench(t *testing.T) {
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		t.Fatal(err)
 	}
-	presets := doc["presets"].([]any)
-	p0 := presets[0].(map[string]any)
-	p0["phase2_ms"] = p0["phase2_ms"].(float64) * 10
-	p0["equilibrium_ok"] = false
+	var doctoredPreset bool
+	for _, p := range doc["presets"].([]any) {
+		if p := p.(map[string]any); p["name"] == "100k-s1" {
+			p["phase2_ms"] = p["phase2_ms"].(float64) * 10
+			p["equilibrium_ok"] = false
+			doctoredPreset = true
+		}
+	}
+	if !doctoredPreset {
+		t.Fatal("committed shard bench has no 100k-s1 preset")
+	}
 
-	doctored := filepath.Join(t.TempDir(), "BENCH_game_doctored.json")
+	doctored := filepath.Join(t.TempDir(), "BENCH_shard_doctored.json")
 	enc, err := json.Marshal(doc)
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +75,7 @@ func TestGateCatchesDoctoredBench(t *testing.T) {
 	}
 
 	var out, errb bytes.Buffer
-	code := run([]string{"-rules", repoRules, "../../BENCH_game.json=" + doctored}, &out, &errb)
+	code := run([]string{"-rules", repoRules, "../../BENCH_shard.json=" + doctored}, &out, &errb)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1\nstdout:\n%s\nstderr:\n%s", code, out.String(), errb.String())
 	}
@@ -78,11 +86,11 @@ func TestGateCatchesDoctoredBench(t *testing.T) {
 	}
 }
 
-// TestGatePartialFresh gates a fresh artifact holding only the 10k preset
-// against the full committed baseline: the 50k/100k metrics are skipped,
-// the 10k slice still gates.
+// TestGatePartialFresh gates a fresh artifact holding only the first preset
+// (10k-s1) against the full committed baseline: the other presets' metrics
+// are skipped, the 10k-s1 slice still gates.
 func TestGatePartialFresh(t *testing.T) {
-	raw, err := os.ReadFile("../../BENCH_game.json")
+	raw, err := os.ReadFile("../../BENCH_shard.json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,14 +99,14 @@ func TestGatePartialFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	doc["presets"] = doc["presets"].([]any)[:1]
-	partial := filepath.Join(t.TempDir(), "BENCH_game_10k.json")
+	partial := filepath.Join(t.TempDir(), "BENCH_shard_10k_s1.json")
 	enc, _ := json.Marshal(doc)
 	if err := os.WriteFile(partial, enc, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	var out, errb bytes.Buffer
-	if code := run([]string{"-rules", repoRules, "../../BENCH_game.json=" + partial}, &out, &errb); code != 0 {
+	if code := run([]string{"-rules", repoRules, "../../BENCH_shard.json=" + partial}, &out, &errb); code != 0 {
 		t.Fatalf("partial fresh must pass, exit %d\nstdout:\n%s\nstderr:\n%s",
 			code, out.String(), errb.String())
 	}
@@ -106,7 +114,7 @@ func TestGatePartialFresh(t *testing.T) {
 
 func TestGateRejectsMixedPair(t *testing.T) {
 	var out, errb bytes.Buffer
-	code := run([]string{"-rules", repoRules, "../../BENCH_game.json=../../BENCH_oracle.json"},
+	code := run([]string{"-rules", repoRules, "../../BENCH_shard.json=../../BENCH_oracle.json"},
 		&out, &errb)
 	if code != 2 {
 		t.Fatalf("mixed benchmarks must be a usage error, exit %d\n%s", code, errb.String())
@@ -124,4 +132,73 @@ func TestGateUsageErrors(t *testing.T) {
 	if code := run([]string{"-rules", "/nonexistent.json", "a=b"}, &out, &errb); code != 2 {
 		t.Errorf("missing rules: exit %d, want 2", code)
 	}
+}
+
+// TestNoDeadRules: every rule is the first match of some path of the
+// committed records it gates. The gate compares only the paths both
+// documents hold, so a rule whose field was renamed or moved would gate
+// nothing and pass. A rules file with one extra, unmatched rule must be
+// caught.
+func TestNoDeadRules(t *testing.T) {
+	for _, tc := range []struct {
+		rules   string
+		records []string
+	}{
+		{repoRules, committed},
+		{"../../ci/perfgate.multicore.rules.json", []string{"../../ci/shard_multicore_baseline.json"}},
+	} {
+		if dead := deadRules(t, tc.rules, tc.records); len(dead) > 0 {
+			t.Errorf("%s: rules matching no path of %v: %v", tc.rules, tc.records, dead)
+		}
+	}
+
+	raw, err := os.ReadFile(repoRules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string][]map[string]any
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	doc["rules"] = append(doc["rules"], map[string]any{"match": "presets.*.no_such_field", "direction": "equal"})
+	extra := filepath.Join(t.TempDir(), "rules.json")
+	enc, _ := json.Marshal(doc)
+	if err := os.WriteFile(extra, enc, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if dead := deadRules(t, extra, committed); len(dead) != 1 || dead[0] != "presets.*.no_such_field" {
+		t.Errorf("unmatched rule not reported: dead = %v", dead)
+	}
+}
+
+// deadRules returns the match patterns of the rules in rulesPath that gate
+// no path of any of the records, each diffed against itself.
+func deadRules(t *testing.T, rulesPath string, records []string) []string {
+	t.Helper()
+	f, err := os.Open(rulesPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rules, err := perfgate.LoadRules(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := make(map[string]bool)
+	for _, p := range records {
+		doc, err := loadFlat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, fd := range perfgate.Compare(doc, doc, rules).Findings {
+			live[fd.Rule] = true
+		}
+	}
+	var dead []string
+	for _, r := range rules {
+		if !live[r.Match] {
+			dead = append(dead, r.Match)
+		}
+	}
+	return dead
 }

@@ -64,7 +64,7 @@ func main() {
 			for i, t := range scene.Tasks {
 				pts[i] = t.Loc
 			}
-			centers, err := voronoi.KMeans(rand.New(rand.NewSource(1)), pts, len(scene.Centers), 40)
+			centers, err := voronoi.KMeansWeighted(rand.New(rand.NewSource(1)), pts, nil, len(scene.Centers), 40)
 			if err != nil {
 				log.Fatal(err)
 			}

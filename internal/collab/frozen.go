@@ -16,11 +16,10 @@ import (
 // no goroutines. Its end check is the same plain sweep over every departed
 // center (DESIGN.md §5). It is the behavioral reference for the optimized
 // Run (DESIGN.md §11): the equivalence tests assert bit-identical routes,
-// transfers and trace against it, and the `imtao-bench -game` speedup is
-// measured against it. It reads only the game's rules from cfg (Recipient,
-// Scope, Assigner, Rng, MaxIterations) and ignores Parallelism, Prune and
-// the instrumentation fields: it updates no metric and emits no event. Do
-// not optimize this function.
+// transfers and trace against it; no binary calls it. It reads only the
+// game's rules from cfg (Recipient, Scope, Assigner, Rng, MaxIterations)
+// and ignores Parallelism, Prune and the instrumentation fields: it updates
+// no metric and emits no event. Do not optimize this function.
 func RunReference(in *model.Instance, phase1 []assign.Result, cfg Config) Result {
 	if cfg.Assigner == nil {
 		cfg.Assigner = assign.Sequential

@@ -18,6 +18,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync/atomic"
 	"time"
 
 	"imtao/internal/assign"
@@ -202,7 +203,8 @@ func shardLoadSkew(in *model.Instance, shardOf []int, nShards int) float64 {
 // under the admission-slack check — the same physics bound the pruning
 // engine uses, evaluated over the static FullReassign scope (or the
 // initial, maximal leftover set for LeftoverOnly, whose slack only
-// shrinks). Every recipient center checks every poolable worker exactly;
+// shrinks). Every recipient center checks every poolable worker exactly,
+// the shards' scans running concurrently on up to GOMAXPROCS goroutines;
 // a worker touching two or more shards is a boundary worker, and two
 // shards conflict iff some worker touches both.
 func (r *ShardReport) Cut(in *model.Instance, phase1 []assign.Result, scope Scope) {
@@ -213,53 +215,69 @@ func (r *ShardReport) Cut(in *model.Instance, phase1 []assign.Result, scope Scop
 	shardOf := r.ShardOf
 
 	// mask[w] is the bitset of shards worker w touches; zero means w can
-	// never enter any pool (a used worker of a non-recipient center).
-	mask := make([]uint64, len(in.Workers))
+	// never enter any pool (a used worker of a non-recipient center). The
+	// concurrent shard scans below share it.
+	mask := make([]atomic.Uint64, len(in.Workers))
+	set := func(w model.WorkerID, bit uint64) {
+		for m := mask[w].Load(); !mask[w].CompareAndSwap(m, m|bit); m = mask[w].Load() {
+		}
+	}
 	recipient := make([]bool, len(in.Centers))
 	for ci := range in.Centers {
 		recipient[ci] = metrics.Ratio(countTasks(phase1[ci].Routes), len(in.Centers[ci].Tasks)) < 1
 		bit := uint64(1) << shardOf[ci]
 		for _, w := range phase1[ci].LeftWorkers {
-			mask[w] |= bit
+			set(w, bit)
 		}
 		if recipient[ci] {
 			for _, w := range in.Centers[ci].Workers {
-				mask[w] |= bit
+				set(w, bit)
 			}
 		}
 	}
 	var poolable []model.WorkerID
-	for w, m := range mask {
-		if m != 0 {
+	for w := range mask {
+		if mask[w].Load() != 0 {
 			poolable = append(poolable, model.WorkerID(w))
 		}
 	}
 	// A worker whose mask already holds the center's shard bit skips the
 	// check, since OR-ing the bit again changes nothing; every poolable
-	// worker holds its home center's bit.
+	// worker holds its home center's bit. Only shard s's recipient centers
+	// set bit s, so one scan per shard walks them concurrently in center
+	// order: every skip decision, and so the final masks, match one serial
+	// scan of every recipient in center order.
+	recipients := make([][]model.CenterID, r.Shards)
 	for ci := range in.Centers {
-		if !recipient[ci] {
-			continue
-		}
-		c := in.Center(model.CenterID(ci))
-		tasks := c.Tasks
-		if scope == LeftoverOnly {
-			tasks = phase1[ci].LeftTasks
-		}
-		slack := assign.AdmissionSlack(in, c, tasks)
-		bit := uint64(1) << shardOf[ci]
-		for _, w := range poolable {
-			if mask[w]&bit == 0 && assign.WorkerAdmissible(in, c, w, slack) {
-				mask[w] |= bit
-			}
+		if recipient[ci] {
+			recipients[shardOf[ci]] = append(recipients[shardOf[ci]], model.CenterID(ci))
 		}
 	}
+	// The admission checks read the hot slab; build it before the fan-out.
+	in.EnsureHot()
+	fanout.Each(0, r.Shards, func(s int) {
+		bit := uint64(1) << s
+		for _, ci := range recipients[s] {
+			c := in.Center(ci)
+			tasks := c.Tasks
+			if scope == LeftoverOnly {
+				tasks = phase1[ci].LeftTasks
+			}
+			slack := assign.AdmissionSlack(in, c, tasks)
+			for _, w := range poolable {
+				if mask[w].Load()&bit == 0 && assign.WorkerAdmissible(in, c, w, slack) {
+					set(w, bit)
+				}
+			}
+		}
+	})
 
 	// adj[s] is the conflict-graph adjacency bitset of shard s (its own bit
 	// included): the union of the masks of every boundary worker touching s.
 	var adj [64]uint64
 	r.ExclusiveWorkers, r.BoundaryWorkers, r.ConflictEdges = 0, 0, 0
-	for _, m := range mask {
+	for w := range mask {
+		m := mask[w].Load()
 		switch bits.OnesCount64(m) {
 		case 0:
 		case 1:

@@ -3,6 +3,7 @@ package collab
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -262,6 +263,26 @@ func TestShardCutOffSolvePath(t *testing.T) {
 	}
 	if !narrower {
 		t.Fatal("no trial's DC cut was narrower than its full cut; the scope branch is untested")
+	}
+}
+
+// TestShardCutSameAtEveryParallelism: Cut's concurrent per-shard scans fill
+// the same cut as the serial scan GOMAXPROCS 1 runs, shard by shard.
+func TestShardCutSameAtEveryParallelism(t *testing.T) {
+	rng := rand.New(rand.NewSource(95))
+	in := randomInstance(rng, 64, 500, 2000)
+	p1 := phase1(in)
+	_, rep := RunSharded(in, p1, ShardConfig{Config: seqConfig(), Shards: 8, Seed: 3})
+	serial, concurrent := rep, rep
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	serial.Cut(in, p1, FullReassign)
+	runtime.GOMAXPROCS(4)
+	concurrent.Cut(in, p1, FullReassign)
+	if serial.Shards < 2 || serial.BoundaryWorkers == 0 {
+		t.Fatalf("want a multi-shard run with boundary workers, got %+v", serial)
+	}
+	if !reflect.DeepEqual(serial, concurrent) {
+		t.Fatalf("cuts differ:\nserial     %+v\nconcurrent %+v", serial, concurrent)
 	}
 }
 

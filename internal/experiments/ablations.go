@@ -221,7 +221,7 @@ func ablateCenterPlacement(d workload.Dataset, seeds []int64) (*AblationResult, 
 			for i, t := range in.Tasks {
 				pts[i] = t.Loc
 			}
-			centers, err := voronoi.KMeans(rand.New(rand.NewSource(seed)), pts, len(in.Centers), 40)
+			centers, err := voronoi.KMeansWeighted(rand.New(rand.NewSource(seed)), pts, nil, len(in.Centers), 40)
 			if err != nil {
 				return err
 			}

@@ -36,7 +36,7 @@ func TestQuantileNearestRank(t *testing.T) {
 // implementations together: on identical samples, the exact nearest-rank
 // value here and the log-bucketed obs.Quantile reconstruction must agree to
 // within the recorder's documented relative-error bound. This is what lets
-// BENCH_game.json (computed exactly) and /metrics (scraped from recorders)
+// a quantile computed exactly here and one scraped from /metrics (recorders)
 // be compared directly.
 func TestQuantileAgreesWithRecorder(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))

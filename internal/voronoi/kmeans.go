@@ -1,107 +1,10 @@
 package voronoi
 
 import (
-	"errors"
 	"math"
-	"math/rand"
 
 	"imtao/internal/geo"
 )
-
-// KMeans clusters points into k centers with Lloyd-style k-means
-// (k-means++ seeding, Euclidean distance). It backs the demand-aware
-// center-placement ablation: the paper drops centers uniformly at random,
-// while a real platform would site depots where the demand is.
-//
-// It returns the k center locations. Empty clusters are re-seeded on the
-// farthest point from any center, so exactly k distinct centers come back
-// whenever the input has at least k distinct points.
-func KMeans(rng *rand.Rand, points []geo.Point, k, iterations int) ([]geo.Point, error) {
-	if k <= 0 {
-		return nil, errors.New("voronoi: k must be positive")
-	}
-	if len(points) < k {
-		return nil, errors.New("voronoi: fewer points than clusters")
-	}
-	if iterations <= 0 {
-		iterations = 32
-	}
-
-	// k-means++ seeding.
-	centers := make([]geo.Point, 0, k)
-	centers = append(centers, points[rng.Intn(len(points))])
-	d2 := make([]float64, len(points))
-	for len(centers) < k {
-		var total float64
-		for i, p := range points {
-			best := math.Inf(1)
-			for _, c := range centers {
-				if d := p.Dist2(c); d < best {
-					best = d
-				}
-			}
-			d2[i] = best
-			total += best
-		}
-		if total == 0 {
-			// All remaining points coincide with existing centers; place
-			// duplicates (degenerate but defined).
-			centers = append(centers, points[rng.Intn(len(points))])
-			continue
-		}
-		r := rng.Float64() * total
-		for i := range points {
-			r -= d2[i]
-			if r <= 0 {
-				centers = append(centers, points[i])
-				break
-			}
-		}
-	}
-
-	assign := make([]int, len(points))
-	for it := 0; it < iterations; it++ {
-		changed := false
-		for i, p := range points {
-			best, bd := 0, math.Inf(1)
-			for ci, c := range centers {
-				if d := p.Dist2(c); d < bd {
-					best, bd = ci, d
-				}
-			}
-			if assign[i] != best {
-				assign[i] = best
-				changed = true
-			}
-		}
-		// Recompute means.
-		sums := make([]geo.Point, k)
-		counts := make([]int, k)
-		for i, p := range points {
-			sums[assign[i]] = sums[assign[i]].Add(p)
-			counts[assign[i]]++
-		}
-		for ci := range centers {
-			if counts[ci] == 0 {
-				// Re-seed an empty cluster on the farthest point.
-				far, fd := 0, -1.0
-				for i, p := range points {
-					if d := p.Dist2(centers[assign[i]]); d > fd {
-						far, fd = i, d
-					}
-				}
-				centers[ci] = points[far]
-				changed = true
-				continue
-			}
-			centers[ci] = sums[ci].Scale(1 / float64(counts[ci]))
-		}
-		if !changed {
-			break
-		}
-	}
-	return centers, nil
-}
 
 // WithinClusterSS returns the sum of squared distances of each point to its
 // nearest center — the k-means objective, used to compare placements.

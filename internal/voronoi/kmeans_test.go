@@ -10,10 +10,10 @@ import (
 func TestKMeansErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(191))
 	pts := []geo.Point{geo.Pt(0, 0), geo.Pt(1, 1)}
-	if _, err := KMeans(rng, pts, 0, 10); err == nil {
+	if _, err := KMeansWeighted(rng, pts, nil, 0, 10); err == nil {
 		t.Error("k=0 must fail")
 	}
-	if _, err := KMeans(rng, pts, 3, 10); err == nil {
+	if _, err := KMeansWeighted(rng, pts, nil, 3, 10); err == nil {
 		t.Error("k > n must fail")
 	}
 }
@@ -27,7 +27,7 @@ func TestKMeansRecoversSeparatedClusters(t *testing.T) {
 			pts = append(pts, geo.Pt(c.X+rng.NormFloat64()*20, c.Y+rng.NormFloat64()*20))
 		}
 	}
-	centers, err := KMeans(rng, pts, 3, 50)
+	centers, err := KMeansWeighted(rng, pts, nil, 3, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestKMeansImprovesObjectiveOverRandom(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		pts = append(pts, geo.Pt(rng.Float64()*1000, rng.Float64()*1000))
 	}
-	centers, err := KMeans(rng, pts, 10, 50)
+	centers, err := KMeansWeighted(rng, pts, nil, 10, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestKMeansDuplicatePoints(t *testing.T) {
 	for i := range pts {
 		pts[i] = geo.Pt(5, 5) // all identical
 	}
-	centers, err := KMeans(rng, pts, 3, 10)
+	centers, err := KMeansWeighted(rng, pts, nil, 3, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ import (
 // into the result. k is clamped to [1, len(points)]; clusters that end up
 // empty after the final nearest-center assignment are dropped, so the
 // returned count can be below k. Ties in the nearest-center assignment go
-// to the lowest cluster index, matching KMeans' own assignment rule.
+// to the lowest cluster index, matching KMeansWeighted's own assignment rule.
 func PartitionPoints(seed int64, points []geo.Point, k int) ([]int, int) {
 	labels := make([]int, len(points))
 	if len(points) == 0 {
@@ -36,7 +36,7 @@ func PartitionPoints(seed int64, points []geo.Point, k int) ([]int, int) {
 	}
 
 	rng := rand.New(rand.NewSource(seed))
-	centers, err := KMeans(rng, points, k, 0)
+	centers, err := KMeansWeighted(rng, points, nil, k, 0)
 	if err != nil {
 		// Unreachable after the clamps above; degrade to one cluster.
 		return labels, 1

@@ -9,12 +9,21 @@ import (
 	"imtao/internal/geo"
 )
 
-// KMeansWeighted is KMeans with a per-point weight on the Lloyd updates:
-// centroids are weight-weighted means, so they drift toward heavy mass and
-// dense regions end up covered by more, spatially smaller clusters. It
-// backs the load-balanced shard partitioner (DESIGN.md §16): points are
-// center locations, weights are per-center task counts, so cluster mass
-// tracks game work rather than center count.
+// KMeansWeighted clusters points into k centers with Lloyd-style k-means
+// (k-means++ seeding, Euclidean distance) and a per-point weight on the
+// Lloyd updates: centroids are weight-weighted means, so they drift toward
+// heavy mass and dense regions end up covered by more, spatially smaller
+// clusters. It returns the k center locations. Empty clusters are re-seeded
+// on the point with the largest weighted distance to its center, so exactly
+// k distinct centers come back whenever the input has at least k distinct
+// points of positive weight.
+//
+// With weights it backs the load-balanced shard partitioner (DESIGN.md
+// §16): points are center locations, weights are per-center task counts,
+// so cluster mass tracks game work rather than center count. With nil
+// weights it is plain k-means, behind the demand-aware center-placement
+// ablation (the paper drops centers uniformly at random, while a real
+// platform would site depots where the demand is) and PartitionPoints.
 //
 // Seeding stays UNWEIGHTED k-means++ (uniform first seed, D² afterwards)
 // deliberately: weighted seeding piles seeds onto heavy regions, and two

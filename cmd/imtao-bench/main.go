@@ -48,13 +48,7 @@ func main() {
 		report   = flag.String("report", "", "run a fresh reproduction pass and write a markdown report to this file")
 		parallel = flag.Int("parallel", 1, "concurrent sweep cells per experiment")
 
-		scale        = flag.String("scale", "", `distance-oracle scale sweep, e.g. "10k,50k,100k": run Seq-BDC on a road network per task count and write a JSON record`)
-		scaleOut     = flag.String("scale-json", "BENCH_oracle.json", "output path of the -scale record")
-		scaleDataset = flag.String("scale-dataset", "syn", "dataset generator for -scale: gm or syn")
-		scaleGrid    = flag.Int("scale-grid", 64, "road-network grid side for -scale (grid² nodes)")
-		scaleGame    = flag.Int("scale-game-iters", 20, "phase-2 game iteration cap for -scale (0 = uncapped)")
-
-		shard        = flag.String("shard", "", `sharded game-engine sweep over shard counts, e.g. "1,2,4,8,auto": per -shard-scale size, run the collaboration game uncapped to equilibrium through the region-sharded engine at each count (1 = the unsharded engine, whose point also carries the engine record: runtime vitals, steady-state allocations and a ledgered run; "auto" = the engine-picked ShardAuto point), verify the global Nash equilibrium, and write a JSON record`)
+		shard        = flag.String("shard", "", `sharded game-engine sweep over shard counts, e.g. "1,2,4,8,auto": per -shard-scale size, run the collaboration game uncapped to equilibrium on a road network through the region-sharded engine at each count (1 = the unsharded engine, whose point also carries the engine record: runtime vitals, steady-state allocations, a ledgered run and a check of sampled point searches against full tables; "auto" = the engine-picked ShardAuto point), verify the global Nash equilibrium and that no timed run built a full distance table, and write a JSON record`)
 		shardScale   = flag.String("shard-scale", "10k,100k", "comma-separated task sizes for -shard")
 		shardOut     = flag.String("shard-json", "BENCH_shard.json", "output path of the -shard record")
 		shardDataset = flag.String("shard-dataset", "syn", "dataset generator for -shard: gm or syn")
@@ -132,26 +126,6 @@ func main() {
 			sampler.Stop()
 			sampler.Sample()
 		}()
-	}
-
-	if *scale != "" {
-		sizes, err := parseScaleSizes(*scale)
-		if err != nil {
-			fatal(err)
-		}
-		d, err := workload.ParseDataset(*scaleDataset)
-		if err != nil {
-			fatal(err)
-		}
-		if err := runScaleSweep(sizes, scaleConfig{
-			dataset:  d,
-			grid:     *scaleGrid,
-			gameCap:  *scaleGame,
-			jsonPath: *scaleOut,
-		}); err != nil {
-			fatal(err)
-		}
-		return
 	}
 
 	if *shard != "" {

@@ -12,30 +12,37 @@ import (
 
 	"imtao/internal/assign"
 	"imtao/internal/collab"
+	"imtao/internal/core"
+	"imtao/internal/geo"
 	"imtao/internal/metrics"
 	"imtao/internal/model"
 	"imtao/internal/obs"
 	"imtao/internal/provenance"
+	"imtao/internal/roadnet"
 	"imtao/internal/stats"
 	"imtao/internal/workload"
 )
 
 // The -shard sweep is the acceptance benchmark of the phase-2 game engine
-// (DESIGN.md §11) and of its region-sharded form (§15): per task size it
-// plays the game uncapped to equilibrium through collab.RunSharded at each
-// requested shard count and records the wall-clock, the engine's work
-// counters, the exchange rounds and the speedup over the first point. Shard
-// count 1 IS the unsharded engine, and its point (e.g. 10k-s1) carries the
-// engine record: the runtime vitals of its timed run, then, once the size's
-// last point is timed, a steady-state allocation meter and one ledgered run.
-// After each timed solve, ShardReport.Cut adds the partition's interference
-// profile, which the solve itself does not compute.
+// (DESIGN.md §11), of its region-sharded form (§15) and of the distance
+// oracle that serves its travel times on a road network (§10): per task size
+// it plays the game uncapped to equilibrium through collab.RunSharded at
+// each requested shard count and records the wall-clock, the engine's and
+// the oracle's work counters, the exchange rounds and the speedup over the
+// first point. Shard count 1 IS the unsharded engine, and its point (e.g.
+// 10k-s1) carries the engine record: the runtime vitals of its timed run,
+// then, once the size's last point is timed, a steady-state allocation
+// meter, one ledgered run and a check of sampled point searches against
+// fresh full tables. After each timed solve, ShardReport.Cut adds the
+// partition's interference profile, which the solve itself does not compute.
 //
-// Every point is Nash-verified; an empty-cut point must route every center
-// as the first point does, with no transfer accepted by the exchange; the
-// one-shard point must show pruning, prefix-resume and trial grouping
-// engaged, a ledger that replays to its fingerprint and a valid equilibrium
-// certificate. Any failure is a hard error (nonzero exit).
+// Every point is Nash-verified and must build no full distance table while
+// timed (the scene pinned every table the game reads); an empty-cut point
+// must route every center as the first point does, with no transfer accepted
+// by the exchange; the one-shard point must show pruning, prefix-resume and
+// trial grouping engaged, a ledger that replays to its fingerprint, a valid
+// equilibrium certificate and exact point searches. Any failure is a hard
+// error (nonzero exit).
 
 // shardRecord is the schema of BENCH_shard.json.
 type shardRecord struct {
@@ -91,13 +98,18 @@ type shardPreset struct {
 
 	// Engine work of the timed RunSharded call alone, read as deltas around
 	// it: road point searches (travel times that neither the trial memo nor
-	// a pinned center table answered), nearest-task queries whose neighbour
-	// list held no live task and fell back to a scan of the live pool, trial
-	// travel times the order table's memo answered and missed, and
-	// candidate-task evaluations across every assignment call. Each is the
-	// same at every GOMAXPROCS, so the gate holds them exactly: a change
-	// that makes each trial do more work moves them.
+	// a pinned center table answered) and the nodes they settled, pinned
+	// table reads, full distance tables built (0: the scene pinned every
+	// table the game reads), nearest-task queries whose neighbour list held
+	// no live task and fell back to a scan of the live pool, trial travel
+	// times the order table's memo answered and missed, and candidate-task
+	// evaluations across every assignment call. Each is the same at every
+	// GOMAXPROCS, so the gate holds them exactly: a change that makes each
+	// trial do more work moves them.
 	PointSearches    int64 `json:"point_searches"`
+	SettledNodes     int64 `json:"settled_nodes"`
+	PinnedReads      int64 `json:"pinned_reads"`
+	FullSearches     int64 `json:"full_searches"`
 	NearestFallbacks int64 `json:"nearest_fallbacks"`
 	TravelMemoHits   int64 `json:"travel_memo_hits"`
 	TravelMemoMisses int64 `json:"travel_memo_misses"`
@@ -132,7 +144,8 @@ type shardPreset struct {
 }
 
 // engineRecord is what the one-shard point records beyond the common
-// fields: latency tail, runtime health, memory profile and ledger cost.
+// fields: latency tail, runtime health, memory profile, ledger cost and
+// the oracle check.
 type engineRecord struct {
 	// The timed run's iteration-latency tail, and the shares of candidate
 	// lookups pruning eliminated and of trials prefix-resume served.
@@ -177,6 +190,12 @@ type engineRecord struct {
 	ProvRouteTasks   int     `json:"prov_route_tasks"`
 	ProvReplayOK     bool    `json:"prov_replay_ok"`
 	ProvCertOK       bool    `json:"prov_cert_ok"`
+
+	// Oracle check: the scene's pinned center tables, and whether every
+	// sampled unpinned pair's point-search answer equals the entry of a
+	// fresh full table from the same source, bit for bit.
+	Pinned  int  `json:"pinned"`
+	ExactOK bool `json:"exact_ok"`
 }
 
 // shardAutoRecord mirrors collab.ShardAutoPick for the JSON record.
@@ -218,6 +237,72 @@ func parseShardCounts(s string) ([]int, error) {
 		return nil, fmt.Errorf("empty shard count list")
 	}
 	return counts, nil
+}
+
+// parseScaleSizes parses the -shard-scale list of task sizes, e.g.
+// "10k,100k".
+func parseScaleSizes(s string) ([]int, error) {
+	var out []int
+	for _, part := range strings.Split(s, ",") {
+		if strings.TrimSpace(part) == "" {
+			continue
+		}
+		v, err := workload.ParseScaleSize(part)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, v)
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("no scale sizes given")
+	}
+	return out, nil
+}
+
+// scene is one sweep size's instance: generated, partitioned over a road
+// network, with every entity snapped to it and the center tables pinned.
+// That is the metric warm-up core.Run would otherwise do.
+type scene struct {
+	p     workload.Params
+	in    *model.Instance
+	net   *roadnet.Network
+	label string
+}
+
+func buildScene(d workload.Dataset, size, grid int) (scene, error) {
+	p := workload.ScaleParams(d, size)
+	raw, err := workload.Generate(p)
+	if err != nil {
+		return scene{}, err
+	}
+	net, err := roadnet.New(raw.Bounds, grid, grid, p.Speed)
+	if err != nil {
+		return scene{}, err
+	}
+	raw.Metric = net
+	in, _, err := core.Partition(raw)
+	if err != nil {
+		return scene{}, err
+	}
+	in.PrepareMetric()
+	locs := make([]geo.Point, len(in.Centers))
+	for i := range in.Centers {
+		locs[i] = in.Centers[i].Loc
+	}
+	net.PrecomputeSources(locs)
+	return scene{p: p, in: in, net: net, label: sizeLabel(size)}, nil
+}
+
+// sizeLabel names a task count in preset names: "10k", "1m", or the plain
+// count when it is not a round thousand.
+func sizeLabel(size int) string {
+	switch {
+	case size%1_000_000 == 0:
+		return fmt.Sprintf("%dm", size/1_000_000)
+	case size%1000 == 0:
+		return fmt.Sprintf("%dk", size/1000)
+	}
+	return fmt.Sprintf("%d", size)
 }
 
 // runShardSweep executes the sharded-engine benchmark and writes
@@ -296,7 +381,7 @@ func runShardSweep(sizes []int, counts []int, cfg shardConfig) error {
 				vit = startVitals()
 			}
 
-			searches := net.Stats().PointSearches
+			st0 := net.Stats()
 			work := readEngineWork()
 			t0 = time.Now()
 			res, srep := collab.RunSharded(in, p1, collab.ShardConfig{
@@ -305,7 +390,8 @@ func runShardSweep(sizes []int, counts []int, cfg shardConfig) error {
 				Seed:   cfg.seed,
 			})
 			wall := time.Since(t0)
-			searches = net.Stats().PointSearches - searches
+			st := net.Stats()
+			points := st.PointSearches - st0.PointSearches
 			work = readEngineWork().minus(work)
 
 			var eng *engineRecord
@@ -351,11 +437,14 @@ func runShardSweep(sizes []int, counts []int, cfg shardConfig) error {
 				Unfairness:  metrics.SolutionUnfairness(in, res.Solution),
 				Fingerprint: fmt.Sprintf("%016x", fp),
 
-				PointSearches:    searches,
-				NearestFallbacks: work[0],
-				TravelMemoHits:   work[1],
-				TravelMemoMisses: work[2],
-				TasksScanned:     work[3],
+				PointSearches:    points,
+				SettledNodes:     st.Settled - st0.Settled,
+				PinnedReads:      work[0],
+				FullSearches:     st.DijkstraRuns - st0.DijkstraRuns - points,
+				NearestFallbacks: work[1],
+				TravelMemoHits:   work[2],
+				TravelMemoMisses: work[3],
+				TasksScanned:     work[4],
 
 				ExclusiveWorkers:   srep.ExclusiveWorkers,
 				BoundaryWorkers:    srep.BoundaryWorkers,
@@ -425,13 +514,19 @@ func runShardSweep(sizes []int, counts []int, cfg shardConfig) error {
 			fmt.Printf("  iter latency ms: p50 %.3f p99 %.3f; trials %d (%d resumed, %d replays), pruned %d\n",
 				pr.IterP50Ms, pr.IterP99Ms, pr.TrialsEvaluated, pr.TrialsResumed,
 				pr.TrialReplays, pr.CandidatesPruned)
-			fmt.Printf("  work: point searches %d, nearest fallbacks %d, travel memo %d hits / %d misses, tasks scanned %d\n",
-				pr.PointSearches, pr.NearestFallbacks, pr.TravelMemoHits, pr.TravelMemoMisses, pr.TasksScanned)
+			fmt.Printf("  oracle: point searches %d (%d nodes settled), pinned reads %d, full searches %d\n",
+				pr.PointSearches, pr.SettledNodes, pr.PinnedReads, pr.FullSearches)
+			fmt.Printf("  work: nearest fallbacks %d, travel memo %d hits / %d misses, tasks scanned %d\n",
+				pr.NearestFallbacks, pr.TravelMemoHits, pr.TravelMemoMisses, pr.TasksScanned)
 			fmt.Printf("  equilibrium_ok=%v (verified in %.0f ms), identical_to_s1=%v, speedup %.2fx\n\n",
 				pr.EquilibriumOK, ms(verify), pr.IdenticalToS1, pr.Speedup)
 
 			if !pr.EquilibriumOK {
 				return fmt.Errorf("shard %s: final state is not a Nash equilibrium", pr.Name)
+			}
+			if pr.FullSearches != 0 {
+				return fmt.Errorf("shard %s: the timed run built %d full distance tables beside the %d pinned",
+					pr.Name, pr.FullSearches, st.Pinned)
 			}
 			if pr.EmptyCut && !reflect.DeepEqual(res.Solution.PerCenter, s1Routes) {
 				return fmt.Errorf("shard %s: empty interference cut but the routes diverged from "+
@@ -443,7 +538,7 @@ func runShardSweep(sizes []int, counts []int, cfg shardConfig) error {
 			}
 		}
 		if engine >= 0 {
-			if err := finishEngineRecord(&rec.Presets[engine], in, p1, ccfg, engineRes); err != nil {
+			if err := finishEngineRecord(&rec.Presets[engine], sc, cfg.grid, p1, ccfg, engineRes); err != nil {
 				return err
 			}
 		}
@@ -480,13 +575,15 @@ func runShardSweep(sizes []int, counts []int, cfg shardConfig) error {
 }
 
 // finishEngineRecord runs the one-shard point's untimed legs after the
-// size's last timed point, so neither changes a timed run's heap: the
-// steady-state memory meter, then one ledgered run of the same game. It
-// prints the engine record and returns an error when an engine check fails.
-func finishEngineRecord(pr *shardPreset, in *model.Instance, p1 []assign.Result,
+// size's last timed point, so none changes a timed run's heap: the
+// steady-state memory meter, one ledgered run of the same game, then the
+// oracle's exactness check, whose fresh tables stay out of the meter's heap.
+// It prints the engine record and returns an error when an engine check
+// fails.
+func finishEngineRecord(pr *shardPreset, sc scene, grid int, p1 []assign.Result,
 	ccfg collab.Config, res collab.Result) error {
 
-	e := pr.engineRecord
+	in, e := sc.in, pr.engineRecord
 	meterGameMemory(e, in, p1, ccfg, res.Iterations)
 
 	rhos := make([]float64, len(in.Centers))
@@ -519,15 +616,22 @@ func finishEngineRecord(pr *shardPreset, in *model.Instance, p1 []assign.Result,
 	cert := provenance.BuildCertificate(in, pres.Solution, provenance.ScopeFull)
 	e.ProvCertOK = cert.Equilibrium && cert.Verify(in, pres.Solution) == nil
 
+	e.Pinned = sc.net.Stats().Pinned
+	var err error
+	if e.ExactOK, err = pointSearchesExact(sc.net, in, grid, sc.p.Speed); err != nil {
+		return err
+	}
+
 	fmt.Printf("engine %s — iter p999 %.3f ms, prune rate %.4f, resume rate %.4f, snapshot %d B\n",
 		pr.Name, e.IterP999Ms, e.PruneRate, e.ResumeRate, e.SnapshotBytes)
 	fmt.Printf("  runtime: GC pause ms p50 %.3f p99 %.3f over %d cycles; sampler %d samples, p99 cost %.3f ms\n",
 		e.GCPauseP50Ms, e.GCPauseP99Ms, e.GCCycles, e.SamplerSamples, e.SamplerSampleP99Ms)
 	fmt.Printf("  memory/iter over %d steady iters: allocs p50 %.0f (mean %.2f), %.0f B, heap in use %d B\n",
 		e.MemWindowIters, e.AllocsPerIter, e.AllocsPerIterMean, e.BytesPerIter, e.HeapInuseBytes)
-	fmt.Printf("  provenance: ph2 %.0f ms, %d iter / %d trial / %d route records (%d route tasks), replay_ok=%v cert_ok=%v\n\n",
+	fmt.Printf("  provenance: ph2 %.0f ms, %d iter / %d trial / %d route records (%d route tasks), replay_ok=%v cert_ok=%v\n",
 		e.ProvPhase2Ms, e.ProvIterRecords, e.ProvTrialRecords, e.ProvRouteRecords,
 		e.ProvRouteTasks, e.ProvReplayOK, e.ProvCertOK)
+	fmt.Printf("  oracle: %d pinned tables, exact_ok=%v\n\n", e.Pinned, e.ExactOK)
 
 	switch {
 	case pr.CandidatesPruned == 0:
@@ -541,6 +645,8 @@ func finishEngineRecord(pr *shardPreset, in *model.Instance, p1 []assign.Result,
 		return fmt.Errorf("engine %s: provenance ledger does not replay to the engine's fingerprint", pr.Name)
 	case !e.ProvCertOK:
 		return fmt.Errorf("engine %s: equilibrium certificate failed verification", pr.Name)
+	case !e.ExactOK:
+		return fmt.Errorf("engine %s: a point search differs from its full table", pr.Name)
 	}
 	return nil
 }
@@ -626,13 +732,14 @@ func meterGameMemory(e *engineRecord, in *model.Instance, p1 []assign.Result,
 	}
 }
 
-// engineWork is a reading of the trial-engine work counters, in
-// shardPreset's order: nearest fallbacks, travel-memo hits, travel-memo
-// misses, tasks scanned.
-type engineWork [4]int64
+// engineWork is a reading of the process-wide work counters, in
+// shardPreset's order: pinned-table reads, nearest fallbacks, travel-memo
+// hits, travel-memo misses, tasks scanned.
+type engineWork [5]int64
 
 // engineWorkCounters names the counters behind engineWork.
-var engineWorkCounters = [4]string{
+var engineWorkCounters = [5]string{
+	"imtao_roadnet_cache_hits_total",
 	"imtao_trial_nearest_fallbacks_total",
 	"imtao_trial_travel_memo_hits_total",
 	"imtao_trial_travel_memo_misses_total",
@@ -652,4 +759,72 @@ func (w engineWork) minus(o engineWork) engineWork {
 		w[i] -= o[i]
 	}
 	return w
+}
+
+func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
+
+// samplePoints draws up to n entity locations round-robin from centers,
+// workers and tasks, so the check samples the distribution the pipeline
+// actually queries.
+func samplePoints(in *model.Instance, n int) []geo.Point {
+	var pts []geo.Point
+	for i := 0; len(pts) < n; i++ {
+		added := false
+		if i < len(in.Centers) {
+			pts = append(pts, in.Centers[i].Loc)
+			added = true
+		}
+		if len(pts) < n && i < len(in.Workers) {
+			pts = append(pts, in.Workers[i].Loc)
+			added = true
+		}
+		if len(pts) < n && i < len(in.Tasks) {
+			pts = append(pts, in.Tasks[i].Loc)
+			added = true
+		}
+		if !added {
+			break
+		}
+	}
+	return pts
+}
+
+// pointSearchesExact checks point searches of the pipeline network against
+// full tables. It samples consecutive entity pairs that touch no center node,
+// so net answers each with a point search from the lower node id, then pins
+// exactly those sources on a fresh network and compares the two answers bit
+// for bit.
+func pointSearchesExact(net *roadnet.Network, in *model.Instance, grid int, speed float64) (bool, error) {
+	centers := make(map[int32]bool, len(in.Centers))
+	for _, c := range in.Centers {
+		node, _ := net.SnapNode(c.Loc)
+		centers[node] = true
+	}
+	pts := samplePoints(in, 257)
+	type pair struct{ src, dst int32 }
+	var pairs []pair
+	var srcs []geo.Point
+	for i := 1; i < len(pts); i++ {
+		a, _ := net.SnapNode(pts[i-1])
+		b, _ := net.SnapNode(pts[i])
+		if a == b || centers[a] || centers[b] {
+			continue
+		}
+		pairs = append(pairs, pair{min(a, b), max(a, b)})
+		srcs = append(srcs, net.NodeLoc(int(min(a, b))))
+	}
+	if len(pairs) == 0 {
+		return false, fmt.Errorf("no unpinned pairs to check")
+	}
+	fresh, err := roadnet.New(in.Bounds, grid, grid, speed)
+	if err != nil {
+		return false, err
+	}
+	fresh.PrecomputeSources(srcs)
+	for _, p := range pairs {
+		if net.TravelTimeNodes(p.src, 0, p.dst, 0) != fresh.TravelTimeNodes(p.src, 0, p.dst, 0) {
+			return false, nil
+		}
+	}
+	return true, nil
 }

@@ -13,8 +13,10 @@ import (
 
 // TestShardSweepEngineRecord: the sweep passes its checks and writes the
 // engine record on the one-shard point alone, whose ledger holds one record
-// per iteration and per trial of the timed run. The gate compares only the
-// paths both records hold, so a point that lost these fields would pass it.
+// per iteration and per trial of the timed run and whose sampled point
+// searches match full tables; no timed run builds a full table. The gate
+// compares only the paths both records hold, so a point that lost these
+// fields would pass it.
 func TestShardSweepEngineRecord(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "shard.json")
 	err := runShardSweep([]int{4000}, []int{1, 2}, shardConfig{
@@ -37,6 +39,9 @@ func TestShardSweepEngineRecord(t *testing.T) {
 	}
 	fields := reflect.TypeOf(engineRecord{})
 	for _, p := range rec.Presets {
+		if p["full_searches"] != 0.0 {
+			t.Errorf("%s: full_searches = %v, want 0", p["name"], p["full_searches"])
+		}
 		s1 := p["name"] == "4k-s1"
 		for i := 0; i < fields.NumField(); i++ {
 			key, _, _ := strings.Cut(fields.Field(i).Tag.Get("json"), ",")
@@ -46,6 +51,9 @@ func TestShardSweepEngineRecord(t *testing.T) {
 		}
 	}
 	s1 := rec.Presets[0]
+	if s1["exact_ok"] != true {
+		t.Errorf("4k-s1: exact_ok = %v, want true", s1["exact_ok"])
+	}
 	if s1["prov_iter_records"] != s1["iterations"] || s1["prov_trial_records"] != s1["trials_evaluated"] {
 		t.Errorf("ledger holds %v iterations / %v trials, the timed run %v / %v",
 			s1["prov_iter_records"], s1["prov_trial_records"], s1["iterations"], s1["trials_evaluated"])

@@ -1,6 +1,6 @@
 // Command imtao-perfgate diffs freshly produced benchmark artifacts against
 // committed baselines and exits nonzero on regression — the CI gate over
-// BENCH_oracle.json and BENCH_shard.json.
+// BENCH_shard.json and, in the multi-core job, ci/shard_multicore_baseline.json.
 //
 // Usage:
 //

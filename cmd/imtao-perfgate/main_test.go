@@ -13,10 +13,7 @@ import (
 
 const repoRules = "../../perfgate.rules.json"
 
-var committed = []string{
-	"../../BENCH_oracle.json",
-	"../../BENCH_shard.json",
-}
+var committed = []string{"../../BENCH_shard.json"}
 
 // TestGatePassesOnCommittedBaselines is the self-consistency acceptance
 // check: every committed artifact diffed against itself under the repo
@@ -45,14 +42,8 @@ func TestGatePassesOnCommittedBaselines(t *testing.T) {
 // a 10x phase-2 slowdown of the 100k engine run and a lost equilibrium — and
 // requires a nonzero exit naming both regressions.
 func TestGateCatchesDoctoredBench(t *testing.T) {
-	raw, err := os.ReadFile("../../BENCH_shard.json")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var doc map[string]any
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatal(err)
-	}
+	readJSON(t, "../../BENCH_shard.json", &doc)
 	var doctoredPreset bool
 	for _, p := range doc["presets"].([]any) {
 		if p := p.(map[string]any); p["name"] == "100k-s1" {
@@ -65,14 +56,7 @@ func TestGateCatchesDoctoredBench(t *testing.T) {
 		t.Fatal("committed shard bench has no 100k-s1 preset")
 	}
 
-	doctored := filepath.Join(t.TempDir(), "BENCH_shard_doctored.json")
-	enc, err := json.Marshal(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(doctored, enc, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	doctored := writeJSON(t, "BENCH_shard_doctored.json", doc)
 
 	var out, errb bytes.Buffer
 	code := run([]string{"-rules", repoRules, "../../BENCH_shard.json=" + doctored}, &out, &errb)
@@ -90,20 +74,10 @@ func TestGateCatchesDoctoredBench(t *testing.T) {
 // (10k-s1) against the full committed baseline: the other presets' metrics
 // are skipped, the 10k-s1 slice still gates.
 func TestGatePartialFresh(t *testing.T) {
-	raw, err := os.ReadFile("../../BENCH_shard.json")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var doc map[string]any
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatal(err)
-	}
+	readJSON(t, "../../BENCH_shard.json", &doc)
 	doc["presets"] = doc["presets"].([]any)[:1]
-	partial := filepath.Join(t.TempDir(), "BENCH_shard_10k_s1.json")
-	enc, _ := json.Marshal(doc)
-	if err := os.WriteFile(partial, enc, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	partial := writeJSON(t, "BENCH_shard_10k_s1.json", doc)
 
 	var out, errb bytes.Buffer
 	if code := run([]string{"-rules", repoRules, "../../BENCH_shard.json=" + partial}, &out, &errb); code != 0 {
@@ -112,10 +86,17 @@ func TestGatePartialFresh(t *testing.T) {
 	}
 }
 
+// TestGateRejectsMixedPair pairs the committed shard bench with a copy that
+// names another benchmark. (ci/shard_multicore_baseline.json is a
+// "shard-engine" record too, so it cannot serve as the other side.)
 func TestGateRejectsMixedPair(t *testing.T) {
+	var doc map[string]any
+	readJSON(t, "../../BENCH_shard.json", &doc)
+	doc["benchmark"] = "other-bench"
+	other := writeJSON(t, "BENCH_other.json", doc)
+
 	var out, errb bytes.Buffer
-	code := run([]string{"-rules", repoRules, "../../BENCH_shard.json=../../BENCH_oracle.json"},
-		&out, &errb)
+	code := run([]string{"-rules", repoRules, "../../BENCH_shard.json=" + other}, &out, &errb)
 	if code != 2 {
 		t.Fatalf("mixed benchmarks must be a usage error, exit %d\n%s", code, errb.String())
 	}
@@ -152,20 +133,10 @@ func TestNoDeadRules(t *testing.T) {
 		}
 	}
 
-	raw, err := os.ReadFile(repoRules)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var doc map[string][]map[string]any
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatal(err)
-	}
+	readJSON(t, repoRules, &doc)
 	doc["rules"] = append(doc["rules"], map[string]any{"match": "presets.*.no_such_field", "direction": "equal"})
-	extra := filepath.Join(t.TempDir(), "rules.json")
-	enc, _ := json.Marshal(doc)
-	if err := os.WriteFile(extra, enc, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	extra := writeJSON(t, "rules.json", doc)
 	if dead := deadRules(t, extra, committed); len(dead) != 1 || dead[0] != "presets.*.no_such_field" {
 		t.Errorf("unmatched rule not reported: dead = %v", dead)
 	}
@@ -201,4 +172,31 @@ func deadRules(t *testing.T, rulesPath string, records []string) []string {
 		}
 	}
 	return dead
+}
+
+// readJSON decodes the JSON file at path into v.
+func readJSON(t *testing.T, path string, v any) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, v); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// writeJSON encodes v into a file called name in a fresh temporary
+// directory and returns its path.
+func writeJSON(t *testing.T, name string, v any) string {
+	t.Helper()
+	enc, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), name)
+	if err := os.WriteFile(path, enc, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }

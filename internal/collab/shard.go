@@ -85,8 +85,9 @@ type ShardConfig struct {
 	// ≤ 1 runs the unsharded engine, except ShardAuto (-1), which picks
 	// about 16 centers per shard (autoShardCount).
 	Shards int
-	// Seed drives the k-means shard partition (voronoi.PartitionPoints):
-	// the same seed always produces the same shard map.
+	// Seed drives the task-weighted k-means shard partition (PlanShards,
+	// voronoi.PartitionWeightedPoints): the same seed always produces the
+	// same shard map.
 	Seed int64
 	// Ledger, when non-nil, receives the sharded run's full decision record:
 	// one game log per phase-A shard (in shard order), then the exchange

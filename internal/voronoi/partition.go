@@ -9,12 +9,15 @@ import (
 
 // PartitionPoints groups points into at most k geographic clusters with the
 // package's seeded k-means and returns one cluster label per point plus the
-// number of distinct clusters produced. It is the center-partitioner entry
-// point behind the sharded collaboration engine (DESIGN.md §15): the labels
-// are a pure function of (seed, points, k) — the rand.Rand driving the
-// k-means++ initialization is derived from seed here rather than inherited
-// from caller state, so the same run seed always yields the same shard map
-// regardless of what consumed the caller's RNG earlier.
+// number of distinct clusters produced. It is the unweighted baseline of
+// PartitionWeightedPoints, the partitioner behind the sharded collaboration
+// engine (DESIGN.md §15): TestPartitionWeightedReducesSkew and collab's
+// TestWeightedPlanReducesHotspotSkew measure the weighted partition's load
+// skew against it. The labels are a pure function of (seed, points, k) —
+// the rand.Rand driving the k-means++ initialization is derived from seed
+// here rather than inherited from caller state, so the same seed always
+// yields the same labels regardless of what consumed the caller's RNG
+// earlier.
 //
 // Labels are canonicalized by first appearance: the cluster of points[0] is
 // 0, the next previously-unseen cluster is 1, and so on. k-means' internal

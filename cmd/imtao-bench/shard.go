@@ -36,7 +36,8 @@ import (
 // fresh full tables. After each timed solve, ShardReport.Cut adds the
 // partition's interference profile, which the solve itself does not compute.
 //
-// Every point is Nash-verified and must build no full distance table while
+// Each scene must pin one distance table per distinct center node, and
+// every point is Nash-verified and must build no full distance table while
 // timed (the scene pinned every table the game reads); an empty-cut point
 // must route every center as the first point does, with no transfer accepted
 // by the exchange; the one-shard point must show pruning, prefix-resume and
@@ -290,7 +291,26 @@ func buildScene(d workload.Dataset, size, grid int) (scene, error) {
 		locs[i] = in.Centers[i].Loc
 	}
 	net.PrecomputeSources(locs)
+	if err := checkPins(net, locs); err != nil {
+		return scene{}, err
+	}
 	return scene{p: p, in: in, net: net, label: sizeLabel(size)}, nil
+}
+
+// checkPins fails unless the network holds exactly one pinned distance
+// table per distinct center snap node. A missing pin turns that center's
+// legs into point searches, which the timed runs' full_searches == 0 check
+// cannot see.
+func checkPins(net *roadnet.Network, locs []geo.Point) error {
+	nodes := make(map[int32]bool, len(locs))
+	for _, p := range locs {
+		n, _ := net.SnapNode(p)
+		nodes[n] = true
+	}
+	if pinned := net.Stats().Pinned; pinned != len(nodes) {
+		return fmt.Errorf("scene pins %d distance tables for %d distinct center nodes", pinned, len(nodes))
+	}
+	return nil
 }
 
 // sizeLabel names a task count in preset names: "10k", "1m", or the plain

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 
+	"imtao/internal/geo"
+	"imtao/internal/roadnet"
 	"imtao/internal/workload"
 )
 
@@ -57,5 +59,24 @@ func TestShardSweepEngineRecord(t *testing.T) {
 	if s1["prov_iter_records"] != s1["iterations"] || s1["prov_trial_records"] != s1["trials_evaluated"] {
 		t.Errorf("ledger holds %v iterations / %v trials, the timed run %v / %v",
 			s1["prov_iter_records"], s1["prov_trial_records"], s1["iterations"], s1["trials_evaluated"])
+	}
+}
+
+// TestCheckPins: the scene check fails while one center's node lacks its
+// pinned table, and passes once every distinct center node has one.
+func TestCheckPins(t *testing.T) {
+	net, err := roadnet.New(geo.NewRect(geo.Pt(0, 0), geo.Pt(1000, 1000)), 16, 16, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first two centers snap to the same node: three distinct nodes.
+	locs := []geo.Point{geo.Pt(10, 10), geo.Pt(12, 11), geo.Pt(500, 500), geo.Pt(990, 20)}
+	net.PrecomputeSources(locs[:3])
+	if err := checkPins(net, locs); err == nil {
+		t.Fatal("a scene missing the last center's pin passed")
+	}
+	net.PrecomputeSources(locs)
+	if err := checkPins(net, locs); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -231,8 +231,9 @@ func WithShards(n int) RunOption {
 // WithObserver streams structured telemetry events from the run — pipeline
 // phase spans (run_start, phase1, phase2, run_end), per-center phase-1
 // summaries, and one game_iter event per phase-2 best-response iteration
-// carrying the potential Φ and the full ratio vector ρ. The default observer
-// is a no-op; event names and fields are catalogued in DESIGN.md §9.
+// carrying the potential Φ and the full ratio vector ρ (under WithShards,
+// all of them when phase 2 ends, numbered as in Report.Trace). The default
+// observer is a no-op; event names and fields are catalogued in DESIGN.md §9.
 func WithObserver(o Observer) RunOption {
 	return func(c *core.Config) { c.Observer = o }
 }

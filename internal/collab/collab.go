@@ -985,8 +985,8 @@ func (g *Game) Finish() Result {
 }
 
 // emitGameIter publishes one game_iter telemetry event for a completed
-// iteration of the engine (Game.Step, and through it Run and RunSharded);
-// RunReference emits none.
+// iteration: Game.Step (and so Run) emits each step live, RunSharded each
+// step of its final trace; RunReference emits none.
 func emitGameIter(o obs.Observer, step *TraceStep) {
 	if !obs.Enabled(o) {
 		return

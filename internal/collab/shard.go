@@ -18,7 +18,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sync/atomic"
 	"time"
 
 	"imtao/internal/assign"
@@ -67,8 +66,10 @@ const autoCentersPerShard = 16
 // autoShardCount is ShardAuto's pick for an instance of the given center
 // count: 2^round(log2(centers/16)), clamped to [1, 64] — the power of two
 // nearest to 16 centers per shard. 50 centers give 4 shards, 250 give 16,
-// 500 give 32 and 1,000 or more give 64. It is a pure function of the
-// center count: no partition, interference graph or metric warm-up.
+// 500 give 32 and 1,000 or more give 64. The bound 64 is a policy taken
+// from the measured ladders, not a limit of the engine: an explicit count
+// above it runs as asked. It is a pure function of the center count: no
+// partition, interference graph or metric warm-up.
 func autoShardCount(centers int) int {
 	k := math.Exp2(math.Round(math.Log2(float64(centers) / autoCentersPerShard)))
 	return int(min(max(k, 1), 64))
@@ -77,11 +78,9 @@ func autoShardCount(centers int) int {
 // ShardConfig configures a sharded collaboration run.
 type ShardConfig struct {
 	Config
-	// Shards is the requested geographic shard count. Values above 64 are
-	// clamped (ShardReport.Cut's shard masks are one machine word — the
-	// clamp is surfaced in ShardReport.ShardsRequested and a shard_clamp obs
-	// event); duplicate center locations can reduce the effective count
-	// further.
+	// Shards is the requested geographic shard count. PlanShards caps it
+	// at the center count, and duplicate center locations or centers
+	// without tasks can reduce the effective count further.
 	// ≤ 1 runs the unsharded engine, except ShardAuto (-1), which picks
 	// about 16 centers per shard (autoShardCount).
 	Shards int
@@ -105,8 +104,7 @@ type ShardConfig struct {
 type ShardReport struct {
 	// ShardsRequested is the caller's ShardConfig.Shards verbatim —
 	// ShardAuto (-1) for an auto-picked run, and possibly above the effective
-	// count when the 64-shard mask-word clamp or duplicate center locations
-	// reduced it.
+	// count when PlanShards returned fewer shards (see ShardConfig.Shards).
 	ShardsRequested int
 	// Shards is the effective shard count; ShardOf maps each center to its
 	// shard label.
@@ -213,51 +211,37 @@ func (r *ShardReport) Cut(in *model.Instance, phase1 []assign.Result, scope Scop
 		return
 	}
 	in.PrepareMetric()
-	shardOf := r.ShardOf
 
-	// mask[w] is the bitset of shards worker w touches; zero means w can
-	// never enter any pool (a used worker of a non-recipient center). The
-	// concurrent shard scans below share it.
-	mask := make([]atomic.Uint64, len(in.Workers))
-	set := func(w model.WorkerID, bit uint64) {
-		for m := mask[w].Load(); !mask[w].CompareAndSwap(m, m|bit); m = mask[w].Load() {
-		}
+	// touches[s] is the set of workers that touch shard s, seeded with the
+	// poolable workers of s's centers.
+	touches := make([]workerSet, r.Shards)
+	for s := range touches {
+		touches[s] = make(workerSet, (len(in.Workers)+63)/64)
 	}
-	recipient := make([]bool, len(in.Centers))
-	for ci := range in.Centers {
-		recipient[ci] = metrics.Ratio(countTasks(phase1[ci].Routes), len(in.Centers[ci].Tasks)) < 1
-		bit := uint64(1) << shardOf[ci]
-		for _, w := range phase1[ci].LeftWorkers {
-			set(w, bit)
-		}
-		if recipient[ci] {
-			for _, w := range in.Centers[ci].Workers {
-				set(w, bit)
-			}
-		}
-	}
-	var poolable []model.WorkerID
-	for w := range mask {
-		if mask[w].Load() != 0 {
-			poolable = append(poolable, model.WorkerID(w))
-		}
-	}
-	// A worker whose mask already holds the center's shard bit skips the
-	// check, since OR-ing the bit again changes nothing; every poolable
-	// worker holds its home center's bit. Only shard s's recipient centers
-	// set bit s, so one scan per shard walks them concurrently in center
-	// order: every skip decision, and so the final masks, match one serial
-	// scan of every recipient in center order.
 	recipients := make([][]model.CenterID, r.Shards)
+	var poolable []model.WorkerID
 	for ci := range in.Centers {
-		if recipient[ci] {
-			recipients[shardOf[ci]] = append(recipients[shardOf[ci]], model.CenterID(ci))
+		s := r.ShardOf[ci]
+		for _, w := range phase1[ci].LeftWorkers {
+			touches[s].add(w)
+		}
+		poolable = append(poolable, phase1[ci].LeftWorkers...)
+		if metrics.Ratio(countTasks(phase1[ci].Routes), len(in.Centers[ci].Tasks)) < 1 {
+			recipients[s] = append(recipients[s], model.CenterID(ci))
+			for _, w := range in.Centers[ci].Workers {
+				touches[s].add(w)
+			}
+			poolable = append(poolable, in.Centers[ci].Workers...)
 		}
 	}
-	// The admission checks read the hot slab; build it before the fan-out.
+	slices.Sort(poolable)
+	poolable = slices.Compact(poolable)
+	// One job per shard fills touches[s] alone, from s's recipient centers.
+	// A worker already in the set skips the check, since adding it again
+	// changes nothing. The checks read the hot slab; build it first.
 	in.EnsureHot()
 	fanout.Each(0, r.Shards, func(s int) {
-		bit := uint64(1) << s
+		set := touches[s]
 		for _, ci := range recipients[s] {
 			c := in.Center(ci)
 			tasks := c.Tasks
@@ -266,43 +250,61 @@ func (r *ShardReport) Cut(in *model.Instance, phase1 []assign.Result, scope Scop
 			}
 			slack := assign.AdmissionSlack(in, c, tasks)
 			for _, w := range poolable {
-				if mask[w].Load()&bit == 0 && assign.WorkerAdmissible(in, c, w, slack) {
-					set(w, bit)
+				if !set.has(w) && assign.WorkerAdmissible(in, c, w, slack) {
+					set.add(w)
 				}
 			}
 		}
 	})
 
-	// adj[s] is the conflict-graph adjacency bitset of shard s (its own bit
-	// included): the union of the masks of every boundary worker touching s.
-	var adj [64]uint64
 	r.ExclusiveWorkers, r.BoundaryWorkers, r.ConflictEdges = 0, 0, 0
-	for w := range mask {
-		m := mask[w].Load()
-		switch bits.OnesCount64(m) {
-		case 0:
-		case 1:
-			r.ExclusiveWorkers++
-		default:
-			r.BoundaryWorkers++
-			for mm := m; mm != 0; mm &= mm - 1 {
-				adj[bits.TrailingZeros64(mm)] |= m
+	for i := range touches[0] {
+		var once, twice uint64
+		for _, set := range touches {
+			twice |= once & set[i]
+			once |= set[i]
+		}
+		r.ExclusiveWorkers += bits.OnesCount64(once &^ twice)
+		r.BoundaryWorkers += bits.OnesCount64(twice)
+	}
+	r.EmptyCut = r.BoundaryWorkers == 0
+	// adj[s] lists, in shard order, the shards whose sets share a worker
+	// with touches[s].
+	adj := make([][]int, r.Shards)
+	for s := range touches {
+		for t := s + 1; t < r.Shards; t++ {
+			if touches[s].meets(touches[t]) {
+				adj[s] = append(adj[s], t)
+				adj[t] = append(adj[t], s)
+				r.ConflictEdges++
 			}
 		}
 	}
-	for s := range adj {
-		r.ConflictEdges += bits.OnesCount64(adj[s] &^ (uint64(1)<<(s+1) - 1))
+	_, r.Components = shardComponents(adj)
+	_, r.Colors = greedyColorShards(adj)
+}
+
+// workerSet is a bitset over worker IDs.
+type workerSet []uint64
+
+func (b workerSet) add(w model.WorkerID)      { b[uint(w)/64] |= 1 << (uint(w) % 64) }
+func (b workerSet) has(w model.WorkerID) bool { return b[uint(w)/64]&(1<<(uint(w)%64)) != 0 }
+
+func (b workerSet) meets(o workerSet) bool {
+	for i, x := range b {
+		if x&o[i] != 0 {
+			return true
+		}
 	}
-	r.EmptyCut = r.BoundaryWorkers == 0
-	_, r.Components = shardComponents(&adj, r.Shards)
-	_, r.Colors = greedyColorShards(&adj, r.Shards)
+	return false
 }
 
 // RunSharded executes the collaboration game through the region-sharded
 // engine: concurrent per-shard best-response dynamics over the home-shard
 // workers, then a serialized exchange game that continues the shard games'
 // states, settles the boundary workers and drives the whole state to a
-// global Nash equilibrium. The instance is not mutated.
+// global Nash equilibrium. The instance is not mutated. Any shard count
+// runs as asked, up to the center count (PlanShards).
 //
 // Determinism: the outcome is bit-identical across Parallelism settings
 // and repeated runs (deterministic assigners). When the interference cut
@@ -313,7 +315,9 @@ func (r *ShardReport) Cut(in *model.Instance, phase1 []assign.Result, scope Scop
 //
 // Parallelism bounds the shard games played concurrently; 1 makes the
 // whole run serial. Every game, the exchange game included, plays its
-// trials on the goroutine that steps it.
+// trials on the goroutine that steps it. Config.Obs receives one game_iter
+// event per step of the final trace, in trace order, once the exchange
+// game ends; the unsharded fallback streams them live.
 //
 // The sharded path engages for MinRatio dynamics with an assigner admitting
 // the admissibility-pruning argument (the built-in Sequential, or any
@@ -324,8 +328,7 @@ func (r *ShardReport) Cut(in *model.Instance, phase1 []assign.Result, scope Scop
 // Config.MaxIterations, when set, caps each shard game and the exchange
 // game individually.
 func RunSharded(in *model.Instance, phase1 []assign.Result, cfg ShardConfig) (Result, ShardReport) {
-	requested := cfg.Shards
-	k := requested
+	k := cfg.Shards
 	// Every game of the run records through Ledger alone.
 	cfg.Prov = nil
 	eligible := cfg.Recipient == MinRatio &&
@@ -335,15 +338,6 @@ func RunSharded(in *model.Instance, phase1 []assign.Result, cfg ShardConfig) (Re
 		k = autoShardCount(len(in.Centers))
 		auto = &ShardAutoPick{Picked: k}
 		mShardAutoShards.Set(float64(k))
-	}
-	if k > 64 {
-		// Cut's shard masks are one machine word; surface the clamp instead
-		// of hiding it (ShardsRequested keeps the original ask).
-		if obs.Enabled(cfg.Obs) {
-			cfg.Obs.Event("shard_clamp",
-				obs.F("requested", requested), obs.F("clamped", 64))
-		}
-		k = 64
 	}
 	var shardOf []int
 	nShards := 1
@@ -356,13 +350,17 @@ func RunSharded(in *model.Instance, phase1 []assign.Result, cfg ShardConfig) (Re
 		}
 		res := Run(in, phase1, cfg.Config)
 		rep := singleShardReport(in, res)
-		rep.ShardsRequested = requested
+		rep.ShardsRequested = cfg.Shards
 		rep.Auto = auto
 		return res, rep
 	}
 
 	in.PrepareMetric()
 	in.EnsureHot()
+	// The games stream no game_iter events; the final trace, renumbered,
+	// is emitted once the exchange game ends.
+	o := cfg.Obs
+	cfg.Obs = nil
 	loadSkew := shardLoadSkew(in, shardOf, nShards)
 	mShardLoadSkew.Set(loadSkew)
 
@@ -384,7 +382,7 @@ func RunSharded(in *model.Instance, phase1 []assign.Result, cfg ShardConfig) (Re
 	// and they run concurrently without coordination, each with its own
 	// trial base, runner, scratch and arenas (the zero-alloc steady state
 	// holds per shard). When the interference cut (Cut) is empty the home
-	// partition coincides with the interference masks, which is what makes
+	// partition coincides with the cut's worker sets, which is what makes
 	// the shard games provable restrictions of the global game; with a
 	// non-empty cut, boundary workers are settled tentatively in their home
 	// shard and re-contested by every admissible center in the exchange.
@@ -416,7 +414,7 @@ func RunSharded(in *model.Instance, phase1 []assign.Result, cfg ShardConfig) (Re
 	})
 
 	rep := ShardReport{
-		ShardsRequested: requested,
+		ShardsRequested: cfg.Shards,
 		Shards:          nShards,
 		ShardOf:         shardOf,
 		LoadSkew:        loadSkew,
@@ -469,6 +467,7 @@ func RunSharded(in *model.Instance, phase1 []assign.Result, cfg ShardConfig) (Re
 	trace = append(trace, resB.Trace...)
 	for i := range trace {
 		trace[i].Iteration = i + 1
+		emitGameIter(o, &trace[i])
 	}
 	resB.Trace = trace
 	resB.Iterations = len(trace)
@@ -476,30 +475,30 @@ func RunSharded(in *model.Instance, phase1 []assign.Result, cfg ShardConfig) (Re
 }
 
 // shardComponents labels each shard with its connected component in the
-// conflict graph. Components are numbered by first appearance in shard
-// order (shard 0's component is 0), so the labeling is canonical and
-// deterministic.
-func shardComponents(adj *[64]uint64, nShards int) ([]int, int) {
-	compOf := make([]int, nShards)
+// conflict graph given by adjacency lists. Components are numbered by first
+// appearance in shard order (shard 0's component is 0), so the labeling is
+// canonical and deterministic.
+func shardComponents(adj [][]int) ([]int, int) {
+	compOf := make([]int, len(adj))
 	for s := range compOf {
 		compOf[s] = -1
 	}
 	nComp := 0
-	for s := 0; s < nShards; s++ {
+	for s := range adj {
 		if compOf[s] >= 0 {
 			continue
 		}
-		var seen uint64
-		frontier := uint64(1) << s
-		for frontier != 0 {
-			t := bits.TrailingZeros64(frontier)
-			frontier &^= uint64(1) << t
-			if seen&(uint64(1)<<t) != 0 {
-				continue
+		compOf[s] = nComp
+		stack := []int{s}
+		for len(stack) > 0 {
+			t := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, u := range adj[t] {
+				if compOf[u] < 0 {
+					compOf[u] = nComp
+					stack = append(stack, u)
+				}
 			}
-			seen |= uint64(1) << t
-			compOf[t] = nComp
-			frontier |= adj[t] &^ seen
 		}
 		nComp++
 	}
@@ -511,24 +510,23 @@ func shardComponents(adj *[64]uint64, nShards int) ([]int, int) {
 // neighbors. Returns the per-shard colors and the color count (≤ max degree
 // + 1). Deterministic and purely diagnostic: a low count certifies a sparse
 // cut in the report.
-func greedyColorShards(adj *[64]uint64, nShards int) ([]int, int) {
-	colors := make([]int, nShards)
+func greedyColorShards(adj [][]int) ([]int, int) {
+	colors := make([]int, len(adj))
+	// usedBy[c] == s+1 while coloring shard s: a neighbor already holds c.
+	usedBy := make([]int, len(adj))
 	nColors := 0
-	for s := 0; s < nShards; s++ {
-		var used uint64
-		nb := adj[s] &^ (uint64(1) << s)
-		for nb != 0 {
-			t := bits.TrailingZeros64(nb)
-			nb &^= uint64(1) << t
+	for s := range adj {
+		for _, t := range adj[s] {
 			if t < s {
-				used |= uint64(1) << colors[t]
+				usedBy[colors[t]] = s + 1
 			}
 		}
-		c := bits.TrailingZeros64(^used)
-		colors[s] = c
-		if c+1 > nColors {
-			nColors = c + 1
+		c := 0
+		for usedBy[c] == s+1 {
+			c++
 		}
+		colors[s] = c
+		nColors = max(nColors, c+1)
 	}
 	return colors, nColors
 }

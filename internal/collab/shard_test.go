@@ -5,13 +5,12 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
-	"sync"
 	"testing"
 
 	"imtao/internal/assign"
 	"imtao/internal/geo"
+	"imtao/internal/metrics"
 	"imtao/internal/model"
-	"imtao/internal/obs"
 	"imtao/internal/provenance"
 	"imtao/internal/routing"
 	"imtao/internal/voronoi"
@@ -229,8 +228,9 @@ func TestShardedDCScope(t *testing.T) {
 // leftover-only (DC) cut of a run sits inside its FullReassign cut: the
 // same workers are poolable under either scope, so exclusive plus boundary
 // is the same, and DC's admission slack is a maximum over a subset of each
-// recipient's tasks, so every DC mask is a subset of the full one — no more
-// boundary workers, no more conflict edges, no fewer components.
+// recipient's tasks, so every DC shard's worker set is a subset of the full
+// one — no more boundary workers, no more conflict edges, no fewer
+// components.
 func TestShardCutOffSolvePath(t *testing.T) {
 	rng := rand.New(rand.NewSource(85))
 	narrower := false
@@ -284,6 +284,139 @@ func TestShardCutSameAtEveryParallelism(t *testing.T) {
 	if !reflect.DeepEqual(serial, concurrent) {
 		t.Fatalf("cuts differ:\nserial     %+v\nconcurrent %+v", serial, concurrent)
 	}
+}
+
+// TestShardCutMatchesReference: Cut equals the brute-force reference at
+// shard counts from 2 to above 64, in both scopes, on dense, hotspot and
+// separated geographies — cuts with one component and with many.
+func TestShardCutMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	instances := []*model.Instance{
+		randomInstance(rng, 90, 300, 800),
+		hotspotInstance(rng, 120, 900, 400),
+		separatedInstance(rng, 40),
+	}
+	var above64, split bool
+	for i, in := range instances {
+		p1 := phase1(in)
+		for _, k := range []int{2, 3, 8, 31, 64, 65, 90, 128} {
+			shardOf, n := PlanShards(in, k, 7)
+			above64 = above64 || n > 64
+			for _, scope := range []Scope{FullReassign, LeftoverOnly} {
+				got := ShardReport{Shards: n, ShardOf: shardOf}
+				got.Cut(in, p1, scope)
+				want := referenceCut(in, p1, scope, shardOf, n)
+				if !sameCut(got, want) {
+					t.Fatalf("instance %d, %d shards, scope %v: cut %+v, reference %+v", i, n, scope, got, want)
+				}
+				split = split || (want.BoundaryWorkers > 0 && want.Components > 1)
+			}
+		}
+	}
+	if !above64 || !split {
+		t.Fatalf("above 64 shards: %v; a cut with boundary workers and several components: %v", above64, split)
+	}
+}
+
+// referenceCut computes the cut fields plainly: for each poolable worker
+// the set of its home shard plus the shard of every recipient center that
+// admits it, then the counts, the conflicting pairs, the components by
+// breadth-first search and a greedy coloring in shard order.
+func referenceCut(in *model.Instance, p1 []assign.Result, scope Scope, shardOf []int, nShards int) ShardReport {
+	in.PrepareMetric()
+	in.EnsureHot()
+	poolable := make([]bool, len(in.Workers))
+	var recipients []model.CenterID
+	for ci := range in.Centers {
+		for _, w := range p1[ci].LeftWorkers {
+			poolable[w] = true
+		}
+		if metrics.Ratio(p1[ci].AssignedCount(), len(in.Centers[ci].Tasks)) < 1 {
+			recipients = append(recipients, model.CenterID(ci))
+			for _, w := range in.Centers[ci].Workers {
+				poolable[w] = true
+			}
+		}
+	}
+	rep := ShardReport{Shards: nShards, ShardOf: shardOf}
+	conflict := make([][]bool, nShards)
+	for s := range conflict {
+		conflict[s] = make([]bool, nShards)
+	}
+	for w := range in.Workers {
+		if !poolable[w] {
+			continue
+		}
+		touches := map[int]bool{shardOf[in.Workers[w].Home]: true}
+		for _, ci := range recipients {
+			c := in.Center(ci)
+			tasks := c.Tasks
+			if scope == LeftoverOnly {
+				tasks = p1[ci].LeftTasks
+			}
+			if assign.WorkerAdmissible(in, c, model.WorkerID(w), assign.AdmissionSlack(in, c, tasks)) {
+				touches[shardOf[ci]] = true
+			}
+		}
+		if len(touches) == 1 {
+			rep.ExclusiveWorkers++
+			continue
+		}
+		rep.BoundaryWorkers++
+		for a := range touches {
+			for b := range touches {
+				conflict[a][b] = conflict[a][b] || a != b
+			}
+		}
+	}
+	rep.EmptyCut = rep.BoundaryWorkers == 0
+	for a := range conflict {
+		for b := a + 1; b < nShards; b++ {
+			if conflict[a][b] {
+				rep.ConflictEdges++
+			}
+		}
+	}
+	comp := make([]int, nShards)
+	for s := range comp {
+		comp[s] = -1
+	}
+	for s := range comp {
+		if comp[s] >= 0 {
+			continue
+		}
+		comp[s] = rep.Components
+		for queue := []int{s}; len(queue) > 0; queue = queue[1:] {
+			for u := range conflict[queue[0]] {
+				if conflict[queue[0]][u] && comp[u] < 0 {
+					comp[u] = rep.Components
+					queue = append(queue, u)
+				}
+			}
+		}
+		rep.Components++
+	}
+	colors := make([]int, nShards)
+	for s := range colors {
+		used := map[int]bool{}
+		for u := 0; u < s; u++ {
+			if conflict[s][u] {
+				used[colors[u]] = true
+			}
+		}
+		for used[colors[s]] {
+			colors[s]++
+		}
+		rep.Colors = max(rep.Colors, colors[s]+1)
+	}
+	return rep
+}
+
+// sameCut compares the fields Cut fills.
+func sameCut(a, b ShardReport) bool {
+	return a.ExclusiveWorkers == b.ExclusiveWorkers && a.BoundaryWorkers == b.BoundaryWorkers &&
+		a.ConflictEdges == b.ConflictEdges && a.EmptyCut == b.EmptyCut &&
+		a.Components == b.Components && a.Colors == b.Colors
 }
 
 // TestShardedFallback: configurations the sharded engine cannot prove safe
@@ -408,51 +541,77 @@ func TestReconcileResumedGameStepZeroAlloc(t *testing.T) {
 }
 
 // TestShardComponentsAndColoring pins the graph helpers: component labels
-// are canonical (first appearance), coloring is proper, and both are
-// consistent with the adjacency.
+// are canonical (first appearance), the greedy coloring takes each shard's
+// lowest free color in shard order and is proper, and both hold on graphs
+// of any size.
 func TestShardComponentsAndColoring(t *testing.T) {
-	// 0–1 2–3–4 5 : two edges + a path + an isolated vertex.
-	var adj [64]uint64
-	link := func(a, b int) {
-		adj[a] |= 1 << b
-		adj[b] |= 1 << a
+	graph := func(n int, edges ...[2]int) [][]int {
+		adj := make([][]int, n)
+		for _, e := range edges {
+			adj[e[0]] = append(adj[e[0]], e[1])
+			adj[e[1]] = append(adj[e[1]], e[0])
+		}
+		return adj
 	}
-	link(0, 1)
-	link(2, 3)
-	link(3, 4)
-
-	compOf, nComp := shardComponents(&adj, 6)
-	if nComp != 3 || !reflect.DeepEqual(compOf, []int{0, 0, 1, 1, 1, 2}) {
-		t.Fatalf("components = %v (n=%d)", compOf, nComp)
-	}
-
-	colors, nColors := greedyColorShards(&adj, 6)
-	if nColors < 2 || nColors > 3 {
-		t.Fatalf("chromatic estimate %d for a path + edge", nColors)
-	}
-	for s := 0; s < 6; s++ {
-		nb := adj[s]
-		for tgt := 0; tgt < 6; tgt++ {
-			if nb&(1<<tgt) != 0 && tgt != s && colors[s] == colors[tgt] {
-				t.Fatalf("improper coloring: shards %d and %d are adjacent with color %d", s, tgt, colors[s])
+	proper := func(adj [][]int, colors []int) {
+		t.Helper()
+		for s := range adj {
+			for _, u := range adj[s] {
+				if colors[s] == colors[u] {
+					t.Fatalf("improper coloring: shards %d and %d are adjacent with color %d", s, u, colors[s])
+				}
 			}
 		}
 	}
 
+	// 0–1 2–3–4 5 : an edge, a path and an isolated vertex.
+	adj := graph(6, [2]int{0, 1}, [2]int{2, 3}, [2]int{3, 4})
+	compOf, nComp := shardComponents(adj)
+	if nComp != 3 || !reflect.DeepEqual(compOf, []int{0, 0, 1, 1, 1, 2}) {
+		t.Fatalf("components = %v (n=%d)", compOf, nComp)
+	}
+	colors, nColors := greedyColorShards(adj)
+	if nColors != 2 || !reflect.DeepEqual(colors, []int{0, 1, 0, 1, 0, 0}) {
+		t.Fatalf("colors = %v (n=%d)", colors, nColors)
+	}
+	proper(adj, colors)
+
 	// A complete graph needs n colors and forms one component.
-	var kn [64]uint64
+	var k4 [][2]int
 	for a := 0; a < 4; a++ {
 		for b := a + 1; b < 4; b++ {
-			kn[a] |= 1 << b
-			kn[b] |= 1 << a
+			k4 = append(k4, [2]int{a, b})
 		}
 	}
-	if _, n := shardComponents(&kn, 4); n != 1 {
+	if _, n := shardComponents(graph(4, k4...)); n != 1 {
 		t.Fatalf("K4 components = %d", n)
 	}
-	if _, c := greedyColorShards(&kn, 4); c != 4 {
+	if _, c := greedyColorShards(graph(4, k4...)); c != 4 {
 		t.Fatalf("K4 colors = %d", c)
 	}
+
+	// 130 vertices: a path over 0..99 listed from its far end, a K5 on
+	// 100..104 and 25 isolated vertices.
+	var edges [][2]int
+	for v := 99; v > 0; v-- {
+		edges = append(edges, [2]int{v, v - 1})
+	}
+	for a := 100; a < 105; a++ {
+		for b := a + 1; b < 105; b++ {
+			edges = append(edges, [2]int{b, a})
+		}
+	}
+	adj = graph(130, edges...)
+	compOf, nComp = shardComponents(adj)
+	if nComp != 27 || compOf[0] != 0 || compOf[99] != 0 || compOf[100] != 1 || compOf[104] != 1 ||
+		compOf[105] != 2 || compOf[129] != 26 {
+		t.Fatalf("130-vertex components: n=%d, labels %v", nComp, compOf)
+	}
+	colors, nColors = greedyColorShards(adj)
+	if nColors != 5 || colors[98] != 0 || colors[99] != 1 || colors[104] != 4 || colors[129] != 0 {
+		t.Fatalf("130-vertex colors: n=%d, colors %v", nColors, colors)
+	}
+	proper(adj, colors)
 }
 
 // TestPlanShardsEdgeCases (satellite): degenerate partition inputs — more
@@ -611,35 +770,6 @@ func TestWeightedPlanReducesHotspotSkew(t *testing.T) {
 	}
 }
 
-// eventCapture records obs events for assertion.
-type eventCapture struct {
-	mu     sync.Mutex
-	events []string
-	fields []map[string]any
-}
-
-func (c *eventCapture) Event(name string, fields ...obs.Field) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.events = append(c.events, name)
-	m := make(map[string]any, len(fields))
-	for _, f := range fields {
-		m[f.Key] = f.Value
-	}
-	c.fields = append(c.fields, m)
-}
-
-func (c *eventCapture) find(name string) (map[string]any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i, e := range c.events {
-		if e == name {
-			return c.fields[i], true
-		}
-	}
-	return nil, false
-}
-
 // TestAutoShardCount pins ShardAuto's closed form: the power of two nearest
 // to 16 centers per shard, clamped to [1, 64].
 func TestAutoShardCount(t *testing.T) {
@@ -728,42 +858,27 @@ func TestShardAutoIneligibleFallback(t *testing.T) {
 	}
 }
 
-// TestShardClampSurfaced (satellite): requesting more than 64 shards clamps
-// to the width of Cut's shard-mask word — surfaced in the report and as a
-// shard_clamp obs event, never silently.
-func TestShardClampSurfaced(t *testing.T) {
+// TestShardRequestAbove64: a request above 64 shards runs as asked — on
+// 100 distinct centers that all carry tasks, 100 shards — reaches a
+// verified equilibrium, and its cut equals the brute-force reference.
+func TestShardRequestAbove64(t *testing.T) {
 	rng := rand.New(rand.NewSource(95))
-	in := separatedInstance(rng, 3)
+	in := randomInstance(rng, 100, 300, 2000)
+	for ci := range in.Centers {
+		if len(in.Centers[ci].Tasks) == 0 {
+			t.Fatalf("center %d has no task; the weighted partitioner may merge it", ci)
+		}
+	}
 	p1 := phase1(in)
-
-	cap := &eventCapture{}
-	cfg := seqConfig()
-	cfg.Obs = cap
-	got, rep := RunSharded(in, p1, ShardConfig{Config: cfg, Shards: 100, Seed: 7})
-	if rep.ShardsRequested != 100 {
-		t.Fatalf("ShardsRequested = %d, want 100", rep.ShardsRequested)
-	}
-	if rep.Shards > 64 {
-		t.Fatalf("effective shards %d above the 64-shard mask width", rep.Shards)
-	}
-	fields, ok := cap.find("shard_clamp")
-	if !ok {
-		t.Fatalf("no shard_clamp event emitted; events: %v", cap.events)
-	}
-	if fields["requested"] != 100 || fields["clamped"] != 64 {
-		t.Fatalf("shard_clamp fields = %v", fields)
+	got, rep := RunSharded(in, p1, ShardConfig{Config: seqConfig(), Shards: 100, Seed: 7})
+	if rep.Shards != 100 || rep.ShardsRequested != 100 {
+		t.Fatalf("shards %d (requested %d), want 100 and 100", rep.Shards, rep.ShardsRequested)
 	}
 	if err := VerifyEquilibrium(in, got.Solution, nil); err != nil {
 		t.Fatal(err)
 	}
-
-	// Below the clamp no event fires.
-	cap2 := &eventCapture{}
-	cfg.Obs = cap2
-	if _, rep := RunSharded(in, p1, ShardConfig{Config: cfg, Shards: 8, Seed: 7}); rep.ShardsRequested != 8 {
-		t.Fatalf("ShardsRequested = %d, want 8", rep.ShardsRequested)
-	}
-	if _, ok := cap2.find("shard_clamp"); ok {
-		t.Fatal("shard_clamp fired without a clamp")
+	rep.Cut(in, p1, FullReassign)
+	if want := referenceCut(in, p1, FullReassign, rep.ShardOf, rep.Shards); !sameCut(rep, want) {
+		t.Fatalf("cut %+v, reference %+v", rep, want)
 	}
 }

@@ -25,18 +25,31 @@ func EnvMeta() map[string]string {
 }
 
 // VCSRevision returns the VCS revision stamped into the binary by the go
-// tool (empty when the build carries no VCS info, e.g. plain `go test`).
+// tool, with "+dirty" appended when the build tree had uncommitted changes
+// (empty when the build carries no VCS info, e.g. plain `go test`).
 func VCSRevision() string {
 	info, ok := debug.ReadBuildInfo()
 	if !ok {
 		return ""
 	}
-	for _, s := range info.Settings {
-		if s.Key == "vcs.revision" {
-			return s.Value
+	return vcsRevision(info.Settings)
+}
+
+// vcsRevision reads the revision out of a binary's build settings.
+func vcsRevision(settings []debug.BuildSetting) string {
+	var rev, modified string
+	for _, s := range settings {
+		switch s.Key {
+		case "vcs.revision":
+			rev = s.Value
+		case "vcs.modified":
+			modified = s.Value
 		}
 	}
-	return ""
+	if rev != "" && modified == "true" {
+		rev += "+dirty"
+	}
+	return rev
 }
 
 // RecordEnvInfo publishes EnvMeta as the imtao_env_info metric on r, so a

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -123,6 +124,27 @@ func TestJSONLConcurrent(t *testing.T) {
 			t.Fatalf("bad or duplicate event %+v", ev)
 		}
 		seen[ev.Seq] = true
+	}
+}
+
+// TestVCSRevision: a build of an uncommitted tree is stamped "+dirty",
+// a clean one with the revision alone, and a build without VCS info with
+// nothing.
+func TestVCSRevision(t *testing.T) {
+	rev := debug.BuildSetting{Key: "vcs.revision", Value: "69f8f55"}
+	for _, tc := range []struct {
+		settings []debug.BuildSetting
+		want     string
+	}{
+		{[]debug.BuildSetting{rev, {Key: "vcs.modified", Value: "true"}}, "69f8f55+dirty"},
+		{[]debug.BuildSetting{{Key: "vcs.modified", Value: "false"}, rev}, "69f8f55"},
+		{[]debug.BuildSetting{rev}, "69f8f55"},
+		{[]debug.BuildSetting{{Key: "vcs.modified", Value: "true"}}, ""},
+		{nil, ""},
+	} {
+		if got := vcsRevision(tc.settings); got != tc.want {
+			t.Errorf("vcsRevision(%v) = %q, want %q", tc.settings, got, tc.want)
+		}
 	}
 }
 

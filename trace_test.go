@@ -10,6 +10,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -186,28 +188,70 @@ func TestTraceMonotonePhi(t *testing.T) {
 
 // TestTraceMatchesReportTrace cross-checks the two telemetry surfaces
 // against each other: the JSONL game_iter stream and Report.Trace must tell
-// the same story step for step.
+// the same story step for step, unsharded and under WithShards, where the
+// games run concurrently and the final trace is renumbered. The stream,
+// wall-clock fields aside, is the same at GOMAXPROCS 1 and 4.
 func TestTraceMatchesReportTrace(t *testing.T) {
-	p := DefaultParams(SYN)
-	p.NumTasks, p.NumWorkers, p.NumCenters = 200, 60, 8
-	var buf bytes.Buffer
-	rep, err := Solve(p, SeqBDC, WithTrace(&buf))
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name                    string
+		tasks, workers, centers int
+		opts                    []RunOption
+	}{
+		{"unsharded", 200, 60, 8, nil},
+		{"shards=4", 2000, 500, 40, []RunOption{WithShards(4)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := DefaultParams(SYN)
+			p.NumTasks, p.NumWorkers, p.NumCenters = tc.tasks, tc.workers, tc.centers
+			var streams [][]map[string]json.RawMessage
+			for _, procs := range []int{1, 4} {
+				var buf bytes.Buffer
+				prev := runtime.GOMAXPROCS(procs)
+				rep, err := Solve(p, SeqBDC, append(tc.opts, WithTrace(&buf))...)
+				runtime.GOMAXPROCS(prev)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(tc.opts) > 0 && (rep.Shard == nil || rep.Shard.Shards < 2) {
+					t.Fatalf("GOMAXPROCS %d: run not sharded: %+v", procs, rep.Shard)
+				}
+				events := parseTrace(t, &buf)
+				checkGameIters(t, events, rep.Trace)
+				var stream []map[string]json.RawMessage
+				for _, ev := range events {
+					delete(ev.Raw, "t_ms")
+					delete(ev.Raw, "duration_ms")
+					stream = append(stream, ev.Raw)
+				}
+				streams = append(streams, stream)
+			}
+			if !reflect.DeepEqual(streams[0], streams[1]) {
+				t.Fatal("event stream differs between GOMAXPROCS 1 and 4")
+			}
+		})
 	}
+}
+
+// checkGameIters asserts that the i-th game_iter event is step i+1 of the
+// trace and carries that step's fields.
+func checkGameIters(t *testing.T, events []traceEvent, trace []TraceStep) {
+	t.Helper()
 	var steps []traceEvent
-	for _, ev := range parseTrace(t, &buf) {
+	for _, ev := range events {
 		if ev.Event == "game_iter" {
 			steps = append(steps, ev)
 		}
 	}
-	if len(steps) != len(rep.Trace) {
-		t.Fatalf("%d game_iter events vs %d trace steps", len(steps), len(rep.Trace))
+	if len(steps) != len(trace) || len(steps) == 0 {
+		t.Fatalf("%d game_iter events vs %d trace steps", len(steps), len(trace))
 	}
 	for i, ev := range steps {
-		ts := rep.Trace[i]
-		if got := field[int](t, ev, "iter"); got != ts.Iteration {
-			t.Errorf("step %d: iter %d vs %d", i, got, ts.Iteration)
+		ts := trace[i]
+		if got := field[int](t, ev, "iter"); got != i+1 || got != ts.Iteration {
+			t.Errorf("step %d: iter %d, trace %d", i, got, ts.Iteration)
+		}
+		if got := field[int](t, ev, "recipient"); got != int(ts.Recipient) {
+			t.Errorf("step %d: recipient %d vs %d", i, got, ts.Recipient)
 		}
 		if got := field[bool](t, ev, "accepted"); got != ts.Accepted {
 			t.Errorf("step %d: accepted %v vs %v", i, got, ts.Accepted)

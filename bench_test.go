@@ -13,7 +13,6 @@ package imtao
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"imtao/internal/assign"
 	"imtao/internal/collab"
@@ -137,7 +136,7 @@ func BenchmarkSeqVsOptCPU(b *testing.B) {
 	})
 	b.Run("Seq-w/o-C", func(b *testing.B) { benchMethod(b, in, SeqWoC) })
 	b.Run("Opt-w/o-C", func(b *testing.B) {
-		benchMethod(b, in, OptWoC, WithOptBudget(2*time.Second))
+		benchMethod(b, in, OptWoC, WithOptBudget(2000000))
 	})
 }
 
@@ -225,20 +224,5 @@ func BenchmarkCollaborationGame(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		collab.Run(in, phase1, collab.Config{})
-	}
-}
-
-// BenchmarkParallelism sweeps the engine's worker-pool bound on the
-// proposed Seq-BDC at the Table I defaults of both datasets. P=1 is the
-// legacy serial pipeline; the output is bit-identical at every setting, so
-// the only difference the sweep can show is wall-clock.
-func BenchmarkParallelism(b *testing.B) {
-	for _, d := range []Dataset{SYN, GM} {
-		in := instanceFor(b, d, nil)
-		for _, p := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/P=%d", d, p), func(b *testing.B) {
-				benchMethod(b, in, SeqBDC, WithParallelism(p))
-			})
-		}
 	}
 }

@@ -26,7 +26,6 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"strings"
-	"time"
 
 	"imtao/internal/core"
 	"imtao/internal/experiments"
@@ -40,7 +39,7 @@ func main() {
 		all      = flag.Bool("all", false, "run every experiment")
 		methods  = flag.String("methods", "seq", `method set: "seq", "all", or a comma list like "Seq-BDC,Opt-w/o-C"`)
 		seeds    = flag.String("seeds", "1,2,3", "comma-separated dataset seeds to average over")
-		budget   = flag.Duration("opt-budget", 200*time.Millisecond, "per-center time budget for the Opt assigner")
+		budget   = flag.Int("opt-budget", 200000, "per-center budget of the Opt assigner in search steps (VTDS extensions plus branch-and-bound nodes, about 1000 per ms); 0 runs it exact")
 		plots    = flag.Bool("plots", true, "render ASCII plots after each table")
 		verbose  = flag.Bool("v", false, "print one progress line per run")
 		convSeed = flag.Int64("conv-seed", 1, "seed for the fig11 convergence run")

@@ -366,13 +366,14 @@ func runShardSweep(sizes []int, counts []int, cfg shardConfig) error {
 
 		ccfg := collab.Config{Scope: collab.FullReassign, Assigner: assign.Sequential}
 
-		// Untimed warm-up run: grows the heap and scratch pools so every
-		// timed point below — one-shard baseline included — competes warm,
-		// keeping the speedup column honest. A single-point sweep
-		// (the 1M record) has no intra-sweep comparison to keep honest, so
-		// it skips the warm-up rather than double its multi-minute game.
+		// Untimed warm-up run at the first requested count: grows the heap
+		// and scratch pools so every timed point below — the first one
+		// included — competes warm, keeping the speedup column honest. A
+		// single-point sweep (the 1M record) has no intra-sweep comparison
+		// to keep honest, so it skips the warm-up rather than double its
+		// multi-minute game.
 		if len(counts) > 1 {
-			collab.Run(in, p1, ccfg)
+			collab.RunSharded(in, p1, collab.ShardConfig{Config: ccfg, Shards: counts[0], Seed: cfg.seed})
 		}
 
 		var s1Fingerprint uint64

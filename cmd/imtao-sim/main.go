@@ -38,7 +38,7 @@ func main() {
 		maxT    = flag.Int("maxt", 4, "worker capacity maxT")
 		seed    = flag.Int64("seed", 1, "generator / RBDC seed")
 		method  = flag.String("method", "Seq-BDC", "method, e.g. Seq-BDC, Opt-w/o-C")
-		budget  = flag.Duration("opt-budget", time.Second, "per-center budget for Opt methods")
+		budget  = flag.Int("opt-budget", 1000000, "per-center budget for Opt methods in search steps (about 1000 per ms); 0 runs Opt exact")
 		load    = flag.String("load", "", "load an instance JSON file instead of generating")
 		save    = flag.String("save", "", "write the final solution to a JSON file")
 		svg     = flag.String("svg", "", "render the solution (cells, routes, transfers) to an SVG file")

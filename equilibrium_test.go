@@ -95,7 +95,7 @@ func TestReadmittedRunsMatchReference(t *testing.T) {
 
 // TestShardedReadmissionEndsAtNash: SYN seed 448 at three shards re-admits
 // a center inside a phase-A shard game. The sharded run must still end at a
-// verified global equilibrium, deterministically at every parallelism,
+// verified global equilibrium, deterministically at GOMAXPROCS 1 and 4,
 // with a ledger that replays to the same solution and a
 // certificate that holds.
 func TestShardedReadmissionEndsAtNash(t *testing.T) {
@@ -103,8 +103,9 @@ func TestShardedReadmissionEndsAtNash(t *testing.T) {
 	var first *Report
 	for _, par := range []int{1, 4} {
 		led := NewLedger()
-		rep, err := Run(in, SeqBDC, WithShards(3), WithSeed(7), WithParallelism(par),
-			WithProvenance(led))
+		var rep *Report
+		var err error
+		atProcs(par, func() { rep, err = Run(in, SeqBDC, WithShards(3), WithSeed(7), WithProvenance(led)) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,8 +128,45 @@ func TestShardedReadmissionEndsAtNash(t *testing.T) {
 		if first == nil {
 			first = rep
 		} else if !reflect.DeepEqual(rep.Solution, first.Solution) {
-			t.Fatal("parallelism changed the sharded solution")
+			t.Fatal("GOMAXPROCS changed the sharded solution")
 		}
+	}
+}
+
+// TestShardedExactOptEndsAtNash: the exact Opt, which the game prunes for,
+// runs through the sharded engine and ends at an equilibrium of Opt's own
+// best responses; a budgeted Opt runs unpruned, so it falls back to one
+// game. The instance is small enough for the exact search, and its games
+// move workers.
+func TestShardedExactOptEndsAtNash(t *testing.T) {
+	p := DefaultParams(SYN)
+	p.NumTasks, p.NumWorkers, p.NumCenters, p.MaxT = 40, 20, 6, 2
+	p.Seed = 1
+	raw, err := Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := Partition(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Run(in, OptBDC, WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Shard == nil || rep.Shard.Shards != 2 || rep.Transfers == 0 {
+		t.Fatalf("exact Opt-BDC was not sharded, or moved no worker: %d transfers, %+v",
+			rep.Transfers, rep.Shard)
+	}
+	if err := collab.VerifyEquilibrium(in, rep.Solution, assign.Optimal); err != nil {
+		t.Fatal(err)
+	}
+	budgeted, err := Run(in, OptBDC, WithShards(2), WithOptBudget(optTestBudget))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if budgeted.Shard == nil || budgeted.Shard.Shards != 1 {
+		t.Fatalf("budgeted Opt-BDC did not fall back: %+v", budgeted.Shard)
 	}
 }
 
@@ -266,7 +304,7 @@ func TestPaperScaleRunsEndAtNash(t *testing.T) {
 		for seed := int64(1); seed <= seeds; seed++ {
 			in, phase1 := paperInstance(t, d, seed)
 			for _, random := range []bool{false, true} {
-				cfg := collab.Config{Assigner: assign.Sequential, Parallelism: 1}
+				cfg := collab.Config{Assigner: assign.Sequential}
 				ref := cfg
 				if random {
 					cfg.Recipient, ref.Recipient = collab.RandomRecipient, collab.RandomRecipient
@@ -287,7 +325,7 @@ func TestPaperScaleRunsEndAtNash(t *testing.T) {
 				}
 			}
 			dc := collab.Run(in, phase1, collab.Config{Assigner: assign.Sequential,
-				Scope: collab.LeftoverOnly, Parallelism: 1})
+				Scope: collab.LeftoverOnly})
 			if cert := provenance.BuildCertificate(in, dc.Solution, provenance.ScopeLeftover); !cert.Equilibrium {
 				t.Fatalf("%s seed %d: Seq-DC end state has an improving leftover deviation", d, seed)
 			}
@@ -377,16 +415,20 @@ func TestMidScaleRunsMatchReference(t *testing.T) {
 				}
 			}
 			for _, par := range []int{1, 4} {
-				res, rep := collab.RunSharded(in, phase1, collab.ShardConfig{
-					Config: collab.Config{Assigner: assign.Sequential, Parallelism: par},
-					Shards: 4, Seed: 7,
+				var res collab.Result
+				var rep collab.ShardReport
+				atProcs(par, func() {
+					res, rep = collab.RunSharded(in, phase1, collab.ShardConfig{
+						Config: collab.Config{Assigner: assign.Sequential},
+						Shards: 4, Seed: 7,
+					})
 				})
 				rep.Cut(in, phase1, collab.FullReassign)
 				if rep.Shards < 2 || rep.EmptyCut {
 					t.Fatalf("%s seed %d: run was not sharded with a non-empty cut", d, seed)
 				}
 				if fp, want := provenance.SolutionFingerprint(res.Solution), sharded[d][seed-1]; fp != want {
-					t.Fatalf("%s seed %d: four-shard fingerprint %016x at parallelism %d, want %016x",
+					t.Fatalf("%s seed %d: four-shard fingerprint %016x at GOMAXPROCS %d, want %016x",
 						d, seed, fp, par, want)
 				}
 			}

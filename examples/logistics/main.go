@@ -40,8 +40,9 @@ func main() {
 			// The exact assigner needs a budget at this scale (the paper
 			// reports thousands of seconds for its unbounded runs). BDC
 			// re-runs the assigner once per candidate dispatch, so even a
-			// small per-center budget accumulates to minutes.
-			opts = append(opts, imtao.WithOptBudget(10*time.Millisecond))
+			// small per-center budget accumulates to minutes. 10,000 search
+			// steps is about 10 ms of search per binding call.
+			opts = append(opts, imtao.WithOptBudget(10000))
 		}
 		rep, err := imtao.Run(in, m, opts...)
 		if err != nil {

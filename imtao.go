@@ -187,29 +187,22 @@ func WithSeed(seed int64) RunOption {
 	return func(c *core.Config) { c.Seed = seed }
 }
 
-// WithOptBudget bounds the per-center search time of the Opt assigner.
-// Zero (the default) runs the exact search to completion.
-func WithOptBudget(d time.Duration) RunOption {
-	return func(c *core.Config) { c.OptBudget = d }
-}
-
-// WithParallelism bounds the worker goroutines of the IMTAO pipeline:
-// phase-1 per-center assignment runs concurrently across centers, the
-// phase-2 game builds its nearest-task tables concurrently, and under
-// WithShards the shard games play concurrently. Every game plays its
-// best-response trials serially. The default, 0, uses GOMAXPROCS; 1
-// forces the serial pipeline. The output and the engine's work counters
-// are identical at every setting — see DESIGN.md §8 for the determinism
-// contract.
-func WithParallelism(n int) RunOption {
-	return func(c *core.Config) { c.Parallelism = n }
+// WithOptBudget bounds the per-center search of the Opt assigner to the
+// given number of search steps: VTDS extensions tried plus branch-and-bound
+// nodes visited, with at most half of them spent enumerating. Zero (the
+// default) runs the exact search to completion. The budget counts work,
+// not time, so a budgeted run is as reproducible as an exact one. A
+// binding budget costs about a millisecond per 1,000 steps on a 2 vCPU
+// Xeon.
+func WithOptBudget(steps int) RunOption {
+	return func(c *core.Config) { c.OptBudget = steps }
 }
 
 // WithShards routes the phase-2 collaboration game through the
 // region-sharded engine (DESIGN.md §15–16): centers are partitioned into n
 // geographic shards with seeded task-weighted k-means, best-response
 // dynamics run concurrently per shard over disjoint home-shard worker
-// pools (up to WithParallelism games at once), and one exchange game
+// pools (up to GOMAXPROCS games at once), and one exchange game
 // continues the shard games' states, settles the boundary workers and
 // drives the whole state to a global Nash equilibrium. When the
 // worker-overlap interference cut between shards is empty, every center's

@@ -2,7 +2,6 @@ package imtao
 
 import (
 	"testing"
-	"time"
 )
 
 func TestSolveQuickstart(t *testing.T) {
@@ -78,7 +77,7 @@ func TestRunWithOptBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run(in, OptWoC, WithOptBudget(50*time.Millisecond))
+	rep, err := Run(in, OptWoC, WithOptBudget(50000))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package assign
 
 import (
 	"sort"
-	"time"
 
 	"imtao/internal/model"
 	"imtao/internal/routing"
@@ -10,13 +9,19 @@ import (
 
 // OptimalOptions tunes the Opt baseline.
 type OptimalOptions struct {
-	// TimeBudget caps the whole per-center computation — VTDS enumeration
-	// plus branch-and-bound conflict resolution; zero means unlimited.
-	// When the budget expires the best packing over the candidates found so
-	// far is returned (still at least as good as a greedy pick, because
-	// candidates are explored largest-first). The paper's Opt runs to
-	// completion; the budget exists to keep huge inputs bounded.
-	TimeBudget time.Duration
+	// Budget caps the whole per-center computation — VTDS enumeration plus
+	// branch-and-bound conflict resolution — in search steps: one step is
+	// one VTDS extension the enumeration tries or one node the packing
+	// search visits. Zero means unlimited. The enumeration gets at most
+	// half of it, so the packing search always has room to assemble a
+	// solution from whatever candidates exist. When the budget runs out the
+	// best packing found so far is returned: the search always finishes its
+	// first descent (one node per worker), a greedy pick that explores
+	// candidates largest-first. The paper's Opt runs to completion; the
+	// budget keeps huge inputs bounded, and because it counts steps rather
+	// than time, a budgeted result is a pure function of the input and the
+	// budget.
+	Budget int
 }
 
 // Optimal computes a per-center task assignment maximizing the number of
@@ -47,17 +52,6 @@ func OptimalOpt(in *model.Instance, c *model.Center, workers []model.WorkerID, t
 	}
 	n := len(tasks)
 
-	// The time budget covers enumeration and packing together. Enumeration
-	// gets at most half the budget so the packing search always has room to
-	// assemble a solution from whatever candidates exist.
-	deadline := time.Time{}
-	enumDeadline := time.Time{}
-	if opt.TimeBudget > 0 {
-		now := time.Now()
-		deadline = now.Add(opt.TimeBudget)
-		enumDeadline = now.Add(opt.TimeBudget / 2)
-	}
-
 	// Enumerate candidate VTDS per worker. Feasibility is hereditary
 	// (dropping tasks from a feasible sequence keeps it feasible), so DFS
 	// extension enumerates exactly the feasible subsets.
@@ -68,7 +62,7 @@ func OptimalOpt(in *model.Instance, c *model.Center, workers []model.WorkerID, t
 	workerList := append([]model.WorkerID(nil), workers...)
 	sort.Slice(workerList, func(i, j int) bool { return workerList[i] < workerList[j] })
 	cands := make([][]candidate, len(workerList))
-	var enumSteps int
+	var enumSteps int // extensions tried, against the budget's first half
 	enumExpired := false
 	for wi, wid := range workerList {
 		w := in.Worker(wid)
@@ -80,11 +74,11 @@ func OptimalOpt(in *model.Instance, c *model.Center, workers []model.WorkerID, t
 				return
 			}
 			for ti := start; ti < n; ti++ {
-				enumSteps++
-				if enumSteps&255 == 0 && !enumDeadline.IsZero() && time.Now().After(enumDeadline) {
+				if opt.Budget > 0 && enumSteps == opt.Budget/2 {
 					enumExpired = true
 					return
 				}
+				enumSteps++
 				cur = append(cur, tasks[ti])
 				res.Stats.TasksScanned++
 				if order, ok := routing.BestOrder(in, w, c, cur); ok {
@@ -153,17 +147,20 @@ func OptimalOpt(in *model.Instance, c *model.Center, workers []model.WorkerID, t
 	used := newBitset(n)
 	var expired bool
 	var steps int
+	searchBudget := opt.Budget - enumSteps // nodes left for the packing search
 
 	var rec func(wi, count int)
 	rec = func(wi, count int) {
 		if expired {
 			return
 		}
-		steps++
-		if steps&1023 == 0 && !deadline.IsZero() && time.Now().After(deadline) {
+		// The budget stops the search only once an incumbent exists, so an
+		// expired search still returns a conflict-free packing.
+		if opt.Budget > 0 && steps >= searchBudget && bestCount >= 0 {
 			expired = true
 			return
 		}
+		steps++
 		if count+maxGain[wi] <= bestCount {
 			return // cannot beat the incumbent
 		}

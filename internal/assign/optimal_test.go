@@ -2,8 +2,8 @@ package assign
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
-	"time"
 
 	"imtao/internal/geo"
 	"imtao/internal/model"
@@ -107,7 +107,7 @@ func TestOptimalDominatesSequential(t *testing.T) {
 	}
 }
 
-func TestOptimalTimeBudgetStillReturnsSolution(t *testing.T) {
+func TestOptimalStepBudgetStillReturnsSolution(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	wl := make([]geo.Point, 6)
 	tl := make([]geo.Point, 24)
@@ -119,12 +119,19 @@ func TestOptimalTimeBudgetStillReturnsSolution(t *testing.T) {
 	}
 	in := centerScene(wl, tl, 1000, 4)
 	ws, ts := allIDs(in)
-	res := OptimalOpt(in, in.Center(0), ws, ts, OptimalOptions{TimeBudget: time.Millisecond})
+	res := OptimalOpt(in, in.Center(0), ws, ts, OptimalOptions{Budget: 1000})
 	if err := feasibleResult(in, &res); err != "" {
 		t.Fatal(err)
 	}
 	if res.AssignedCount() == 0 {
 		t.Fatal("budgeted run should still assign something")
+	}
+	// Every extension tried is one step: the enumeration used its half.
+	if res.Stats.TasksScanned != 500 {
+		t.Fatalf("enumeration tried %d extensions, want the budget's half (500)", res.Stats.TasksScanned)
+	}
+	if again := OptimalOpt(in, in.Center(0), ws, ts, OptimalOptions{Budget: 1000}); !reflect.DeepEqual(res, again) {
+		t.Fatal("the same budget gave a different result")
 	}
 }
 
@@ -222,7 +229,7 @@ func TestOptimalTinyBudgetStillUsesAllWorkers(t *testing.T) {
 	}
 	in := centerScene(wl, tl, 1e6, 4)
 	ws, ts := allIDs(in)
-	res := OptimalOpt(in, in.Center(0), ws, ts, OptimalOptions{TimeBudget: time.Microsecond})
+	res := OptimalOpt(in, in.Center(0), ws, ts, OptimalOptions{Budget: 2})
 	if err := feasibleResult(in, &res); err != "" {
 		t.Fatal(err)
 	}

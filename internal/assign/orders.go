@@ -217,12 +217,12 @@ func NewTaskOrders(in *model.Instance) *TaskOrders {
 	}
 }
 
-// Build binds the parts of the given centers on up to par goroutines (0
-// means GOMAXPROCS) and returns once all are bound. A part's build is
+// Build binds the parts of the given centers on up to GOMAXPROCS
+// goroutines and returns once all are bound. A part's build is
 // deterministic and touches only its own center's slots, so the build order
 // changes nothing.
-func (o *TaskOrders) Build(centers []model.CenterID, par int) {
-	fanout.Each(par, len(centers), func(i int) { o.center(centers[i]) })
+func (o *TaskOrders) Build(centers []model.CenterID) {
+	fanout.Each(len(centers), func(i int) { o.center(centers[i]) })
 }
 
 // center returns ci's part of the table, binding it on first use.

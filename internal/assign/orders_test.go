@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -154,7 +155,7 @@ func samePart(a, b orderLists) bool {
 }
 
 // TestTaskOrdersBuildMatchesLazy builds every center's part at once on
-// several goroutines and checks each against a part built on first use on
+// several goroutines (GOMAXPROCS 4) and checks each against a part built on first use on
 // a clone, whose task geometry is its own: the same center order,
 // neighbour lists and ranks. Under -race it also checks that concurrent
 // builds share nothing unsynchronized.
@@ -166,7 +167,8 @@ func TestTaskOrdersBuildMatchesLazy(t *testing.T) {
 	}
 	in.EnsureHot()
 	built, lazy := NewTaskOrders(in), NewTaskOrders(in.Clone())
-	built.Build(centers, 4)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	built.Build(centers)
 	for _, ci := range centers {
 		b, l := &built.centers[ci], lazy.center(ci)
 		if &b.order[0] == &l.order[0] {
@@ -205,7 +207,7 @@ func TestTaskGeometryConcurrentFirstUse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			tables[g] = NewTaskOrders(in)
-			tables[g].Build(centers, 2)
+			tables[g].Build(centers)
 		}()
 		go func() {
 			defer wg.Done()

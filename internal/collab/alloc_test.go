@@ -2,6 +2,7 @@ package collab
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"imtao/internal/assign"
@@ -85,7 +86,7 @@ func steadyGame(t *testing.T, cfg Config) *Game {
 }
 
 func TestGameStepSteadyStateZeroAlloc(t *testing.T) {
-	g := steadyGame(t, Config{Scope: FullReassign, Assigner: assign.Sequential, Parallelism: 1})
+	g := steadyGame(t, Config{Scope: FullReassign, Assigner: assign.Sequential})
 	const runs = 30
 	g.Reserve(runs + 2)
 	allocs := testing.AllocsPerRun(runs, func() {
@@ -98,10 +99,13 @@ func TestGameStepSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestGameStepParallelZeroAlloc extends the gate to a game configured for
-// Parallelism 2: a steady-state step allocates nothing at any setting.
+// TestGameStepParallelZeroAlloc extends the gate to a game set up at
+// GOMAXPROCS 2, whose order-table prebuild runs on two goroutines: a
+// steady-state step allocates nothing at any setting.
 func TestGameStepParallelZeroAlloc(t *testing.T) {
-	g := steadyGame(t, Config{Scope: FullReassign, Assigner: assign.Sequential, Parallelism: 2})
+	prev := runtime.GOMAXPROCS(2)
+	g := steadyGame(t, Config{Scope: FullReassign, Assigner: assign.Sequential})
+	runtime.GOMAXPROCS(prev)
 	defer g.Finish()
 	const runs = 30
 	g.Reserve(runs + 2)
@@ -164,7 +168,7 @@ func TestTrialRunnerRebindTrialZeroAlloc(t *testing.T) {
 // TrialRec and route-task payloads land in geometrically grown slabs).
 func TestGameStepProvenanceBoundedAlloc(t *testing.T) {
 	led := provenance.NewLedger()
-	cfg := Config{Scope: FullReassign, Assigner: assign.Sequential, Parallelism: 1,
+	cfg := Config{Scope: FullReassign, Assigner: assign.Sequential,
 		Prov: led.NewGameLog(provenance.StageGame, -1)}
 	g := steadyGame(t, cfg)
 	const runs = 30

@@ -110,43 +110,14 @@ const (
 // the assign package (or any custom policy with the same contract).
 type Assigner func(in *model.Instance, c *model.Center, workers []model.WorkerID, tasks []model.TaskID) assign.Result
 
-// PruneMode selects whether admissibility pruning filters trial candidates.
-type PruneMode int
-
-// Pruning soundness (DESIGN.md §11) rests on two conditions. First, the
-// assigner must give a pruned worker — one that cannot feasibly deliver any
-// first task — an empty route, so a pruned candidate's trial equals a plain
-// re-run over the unchanged worker set. Second, that plain re-run must not
-// itself beat the recipient's CURRENT routes: the phase-1 state has to be a
-// fixed point of (or dominate) the game's assigner over the same worker set,
-// or the reference dynamics could accept a pruned candidate on the strength
-// of the re-run alone. core.Run satisfies this by construction — one
-// assigner drives both phases — as do a Sequential game over an Optimal
-// phase 1 (Optimal dominates) and every LeftoverOnly run (a pruned DC trial
-// serves zero leftover tasks regardless of provenance).
-const (
-	// PruneAuto (the default) enables pruning exactly when the first
-	// condition is provable without caller assumptions: the built-in
-	// assign.Sequential (or a nil Assigner, which defaults to it). Custom
-	// assigners run unpruned because the pruning argument is
-	// assigner-specific.
-	PruneAuto PruneMode = iota
-	// PruneOn forces pruning. The caller asserts the soundness conditions
-	// above — the first holds for assign.Sequential and for unbudgeted
-	// assign.Optimal, whose enumeration grows from feasible singletons.
-	PruneOn
-	// PruneOff disables pruning — required for wall-clock-dependent
-	// assigners (e.g. budgeted Optimal), where a pruned candidate's trial
-	// is not reproducible anyway, and for phase-1 states produced by a
-	// weaker assigner than the game's.
-	PruneOff
-)
-
 // Config configures a collaboration run.
 type Config struct {
 	Recipient RecipientPolicy
 	Scope     Scope
-	Assigner  Assigner
+	// Assigner re-plans a recipient in every trial; nil means
+	// assign.Sequential. Pruning follows it (prunes), and only Sequential
+	// trials resume from a serve-order prefix.
+	Assigner Assigner
 	// Rng drives RandomRecipient; ignored otherwise. Required when
 	// Recipient == RandomRecipient.
 	Rng *rand.Rand
@@ -154,19 +125,6 @@ type Config struct {
 	// bound (|S|+1)·(|C|+1), which no uncapped game reaches — see
 	// naturalMaxIterations. A capped game may end short of an equilibrium.
 	MaxIterations int
-	// Parallelism bounds the goroutines of NewGame's order-table prebuild
-	// and, under RunSharded, the shard games played concurrently. 0 means
-	// GOMAXPROCS; 1 makes the run serial. Best-response trials always run
-	// on the goroutine that calls Step, so results and work counters are
-	// identical at every setting. Custom Assigners must be safe for
-	// concurrent calls when RunSharded plays shard games concurrently.
-	// RunReference ignores it.
-	Parallelism int
-	// Prune selects admissibility pruning (DESIGN.md §11). The zero value
-	// PruneAuto prunes for the built-in Sequential assigner only; pruning
-	// never changes the solution or trace beyond the work counters (Trials,
-	// Pruned, Resumed, Replays).
-	Prune PruneMode
 	// Obs receives one "game_iter" event per iteration carrying the
 	// potential Φ, the full ρ vector, trial/prune/resume counts and the
 	// iteration latency. Nil (or obs.Nop) disables emission; the TraceStep
@@ -206,15 +164,48 @@ type Config struct {
 	orders *assign.TaskOrders
 }
 
-// sequentialPtr identifies the built-in Sequential assigner by code pointer,
-// surviving the Assigner func-type conversion.
-var sequentialPtr = reflect.ValueOf(assign.Sequential).Pointer()
+// sequentialPtr and optimalPtr identify the built-in Sequential and exact
+// Optimal assigners by code pointer, surviving the Assigner func-type
+// conversion.
+var (
+	sequentialPtr = reflect.ValueOf(assign.Sequential).Pointer()
+	optimalPtr    = reflect.ValueOf(assign.Optimal).Pointer()
+)
 
 // isSequentialAssigner reports whether a is nil (defaults to Sequential) or
-// assign.Sequential itself — the engines that admit exact pruning and
-// prefix-resume trials.
+// assign.Sequential itself — the engine that admits prefix-resume trials.
 func isSequentialAssigner(a Assigner) bool {
 	return a == nil || reflect.ValueOf(a).Pointer() == sequentialPtr
+}
+
+// prunes reports whether admissibility pruning filters the trial
+// candidates of a game played with assigner a: exactly for the built-in
+// assign.Sequential (or a nil Assigner) and the exact assign.Optimal.
+// Pruning never changes the solution or trace beyond the work counters
+// (Trials, Pruned, Resumed, Replays).
+//
+// Its soundness (DESIGN.md §11) rests on two conditions. First, the
+// assigner must give a pruned worker — one that cannot feasibly deliver any
+// first task — an empty route, so a pruned candidate's trial equals a plain
+// re-run over the unchanged worker set. Second, that plain re-run must not
+// itself beat the recipient's CURRENT routes: the phase-1 state has to be a
+// fixed point of (or dominate) the game's assigner over the same worker set,
+// or the reference dynamics could accept a pruned candidate on the strength
+// of the re-run alone. core.Run satisfies this by construction — one
+// assigner drives both phases — as do a Sequential game over an Optimal
+// phase 1 (Optimal dominates) and every LeftoverOnly run (a pruned DC trial
+// serves zero leftover tasks regardless of provenance). Sequential meets
+// the first condition by its admission slack, and exact Optimal because its
+// enumeration grows from feasible singletons.
+//
+// Every other assigner runs unpruned, since the argument is
+// assigner-specific. A budgeted Optimal fails it even though its budget
+// counts steps: every extension it tries spends budget, so its answer
+// depends on every worker's candidates. A lender that lends out a worker
+// holding no route can then assign more than its current routes when
+// re-run without it, which breaks the second condition.
+func prunes(a Assigner) bool {
+	return isSequentialAssigner(a) || reflect.ValueOf(a).Pointer() == optimalPtr
 }
 
 // TraceStep records one iteration of the collaboration game, feeding the
@@ -477,7 +468,7 @@ func NewGame(in *model.Instance, phase1 []assign.Result, cfg Config) *Game {
 		// here instead of one by one in their first sweeps. A shard game
 		// skips this: the shard games already build concurrently.
 		if g.orders != nil && !g.Over() {
-			g.orders.Build(g.recipients, cfg.Parallelism)
+			g.orders.Build(g.recipients)
 		}
 	} else {
 		for _, ci := range g.members {
@@ -520,6 +511,7 @@ func newGame(in *model.Instance, cfg Config) *Game {
 		g.memberRhos = make([]float64, len(g.members))
 	}
 	g.seqEngine = isSequentialAssigner(cfg.Assigner)
+	g.pruneOn = prunes(cfg.Assigner)
 	if g.cfg.Assigner == nil {
 		g.cfg.Assigner = assign.Sequential
 	}
@@ -535,8 +527,6 @@ func newGame(in *model.Instance, cfg Config) *Game {
 			g.orders = assign.NewTaskOrders(in)
 		}
 	}
-
-	g.pruneOn = cfg.Prune == PruneOn || (cfg.Prune == PruneAuto && g.seqEngine)
 
 	g.states = make([]centerState, n)
 	g.pool = newWorkerPool(in)

@@ -54,19 +54,30 @@ func stripEngineDiagnostics(trace []TraceStep) []TraceStep {
 	return out
 }
 
-// optAssigner is assign.Optimal without a budget — deterministic, so the
-// engines must agree bit-for-bit on it too.
+// optAssigner wraps assign.Optimal in a function of its own, so the game
+// does not recognise it and runs it unpruned, as it runs every custom
+// assigner.
 func optAssigner(in *model.Instance, c *model.Center, ws []model.WorkerID, ts []model.TaskID) assign.Result {
 	return assign.Optimal(in, c, ws, ts)
 }
 
+// optPhase1 is phase 1 under the exact Optimal assigner.
+func optPhase1(in *model.Instance) []assign.Result {
+	out := make([]assign.Result, len(in.Centers))
+	for ci := range in.Centers {
+		c := in.Center(model.CenterID(ci))
+		out[ci] = assign.Optimal(in, c, c.Workers, c.Tasks)
+	}
+	return out
+}
+
 // engineCases enumerates the paper's method grid for both per-center
 // assigners: BDC/DC/RBDC × {Sequential, Optimal}, plus the recipient-policy
-// ablation under Sequential. Optimal runs with PruneOn
-// (exact for the unbudgeted enumeration, see PruneMode docs). opt marks the
-// cases whose phase 1 must also run Optimal — pruning assumes the initial
-// state is a fixed point of the game's own assigner, as core.Run guarantees
-// by using one assigner for both phases.
+// ablation under Sequential. assign.Optimal itself is pruned (prunes); the
+// optAssigner wrapper runs the same search unpruned. opt marks the cases
+// whose phase 1 must also run Optimal — pruning assumes the initial state
+// is a fixed point of the game's own assigner, as core.Run guarantees by
+// using one assigner for both phases.
 func engineCases() []struct {
 	name string
 	opt  bool
@@ -81,10 +92,9 @@ func engineCases() []struct {
 		{"Seq-DC", false, Config{Scope: LeftoverOnly, Assigner: assign.Sequential}},
 		{"Seq-RBDC", false, Config{Recipient: RandomRecipient, Assigner: assign.Sequential}},
 		{"Seq-MaxLeftover", false, Config{Recipient: MaxLeftover, Assigner: assign.Sequential}},
-		{"Seq-BDC-par", false, Config{Scope: FullReassign, Assigner: assign.Sequential, Parallelism: 4}},
-		{"Opt-BDC", true, Config{Scope: FullReassign, Assigner: optAssigner, Prune: PruneOn}},
-		{"Opt-DC", true, Config{Scope: LeftoverOnly, Assigner: optAssigner, Prune: PruneOn}},
-		{"Opt-RBDC", true, Config{Recipient: RandomRecipient, Assigner: optAssigner, Prune: PruneOn}},
+		{"Opt-BDC", true, Config{Scope: FullReassign, Assigner: assign.Optimal}},
+		{"Opt-DC", true, Config{Scope: LeftoverOnly, Assigner: assign.Optimal}},
+		{"Opt-RBDC", true, Config{Recipient: RandomRecipient, Assigner: assign.Optimal}},
 		{"Opt-BDC-noprune", true, Config{Scope: FullReassign, Assigner: optAssigner}},
 	}
 }
@@ -100,12 +110,7 @@ func TestRunMatchesReferenceAcrossMethods(t *testing.T) {
 		// small instance; the Sequential grid gets a larger one.
 		inSeq := randomInstance(rng, 2+rng.Intn(5), 6+rng.Intn(24), 12+rng.Intn(60))
 		inOpt := randomInstance(rng, 2+rng.Intn(2), 4+rng.Intn(5), 8+rng.Intn(8))
-		p1Seq := phase1(inSeq)
-		var p1Opt []assign.Result
-		for ci := range inOpt.Centers {
-			c := inOpt.Center(model.CenterID(ci))
-			p1Opt = append(p1Opt, assign.Optimal(inOpt, c, c.Workers, c.Tasks))
-		}
+		p1Seq, p1Opt := phase1(inSeq), optPhase1(inOpt)
 		for _, tc := range engineCases() {
 			in, p1 := inSeq, p1Seq
 			if tc.opt {
@@ -190,41 +195,57 @@ func TestRunEngineCountersFire(t *testing.T) {
 // yield exactly the recipient's current assigned count — i.e. pruning only
 // ever drops candidates whose best response is a no-op. The hook only
 // observes, so the pool runs the same admission scan as every production
-// solve. Covered for both the full-reassign (BDC) and leftover-only (DC)
-// scopes.
+// solve. Covered for both assigners the game prunes for (Sequential, and
+// the exact Optimal over an Optimal phase 1 on small instances, its
+// enumeration being exponential) and both the full-reassign (BDC) and
+// leftover-only (DC) scopes.
 func TestPrunedCandidatesNeverImprove(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
-	for _, scope := range []Scope{FullReassign, LeftoverOnly} {
-		checked := 0
-		for trial := 0; trial < 12; trial++ {
-			in := randomInstance(rng, 2+rng.Intn(4), 8+rng.Intn(16), 16+rng.Intn(40))
-			p1 := phase1(in)
-			cfg := seqConfig()
-			cfg.Scope = scope
-			cfg.prunedHook = func(ci model.CenterID, w model.WorkerID,
-				baseWS []model.WorkerID, leftTasks []model.TaskID, assigned int) {
-				checked++
-				center := in.Center(ci)
-				var full assign.Result
-				if scope == LeftoverOnly {
-					full = assign.Sequential(in, center, []model.WorkerID{w}, leftTasks)
-					if got := full.AssignedCount(); got != 0 {
-						t.Fatalf("scope %v: pruned DC candidate %d served %d leftover tasks", scope, w, got)
+	assigners := []struct {
+		name     string
+		assigner Assigner
+		instance func() *model.Instance
+		phase1   func(*model.Instance) []assign.Result
+	}{
+		{"Sequential", assign.Sequential, func() *model.Instance {
+			return randomInstance(rng, 2+rng.Intn(4), 8+rng.Intn(16), 16+rng.Intn(40))
+		}, phase1},
+		{"Optimal", assign.Optimal, func() *model.Instance {
+			return randomInstance(rng, 2+rng.Intn(3), 6+rng.Intn(6), 10+rng.Intn(10))
+		}, optPhase1},
+	}
+	for _, a := range assigners {
+		for _, scope := range []Scope{FullReassign, LeftoverOnly} {
+			checked := 0
+			for trial := 0; trial < 12; trial++ {
+				in := a.instance()
+				p1 := a.phase1(in)
+				cfg := Config{Scope: scope, Assigner: a.assigner}
+				cfg.prunedHook = func(ci model.CenterID, w model.WorkerID,
+					baseWS []model.WorkerID, leftTasks []model.TaskID, assigned int) {
+					checked++
+					center := in.Center(ci)
+					if scope == LeftoverOnly {
+						full := a.assigner(in, center, []model.WorkerID{w}, leftTasks)
+						if got := full.AssignedCount(); got != 0 {
+							t.Fatalf("%s scope %v: pruned DC candidate %d served %d leftover tasks",
+								a.name, scope, w, got)
+						}
+						return
 					}
-					return
+					ws := append(append([]model.WorkerID(nil), baseWS...), w)
+					full := a.assigner(in, center, ws, center.Tasks)
+					if got := full.AssignedCount(); got != assigned {
+						t.Fatalf("%s scope %v: pruned candidate %d changed assigned count %d → %d",
+							a.name, scope, w, assigned, got)
+					}
 				}
-				ws := append(append([]model.WorkerID(nil), baseWS...), w)
-				full = assign.Sequential(in, center, ws, center.Tasks)
-				if got := full.AssignedCount(); got != assigned {
-					t.Fatalf("scope %v: pruned candidate %d changed assigned count %d → %d",
-						scope, w, assigned, got)
-				}
+				Run(in, p1, cfg)
 			}
-			Run(in, p1, cfg)
+			if checked == 0 {
+				t.Fatalf("%s scope %v: hook never saw a pruned candidate", a.name, scope)
+			}
+			t.Logf("%s scope %v: verified %d pruned candidates", a.name, scope, checked)
 		}
-		if checked == 0 {
-			t.Fatalf("scope %v: hook never saw a pruned candidate", scope)
-		}
-		t.Logf("scope %v: verified %d pruned candidates", scope, checked)
 	}
 }

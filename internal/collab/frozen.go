@@ -18,7 +18,7 @@ import (
 // Run (DESIGN.md §11): the equivalence tests assert bit-identical routes,
 // transfers and trace against it; no binary calls it. It reads only the
 // game's rules from cfg (Recipient, Scope, Assigner, Rng, MaxIterations)
-// and ignores Parallelism, Prune and the instrumentation fields: it updates
+// and ignores the instrumentation fields: it updates
 // no metric and emits no event. Do not optimize this function.
 func RunReference(in *model.Instance, phase1 []assign.Result, cfg Config) Result {
 	if cfg.Assigner == nil {

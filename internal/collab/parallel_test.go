@@ -28,11 +28,12 @@ func stripDurations(trace []TraceStep) []TraceStep {
 }
 
 // TestRunParallelismDeterminism checks that every recipient/scope
-// combination produces bit-identical results at Parallelism 1 and 8,
+// combination produces bit-identical results at GOMAXPROCS 1 and 8,
 // including the full iteration trace.
 func TestRunParallelismDeterminism(t *testing.T) {
 	in := seededInstance(7, 6, 40, 160)
 	p1 := phase1(in)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	cases := []struct {
 		name string
 		cfg  Config
@@ -45,13 +46,13 @@ func TestRunParallelismDeterminism(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			serialCfg, parCfg := tc.cfg, tc.cfg
-			serialCfg.Parallelism = 1
-			parCfg.Parallelism = 8
 			if tc.cfg.Recipient == RandomRecipient {
 				serialCfg.Rng = rand.New(rand.NewSource(3))
 				parCfg.Rng = rand.New(rand.NewSource(3))
 			}
+			runtime.GOMAXPROCS(1)
 			serial := Run(in, p1, serialCfg)
+			runtime.GOMAXPROCS(8)
 			parallel := Run(in, p1, parCfg)
 			if serial.Iterations != parallel.Iterations {
 				t.Fatalf("iterations: serial %d, parallel %d", serial.Iterations, parallel.Iterations)
@@ -70,7 +71,7 @@ func TestRunParallelismDeterminism(t *testing.T) {
 	}
 }
 
-// TestNoGoroutineOutlivesGame: stepping a Parallelism-4 game starts no
+// TestNoGoroutineOutlivesGame: stepping a game at GOMAXPROCS 4 starts no
 // goroutine, and after Run, RunSharded (serial, and concurrent shard games)
 // and VerifyEquilibrium return, the goroutine count is back where it began.
 // Some of the game's sweeps have candidates of several trial keys.
@@ -78,7 +79,7 @@ func TestNoGoroutineOutlivesGame(t *testing.T) {
 	in := seededInstance(7, 6, 60, 400)
 	p1 := phase1(in)
 	cfg := seqConfig()
-	cfg.Parallelism = 4
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	before := runtime.NumGoroutine()
 	settled := func(what string) {
 		t.Helper()
@@ -105,10 +106,9 @@ func TestNoGoroutineOutlivesGame(t *testing.T) {
 
 	res := Run(in, p1, cfg)
 	settled("Run")
-	for _, par := range []int{1, 4} {
-		scfg := cfg
-		scfg.Parallelism = par
-		RunSharded(in, p1, ShardConfig{Config: scfg, Shards: 3, Seed: 1})
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		RunSharded(in, p1, ShardConfig{Config: cfg, Shards: 3, Seed: 1})
 		settled("RunSharded")
 	}
 	if err := VerifyEquilibrium(in, res.Solution, nil); err != nil {
@@ -118,8 +118,8 @@ func TestNoGoroutineOutlivesGame(t *testing.T) {
 }
 
 // TestEvalTrialsSlots checks the fixed-slot contract directly on the
-// full-trial path: results land at their candidate's index regardless of
-// parallelism, and every candidate is its own group.
+// full-trial path: results land at their candidate's index, and every
+// candidate is its own group.
 func TestEvalTrialsSlots(t *testing.T) {
 	in := seededInstance(3, 4, 24, 96)
 	center := in.Center(0)
@@ -128,19 +128,16 @@ func TestEvalTrialsSlots(t *testing.T) {
 		cands = append(cands, w.ID)
 	}
 	base := center.Workers
-	for _, par := range []int{1, 2, 8} {
-		g := &Game{in: in, cfg: Config{Assigner: assign.Sequential, Parallelism: par}}
-		counts, replays := g.evalTrials(center, cands, base, nil, nil, 0)
-		if len(counts) != len(cands) || replays != len(cands) {
-			t.Fatalf("par=%d: %d counts and %d replays for %d candidates",
-				par, len(counts), replays, len(cands))
-		}
-		for i, w := range cands {
-			ws := append(append([]model.WorkerID(nil), base...), w)
-			want := assign.Sequential(in, center, ws, center.Tasks)
-			if !reflect.DeepEqual(*g.trialOf(i), want) || counts[i] != want.AssignedCount() {
-				t.Fatalf("par=%d: slot %d (worker %d) mismatch", par, i, w)
-			}
+	g := &Game{in: in, cfg: Config{Assigner: assign.Sequential}}
+	counts, replays := g.evalTrials(center, cands, base, nil, nil, 0)
+	if len(counts) != len(cands) || replays != len(cands) {
+		t.Fatalf("%d counts and %d replays for %d candidates", len(counts), replays, len(cands))
+	}
+	for i, w := range cands {
+		ws := append(append([]model.WorkerID(nil), base...), w)
+		want := assign.Sequential(in, center, ws, center.Tasks)
+		if !reflect.DeepEqual(*g.trialOf(i), want) || counts[i] != want.AssignedCount() {
+			t.Fatalf("slot %d (worker %d) mismatch", i, w)
 		}
 	}
 }

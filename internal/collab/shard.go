@@ -240,7 +240,7 @@ func (r *ShardReport) Cut(in *model.Instance, phase1 []assign.Result, scope Scop
 	// A worker already in the set skips the check, since adding it again
 	// changes nothing. The checks read the hot slab; build it first.
 	in.EnsureHot()
-	fanout.Each(0, r.Shards, func(s int) {
+	fanout.Each(r.Shards, func(s int) {
 		set := touches[s]
 		for _, ci := range recipients[s] {
 			c := in.Center(ci)
@@ -306,33 +306,32 @@ func (b workerSet) meets(o workerSet) bool {
 // global Nash equilibrium. The instance is not mutated. Any shard count
 // runs as asked, up to the center count (PlanShards).
 //
-// Determinism: the outcome is bit-identical across Parallelism settings
-// and repeated runs (deterministic assigners). When the interference cut
-// (Cut) is empty every center's routes equal Run's and the exchange
-// accepts nothing; the transfer log is in shard order and the trace is
-// shard segments followed by the exchange steps. Otherwise the result is a
-// different, but verified, equilibrium of the same game.
+// Determinism: the outcome is bit-identical at every GOMAXPROCS and
+// across repeated runs. When the interference cut (Cut) is empty every
+// center's routes equal Run's and the exchange accepts nothing; the
+// transfer log is in shard order and the trace is shard segments followed
+// by the exchange steps. Otherwise the result is a different, but
+// verified, equilibrium of the same game.
 //
-// Parallelism bounds the shard games played concurrently; 1 makes the
-// whole run serial. Every game, the exchange game included, plays its
-// trials on the goroutine that steps it. Config.Obs receives one game_iter
-// event per step of the final trace, in trace order, once the exchange
-// game ends; the unsharded fallback streams them live.
+// Up to GOMAXPROCS shard games play concurrently. Every game, the exchange
+// game included, plays its trials on the goroutine that steps it.
+// Config.Obs receives one game_iter event per step of the final trace, in
+// trace order, once the exchange game ends; the unsharded fallback streams
+// them live.
 //
-// The sharded path engages for MinRatio dynamics with an assigner admitting
-// the admissibility-pruning argument (the built-in Sequential, or any
-// assigner the caller vouches for via PruneOn — Cut's empty-cut
-// certificate rests on the same admission-slack bound). Everything else —
-// RandomRecipient, MaxLeftover, budgeted assigners under PruneOff — falls
-// back to the unsharded Run, reported as one shard.
+// The sharded path engages for MinRatio dynamics with an assigner the game
+// prunes for (the built-in Sequential or the exact Optimal — Cut's
+// empty-cut certificate rests on the same admission-slack bound).
+// Everything else — RandomRecipient, MaxLeftover, budgeted Optimal and
+// other custom assigners — falls back to the unsharded Run, reported as
+// one shard.
 // Config.MaxIterations, when set, caps each shard game and the exchange
 // game individually.
 func RunSharded(in *model.Instance, phase1 []assign.Result, cfg ShardConfig) (Result, ShardReport) {
 	k := cfg.Shards
 	// Every game of the run records through Ledger alone.
 	cfg.Prov = nil
-	eligible := cfg.Recipient == MinRatio &&
-		(isSequentialAssigner(cfg.Assigner) || cfg.Prune == PruneOn)
+	eligible := cfg.Recipient == MinRatio && prunes(cfg.Assigner)
 	var auto *ShardAutoPick
 	if k == ShardAuto && eligible && len(in.Centers) >= 2 {
 		k = autoShardCount(len(in.Centers))
@@ -389,14 +388,14 @@ func RunSharded(in *model.Instance, phase1 []assign.Result, cfg ShardConfig) (Re
 	games := make([]*Game, nShards)
 	walls := make([]time.Duration, nShards)
 	// Per-shard provenance logs, created upfront in shard order so the
-	// ledger's log sequence is deterministic at every Parallelism.
+	// ledger's log sequence is deterministic at every GOMAXPROCS.
 	provLogs := make([]*provenance.GameLog, nShards)
 	if cfg.Ledger != nil {
 		for s := range provLogs {
 			provLogs[s] = cfg.Ledger.NewGameLog(provenance.StageGame, s)
 		}
 	}
-	fanout.Each(cfg.Parallelism, nShards, func(s int) {
+	fanout.Each(nShards, func(s int) {
 		scfg := cfg.Config
 		scfg.members = members[s]
 		scfg.Prov = provLogs[s]

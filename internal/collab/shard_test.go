@@ -128,7 +128,7 @@ func TestShardedEmptyCutBitIdentical(t *testing.T) {
 // cut is never empty must still reach a verified global Nash equilibrium,
 // with the potential Φ monotone within every phase-A shard segment and
 // within the exchange segment, and the whole run deterministic — across
-// repeats and across Parallelism settings. A game log set on Config.Prov
+// repeats and at GOMAXPROCS 1 and 4. A game log set on Config.Prov
 // stays empty: ShardConfig.Ledger is the sharded engine's only recording
 // channel, so no game of the run, the exchange included, writes into it.
 func TestShardedConflictedEquilibrium(t *testing.T) {
@@ -175,20 +175,20 @@ func TestShardedConflictedEquilibrium(t *testing.T) {
 					trial, k, start, len(got.Trace))
 			}
 
-			// Determinism: bit-identical on repeat, fully serial, and at
-			// forced shard concurrency.
+			// Determinism: bit-identical on repeat, fully serial, and with
+			// shard games on four goroutines.
 			again, rep2 := RunSharded(in, p1, ShardConfig{Config: seqConfig(), Shards: k, Seed: 3})
 			rep.ShardWall, rep2.ShardWall = nil, nil // wall clocks differ by nature
 			if !reflect.DeepEqual(got.Solution, again.Solution) || !reflect.DeepEqual(rep, rep2) {
 				t.Fatalf("trial %d shards=%d: repeat run diverged", trial, k)
 			}
-			for _, p := range []int{1, 4} {
-				pcfg := seqConfig()
-				pcfg.Parallelism = p
-				par, _ := RunSharded(in, p1, ShardConfig{Config: pcfg, Shards: k, Seed: 3})
+			for _, procs := range []int{1, 4} {
+				prev := runtime.GOMAXPROCS(procs)
+				par, _ := RunSharded(in, p1, ShardConfig{Config: seqConfig(), Shards: k, Seed: 3})
+				runtime.GOMAXPROCS(prev)
 				if !reflect.DeepEqual(got.Solution, par.Solution) ||
 					!reflect.DeepEqual(stripEngineDiagnostics(got.Trace), stripEngineDiagnostics(par.Trace)) {
-					t.Fatalf("trial %d shards=%d: Parallelism %d changed the outcome", trial, k, p)
+					t.Fatalf("trial %d shards=%d: GOMAXPROCS %d changed the outcome", trial, k, procs)
 				}
 			}
 		}
@@ -420,7 +420,7 @@ func sameCut(a, b ShardReport) bool {
 }
 
 // TestShardedFallback: configurations the sharded engine cannot prove safe
-// — random recipients, budget-style assigners without PruneOn — fall back
+// — random recipients, assigners the game does not prune for — fall back
 // to the unsharded engine bit-identically, and report a single shard. The
 // fallback records through ShardConfig.Ledger only: a game log set on
 // Config.Prov stays empty.
@@ -454,7 +454,7 @@ func TestShardedFallback(t *testing.T) {
 		return assign.Sequential(in, c, ws, ts)
 	}
 	if _, rep := RunSharded(in, p1, ShardConfig{Config: custom, Shards: 4, Seed: 1}); rep.Shards != 1 {
-		t.Fatalf("custom assigner without PruneOn did not fall back: %+v", rep)
+		t.Fatalf("custom assigner did not fall back: %+v", rep)
 	}
 
 	// Shards ≤ 1 is the unsharded engine by definition.
@@ -473,7 +473,7 @@ func TestShardedFallback(t *testing.T) {
 func TestShardMemberGameStepZeroAlloc(t *testing.T) {
 	in := skewedInstance(200)
 	p1 := phase1(in)
-	cfg := Config{Scope: FullReassign, Assigner: assign.Sequential, Parallelism: 1}
+	cfg := Config{Scope: FullReassign, Assigner: assign.Sequential}
 	members := make([]model.CenterID, len(in.Centers))
 	for i := range members {
 		members[i] = model.CenterID(i)
@@ -505,7 +505,7 @@ func TestShardMemberGameStepZeroAlloc(t *testing.T) {
 func TestReconcileResumedGameStepZeroAlloc(t *testing.T) {
 	in := skewedInstance(200)
 	p1 := phase1(in)
-	cfg := Config{Scope: FullReassign, Assigner: assign.Sequential, Parallelism: 1}
+	cfg := Config{Scope: FullReassign, Assigner: assign.Sequential}
 
 	var shards []*Game
 	for _, members := range [][]model.CenterID{{0, 1}, {2, 3, 4}} {
@@ -670,25 +670,25 @@ func TestPlanShardsEdgeCases(t *testing.T) {
 }
 
 // TestShardMapStableAcrossParallelism (satellite): the shard map is a pure
-// function of (instance, shards, seed) — Parallelism must never leak
-// into the partition or the canonical labeling.
+// function of (instance, shards, seed) — GOMAXPROCS must never leak into
+// the partition or the canonical labeling.
 func TestShardMapStableAcrossParallelism(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for trial := 0; trial < 4; trial++ {
 		in := randomInstance(rng, 6+rng.Intn(4), 24+rng.Intn(16), 50+rng.Intn(30))
 		p1 := phase1(in)
 		var base []int
-		for _, par := range []int{0, 1, 2, 4, 8} {
-			cfg := seqConfig()
-			cfg.Parallelism = par
-			_, rep := RunSharded(in, p1, ShardConfig{Config: cfg, Shards: 4, Seed: 11})
+		for _, procs := range []int{1, 2, 4, 8} {
+			runtime.GOMAXPROCS(procs)
+			_, rep := RunSharded(in, p1, ShardConfig{Config: seqConfig(), Shards: 4, Seed: 11})
 			if base == nil {
 				base = rep.ShardOf
 				continue
 			}
 			if !reflect.DeepEqual(base, rep.ShardOf) {
-				t.Fatalf("trial %d: ShardOf changed under Parallelism=%d: %v vs %v",
-					trial, par, rep.ShardOf, base)
+				t.Fatalf("trial %d: ShardOf changed at GOMAXPROCS %d: %v vs %v",
+					trial, procs, rep.ShardOf, base)
 			}
 		}
 	}

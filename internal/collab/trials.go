@@ -71,8 +71,7 @@ func (g *Game) tracedTrial(runner *assign.TrialRunner, center *model.Center,
 // the shared baseline and is no replay. A nil base falls back to one full
 // assigner run per candidate.
 //
-// Every head and trial runs on the calling goroutine, whatever
-// cfg.Parallelism says. The counts and every trialOf Result are per-sweep
+// Every head and trial runs on the calling goroutine. The counts and every trialOf Result are per-sweep
 // scratch, valid until the next evalTrials call. baseWS is the recipient's
 // current worker set (ignored for LeftoverOnly); each full-run trial
 // appends its candidate to a private copy, so the shared slice is never

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"time"
 
 	"imtao/internal/assign"
@@ -148,17 +147,9 @@ type Config struct {
 	// Seed drives the RBDC recipient choice; other methods are
 	// deterministic and ignore it.
 	Seed int64
-	// OptBudget caps the per-center branch-and-bound time of the Opt
-	// assigner; zero means run to optimality.
-	OptBudget time.Duration
-	// Parallelism bounds the worker goroutines of both phases: phase-1
-	// per-center assignment runs concurrently across centers, and phase 2
-	// passes it on as collab.Config.Parallelism (the game's table prebuild
-	// and, under Shards, the concurrent shard games); every game plays its
-	// trials serially. 0 means GOMAXPROCS; 1 forces the serial pipeline.
-	// Output is bit-identical at every setting on deterministic assigners
-	// (Seq always; Opt with a zero time budget).
-	Parallelism int
+	// OptBudget caps the Opt assigner's per-center search in steps
+	// (assign.OptimalOptions.Budget); zero means run to optimality.
+	OptBudget int
 	// MaxGameIterations caps the phase-2 collaboration game. 0 means the
 	// natural bound (every worker transferred once plus every center
 	// dropped once) — the paper's setting. The scale benchmark sets a cap
@@ -265,7 +256,7 @@ func Partition(in *model.Instance) (*model.Instance, *voronoi.Diagram, error) {
 	// lookup writes only its own entity's label.
 	nt, n := len(out.Tasks), len(out.Tasks)+len(out.Workers)
 	blocks := (n + partitionBlock - 1) / partitionBlock
-	fanout.Each(runtime.GOMAXPROCS(0), blocks, func(b int) {
+	fanout.Each(blocks, func(b int) {
 		for i := b * partitionBlock; i < min(n, (b+1)*partitionBlock); i++ {
 			if i < nt {
 				t := &out.Tasks[i]
@@ -330,22 +321,15 @@ func Run(in *model.Instance, cfg Config) (*Report, error) {
 		}
 	}
 
+	// The exact Optimal is passed as itself, so the game prunes for it as
+	// for Sequential (collab.prunes); a budgeted Opt runs unpruned.
 	assigner := collab.Assigner(assign.Sequential)
-	// PruneAuto covers the Sequential assigner; the Opt closure needs an
-	// explicit mode. Unbudgeted Optimal admits exact pruning (its VTDS
-	// enumeration grows from feasible singletons, so an inadmissible worker
-	// contributes no candidate set), while a time budget makes trials
-	// wall-clock dependent — pruning must stay off there.
-	prune := collab.PruneAuto
 	if cfg.Method.Assigner == Opt {
-		budget := cfg.OptBudget
-		assigner = func(in *model.Instance, c *model.Center, ws []model.WorkerID, ts []model.TaskID) assign.Result {
-			return assign.OptimalOpt(in, c, ws, ts, assign.OptimalOptions{TimeBudget: budget})
-		}
-		if budget > 0 {
-			prune = collab.PruneOff
-		} else {
-			prune = collab.PruneOn
+		assigner = assign.Optimal
+		if budget := cfg.OptBudget; budget > 0 {
+			assigner = func(in *model.Instance, c *model.Center, ws []model.WorkerID, ts []model.TaskID) assign.Result {
+				return assign.OptimalOpt(in, c, ws, ts, assign.OptimalOptions{Budget: budget})
+			}
 		}
 	}
 
@@ -389,8 +373,7 @@ func Run(in *model.Instance, cfg Config) (*Report, error) {
 			obs.F("method", cfg.Method.String()),
 			obs.F("centers", len(in.Centers)),
 			obs.F("workers", len(in.Workers)),
-			obs.F("tasks", len(in.Tasks)),
-			obs.F("parallelism", cfg.Parallelism))
+			obs.F("tasks", len(in.Tasks)))
 	}
 
 	// Distance-oracle warm-up: resolve entity→node snaps and pin the center
@@ -427,16 +410,9 @@ func Run(in *model.Instance, cfg Config) (*Report, error) {
 	// output is identical to the serial loop at any parallelism.
 	t0 := time.Now()
 	phase1 := make([]assign.Result, len(in.Centers))
-	par := cfg.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	if par > len(in.Centers) {
-		par = len(in.Centers)
-	}
 	var p1TS obs.TraceSpan
 	if tr != nil {
-		p1TS = tr.Start(runTS.ID(), "phase1", obs.F("parallelism", par))
+		p1TS = tr.Start(runTS.ID(), "phase1")
 	}
 	// runCenter assigns one center, wrapped in a phase1_center span when
 	// traced; it runs on the caller or on worker goroutines — the span
@@ -468,7 +444,7 @@ func Run(in *model.Instance, cfg Config) (*Report, error) {
 			obs.F("left_tasks", len(r.LeftTasks)))
 		phase1[ci] = r
 	}
-	fanout.Each(par, len(in.Centers), runCenter)
+	fanout.Each(len(in.Centers), runCenter)
 	phase1Time := time.Since(t0)
 	mPhase1Seconds.ObserveDuration(phase1Time)
 	if tr != nil {
@@ -515,9 +491,7 @@ func Run(in *model.Instance, cfg Config) (*Report, error) {
 	default:
 		ccfg := collab.Config{
 			Assigner:      assigner,
-			Parallelism:   cfg.Parallelism,
 			MaxIterations: cfg.MaxGameIterations,
-			Prune:         prune,
 			Obs:           cfg.Observer,
 			Tracer:        tr,
 			TraceParent:   p2TS.ID(),

@@ -2,7 +2,6 @@ package core
 
 import (
 	"testing"
-	"time"
 
 	"imtao/internal/metrics"
 	"imtao/internal/model"
@@ -159,7 +158,7 @@ func TestRunOptSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := Run(in, Config{Method: Method{Opt, WoC}, OptBudget: 2 * time.Second})
+	opt, err := Run(in, Config{Method: Method{Opt, WoC}, OptBudget: 2000000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,11 +226,11 @@ func TestRunOptBDCSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	woc, err := Run(in, Config{Method: Method{Opt, WoC}, OptBudget: time.Second})
+	woc, err := Run(in, Config{Method: Method{Opt, WoC}, OptBudget: 1000000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bdc, err := Run(in, Config{Method: Method{Opt, BDC}, OptBudget: 200 * time.Millisecond})
+	bdc, err := Run(in, Config{Method: Method{Opt, BDC}, OptBudget: 200000})
 	if err != nil {
 		t.Fatal(err)
 	}

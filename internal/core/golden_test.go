@@ -11,18 +11,26 @@ import (
 // Golden regression values: the full pipeline is deterministic, so the
 // exact outcomes at the Table I default setting are pinned here. If an
 // intentional algorithm change shifts these numbers, update the table and
-// the derived figures in EXPERIMENTS.md together.
+// the derived figures in EXPERIMENTS.md together. The Opt rows run at a
+// 5000-step budget, which binds at these defaults (exact Opt assigns at
+// least Seq's count): a budget counts search steps, so a budgeted run is
+// pinned as exactly as an exact one.
 func TestGoldenDefaultsSeed1(t *testing.T) {
 	golden := []struct {
 		dataset  workload.Dataset
 		method   Method
+		budget   int
 		assigned int
 		unfair   float64
 	}{
-		{workload.SYN, Method{Seq, WoC}, 340, 0.342},
-		{workload.SYN, Method{Seq, BDC}, 377, 0.077},
-		{workload.GM, Method{Seq, WoC}, 334, 0.339},
-		{workload.GM, Method{Seq, BDC}, 357, 0.148},
+		{workload.SYN, Method{Seq, WoC}, 0, 340, 0.342},
+		{workload.SYN, Method{Seq, BDC}, 0, 377, 0.077},
+		{workload.SYN, Method{Opt, WoC}, 5000, 175, 0.326},
+		{workload.SYN, Method{Opt, BDC}, 5000, 184, 0.306},
+		{workload.GM, Method{Seq, WoC}, 0, 334, 0.339},
+		{workload.GM, Method{Seq, BDC}, 0, 357, 0.148},
+		{workload.GM, Method{Opt, WoC}, 5000, 169, 0.389},
+		{workload.GM, Method{Opt, BDC}, 5000, 174, 0.353},
 	}
 	cache := map[workload.Dataset]*model.Instance{}
 	for _, g := range golden {
@@ -40,7 +48,7 @@ func TestGoldenDefaultsSeed1(t *testing.T) {
 			}
 			cache[g.dataset] = in
 		}
-		rep, err := Run(in, Config{Method: g.method, Seed: 1})
+		rep, err := Run(in, Config{Method: g.method, Seed: 1, OptBudget: g.budget})
 		if err != nil {
 			t.Fatal(err)
 		}

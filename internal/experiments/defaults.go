@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"imtao/internal/core"
 	"imtao/internal/stats"
@@ -29,16 +28,14 @@ type DefaultsRow struct {
 	GameIterations stats.Summary
 }
 
-// RunDefaults executes the defaults comparison.
-func RunDefaults(d workload.Dataset, methods []core.Method, seeds []int64, optBudget time.Duration) (*DefaultsComparison, error) {
+// RunDefaults executes the defaults comparison. optBudget bounds the Opt
+// assigner's per-center search in steps; zero runs it exact.
+func RunDefaults(d workload.Dataset, methods []core.Method, seeds []int64, optBudget int) (*DefaultsComparison, error) {
 	if len(seeds) == 0 {
 		seeds = []int64{1, 2, 3}
 	}
 	if len(methods) == 0 {
 		methods = SeqMethods()
-	}
-	if optBudget == 0 {
-		optBudget = 200 * time.Millisecond
 	}
 	res := &DefaultsComparison{Dataset: d, Seeds: seeds}
 	type agg struct{ a, u, c, tr, it []float64 }

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"time"
 
 	"imtao/internal/core"
 	"imtao/internal/metrics"
@@ -83,8 +82,9 @@ type Options struct {
 	// reproduce the paper's finding that they cost orders of magnitude more
 	// CPU; enable them explicitly and expect long runs.)
 	Methods []core.Method
-	// OptBudget bounds the Opt assigner's per-center search; default 200ms.
-	OptBudget time.Duration
+	// OptBudget bounds the Opt assigner's per-center search in steps
+	// (core.Config.OptBudget); zero runs it exact.
+	OptBudget int
 	// Parallel runs up to this many (sweep value, seed) cells concurrently;
 	// 0 or 1 runs sequentially. Methods within a cell share the instance
 	// and still run in order, keeping RBDC seeding deterministic.
@@ -105,9 +105,6 @@ func (o *Options) fill() {
 			{Assigner: core.Seq, Collab: core.DC},
 			{Assigner: core.Seq, Collab: core.WoC},
 		}
-	}
-	if o.OptBudget == 0 {
-		o.OptBudget = 200 * time.Millisecond
 	}
 }
 

@@ -162,7 +162,7 @@ func TestTableI(t *testing.T) {
 
 func TestCPUSplit(t *testing.T) {
 	e := smallExperiment("fig3")
-	res, err := Run(e, Options{Seeds: []int64{1}, Methods: []core.Method{
+	res, err := Run(e, Options{Seeds: []int64{1}, OptBudget: 200000, Methods: []core.Method{
 		{Assigner: core.Seq, Collab: core.WoC},
 		{Assigner: core.Opt, Collab: core.WoC},
 	}})
@@ -178,6 +178,52 @@ func TestCPUSplit(t *testing.T) {
 	}
 	if optMean < seqMean {
 		t.Errorf("Opt (%v) should cost more CPU than Seq (%v)", optMean, seqMean)
+	}
+}
+
+// TestZeroOptBudgetRunsExactOpt: Options.OptBudget reaches core.Run as
+// given, so zero runs the exact Opt rather than a default budget, and a
+// budget that binds changes the cell. The instance is small enough for the
+// exact search, so the zero-budget default is also checked directly.
+func TestZeroOptBudgetRunsExactOpt(t *testing.T) {
+	var o Options
+	if o.fill(); o.OptBudget != 0 {
+		t.Fatalf("Options defaults the Opt budget to %d, want 0 (exact)", o.OptBudget)
+	}
+	e, _ := Lookup("fig3")
+	e.SweepValues = e.SweepValues[:1]
+	e.Apply = func(p *workload.Params, _ float64) {
+		p.NumTasks, p.NumWorkers, p.NumCenters, p.MaxT = 40, 10, 4, 2
+	}
+	p := workload.Defaults(e.Dataset)
+	p.Seed = 1
+	e.Apply(&p, e.SweepValues[0])
+	raw, err := workload.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, _, err := core.Partition(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	optWoC := core.Method{Assigner: core.Opt, Collab: core.WoC}
+	assigned := map[int]int{}
+	for _, budget := range []int{0, 2} {
+		want, err := core.Run(in, core.Config{Method: optWoC, Seed: 1, OptBudget: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(e, Options{Seeds: []int64{1}, Methods: []core.Method{optWoC}, OptBudget: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Cells[optWoC.String()][0].Assigned.Mean; got != float64(want.Assigned) {
+			t.Errorf("budget %d: the experiment assigned %v, core.Run %d", budget, got, want.Assigned)
+		}
+		assigned[budget] = want.Assigned
+	}
+	if assigned[2] >= assigned[0] {
+		t.Errorf("a 2-step budget assigned %d, exact Opt %d: the budget never bound", assigned[2], assigned[0])
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package fanout runs independent indexed jobs on a bounded set of
 // goroutines: the partition's lookup blocks and phase 1's centers
 // (internal/core), the order table's center builds (internal/assign) and
-// the sharded engine's shard games (internal/collab).
+// the sharded engine's shard games and cut scans (internal/collab).
 package fanout
 
 import (
@@ -10,16 +10,12 @@ import (
 	"sync/atomic"
 )
 
-// Each calls f(i) for every i < n on up to par goroutines, each taking the
-// next index no other has taken, and returns once every call has returned.
-// par <= 0 means GOMAXPROCS, the meaning of a zero Parallelism setting.
-// With par == 1 (or n <= 1) the caller runs them in order. f must be safe
-// to call concurrently for distinct indices.
-func Each(par, n int, f func(i int)) {
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	par = min(par, n)
+// Each calls f(i) for every i < n on up to GOMAXPROCS goroutines, each
+// taking the next index no other has taken, and returns once every call has
+// returned. At GOMAXPROCS 1 (or n <= 1) the caller runs them in order. f
+// must be safe to call concurrently for distinct indices.
+func Each(n int, f func(i int)) {
+	par := min(runtime.GOMAXPROCS(0), n)
 	if par <= 1 {
 		for i := 0; i < n; i++ {
 			f(i)

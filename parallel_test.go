@@ -1,38 +1,60 @@
-// Determinism contract of the parallel engine: for any fixed seed and any
-// deterministic assigner, WithParallelism(N) and WithParallelism(1) must
-// produce bit-identical Reports — same routes, transfers, trace, and
-// metrics. Phase 1 writes per-center results to fixed slots and phase 2
-// selects the best-response winner by a serial scan over the trial slots,
-// so scheduling order can never leak into the output.
+// Determinism contract of the engine: for any fixed seed, a run at
+// GOMAXPROCS 1 and one at GOMAXPROCS 8 produce bit-identical Reports —
+// same routes, transfers, trace, and metrics — for every method, budgeted
+// Opt included. Phase 1 writes per-center results to fixed slots and phase
+// 2 selects the best-response winner by a serial scan over the trial slots,
+// so scheduling order can never leak into the output. The tests here switch
+// the process-wide GOMAXPROCS, so none of them calls t.Parallel.
 package imtao
 
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"imtao/internal/collab"
 	"imtao/internal/obs"
 )
 
-// reducedParams shrinks a dataset to a size where the exact Opt assigner
-// (zero time budget, hence deterministic) finishes quickly — its VTDS
-// enumeration is exponential in tasks-per-worker, so both the counts and
-// the capacity must stay small.
-func reducedParams(p *Params) {
-	p.NumTasks, p.NumWorkers, p.NumCenters = 40, 10, 4
-	p.MaxT = 2
+// optTestBudget is the Opt search budget, in steps, of the determinism
+// tests at the Table I defaults: it binds there (budgetProbe counts where),
+// and keeps an Opt run near a tenth of a second.
+const optTestBudget = 5000
+
+// budgetProbe counts the phase1_center events whose enumeration spent its
+// whole half of an Opt budget of 2·half steps: each extension tried is one
+// step and one scanned task, so a center that scanned exactly half tasks
+// ran out of enumeration budget.
+type budgetProbe struct{ half, capped int }
+
+func (p *budgetProbe) Event(name string, fields ...obs.Field) {
+	if name != "phase1_center" {
+		return
+	}
+	for _, f := range fields {
+		if f.Key == "tasks_scanned" && f.Value == any(p.half) {
+			p.capped++
+		}
+	}
 }
 
-func runPair(t *testing.T, in *Instance, m Method, par int) (*Report, *Report) {
+// atProcs runs f at GOMAXPROCS n, then restores the previous setting.
+func atProcs(n int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	f()
+}
+
+// runPair runs m with seed 1 and opts at GOMAXPROCS 1 and at procs.
+func runPair(t *testing.T, in *Instance, m Method, procs int, opts ...RunOption) (*Report, *Report) {
 	t.Helper()
-	serial, err := Run(in, m, WithSeed(1), WithParallelism(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := Run(in, m, WithSeed(1), WithParallelism(par))
-	if err != nil {
-		t.Fatal(err)
+	opts = append([]RunOption{WithSeed(1)}, opts...)
+	var serial, parallel *Report
+	var serr, perr error
+	atProcs(1, func() { serial, serr = Run(in, m, opts...) })
+	atProcs(procs, func() { parallel, perr = Run(in, m, opts...) })
+	if serr != nil || perr != nil {
+		t.Fatal(serr, perr)
 	}
 	return serial, parallel
 }
@@ -83,36 +105,37 @@ func assertReportsIdentical(t *testing.T, serial, parallel *Report) {
 }
 
 // TestParallelMatchesSerial covers all eight method presets on both
-// datasets. Seq methods run at the paper's Table I defaults; Opt methods run
-// exact (zero budget) on a reduced instance, since a time-budgeted Opt is
-// wall-clock dependent and outside the determinism contract.
+// datasets at the paper's Table I defaults; the Opt methods run at
+// optTestBudget, which must bind in some center.
 func TestParallelMatchesSerial(t *testing.T) {
 	for _, d := range []Dataset{SYN, GM} {
+		raw, err := Generate(DefaultParams(d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, err := Partition(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, m := range Methods() {
-			m := m
 			t.Run(fmt.Sprintf("%s/%s", d, m), func(t *testing.T) {
-				t.Parallel()
-				p := DefaultParams(d)
+				var opts []RunOption
+				probe := &budgetProbe{half: optTestBudget / 2}
 				if m.Assigner == OptBDC.Assigner {
-					reducedParams(&p)
+					opts = append(opts, WithOptBudget(optTestBudget), WithObserver(probe))
 				}
-				raw, err := Generate(p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				in, err := Partition(raw)
-				if err != nil {
-					t.Fatal(err)
-				}
-				serial, parallel := runPair(t, in, m, 8)
+				serial, parallel := runPair(t, in, m, 8, opts...)
 				assertReportsIdentical(t, serial, parallel)
+				if len(opts) > 0 && probe.capped == 0 {
+					t.Fatalf("the %d-step budget bound in no center", optTestBudget)
+				}
 			})
 		}
 	}
 }
 
-// TestParallelDefaultMatchesSerial pins the default (Parallelism 0 =
-// GOMAXPROCS) to the serial reference on the proposed method.
+// TestParallelDefaultMatchesSerial pins the process's default GOMAXPROCS
+// to the serial run on the proposed method.
 func TestParallelDefaultMatchesSerial(t *testing.T) {
 	for _, d := range []Dataset{SYN, GM} {
 		raw, err := Generate(DefaultParams(d))
@@ -123,14 +146,7 @@ func TestParallelDefaultMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		serial, err := Run(in, SeqBDC, WithParallelism(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		def, err := Run(in, SeqBDC)
-		if err != nil {
-			t.Fatal(err)
-		}
+		serial, def := runPair(t, in, SeqBDC, runtime.GOMAXPROCS(0))
 		assertReportsIdentical(t, serial, def)
 	}
 }
@@ -153,20 +169,19 @@ func TestParallelFirstRunOnFreshInstance(t *testing.T) {
 		return in
 	}
 	for _, m := range []Method{SeqWoC, SeqBDC} {
-		parallel, err := Run(fresh(), m, WithSeed(1), WithParallelism(4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		serial, err := Run(fresh(), m, WithSeed(1), WithParallelism(1))
-		if err != nil {
-			t.Fatal(err)
+		var parallel, serial *Report
+		var perr, serr error
+		atProcs(4, func() { parallel, perr = Run(fresh(), m, WithSeed(1)) })
+		atProcs(1, func() { serial, serr = Run(fresh(), m, WithSeed(1)) })
+		if perr != nil || serr != nil {
+			t.Fatal(perr, serr)
 		}
 		assertReportsIdentical(t, serial, parallel)
 	}
 }
 
 // TestParallelismEngineWorkIdentical: the engine's work on a road-network
-// solve does not depend on WithParallelism. Every game plays its trials on
+// solve does not depend on GOMAXPROCS. Every game plays its trials on
 // the goroutine that steps it, and concurrent shard games fill the memo
 // slots of disjoint centers, so the road point searches and the trial
 // travel-memo hits and misses match at 1 and 4, unsharded and under
@@ -176,17 +191,19 @@ func TestParallelismEngineWorkIdentical(t *testing.T) {
 	misses := obs.Default.Counter("imtao_trial_travel_memo_misses_total", "")
 	for _, shards := range []int{1, 3} {
 		var work [2][3]int64 // point searches, memo hits, memo misses
-		for i, par := range []int{1, 4} {
+		for i, procs := range []int{1, 4} {
 			in := perfbenchInstance(t, 1, 0)
 			net := in.Metric.(*RoadNetwork)
 			s0, h0, m0 := net.Stats().PointSearches, hits.Value(), misses.Value()
-			if _, err := Run(in, SeqBDC, WithParallelism(par), WithShards(shards)); err != nil {
+			var err error
+			atProcs(procs, func() { _, err = Run(in, SeqBDC, WithShards(shards)) })
+			if err != nil {
 				t.Fatal(err)
 			}
 			work[i] = [3]int64{net.Stats().PointSearches - s0, hits.Value() - h0, misses.Value() - m0}
 		}
 		if work[0] != work[1] {
-			t.Errorf("shards %d: (point searches, memo hits, memo misses) %v at parallelism 1, %v at 4",
+			t.Errorf("shards %d: (point searches, memo hits, memo misses) %v at GOMAXPROCS 1, %v at 4",
 				shards, work[0], work[1])
 		}
 		if work[0][1] == 0 || work[0][2] == 0 {

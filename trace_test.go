@@ -321,7 +321,8 @@ func TestTraceSeqUnderParallelism(t *testing.T) {
 	p := DefaultParams(SYN)
 	p.NumTasks, p.NumWorkers, p.NumCenters = 300, 80, 10
 	var buf bytes.Buffer
-	if _, err := Solve(p, SeqBDC, WithTrace(&buf), WithParallelism(4)); err != nil {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	if _, err := Solve(p, SeqBDC, WithTrace(&buf)); err != nil {
 		t.Fatal(err)
 	}
 	events := parseTrace(t, &buf)
@@ -358,7 +359,8 @@ func TestWithTracerTimeline(t *testing.T) {
 	p := DefaultParams(SYN)
 	p.NumTasks, p.NumWorkers, p.NumCenters = 300, 80, 10
 	tr := NewTracer(0)
-	rep, err := Solve(p, SeqBDC, WithTracer(tr), WithParallelism(4))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	rep, err := Solve(p, SeqBDC, WithTracer(tr))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -103,10 +103,13 @@ type shardPreset struct {
 	// table reads, full distance tables built (0: the scene pinned every
 	// table the game reads), nearest-task queries whose neighbour list held
 	// no live task and fell back to a scan of the live pool, trial travel
-	// times the order table's memo answered and missed, and candidate-task
-	// evaluations across every assignment call. Each is the same at every
-	// GOMAXPROCS, so the gate holds them exactly: a change that makes each
-	// trial do more work moves them.
+	// times the order table's memo answered and missed, candidate-task
+	// evaluations across every assignment call, the assignment calls
+	// themselves, and the trials whose candidate took no task. Every call
+	// is a re-baseline or one trial key's Trial, so assign_calls =
+	// re-baselines + trial_replays + empty_candidates pins the re-baseline
+	// count. Each is the same at every GOMAXPROCS, so the gate holds them
+	// exactly: a change that makes each trial do more work moves them.
 	PointSearches    int64 `json:"point_searches"`
 	SettledNodes     int64 `json:"settled_nodes"`
 	PinnedReads      int64 `json:"pinned_reads"`
@@ -115,6 +118,8 @@ type shardPreset struct {
 	TravelMemoHits   int64 `json:"travel_memo_hits"`
 	TravelMemoMisses int64 `json:"travel_memo_misses"`
 	TasksScanned     int64 `json:"tasks_scanned"`
+	AssignCalls      int64 `json:"assign_calls"`
+	EmptyCandidates  int64 `json:"empty_candidates"`
 
 	// Partition profile (ShardReport; the cut fields from ShardReport.Cut).
 	ExclusiveWorkers   int     `json:"exclusive_workers"`
@@ -466,6 +471,8 @@ func runShardSweep(sizes []int, counts []int, cfg shardConfig) error {
 				TravelMemoHits:   work[2],
 				TravelMemoMisses: work[3],
 				TasksScanned:     work[4],
+				AssignCalls:      work[5],
+				EmptyCandidates:  work[6],
 
 				ExclusiveWorkers:   srep.ExclusiveWorkers,
 				BoundaryWorkers:    srep.BoundaryWorkers,
@@ -537,8 +544,9 @@ func runShardSweep(sizes []int, counts []int, cfg shardConfig) error {
 				pr.TrialReplays, pr.CandidatesPruned)
 			fmt.Printf("  oracle: point searches %d (%d nodes settled), pinned reads %d, full searches %d\n",
 				pr.PointSearches, pr.SettledNodes, pr.PinnedReads, pr.FullSearches)
-			fmt.Printf("  work: nearest fallbacks %d, travel memo %d hits / %d misses, tasks scanned %d\n",
-				pr.NearestFallbacks, pr.TravelMemoHits, pr.TravelMemoMisses, pr.TasksScanned)
+			fmt.Printf("  work: nearest fallbacks %d, travel memo %d hits / %d misses, tasks scanned %d, assign calls %d (%d empty candidates)\n",
+				pr.NearestFallbacks, pr.TravelMemoHits, pr.TravelMemoMisses, pr.TasksScanned,
+				pr.AssignCalls, pr.EmptyCandidates)
 			fmt.Printf("  equilibrium_ok=%v (verified in %.0f ms), identical_to_s1=%v, speedup %.2fx\n\n",
 				pr.EquilibriumOK, ms(verify), pr.IdenticalToS1, pr.Speedup)
 
@@ -755,16 +763,19 @@ func meterGameMemory(e *engineRecord, in *model.Instance, p1 []assign.Result,
 
 // engineWork is a reading of the process-wide work counters, in
 // shardPreset's order: pinned-table reads, nearest fallbacks, travel-memo
-// hits, travel-memo misses, tasks scanned.
-type engineWork [5]int64
+// hits, travel-memo misses, tasks scanned, assignment calls, empty
+// candidates.
+type engineWork [7]int64
 
 // engineWorkCounters names the counters behind engineWork.
-var engineWorkCounters = [5]string{
+var engineWorkCounters = [7]string{
 	"imtao_roadnet_cache_hits_total",
 	"imtao_trial_nearest_fallbacks_total",
 	"imtao_trial_travel_memo_hits_total",
 	"imtao_trial_travel_memo_misses_total",
 	"imtao_assign_tasks_scanned_total",
+	"imtao_assign_calls_total",
+	"imtao_trial_empty_candidate_total",
 }
 
 func readEngineWork() engineWork {

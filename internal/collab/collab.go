@@ -776,12 +776,13 @@ func (g *Game) Step() bool {
 	step.Phi = metrics.Phi(rv)
 	step.Rhos = rv
 	if cfg.Prov != nil {
-		cfg.Prov.RecordIter(provenance.IterInfo{
+		cfg.Prov.RecordIter(provenance.IterRec{
 			Iter: iter, Recipient: ci, Accepted: step.Accepted,
 			Worker: step.Worker, Source: step.Source,
 			RhoBefore: step.RhoBefore, RhoAfter: step.RhoAfter,
 			Phi: step.Phi, Pruned: sw.pruned, Slack: sw.slack,
-		}, cands, sw.counts, sw.resumed, provDelta, provReplace)
+			Replace: provReplace,
+		}, cands, sw.counts, sw.resumed, provDelta)
 	}
 	// The end check runs after the ledger consumed this step's sweep: its
 	// own sweeps reuse the same scratch.

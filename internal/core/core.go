@@ -151,10 +151,10 @@ type Config struct {
 	// (assign.OptimalOptions.Budget); zero means run to optimality.
 	OptBudget int
 	// MaxGameIterations caps the phase-2 collaboration game. 0 means the
-	// natural bound (every worker transferred once plus every center
-	// dropped once) — the paper's setting. The scale benchmark sets a cap
-	// so 100k-task runs finish in bounded time; capped runs are still
-	// feasible solutions, just not necessarily at equilibrium.
+	// natural bound (|S|+1)·(|C|+1), which an uncapped game never reaches
+	// (collab.naturalMaxIterations) — the paper's setting. No binary sets
+	// a cap; capped runs are still feasible solutions, just not
+	// necessarily at equilibrium.
 	MaxGameIterations int
 	// Observer receives the run's structured event stream: run_start,
 	// per-center phase-1 statistics, phase latency spans, one game_iter per

@@ -46,7 +46,29 @@ func (j *JSONL) SetClock(fn func() time.Time) {
 }
 
 // Event implements Observer.
-func (j *JSONL) Event(name string, fields ...Field) {
+func (j *JSONL) Event(name string, fields ...Field) { j.line(name, fields, nil) }
+
+// Record writes one event whose fields are v's JSON object — a struct's
+// tagged fields in declaration order — after the envelope Event writes, so
+// a record type is its own field list. v must marshal to an object; one
+// that does not marshal writes nothing and latches the error Err reports.
+func (j *JSONL) Record(name string, v any) {
+	obj, err := json.Marshal(v)
+	if err != nil {
+		j.mu.Lock()
+		if j.err == nil {
+			j.err = err
+		}
+		j.mu.Unlock()
+		return
+	}
+	j.line(name, nil, obj[1:len(obj)-1])
+}
+
+// line writes one record: the seq/t_ms/schema_version/event envelope every
+// line of the stream carries, then the fields, then members (an object's
+// `"key":value,...` inside its braces).
+func (j *JSONL) line(name string, fields []Field, members []byte) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.err != nil {
@@ -64,14 +86,18 @@ func (j *JSONL) Event(name string, fields ...Field) {
 	j.buf.WriteString(`,"event":`)
 	appendJSONValue(&j.buf, name)
 	appendFields(&j.buf, fields)
+	if len(members) > 0 {
+		j.buf.WriteByte(',')
+		j.buf.Write(members)
+	}
 	j.buf.WriteString("}\n")
 	if _, err := j.w.Write(j.buf.Bytes()); err != nil {
 		j.err = err
 	}
 }
 
-// appendFields renders `,"key":value` for every field — the shared event
-// body encoding of the JSONL observer and the flight recorder.
+// appendFields renders `,"key":value` for every field — the event body
+// encoding of the JSONL observer and the Chrome-trace span arguments.
 func appendFields(buf *bytes.Buffer, fields []Field) {
 	for _, f := range fields {
 		buf.WriteByte(',')

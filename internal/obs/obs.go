@@ -28,8 +28,8 @@ type Field struct {
 func F(key string, value any) Field { return Field{Key: key, Value: value} }
 
 // Observer receives structured telemetry events from a pipeline run.
-// Implementations must be safe for concurrent use: phase 1 and the trial
-// pool emit from worker goroutines.
+// Implementations must be safe for concurrent use: a RuntimeSampler emits
+// from its own goroutine while a run emits from the solving one.
 type Observer interface {
 	// Event records a named point-in-time event.
 	Event(name string, fields ...Field)

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"runtime/debug"
 	"strings"
 	"sync"
@@ -80,15 +81,39 @@ func TestJSONLGolden(t *testing.T) {
 	j.Event("run_start", F("method", "Seq-BDC"), F("centers", 20), F("parallel", true))
 	now = base.Add(1500 * time.Microsecond)
 	j.Event("game_iter", F("iter", 1), F("phi", 17.25), F("rhos", []float64{0.5, 1}))
+	j.Record("prov_rec", struct {
+		Center int     `json:"center"`
+		Left   []int   `json:"left"`
+		Rho    float64 `json:"rho"`
+		Arena  int     `json:"-"`
+	}{Center: 3, Rho: 0.5, Arena: 9})
+	j.Record("prov_empty", struct{}{})
 	if err := j.Err(); err != nil {
 		t.Fatal(err)
 	}
 
 	want := `{"seq":1,"t_ms":0.000,"schema_version":2,"event":"run_start","method":"Seq-BDC","centers":20,"parallel":true}
 {"seq":2,"t_ms":1.500,"schema_version":2,"event":"game_iter","iter":1,"phi":17.25,"rhos":[0.5,1]}
+{"seq":3,"t_ms":1.500,"schema_version":2,"event":"prov_rec","center":3,"left":null,"rho":0.5}
+{"seq":4,"t_ms":1.500,"schema_version":2,"event":"prov_empty"}
 `
 	if buf.String() != want {
 		t.Errorf("jsonl mismatch:\ngot:\n%s\nwant:\n%s", buf.String(), want)
+	}
+}
+
+// TestJSONLRecordLatchesMarshalError: a record that does not marshal writes
+// no line, and Err reports it; later events are dropped as after a write
+// error.
+func TestJSONLRecordLatchesMarshalError(t *testing.T) {
+	var buf bytes.Buffer
+	j := NewJSONL(&buf)
+	j.Record("prov_bad", struct {
+		Rho float64 `json:"rho"`
+	}{math.NaN()})
+	j.Event("after")
+	if j.Err() == nil || buf.Len() != 0 {
+		t.Fatalf("Err = %v, wrote %q; want the marshal error and no line", j.Err(), buf.String())
 	}
 }
 

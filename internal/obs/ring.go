@@ -3,9 +3,6 @@ package obs
 import (
 	"bytes"
 	"io"
-	"strconv"
-	"sync"
-	"time"
 )
 
 // FlightRecorder is an Observer that keeps the last N events in a fixed-size
@@ -14,24 +11,27 @@ import (
 // the most recent events are exactly what a panic, a stuck run, or an
 // operator poking /debug/flightrecorder needs.
 //
-// Recording is lock-cheap: field rendering (the expensive part) happens
-// outside the lock, and the critical section is one slot assignment. Dump
-// (WriteTo) takes the same lock only long enough to snapshot the slots, so
-// it can run concurrently with emitters from phase-1 workers and the trial
-// pool.
+// It is the JSONL encoder writing into a ring of lines: every event is
+// encoded once, envelope included, into a reused slot. The encoder's mutex
+// guards the ring, so a dump (WriteTo) can run concurrently with emitters;
+// it holds the lock only long enough to copy the retained lines.
 type FlightRecorder struct {
-	start time.Time
-
-	mu   sync.Mutex
-	buf  []flightRec
-	next uint64 // total events ever recorded
+	enc  *JSONL
+	ring lineRing
 }
 
-type flightRec struct {
-	seq    uint64
-	tNS    int64
-	name   string
-	fields string // pre-rendered `,"k":v,...` JSON fragment ("" when no fields)
+// lineRing is the recorder's io.Writer: one Write per encoded line, kept in
+// a ring of slots whose buffers are reused once the ring is full.
+type lineRing struct {
+	lines [][]byte
+	next  uint64 // total lines ever written
+}
+
+func (r *lineRing) Write(p []byte) (int, error) {
+	slot := &r.lines[r.next%uint64(len(r.lines))]
+	*slot = append((*slot)[:0], p...)
+	r.next++
+	return len(p), nil
 }
 
 // DefaultFlightEvents is the default ring capacity of NewFlightRecorder.
@@ -43,84 +43,42 @@ func NewFlightRecorder(n int) *FlightRecorder {
 	if n <= 0 {
 		n = DefaultFlightEvents
 	}
-	return &FlightRecorder{start: time.Now(), buf: make([]flightRec, n)}
+	f := &FlightRecorder{ring: lineRing{lines: make([][]byte, n)}}
+	f.enc = NewJSONL(&f.ring)
+	return f
 }
 
 // Event implements Observer, overwriting the oldest record once the ring is
 // full.
-func (f *FlightRecorder) Event(name string, fields ...Field) {
-	t := time.Since(f.start)
-	var frag string
-	if len(fields) > 0 {
-		var b bytes.Buffer
-		appendFields(&b, fields)
-		frag = b.String()
-	}
-	f.mu.Lock()
-	slot := &f.buf[f.next%uint64(len(f.buf))]
-	f.next++
-	slot.seq = f.next
-	slot.tNS = t.Nanoseconds()
-	slot.name = name
-	slot.fields = frag
-	f.mu.Unlock()
-}
+func (f *FlightRecorder) Event(name string, fields ...Field) { f.enc.Event(name, fields...) }
 
 // Len returns the number of events currently held (≤ the ring capacity).
 func (f *FlightRecorder) Len() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	n := f.next
-	if n > uint64(len(f.buf)) {
-		n = uint64(len(f.buf))
-	}
-	return int(n)
+	f.enc.mu.Lock()
+	defer f.enc.mu.Unlock()
+	return int(min(f.ring.next, uint64(len(f.ring.lines))))
 }
 
 // Total returns the number of events ever recorded, including overwritten
 // ones.
 func (f *FlightRecorder) Total() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.next
+	f.enc.mu.Lock()
+	defer f.enc.mu.Unlock()
+	return f.ring.next
 }
 
-// WriteTo dumps the retained events oldest-first as JSON Lines in the same
-// schema as the JSONL observer ({"seq":…,"t_ms":…,"event":…,…}); seq is the
+// WriteTo dumps the retained events oldest-first as the JSON Lines the
+// JSONL observer writes ({"seq":…,"t_ms":…,"event":…,…}); seq is the
 // global event number, so a gap at the front tells the reader how much the
 // ring has forgotten.
 func (f *FlightRecorder) WriteTo(w io.Writer) (int64, error) {
-	f.mu.Lock()
-	n := uint64(len(f.buf))
-	count := f.next
-	if count > n {
-		count = n
-	}
-	recs := make([]flightRec, 0, count)
-	for i := f.next - count; i < f.next; i++ {
-		recs = append(recs, f.buf[i%n])
-	}
-	f.mu.Unlock()
-
 	var buf bytes.Buffer
-	var written int64
-	for _, r := range recs {
-		buf.Reset()
-		buf.WriteString(`{"seq":`)
-		buf.WriteString(strconv.FormatUint(r.seq, 10))
-		buf.WriteString(`,"t_ms":`)
-		buf.WriteString(strconv.FormatFloat(float64(r.tNS)/1e6, 'f', 3, 64))
-		buf.WriteString(`,"schema_version":`)
-		buf.WriteString(strconv.Itoa(SchemaVersion))
-		buf.WriteString(`,"event":`)
-		appendJSONValue(&buf, r.name)
-		buf.WriteString(r.fields)
-		buf.WriteString("}\n")
-		n, err := w.Write(buf.Bytes())
-		written += int64(n)
-		if err != nil {
-			return written, err
-		}
+	f.enc.mu.Lock()
+	r := &f.ring
+	n := uint64(len(r.lines))
+	for i := r.next - min(r.next, n); i < r.next; i++ {
+		buf.Write(r.lines[i%n])
 	}
-	return written, nil
+	f.enc.mu.Unlock()
+	return buf.WriteTo(w)
 }

@@ -236,12 +236,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		buf.WriteString(strconv.FormatUint(uint64(s.ID), 10))
 		buf.WriteString(`,"parent_id":`)
 		buf.WriteString(strconv.FormatUint(uint64(s.Parent), 10))
-		for _, f := range s.Args {
-			buf.WriteByte(',')
-			appendJSONValue(&buf, f.Key)
-			buf.WriteByte(':')
-			appendJSONValue(&buf, f.Value)
-		}
+		appendFields(&buf, s.Args)
 		buf.WriteString(`}}`)
 		if buf.Len() >= 1<<16 {
 			if _, err := w.Write(buf.Bytes()); err != nil {

@@ -18,16 +18,16 @@ const rhoEps = 1e-12
 // found, and a hash of every (candidate, trial outcome) pair so a checker
 // can confirm it reproduced the exact same sweep.
 type Witness struct {
-	Center     model.CenterID
-	TaskCount  int
-	Assigned   int
-	Rho        float64
-	Slack      float64 // admission slack used to prune the pool
-	Candidates int     // pool candidates examined (pruned included)
-	Pruned     int     // cut by the admission radius without a trial
-	BestRho    float64 // best deviation ratio over evaluated candidates
-	BestWorker model.WorkerID
-	Hash       uint64 // FNV-1a over the sweep, see witnessHash
+	Center     model.CenterID `json:"center"`
+	TaskCount  int            `json:"task_count"`
+	Assigned   int            `json:"assigned"`
+	Rho        float64        `json:"rho"`
+	Slack      float64        `json:"slack"`      // admission slack used to prune the pool
+	Candidates int            `json:"candidates"` // pool candidates examined (pruned included)
+	Pruned     int            `json:"pruned"`     // cut by the admission radius without a trial
+	BestRho    float64        `json:"best_rho"`   // best deviation ratio over evaluated candidates
+	BestWorker model.WorkerID `json:"best_worker"`
+	Hash       uint64         `json:"hash"` // FNV-1a over the sweep, see witnessHash
 }
 
 // Certificate is a machine-checkable equilibrium certificate: per-center
@@ -40,12 +40,12 @@ type Witness struct {
 // Fully-loaded centers (ρ ≥ 1) carry no witness: no deviation can improve
 // them, exactly as VerifyEquilibrium skips them.
 type Certificate struct {
-	Scope       string // the run's phase-2 scope (Meta.Scope)
-	SolutionFP  uint64
-	Phi         float64 // potential Σρ over all centers
-	Eps         float64 // the strict-improvement epsilon (rhoEps)
-	Equilibrium bool    // no witness found an improving deviation
-	Centers     []Witness
+	Scope       string    `json:"scope"` // the run's phase-2 scope (Meta.Scope)
+	SolutionFP  uint64    `json:"fingerprint"`
+	Phi         float64   `json:"phi"`         // potential Σρ over all centers
+	Eps         float64   `json:"eps"`         // the strict-improvement epsilon (rhoEps)
+	Equilibrium bool      `json:"equilibrium"` // no witness found an improving deviation
+	Centers     []Witness `json:"-"`           // one prov_witness line each
 }
 
 // BuildCertificate computes the certificate of a solution under the

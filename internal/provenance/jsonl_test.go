@@ -3,6 +3,7 @@ package provenance
 import (
 	"bytes"
 	"fmt"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -24,12 +25,13 @@ func testLedger() *Ledger {
 	}
 	l.Scans[0] = []ScanEvent{{Worker: 0, Task: 3, Arrive: 2.5, Expiry: 2.0}}
 	g := l.NewGameLog(StageGame, 0)
-	g.RecordIter(IterInfo{Iter: 1, Recipient: 1, Accepted: true, Worker: 2,
-		Source: 0, RhoBefore: 0, RhoAfter: 1, Phi: 5.0 / 3, Pruned: 1, Slack: 1.5},
+	g.RecordIter(IterRec{Iter: 1, Recipient: 1, Accepted: true, Worker: 2,
+		Source: 0, RhoBefore: 0, RhoAfter: 1, Phi: 5.0 / 3, Pruned: 1, Slack: 1.5,
+		Replace: true},
 		[]model.WorkerID{2},
 		[]int{1},
 		false,
-		[]model.Route{{Worker: 2, Center: 1, Tasks: []model.TaskID{3}}}, true)
+		[]model.Route{{Worker: 2, Center: 1, Tasks: []model.TaskID{3}}})
 	l.RecordShard(ShardInfo{Shards: 2, ShardOf: []int{0, 1},
 		ExchangeIters: 3, ExchangeTransfers: 1})
 	l.Final = &Final{Assigned: 3, Unfairness: 0.25, Fingerprint: 0xdeadbeefcafef00d,
@@ -42,6 +44,58 @@ func testLedger() *Ledger {
 			Slack: 1.5, Candidates: 2, Pruned: 1, BestRho: 2.0 / 3,
 			BestWorker: -1, Hash: 0x123456789abcdef0}}}
 	return l
+}
+
+// idleLedger is a one-center run whose game considered no candidate and
+// moved nothing: its iteration's trials and routes and its final transfers
+// are empty, and its phase-1 leftovers are nil.
+func idleLedger() *Ledger {
+	l := NewLedger()
+	l.Start(Meta{Method: "Seq-DC", Engine: "game", Scope: ScopeLeftover,
+		Centers: 1, Workers: 1, Tasks: 2, Seed: 7})
+	l.Phase1 = []CenterPhase1{{Center: 0, Tasks: 2, Assigned: 1, Rho: 0.5}}
+	g := l.NewGameLog(StageGame, -1)
+	g.Iters = []IterRec{{Iter: 1, Recipient: 0, Worker: -1, Source: -1,
+		RhoBefore: 0.5, RhoAfter: 0.5, Phi: 0.5, Slack: -1}}
+	l.Final = &Final{Assigned: 1, Fingerprint: 1}
+	l.Cert = &Certificate{Scope: ScopeLeftover, SolutionFP: 1, Phi: 0.5, Eps: rhoEps}
+	return l
+}
+
+// TestLedgerWriteGolden pins WriteTo's bytes for every prov_* record type,
+// empty trial, route and transfer arrays included; t_ms is masked.
+func TestLedgerWriteGolden(t *testing.T) {
+	const want = `{"seq":1,"t_ms":0,"schema_version":2,"event":"prov_meta","method":"Seq-BDC","engine":"sharded","scope":"full","centers":2,"workers":3,"tasks":4,"seed":42}
+{"seq":2,"t_ms":0,"schema_version":2,"event":"prov_phase1","center":0,"tasks":3,"assigned":2,"rho":0.6666666666666666,"left_workers":[2],"left_tasks":[3]}
+{"seq":3,"t_ms":0,"schema_version":2,"event":"prov_p1route","center":0,"w":0,"t":[0,1]}
+{"seq":4,"t_ms":0,"schema_version":2,"event":"prov_phase1","center":1,"tasks":1,"assigned":0,"rho":0,"left_workers":null,"left_tasks":null}
+{"seq":5,"t_ms":0,"schema_version":2,"event":"prov_scan","center":0,"w":0,"task":3,"arrive":2.5,"expiry":2}
+{"seq":6,"t_ms":0,"schema_version":2,"event":"prov_log","stage":"game","shard":0,"iters":1}
+{"seq":7,"t_ms":0,"schema_version":2,"event":"prov_iter","iter":1,"recipient":1,"accepted":true,"w":2,"source":0,"rho_before":0,"rho_after":1,"phi":1.6666666666666667,"pruned":1,"slack":1.5,"replace":true,"trials":[{"w":2,"n":1,"m":1}],"routes":[{"w":2,"t":[3]}]}
+{"seq":8,"t_ms":0,"schema_version":2,"event":"prov_shard","shards":2,"shard_of":[0,1],"exchange_iters":3,"exchange_transfers":1}
+{"seq":9,"t_ms":0,"schema_version":2,"event":"prov_final","assigned":3,"unfairness":0.25,"fingerprint":16045690984503111693,"transfers":[{"src":0,"dst":1,"w":2}]}
+{"seq":10,"t_ms":0,"schema_version":2,"event":"prov_route","w":2,"center":1,"t":[3],"arrive":[1.5],"expiry":[2],"hours":1.5}
+{"seq":11,"t_ms":0,"schema_version":2,"event":"prov_cert","scope":"full","fingerprint":16045690984503111693,"phi":1.6666666666666667,"eps":1e-12,"equilibrium":true,"witnesses":1}
+{"seq":12,"t_ms":0,"schema_version":2,"event":"prov_witness","center":0,"task_count":3,"assigned":2,"rho":0.6666666666666666,"slack":1.5,"candidates":2,"pruned":1,"best_rho":0.6666666666666666,"best_worker":-1,"hash":1311768467463790320}
+{"seq":1,"t_ms":0,"schema_version":2,"event":"prov_meta","method":"Seq-DC","engine":"game","scope":"leftover","centers":1,"workers":1,"tasks":2,"seed":7}
+{"seq":2,"t_ms":0,"schema_version":2,"event":"prov_phase1","center":0,"tasks":2,"assigned":1,"rho":0.5,"left_workers":null,"left_tasks":null}
+{"seq":3,"t_ms":0,"schema_version":2,"event":"prov_log","stage":"game","shard":-1,"iters":1}
+{"seq":4,"t_ms":0,"schema_version":2,"event":"prov_iter","iter":1,"recipient":0,"accepted":false,"w":-1,"source":-1,"rho_before":0.5,"rho_after":0.5,"phi":0.5,"pruned":0,"slack":-1,"replace":false,"trials":[],"routes":[]}
+{"seq":5,"t_ms":0,"schema_version":2,"event":"prov_final","assigned":1,"unfairness":0,"fingerprint":1,"transfers":[]}
+{"seq":6,"t_ms":0,"schema_version":2,"event":"prov_cert","scope":"leftover","fingerprint":1,"phi":0.5,"eps":1e-12,"equilibrium":false,"witnesses":0}
+`
+	tms := regexp.MustCompile(`"t_ms":[0-9.]+`)
+	var got strings.Builder
+	for _, l := range []*Ledger{testLedger(), idleLedger()} {
+		var buf bytes.Buffer
+		if _, err := l.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		got.WriteString(tms.ReplaceAllString(buf.String(), `"t_ms":0`))
+	}
+	if got.String() != want {
+		t.Errorf("WriteTo lines differ from the golden.\ngot:\n%s\nwant:\n%s", got.String(), want)
+	}
 }
 
 func TestJSONLRoundTrip(t *testing.T) {
@@ -140,5 +194,41 @@ func TestReadLedgerSkipsForeignEvents(t *testing.T) {
 	bad := fmt.Sprintf(`{"seq":1,"t_ms":0.0,"schema_version":%d,"event":"prov_wat"}`, obs.SchemaVersion)
 	if _, err := ReadLedger(strings.NewReader(bad + "\n")); err == nil {
 		t.Error("unknown prov_* record type accepted")
+	}
+}
+
+// TestMalformedLedgerErrors: a ledger whose center count or center IDs
+// fall outside the run's centers (a second prov_meta could shrink them),
+// or whose final route's cost arrays do not match its tasks, is rejected
+// with an error by ReadLedger or Replay; neither they nor the explain
+// queries index with it.
+func TestMalformedLedgerErrors(t *testing.T) {
+	const head = `{"seq":1,"t_ms":0,"schema_version":%[1]d,"event":"prov_meta","method":"Seq-BDC","engine":"game","scope":"full","centers":1,"workers":1,"tasks":1,"seed":1}
+{"seq":2,"t_ms":0,"schema_version":%[1]d,"event":"prov_phase1","center":0,"tasks":1,"assigned":0,"rho":0,"left_workers":[0],"left_tasks":[0]}
+`
+	for name, tc := range map[string]struct{ stream, want string }{
+		"meta centers -1": {`{"seq":1,"t_ms":0,"schema_version":%[1]d,"event":"prov_meta","method":"Seq-BDC","engine":"game","scope":"full","centers":-1,"workers":1,"tasks":1,"seed":1}`,
+			"center count"},
+		"second meta": {head + `{"seq":3,"t_ms":0,"schema_version":%[1]d,"event":"prov_meta","method":"Seq-BDC","engine":"game","scope":"full","centers":0,"workers":1,"tasks":1,"seed":1}`,
+			"second prov_meta"},
+		"p1route center -1": {head + `{"seq":3,"t_ms":0,"schema_version":%[1]d,"event":"prov_p1route","center":-1,"w":0,"t":[0]}`,
+			"center -1"},
+		"iter recipient 7": {head + `{"seq":3,"t_ms":0,"schema_version":%[1]d,"event":"prov_log","stage":"game","shard":-1,"iters":1}
+{"seq":4,"t_ms":0,"schema_version":%[1]d,"event":"prov_iter","iter":1,"recipient":7,"accepted":true,"w":0,"source":0,"rho_before":0,"rho_after":1,"phi":1,"pruned":0,"slack":1,"replace":true,"trials":[{"w":0,"n":1,"m":1}],"routes":[{"w":0,"t":[0]}]}`,
+			"recipient 7"},
+		"route without arrivals": {head + `{"seq":3,"t_ms":0,"schema_version":%[1]d,"event":"prov_p1route","center":0,"w":0,"t":[0]}
+{"seq":4,"t_ms":0,"schema_version":%[1]d,"event":"prov_final","assigned":1,"unfairness":0,"fingerprint":1,"transfers":[]}
+{"seq":5,"t_ms":0,"schema_version":%[1]d,"event":"prov_route","w":0,"center":0,"t":[0],"arrive":[],"expiry":[],"hours":1}`,
+			"0 arrivals"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			l, err := ReadLedger(strings.NewReader(fmt.Sprintf(tc.stream+"\n", obs.SchemaVersion)))
+			if err == nil {
+				_, err = Replay(l)
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %v, want one naming %q", err, tc.want)
+			}
+		})
 	}
 }

@@ -19,7 +19,8 @@
 // nil-check when no ledger is attached (the AllocsPerRun gates in
 // internal/collab pin the disabled path at zero allocations), and the
 // enabled path appends fixed-size records into growing arenas — bounded,
-// amortized-constant overhead per iteration (gated on the 100k game bench).
+// amortized-constant overhead per iteration (the shard bench's ledgered
+// one-shard runs gate its record counts).
 //
 // Replay(l) deterministically reconstructs the run's exact final solution
 // from the ledger alone — including the sharded engine's min-(ρ, center)
@@ -67,33 +68,36 @@ const (
 	TrialResumed = uint8(2)
 )
 
+// The ledger's record types are its wire format: their JSON tags are the
+// keys of their prov_* lines (jsonl.go), in field order.
+
 // Meta describes the run a ledger records.
 type Meta struct {
-	Method  string
-	Engine  string // "game", "sharded" or "none" (w/o-C)
-	Scope   string // "full" (BDC/RBDC), "leftover" (DC) or "none"
-	Centers int
-	Workers int
-	Tasks   int
-	Seed    int64
+	Method  string `json:"method"`
+	Engine  string `json:"engine"` // "game", "sharded" or "none" (w/o-C)
+	Scope   string `json:"scope"`  // "full" (BDC/RBDC), "leftover" (DC) or "none"
+	Centers int    `json:"centers"`
+	Workers int    `json:"workers"`
+	Tasks   int    `json:"tasks"`
+	Seed    int64  `json:"seed"`
 }
 
 // RecordedRoute is one worker's route as recorded in the ledger — phase-1
 // routes and per-iteration route deltas alike.
 type RecordedRoute struct {
-	Worker model.WorkerID
-	Tasks  []model.TaskID
+	Worker model.WorkerID `json:"w"`
+	Tasks  []model.TaskID `json:"t"`
 }
 
 // CenterPhase1 is one center's phase-1 outcome: the game's starting state.
 type CenterPhase1 struct {
-	Center      model.CenterID
-	Tasks       int // |S_c|
-	Assigned    int
-	Rho         float64
-	LeftWorkers []model.WorkerID
-	LeftTasks   []model.TaskID
-	Routes      []RecordedRoute
+	Center      model.CenterID   `json:"center"`
+	Tasks       int              `json:"tasks"` // |S_c|
+	Assigned    int              `json:"assigned"`
+	Rho         float64          `json:"rho"`
+	LeftWorkers []model.WorkerID `json:"left_workers"`
+	LeftTasks   []model.TaskID   `json:"left_tasks"`
+	Routes      []RecordedRoute  `json:"-"` // one prov_p1route line each
 }
 
 // ScanEvent is one phase-1 deadline rejection: worker's greedy sequence at
@@ -101,41 +105,41 @@ type CenterPhase1 struct {
 // its expiry (paper Algorithm 2 line 11 — under uniform expiry the first
 // failing nearest task ends the sequence).
 type ScanEvent struct {
-	Worker model.WorkerID
-	Task   model.TaskID
-	Arrive float64
-	Expiry float64
+	Worker model.WorkerID `json:"w"`
+	Task   model.TaskID   `json:"task"`
+	Arrive float64        `json:"arrive"`
+	Expiry float64        `json:"expiry"`
 }
 
 // IterRec is one recorded game iteration. Trial and route-delta payloads
 // live in the owning GameLog's arenas, indexed by the Off/N pairs.
 type IterRec struct {
-	Iter      int // stage-local, 1-based
-	Recipient model.CenterID
-	Accepted  bool
-	Worker    model.WorkerID // dispatched worker (accepted only)
-	Source    model.CenterID // its home center (accepted only)
-	RhoBefore float64
-	RhoAfter  float64
-	Phi       float64 // stage-local potential after the step
-	Pruned    int     // pool candidates cut by the admission radius
-	Slack     float64 // admission slack that did the cutting; -1 = pruning off
+	Iter      int            `json:"iter"` // stage-local, 1-based
+	Recipient model.CenterID `json:"recipient"`
+	Accepted  bool           `json:"accepted"`
+	Worker    model.WorkerID `json:"w"`      // dispatched worker (accepted only)
+	Source    model.CenterID `json:"source"` // its home center (accepted only)
+	RhoBefore float64        `json:"rho_before"`
+	RhoAfter  float64        `json:"rho_after"`
+	Phi       float64        `json:"phi"`    // stage-local potential after the step
+	Pruned    int            `json:"pruned"` // pool candidates cut by the admission radius
+	Slack     float64        `json:"slack"`  // admission slack that did the cutting; -1 = pruning off
 	// TrialOff/TrialN index the log's trial arena: one TrialRec per
 	// considered candidate, in candidate (ascending worker ID) order.
-	TrialOff, TrialN int
+	TrialOff, TrialN int `json:"-"`
 	// RouteOff/RouteN index the log's route arena: the recipient's new
 	// routes after an accepted step. Replace true means the delta is the
 	// recipient's complete new route set (FullReassign); false appends to
 	// the existing set (DC's LeftoverOnly). Rejected steps carry no delta.
-	RouteOff, RouteN int
-	Replace          bool
+	RouteOff, RouteN int  `json:"-"`
+	Replace          bool `json:"replace"`
 }
 
 // TrialRec is one candidate's evaluated trial outcome.
 type TrialRec struct {
-	Worker   model.WorkerID
-	Assigned int32 // tasks the trial assignment would serve
-	Mode     uint8 // TrialFull / TrialResumed
+	Worker   model.WorkerID `json:"w"`
+	Assigned int32          `json:"n"` // tasks the trial assignment would serve
+	Mode     uint8          `json:"m"` // TrialFull / TrialResumed
 }
 
 // GameLog records one best-response game: the unsharded engine's single
@@ -162,41 +166,18 @@ func (l *GameLog) RouteDelta(it *IterRec) []RecordedRoute {
 	return l.routes[it.RouteOff : it.RouteOff+it.RouteN]
 }
 
-// IterInfo is the per-iteration summary the game engine hands to
-// RecordIter; it mirrors collab.TraceStep without importing it (collab
-// imports this package).
-type IterInfo struct {
-	Iter      int
-	Recipient model.CenterID
-	Accepted  bool
-	Worker    model.WorkerID
-	Source    model.CenterID
-	RhoBefore float64
-	RhoAfter  float64
-	Phi       float64
-	Pruned    int
-	Slack     float64 // pass -1 when pruning was off this iteration
-}
+// RecordIter appends one iteration to the log: rec as the game built it,
+// with its arena offsets filled here. assigned[i] is the assigned count of
+// cands[i]'s trial, and resumed tells whether the trials went through the
+// prefix-resume engine. newRoutes is the recipient's accepted route delta
+// (nil on rejects): its complete new route set when rec.Replace, the
+// appended routes otherwise. The route tasks are deep-copied into the
+// log's arena — callers may recycle them immediately.
+func (l *GameLog) RecordIter(rec IterRec, cands []model.WorkerID,
+	assigned []int, resumed bool, newRoutes []model.Route) {
 
-// RecordIter appends one iteration to the log. assigned[i] is the assigned
-// count of cands[i]'s trial, and resumed tells whether the trials went
-// through the prefix-resume engine.
-// newRoutes is the recipient's accepted route delta (nil on rejects):
-// its complete new route set when replace, the appended routes otherwise.
-// The route tasks are deep-copied into the log's arena — callers may
-// recycle them immediately.
-func (l *GameLog) RecordIter(info IterInfo, cands []model.WorkerID,
-	assigned []int, resumed bool,
-	newRoutes []model.Route, replace bool) {
-
-	rec := IterRec{
-		Iter: info.Iter, Recipient: info.Recipient, Accepted: info.Accepted,
-		Worker: info.Worker, Source: info.Source,
-		RhoBefore: info.RhoBefore, RhoAfter: info.RhoAfter, Phi: info.Phi,
-		Pruned: info.Pruned, Slack: info.Slack,
-		TrialOff: len(l.trials), TrialN: len(cands),
-		RouteOff: len(l.routes), RouteN: len(newRoutes), Replace: replace,
-	}
+	rec.TrialOff, rec.TrialN = len(l.trials), len(cands)
+	rec.RouteOff, rec.RouteN = len(l.routes), len(newRoutes)
 	mode := TrialFull
 	if resumed {
 		mode = TrialResumed
@@ -215,30 +196,30 @@ func (l *GameLog) RecordIter(info IterInfo, cands []model.WorkerID,
 // ShardInfo describes the sharded engine's partition, mirroring the fields
 // of collab.ShardReport the replay and explain paths need.
 type ShardInfo struct {
-	Shards            int
-	ShardOf           []int
-	ExchangeIters     int
-	ExchangeTransfers int
+	Shards            int   `json:"shards"`
+	ShardOf           []int `json:"shard_of"`
+	ExchangeIters     int   `json:"exchange_iters"`
+	ExchangeTransfers int   `json:"exchange_transfers"`
 }
 
 // FinalRoute is one final route with its cost breakdown: per-task arrival
 // times against expiries, and the route's total duration in hours.
 type FinalRoute struct {
-	Worker model.WorkerID
-	Center model.CenterID
-	Tasks  []model.TaskID
-	Arrive []float64 // arrival time at each task, hours from dispatch
-	Expiry []float64 // each task's expiry, hours
-	Hours  float64   // total route duration (center leg included)
+	Worker model.WorkerID `json:"w"`
+	Center model.CenterID `json:"center"`
+	Tasks  []model.TaskID `json:"t"`
+	Arrive []float64      `json:"arrive"` // arrival time at each task, hours from dispatch
+	Expiry []float64      `json:"expiry"` // each task's expiry, hours
+	Hours  float64        `json:"hours"`  // total route duration (center leg included)
 }
 
 // Final is the run's outcome section.
 type Final struct {
-	Assigned    int
-	Unfairness  float64
-	Fingerprint uint64 // SolutionFingerprint of the final solution
-	Transfers   []model.Transfer
-	Routes      []FinalRoute
+	Assigned    int              `json:"assigned"`
+	Unfairness  float64          `json:"unfairness"`
+	Fingerprint uint64           `json:"fingerprint"` // SolutionFingerprint of the final solution
+	Transfers   []model.Transfer `json:"-"`           // inlined by prov_final's line
+	Routes      []FinalRoute     `json:"-"`           // one prov_route line each
 }
 
 // Ledger is one run's full decision record. Create with NewLedger, attach

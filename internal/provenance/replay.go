@@ -42,7 +42,7 @@ func Replay(l *Ledger) (*ReplayResult, error) {
 	}
 	for i := range l.Phase1 {
 		p := &l.Phase1[i]
-		if int(p.Center) >= len(r.sol.PerCenter) {
+		if p.Center < 0 || int(p.Center) >= len(r.sol.PerCenter) {
 			return nil, fmt.Errorf("provenance: phase-1 center %d out of range (%d centers)", p.Center, l.Meta.Centers)
 		}
 		routes := make([]model.Route, len(p.Routes))
@@ -58,7 +58,9 @@ func Replay(l *Ledger) (*ReplayResult, error) {
 			return nil, fmt.Errorf("provenance: unknown log stage %q", g.Stage)
 		}
 		for i := range g.Iters {
-			r.apply(g, &g.Iters[i])
+			if err := r.apply(g, &g.Iters[i]); err != nil {
+				return nil, err
+			}
 		}
 	}
 	if r.sol.AssignedCount() == 0 && l.Final != nil && l.Final.Assigned != 0 {
@@ -74,10 +76,14 @@ type replayer struct {
 
 // apply executes one step against the replay state: accepted steps extend
 // the transfer log and install the recipient's recorded route delta.
-func (r *replayer) apply(g *GameLog, it *IterRec) {
+func (r *replayer) apply(g *GameLog, it *IterRec) error {
+	if it.Recipient < 0 || int(it.Recipient) >= len(r.sol.PerCenter) {
+		return fmt.Errorf("provenance: %s log iteration %d: recipient %d out of range (%d centers)",
+			g.Stage, it.Iter, it.Recipient, len(r.sol.PerCenter))
+	}
 	r.steps = append(r.steps, StepRef{Log: g, Iter: it})
 	if !it.Accepted {
-		return
+		return nil
 	}
 	r.sol.Transfers = append(r.sol.Transfers,
 		model.Transfer{Src: it.Source, Dst: it.Recipient, Worker: it.Worker})
@@ -90,4 +96,5 @@ func (r *replayer) apply(g *GameLog, it *IterRec) {
 		pc.Routes = append(pc.Routes, model.Route{Worker: rt.Worker,
 			Center: it.Recipient, Tasks: append([]model.TaskID(nil), rt.Tasks...)})
 	}
+	return nil
 }

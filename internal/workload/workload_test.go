@@ -184,30 +184,33 @@ func TestJSONRoundTrip(t *testing.T) {
 	assertSameInstance(t, in, got)
 }
 
-func TestCSVRoundTrip(t *testing.T) {
-	p := Defaults(SYN)
-	p.NumTasks, p.NumWorkers, p.NumCenters = 25, 8, 3
-	in, err := Generate(p)
-	if err != nil {
-		t.Fatal(err)
+// TestWriteCSVGolden pins WriteCSV's bytes for a small hand-built instance:
+// the meta row carries the bounds and speed, then one row per center, task
+// and worker with its own columns filled.
+func TestWriteCSVGolden(t *testing.T) {
+	in := &model.Instance{
+		Speed:   1.5,
+		Bounds:  geo.NewRect(geo.Pt(0, 0), geo.Pt(10, 20)),
+		Centers: []model.Center{{ID: 0, Loc: geo.Pt(5, 5)}},
+		Tasks: []model.Task{
+			{ID: 0, Loc: geo.Pt(1.25, 2), Expiry: 0.5, Reward: 1},
+			{ID: 1, Loc: geo.Pt(9, 19.5), Expiry: 2, Reward: 3.75},
+		},
+		Workers: []model.Worker{{ID: 0, Loc: geo.Pt(4, 6), MaxT: 3}},
 	}
 	var buf bytes.Buffer
 	if err := WriteCSV(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameInstance(t, in, got)
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	if _, err := ReadCSV(bytes.NewBufferString("kind,x,y,expiry,reward,maxT,speed\nalien,1,2,3,4,5,6\n")); err == nil {
-		t.Error("unknown kind must error")
-	}
-	if _, err := ReadCSV(bytes.NewBufferString("bad csv\"")); err == nil {
-		t.Error("malformed csv must error")
+	const want = `kind,x,y,expiry,reward,maxT,speed
+meta,0,0,10,20,,1.5
+center,5,5,,,,
+task,1.25,2,0.5,1,,
+task,9,19.5,2,3.75,,
+worker,4,6,,,3,
+`
+	if buf.String() != want {
+		t.Errorf("WriteCSV:\n%s\nwant:\n%s", buf.String(), want)
 	}
 }
 

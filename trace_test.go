@@ -311,12 +311,13 @@ func ExampleWithTrace() {
 	// Output: true
 }
 
-// TestTraceSeqUnderParallelism drives the JSONL encoder from every emitter
-// the pipeline has — phase-1 center workers and the phase-2 trial pool —
-// and checks the stream survives the concurrency: every line is valid
-// standalone JSON and seq is exactly 1..N with no gap, duplicate, or
-// reordering. Run under -race in CI, this is the torn-write regression test
-// for the encoder's internal serialization.
+// TestTraceSeqUnderParallelism runs a traced solve at GOMAXPROCS 4, where
+// phase 1 fans its centers out over goroutines, and checks the stream: every
+// line is valid standalone JSON and seq is exactly 1..N with no gap,
+// duplicate, or reordering. The run emits every event from the solving
+// goroutine (phase1_center after the fan-out, game_iter per step); the
+// encoder's own serialization under concurrent emitters is
+// TestFlightRecorderConcurrent's, which CI runs under -race.
 func TestTraceSeqUnderParallelism(t *testing.T) {
 	p := DefaultParams(SYN)
 	p.NumTasks, p.NumWorkers, p.NumCenters = 300, 80, 10
@@ -344,7 +345,7 @@ func TestTraceSeqUnderParallelism(t *testing.T) {
 		}
 	}
 	if !sawCenter || !sawIter {
-		t.Errorf("stream lacks concurrent emitters: phase1_center=%v game_iter=%v",
+		t.Errorf("stream lacks an emitter: phase1_center=%v game_iter=%v",
 			sawCenter, sawIter)
 	}
 }

@@ -89,9 +89,9 @@ type shardPreset struct {
 	// Engine work, summed over the returned trace (phase-A shard games,
 	// then the exchange): trials evaluated, candidates admission pruning
 	// skipped, trials served by prefix-resume, and the suffix replays
-	// behind the trials (TraceStep.Replays: one per distinct non-empty
-	// trial key, so fewer than the trials). Trials run on the stepping
-	// goroutine, so all four are the same at every GOMAXPROCS.
+	// behind the trials (TraceStep.Replays: one per non-empty trial key
+	// the bounded sweep evaluated, so fewer than the trials). Trials run on
+	// the stepping goroutine, so all four are the same at every GOMAXPROCS.
 	TrialsEvaluated  int64 `json:"trials_evaluated"`
 	CandidatesPruned int64 `json:"candidates_pruned"`
 	TrialsResumed    int64 `json:"trials_resumed"`
@@ -106,10 +106,12 @@ type shardPreset struct {
 	// times the order table's memo answered and missed, candidate-task
 	// evaluations across every assignment call, the assignment calls
 	// themselves, and the trials whose candidate took no task. Every call
-	// is a re-baseline or one trial key's Trial, so assign_calls =
-	// re-baselines + trial_replays + empty_candidates pins the re-baseline
-	// count. Each is the same at every GOMAXPROCS, so the gate holds them
-	// exactly: a change that makes each trial do more work moves them.
+	// is a re-baseline or one evaluated trial key's Trial, and the end
+	// check's sweeps are in no trace step, so assign_calls −
+	// trial_replays − empty_candidates counts the re-baselines plus the end
+	// check's replays. Each is the same at every GOMAXPROCS, so the gate
+	// holds them exactly: a change that makes each trial do more work
+	// moves them.
 	PointSearches    int64 `json:"point_searches"`
 	SettledNodes     int64 `json:"settled_nodes"`
 	PinnedReads      int64 `json:"pinned_reads"`

@@ -155,6 +155,37 @@ func TestExplain10kAllEngines(t *testing.T) {
 	}
 }
 
+// TestExplainWhyNotBounded10k pins how why-not prints a trial the bounded
+// sweep skipped: with its key's bound as "at most" a count, and the mode
+// "bounded", never as an exact count.
+func TestExplainWhyNotBounded10k(t *testing.T) {
+	_, led, path := run10k(t, imtao.SeqBDC)
+	l, err := readLedger(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range led.Logs {
+		for i := range g.Iters {
+			for _, tr := range g.Trials(&g.Iters[i]) {
+				if tr.Mode != provenance.TrialBounded {
+					continue
+				}
+				var buf bytes.Buffer
+				if err := whyNot(&buf, l, tr.Worker); err != nil {
+					t.Fatalf("why-not %d: %v", tr.Worker, err)
+				}
+				want := fmt.Sprintf("center %d trial: would serve at most %d task(s) (bounded)",
+					g.Iters[i].Recipient, tr.Assigned)
+				if !strings.Contains(buf.String(), want) {
+					t.Errorf("why-not %d lacks %q:\n%s", tr.Worker, want, buf.String())
+				}
+				return
+			}
+		}
+	}
+	t.Fatal("the 10k Seq-BDC ledger records no bounded trial")
+}
+
 // TestExplainDiff10k pins the diff verdicts: a ledger against itself is
 // identical; RBDC runs under different seeds diverge with a located first
 // divergent step and final deltas.

@@ -28,8 +28,11 @@ func stageLabel(stage string, shard int) string {
 }
 
 func modeLabel(m uint8) string {
-	if m == provenance.TrialResumed {
+	switch m {
+	case provenance.TrialResumed:
 		return "prefix-resumed"
+	case provenance.TrialBounded:
+		return "bounded"
 	}
 	return "full trial"
 }
@@ -143,9 +146,13 @@ func whyNot(w io.Writer, l *provenance.Ledger, id model.WorkerID) error {
 			if tr.Chosen {
 				verdict = "CHOSEN"
 			}
-			fmt.Fprintf(w, "  [%s iter %d, step %d] center %d trial: would serve %d task(s) (%s) — %s\n",
+			atMost := ""
+			if tr.Mode == provenance.TrialBounded {
+				atMost = "at most "
+			}
+			fmt.Fprintf(w, "  [%s iter %d, step %d] center %d trial: would serve %s%d task(s) (%s) — %s\n",
 				stageLabel(tr.Stage, tr.Shard), tr.Iter, tr.StepIndex,
-				tr.Recipient, tr.Assigned, modeLabel(tr.Mode), verdict)
+				tr.Recipient, atMost, tr.Assigned, modeLabel(tr.Mode), verdict)
 		}
 	} else if st.Pool {
 		fmt.Fprintln(w, "phase 2: never evaluated as a candidate")

@@ -40,6 +40,12 @@ type Result struct {
 	// per-center events and pipeline counters. Deterministic for a given
 	// input, so results stay comparable across parallelism levels.
 	Stats Stats
+	// Sequential reports that the result is Sequential's own answer for its
+	// inputs: SequentialOpt at the paper's marginal-first order,
+	// SequentialScratch and TrialRunner.Trial set it. The phase-2 game
+	// takes such a phase-1 result as a center's first trial baseline
+	// instead of re-running Sequential (DESIGN.md §11).
+	Sequential bool
 }
 
 // Stats is the work profile of one assignment call.
@@ -139,9 +145,10 @@ func Sequential(in *model.Instance, c *model.Center, workers []model.WorkerID, t
 	return SequentialOpt(in, c, workers, tasks, Options{})
 }
 
-// SequentialOpt is Sequential with explicit options.
+// SequentialOpt is Sequential with explicit options. Only the worker order
+// changes the answer: the linear scan and the scan observer do not.
 func SequentialOpt(in *model.Instance, c *model.Center, workers []model.WorkerID, tasks []model.TaskID, opt Options) Result {
-	res := Result{}
+	res := Result{Sequential: opt.Order == MarginalFirst}
 	if len(workers) == 0 {
 		res.LeftTasks = append([]model.TaskID(nil), tasks...)
 		recordStats(res.Stats)

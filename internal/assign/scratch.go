@@ -35,7 +35,7 @@ type SequentialScratch struct {
 func (s *SequentialScratch) Run(in *model.Instance, c *model.Center,
 	workers []model.WorkerID, tasks []model.TaskID) Result {
 
-	res := Result{}
+	res := Result{Sequential: true}
 	if len(workers) == 0 {
 		s.left = append(s.left[:0], tasks...)
 		res.LeftTasks = s.left

@@ -37,10 +37,10 @@ var (
 // precomputed orders instead of searching an index.
 //
 // Memory discipline (DESIGN.md §13): TrialBase and TrialRunner are reusable.
-// The game resets one base per iteration (Reset) and rebinds long-lived
-// per-goroutine runners to it (Rebind); every slice a trial emits comes from
-// the runner's slab arenas, recycled on Rebind. In the steady state a whole
-// game iteration performs zero heap allocations.
+// The game resets one base per sweep (Reset) and rebinds its one long-lived
+// runner to it (Rebind); every slice a trial emits comes from the runner's
+// slab arenas, recycled on Rebind. In the steady state a whole game
+// iteration performs zero heap allocations.
 //
 // PrunePad is the conservative admission-slack margin: a worker is pruned
 // only when its center travel time exceeds the slack by more than the pad,
@@ -82,8 +82,8 @@ func WorkerAdmissible(in *model.Instance, c *model.Center, wid model.WorkerID, s
 // TrialBase is an immutable snapshot of one center's current assignment —
 // serve order, per-position routes, leftover tasks and unused workers — from
 // which many single-candidate trials can be answered incrementally. Reset it
-// once per game iteration (the backing arrays are recycled); run trials
-// through per-goroutine TrialRunners rebound to it.
+// once per sweep (the backing arrays are recycled); run trials through a
+// TrialRunner rebound to it.
 type TrialBase struct {
 	in   *model.Instance
 	c    *model.Center
@@ -103,6 +103,10 @@ type TrialBase struct {
 	routes    []model.Route
 	routeAt   []int32
 	cumRoutes []int32
+	// cumServed[j] counts the tasks the baseline serves at positions < j,
+	// and cumCap[j] sums MaxT over those positions: Bound's two prefix sums.
+	cumServed []int
+	cumCap    []int
 	// stepT holds serveWorker's time accumulators for every baseline route,
 	// flattened into one slab: route ri's accumulators are
 	// stepT[stepOff[ri]:stepOff[ri+1]], where entry i is the time after
@@ -165,17 +169,23 @@ func (b *TrialBase) Reset(o *TaskOrders, c *model.Center, workers []model.Worker
 	b.order = serveOrder(b.order, b.wh, c.Loc, workers, false)
 	b.routeAt = b.routeAt[:0]
 	b.cumRoutes = append(b.cumRoutes[:0], 0)
+	b.cumServed = append(b.cumServed[:0], 0)
+	b.cumCap = append(b.cumCap[:0], 0)
 	b.baseLeft = b.baseLeft[:0]
-	r := 0
+	r, served, capSum := 0, 0, 0
 	for _, e := range b.order {
 		if r < len(routes) && routes[r].Worker == e.wid {
 			b.routeAt = append(b.routeAt, int32(r))
+			served += len(routes[r].Tasks)
 			r++
 		} else {
 			b.routeAt = append(b.routeAt, -1)
 			b.baseLeft = append(b.baseLeft, e.wid)
 		}
+		capSum += int(b.wh[e.wid].MaxT)
 		b.cumRoutes = append(b.cumRoutes, int32(r))
+		b.cumServed = append(b.cumServed, served)
+		b.cumCap = append(b.cumCap, capSum)
 	}
 	if r != len(routes) {
 		// The routes do not correspond to this worker set's serve order —
@@ -264,16 +274,29 @@ func (b *TrialBase) markPool(o *TaskOrders, c *model.Center) bool {
 	return true
 }
 
+// Bound returns an upper bound on the assigned count of every trial with
+// key k, exact for the empty key (DESIGN.md §11). Positions before k.Pos
+// replay the baseline, the candidate serves k.Len tasks, Algorithm 2's
+// capacity check holds every later worker to its MaxT, and no trial serves
+// more than the start state's poolN tasks.
+func (b *TrialBase) Bound(k TrialKey) int {
+	n := len(b.order)
+	if k.Len == 0 {
+		return b.cumServed[n]
+	}
+	return min(b.poolN, b.cumServed[k.Pos]+int(k.Len)+b.cumCap[n]-b.cumCap[k.Pos])
+}
+
 // stepsOf returns route ri's resume accumulators (see stepT).
 func (b *TrialBase) stepsOf(ri int32) []float64 {
 	return b.stepT[b.stepOff[ri]:b.stepOff[ri+1]]
 }
 
 // FootprintBytes estimates the snapshot's memory footprint (order, route
-// tables, leftover-task pool and pool stamps), feeding the snapshot-bytes
-// gauge.
+// and bound tables, leftover-task pool and pool stamps), feeding the
+// snapshot-bytes gauge.
 func (b *TrialBase) FootprintBytes() int64 {
-	n := int64(len(b.order))*(16+4+4) + int64(len(b.leftTasks))*8 + int64(len(b.stamp))*(4+4)
+	n := int64(len(b.order))*(16+4+4+8+8) + int64(len(b.leftTasks))*8 + int64(len(b.stamp))*(4+4)
 	for _, rt := range b.routes {
 		n += int64(len(rt.Tasks))*16 + 88
 	}
@@ -513,7 +536,7 @@ func (r *TrialRunner) serveCandidate(cand model.WorkerID, arena *slab.Arena[mode
 // Rebind, shared with no other trial.
 func (r *TrialRunner) Trial(cand model.WorkerID) Result {
 	b := r.b
-	var res Result
+	res := Result{Sequential: true}
 	k, candRoute := r.serveCandidate(cand, &r.tids, &res.Stats)
 	pool := &r.pool
 	if len(candRoute.Tasks) == 0 {

@@ -310,6 +310,73 @@ func TestTrialKeyGroupsExactly(t *testing.T) {
 	}
 }
 
+// TestTrialBoundHolds pins TrialBase.Bound, which the game's bounded sweep
+// trusts to skip trial keys: every candidate's Trial assigns at most its
+// key's bound, and the empty key's bound is the baseline's own count. Each
+// worker's MaxT is drawn from 1–6, so the capacity sum neither repeats the
+// pool size nor is tight by construction. Both sweep scopes are covered:
+// the full scope extends a worker subset over all of the center's tasks,
+// and the leftover scope (DC) serves one candidate over another
+// assignment's leftover tasks from the empty baseline.
+func TestTrialBoundHolds(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	// Full-scope trials below their bound, and full-scope keys whose bound
+	// the capacity sum sets below the pool size.
+	var short, capped int
+	for trial := 0; trial < 300; trial++ {
+		in := randomCenterScene(rng, 2+rng.Intn(12), 1+rng.Intn(40))
+		for i := range in.Workers {
+			in.Workers[i].MaxT = 1 + rng.Intn(6)
+		}
+		c := in.Center(0)
+		o := NewTaskOrders(in)
+		all := in.Centers[0].Workers
+		k := rng.Intn(len(all))
+		for _, leftover := range []bool{false, true} {
+			base, cands := all[:k], all[k:]
+			baseline := Sequential(in, c, base, c.Tasks)
+			if leftover {
+				baseline = Result{LeftTasks: baseline.LeftTasks}
+				base, cands = nil, all
+			}
+			tb, ok := NewTrialBase(o, c, base, baseline.Routes, baseline.LeftTasks)
+			if !ok {
+				t.Fatalf("trial %d: NewTrialBase rejected a genuine baseline", trial)
+			}
+			pool := baseline.AssignedCount() + len(baseline.LeftTasks)
+			if got, want := tb.Bound(TrialKey{}), baseline.AssignedCount(); got != want {
+				t.Fatalf("trial %d leftover=%v: empty-key bound %d, baseline assigns %d",
+					trial, leftover, got, want)
+			}
+			runner := tb.NewRunner()
+			for _, w := range cands {
+				key := runner.Head(w)
+				res := runner.Trial(w)
+				bound, n := tb.Bound(key), res.AssignedCount()
+				switch {
+				case n > bound:
+					t.Fatalf("trial %d leftover=%v cand %d (key %+v): trial assigns %d, bound %d",
+						trial, leftover, w, key, n, bound)
+				case key.Len == 0 && n != bound:
+					t.Fatalf("trial %d leftover=%v cand %d: empty key assigns %d, bound %d",
+						trial, leftover, w, n, bound)
+				case leftover:
+				case n < bound:
+					short++
+				}
+				if !leftover && bound < pool {
+					capped++
+				}
+			}
+		}
+	}
+	t.Logf("%d full-scope trials below their bound, %d keys capped by capacity", short, capped)
+	if short == 0 || capped == 0 {
+		t.Fatalf("%d trials below their bound, %d keys capped by capacity: the bound was never tested both ways",
+			short, capped)
+	}
+}
+
 // TestNewTrialBaseRejectsForeignRoutes asserts the constructor detects routes
 // that cannot be a Sequential outcome for the given worker set and signals
 // the caller to fall back to full evaluation.

@@ -151,6 +151,11 @@ type Config struct {
 	// backing the pruning-soundness property test; it changes no decision.
 	prunedHook func(recipient model.CenterID, w model.WorkerID,
 		baseWS []model.WorkerID, leftTasks []model.TaskID, assigned int)
+	// sweptHook, when non-nil, observes every finished sweep together with
+	// the center state needed to re-evaluate all of its candidates. Test
+	// hook backing the bounded-sweep exactness test; it changes no decision.
+	sweptHook func(ci model.CenterID, sw sweepResult,
+		baseWS []model.WorkerID, leftTasks []model.TaskID, assigned int)
 	// members restricts the game to a subset of centers — the sharded
 	// engine's phase-A games (shard.go). Only member centers are initialized,
 	// selected as recipients or allowed to lend; TraceStep.Rhos/Assigned/
@@ -235,11 +240,11 @@ type TraceStep struct {
 	// pruning — their trials provably return the baseline. Resumed counts
 	// evaluated trials served by the prefix-resume engine instead of a full
 	// re-assignment. Replays counts the trials the iteration ran beyond the
-	// heads: one suffix replay per distinct non-empty assign.TrialKey on
-	// the prefix-resume engine, one full assigner run per candidate
-	// otherwise. All three are zero under RunReference; together with
-	// Trials they are diagnostics, not part of the cross-engine equivalence
-	// contract.
+	// heads: one suffix replay per non-empty assign.TrialKey the bounded
+	// sweep evaluated on the prefix-resume engine, one full assigner run
+	// per candidate otherwise. All three are zero under RunReference;
+	// together with Trials they are diagnostics, not part of the
+	// cross-engine equivalence contract.
 	Pruned  int
 	Resumed int
 	Replays int
@@ -348,9 +353,10 @@ type centerState struct {
 	slack   float64
 	slackOK bool
 	// baseline caches the assigner result the prefix-resume engine replays
-	// against — the trial base. An accepted trial IS the new baseline
-	// (promoted), so steady-state iterations never run the assigner for it;
-	// lending a worker out clears baselineOK (the worker set changed).
+	// against — the trial base. A Sequential phase-1 result seeds it, and
+	// an accepted trial IS the new baseline (promoted), so steady-state
+	// iterations never run the assigner for it; lending out a worker the
+	// baseline used clears baselineOK.
 	baseline   assign.Result
 	baselineOK bool
 	// promo double-buffers result promotion: promo[flip] backs the live
@@ -395,17 +401,19 @@ type Game struct {
 	runner *assign.TrialRunner
 	orders *assign.TaskOrders
 	// seqScratch serves the Sequential engine's re-baseline runs (a
-	// recipient that lent a worker since its last visit) from recycled
-	// buffers; the result is promoted into the center's buffers like an
-	// accepted trial.
+	// center whose phase 1 was not Sequential's own answer, or that lent
+	// a worker its baseline used) from recycled buffers; the result is
+	// promoted into the center's buffers like an accepted trial.
 	seqScratch assign.SequentialScratch
-	// The per-sweep evaluation scratch of evalTrials: each candidate's
-	// group, each group's first candidate and trial, each candidate's
-	// assigned count, and the trial key → group map.
+	// The per-sweep evaluation scratch of evalTrials: each candidate's key
+	// index, the keys with their evaluation order, each key's trial, each
+	// candidate's count and bounded flag, and the trial key → key index
+	// map.
 	group   []int32
-	reps    []model.WorkerID
+	keys    keyOrder
 	results []assign.Result
 	counts  []int
+	bounded []bool
 	groupOf map[assign.TrialKey]int32
 	// rhos carves the per-step ρ-vector snapshots (TraceStep.Rhos) from one
 	// growing slab instead of one allocation per iteration. Never reset:
@@ -443,9 +451,18 @@ func NewGame(in *model.Instance, phase1 []assign.Result, cfg Config) *Game {
 	g := newGame(in, cfg)
 	initCenter := func(ci model.CenterID) {
 		st := &g.states[ci]
-		st.promo[0].promote(&phase1[ci])
-		st.routes = st.promo[0].routes
-		st.leftTasks = st.promo[0].left
+		pb := &st.promo[0]
+		pb.promote(&phase1[ci])
+		st.routes = pb.routes
+		st.leftTasks = pb.left
+		if g.seqEngine && cfg.Scope == FullReassign && phase1[ci].Sequential {
+			// Sequential's own answer over the center's own workers is the
+			// baseline the first sweep would re-run: it seeds the trial
+			// base from promo[0], as an accepted trial does.
+			st.baseline = assign.Result{Routes: pb.routes,
+				LeftTasks: pb.left, LeftWorkers: pb.lws, Stats: phase1[ci].Stats}
+			st.baselineOK = true
+		}
 		st.own = append([]model.WorkerID(nil), in.Centers[ci].Workers...)
 		slices.Sort(st.own)
 		st.workers = append(make([]model.WorkerID, 0, len(st.own)+8), st.own...)
@@ -782,7 +799,7 @@ func (g *Game) Step() bool {
 			RhoBefore: step.RhoBefore, RhoAfter: step.RhoAfter,
 			Phi: step.Phi, Pruned: sw.pruned, Slack: sw.slack,
 			Replace: provReplace,
-		}, cands, sw.counts, sw.resumed, provDelta)
+		}, cands, sw.counts, sw.bounded, sw.resumed, provDelta)
 	}
 	// The end check runs after the ledger consumed this step's sweep: its
 	// own sweeps reuse the same scratch.
@@ -812,10 +829,11 @@ func (g *Game) Step() bool {
 // sweep; the winner's trial is trialOf(best).
 type sweepResult struct {
 	cands   []model.WorkerID
-	counts  []int // each candidate's trial assigned count
-	pruned  int   // pool candidates cut by admissibility pruning
-	replays int   // trials evaluated beyond the heads (TraceStep.Replays)
-	resumed bool  // trials ran on the prefix-resume engine
+	counts  []int  // each candidate's trial assigned count, or its key's bound
+	bounded []bool // counts[i] is a bound: the bounded sweep skipped its key
+	pruned  int    // pool candidates cut by admissibility pruning
+	replays int    // trials evaluated beyond the heads (TraceStep.Replays)
+	resumed bool   // trials ran on the prefix-resume engine
 	// slack is the admission slack that did the pruning, -1 when the sweep
 	// ran unpruned (the ledger records it).
 	slack float64
@@ -832,7 +850,8 @@ type sweepResult struct {
 // own workers — admissibility-pruned when pruning is on, since a pruned
 // candidate's trial provably returns the baseline and can never win the
 // strict-improvement scan. The winner is picked by the same scan as the
-// reference loop, keeping the output bit-identical.
+// reference loop over the counts the bounded sweep evaluated (evalTrials),
+// keeping the output bit-identical.
 func (g *Game) sweep(ci model.CenterID, traceParent obs.SpanID) sweepResult {
 	cfg := &g.cfg
 	in := g.in
@@ -909,14 +928,25 @@ func (g *Game) sweep(ci model.CenterID, traceParent obs.SpanID) sweepResult {
 			mSnapshotBytes.Set(float64(base.FootprintBytes()))
 		}
 	}
-	sw.counts, sw.replays = g.evalTrials(center, sw.cands, baseWS, st.leftTasks, base, traceParent)
+	// A FullReassign trial must beat the current count; a DC trial's count
+	// adds to it, so any task beats it.
+	beat := st.assigned
+	if cfg.Scope == LeftoverOnly {
+		beat = 0
+	}
+	sw.counts, sw.bounded, sw.replays = g.evalTrials(center, sw.cands, baseWS, st.leftTasks, base, beat, traceParent)
 	sw.resumed = base != nil
 	mTrials.Add(int64(len(sw.cands)))
 	if sw.resumed {
 		mResumed.Add(int64(len(sw.cands)))
 	}
 
+	// The scan skips the bounded counts: a skipped key can neither beat
+	// the winner nor win a tie against it.
 	for i, newAssigned := range sw.counts {
+		if sw.bounded[i] {
+			continue
+		}
 		if cfg.Scope == LeftoverOnly {
 			newAssigned += st.assigned
 		}
@@ -926,6 +956,9 @@ func (g *Game) sweep(ci model.CenterID, traceParent obs.SpanID) sweepResult {
 			sw.best = i
 			sw.bestAssigned = newAssigned
 		}
+	}
+	if cfg.sweptHook != nil {
+		cfg.sweptHook(ci, sw, baseWS, st.leftTasks, st.assigned)
 	}
 	return sw
 }

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"imtao/internal/assign"
+	"imtao/internal/geo"
+	"imtao/internal/metrics"
 	"imtao/internal/model"
 )
 
@@ -246,6 +248,137 @@ func TestPrunedCandidatesNeverImprove(t *testing.T) {
 				t.Fatalf("%s scope %v: hook never saw a pruned candidate", a.name, scope)
 			}
 			t.Logf("%s scope %v: verified %d pruned candidates", a.name, scope, checked)
+		}
+	}
+}
+
+// TestBoundedSweepPicksFullScanWinner is the bounded sweep's exactness
+// property. Via the test hook, every sweep's candidates are re-evaluated
+// by full assigner runs, and the sweep must pick the candidate and ρ the
+// full scan picks (max ρ, ties to the lowest worker ID). A candidate whose
+// key the sweep evaluated must carry its exact count, and a skipped one a
+// bound on it. Covered for Seq-BDC, Seq-DC, Seq-RBDC and the MaxLeftover
+// policy on contested instances, readmission sweeps included.
+func TestBoundedSweepPicksFullScanWinner(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for _, tc := range engineCases()[:4] {
+		sweeps, skipped := 0, 0
+		for trial := 0; trial < 64; trial++ {
+			in := contestedInstance(rng, 2+rng.Intn(4), 10+rng.Intn(50), 40+rng.Intn(160), 6)
+			p1 := phase1(in)
+			cfg := tc.cfg
+			if cfg.Recipient == RandomRecipient {
+				cfg.Rng = rand.New(rand.NewSource(int64(trial)))
+			}
+			cfg.sweptHook = func(ci model.CenterID, sw sweepResult,
+				baseWS []model.WorkerID, leftTasks []model.TaskID, assigned int) {
+				sweeps++
+				center := in.Center(ci)
+				best, bestRho := -1, metrics.Ratio(assigned, len(center.Tasks))
+				for i, w := range sw.cands {
+					// got and n are the post-deviation assigned counts: a DC
+					// trial's count adds to the current one.
+					var full assign.Result
+					got := sw.counts[i]
+					if cfg.Scope == LeftoverOnly {
+						full = assign.Sequential(in, center, []model.WorkerID{w}, leftTasks)
+						got += assigned
+					} else {
+						ws := append(append([]model.WorkerID(nil), baseWS...), w)
+						full = assign.Sequential(in, center, ws, center.Tasks)
+					}
+					n := full.AssignedCount()
+					if cfg.Scope == LeftoverOnly {
+						n += assigned
+					}
+					switch {
+					case sw.bounded[i] && n > got:
+						t.Fatalf("trial %d %s center %d cand %d: bound %d below the full count %d",
+							trial, tc.name, ci, w, got, n)
+					case sw.bounded[i]:
+						skipped++
+					case n != got:
+						t.Fatalf("trial %d %s center %d cand %d: evaluated count %d, full count %d",
+							trial, tc.name, ci, w, got, n)
+					}
+					if rho := metrics.Ratio(n, len(center.Tasks)); rho > bestRho+rhoEps {
+						best, bestRho = i, rho
+					}
+				}
+				if sw.best != best || sw.bestRho != bestRho {
+					t.Fatalf("trial %d %s center %d: the sweep picks candidate %d (ρ %v), the full scan %d (ρ %v)",
+						trial, tc.name, ci, sw.best, sw.bestRho, best, bestRho)
+				}
+			}
+			Run(in, p1, cfg)
+		}
+		if skipped == 0 {
+			t.Fatalf("%s: no sweep skipped a key; the bound was never used", tc.name)
+		}
+		t.Logf("%s: %d sweeps, %d candidates skipped", tc.name, sweeps, skipped)
+	}
+}
+
+// contestedInstance builds a random instance of nc centers, nw workers and
+// nt tasks on which the best-response sweep has real choices to make: the
+// centers sit in the middle of a 100² map, so most workers can reach a
+// neighbour's tasks, each worker's MaxT is drawn from 1–maxT, so capacity
+// binds unevenly, and expiries run 30–90 at speed 1, so some routes end at
+// a deadline below capacity. Trial keys then tie on their counts under
+// different bounds, and Optimal often beats Sequential in phase 1.
+func contestedInstance(rng *rand.Rand, nc, nw, nt, maxT int) *model.Instance {
+	in := &model.Instance{Speed: 1, Bounds: geo.NewRect(geo.Pt(0, 0), geo.Pt(100, 100))}
+	for i := 0; i < nc; i++ {
+		in.Centers = append(in.Centers, model.Center{ID: model.CenterID(i),
+			Loc: geo.Pt(20+60*rng.Float64(), 20+60*rng.Float64())})
+	}
+	nearest := func(p geo.Point) model.CenterID {
+		best, bd := 0, p.Dist2(in.Centers[0].Loc)
+		for i := 1; i < nc; i++ {
+			if d := p.Dist2(in.Centers[i].Loc); d < bd {
+				best, bd = i, d
+			}
+		}
+		return model.CenterID(best)
+	}
+	for i := 0; i < nt; i++ {
+		p := geo.Pt(100*rng.Float64(), 100*rng.Float64())
+		c := nearest(p)
+		in.Tasks = append(in.Tasks, model.Task{ID: model.TaskID(i), Center: c, Loc: p,
+			Expiry: 30 + 60*rng.Float64(), Reward: 1})
+		in.Centers[c].Tasks = append(in.Centers[c].Tasks, model.TaskID(i))
+	}
+	for i := 0; i < nw; i++ {
+		p := geo.Pt(100*rng.Float64(), 100*rng.Float64())
+		c := nearest(p)
+		in.Workers = append(in.Workers, model.Worker{ID: model.WorkerID(i), Home: c, Loc: p,
+			MaxT: 1 + rng.Intn(maxT)})
+		in.Centers[c].Workers = append(in.Centers[c].Workers, model.WorkerID(i))
+	}
+	return in
+}
+
+// TestSequentialGameOverOptimalPhase1MatchesReference pins the guard on
+// seeded baselines. An Optimal phase 1 is not Sequential's answer for its
+// inputs, so a Sequential game over it re-baselines on each center's first
+// sweep and must still match the frozen reference in solution, iterations
+// and trace. A trial base seeded from the Optimal routes would replay
+// trials against routes Sequential never produced. The instances are
+// small, since Optimal's enumeration is exponential.
+func TestSequentialGameOverOptimalPhase1MatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	for trial := 0; trial < 60; trial++ {
+		in := contestedInstance(rng, 2+rng.Intn(2), 4+rng.Intn(6), 8+rng.Intn(10), 3)
+		p1 := optPhase1(in)
+		for _, cfg := range []Config{seqConfig(), {Recipient: MaxLeftover, Assigner: assign.Sequential}} {
+			got, want := Run(in, p1, cfg), RunReference(in, p1, cfg)
+			if !reflect.DeepEqual(got.Solution, want.Solution) || got.Iterations != want.Iterations {
+				t.Fatalf("trial %d recipient %v: solution or iterations (%d vs %d) differ from the reference",
+					trial, cfg.Recipient, got.Iterations, want.Iterations)
+			}
+			if !reflect.DeepEqual(stripEngineDiagnostics(got.Trace), stripEngineDiagnostics(want.Trace)) {
+				t.Fatalf("trial %d recipient %v: traces differ from the reference", trial, cfg.Recipient)
+			}
 		}
 	}
 }

@@ -95,7 +95,7 @@ func TestNoGoroutineOutlivesGame(t *testing.T) {
 	settled("NewGame")
 	multiKey := false
 	for g.Step() {
-		multiKey = multiKey || len(g.reps) > 1
+		multiKey = multiKey || len(g.keys.keys) > 1
 		if n := runtime.NumGoroutine(); n > before {
 			t.Fatalf("after step %d: %d goroutines, %d before", g.iter, n, before)
 		}
@@ -129,7 +129,7 @@ func TestEvalTrialsSlots(t *testing.T) {
 	}
 	base := center.Workers
 	g := &Game{in: in, cfg: Config{Assigner: assign.Sequential}}
-	counts, replays := g.evalTrials(center, cands, base, nil, nil, 0)
+	counts, _, replays := g.evalTrials(center, cands, base, nil, nil, 0, 0)
 	if len(counts) != len(cands) || replays != len(cands) {
 		t.Fatalf("%d counts and %d replays for %d candidates", len(counts), replays, len(cands))
 	}

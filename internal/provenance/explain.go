@@ -136,8 +136,8 @@ type WorkerTrial struct {
 	Shard     int
 	Iter      int
 	Recipient model.CenterID
-	Assigned  int32 // tasks the trial would serve
-	Mode      uint8 // TrialFull / TrialResumed
+	Assigned  int32 // tasks the trial would serve; at most this when bounded
+	Mode      uint8 // TrialFull / TrialResumed / TrialBounded
 	Chosen    bool  // this step accepted this worker
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -28,9 +29,10 @@ func testLedger() *Ledger {
 	g.RecordIter(IterRec{Iter: 1, Recipient: 1, Accepted: true, Worker: 2,
 		Source: 0, RhoBefore: 0, RhoAfter: 1, Phi: 5.0 / 3, Pruned: 1, Slack: 1.5,
 		Replace: true},
-		[]model.WorkerID{2},
-		[]int{1},
-		false,
+		[]model.WorkerID{1, 2},
+		[]int{0, 1},
+		[]bool{true, false},
+		true,
 		[]model.Route{{Worker: 2, Center: 1, Tasks: []model.TaskID{3}}})
 	l.RecordShard(ShardInfo{Shards: 2, ShardOf: []int{0, 1},
 		ExchangeIters: 3, ExchangeTransfers: 1})
@@ -71,7 +73,7 @@ func TestLedgerWriteGolden(t *testing.T) {
 {"seq":4,"t_ms":0,"schema_version":2,"event":"prov_phase1","center":1,"tasks":1,"assigned":0,"rho":0,"left_workers":null,"left_tasks":null}
 {"seq":5,"t_ms":0,"schema_version":2,"event":"prov_scan","center":0,"w":0,"task":3,"arrive":2.5,"expiry":2}
 {"seq":6,"t_ms":0,"schema_version":2,"event":"prov_log","stage":"game","shard":0,"iters":1}
-{"seq":7,"t_ms":0,"schema_version":2,"event":"prov_iter","iter":1,"recipient":1,"accepted":true,"w":2,"source":0,"rho_before":0,"rho_after":1,"phi":1.6666666666666667,"pruned":1,"slack":1.5,"replace":true,"trials":[{"w":2,"n":1,"m":1}],"routes":[{"w":2,"t":[3]}]}
+{"seq":7,"t_ms":0,"schema_version":2,"event":"prov_iter","iter":1,"recipient":1,"accepted":true,"w":2,"source":0,"rho_before":0,"rho_after":1,"phi":1.6666666666666667,"pruned":1,"slack":1.5,"replace":true,"trials":[{"w":1,"n":0,"m":3},{"w":2,"n":1,"m":2}],"routes":[{"w":2,"t":[3]}]}
 {"seq":8,"t_ms":0,"schema_version":2,"event":"prov_shard","shards":2,"shard_of":[0,1],"exchange_iters":3,"exchange_transfers":1}
 {"seq":9,"t_ms":0,"schema_version":2,"event":"prov_final","assigned":3,"unfairness":0.25,"fingerprint":16045690984503111693,"transfers":[{"src":0,"dst":1,"w":2}]}
 {"seq":10,"t_ms":0,"schema_version":2,"event":"prov_route","w":2,"center":1,"t":[3],"arrive":[1.5],"expiry":[2],"hours":1.5}
@@ -125,6 +127,10 @@ func TestJSONLRoundTrip(t *testing.T) {
 	gi, wi := got.Logs[0].Iters[0], l.Logs[0].Iters[0]
 	if gi != wi {
 		t.Errorf("iter %+v, want %+v", gi, wi)
+	}
+	if gt, wt := got.Logs[0].Trials(&gi), l.Logs[0].Trials(&wi); !slices.Equal(gt, wt) ||
+		wt[0].Mode != TrialBounded {
+		t.Errorf("trials %+v, want %+v", gt, wt)
 	}
 	if got.Shard == nil {
 		t.Fatal("shard section lost")

@@ -66,6 +66,10 @@ const (
 	TrialFull = uint8(1)
 	// TrialResumed: served by the prefix-resume engine.
 	TrialResumed = uint8(2)
+	// TrialBounded: skipped by the bounded sweep, which proved that the
+	// candidate's key can neither beat the sweep's winner nor win a tie
+	// against it. Its Assigned is the key's upper bound, not a count.
+	TrialBounded = uint8(3)
 )
 
 // The ledger's record types are its wire format: their JSON tags are the
@@ -138,8 +142,8 @@ type IterRec struct {
 // TrialRec is one candidate's evaluated trial outcome.
 type TrialRec struct {
 	Worker   model.WorkerID `json:"w"`
-	Assigned int32          `json:"n"` // tasks the trial assignment would serve
-	Mode     uint8          `json:"m"` // TrialFull / TrialResumed
+	Assigned int32          `json:"n"` // tasks the trial would serve; at most this when bounded
+	Mode     uint8          `json:"m"` // TrialFull / TrialResumed / TrialBounded
 }
 
 // GameLog records one best-response game: the unsharded engine's single
@@ -168,13 +172,14 @@ func (l *GameLog) RouteDelta(it *IterRec) []RecordedRoute {
 
 // RecordIter appends one iteration to the log: rec as the game built it,
 // with its arena offsets filled here. assigned[i] is the assigned count of
-// cands[i]'s trial, and resumed tells whether the trials went through the
-// prefix-resume engine. newRoutes is the recipient's accepted route delta
-// (nil on rejects): its complete new route set when rec.Replace, the
-// appended routes otherwise. The route tasks are deep-copied into the
-// log's arena — callers may recycle them immediately.
+// cands[i]'s trial, or its key's bound when bounded[i]; resumed tells
+// whether the trials went through the prefix-resume engine. newRoutes is
+// the recipient's accepted route delta (nil on rejects): its complete new
+// route set when rec.Replace, the appended routes otherwise. The route
+// tasks are deep-copied into the log's arena — callers may recycle them
+// immediately.
 func (l *GameLog) RecordIter(rec IterRec, cands []model.WorkerID,
-	assigned []int, resumed bool, newRoutes []model.Route) {
+	assigned []int, bounded []bool, resumed bool, newRoutes []model.Route) {
 
 	rec.TrialOff, rec.TrialN = len(l.trials), len(cands)
 	rec.RouteOff, rec.RouteN = len(l.routes), len(newRoutes)
@@ -183,8 +188,12 @@ func (l *GameLog) RecordIter(rec IterRec, cands []model.WorkerID,
 		mode = TrialResumed
 	}
 	for i, w := range cands {
+		m := mode
+		if bounded[i] {
+			m = TrialBounded
+		}
 		l.trials = appendGrown(l.trials, TrialRec{
-			Worker: w, Assigned: int32(assigned[i]), Mode: mode})
+			Worker: w, Assigned: int32(assigned[i]), Mode: m})
 	}
 	for _, rt := range newRoutes {
 		l.routes = appendGrown(l.routes, RecordedRoute{

@@ -375,13 +375,10 @@ func runShardSweep(sizes []int, counts []int, cfg shardConfig) error {
 
 		// Untimed warm-up run at the first requested count: grows the heap
 		// and scratch pools so every timed point below — the first one
-		// included — competes warm, keeping the speedup column honest. A
-		// single-point sweep (the 1M record) has no intra-sweep comparison
-		// to keep honest, so it skips the warm-up rather than double its
-		// multi-minute game.
-		if len(counts) > 1 {
-			collab.RunSharded(in, p1, collab.ShardConfig{Config: ccfg, Shards: counts[0], Seed: cfg.seed})
-		}
+		// included — competes warm, keeping the speedup column honest and a
+		// single-count run's timing comparable with the same point's in a
+		// sweep.
+		collab.RunSharded(in, p1, collab.ShardConfig{Config: ccfg, Shards: counts[0], Seed: cfg.seed})
 
 		var s1Fingerprint uint64
 		var s1Routes []model.Assignment

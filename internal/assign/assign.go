@@ -41,10 +41,10 @@ type Result struct {
 	// input, so results stay comparable across parallelism levels.
 	Stats Stats
 	// Sequential reports that the result is Sequential's own answer for its
-	// inputs: SequentialOpt at the paper's marginal-first order,
-	// SequentialScratch and TrialRunner.Trial set it. The phase-2 game
-	// takes such a phase-1 result as a center's first trial baseline
-	// instead of re-running Sequential (DESIGN.md §11).
+	// inputs: SequentialOpt at the paper's marginal-first order and
+	// TrialRunner.Trial set it. The phase-2 game takes such a phase-1 result
+	// as a center's first trial baseline instead of re-running Sequential
+	// (DESIGN.md §11).
 	Sequential bool
 }
 
@@ -217,8 +217,8 @@ type orderEnt struct {
 // sorts them marginal-first — distance descending, ties to the smaller ID —
 // or, with nearestFirst, distance ascending with the same tie rule. Both
 // orders are strict and total over distinct IDs, so any sorting algorithm
-// lands on the same permutation. Sequential, SequentialScratch and
-// TrialBase all order their workers here.
+// lands on the same permutation. Sequential and TrialBase both order their
+// workers here.
 func serveOrder(ents []orderEnt, wh []model.WorkerHot, c geo.Point, workers []model.WorkerID, nearestFirst bool) []orderEnt {
 	ents = ents[:0]
 	for _, wid := range workers {
@@ -248,8 +248,9 @@ func serveOrder(ents []orderEnt, wh []model.WorkerHot, c geo.Point, workers []mo
 // final route length exactly, so the grab never overflows its reservation.
 func serveWorker(in *model.Instance, c *model.Center, cref model.NodeRef, wid model.WorkerID, pool taskPool, stats *Stats, arena *slab.Arena[model.TaskID], scan ScanObserver) model.Route {
 	w := &in.HotWorkers()[wid]
+	maxT := int(w.MaxT)
 	route := model.Route{Worker: wid, Center: c.ID}
-	if hint := min(int(w.MaxT), pool.len()); hint > 0 {
+	if hint := min(maxT, pool.len()); hint > 0 {
 		if arena != nil {
 			route.Tasks = arena.Grab(hint)
 		} else {
@@ -258,17 +259,7 @@ func serveWorker(in *model.Instance, c *model.Center, cref model.NodeRef, wid mo
 	}
 	// Algorithm 2 lines 7–8: travel to the center first (Eq. 1).
 	t := in.TravelTimeRef(w.Loc, w.Ref, c.Loc, cref)
-	extendServe(in, &route, t, c.Loc, cref, -1, int(w.MaxT), pool, stats, scan)
-	return route
-}
-
-// extendServe runs Algorithm 2's inner greedy loop (lines 9–18) from an
-// explicit resume state: the route so far, the time accumulator t and the
-// worker's current position cur — the location of task from, or of the
-// center when from < 0. serveWorker starts it at the center; the trial
-// engine (trial.go) resumes it mid-route or at the end of a preserved
-// baseline route to check whether the trial pool extends the sequence.
-func extendServe(in *model.Instance, route *model.Route, t float64, cur geo.Point, curRef model.NodeRef, from model.TaskID, maxT int, pool taskPool, stats *Stats, scan ScanObserver) {
+	cur, curRef, from := c.Loc, cref, model.TaskID(-1)
 	th := in.HotTasks()
 	for len(route.Tasks) < maxT && pool.len() > 0 {
 		// Line 10: nearest unassigned task to the worker's position.
@@ -295,6 +286,7 @@ func extendServe(in *model.Instance, route *model.Route, t float64, cur geo.Poin
 		t = arrive
 		cur, curRef, from = task.Loc, task.Ref, sid
 	}
+	return route
 }
 
 const timeEps = 1e-9

@@ -139,7 +139,7 @@ func (g *taskCells) remove(r int32) {
 }
 
 // cellPool is the unassigned-task pool of phase 1 and of the game's
-// re-baselines (SequentialOpt, SequentialScratch): the given tasks in
+// re-baselines (SequentialOpt): the given tasks in
 // center order over a taskCells grid. A pool over a center's own task list
 // reads the center order from the instance's task geometry (orders.go);
 // any other task set is sorted here. Algorithm 2 queries from the center

@@ -3,7 +3,6 @@ package assign
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -175,34 +174,4 @@ func poolTasks(rng *rand.Rand, in *model.Instance) []model.TaskID {
 		}
 	}
 	return sub
-}
-
-// TestSequentialScratchMatchesSequential: one recycled scratch, run over
-// hundreds of instances of different sizes, returns exactly Sequential's
-// Result every time — routes, leftover sets and Stats.
-func TestSequentialScratchMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	var s SequentialScratch
-	for trial := 0; trial < 300; trial++ {
-		in := poolScene(rng, trial)
-		c := in.Center(0)
-		ts := poolTasks(rng, in)
-		ws := c.Workers
-		if trial%10 == 9 {
-			ws = nil
-		}
-		want := normalizeSlices(Sequential(in, c, ws, ts))
-		got := normalizeSlices(s.Run(in, c, ws, ts))
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d:\n got  %+v\n want %+v", trial, got, want)
-		}
-	}
-}
-
-// normalizeSlices maps empty result slices to nil, keeping Stats.
-func normalizeSlices(r Result) Result {
-	st := r.Stats
-	r = normalizeResult(r)
-	r.Stats = st
-	return r
 }

@@ -10,13 +10,13 @@ import (
 	"imtao/internal/obs"
 )
 
-// Nearest-task work profile of the trial engine, added once per trial (and
-// once per trial-base Reset) from local tallies.
+// Nearest-task work profile of the trial engine, added once per trial head
+// and trial from local tallies.
 var (
 	mNearestFallbacks = obs.Default.Counter("imtao_trial_nearest_fallbacks_total",
 		"trial nearest-task queries whose neighbour list held no live task and fell back to a scan of the live pool")
 	mTravelMemoHits = obs.Default.Counter("imtao_trial_travel_memo_hits_total",
-		"trial-engine travel times (trial queries and trial-base route legs) read from the order table's memo")
+		"trial-engine travel times read from the order table's memo")
 	mTravelMemoMisses = obs.Default.Counter("imtao_trial_travel_memo_misses_total",
 		"trial-engine travel times computed by the metric because the order table's memo had no answer")
 )
@@ -187,7 +187,6 @@ type TaskOrders struct {
 type centerOrders struct {
 	orderLists
 	once sync.Once
-	ref  model.NodeRef
 	// ctt[r] memoizes tt(center, order[r]); ntt[i] memoizes the travel time
 	// from row i/width's task to the task nbr[i] names. A slot holds the
 	// complemented float64 bits, so the zero value reads as empty. fb[r]
@@ -246,7 +245,6 @@ func (o *TaskOrders) bind(ci model.CenterID, co *centerOrders) {
 		g.buildLists(o.th, o.privRank, scratch)
 	}
 	co.orderLists = g.orderLists
-	co.ref = o.in.CenterRef(ci)
 	n := len(g.order)
 	co.ctt = make([]uint64, n)
 	co.ntt = make([]uint64, n*g.width)
@@ -353,7 +351,7 @@ type orderPool struct {
 
 // bind points the pool at a freshly Reset base.
 func (p *orderPool) bind(b *TrialBase) {
-	p.in, p.th, p.co = b.in, b.th, b.co
+	p.in, p.th, p.co = b.in, b.in.HotTasks(), b.co
 	p.base = b.stamp
 	p.stamp = append(p.stamp[:0], b.stamp...)
 	p.baseN = b.poolN
@@ -470,44 +468,16 @@ func (p *orderPool) nearest(q geo.Point, qRef model.NodeRef, from model.TaskID) 
 	return best, tt, true
 }
 
-// travel returns tt(q, sid) through a memo slot and tallies the lookup.
+// travel returns tt(q, sid) from a memo slot, computing and storing it on a
+// miss, and tallies the lookup.
 func (p *orderPool) travel(slot *uint64, q geo.Point, qRef model.NodeRef, sid model.TaskID) float64 {
-	tt, hit := slotTravel(p.in, p.th, slot, q, qRef, sid)
-	if hit {
-		p.hits++
-	} else {
-		p.misses++
-	}
-	return tt
-}
-
-// slotTravel returns tt(q, sid) from the memo slot, computing and storing it
-// on a miss, and reports whether it was a hit.
-func slotTravel(in *model.Instance, th []model.TaskHot, slot *uint64, q geo.Point, qRef model.NodeRef, sid model.TaskID) (float64, bool) {
 	if v := *slot; v != 0 {
-		return math.Float64frombits(^v), true
+		p.hits++
+		return math.Float64frombits(^v)
 	}
-	t := &th[sid]
-	tt := in.TravelTimeRef(q, qRef, t.Loc, t.Ref)
+	p.misses++
+	t := &p.th[sid]
+	tt := p.in.TravelTimeRef(q, qRef, t.Loc, t.Ref)
 	*slot = ^math.Float64bits(tt)
-	return tt, false
-}
-
-// leg returns the travel time from task from (the center when from < 0) to
-// task to, both of co's tasks, through the memo slot when to has one in
-// from's orders, and reports whether the memo answered.
-func (o *TaskOrders) leg(co *centerOrders, from, to model.TaskID) (float64, bool) {
-	tr := co.rank[to]
-	if from < 0 {
-		return slotTravel(o.in, o.th, &co.ctt[tr], co.loc, co.ref, to)
-	}
-	f := &o.th[from]
-	row := int(co.rank[from]) * co.width
-	for j, r := range co.nbr[row : row+co.width] {
-		if r == tr {
-			return slotTravel(o.in, o.th, &co.ntt[row+j], f.Loc, f.Ref, to)
-		}
-	}
-	t := &o.th[to]
-	return o.in.TravelTimeRef(f.Loc, f.Ref, t.Loc, t.Ref), false
+	return tt
 }

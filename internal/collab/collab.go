@@ -121,10 +121,6 @@ type Config struct {
 	// Rng drives RandomRecipient; ignored otherwise. Required when
 	// Recipient == RandomRecipient.
 	Rng *rand.Rand
-	// MaxIterations caps the game loop as a safety net; 0 means the natural
-	// bound (|S|+1)·(|C|+1), which no uncapped game reaches — see
-	// naturalMaxIterations. A capped game may end short of an equilibrium.
-	MaxIterations int
 	// Obs receives one "game_iter" event per iteration carrying the
 	// potential Φ, the full ρ vector, trial/prune/resume counts and the
 	// iteration latency. Nil (or obs.Nop) disables emission; the TraceStep
@@ -356,11 +352,13 @@ type centerState struct {
 	// against — the trial base. A Sequential phase-1 result seeds it, and
 	// an accepted trial IS the new baseline (promoted), so steady-state
 	// iterations never run the assigner for it; lending out a worker the
-	// baseline used clears baselineOK.
+	// baseline used clears baselineOK, and the next sweep re-baselines with
+	// a Sequential run that owns its slices.
 	baseline   assign.Result
 	baselineOK bool
 	// promo double-buffers result promotion: promo[flip] backs the live
-	// routes/leftTasks/baseline, promo[1-flip] receives the next accepted
+	// routes/leftTasks (and the baseline, unless a re-baseline replaced
+	// it), promo[1-flip] receives the next accepted
 	// result (whose trial slices alias promo[flip] — a single buffer would
 	// overwrite its own source).
 	promo [2]promoBuf
@@ -400,11 +398,6 @@ type Game struct {
 	base   assign.TrialBase
 	runner *assign.TrialRunner
 	orders *assign.TaskOrders
-	// seqScratch serves the Sequential engine's re-baseline runs (a
-	// center whose phase 1 was not Sequential's own answer, or that lent
-	// a worker its baseline used) from recycled buffers; the result is
-	// promoted into the center's buffers like an accepted trial.
-	seqScratch assign.SequentialScratch
 	// The per-sweep evaluation scratch of evalTrials: each candidate's key
 	// index, the keys with their evaluation order, each key's trial, each
 	// candidate's count and bounded flag, and the trial key → key index
@@ -548,10 +541,7 @@ func newGame(in *model.Instance, cfg Config) *Game {
 	g.states = make([]centerState, n)
 	g.pool = newWorkerPool(in)
 	g.rhoVec = make([]float64, n)
-	g.maxIter = cfg.MaxIterations
-	if g.maxIter <= 0 {
-		g.maxIter = naturalMaxIterations(len(in.Tasks), n)
-	}
+	g.maxIter = naturalMaxIterations(len(in.Tasks), n)
 	return g
 }
 
@@ -566,15 +556,16 @@ func (g *Game) join(ci model.CenterID) {
 	}
 }
 
-// naturalMaxIterations bounds an uncapped game over |S| = tasks and
-// |C| = centers. Every accepted move raises the total assigned count by at
-// least one, so there are at most |S| of them. A center rejects at most once
-// between two end checks, since only a check re-admits it; a check that
-// re-admits a center is followed by an accepted move (the check changes no
-// game state, so the re-admitted recipient's next sweep finds the same
-// improving move), so there are at most |S|+1 such stretches and at most
-// |C|·(|S|+1) rejects. The game therefore ends within (|S|+1)·(|C|+1) − 1
-// steps.
+// naturalMaxIterations bounds a game over |S| = tasks and |C| = centers:
+// the safety net of the game loop and of RunReference's. Every accepted
+// move raises the total assigned count by at least one, so there are at
+// most |S| of them. A center rejects at most once between two end checks,
+// since only a check re-admits it; a check that re-admits a center is
+// followed by an accepted move (the check changes no game state, so the
+// re-admitted recipient's next sweep finds the same improving move), so
+// there are at most |S|+1 such stretches and at most |C|·(|S|+1) rejects.
+// The game therefore ends at its stop rule within (|S|+1)·(|C|+1) − 1
+// steps, before the bound.
 func naturalMaxIterations(tasks, centers int) int {
 	return (tasks + 1) * (centers + 1)
 }
@@ -902,22 +893,13 @@ func (g *Game) sweep(ci model.CenterID, traceParent obs.SpanID) sweepResult {
 			}
 		} else {
 			if !st.baselineOK {
-				// seqEngine holds here, so the scratch run IS the configured
-				// assigner; its result lives in recycled buffers, so promote
-				// it into the center's spare buffer and flip, exactly like an
-				// accepted trial. The flip matters: trial results alias the
-				// baseline's route storage (the preserved-suffix fast path),
-				// so the baseline must occupy the buffer the next accepted
-				// promotion does NOT write. st.routes/st.leftTasks keep the
-				// center's current assignment — the baseline is a trial-
-				// resume aid, not the state (they coincide only when phase 1
-				// used the same assigner).
-				fresh := g.seqScratch.Run(in, center, baseWS, center.Tasks)
-				pb := &st.promo[1-st.flip]
-				pb.promote(&fresh)
-				st.flip = 1 - st.flip
-				st.baseline = assign.Result{Routes: pb.routes,
-					LeftTasks: pb.left, LeftWorkers: pb.lws, Stats: fresh.Stats}
+				// seqEngine holds here, so Sequential IS the configured
+				// assigner. Its result owns its slices, which the trials
+				// alias and a promotion never writes. st.routes/st.leftTasks
+				// keep the center's current assignment — the baseline is a
+				// trial-resume aid, not the state (they coincide only when
+				// phase 1 used the same assigner).
+				st.baseline = assign.Sequential(in, center, baseWS, center.Tasks)
 				st.baselineOK = true
 			}
 			if g.base.Reset(g.orders, center, baseWS, st.baseline.Routes, st.baseline.LeftTasks) {
@@ -964,13 +946,13 @@ func (g *Game) sweep(ci model.CenterID, traceParent obs.SpanID) sweepResult {
 }
 
 // readmit is the end check of the stop rule (DESIGN.md §5). It runs when a
-// step leaves no recipient while the pool is non-empty and the cap is not
-// reached: every center with ρ < 1 re-runs its deviation sweep against the
-// current pool — the sweep VerifyEquilibrium runs — and the centers with an
-// improving deviation rejoin the recipient set, so the game ends only at a
-// pure Nash equilibrium. A later re-plan can return a worker to the pool
-// after a center departed (Algorithm 3 lines 20–21 drop it for good), which
-// is what this catches. The check changes no game state.
+// step leaves no recipient while the pool is non-empty and the iteration
+// bound is not reached: every center with ρ < 1 re-runs its deviation sweep
+// against the current pool — the sweep VerifyEquilibrium runs — and the
+// centers with an improving deviation rejoin the recipient set, so the game
+// ends only at a pure Nash equilibrium. A later re-plan can return a worker
+// to the pool after a center departed (Algorithm 3 lines 20–21 drop it for
+// good), which is what this catches. The check changes no game state.
 func (g *Game) readmit(traceParent obs.SpanID) {
 	n := len(g.states)
 	if g.members != nil {

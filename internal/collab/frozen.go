@@ -17,9 +17,9 @@ import (
 // center (DESIGN.md §5). It is the behavioral reference for the optimized
 // Run (DESIGN.md §11): the equivalence tests assert bit-identical routes,
 // transfers and trace against it; no binary calls it. It reads only the
-// game's rules from cfg (Recipient, Scope, Assigner, Rng, MaxIterations)
-// and ignores the instrumentation fields: it updates
-// no metric and emits no event. Do not optimize this function.
+// game's rules from cfg (Recipient, Scope, Assigner, Rng) and ignores the
+// instrumentation fields: it updates no metric and emits no event. Do not
+// optimize this function.
 func RunReference(in *model.Instance, phase1 []assign.Result, cfg Config) Result {
 	if cfg.Assigner == nil {
 		cfg.Assigner = assign.Sequential
@@ -62,10 +62,7 @@ func RunReference(in *model.Instance, phase1 []assign.Result, cfg Config) Result
 		}
 	}
 
-	maxIter := cfg.MaxIterations
-	if maxIter <= 0 {
-		maxIter = naturalMaxIterations(len(in.Tasks), n)
-	}
+	maxIter := naturalMaxIterations(len(in.Tasks), n)
 
 	res := Result{}
 	var transfers []model.Transfer

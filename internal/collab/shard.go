@@ -325,8 +325,6 @@ func (b workerSet) meets(o workerSet) bool {
 // Everything else — RandomRecipient, MaxLeftover, budgeted Optimal and
 // other custom assigners — falls back to the unsharded Run, reported as
 // one shard.
-// Config.MaxIterations, when set, caps each shard game and the exchange
-// game individually.
 func RunSharded(in *model.Instance, phase1 []assign.Result, cfg ShardConfig) (Result, ShardReport) {
 	k := cfg.Shards
 	// Every game of the run records through Ledger alone.

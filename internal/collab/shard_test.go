@@ -499,7 +499,7 @@ func TestShardMemberGameStepZeroAlloc(t *testing.T) {
 
 // TestReconcileResumedGameStepZeroAlloc extends the §13 zero-alloc gate to
 // the exchange game's shape: two member games (the rich center with one
-// starved corner, and the other three corners), each capped at 40 steps,
+// starved corner, and the other three corners), each stepped up to 40 times,
 // then the exchange game continuing their states. A warmed steady-state
 // Step must not touch the heap.
 func TestReconcileResumedGameStepZeroAlloc(t *testing.T) {
@@ -510,9 +510,9 @@ func TestReconcileResumedGameStepZeroAlloc(t *testing.T) {
 	var shards []*Game
 	for _, members := range [][]model.CenterID{{0, 1}, {2, 3, 4}} {
 		scfg := cfg
-		scfg.members, scfg.MaxIterations = members, 40
+		scfg.members = members
 		sg := NewGame(in, p1, scfg)
-		for sg.Step() {
+		for i := 0; i < 40 && sg.Step(); i++ {
 		}
 		shards = append(shards, sg)
 	}

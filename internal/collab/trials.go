@@ -37,8 +37,7 @@ func (g *Game) fullTrial(center *model.Center, cand model.WorkerID,
 
 // tracedTrial wraps one trial evaluation in a span: on the full path the
 // candidate's "trial" span, carrying its outcome, and on the prefix-resume
-// path the "replay" span of its key's Trial, carrying the replay profile of
-// the differential engine.
+// path the "replay" span of its key's Trial.
 func (g *Game) tracedTrial(runner *assign.TrialRunner, center *model.Center,
 	cand model.WorkerID, baseWS []model.WorkerID, leftTasks []model.TaskID,
 	traceParent obs.SpanID) assign.Result {
@@ -51,9 +50,7 @@ func (g *Game) tracedTrial(runner *assign.TrialRunner, center *model.Center,
 	}
 	ts := g.cfg.Tracer.Start(traceParent, "replay", obs.F("worker", int(cand)))
 	r := runner.Trial(cand)
-	copied, replayed := runner.LastReplay()
-	ts.End(obs.F("assigned", r.AssignedCount()), obs.F("scanned", r.Stats.TasksScanned),
-		obs.F("routes_copied", copied), obs.F("routes_replayed", replayed))
+	ts.End(obs.F("assigned", r.AssignedCount()), obs.F("scanned", r.Stats.TasksScanned))
 	return r
 }
 

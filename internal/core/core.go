@@ -150,12 +150,6 @@ type Config struct {
 	// OptBudget caps the Opt assigner's per-center search in steps
 	// (assign.OptimalOptions.Budget); zero means run to optimality.
 	OptBudget int
-	// MaxGameIterations caps the phase-2 collaboration game. 0 means the
-	// natural bound (|S|+1)·(|C|+1), which an uncapped game never reaches
-	// (collab.naturalMaxIterations) — the paper's setting. No binary sets
-	// a cap; capped runs are still feasible solutions, just not
-	// necessarily at equilibrium.
-	MaxGameIterations int
 	// Observer receives the run's structured event stream: run_start,
 	// per-center phase-1 statistics, phase latency spans, one game_iter per
 	// collaboration iteration, and run_end. Nil disables emission (the
@@ -490,11 +484,10 @@ func Run(in *model.Instance, cfg Config) (*Report, error) {
 		rep.Solution = p1sol
 	default:
 		ccfg := collab.Config{
-			Assigner:      assigner,
-			MaxIterations: cfg.MaxGameIterations,
-			Obs:           cfg.Observer,
-			Tracer:        tr,
-			TraceParent:   p2TS.ID(),
+			Assigner:    assigner,
+			Obs:         cfg.Observer,
+			Tracer:      tr,
+			TraceParent: p2TS.ID(),
 		}
 		switch cfg.Method.Collab {
 		case RBDC:

@@ -102,19 +102,6 @@ func TestProvenanceReplaySharded(t *testing.T) {
 	}
 }
 
-// TestProvenanceReplayCappedRun: an iteration-capped game must still replay
-// exactly (the certificate just won't claim equilibrium).
-func TestProvenanceReplayCappedRun(t *testing.T) {
-	in := provInstance(t, nil)
-	cfg := Config{Method: Method{Seq, BDC}, MaxGameIterations: 5,
-		Prov: provenance.NewLedger()}
-	rep, err := Run(in, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertReplayMatches(t, rep)
-}
-
 func assertReplayMatches(t *testing.T, rep *Report) {
 	t.Helper()
 	l := rep.Provenance
@@ -161,7 +148,7 @@ func TestProvenanceCertificate(t *testing.T) {
 				t.Fatal("no certificate on a Seq collaboration run")
 			}
 			if !cert.Equilibrium {
-				t.Fatal("uncapped run's certificate does not claim equilibrium")
+				t.Fatal("the run's certificate does not claim equilibrium")
 			}
 			if err := cert.Verify(in, rep.Solution); err != nil {
 				t.Fatalf("certificate failed offline re-validation: %v", err)
@@ -183,35 +170,30 @@ func TestProvenanceCertificate(t *testing.T) {
 	}
 }
 
-// TestProvenanceCappedNoEquilibriumClaim: a hard-capped game must not
-// certify equilibrium when improving deviations remain.
+// TestProvenanceCappedNoEquilibriumClaim: a solution short of equilibrium
+// must not be certified as one. The w/o-C solution is the game's start
+// state, a game capped at zero iterations: when the Seq-BDC game of the same
+// instance makes a transfer, a deviation improves that state, so its
+// certificate must report Equilibrium=false — and still verify offline.
 func TestProvenanceCappedNoEquilibriumClaim(t *testing.T) {
 	in := provInstance(t, nil)
-	cfg := Config{Method: Method{Seq, BDC}, MaxGameIterations: 1,
-		Prov: provenance.NewLedger()}
-	rep, err := Run(in, cfg)
+	woc, err := Run(in, Config{Method: Method{Seq, WoC}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cert := rep.Provenance.Cert
-	if cert == nil {
-		t.Fatal("no certificate")
+	full, err := Run(in, Config{Method: Method{Seq, BDC}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// One iteration into a paper-default instance cannot be at equilibrium
-	// (the reference run needs >1); the certificate must agree — and still
-	// verify offline, Equilibrium=false included.
-	if rep.Iterations >= 1 && rep.Transfers >= 1 && cert.Equilibrium {
-		// Only meaningful if the full game would have gone further.
-		full, err := Run(in, Config{Method: Method{Seq, BDC}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if full.Transfers > rep.Transfers {
-			t.Fatal("capped run certified equilibrium with transfers remaining")
-		}
+	if full.Transfers == 0 {
+		t.Fatal("the Seq-BDC game made no transfer; the instance cannot test the claim")
 	}
-	if err := cert.Verify(in, rep.Solution); err != nil {
-		t.Fatalf("capped-run certificate failed re-validation: %v", err)
+	cert := provenance.BuildCertificate(in, woc.Solution, provenance.ScopeFull)
+	if cert.Equilibrium {
+		t.Fatal("the w/o-C solution was certified an equilibrium, but the game transfers from it")
+	}
+	if err := cert.Verify(in, woc.Solution); err != nil {
+		t.Fatalf("w/o-C certificate failed re-validation: %v", err)
 	}
 }
 

@@ -52,8 +52,9 @@ type Certificate struct {
 // Sequential assigner — the same sweep VerifyEquilibrium performs, with the
 // same exact accelerations (admission-slack pruning, prefix-resume trials),
 // recorded as witnesses instead of just a verdict. It never fails: a
-// non-equilibrium solution (e.g. an iteration-capped run) yields a valid
-// certificate with Equilibrium=false and the improving witness in evidence.
+// non-equilibrium solution (e.g. the w/o-C start state of a game that makes
+// a transfer) yields a valid certificate with Equilibrium=false and the
+// improving witness in evidence.
 //
 // scope selects the deviation class probed: ScopeFull re-assigns a center's
 // full task set per candidate (the BDC/RBDC game's move), ScopeLeftover

@@ -28,22 +28,23 @@ import (
 // oracle that serves its travel times on a road network (§10): per task size
 // it plays the game uncapped to equilibrium through collab.RunSharded at
 // each requested shard count and records the wall-clock, the engine's and
-// the oracle's work counters, the exchange rounds and the speedup over the
-// first point. Shard count 1 IS the unsharded engine, and its point (e.g.
-// 10k-s1) carries the engine record: the runtime vitals of its timed run,
-// then, once the size's last point is timed, a steady-state allocation
-// meter, one ledgered run and a check of sampled point searches against
-// fresh full tables. After each timed solve, ShardReport.Cut adds the
-// partition's interference profile, which the solve itself does not compute.
+// the oracle's work counters, the exchange rounds and, once the sweep has
+// timed the size's one-shard point, the speedup over it. Shard count 1 IS
+// the unsharded engine, and its point (e.g. 10k-s1) carries the engine
+// record: the runtime vitals of its timed run, then, once the size's last
+// point is timed, a steady-state allocation meter, one ledgered run and a
+// check of sampled point searches against fresh full tables. After each
+// timed solve, ShardReport.Cut adds the partition's interference profile,
+// which the solve itself does not compute.
 //
 // Each scene must pin one distance table per distinct center node, and
 // every point is Nash-verified and must build no full distance table while
 // timed (the scene pinned every table the game reads); an empty-cut point
-// must route every center as the first point does, with no transfer accepted
-// by the exchange; the one-shard point must show pruning, prefix-resume and
-// trial grouping engaged, a ledger that replays to its fingerprint, a valid
-// equilibrium certificate and exact point searches. Any failure is a hard
-// error (nonzero exit).
+// must accept no transfer in the exchange and, once the one-shard point is
+// timed, route every center as it does; the one-shard point must show
+// pruning, prefix-resume and trial grouping engaged, a ledger that replays
+// to its fingerprint, a valid equilibrium certificate and exact point
+// searches. Any failure is a hard error (nonzero exit).
 
 // shardRecord is the schema of BENCH_shard.json.
 type shardRecord struct {
@@ -89,9 +90,9 @@ type shardPreset struct {
 	// Engine work, summed over the returned trace (phase-A shard games,
 	// then the exchange): trials evaluated, candidates admission pruning
 	// skipped, trials served by prefix-resume, and the suffix replays
-	// behind the trials (TraceStep.Replays: one per non-empty trial key
-	// the bounded sweep evaluated, so fewer than the trials). Trials run on
-	// the stepping goroutine, so all four are the same at every GOMAXPROCS.
+	// behind the trials (TraceStep.Replays: one per trial key the bounded
+	// sweep evaluated, so fewer than the trials). Trials run on the
+	// stepping goroutine, so all four are the same at every GOMAXPROCS.
 	TrialsEvaluated  int64 `json:"trials_evaluated"`
 	CandidatesPruned int64 `json:"candidates_pruned"`
 	TrialsResumed    int64 `json:"trials_resumed"`
@@ -104,14 +105,12 @@ type shardPreset struct {
 	// table the game reads), nearest-task queries whose neighbour list held
 	// no live task and fell back to a scan of the live pool, trial travel
 	// times the order table's memo answered and missed, candidate-task
-	// evaluations across every assignment call, the assignment calls
-	// themselves, and the trials whose candidate took no task. Every call
-	// is a re-baseline or one evaluated trial key's Trial, and the end
-	// check's sweeps are in no trace step, so assign_calls −
-	// trial_replays − empty_candidates counts the re-baselines plus the end
-	// check's replays. Each is the same at every GOMAXPROCS, so the gate
-	// holds them exactly: a change that makes each trial do more work
-	// moves them.
+	// evaluations across every assignment call, and the assignment calls
+	// themselves. Every call is one evaluated trial key's Trial, and the
+	// end check's sweeps are in no trace step, so assign_calls −
+	// trial_replays counts exactly the end check's replays. Each is the
+	// same at every GOMAXPROCS, so the gate holds them exactly: a change
+	// that makes each trial do more work moves them.
 	PointSearches    int64 `json:"point_searches"`
 	SettledNodes     int64 `json:"settled_nodes"`
 	PinnedReads      int64 `json:"pinned_reads"`
@@ -121,7 +120,6 @@ type shardPreset struct {
 	TravelMemoMisses int64 `json:"travel_memo_misses"`
 	TasksScanned     int64 `json:"tasks_scanned"`
 	AssignCalls      int64 `json:"assign_calls"`
-	EmptyCandidates  int64 `json:"empty_candidates"`
 
 	// Partition profile (ShardReport; the cut fields from ShardReport.Cut).
 	ExclusiveWorkers   int     `json:"exclusive_workers"`
@@ -139,16 +137,22 @@ type shardPreset struct {
 	// "auto" in the sweep list; null for explicit counts.
 	Auto *shardAutoRecord `json:"auto,omitempty"`
 
-	// EquilibriumOK is the global Nash check on the sharded outcome;
-	// IdenticalToS1 reports the fingerprint match against the one-shard run.
-	// Speedup is this point's phase-2 wall over the one-shard point's of the
-	// same size.
-	EquilibriumOK bool    `json:"equilibrium_ok"`
-	IdenticalToS1 bool    `json:"identical_to_s1"`
-	Speedup       float64 `json:"speedup"`
+	// EquilibriumOK is the global Nash check on the sharded outcome.
+	EquilibriumOK bool `json:"equilibrium_ok"`
+	// Only a point timed at or after its size's first one-shard point
+	// carries the comparison with it.
+	*s1Comparison
 
 	// Only the one-shard point carries the engine record.
 	*engineRecord
+}
+
+// s1Comparison compares a point with its size's first one-shard point:
+// IdenticalToS1 reports the fingerprint match, and Speedup is the
+// one-shard point's phase-2 wall over this point's.
+type s1Comparison struct {
+	IdenticalToS1 bool    `json:"identical_to_s1"`
+	Speedup       float64 `json:"speedup"`
 }
 
 // engineRecord is what the one-shard point records beyond the common
@@ -334,9 +338,10 @@ func sizeLabel(size int) string {
 
 // runShardSweep executes the sharded-engine benchmark and writes
 // BENCH_shard.json. It returns an error when any point fails verification
-// (non-equilibrium), when a point with an empty interference cut routes
-// some center differently from the first point or lets the exchange accept
-// a transfer, or when an engine check of the one-shard point fails.
+// (non-equilibrium), when a point with an empty interference cut lets the
+// exchange accept a transfer or routes some center differently from a
+// one-shard point timed before it, or when an engine check of the
+// one-shard point fails.
 func runShardSweep(sizes []int, counts []int, cfg shardConfig) error {
 	rec := shardRecord{
 		Benchmark:  "shard-engine",
@@ -380,9 +385,13 @@ func runShardSweep(sizes []int, counts []int, cfg shardConfig) error {
 		// sweep.
 		collab.RunSharded(in, p1, collab.ShardConfig{Config: ccfg, Shards: counts[0], Seed: cfg.seed})
 
-		var s1Fingerprint uint64
-		var s1Routes []model.Assignment
-		var s1Wall time.Duration
+		// s1 is the size's first one-shard point, nil until it is timed.
+		type s1Point struct {
+			fp     uint64
+			routes []model.Assignment
+			wall   time.Duration
+		}
+		var s1 *s1Point
 		// engine is the index of the size's one-shard point in rec.Presets,
 		// and engineRes its timed result, for the untimed engine legs.
 		engine := -1
@@ -435,8 +444,8 @@ func runShardSweep(sizes []int, counts []int, cfg shardConfig) error {
 			cutWall := time.Since(t0)
 
 			fp := provenance.SolutionFingerprint(res.Solution)
-			if k == counts[0] {
-				s1Fingerprint, s1Routes, s1Wall = fp, res.Solution.PerCenter, wall
+			if k == 1 && s1 == nil {
+				s1 = &s1Point{fp, res.Solution.PerCenter, wall}
 			}
 
 			var wallMax time.Duration
@@ -471,7 +480,6 @@ func runShardSweep(sizes []int, counts []int, cfg shardConfig) error {
 				TravelMemoMisses: work[3],
 				TasksScanned:     work[4],
 				AssignCalls:      work[5],
-				EmptyCandidates:  work[6],
 
 				ExclusiveWorkers:   srep.ExclusiveWorkers,
 				BoundaryWorkers:    srep.BoundaryWorkers,
@@ -484,8 +492,7 @@ func runShardSweep(sizes []int, counts []int, cfg shardConfig) error {
 				ExchangeTransfers:  srep.ExchangeTransfers,
 				ShardWallMaxMs:     ms(wallMax),
 
-				IdenticalToS1: fp == s1Fingerprint,
-				engineRecord:  eng,
+				engineRecord: eng,
 			}
 			if srep.Auto != nil {
 				pr.Auto = &shardAutoRecord{Picked: srep.Auto.Picked}
@@ -501,8 +508,11 @@ func runShardSweep(sizes []int, counts []int, cfg shardConfig) error {
 			iterSnap := iterQ.Snapshot()
 			pr.IterP50Ms = iterSnap.Quantile(0.50) * 1e3
 			pr.IterP99Ms = iterSnap.Quantile(0.99) * 1e3
-			if wall > 0 {
-				pr.Speedup = s1Wall.Seconds() / wall.Seconds()
+			if s1 != nil {
+				pr.s1Comparison = &s1Comparison{IdenticalToS1: fp == s1.fp}
+				if wall > 0 {
+					pr.Speedup = s1.wall.Seconds() / wall.Seconds()
+				}
 			}
 			if eng != nil {
 				eng.IterP999Ms = iterSnap.Quantile(0.999) * 1e3
@@ -543,11 +553,15 @@ func runShardSweep(sizes []int, counts []int, cfg shardConfig) error {
 				pr.TrialReplays, pr.CandidatesPruned)
 			fmt.Printf("  oracle: point searches %d (%d nodes settled), pinned reads %d, full searches %d\n",
 				pr.PointSearches, pr.SettledNodes, pr.PinnedReads, pr.FullSearches)
-			fmt.Printf("  work: nearest fallbacks %d, travel memo %d hits / %d misses, tasks scanned %d, assign calls %d (%d empty candidates)\n",
+			fmt.Printf("  work: nearest fallbacks %d, travel memo %d hits / %d misses, tasks scanned %d, assign calls %d\n",
 				pr.NearestFallbacks, pr.TravelMemoHits, pr.TravelMemoMisses, pr.TasksScanned,
-				pr.AssignCalls, pr.EmptyCandidates)
-			fmt.Printf("  equilibrium_ok=%v (verified in %.0f ms), identical_to_s1=%v, speedup %.2fx\n\n",
-				pr.EquilibriumOK, ms(verify), pr.IdenticalToS1, pr.Speedup)
+				pr.AssignCalls)
+			cmp := "no one-shard point timed yet"
+			if c := pr.s1Comparison; c != nil {
+				cmp = fmt.Sprintf("identical_to_s1=%v, speedup %.2fx", c.IdenticalToS1, c.Speedup)
+			}
+			fmt.Printf("  equilibrium_ok=%v (verified in %.0f ms), %s\n\n",
+				pr.EquilibriumOK, ms(verify), cmp)
 
 			if !pr.EquilibriumOK {
 				return fmt.Errorf("shard %s: final state is not a Nash equilibrium", pr.Name)
@@ -556,7 +570,7 @@ func runShardSweep(sizes []int, counts []int, cfg shardConfig) error {
 				return fmt.Errorf("shard %s: the timed run built %d full distance tables beside the %d pinned",
 					pr.Name, pr.FullSearches, st.Pinned)
 			}
-			if pr.EmptyCut && !reflect.DeepEqual(res.Solution.PerCenter, s1Routes) {
+			if pr.EmptyCut && s1 != nil && !reflect.DeepEqual(res.Solution.PerCenter, s1.routes) {
 				return fmt.Errorf("shard %s: empty interference cut but the routes diverged from "+
 					"the one-shard engine's", pr.Name)
 			}
@@ -762,19 +776,17 @@ func meterGameMemory(e *engineRecord, in *model.Instance, p1 []assign.Result,
 
 // engineWork is a reading of the process-wide work counters, in
 // shardPreset's order: pinned-table reads, nearest fallbacks, travel-memo
-// hits, travel-memo misses, tasks scanned, assignment calls, empty
-// candidates.
-type engineWork [7]int64
+// hits, travel-memo misses, tasks scanned, assignment calls.
+type engineWork [6]int64
 
 // engineWorkCounters names the counters behind engineWork.
-var engineWorkCounters = [7]string{
+var engineWorkCounters = [6]string{
 	"imtao_roadnet_cache_hits_total",
 	"imtao_trial_nearest_fallbacks_total",
 	"imtao_trial_travel_memo_hits_total",
 	"imtao_trial_travel_memo_misses_total",
 	"imtao_assign_tasks_scanned_total",
 	"imtao_assign_calls_total",
-	"imtao_trial_empty_candidate_total",
 }
 
 func readEngineWork() engineWork {

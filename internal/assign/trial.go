@@ -6,13 +6,8 @@ import (
 	"sort"
 
 	"imtao/internal/model"
-	"imtao/internal/obs"
 	"imtao/internal/slab"
 )
-
-// mEmptyCand counts the trials the empty-route fast path answers.
-var mEmptyCand = obs.Default.Counter("imtao_trial_empty_candidate_total",
-	"trials whose candidate route came back empty (result is the baseline verbatim)")
 
 // This file implements the resumable phase-2 trial engine (DESIGN.md §11).
 //
@@ -97,10 +92,7 @@ type TrialBase struct {
 	// and cumCap[j] sums MaxT over those positions: Bound's two prefix sums.
 	cumServed []int
 	cumCap    []int
-	// baseLeft are the baseline unused workers (ID-sorted) and leftTasks the
-	// baseline leftover tasks (ID-sorted) — the pool end state E shared by
-	// every runner.
-	baseLeft  []model.WorkerID
+	// leftTasks are the baseline leftover tasks (ID-sorted).
 	leftTasks []model.TaskID
 	// co is the center's part of the solve's nearest-task table. stamp is
 	// the runners' starting liveness over co's ranks — 0 for the start
@@ -146,7 +138,6 @@ func (b *TrialBase) Reset(o *TaskOrders, c *model.Center, workers []model.Worker
 	b.cumRoutes = append(b.cumRoutes[:0], 0)
 	b.cumServed = append(b.cumServed[:0], 0)
 	b.cumCap = append(b.cumCap[:0], 0)
-	b.baseLeft = b.baseLeft[:0]
 	r, served, capSum := 0, 0, 0
 	for _, e := range b.order {
 		if r < len(routes) && routes[r].Worker == e.wid {
@@ -155,7 +146,6 @@ func (b *TrialBase) Reset(o *TaskOrders, c *model.Center, workers []model.Worker
 			r++
 		} else {
 			b.routeAt = append(b.routeAt, -1)
-			b.baseLeft = append(b.baseLeft, e.wid)
 		}
 		capSum += int(b.wh[e.wid].MaxT)
 		b.cumRoutes = append(b.cumRoutes, int32(r))
@@ -167,7 +157,6 @@ func (b *TrialBase) Reset(o *TaskOrders, c *model.Center, workers []model.Worker
 		// they came from a different assigner or a stale state.
 		return false
 	}
-	slices.Sort(b.baseLeft)
 	return b.markPool(o, c)
 }
 
@@ -353,26 +342,18 @@ func (r *TrialRunner) Trial(cand model.WorkerID) Result {
 	res := Result{Sequential: true}
 	k, candRoute := r.serveCandidate(cand, &r.tids, &res.Stats)
 	pool := &r.pool
-	if len(candRoute.Tasks) == 0 {
-		// The candidate takes nothing, so the suffix replays identically:
-		// the trial IS the baseline plus one more unused worker.
-		mEmptyCand.Add(1)
-		pool.flush()
-		res.Routes = b.routes
-		res.LeftTasks = b.leftTasks
-		res.LeftWorkers = insertSortedWorker(&r.wids, b.baseLeft, cand)
-		recordStats(res.Stats)
-		return res
-	}
-
 	res.Routes = r.rts.Grab(len(b.order) + 1)
 	res.Routes = append(res.Routes, b.routes[:b.cumRoutes[k]]...)
-	res.Routes = append(res.Routes, candRoute)
 	res.LeftWorkers = r.wids.Grab(len(b.order) + 1)
 	for j := 0; j < k; j++ {
 		if b.routeAt[j] < 0 {
 			res.LeftWorkers = append(res.LeftWorkers, b.order[j].wid)
 		}
+	}
+	if len(candRoute.Tasks) == 0 {
+		res.LeftWorkers = append(res.LeftWorkers, cand)
+	} else {
+		res.Routes = append(res.Routes, candRoute)
 	}
 	// The suffix: Algorithm 2's own loop from position k on, over the trial
 	// pool, and the leftover tasks are what it leaves live.
@@ -390,14 +371,4 @@ func (r *TrialRunner) Trial(cand model.WorkerID) Result {
 	slices.Sort(res.LeftWorkers)
 	recordStats(res.Stats)
 	return res
-}
-
-// insertSortedWorker returns a copy of sorted (ascending IDs) with w
-// inserted in order, carved from the given arena.
-func insertSortedWorker(a *slab.Arena[model.WorkerID], sorted []model.WorkerID, w model.WorkerID) []model.WorkerID {
-	i := sort.Search(len(sorted), func(j int) bool { return sorted[j] >= w })
-	out := a.Grab(len(sorted) + 1)
-	out = append(out, sorted[:i]...)
-	out = append(out, w)
-	return append(out, sorted[i:]...)
 }

@@ -236,9 +236,9 @@ type TraceStep struct {
 	// pruning — their trials provably return the baseline. Resumed counts
 	// evaluated trials served by the prefix-resume engine instead of a full
 	// re-assignment. Replays counts the trials the iteration ran beyond the
-	// heads: one suffix replay per non-empty assign.TrialKey the bounded
-	// sweep evaluated on the prefix-resume engine, one full assigner run
-	// per candidate otherwise. All three are zero under RunReference;
+	// heads: one suffix replay per assign.TrialKey the bounded sweep
+	// evaluated on the prefix-resume engine, one full assigner run per
+	// candidate otherwise. All three are zero under RunReference;
 	// together with Trials they are diagnostics, not part of the
 	// cross-engine equivalence contract.
 	Pruned  int
@@ -272,15 +272,14 @@ func NoCollaboration(in *model.Instance, phase1 []assign.Result) *model.Solution
 
 // promoBuf is one half of a center's double-buffered result promotion: a
 // flat task slab backing every route of one accepted assignment plus its
-// leftover tasks, a route header array pointing into it, and the unused
-// worker list. Promoting an accepted trial deep-copies it out of the trial
-// runner's arenas (which recycle next iteration) without allocating once the
-// buffers reach their high-water capacity.
+// leftover tasks, and a route header array pointing into it. Promoting an
+// accepted trial deep-copies it out of the trial runner's arenas (which
+// recycle next iteration) without allocating once the buffers reach their
+// high-water capacity.
 type promoBuf struct {
 	routes []model.Route
 	tasks  []model.TaskID // all route tasks, then the leftover tasks
 	left   []model.TaskID // the leftover view into tasks' tail
-	lws    []model.WorkerID
 }
 
 // promote deep-copies r into the buffer. The copy is laid out
@@ -305,11 +304,6 @@ func (pb *promoBuf) promote(r *assign.Result) {
 	} else {
 		pb.routes = pb.routes[:len(r.Routes)]
 	}
-	if cap(pb.lws) < len(r.LeftWorkers) {
-		pb.lws = make([]model.WorkerID, len(r.LeftWorkers), growCap(cap(pb.lws), len(r.LeftWorkers)))
-	} else {
-		pb.lws = pb.lws[:len(r.LeftWorkers)]
-	}
 	off := 0
 	for i := range r.Routes {
 		rt := &r.Routes[i]
@@ -321,45 +315,38 @@ func (pb *promoBuf) promote(r *assign.Result) {
 	}
 	copy(pb.tasks[off:], r.LeftTasks)
 	pb.left = pb.tasks[off:len(pb.tasks):len(pb.tasks)]
-	copy(pb.lws, r.LeftWorkers)
 }
 
-// centerState is one center's mutable game state. The worker sets are
-// ID-sorted slices maintained incrementally, and accepted assignments live
+// centerState is one center's mutable game state. The worker set is an
+// ID-sorted slice maintained incrementally, and accepted assignments live
 // in the double-buffered promotion slabs — one buffer holds the live state
 // the current iteration's trials alias, the other receives the accepted
 // result, then they flip.
 type centerState struct {
 	routes    []model.Route
 	leftTasks []model.TaskID
-	// own is the ID-sorted set of workers homed here and not lent out.
-	own []model.WorkerID
-	// borrowed workers received from other centers, in arrival order.
-	borrowed []model.WorkerID
-	// workers is own ∪ borrowed in ascending ID order, maintained
+	// workers is the center's worker set in ascending ID order: its own
+	// workers not lent out plus the workers it borrowed, maintained
 	// incrementally (the legacy loop rebuilt and sorted it per iteration).
 	workers []model.WorkerID
 	// assigned is countTasks(routes), maintained incrementally.
 	assigned int
-	rho      float64
 	// slack caches assign.AdmissionSlack for the pruning scope; valid
 	// until slackOK is cleared (LeftoverOnly invalidates on accept —
 	// its slack covers the mutable leftover set; FullReassign's covers
 	// the static center.Tasks).
 	slack   float64
 	slackOK bool
-	// baseline caches the assigner result the prefix-resume engine replays
-	// against — the trial base. A Sequential phase-1 result seeds it, and
-	// an accepted trial IS the new baseline (promoted), so steady-state
-	// iterations never run the assigner for it; lending out a worker the
-	// baseline used clears baselineOK, and the next sweep re-baselines with
-	// a Sequential run that owns its slices.
-	baseline   assign.Result
-	baselineOK bool
+	// sequential reports that routes and leftTasks are Sequential's own
+	// answer for workers, so they are the trial base the prefix-resume
+	// engine replays against (DESIGN.md §13). A Sequential phase-1 result
+	// sets it, and so does every accept under the Sequential engine: the
+	// accepted trial IS Sequential over the new worker set. Lending keeps
+	// it, since the pool holds only workers with empty routes.
+	sequential bool
 	// promo double-buffers result promotion: promo[flip] backs the live
-	// routes/leftTasks (and the baseline, unless a re-baseline replaced
-	// it), promo[1-flip] receives the next accepted
-	// result (whose trial slices alias promo[flip] — a single buffer would
+	// routes/leftTasks, promo[1-flip] receives the next accepted result
+	// (whose trial slices alias promo[flip] — a single buffer would
 	// overwrite its own source).
 	promo [2]promoBuf
 	flip  int
@@ -448,19 +435,13 @@ func NewGame(in *model.Instance, phase1 []assign.Result, cfg Config) *Game {
 		pb.promote(&phase1[ci])
 		st.routes = pb.routes
 		st.leftTasks = pb.left
-		if g.seqEngine && cfg.Scope == FullReassign && phase1[ci].Sequential {
-			// Sequential's own answer over the center's own workers is the
-			// baseline the first sweep would re-run: it seeds the trial
-			// base from promo[0], as an accepted trial does.
-			st.baseline = assign.Result{Routes: pb.routes,
-				LeftTasks: pb.left, LeftWorkers: pb.lws, Stats: phase1[ci].Stats}
-			st.baselineOK = true
-		}
-		st.own = append([]model.WorkerID(nil), in.Centers[ci].Workers...)
-		slices.Sort(st.own)
-		st.workers = append(make([]model.WorkerID, 0, len(st.own)+8), st.own...)
+		// A center whose phase-1 answer is not Sequential's own plays full
+		// trials until its first accept.
+		st.sequential = g.seqEngine && cfg.Scope == FullReassign && phase1[ci].Sequential
+		own := in.Centers[ci].Workers
+		st.workers = append(make([]model.WorkerID, 0, len(own)+8), own...)
+		slices.Sort(st.workers)
 		st.assigned = countTasks(st.routes)
-		st.rho = metrics.Ratio(st.assigned, len(in.Centers[ci].Tasks))
 		for _, w := range phase1[ci].LeftWorkers {
 			g.pool.add(w, ci)
 		}
@@ -491,11 +472,11 @@ func NewGame(in *model.Instance, phase1 []assign.Result, cfg Config) *Game {
 
 // newExchangeGame continues finished shard games as one global game — the
 // sharded engine's phase B (shard.go). Each member center's state moves
-// over unchanged (routes, worker sets, trial baseline, admission slack,
-// promotion buffers), the shard pools merge into one, and the transfer log
-// is the shard logs in shard order. Every center with ρ < 1 starts as a
-// recipient, so each re-probes its deviations against the global pool. The
-// shard games are spent afterwards.
+// over unchanged (routes, worker set, admission slack, promotion buffers),
+// the shard pools merge into one, and the transfer log is the shard logs
+// in shard order. Every center with ρ < 1 starts as a recipient, so each
+// re-probes its deviations against the global pool. The shard games are
+// spent afterwards.
 func newExchangeGame(in *model.Instance, cfg Config, shards []*Game) *Game {
 	g := newGame(in, cfg)
 	for _, sg := range shards {
@@ -550,8 +531,8 @@ func newGame(in *model.Instance, cfg Config) *Game {
 func (g *Game) join(ci model.CenterID) {
 	st := &g.states[ci]
 	g.totalAssigned += st.assigned
-	g.rhoVec[ci] = st.rho
-	if st.rho < 1 {
+	g.rhoVec[ci] = metrics.Ratio(st.assigned, len(g.in.Centers[ci].Tasks))
+	if g.rhoVec[ci] < 1 {
 		g.recipients = append(g.recipients, ci)
 	}
 }
@@ -645,7 +626,7 @@ func (g *Game) Step() bool {
 	}
 
 	step := TraceStep{
-		Iteration: iter, Recipient: ci, RhoBefore: st.rho,
+		Iteration: iter, Recipient: ci, RhoBefore: g.rhoVec[ci],
 		Trials: len(cands), Pruned: sw.pruned, Resumed: resumed, Replays: sw.replays,
 	}
 	// provDelta/provReplace carry the accepted route delta to the ledger
@@ -655,7 +636,7 @@ func (g *Game) Step() bool {
 	if sw.best < 0 {
 		// Lines 20–21: no improving dispatch — the center leaves C'.
 		step.Accepted = false
-		step.RhoAfter = st.rho
+		step.RhoAfter = g.rhoVec[ci]
 		g.recipients = removeCenter(g.recipients, ci)
 		mRejections.Inc()
 	} else {
@@ -670,29 +651,13 @@ func (g *Game) Step() bool {
 		step.Accepted = true
 		step.RhoAfter = bestRho
 
-		// The lender loses the worker from its own set.
-		g.states[src].own = removeSortedID(g.states[src].own, w)
+		// The lender loses the worker. It is in the pool, so its route is
+		// empty and the lender's routes stay Sequential's answer, if they
+		// were, for the smaller set.
 		g.states[src].workers = removeSortedID(g.states[src].workers, w)
-		st.borrowed = appendGrown(st.borrowed, w)
 		st.workers = insertSortedID(st.workers, w)
 		g.transfers = append(g.transfers, model.Transfer{Src: src, Dst: ci, Worker: w})
 		mTransfers.Inc()
-		// The lender's trial baseline usually survives the lend: a worker
-		// with an empty route consumes nothing from the task pool, so
-		// Sequential over the set minus that worker serves every other
-		// worker identically — the new baseline is the old one with w
-		// dropped from LeftWorkers. The pool tracks the CURRENT state's
-		// unused workers, not the baseline's, so membership is checked
-		// against the baseline itself; a miss means w was used there and
-		// the baseline is truly stale (possible only while the lender
-		// still carries a non-Sequential phase-1 assignment).
-		if srcSt := &g.states[src]; srcSt.baselineOK {
-			n := len(srcSt.baseline.LeftWorkers)
-			srcSt.baseline.LeftWorkers = removeSortedID(srcSt.baseline.LeftWorkers, w)
-			if len(srcSt.baseline.LeftWorkers) == n {
-				srcSt.baselineOK = false
-			}
-		}
 
 		if cfg.Scope == LeftoverOnly {
 			st.routes = append(st.routes, cloneRoutes(bestRes.Routes)...)
@@ -705,62 +670,44 @@ func (g *Game) Step() bool {
 		} else {
 			// Promote the accepted result out of the trial arenas into the
 			// center's spare promotion buffer — the live buffer may back
-			// the very slices bestRes aliases — then flip. The promoted
-			// copy is both the new current state and (for the Sequential
-			// engine) the next trial base: the accepted trial IS Sequential
-			// over the new worker set.
+			// the very slices bestRes aliases — then flip. Under the
+			// Sequential engine the accepted trial IS Sequential over the
+			// new worker set, so the promoted copy is the next trial base.
 			pb := &st.promo[1-st.flip]
 			pb.promote(bestRes)
 			st.flip = 1 - st.flip
 			st.routes = pb.routes
 			st.leftTasks = pb.left
+			st.sequential = g.seqEngine
 			// FullReassign replaces the recipient's complete route set.
 			provDelta, provReplace = st.routes, true
-			if g.seqEngine {
-				st.baseline = assign.Result{Routes: pb.routes,
-					LeftTasks: pb.left, LeftWorkers: pb.lws, Stats: bestRes.Stats}
-				st.baselineOK = true
-			} else {
-				st.baselineOK = false
-			}
 			// Bi-directional update: sync the pool with the recipient's own
 			// workers' new usage. Own workers used by the new plan leave
-			// the pool; own workers now unused become available. Both sides
-			// are ID-sorted for the built-in assigners, so a merge walk
-			// replaces the former membership map; an unsorted LeftWorkers
-			// (custom assigner) falls back to the map.
+			// the pool; own workers now unused become available. A merge
+			// walk over the two ID-sorted lists does it. Only a custom
+			// assigner returns its unused workers unsorted, and the result
+			// is the game's own, so it is sorted in place.
 			lws := bestRes.LeftWorkers
-			if slices.IsSorted(lws) {
-				li := 0
-				for _, ow := range st.own {
-					for li < len(lws) && lws[li] < ow {
-						li++
-					}
-					if li < len(lws) && lws[li] == ow {
-						g.pool.add(ow, ci)
-					} else {
-						g.pool.remove(ow)
-					}
+			slices.Sort(lws)
+			li := 0
+			for _, ow := range st.workers {
+				if g.in.Workers[ow].Home != ci {
+					continue
 				}
-			} else {
-				leftSet := make(map[model.WorkerID]bool, len(lws))
-				for _, lw := range lws {
-					leftSet[lw] = true
+				for li < len(lws) && lws[li] < ow {
+					li++
 				}
-				for _, ow := range st.own {
-					if leftSet[ow] {
-						g.pool.add(ow, ci)
-					} else {
-						g.pool.remove(ow)
-					}
+				if li < len(lws) && lws[li] == ow {
+					g.pool.add(ow, ci)
+				} else {
+					g.pool.remove(ow)
 				}
 			}
 		}
 		g.totalAssigned += bestAssigned - st.assigned
 		st.assigned = bestAssigned
-		st.rho = bestRho
 		g.rhoVec[ci] = bestRho
-		if st.rho >= 1-rhoEps {
+		if bestRho >= 1-rhoEps {
 			g.recipients = removeCenter(g.recipients, ci)
 		}
 	}
@@ -848,7 +795,7 @@ func (g *Game) sweep(ci model.CenterID, traceParent obs.SpanID) sweepResult {
 	in := g.in
 	st := &g.states[ci]
 	center := in.Center(ci)
-	sw := sweepResult{slack: -1, best: -1, bestRho: st.rho, bestAssigned: st.assigned}
+	sw := sweepResult{slack: -1, best: -1, bestRho: g.rhoVec[ci], bestAssigned: st.assigned}
 
 	var prunedList []model.WorkerID
 	if g.pruneOn {
@@ -881,32 +828,22 @@ func (g *Game) sweep(ci model.CenterID, traceParent obs.SpanID) sweepResult {
 
 	// The prefix-resume trial base: for the Sequential engine, trials
 	// resume from the candidate's serve-order position against the center's
-	// baseline assignment instead of re-running every worker. The base and
-	// its runners are long-lived — Reset/Rebind recycle their arrays.
+	// current assignment instead of re-running every worker. A center whose
+	// assignment is not Sequential's own answer plays full trials until its
+	// first accept. The base and its runner are long-lived — Reset/Rebind
+	// recycle their arrays.
 	var base *assign.TrialBase
 	if g.seqEngine && len(sw.cands) > 0 {
+		ok := false
 		if cfg.Scope == LeftoverOnly {
 			// DC trials serve one worker over the leftover tasks: the
-			// baseline is the empty assignment over those tasks.
-			if g.base.Reset(g.orders, center, nil, nil, st.leftTasks) {
-				base = &g.base
-			}
-		} else {
-			if !st.baselineOK {
-				// seqEngine holds here, so Sequential IS the configured
-				// assigner. Its result owns its slices, which the trials
-				// alias and a promotion never writes. st.routes/st.leftTasks
-				// keep the center's current assignment — the baseline is a
-				// trial-resume aid, not the state (they coincide only when
-				// phase 1 used the same assigner).
-				st.baseline = assign.Sequential(in, center, baseWS, center.Tasks)
-				st.baselineOK = true
-			}
-			if g.base.Reset(g.orders, center, baseWS, st.baseline.Routes, st.baseline.LeftTasks) {
-				base = &g.base
-			}
+			// base is the empty assignment over those tasks.
+			ok = g.base.Reset(g.orders, center, nil, nil, st.leftTasks)
+		} else if st.sequential {
+			ok = g.base.Reset(g.orders, center, baseWS, st.routes, st.leftTasks)
 		}
-		if base != nil {
+		if ok {
+			base = &g.base
 			mSnapshotBytes.Set(float64(base.FootprintBytes()))
 		}
 	}
@@ -963,7 +900,7 @@ func (g *Game) readmit(traceParent obs.SpanID) {
 		if g.members != nil {
 			ci = g.members[i]
 		}
-		if g.states[ci].rho >= 1 {
+		if g.rhoVec[ci] >= 1 {
 			continue
 		}
 		if sw := g.sweep(ci, traceParent); sw.best >= 0 {
@@ -1059,25 +996,21 @@ func removeCenter(cs []model.CenterID, c model.CenterID) []model.CenterID {
 	return cs
 }
 
-// insertSortedID returns ids (ascending) with w inserted in order.
+// insertSortedID returns ids (ascending) with w inserted in order. It grows
+// ids with growCap headroom: a worker set grows by one element per accepted
+// iteration for hundreds of iterations, so the built-in small-slice doubling
+// would re-allocate on a majority of steps.
 func insertSortedID(ids []model.WorkerID, w model.WorkerID) []model.WorkerID {
 	i := sort.Search(len(ids), func(j int) bool { return ids[j] >= w })
-	ids = appendGrown(ids, 0)
+	if len(ids) == cap(ids) {
+		grown := make([]model.WorkerID, len(ids), growCap(cap(ids), len(ids)+1))
+		copy(grown, ids)
+		ids = grown
+	}
+	ids = append(ids, 0)
 	copy(ids[i+1:], ids[i:])
 	ids[i] = w
 	return ids
-}
-
-// appendGrown is append with growCap headroom: the borrowed/worker sets grow
-// by one element per accepted iteration for hundreds of iterations, so the
-// built-in small-slice doubling would re-allocate on a majority of steps.
-func appendGrown[T any](s []T, v T) []T {
-	if len(s) == cap(s) {
-		grown := make([]T, len(s), growCap(cap(s), len(s)+1))
-		copy(grown, s)
-		s = grown
-	}
-	return append(s, v)
 }
 
 // removeSortedID returns ids (ascending) with w removed, preserving order.

@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"imtao/internal/assign"
@@ -359,16 +360,18 @@ func contestedInstance(rng *rand.Rand, nc, nw, nt, maxT int) *model.Instance {
 }
 
 // TestSequentialGameOverOptimalPhase1MatchesReference pins the guard on
-// seeded baselines. An Optimal phase 1 is not Sequential's answer for its
-// inputs, so a Sequential game over it re-baselines on each center's first
-// sweep and must still match the frozen reference in solution, iterations
-// and trace. A trial base seeded from the Optimal routes would replay
-// trials against routes Sequential never produced. The instances are
-// small, since Optimal's enumeration is exponential.
+// the trial base. An Optimal phase 1 is not Sequential's answer for its
+// inputs, so a Sequential game over it plays full trials at each center
+// until the center's first accept, and must still match the frozen
+// reference in solution, iterations and trace. Trials resumed from the
+// Optimal routes would replay against routes Sequential never produced;
+// the trial count is what it takes to meet instances where that changes
+// the game. The instances are small, since Optimal's enumeration is
+// exponential.
 func TestSequentialGameOverOptimalPhase1MatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(39))
-	for trial := 0; trial < 60; trial++ {
-		in := contestedInstance(rng, 2+rng.Intn(2), 4+rng.Intn(6), 8+rng.Intn(10), 3)
+	for trial := 0; trial < 3000; trial++ {
+		in := contestedInstance(rng, 2+rng.Intn(3), 4+rng.Intn(8), 8+rng.Intn(14), 2+rng.Intn(3))
 		p1 := optPhase1(in)
 		for _, cfg := range []Config{seqConfig(), {Recipient: MaxLeftover, Assigner: assign.Sequential}} {
 			got, want := Run(in, p1, cfg), RunReference(in, p1, cfg)
@@ -381,4 +384,52 @@ func TestSequentialGameOverOptimalPhase1MatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// reversedSequential is assign.Sequential with its unused workers returned
+// in descending ID order: a custom assigner whose LeftWorkers come back
+// unsorted.
+func reversedSequential(in *model.Instance, c *model.Center, ws []model.WorkerID, ts []model.TaskID) assign.Result {
+	r := assign.Sequential(in, c, ws, ts)
+	slices.Reverse(r.LeftWorkers)
+	return r
+}
+
+// TestUnsortedLeftWorkersMatchReference: a custom assigner that returns
+// its unused workers unsorted plays the same game as the frozen reference,
+// so the pool sync after an accept reads them in any order. The test
+// counts the accepted steps whose unused workers came back unsorted, so it
+// cannot pass without meeting one.
+func TestUnsortedLeftWorkersMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	cfg := Config{Scope: FullReassign, Assigner: reversedSequential}
+	unsorted := 0
+	for trial := 0; trial < 100; trial++ {
+		in := contestedInstance(rng, 3+rng.Intn(3), 30+rng.Intn(60), 90+rng.Intn(180), 4)
+		p1 := phase1(in)
+		g := NewGame(in, p1, cfg)
+		for g.Step() {
+			step := g.res.Trace[len(g.res.Trace)-1]
+			if !step.Accepted {
+				continue
+			}
+			ci := step.Recipient
+			c := in.Center(ci)
+			if lws := reversedSequential(in, c, g.states[ci].workers, c.Tasks).LeftWorkers; !slices.IsSorted(lws) {
+				unsorted++
+			}
+		}
+		got, want := g.Finish(), RunReference(in, p1, cfg)
+		if !reflect.DeepEqual(got.Solution, want.Solution) || got.Iterations != want.Iterations {
+			t.Fatalf("trial %d: solution or iterations (%d vs %d) differ from the reference",
+				trial, got.Iterations, want.Iterations)
+		}
+		if !reflect.DeepEqual(stripEngineDiagnostics(got.Trace), stripEngineDiagnostics(want.Trace)) {
+			t.Fatalf("trial %d: traces differ from the reference", trial)
+		}
+	}
+	if unsorted == 0 {
+		t.Fatal("no accepted step returned its unused workers unsorted")
+	}
+	t.Logf("%d accepted steps returned their unused workers unsorted", unsorted)
 }

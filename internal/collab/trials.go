@@ -21,9 +21,9 @@ func (g *Game) rebind(base *assign.TrialBase) *assign.TrialRunner {
 	return g.runner
 }
 
-// fullTrial evaluates one candidate by a complete assigner run — the
-// fallback when no prefix-resume base is available (custom assigners, or a
-// baseline that does not line up with the serve order).
+// fullTrial evaluates one candidate by a complete assigner run — the path
+// when no prefix-resume base is available (custom assigners, or a center
+// whose assignment is not Sequential's own answer).
 func (g *Game) fullTrial(center *model.Center, cand model.WorkerID,
 	baseWS []model.WorkerID, leftTasks []model.TaskID) assign.Result {
 	if g.cfg.Scope == LeftoverOnly {
@@ -102,9 +102,9 @@ func (o *keyOrder) Less(i, j int) bool {
 // some key has beaten beat (the count a trial must strictly exceed) and its
 // first candidate has the lower ID. The first key that can do neither ends
 // the sweep, and every later key keeps its bound, flagged in bounded. The
-// empty key's Trial returns the shared baseline and is no replay. A nil
-// base falls back to one full assigner run per candidate, and beat is
-// unused.
+// empty key never runs: its bound is the base's own count, which is beat.
+// A nil base falls back to one full assigner run per candidate, and beat
+// is unused.
 //
 // Every head and trial runs on the calling goroutine. The counts, the flags
 // and every trialOf Result are per-sweep scratch, valid until the next
@@ -179,9 +179,7 @@ func (g *Game) evalTrials(center *model.Center, cands []model.WorkerID,
 			g.results[gi] = runner.Trial(k.rep)
 		}
 		k.n, k.exact = g.results[gi].AssignedCount(), true
-		if k.key.Len > 0 {
-			replays++
-		}
+		replays++
 		if k.n > best || k.n == best && bestRep >= 0 && k.rep < bestRep {
 			best, bestRep = k.n, k.rep
 		}

@@ -496,25 +496,18 @@ func Run(in *model.Instance, cfg Config) (*Report, error) {
 		case DC:
 			ccfg.Scope = collab.LeftoverOnly
 		}
+		// A shard count of 1 or less runs the unsharded game.
+		out, srep := collab.RunSharded(in, phase1, collab.ShardConfig{
+			Config: ccfg,
+			Shards: cfg.Shards,
+			Seed:   cfg.Seed,
+			Ledger: prov,
+		})
+		rep.Solution = out.Solution
+		rep.Trace = out.Trace
+		rep.Iterations = out.Iterations
 		if cfg.Shards > 1 || cfg.Shards == ShardAuto {
-			out, srep := collab.RunSharded(in, phase1, collab.ShardConfig{
-				Config: ccfg,
-				Shards: cfg.Shards,
-				Seed:   cfg.Seed,
-				Ledger: prov,
-			})
-			rep.Solution = out.Solution
-			rep.Trace = out.Trace
-			rep.Iterations = out.Iterations
 			rep.Shard = &srep
-		} else {
-			if prov != nil {
-				ccfg.Prov = prov.NewGameLog(provenance.StageGame, -1)
-			}
-			out := collab.Run(in, phase1, ccfg)
-			rep.Solution = out.Solution
-			rep.Trace = out.Trace
-			rep.Iterations = out.Iterations
 		}
 	}
 	rep.Phase2Time = time.Since(t1)

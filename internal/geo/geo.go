@@ -126,14 +126,6 @@ func (r Rect) Contains(p Point) bool {
 		p.Y >= r.Min.Y-Eps && p.Y <= r.Max.Y+Eps
 }
 
-// Expand returns r grown by d on every side. Negative d shrinks.
-func (r Rect) Expand(d float64) Rect {
-	return Rect{
-		Min: Point{r.Min.X - d, r.Min.Y - d},
-		Max: Point{r.Max.X + d, r.Max.Y + d},
-	}
-}
-
 // BoundingRect returns the axis-aligned bounding rectangle of pts.
 // It panics if pts is empty; callers always have at least one point.
 func BoundingRect(pts []Point) Rect {

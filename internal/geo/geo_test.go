@@ -109,17 +109,6 @@ func TestRectBasics(t *testing.T) {
 	}
 }
 
-func TestRectExpand(t *testing.T) {
-	a := NewRect(Pt(0, 0), Pt(1, 1))
-	e := a.Expand(1)
-	if e.Min != Pt(-1, -1) || e.Max != Pt(2, 2) {
-		t.Errorf("expand = %+v", e)
-	}
-	if s := e.Expand(-1); s != a {
-		t.Errorf("shrink = %+v", s)
-	}
-}
-
 func TestBoundingRect(t *testing.T) {
 	pts := []Point{Pt(3, 1), Pt(-1, 4), Pt(2, -2)}
 	r := BoundingRect(pts)

@@ -201,9 +201,9 @@ func TestSchemaVersionStampedAndChecked(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &rec); err != nil {
 		t.Fatal(err)
 	}
-	v, ok := rec[SchemaVersionKey].(float64)
+	v, ok := rec["schema_version"].(float64)
 	if !ok {
-		t.Fatalf("record missing %q: %s", SchemaVersionKey, buf.String())
+		t.Fatalf("record missing schema_version: %s", buf.String())
 	}
 	if int(v) != SchemaVersion {
 		t.Fatalf("record schema_version %v, build %d", v, SchemaVersion)

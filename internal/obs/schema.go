@@ -11,9 +11,6 @@ import "fmt"
 // the stream instead of misparsing it.
 const SchemaVersion = 2
 
-// SchemaVersionKey is the JSON key carrying SchemaVersion on every record.
-const SchemaVersionKey = "schema_version"
-
 // CheckSchemaVersion validates a record's schema_version against this
 // build's SchemaVersion. Readers call it per stream (the version is
 // constant within one file) and surface the error instead of guessing at

@@ -23,11 +23,11 @@
 // one-shard runs gate its record counts).
 //
 // Replay(l) deterministically reconstructs the run's exact final solution
-// from the ledger alone — including the sharded engine's min-(ρ, center)
-// merge interleave, re-derived from the per-step ρ values rather than
-// recorded — which is both the property test anchoring the ledger's
-// completeness (fingerprint match against the live Report) and the
-// attribution engine behind the explain queries.
+// from the ledger alone — applying its game logs in ledger order, the
+// sharded engine's shard logs and then its exchange log — which is both
+// the property test anchoring the ledger's completeness (fingerprint match
+// against the live Report) and the attribution engine behind the explain
+// queries.
 package provenance
 
 import (
@@ -35,6 +35,7 @@ import (
 
 	"imtao/internal/assign"
 	"imtao/internal/model"
+	"imtao/internal/routing"
 	"imtao/internal/slab"
 )
 
@@ -333,27 +334,20 @@ func (l *Ledger) RecordFinal(in *model.Instance, sol *model.Solution, unfairness
 	}
 	for ci := range sol.PerCenter {
 		c := in.Center(model.CenterID(ci))
-		cref := in.CenterRef(model.CenterID(ci))
 		for _, rt := range sol.PerCenter[ci].Routes {
 			fr := FinalRoute{
 				Worker: rt.Worker,
 				Center: model.CenterID(ci),
 				Tasks:  append([]model.TaskID(nil), rt.Tasks...),
-				Arrive: make([]float64, len(rt.Tasks)),
+				Arrive: routing.CompletionTimes(in, in.Worker(rt.Worker), c, rt.Tasks),
 				Expiry: make([]float64, len(rt.Tasks)),
 			}
-			w := in.Worker(rt.Worker)
-			t := in.TravelTimeRef(w.Loc, in.WorkerRef(rt.Worker), c.Loc, cref)
-			cur, curRef := c.Loc, cref
 			for i, tid := range rt.Tasks {
-				task := in.Task(tid)
-				tref := in.TaskRef(tid)
-				t += in.TravelTimeRef(cur, curRef, task.Loc, tref)
-				fr.Arrive[i] = t
-				fr.Expiry[i] = task.Expiry
-				cur, curRef = task.Loc, tref
+				fr.Expiry[i] = in.Task(tid).Expiry
 			}
-			fr.Hours = t
+			if n := len(fr.Arrive); n > 0 {
+				fr.Hours = fr.Arrive[n-1]
+			}
 			f.Routes = append(f.Routes, fr)
 		}
 	}

@@ -2,14 +2,13 @@ package workload
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 
 	"imtao/internal/model"
 )
 
-// solutionJSON serialises a platform-wide assignment for archival and
-// replay (imtao-sim -save / -replay).
+// solutionJSON serialises a platform-wide assignment for archival
+// (imtao-sim -save).
 type solutionJSON struct {
 	Centers   []centerSolJSON `json:"centers"`
 	Transfers []transferJSON  `json:"transfers,omitempty"`
@@ -53,40 +52,4 @@ func WriteSolutionJSON(w io.Writer, sol *model.Solution) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
-}
-
-// ReadSolutionJSON deserialises a solution written by WriteSolutionJSON and
-// validates it against the instance (structural consistency only; run
-// routing.SolutionFeasible for the temporal checks).
-func ReadSolutionJSON(r io.Reader, in *model.Instance) (*model.Solution, error) {
-	var raw solutionJSON
-	if err := json.NewDecoder(r).Decode(&raw); err != nil {
-		return nil, fmt.Errorf("workload: decoding solution: %w", err)
-	}
-	sol := model.NewSolution(in)
-	for _, cs := range raw.Centers {
-		if cs.Center < 0 || cs.Center >= len(in.Centers) {
-			return nil, fmt.Errorf("workload: solution references center %d", cs.Center)
-		}
-		for _, rt := range cs.Routes {
-			route := model.Route{
-				Worker: model.WorkerID(rt.Worker),
-				Center: model.CenterID(cs.Center),
-				Tasks:  make([]model.TaskID, len(rt.Tasks)),
-			}
-			for i, t := range rt.Tasks {
-				route.Tasks[i] = model.TaskID(t)
-			}
-			sol.PerCenter[cs.Center].Routes = append(sol.PerCenter[cs.Center].Routes, route)
-		}
-	}
-	for _, tr := range raw.Transfers {
-		sol.Transfers = append(sol.Transfers, model.Transfer{
-			Src: model.CenterID(tr.Src), Dst: model.CenterID(tr.Dst), Worker: model.WorkerID(tr.Worker),
-		})
-	}
-	if err := sol.CheckConsistency(in); err != nil {
-		return nil, fmt.Errorf("workload: loaded solution inconsistent: %w", err)
-	}
-	return sol, nil
 }

@@ -250,85 +250,71 @@ func assertSameInstance(t *testing.T, want, got *model.Instance) {
 	}
 }
 
-func TestSolutionJSONRoundTrip(t *testing.T) {
-	// Build a small instance + hand solution, round-trip it.
-	p := Defaults(SYN)
-	p.NumTasks, p.NumWorkers, p.NumCenters = 6, 3, 2
-	in, err := Generate(p)
-	if err != nil {
-		t.Fatal(err)
+// TestWriteSolutionJSONGolden pins WriteSolutionJSON's bytes for a small
+// hand-built solution: one entry per center, routes only where a center
+// has some, and the transfer log when the game moved a worker.
+func TestWriteSolutionJSONGolden(t *testing.T) {
+	sol := &model.Solution{
+		PerCenter: []model.Assignment{
+			{Center: 0, Routes: []model.Route{
+				{Worker: 0, Center: 0, Tasks: []model.TaskID{0, 2}},
+				{Worker: 1, Center: 0, Tasks: []model.TaskID{1}},
+			}},
+			{Center: 1, Routes: []model.Route{{Worker: 2, Center: 1, Tasks: []model.TaskID{5}}}},
+			{Center: 2},
+		},
+		Transfers: []model.Transfer{{Src: 0, Dst: 1, Worker: 1}},
 	}
-	// Manual partition: everything to center 0 except task 5 / worker 2.
-	for i := range in.Tasks {
-		c := model.CenterID(0)
-		if i == 5 {
-			c = 1
-		}
-		in.Tasks[i].Center = c
-		in.Centers[c].Tasks = append(in.Centers[c].Tasks, model.TaskID(i))
-	}
-	for i := range in.Workers {
-		c := model.CenterID(0)
-		if i == 2 {
-			c = 1
-		}
-		in.Workers[i].Home = c
-		in.Centers[c].Workers = append(in.Centers[c].Workers, model.WorkerID(i))
-	}
-	sol := model.NewSolution(in)
-	sol.PerCenter[0].Routes = []model.Route{
-		{Worker: 0, Center: 0, Tasks: []model.TaskID{0, 2}},
-		{Worker: 1, Center: 0, Tasks: []model.TaskID{1}},
-	}
-	sol.PerCenter[1].Routes = []model.Route{{Worker: 2, Center: 1, Tasks: []model.TaskID{5}}}
-	sol.Transfers = []model.Transfer{{Src: 0, Dst: 1, Worker: 1}}
-
 	var buf bytes.Buffer
 	if err := WriteSolutionJSON(&buf, sol); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadSolutionJSON(&buf, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.AssignedCount() != sol.AssignedCount() {
-		t.Fatalf("count %d != %d", got.AssignedCount(), sol.AssignedCount())
-	}
-	if len(got.Transfers) != 1 || got.Transfers[0] != sol.Transfers[0] {
-		t.Fatalf("transfers = %v", got.Transfers)
-	}
-	for ci := range sol.PerCenter {
-		if len(got.PerCenter[ci].Routes) != len(sol.PerCenter[ci].Routes) {
-			t.Fatalf("center %d route count differs", ci)
-		}
-	}
+	const want = `{
+  "centers": [
+    {
+      "center": 0,
+      "routes": [
+        {
+          "worker": 0,
+          "tasks": [
+            0,
+            2
+          ]
+        },
+        {
+          "worker": 1,
+          "tasks": [
+            1
+          ]
+        }
+      ]
+    },
+    {
+      "center": 1,
+      "routes": [
+        {
+          "worker": 2,
+          "tasks": [
+            5
+          ]
+        }
+      ]
+    },
+    {
+      "center": 2
+    }
+  ],
+  "transfers": [
+    {
+      "src": 0,
+      "dst": 1,
+      "worker": 1
+    }
+  ]
 }
-
-func TestReadSolutionJSONRejectsInconsistent(t *testing.T) {
-	p := Defaults(SYN)
-	p.NumTasks, p.NumWorkers, p.NumCenters = 2, 1, 1
-	in, err := Generate(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in.Tasks[0].Center, in.Tasks[1].Center = 0, 0
-	in.Centers[0].Tasks = []model.TaskID{0, 1}
-	in.Workers[0].Home = 0
-	in.Centers[0].Workers = []model.WorkerID{0}
-
-	// Duplicate task across routes.
-	bad := `{"centers":[{"center":0,"routes":[{"worker":0,"tasks":[0,0]}]}]}`
-	if _, err := ReadSolutionJSON(bytes.NewBufferString(bad), in); err == nil {
-		t.Error("duplicate-task solution accepted")
-	}
-	// Unknown center.
-	bad = `{"centers":[{"center":7,"routes":[]}]}`
-	if _, err := ReadSolutionJSON(bytes.NewBufferString(bad), in); err == nil {
-		t.Error("unknown-center solution accepted")
-	}
-	// Garbage.
-	if _, err := ReadSolutionJSON(bytes.NewBufferString("{"), in); err == nil {
-		t.Error("malformed json accepted")
+`
+	if buf.String() != want {
+		t.Errorf("WriteSolutionJSON:\n%s\nwant:\n%s", buf.String(), want)
 	}
 }
 
